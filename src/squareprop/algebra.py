@@ -2,12 +2,13 @@
 
 An algebra is a dense table c[i, j, k] with e_i e_j = sum_k c[i,j,k] e_k,
 validated for associativity at construction.  Everything downstream
-(spectra, seminorm kernels, quotients, character search) is computed from
+(spectra, seminorm kernels, quotients, characters) is computed from
 this table and the left regular representation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +89,13 @@ class FiniteDimRealAlgebra:
 
     def _check_associativity(self):
         c = self.table
+        cmax = float(np.abs(c).max())
+        if not math.isfinite(cmax):  # NaN compares False against any tol
+            raise AlgebraError("table has non-finite entries")
         lhs = np.einsum("ijm,mkl->ijkl", c, c)
         rhs = np.einsum("jkm,iml->ijkl", c, c)
         err = np.abs(lhs - rhs)
-        tol = ASSOC_TOL * (1.0 + np.abs(c).max()) ** 2
+        tol = ASSOC_TOL * (1.0 + cmax) ** 2
         worst = err.max()
         if worst > tol:
             i, j, k, l = np.unravel_index(np.argmax(err), err.shape)
@@ -104,7 +108,9 @@ class FiniteDimRealAlgebra:
             ej = np.eye(self.dim)[j]
             left = np.einsum("i,j,ijk->k", u, ej, self.table)
             right = np.einsum("i,j,ijk->k", ej, u, self.table)
-            if np.abs(left - ej).max() > UNIT_TOL or np.abs(right - ej).max() > UNIT_TOL:
+            # written so that a NaN defect fails the check
+            if not (np.abs(left - ej).max() <= UNIT_TOL
+                    and np.abs(right - ej).max() <= UNIT_TOL):
                 raise BadUnit(f"claimed unit fails on basis element {j}")
 
     @property

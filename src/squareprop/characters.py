@@ -1,11 +1,13 @@
-"""Quaternion-valued multiplicative linear functionals and their search.
+"""Quaternion-valued multiplicative linear functionals, built exactly.
 
-A character is determined by its images q_i of the basis elements; it is
-multiplicative iff q_i q_j = sum_k c[i,j,k] q_k for all basis pairs, which
-is the nonlinear system the damped least-squares search solves from random
-starts.  The search samples the character space, it never enumerates it:
-every sup over characters reported here is a lower bound unless the
-algebra's character structure is known in full.
+A character x: A -> H is real-linear and multiplicative.  H has no
+nilpotents, so x vanishes on rad(A) and factors through the semisimple
+quotient A/rad(A), which Wedderburn-Artin splits into simple blocks cut out
+by the primitive idempotents of its center.  By Frobenius a block carries a
+character only if it is R, C or H, and by Skolem-Noether all characters of
+one block are conjugate, so |x(a)| does not depend on the one chosen.
+find_characters therefore returns one character per R, C or H block, and a
+sup over its result is the sup over every character of A, not a sample.
 """
 
 from __future__ import annotations
@@ -15,16 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, FiniteDimRealAlgebra, AlgebraMismatch,
-                      NotUnital, is_invertible)
+                      NotUnital, is_invertible, quotient, unitize)
 from .quaternion import HAMILTON, Quaternion, qnorm, qspectrum
+from .seminorm import SpectralRadius, _nullspace
 from .spectral import spectral_radius, spectrum
 
-ACCEPT_RESIDUAL = 1e-11    # converged character
-DISCARD_RESIDUAL = 1e-7    # anything above is a failed restart; between: unconverged
-DEDUP_DISTANCE = 1e-6
+ACCEPT_RESIDUAL = 1e-11    # gate on every constructed character
 NONZERO_FLOOR = 1e-6
-
-_E1 = np.array([1.0, 0.0, 0.0, 0.0])
+_CENTER_SEED = 0           # draws the generic central element
 
 
 class EmptyCharacterSet(Exception):
@@ -55,132 +55,116 @@ def character_residual(algebra: FiniteDimRealAlgebra, images) -> float:
     return float(defect / scale)
 
 
-def _residual_system(algebra: FiniteDimRealAlgebra):
-    c = algebra.table
-    n = algebra.dim
-    u = algebra.unit
-    unital = algebra.is_unital
-
-    def fun(x):
-        Q = x.reshape(n, 4)
-        E = (np.einsum("ip,jq,pqc->ijc", Q, Q, HAMILTON)
-             - np.einsum("ijk,kc->ijc", c, Q))
-        if unital:
-            extra = u @ Q - _E1
-        else:
-            i0 = int(np.argmax((Q * Q).sum(axis=1)))
-            extra = np.array([Q[i0] @ Q[i0] - 1.0])
-        return np.concatenate([E.ravel(), extra])
-
-    def jac(x):
-        Q = x.reshape(n, 4)
-        J = np.zeros((n, n, 4, n, 4))
-        T1 = np.einsum("jq,dqc->jcd", Q, HAMILTON)   # d(q_i q_j)/dq_i
-        T2 = np.einsum("ip,pdc->icd", Q, HAMILTON)   # d(q_i q_j)/dq_j
-        for m in range(n):
-            J[m, :, :, m, :] += T1
-            J[:, m, :, m, :] += T2
-        for comp in range(4):
-            J[:, :, comp, :, comp] -= c
-        J = J.reshape(n * n * 4, n * 4)
-        if unital:
-            Ju = np.einsum("m,cd->cmd", u, np.eye(4)).reshape(4, n * 4)
-        else:
-            i0 = int(np.argmax((Q * Q).sum(axis=1)))
-            Ju = np.zeros((1, n, 4))
-            Ju[0, i0, :] = 2.0 * Q[i0]
-            Ju = Ju.reshape(1, n * 4)
-        return np.vstack([J, Ju])
-
-    return fun, jac
+def _classify(B, e, mu, z):
+    """(name, basis) of the block e*B, where mu is the eigenvalue of the
+    central element z that cut it out.  basis holds e, i, j, ij as columns
+    (as many as the block needs) for R, C and H, and is None otherwise."""
+    c = B.table
+    L_e = np.einsum("i,ijk->kj", e, c)
+    s = np.linalg.svd(L_e, compute_uv=False)
+    dim = int((s > 1e-8 * s[0]).sum())
+    center_dim = 1 if mu.imag == 0.0 else 2
+    if (center_dim, dim) == (1, 1):
+        return "R", e[:, None]
+    if (center_dim, dim) == (2, 2):
+        i = (B.mul_coords(e, z) - mu.real * e) / mu.imag
+        return "C", np.column_stack([e, i])
+    if (center_dim, dim) == (1, 4):
+        # the trace-zero part of a 4-dim central simple block is 3-dim, and
+        # symmetrized products of its elements are multiples of e; the block
+        # is H iff that quadratic form is negative definite (else M2(R))
+        U = np.linalg.svd(L_e)[0][:, :4]
+        T = U @ _nullspace((np.einsum("ijj->i", c) @ U)[None, :]).T
+        P = np.einsum("ia,jb,ijk->abk", T, T, c)
+        G = (P + P.transpose(1, 0, 2)) @ e / (2.0 * (e @ e))
+        lam, V = np.linalg.eigh(G)
+        if lam[-1] >= -1e-8 * abs(lam[0]):
+            return "M2(R)", None
+        i = T @ V[:, 0] / np.sqrt(-lam[0])
+        j = T @ V[:, 1] / np.sqrt(-lam[1])
+        return "H", np.column_stack([e, i, j, B.mul_coords(i, j)])
+    return f"a simple block of dim {dim} with center dim {center_dim}", None
 
 
-def _lm_minimize(fun, jac, x0, max_iter=500, gtol=1e-15, xtol=1e-15):
-    """Levenberg-Marquardt with a fixed, branch-free update schedule.
+def _blocks(algebra: FiniteDimRealAlgebra):
+    """Simple blocks of the unital hull of A modulo its radical.
 
-    Implemented in plain numpy on purpose: the MINPACK-backed scipy solver
-    is not bit-reproducible run to run on this platform, which would break
-    the byte-identical-JSON contract of the CLI.  The problem is small and
-    dense, so nothing beyond J^T J + damping is needed.
+    Returns (hull, projection, B, blocks): projection maps hull coordinates
+    to the quotient B, and blocks lists _classify's (name, basis) pairs.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    f = fun(x)
-    cost = float(f @ f)
-    lam = 1e-3
-    for _ in range(max_iter):
-        J = jac(x)
-        g = J.T @ f
-        if np.abs(g).max() <= gtol * (1.0 + cost):
-            break
-        H = J.T @ J
-        d = np.maximum(np.diag(H), 1e-12)
-        step = None
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(H + lam * np.diag(d), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            f_new = fun(x + step)
-            cost_new = float(f_new @ f_new)
-            if cost_new < cost:
-                x = x + step
-                f, cost = f_new, cost_new
-                lam = max(lam / 3.0, 1e-14)
-                break
-            lam *= 10.0
-            step = None
-        if step is None:
-            break
-        if np.abs(step).max() <= xtol * (1.0 + np.abs(x).max()):
-            break
-    return x
+    hull = algebra if algebra.is_unital else unitize(algebra)
+    rad = SpectralRadius().kernel(hull)
+    if rad.shape[0]:
+        qm = quotient(hull, rad)
+        B, proj = qm.algebra, qm.projection
+    else:
+        B, proj = hull, np.eye(hull.dim)
+    u = proj @ hull.unit
+    m = B.dim
+    c = B.table
+    Z = _nullspace((c - c.transpose(1, 0, 2)).reshape(m, m * m).T)  # center
+    z = Z.T @ np.random.default_rng(_CENTER_SEED).standard_normal(Z.shape[0])
+    # the center is a product of copies of R and C; a generic central z has
+    # one real eigenvalue per R and a conjugate pair per C, and the spectral
+    # projectors of L_z applied to the unit are the primitive idempotents
+    mus, vecs = np.linalg.eig(Z @ np.einsum("i,ijk->kj", z, c) @ Z.T)
+    left = np.linalg.inv(vecs)
+    tol = 1e-9 * (1.0 + np.abs(mus).max())
+    blocks = []
+    for k in np.lexsort((mus.imag, mus.real)):
+        mu = mus[k]
+        if mu.imag < -tol:
+            continue
+        proj_k = np.outer(vecs[:, k], left[k])
+        if mu.imag > tol:
+            proj_k = 2.0 * proj_k
+        else:
+            mu = complex(mu.real, 0.0)
+        e = Z.T @ (proj_k @ (Z @ u)).real
+        blocks.append(_classify(B, e, mu, z))
+    return hull, proj, B, blocks
 
 
 def find_characters(algebra: FiniteDimRealAlgebra, restarts: int = 50,
-                    seed: int = 0, max_iter: int = 500) -> list[Character]:
-    """Damped least-squares search from random starts; deterministic per seed.
+                    seed: int = 0) -> list[Character]:
+    """One character per R, C or H block of A/rad(A), canonically ordered.
 
-    Accepted solutions have multiplicativity residual <= 1e-11, satisfy the
-    unit constraint when the algebra is unital, and are nonzero; everything
-    else (failed or unconverged restarts) is discarded.  The returned list
-    is deduped by pairwise image distance and canonically ordered.
+    The images of block e*B with basis (e, i, j, ij) are the coordinates of
+    e*pi(e_m) in that basis, for every basis element e_m of A.  A non-unital
+    A is unitized first and the results restricted back; a restriction that
+    vanishes (the character killing A) is dropped.  Every character passes
+    the multiplicativity residual gate of 1e-11.  `restarts` and `seed` are
+    accepted for interface stability and do not affect the result.
     """
-    rng = np.random.default_rng(seed)
-    fun, jac = _residual_system(algebra)
-    n = algebra.dim
-    candidates = []
-    for _ in range(restarts):
-        x0 = rng.standard_normal(n * 4)
-        Q = _lm_minimize(fun, jac, x0, max_iter=max_iter).reshape(n, 4)
-        if character_residual(algebra, Q) > ACCEPT_RESIDUAL:
+    hull, proj, B, blocks = _blocks(algebra)
+    pad = hull.dim - algebra.dim
+    found = []
+    for _, basis in blocks:
+        if basis is None:
             continue
-        if algebra.is_unital:
-            if np.abs(algebra.unit @ Q - _E1).max() > 1e-9:
-                continue
-        if np.sqrt((Q * Q).sum(axis=1)).max() < NONZERO_FLOOR:
+        e_pi = np.einsum("i,ijk->kj", basis[:, 0], B.table) @ proj
+        images = np.zeros((hull.dim, 4))
+        images[:, :basis.shape[1]] = np.linalg.lstsq(basis, e_pi,
+                                                     rcond=None)[0].T
+        images = images[pad:]
+        if np.sqrt((images * images).sum(axis=1)).max() < NONZERO_FLOOR:
             continue
-        candidates.append(Q)
-    candidates.sort(key=lambda Q: np.round(Q, 9).tobytes())
-    kept: list[np.ndarray] = []
-    for Q in candidates:
-        if all(np.linalg.norm(Q - P) > DEDUP_DISTANCE for P in kept):
-            kept.append(Q)
-    out = []
-    for Q in kept:
-        Q = Q.copy()
-        Q.setflags(write=False)
-        out.append(Character(algebra, Q, character_residual(algebra, Q)))
-    return out
+        residual = character_residual(algebra, images)
+        if residual <= ACCEPT_RESIDUAL:
+            images.setflags(write=False)
+            found.append(Character(algebra, images, residual))
+    found.sort(key=lambda x: np.round(x.images, 9).tobytes())
+    return found
 
 
 def j_evaluate(a: AlgebraElement, chars: list[Character]) -> list[Quaternion]:
-    """The representation value J(a) sampled at the given characters."""
+    """The representation value J(a) at the given characters."""
     return [x.value(a) for x in chars]
 
 
 def sampled_sup_norm(a: AlgebraElement, chars: list[Character]) -> float:
-    """Max |x(a)| over the sampled characters; a lower bound of ||J(a)||_s."""
+    """Max |x(a)| over the given characters; ||J(a)||_s when they are the
+    result of find_characters."""
     if not chars:
         raise EmptyCharacterSet("no characters to evaluate")
     return max(qnorm(q) for q in j_evaluate(a, chars))
@@ -194,11 +178,11 @@ class Prop31Result:
 
 def check_prop31(a: AlgebraElement, chars: list[Character],
                  tol: float = 1e-6) -> Prop31Result:
-    """Invertibility transfer and spectrum inclusion at sampled characters.
+    """Invertibility transfer and spectrum inclusion at the given characters.
 
     forward_ok: an invertible element has nowhere-vanishing character values.
     spectrum_inclusion_ok: every point of the quaternion spectrum of x(a)
-    lies in sp(a), for every sampled character.
+    lies in sp(a), for every given character.
     """
     if not a.algebra.is_unital:
         raise NotUnital("Proposition checks need a unit")
@@ -217,8 +201,8 @@ def full_spectrum_match(a: AlgebraElement, chars: list[Character],
                         tol: float = 1e-6) -> bool:
     """sp(a) equals the union of quaternion spectra of the character values.
 
-    Only meaningful when chars covers the whole character space, which for
-    this package means products of R, C and H components.
+    Holds for find_characters(A) exactly when every simple block of
+    A/rad(A) is R, C or H.
     """
     union = [z for q in j_evaluate(a, chars) for z in qspectrum(q)]
     if not union:
@@ -230,11 +214,12 @@ def full_spectrum_match(a: AlgebraElement, chars: list[Character],
 
 
 def nonexistence_explanation(algebra: FiniteDimRealAlgebra):
-    """Why an empty search result is structural, when that is diagnosable.
+    """Why an algebra has no character, when that is diagnosable.
 
-    Looks for a nonzero basis element with vanishing spectral radius: such a
-    nilpotent rules out any norm with ||a|| <= m*r(a), which is the standing
-    hypothesis behind the existence of characters.
+    First looks for a nonzero basis element with vanishing spectral radius:
+    such a nilpotent rules out any norm with ||a|| <= m*r(a), which is the
+    standing hypothesis behind the existence of characters.  Otherwise names
+    the first simple block of A/rad(A) that is not R, C or H.
     """
     for i in range(algebra.dim):
         e = algebra.basis_element(i)
@@ -243,4 +228,8 @@ def nonexistence_explanation(algebra: FiniteDimRealAlgebra):
             return (f"basis element {algebra.labels[i]} is nilpotent "
                     f"(spectral radius {r:.2e}) but nonzero, so no norm can "
                     f"satisfy ||a|| <= m*r(a) and the character space is empty")
+    for k, (name, basis) in enumerate(_blocks(algebra)[3]):
+        if basis is None:
+            return (f"block {k} of A/rad(A) is {name}, not R, C or H, so it "
+                    f"admits no quaternion character")
     return None

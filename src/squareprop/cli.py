@@ -69,12 +69,16 @@ def load_algebra(spec: str) -> FiniteDimRealAlgebra:
             raise InputError(f"algebra file {spec}: table row {row!r} is not "
                              "[i, j, k, value]")
         i, j, k, v = row
-        table[(int(i), int(j), int(k))] = float(v)
+        try:
+            table[(int(i), int(j), int(k))] = float(v)
+        except (TypeError, ValueError):
+            raise InputError(f"algebra file {spec}: table row {row!r} needs "
+                             "integer indices and a real value") from None
     unit = doc.get("unit")
     try:
         return make_algebra(dim, basis, table, unit=unit,
                             name=doc.get("name", os.path.basename(spec)))
-    except AlgebraError as exc:
+    except (AlgebraError, TypeError, ValueError) as exc:
         raise InputError(f"algebra file {spec}: {exc}") from None
 
 
@@ -94,10 +98,14 @@ def load_seminorm(spec: str, algebra: FiniteDimRealAlgebra):
     else:
         kind, _, rest = spec.partition(":")
         args = {}
-        if kind == "component_sup" and rest:
-            args["subset"] = [int(v) for v in rest.split(",")]
-        elif rest:
-            args["weights"] = [float(v) for v in rest.split(",")]
+        try:
+            if kind == "component_sup" and rest:
+                args["subset"] = [int(v) for v in rest.split(",")]
+            elif rest:
+                args["weights"] = [float(v) for v in rest.split(",")]
+        except ValueError:
+            raise InputError(f"seminorm {spec}: parameters after ':' must be "
+                             "comma-separated numbers") from None
     if kind not in _SEMINORM_KINDS:
         raise InputError(f"seminorm type {kind!r} unknown; expected one of "
                          f"{', '.join(_SEMINORM_KINDS)}")
@@ -117,6 +125,8 @@ def parse_element(algebra, text: str) -> np.ndarray:
     if coords.shape != (algebra.dim,):
         raise InputError(f"element has {coords.size} coordinates, "
                          f"algebra dim is {algebra.dim}")
+    if not np.isfinite(coords).all():
+        raise InputError(f"element {text!r}: coordinates must be finite")
     return coords
 
 
@@ -129,9 +139,12 @@ def _emit(payload: dict, fmt: str, text_lines):
 
 
 def _config(args) -> pipeline.PipelineConfig:
-    return pipeline.PipelineConfig(
-        sample_count=args.samples, seed=args.seed, tol=args.tol,
-        restarts=args.restarts)
+    try:
+        return pipeline.PipelineConfig(
+            sample_count=args.samples, seed=args.seed, tol=args.tol,
+            restarts=args.restarts)
+    except ValueError as exc:
+        raise InputError(f"options: {exc}") from None
 
 
 def cmd_verify(args) -> int:
@@ -272,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
            element=True)
     common(sub.add_parser("radius", help="Gelfand and spectral radius"),
            element=True)
-    common(sub.add_parser("characters", help="search quaternion characters"))
+    common(sub.add_parser("characters", help="construct quaternion characters"))
     fz = sub.add_parser("fuzz", help="randomized counterexample search")
     fz.add_argument("--iterations", type=int, default=10000)
     common(fz, algebra=False)

@@ -2,8 +2,9 @@
 
 Direct sums of R, C and H carry component metadata so that a complete set
 of representative characters (one per component) can be written down
-analytically; those are the only algebras on which sup-over-characters
-claims are upgraded from lower bounds to equalities.
+analytically.  known_characters is that closed form: the oracle that
+characters.find_characters is tested against, and the source of the fuzz
+instances' character seminorms.
 """
 
 from __future__ import annotations

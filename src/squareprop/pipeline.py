@@ -37,11 +37,12 @@ class PipelineConfig:
     max_square_iterates: int = 10
 
     def __post_init__(self):
-        if self.sample_count <= 0 or self.restarts <= 0 \
-                or self.max_square_iterates <= 0:
-            raise ValueError("counts must be positive")
+        for name in ("sample_count", "restarts", "max_square_iterates"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.tol < 1.0:
-            raise ValueError("tol must be in (0, 1)")
+            raise ValueError(f"tol must be in (0, 1), got {self.tol}")
 
 
 def stage_tolerances(tol: float) -> dict:
@@ -142,7 +143,7 @@ def _unital_branch(report, qalg, abs_norm, config, check_sup_equality, rng):
     if not chars:
         note = nonexistence_explanation(qalg)
         report.notes.append(
-            "character search returned nothing on the quotient"
+            "the quotient has no quaternion character"
             + (f": {note}" if note else ""))
         return
     n_el = min(20, config.sample_count)

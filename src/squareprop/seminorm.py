@@ -33,10 +33,14 @@ class UnsupportedVariant(SeminormError):
 
 
 def _nullspace(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Rows spanning the right null space of M."""
+    """Rows spanning the right null space of M.
+
+    A thin SVD suffices for a tall M; a wide M needs the full V, whose extra
+    rows are part of the null space.
+    """
     if M.size == 0:
         return np.eye(M.shape[1])
-    _, s, Vt = np.linalg.svd(M)
+    _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     smax = s[0] if s.size else 0.0
     rank = int((s > rtol * max(smax, 1.0)).sum())
     return Vt[rank:]
@@ -77,7 +81,8 @@ class CharacterSup(SeminormVariant):
     def check_payload(self, algebra):
         if not self.characters:
             raise PayloadMismatch("character_sup needs at least one character")
-        self._images(algebra)
+        if not np.isfinite(self._images(algebra)).all():
+            raise PayloadMismatch("character images must be finite")
 
     def value(self, a):
         return float(self.values(a.algebra, a.coords[None, :])[0])
@@ -106,16 +111,11 @@ class SpectralRadius(SeminormVariant):
     def kernel(self, algebra):
         # Dickson trace criterion: x is in the radical (the zero set of the
         # spectral radius in the seminorm case) iff tr(L_(x a)) = 0 for all a,
-        # taken in the unital hull when there is no unit.
+        # taken in the unital hull when there is no unit.  With t_k = tr(L_e_k),
+        # M[i, j] = tr(L_(x_i e_j)) = sum_k c[i, j, k] t_k.
         hull = algebra if algebra.is_unital else unitize(algebra)
         pad = hull.dim - algebra.dim
-        M = np.zeros((algebra.dim, hull.dim))
-        for i in range(algebra.dim):
-            xi = np.concatenate([np.zeros(pad), np.eye(algebra.dim)[i]])
-            for j in range(hull.dim):
-                prod = hull.mul_coords(xi, np.eye(hull.dim)[j])
-                M[i, j] = np.trace(
-                    np.einsum("i,ijk->kj", prod, hull.table))
+        M = hull.table[pad:] @ np.einsum("kjj->k", hull.table)
         return _nullspace(M.T)
 
 
@@ -131,8 +131,8 @@ class CoordinateMax(SeminormVariant):
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (algebra.dim,):
             raise PayloadMismatch(f"{w.size} weights for dim {algebra.dim}")
-        if (w < 0).any():
-            raise PayloadMismatch("weights must be nonnegative")
+        if not np.isfinite(w).all() or (w < 0).any():
+            raise PayloadMismatch("weights must be finite and nonnegative")
         return w
 
     def check_payload(self, algebra):

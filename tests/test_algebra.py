@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from squareprop import corpus
-from squareprop.algebra import (AlgebraMismatch, AssociativityViolation,
+from squareprop.algebra import (AlgebraError, AlgebraMismatch,
+                                AssociativityViolation, BadUnit,
                                 NotAnIdeal, NotUnital, find_unit,
                                 is_invertible, left_regular_matrix,
                                 make_algebra, mul, quotient,
@@ -163,3 +164,10 @@ def test_unit_residuals_tight():
             ej = np.eye(A.dim)[j]
             assert np.abs(A.mul_coords(A.unit, ej) - ej).max() <= 1e-12
             assert np.abs(A.mul_coords(ej, A.unit) - ej).max() <= 1e-12
+
+
+def test_non_finite_table_rejected():
+    with pytest.raises(AlgebraError, match="non-finite"):
+        make_algebra(1, ["1"], {(0, 0, 0): float("nan")})
+    with pytest.raises(BadUnit):
+        make_algebra(1, ["1"], {(0, 0, 0): 1.0}, unit=[float("nan")])

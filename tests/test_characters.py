@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from squareprop import corpus
+from squareprop.algebra import make_algebra
 from squareprop.characters import (EmptyCharacterSet, character_residual,
                                    check_prop31, find_characters,
                                    full_spectrum_match, j_evaluate,
                                    nonexistence_explanation, sampled_sup_norm)
-from squareprop.quaternion import qnorm
+from squareprop.quaternion import (Quaternion, qinv, qmul, qnorm,
+                                   random_unit_quaternion)
+from squareprop.pipeline import PipelineConfig, verify_theorem
+from squareprop.seminorm import SpectralRadius, kernel
 from squareprop.spectral import spectral_radius
 
 
@@ -35,15 +39,23 @@ def test_find_characters_rr():
 def test_find_characters_h_conjugations():
     H = corpus.quaternions()
     chars = find_characters(H, restarts=50, seed=1)
-    assert len(chars) >= 5
+    assert len(chars) == 1  # one representative for the one H block
+    (x,) = chars
     rng = np.random.default_rng(0)
-    for c in chars:
-        assert c.residual <= 1e-11
-        for _ in range(20):
-            a = H.element(rng.standard_normal(4))
-            # conjugation characters are isometric
-            assert qnorm(c(a)) == pytest.approx(np.linalg.norm(a.coords),
-                                                rel=1e-9)
+    elements = [H.element(rng.standard_normal(4)) for _ in range(20)]
+    for a in elements:
+        assert qnorm(x(a)) == pytest.approx(np.linalg.norm(a.coords),
+                                            rel=1e-9)
+    # Skolem-Noether: every character of H is a conjugate u x u^-1, and
+    # conjugating by a unit quaternion leaves |x(a)| unchanged
+    for _ in range(20):
+        u = random_unit_quaternion(rng)
+        images = np.array([qmul(qmul(u, Quaternion.from_array(q)),
+                                qinv(u)).as_array() for q in x.images])
+        assert character_residual(H, images) <= 1e-12
+        for a in elements:
+            assert np.linalg.norm(a.coords @ images) == pytest.approx(
+                qnorm(x(a)), rel=1e-12)
 
 
 def test_find_characters_m2_empty():
@@ -132,3 +144,74 @@ def test_sup_norm_matches_spectral_radius_on_products():
             a = A.element(rng.standard_normal(A.dim))
             r = spectral_radius(a)
             assert abs(sampled_sup_norm(a, chars) - r) <= 1e-6 * (1.0 + r)
+
+
+def _rotated(A, seed):
+    """A in the basis f_i = sum_a Q[a, i] e_a for a seeded orthogonal Q; the
+    copy carries no R/C/H component tags."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (A.dim, A.dim)))
+    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q)
+    unit = None if A.unit is None else Q.T @ A.unit
+    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
+                        unit=unit, name=f"rotated {A.name}")
+
+
+def _upper_triangular_2x2():
+    """T2(R) with basis E11, E12, E22; its radical is the line of E12."""
+    table = {(0, 0, 0): 1.0, (0, 1, 1): 1.0, (1, 2, 1): 1.0, (2, 2, 2): 1.0}
+    return make_algebra(3, ["E11", "E12", "E22"], table,
+                        unit=[1.0, 0.0, 1.0], name="T2(R)")
+
+
+def _check_characters(A, count, sup_is_radius=True):
+    chars = find_characters(A)
+    assert len(chars) == count
+    assert all(c.residual <= 1e-12 for c in chars)
+    rng = np.random.default_rng(30)
+    for _ in range(30):
+        a = A.element(rng.standard_normal(A.dim))
+        r = spectral_radius(a)
+        sup = max((qnorm(q) for q in j_evaluate(a, chars)), default=0.0)
+        if sup_is_radius:
+            assert abs(sup - r) <= 1e-9 * (1.0 + r)
+        else:
+            assert sup <= r + 1e-9 * (1.0 + r)
+    return chars
+
+
+@pytest.mark.parametrize("A, count", [
+    (_rotated(corpus.builtin("hc"), 1), 2),
+    (_rotated(corpus.function_algebra_H(4), 2), 4),
+    (_upper_triangular_2x2(), 2),
+    (corpus.builtin("nonunital3"), 2),
+], ids=["rotated_hc", "rotated_H4", "T2R", "nonunital3"])
+def test_construction_exact_on_untagged_algebras(A, count):
+    _check_characters(A, count)
+
+
+def test_construction_t2_radical():
+    assert kernel(SpectralRadius(), _upper_triangular_2x2()).shape[0] == 1
+
+
+def test_construction_m2_plus_r():
+    A = corpus.direct_sum([corpus.m2_reals(), corpus.reals()])
+    (x,) = _check_characters(A, 1, sup_is_radius=False)
+    a = A.element(np.random.default_rng(4).standard_normal(5))
+    assert qnorm(x(a)) == pytest.approx(abs(a.coords[4]), rel=1e-12)
+
+
+def test_construction_rotated_m2_names_block():
+    A = _rotated(corpus.m2_reals(), 3)
+    _check_characters(A, 0, sup_is_radius=False)
+    note = nonexistence_explanation(A)
+    assert note is not None and "block 0" in note and "M2(R)" in note
+
+
+@pytest.mark.parametrize("kind", ["spectral_radius", "character_sup"])
+def test_verify_h12_passes(kind):
+    A = corpus.function_algebra_H(12)
+    rep = verify_theorem(A, corpus.make_seminorm(kind, {}, A),
+                         PipelineConfig(sample_count=400))
+    assert rep.verdict == "pass"
+    assert rep.character_count == 12

@@ -136,3 +136,59 @@ def test_seminorm_bad_type_exit_two(tmp_path, capsys):
     code = cli.run(["verify", "--algebra", "rr", "--seminorm", str(sn)])
     assert code == 2
     assert "nope" in capsys.readouterr().err
+
+
+def test_zero_samples_exit_two(capsys):
+    code = cli.run(["verify", "--algebra", "rr", "--seminorm",
+                    "spectral_radius", "--samples", "0"])
+    assert code == 2
+    assert "sample_count" in capsys.readouterr().err
+
+
+def test_non_numeric_seminorm_shorthand_exit_two(capsys):
+    code = cli.run(["verify", "--algebra", "rr", "--seminorm",
+                    "coordinate_max:a"])
+    assert code == 2
+    assert "coordinate_max:a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"table": [[0, 0, 0, "one"]]}, "table row"),
+    ({"table": [[0, "x", 0, 1.0]]}, "table row"),
+    ({"table": [[0, 0, 0, 1.0]], "unit": ["one"]}, "one"),
+], ids=["value", "index", "unit"])
+def test_non_numeric_algebra_entry_exit_two(tmp_path, capsys, extra, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 1, "basis": ["1"], **extra}))
+    code = cli.run(["spectrum", "--algebra", str(path), "--element", "1"])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    {"type": "coordinate_max", "weights": [float("nan"), 1.0]},
+    {"type": "coordinate_max", "weights": [float("inf"), 1.0]},
+    {"type": "character_sup",
+     "characters": [[[float("nan"), 0, 0, 0], [0, 0, 0, 0]]]},
+], ids=["nan_weight", "inf_weight", "nan_character"])
+def test_non_finite_seminorm_exit_two(tmp_path, capsys, payload):
+    sn = tmp_path / "nan.json"
+    sn.write_text(json.dumps(payload))
+    code = cli.run(["verify", "--algebra", "rr", "--seminorm", str(sn)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_element_exit_two(capsys):
+    code = cli.run(["spectrum", "--algebra", "rr", "--element", "nan 1"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_nan_table_exit_two(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dim": 1, "basis": ["1"],
+                                "table": [[0, 0, 0, float("nan")]]}))
+    code = cli.run(["spectrum", "--algebra", str(path), "--element", "1"])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err

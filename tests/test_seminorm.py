@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from squareprop import corpus
-from squareprop.algebra import subspace_is_two_sided_ideal
+from squareprop.algebra import (make_algebra, subspace_is_two_sided_ideal,
+                                unitize)
 from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
                                  CoordinateSum, OpaqueSeminorm, OperatorNorm,
                                  PayloadMismatch, SpectralRadius,
-                                 UnsupportedVariant, check_square_property,
+                                 UnsupportedVariant, _nullspace,
+                                 check_square_property,
                                  check_submultiplicative, estimate_m,
                                  evaluate, kernel, square_property_details)
 
@@ -147,3 +149,53 @@ def test_character_sup_rejects_empty():
     rr = corpus.builtin("rr")
     with pytest.raises(PayloadMismatch):
         CharacterSup(()).check_payload(rr)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_coordinate_max_rejects_non_finite_weights(bad):
+    rr = corpus.builtin("rr")
+    with pytest.raises(PayloadMismatch):
+        CoordinateMax((bad, 1.0)).check_payload(rr)
+
+
+def test_character_sup_kernel_wide_matrix():
+    # one character on H^2 gives a 4 x 8 matrix whose kernel is the second
+    # H summand; a thin SVD of a wide matrix would drop it
+    H2 = corpus.builtin("h2")
+    K = kernel(CharacterSup((corpus.known_characters(H2)[0],)), H2)
+    assert K.shape == (4, 8)
+    assert np.allclose(K[:, :4], 0.0, atol=1e-12)
+
+
+def _radical_by_loop(algebra):
+    """Reference for SpectralRadius.kernel: the Dickson matrix
+    M[i, j] = tr(L_(x_i e_j)) built entry by entry in the unital hull."""
+    hull = algebra if algebra.is_unital else unitize(algebra)
+    pad = hull.dim - algebra.dim
+    M = np.zeros((algebra.dim, hull.dim))
+    for i in range(algebra.dim):
+        xi = np.concatenate([np.zeros(pad), np.eye(algebra.dim)[i]])
+        for j in range(hull.dim):
+            prod = hull.mul_coords(xi, np.eye(hull.dim)[j])
+            M[i, j] = np.trace(np.einsum("i,ijk->kj", prod, hull.table))
+    return _nullspace(M.T)
+
+
+@pytest.mark.parametrize("parts", [["T2", "hc"], ["nonunital3"]],
+                         ids=["T2_plus_hc", "nonunital3"])
+def test_spectral_radius_kernel_matches_loop_on_rotated_algebra(parts):
+    # both have a 1-dim radical: the line of E12, and the null line
+    t2 = make_algebra(3, ["E11", "E12", "E22"],
+                      {(0, 0, 0): 1.0, (0, 1, 1): 1.0, (1, 2, 1): 1.0,
+                       (2, 2, 2): 1.0}, unit=[1.0, 0.0, 1.0])
+    base = corpus.direct_sum([t2 if name == "T2" else corpus.builtin(name)
+                              for name in parts])
+    n = base.dim
+    Q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((n, n)))
+    A = make_algebra(n, [f"f{i}" for i in range(n)],
+                     np.einsum("abg,ai,bj,gk->ijk", base.table, Q, Q, Q),
+                     unit=None if base.unit is None else Q.T @ base.unit)
+    K = kernel(SpectralRadius(), A)
+    ref = _radical_by_loop(A)
+    assert K.shape == ref.shape == (1, n)
+    assert np.allclose(K.T @ K, ref.T @ ref, atol=1e-10)
