@@ -4,6 +4,12 @@ An algebra is a dense table c[i, j, k] with e_i e_j = sum_k c[i,j,k] e_k,
 validated for associativity at construction.  Everything downstream
 (spectra, seminorm kernels, quotients, characters) is computed from
 this table and the left regular representation.
+
+The checks, the quotient table and the batched products contract the
+table with BLAS matrix products.  The associativity check compares
+(e_i e_j) e_k with e_i (e_j e_k) a block of i at a time: O(n^5) flops,
+but only O(n^3) memory (a few MB per block) where the whole (i, j, k, l)
+comparison would hold three n^4 arrays (380 MB at n = 63).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ ASSOC_TOL = 1e-10
 UNIT_TOL = 1e-12
 IDEAL_TOL = 1e-10
 INVERT_CUTOFF = 1e-10  # smallest/largest singular value, scale free
+_ASSOC_BLOCK_BYTES = 4 << 20  # one (i-block, j, k, l) slab of the check
 
 
 class AlgebraError(Exception):
@@ -89,29 +96,45 @@ class FiniteDimRealAlgebra:
 
     def _check_associativity(self):
         c = self.table
+        n = self.dim
         cmax = float(np.abs(c).max())
         if not math.isfinite(cmax):  # NaN compares False against any tol
             raise AlgebraError("table has non-finite entries")
-        lhs = np.einsum("ijm,mkl->ijkl", c, c)
-        rhs = np.einsum("jkm,iml->ijkl", c, c)
-        err = np.abs(lhs - rhs)
         tol = ASSOC_TOL * (1.0 + cmax) ** 2
-        worst = err.max()
-        if worst > tol:
-            i, j, k, l = np.unravel_index(np.argmax(err), err.shape)
+        rows = c.reshape(n * n, n)        # [j k, m]: e_j e_k
+        cols = c.reshape(n, n * n)        # [m, k l]: e_m e_k
+        step = max(1, _ASSOC_BLOCK_BYTES // (8 * n ** 3))
+        worst, witness = 0.0, None
+        for i0 in range(0, n, step):
+            block = c[i0:i0 + step]
+            # (e_i e_j) e_k - e_i (e_j e_k), indexed [i - i0, j, k, l]
+            err = (block.reshape(-1, n) @ cols).reshape(-1, n, n, n)
+            err -= np.matmul(rows, block).reshape(err.shape)
+            np.abs(err, out=err)
+            at = np.unravel_index(np.argmax(err), err.shape)  # first NaN wins
+            if not err[at] <= worst:
+                worst = float(err[at])
+                witness = (at[0] + i0, *at[1:])
+            if math.isnan(worst):
+                break
+        # written so that a NaN defect fails the check
+        if not worst <= tol:
+            i, j, k, l = witness
             raise AssociativityViolation(
                 f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}): "
                 f"coefficient {l} differs by {worst:.3e}")
 
     def _check_unit(self, u):
-        for j in range(self.dim):
-            ej = np.eye(self.dim)[j]
-            left = np.einsum("i,j,ijk->k", u, ej, self.table)
-            right = np.einsum("i,j,ijk->k", ej, u, self.table)
-            # written so that a NaN defect fails the check
-            if not (np.abs(left - ej).max() <= UNIT_TOL
-                    and np.abs(right - ej).max() <= UNIT_TOL):
-                raise BadUnit(f"claimed unit fails on basis element {j}")
+        n = self.dim
+        eye = np.eye(n)
+        left = (u @ self.table.reshape(n, n * n)).reshape(n, n) - eye
+        right = u @ self.table - eye      # [j, k]: e_j u
+        # written so that a NaN defect fails the check
+        good = ((np.abs(left).max(axis=1) <= UNIT_TOL)
+                & (np.abs(right).max(axis=1) <= UNIT_TOL))
+        if not good.all():
+            raise BadUnit(
+                f"claimed unit fails on basis element {int(np.argmin(good))}")
 
     @property
     def is_unital(self) -> bool:
@@ -134,12 +157,17 @@ class FiniteDimRealAlgebra:
     def mul_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijk->k", a, b, self.table)
 
+    def _left_rows(self, A: np.ndarray) -> np.ndarray:
+        """[s, j, k]: coordinate k of A[s] e_j."""
+        n = self.dim
+        return (A @ self.table.reshape(n, n * n)).reshape(-1, n, n)
+
     def mul_coords_batch(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Row-wise products of two stacks of coordinate vectors."""
-        return np.einsum("si,sj,ijk->sk", A, B, self.table)
+        return np.matmul(B[:, None, :], self._left_rows(A))[:, 0]
 
     def left_matrices_batch(self, A: np.ndarray) -> np.ndarray:
-        return np.einsum("si,ijk->skj", A, self.table)
+        return self._left_rows(A).transpose(0, 2, 1)
 
     def __repr__(self):
         return f"FiniteDimRealAlgebra({self.name!r}, dim={self.dim})"
@@ -209,8 +237,11 @@ def is_invertible(a: AlgebraElement) -> bool:
 
 def find_unit(algebra: FiniteDimRealAlgebra):
     """Solve u*e_j = e_j = e_j*u; returns the unit coords or None."""
-    n = algebra.dim
-    c = algebra.table
+    return _solve_unit(algebra.table)
+
+
+def _solve_unit(c: np.ndarray):
+    n = c.shape[0]
     # rows: for each (j, k), sum_i u_i c[i,j,k] = delta_jk and c[j,i,k] side
     left = c.reshape(n, n * n).T            # (j*n+k, i) from c[i,j,k]
     right = np.transpose(c, (1, 0, 2)).reshape(n, n * n).T
@@ -227,10 +258,8 @@ def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
     n = algebra.dim
     c = np.zeros((n + 1, n + 1, n + 1))
     c[1:, 1:, 1:] = algebra.table
-    c[0, 0, 0] = 1.0
-    for j in range(n):
-        c[0, j + 1, j + 1] = 1.0
-        c[j + 1, 0, j + 1] = 1.0
+    idx = np.arange(n + 1)
+    c[0, idx, idx] = c[idx, 0, idx] = 1.0
     unit = np.zeros(n + 1)
     unit[0] = 1.0
     return FiniteDimRealAlgebra(
@@ -249,14 +278,12 @@ def subspace_is_two_sided_ideal(algebra: FiniteDimRealAlgebra, V) -> bool:
         return True
     Q, _ = np.linalg.qr(V.T)
     P = np.eye(algebra.dim) - Q @ Q.T  # projector onto the complement
-    scale = 1.0 + np.abs(algebra.table).max() * (1.0 + np.abs(V).max())
-    for i in range(algebra.dim):
-        ei = np.eye(algebra.dim)[i]
-        for v in V:
-            for prod in (algebra.mul_coords(ei, v), algebra.mul_coords(v, ei)):
-                if np.abs(P @ prod).max() > IDEAL_TOL * scale:
-                    return False
-    return True
+    c = algebra.table
+    scale = 1.0 + np.abs(c).max() * (1.0 + np.abs(V).max())
+    prods = np.concatenate([np.einsum("rj,ijk->rik", V, c, optimize=True),
+                            np.einsum("rj,jik->rik", V, c, optimize=True)])
+    # e_i v, then v e_i; written so that a NaN defect fails the check
+    return bool(np.abs(prods @ P.T).max() <= IDEAL_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -292,19 +319,13 @@ def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
     S = P[:, cols]                     # section basis, n x q
     B = np.hstack([S, Qv])             # full change of basis
     proj = np.linalg.inv(B)[:q, :]
-    table = np.zeros((q, q, q))
-    for i in range(q):
-        for j in range(q):
-            table[i, j, :] = proj @ algebra.mul_coords(S[:, i], S[:, j])
-    unit = None
-    quo = FiniteDimRealAlgebra(
-        q, [f"[{algebra.labels[c]}]" for c in cols], table,
-        name=f"{algebra.name}/ideal")
-    u = find_unit(quo)
-    if u is not None:
-        try:
-            quo = FiniteDimRealAlgebra(
-                q, quo.labels, table, unit=u, name=quo.name)
-        except BadUnit:
-            pass  # lstsq artifact; keep the quotient non-unital
+    table = np.einsum("ia,jb,ijk,qk->abq", S, S, algebra.table, proj,
+                      optimize=True)
+    labels = [f"[{algebra.labels[c]}]" for c in cols]
+    name = f"{algebra.name}/ideal"
+    u = _solve_unit(table)
+    try:
+        quo = FiniteDimRealAlgebra(q, labels, table, unit=u, name=name)
+    except BadUnit:  # lstsq artifact; keep the quotient non-unital
+        quo = FiniteDimRealAlgebra(q, labels, table, name=name)
     return QuotientMap(quo, proj, S)
