@@ -100,7 +100,12 @@ class FiniteDimRealAlgebra:
         cmax = float(np.abs(c).max())
         if not math.isfinite(cmax):  # NaN compares False against any tol
             raise AlgebraError("table has non-finite entries")
-        tol = ASSOC_TOL * (1.0 + cmax) ** 2
+        try:
+            tol = ASSOC_TOL * (1.0 + cmax) ** 2
+        except OverflowError:
+            raise AlgebraError(
+                f"table entry of size {cmax:.3e} is too large: its square "
+                "overflows the associativity check") from None
         rows = c.reshape(n * n, n)        # [j k, m]: e_j e_k
         cols = c.reshape(n, n * n)        # [m, k l]: e_m e_k
         step = max(1, _ASSOC_BLOCK_BYTES // (8 * n ** 3))

@@ -10,6 +10,7 @@ looking for a counterexample the theorem says cannot exist.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -25,7 +26,7 @@ from .seminorm import (CharacterSup, CoordinateMax, SeminormVariant,
                        SpectralRadius, check_square_property,
                        check_submultiplicative, estimate_m, kernel,
                        square_property_details)
-from .spectral import NonConvergence, gelfand_radius
+from .spectral import NonConvergence, gelfand_radius, log_square_norms
 
 
 @dataclass(frozen=True)
@@ -96,36 +97,38 @@ class VerificationReport:
 
 
 def compute_verdict(r: VerificationReport) -> str:
-    """Pure residual-vs-tolerance gate; never passes a stage over budget."""
+    """Pure residual-vs-tolerance gate; never passes a stage over budget,
+    nor one whose residual is missing or not finite."""
     t = r.tolerances
-    if r.square_property_residual is None:
+
+    def within(x, bound):
+        return x is not None and math.isfinite(x) and x <= bound
+
+    sq = r.square_property_residual
+    if sq is None or not math.isfinite(sq):
         return "fail"
-    if r.square_property_residual > t["square_property"]:
+    if sq > t["square_property"]:
         return "hypothesis_not_met"
+    iterates = r.iterate_relation_residuals
     checks = [
         r.ideal_check is True,
-        r.quotient_norm_well_defined_residual is not None
-        and r.quotient_norm_well_defined_residual <= t["quotient_well_defined"],
-        r.normed_algebra_ratio is not None
-        and r.normed_algebra_ratio <= t["normed_algebra_ratio"],
-        r.scaled_norm_square_residual is not None
-        and r.scaled_norm_square_residual <= t["scaled_norm_square"],
-        all(res <= t["iterate_relation_base"] * 2.0 ** (n + 1)
-            for n, res in enumerate(r.iterate_relation_residuals))
-        and bool(r.iterate_relation_residuals),
-        r.radius_match_residual is not None
-        and r.radius_match_residual <= t["radius_match"],
+        within(r.quotient_norm_well_defined_residual,
+               t["quotient_well_defined"]),
+        within(r.normed_algebra_ratio, t["normed_algebra_ratio"]),
+        within(r.scaled_norm_square_residual, t["scaled_norm_square"]),
+        bool(iterates) and all(
+            within(res, t["iterate_relation_base"] * 2.0 ** (n + 1))
+            for n, res in enumerate(iterates)),
+        within(r.radius_match_residual, t["radius_match"]),
         r.character_count is not None and r.character_count > 0,
         r.prop31_forward_ok is True,
         r.prop31_inclusion_ok is True,
-        r.sup_bound_residual is not None
-        and r.sup_bound_residual <= t["sup_bound"],
-        r.final_submultiplicativity_ratio is not None
-        and r.final_submultiplicativity_ratio <= t["final_ratio"],
-        r.m_hat is not None and r.m_hat <= t["m_hat_max"],
+        within(r.sup_bound_residual, t["sup_bound"]),
+        within(r.final_submultiplicativity_ratio, t["final_ratio"]),
+        within(r.m_hat, t["m_hat_max"]),
     ]
     if r.sup_equality_residual is not None:
-        checks.append(r.sup_equality_residual <= t["sup_equality"])
+        checks.append(within(r.sup_equality_residual, t["sup_equality"]))
     return "pass" if all(checks) else "fail"
 
 
@@ -229,7 +232,7 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     sq = square_property_details(p, algebra, config.sample_count, config.seed)
     report.square_property_residual = sq.residual
     report.square_witness = [float(v) for v in sq.witness]
-    if sq.residual > tol:
+    if not sq.residual <= tol:
         report.notes.append(
             f"square property fails: residual {sq.residual:.6g} at the "
             f"recorded witness; later stages skipped")
@@ -254,15 +257,15 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     qm = quotient(algebra, K)
     qalg = qm.algebra
     report.quotient_dim = qalg.dim
+    # row i = (a_i, coefficients of a kernel element k_i), drawn in one call
+    n, nk = algebra.dim, K.shape[0]
+    Z = rng.standard_normal((min(1000, config.sample_count), n + nk))
     wd = 0.0
-    n_wd = min(1000, config.sample_count)
-    for _ in range(n_wd):
-        a = rng.standard_normal(algebra.dim)
-        pa = p.value(algebra.element(a))
-        if K.shape[0]:
-            k = K.T @ rng.standard_normal(K.shape[0])
-            pk = p.value(algebra.element(a + k))
-            wd = max(wd, abs(pk - pa) / (1.0 + pa))
+    if nk:
+        A = Z[:, :n]
+        pa, pk = p.values(algebra, np.concatenate([A, A + Z[:, n:] @ K])
+                          ).reshape(2, -1)
+        wd = float(np.max(np.abs(pk - pa) / (1.0 + pa)))
     report.quotient_norm_well_defined_residual = wd
 
     abs_norm = _abs_norm(p, algebra, qm.lift)
@@ -271,40 +274,33 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     def scaled(b):
         return m_hat * abs_norm(b)
 
-    # 5. scaled norm: normed algebra + square identity
-    ratio = 0.0
-    sq_res = 0.0
-    n_s = min(200, config.sample_count)
-    for _ in range(n_s):
-        b = qalg.element(rng.standard_normal(qalg.dim))
-        c = qalg.element(rng.standard_normal(qalg.dim))
-        nb, nc = scaled(b), scaled(c)
-        if nb * nc > 1e-12:
-            ratio = max(ratio, scaled(b * c) / (nb * nc))
-        sq_res = max(sq_res, abs(scaled(b * b) - nb * nb / m_hat) / (1.0 + nb * nb))
-    report.normed_algebra_ratio = ratio
-    report.scaled_norm_square_residual = sq_res
+    # 5. scaled norm: normed algebra + square identity; row i = (b_i, c_i)
+    Z = rng.standard_normal((min(200, config.sample_count), 2 * qalg.dim))
+    B, C = Z[:, :qalg.dim], Z[:, qalg.dim:]
+    stack = np.concatenate([B, C, qalg.mul_coords_batch(B, C),
+                            qalg.mul_coords_batch(B, B)])
+    nb, nc, nbc, nbb = m_hat * p.values(algebra, stack @ qm.lift.T
+                                        ).reshape(4, -1)
+    ok = nb * nc > 1e-12
+    report.normed_algebra_ratio = float(
+        np.max(nbc[ok] / (nb * nc)[ok], initial=0.0))
+    report.scaled_norm_square_residual = float(
+        np.max(np.abs(nbb - nb * nb / m_hat) / (1.0 + nb * nb), initial=0.0))
 
     # 6. iterated squaring relation, log domain
     n_it = config.max_square_iterates
     residuals = [0.0] * n_it
     for _ in range(10):
-        b = qalg.element(rng.standard_normal(qalg.dim))
-        nb = scaled(b)
-        if nb <= 1e-12:
+        logs = log_square_norms(qalg.element(rng.standard_normal(qalg.dim)),
+                                scaled)
+        log_nb = log_norm = next(logs)
+        if log_nb <= math.log(1e-12):
             continue
-        u = (1.0 / nb) * b
-        log_norm = math.log(nb)
-        for lvl in range(1, n_it + 1):
-            v = u * u
-            nv = scaled(v)
-            if nv <= 0.0:
-                residuals[lvl - 1] = math.inf
-                break
-            log_norm = 2.0 * log_norm + math.log(nv)
-            u = (1.0 / nv) * v
+        for lvl, log_nv in enumerate(itertools.islice(logs, n_it), 1):
+            # a zero power ends the sequence with -inf: residual inf
+            log_norm = 2.0 * log_norm + log_nv
             expected = (-(2.0 ** lvl - 1.0) * math.log(m_hat)
-                        + 2.0 ** lvl * math.log(nb))
+                        + 2.0 ** lvl * log_nb)
             residuals[lvl - 1] = max(residuals[lvl - 1],
                                      abs(log_norm - expected))
     report.iterate_relation_residuals = residuals

@@ -4,6 +4,10 @@ Seminorms are first-class records rather than opaque callables so that
 their kernels come out as exact linear subspaces; that exactness is what
 the quotient construction downstream depends on.  An opaque escape hatch
 exists but cannot feed the quotient stages.
+
+Every variant implements one evaluation, the batched values(algebra, X) on
+a stack of coordinate rows; the scalar value(a) is derived from it once, in
+the base class.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import FiniteDimRealAlgebra, AlgebraElement, left_regular_matrix, unitize
-from .spectral import spectral_radius, spectral_radius_batch
+from .algebra import FiniteDimRealAlgebra, AlgebraElement, unitize
+from .spectral import spectral_radius_batch
 
 RATIO_FLOOR = 1e-12
 M_HAT_FLOOR = 1e-12
@@ -47,16 +51,20 @@ def _nullspace(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
 
 
 class SeminormVariant:
-    """Base: a seminorm evaluatable on one algebra's elements."""
+    """Base: a seminorm evaluatable on one algebra's elements.
+
+    A variant implements values, p on each row of a stack of coordinates;
+    value(a) is that evaluation on the one row of a.
+    """
 
     def check_payload(self, algebra: FiniteDimRealAlgebra) -> None:
         pass
 
     def value(self, a: AlgebraElement) -> float:
-        raise NotImplementedError
+        return float(self.values(a.algebra, a.coords[None, :])[0])
 
     def values(self, algebra: FiniteDimRealAlgebra, X: np.ndarray) -> np.ndarray:
-        return np.array([self.value(algebra.element(row)) for row in X])
+        raise NotImplementedError
 
     def kernel(self, algebra: FiniteDimRealAlgebra) -> np.ndarray:
         raise UnsupportedVariant(type(self).__name__)
@@ -84,9 +92,6 @@ class CharacterSup(SeminormVariant):
         if not np.isfinite(self._images(algebra)).all():
             raise PayloadMismatch("character images must be finite")
 
-    def value(self, a):
-        return float(self.values(a.algebra, a.coords[None, :])[0])
-
     def values(self, algebra, X):
         imgs = self._images(algebra)
         vals = np.einsum("sn,mnq->smq", X, imgs)
@@ -101,9 +106,6 @@ class CharacterSup(SeminormVariant):
 @dataclass(frozen=True)
 class SpectralRadius(SeminormVariant):
     """p(a) = max modulus of the spectrum of a."""
-
-    def value(self, a):
-        return spectral_radius(a)
 
     def values(self, algebra, X):
         return spectral_radius_batch(algebra, X)
@@ -138,9 +140,6 @@ class CoordinateMax(SeminormVariant):
     def check_payload(self, algebra):
         self._w(algebra)
 
-    def value(self, a):
-        return float((self._w(a.algebra) * np.abs(a.coords)).max())
-
     def values(self, algebra, X):
         return (self._w(algebra) * np.abs(X)).max(axis=1)
 
@@ -160,9 +159,6 @@ class CoordinateSum(SeminormVariant):
     check_payload = CoordinateMax.check_payload
     kernel = CoordinateMax.kernel
 
-    def value(self, a):
-        return float((self._w(a.algebra) * np.abs(a.coords)).sum())
-
     def values(self, algebra, X):
         return (self._w(algebra) * np.abs(X)).sum(axis=1)
 
@@ -170,9 +166,6 @@ class CoordinateSum(SeminormVariant):
 @dataclass(frozen=True)
 class OperatorNorm(SeminormVariant):
     """p(a) = largest singular value of the left regular matrix."""
-
-    def value(self, a):
-        return float(np.linalg.norm(left_regular_matrix(a), 2))
 
     def values(self, algebra, X):
         L = algebra.left_matrices_batch(X)
@@ -200,9 +193,6 @@ class ComponentSup(SeminormVariant):
     def check_payload(self, algebra):
         self._idx(algebra)
 
-    def value(self, a):
-        return float(np.abs(a.coords[self._idx(a.algebra)]).max())
-
     def values(self, algebra, X):
         return np.abs(X[:, self._idx(algebra)]).max(axis=1)
 
@@ -218,8 +208,8 @@ class OpaqueSeminorm(SeminormVariant):
 
     fn: Callable[[AlgebraElement], float]
 
-    def value(self, a):
-        return float(self.fn(a))
+    def values(self, algebra, X):
+        return np.array([float(self.fn(algebra.element(row))) for row in X])
 
 
 def evaluate(p: SeminormVariant, a: AlgebraElement) -> float:

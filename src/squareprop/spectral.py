@@ -5,10 +5,13 @@ For a unital finite-dimensional algebra, (a - se)^2 + t^2 e factors as
 exactly the (conjugate-closed) eigenvalue set of the left regular matrix.
 The Gelfand radius lim ||a^n||^(1/n) is computed by repeated squaring with
 log-domain renormalization, and both routes are cross-checked in tests.
+The squaring is written once, as the generator log_square_norms; its two
+consumers are gelfand_radius and the iterated-square stage of the pipeline.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -81,6 +84,23 @@ def operator_norm(a: AlgebraElement) -> float:
     return float(np.linalg.norm(left_regular_matrix(a), 2))
 
 
+def log_square_norms(a: AlgebraElement,
+                     norm: Callable[[AlgebraElement], float]):
+    """Yield log||a||, then log||u^2|| where u is the current power
+    a^(2^k) kept scaled to norm 1, so no power ever overflows.
+
+    A zero norm yields -inf and ends the sequence.  Each square is formed
+    only when its value is asked for.
+    """
+    n = norm(a)
+    while n != 0.0:
+        yield math.log(n)
+        u = (1.0 / n) * a
+        a = mul(u, u)
+        n = norm(a)
+    yield -math.inf
+
+
 def gelfand_radius(a: AlgebraElement,
                    norm: Optional[Callable[[AlgebraElement], float]] = None,
                    iterations: int = 40,
@@ -88,30 +108,22 @@ def gelfand_radius(a: AlgebraElement,
                    return_delta: bool = False):
     """lim ||a^n||^(1/n) by repeated squaring with renormalization.
 
-    Keeps the current power scaled to norm 1 and accumulates the log-norm,
-    so powers up to 2^iterations never overflow.  Raises NonConvergence if
-    the last two iterates of ||a^(2^k)||^(2^-k) still differ by more than
-    conv_tol after the budget.
+    Sums the log_square_norms steps, scaled by 2^-k, so powers up to
+    2^iterations never overflow.  Raises NonConvergence if the last two
+    iterates of ||a^(2^k)||^(2^-k) still differ by more than conv_tol after
+    the budget.
     """
-    if norm is None:
-        norm = operator_norm
-    na = norm(a)
-    if na == 0.0:
-        return (0.0, 0.0) if return_delta else 0.0
-    u = (1.0 / na) * a
-    log_r = math.log(na)           # log of ||a^(2^k)||^(2^-k)
+    logs = log_square_norms(a, norm or operator_norm)
+    log_r = next(logs)             # log of ||a^(2^k)||^(2^-k)
     delta = math.inf
-    for k in range(1, iterations + 1):
-        v = mul(u, u)
-        nv = norm(v)
-        if nv == 0.0:
-            return (0.0, 0.0) if return_delta else 0.0
-        step = math.log(nv) / 2.0 ** k
+    for k, log_nv in enumerate(itertools.islice(logs, iterations), 1):
+        step = log_nv / 2.0 ** k
         log_r += step
         delta = abs(step)
         if delta < conv_tol * 2.0 ** -20:
             break
-        u = (1.0 / nv) * v
+    if log_r == -math.inf:         # some power of a has norm zero
+        return (0.0, 0.0) if return_delta else 0.0
     if delta > conv_tol:
         raise NonConvergence(
             f"radius iteration stalled, last delta {delta:.3e}")

@@ -192,3 +192,14 @@ def test_nan_table_exit_two(tmp_path, capsys):
     code = cli.run(["spectrum", "--algebra", str(path), "--element", "1"])
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_table_entry_too_large_to_square_exit_two(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 1, "basis": ["1"],
+                                "table": [[0, 0, 0, 1e200]]}))
+    code = cli.run(["verify", "--algebra", str(path),
+                    "--seminorm", "spectral_radius"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "big.json" in err and "table entry" in err

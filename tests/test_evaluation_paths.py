@@ -1,0 +1,218 @@
+"""One evaluation path per concept, checked against the loops it replaced.
+
+Seminorm variants implement only the batched ``values``; ``value`` is
+derived from it.  ``gelfand_radius`` and pipeline stage 6 consume the one
+repeated-squaring generator ``log_square_norms``; stages 4 and 5 evaluate
+their samples in blocks.  The per-variant scalar formulas, the old
+``gelfand_radius`` loop and the old per-sample loops of stages 4-6 are kept
+here as references.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from squareprop import corpus
+from squareprop.algebra import left_regular_matrix, mul, quotient
+from squareprop.pipeline import PipelineConfig, verify_theorem
+from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
+                                 CoordinateSum, OpaqueSeminorm, OperatorNorm,
+                                 SpectralRadius, estimate_m, kernel)
+from squareprop.spectral import (NonConvergence, gelfand_radius,
+                                 operator_norm, spectral_radius)
+
+
+def _max_abs(a):
+    return float(np.abs(a.coords).max())
+
+
+def _variant_cases():
+    """(id, algebra, seminorm, the variant's scalar value before it was
+    derived from values)."""
+    hc = corpus.builtin("hc")
+    chars = CharacterSup(tuple(corpus.known_characters(hc)))
+    w = np.array([0.5, 2.0])
+    return [
+        ("character_sup/hc", hc, chars,
+         lambda a: float(chars.values(hc, a.coords[None, :])[0])),
+        ("spectral_radius/rrc", corpus.builtin("rrc"), SpectralRadius(),
+         spectral_radius),
+        ("spectral_radius/nonunital3", corpus.builtin("nonunital3"),
+         SpectralRadius(), spectral_radius),
+        ("coordinate_max/rr", corpus.builtin("rr"), CoordinateMax(tuple(w)),
+         lambda a: float((w * np.abs(a.coords)).max())),
+        ("coordinate_sum/rrc", corpus.builtin("rrc"), CoordinateSum(),
+         lambda a: float(np.abs(a.coords).sum())),
+        ("operator_norm/m2_reals", corpus.m2_reals(), OperatorNorm(),
+         lambda a: float(np.linalg.norm(left_regular_matrix(a), 2))),
+        ("component_sup/rr", corpus.builtin("rr"), ComponentSup((0,)),
+         lambda a: float(np.abs(a.coords[[0]]).max())),
+        ("opaque/rr", corpus.builtin("rr"), OpaqueSeminorm(_max_abs),
+         _max_abs),
+    ]
+
+
+@pytest.mark.parametrize("case", _variant_cases(), ids=lambda c: c[0])
+def test_derived_value_matches_values_and_old_scalar(case):
+    _, algebra, p, old_value = case
+    X = np.random.default_rng(8).standard_normal((40, algebra.dim))
+    X[0] = 0.0
+    batch = p.values(algebra, X)
+    for row, v in zip(X, batch):
+        a = algebra.element(row)
+        derived = p.value(a)
+        assert isinstance(derived, float)
+        # the same arithmetic on one row; allow BLAS a different blocking
+        assert derived == pytest.approx(v, rel=1e-13, abs=1e-15)
+        old = old_value(a)
+        assert abs(derived - old) <= 1e-12 * (1.0 + abs(old))
+
+
+def _gelfand_by_loop(a, norm=None, iterations=40, conv_tol=1e-6,
+                     return_delta=False):
+    """gelfand_radius before it consumed log_square_norms."""
+    if norm is None:
+        norm = operator_norm
+    na = norm(a)
+    if na == 0.0:
+        return (0.0, 0.0) if return_delta else 0.0
+    u = (1.0 / na) * a
+    log_r = math.log(na)
+    delta = math.inf
+    for k in range(1, iterations + 1):
+        v = mul(u, u)
+        nv = norm(v)
+        if nv == 0.0:
+            return (0.0, 0.0) if return_delta else 0.0
+        step = math.log(nv) / 2.0 ** k
+        log_r += step
+        delta = abs(step)
+        if delta < conv_tol * 2.0 ** -20:
+            break
+        u = (1.0 / nv) * v
+    if delta > conv_tol:
+        raise NonConvergence(
+            f"radius iteration stalled, last delta {delta:.3e}")
+    return (math.exp(log_r), delta) if return_delta else math.exp(log_r)
+
+
+def _outcome(fn, a, **kwargs):
+    try:
+        r = fn(a, **kwargs)
+    except NonConvergence as exc:
+        return "NonConvergence", str(exc)
+    return ("zero" if r in (0.0, (0.0, 0.0)) else "radius"), r
+
+
+def _gelfand_inputs():
+    rng = np.random.default_rng(21)
+    m2 = corpus.m2_reals()
+    out = [(m2.basis_element(1), {}),             # E12: E12^2 = 0
+           (m2.zero(), {}),
+           (m2.basis_element(1), {"iterations": 0}),
+           (corpus.builtin("rr").element([1e150, 2e150]),
+            {"norm": _max_abs})]
+    for name in ("rr", "rrc", "hc", "m2_reals", "nonunital3", "h2"):
+        A = corpus.builtin(name)
+        for _ in range(6):
+            a = A.element(rng.standard_normal(A.dim))
+            out += [(a, {}), (a, {"norm": _max_abs}),
+                    (a, {"iterations": 3}),          # NonConvergence
+                    (a, {"conv_tol": 1e-3})]
+    return out
+
+
+def test_gelfand_radius_bit_identical_to_old_loop():
+    kinds = set()
+    for a, kw in _gelfand_inputs():
+        for return_delta in (False, True):
+            new = _outcome(gelfand_radius, a, return_delta=return_delta, **kw)
+            old = _outcome(_gelfand_by_loop, a, return_delta=return_delta,
+                           **kw)
+            assert new == old, (a.algebra.name, a.coords, kw)
+            kinds.add(new[0])
+    assert kinds == {"radius", "zero", "NonConvergence"}
+
+
+def _stages_4_to_6_by_loop(algebra, p, config):
+    """Residuals of pipeline stages 4-6 from the per-sample loops they had
+    before they were evaluated in blocks, drawing from the same stream."""
+    rng = np.random.default_rng(config.seed + 7)
+    m_hat = estimate_m(p, algebra, config.sample_count, config.seed + 1).m_hat
+    K = kernel(p, algebra)
+    qm = quotient(algebra, K)
+    qalg = qm.algebra
+
+    def scaled(b):
+        return m_hat * p.value(algebra.element(qm.lift @ b.coords))
+
+    wd = 0.0
+    for _ in range(min(1000, config.sample_count)):
+        a = rng.standard_normal(algebra.dim)
+        pa = p.value(algebra.element(a))
+        if K.shape[0]:
+            k = K.T @ rng.standard_normal(K.shape[0])
+            pk = p.value(algebra.element(a + k))
+            wd = max(wd, abs(pk - pa) / (1.0 + pa))
+    ratio = sq_res = 0.0
+    for _ in range(min(200, config.sample_count)):
+        b = qalg.element(rng.standard_normal(qalg.dim))
+        c = qalg.element(rng.standard_normal(qalg.dim))
+        nb, nc = scaled(b), scaled(c)
+        if nb * nc > 1e-12:
+            ratio = max(ratio, scaled(b * c) / (nb * nc))
+        sq_res = max(sq_res,
+                     abs(scaled(b * b) - nb * nb / m_hat) / (1.0 + nb * nb))
+    n_it = config.max_square_iterates
+    residuals = [0.0] * n_it
+    for _ in range(10):
+        b = qalg.element(rng.standard_normal(qalg.dim))
+        nb = scaled(b)
+        if nb <= 1e-12:
+            continue
+        u = (1.0 / nb) * b
+        log_norm = math.log(nb)
+        for lvl in range(1, n_it + 1):
+            v = u * u
+            nv = scaled(v)
+            if nv <= 0.0:
+                residuals[lvl - 1] = math.inf
+                break
+            log_norm = 2.0 * log_norm + math.log(nv)
+            u = (1.0 / nv) * v
+            expected = (-(2.0 ** lvl - 1.0) * math.log(m_hat)
+                        + 2.0 ** lvl * math.log(nb))
+            residuals[lvl - 1] = max(residuals[lvl - 1],
+                                     abs(log_norm - expected))
+    return [wd, ratio, sq_res] + residuals
+
+
+def _pipeline_cases():
+    config = PipelineConfig(sample_count=300, seed=4)
+    cases = [(pair.name, *corpus.manifest_pair(pair), config)
+             for pair in corpus.MANIFEST
+             if pair.name in ("rrc_spectral_radius", "hc_character_sup",
+                              "nonunital3_component_sup")]
+    hc = corpus.builtin("hc")
+    # one character of two: Ker(p) is a whole summand
+    cases.append(("hc_one_character", hc,
+                  CharacterSup(corpus.known_characters(hc)[:1]), config))
+    # square defect up to 1/2, let through by a loose tol: the stage 5-6
+    # residuals are then far from 0 and depend on which samples are drawn
+    cases.append(("rrc_weighted_max", corpus.builtin("rrc"),
+                  CoordinateMax((2.0, 1.0, 0.0, 0.0)),
+                  PipelineConfig(sample_count=300, seed=4, tol=0.9)))
+    return cases
+
+
+@pytest.mark.parametrize("case", _pipeline_cases(), ids=lambda c: c[0])
+def test_block_stages_match_per_sample_loops(case):
+    _, algebra, p, config = case
+    rep = verify_theorem(algebra, p, config)
+    new = [rep.quotient_norm_well_defined_residual, rep.normed_algebra_ratio,
+           rep.scaled_norm_square_residual] + rep.iterate_relation_residuals
+    old = _stages_4_to_6_by_loop(algebra, p, config)
+    assert len(new) == len(old)
+    for x, y in zip(new, old):
+        assert abs(x - y) <= 1e-12 * (1.0 + abs(y)), (new, old)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -115,6 +116,41 @@ def test_verdict_never_passes_on_injected_violation():
     ]:
         mutated = dataclasses.replace(rep, **{field: bad})
         assert compute_verdict(mutated) != "pass", field
+
+
+@pytest.fixture(scope="module")
+def rr_max_report():
+    return _run("rr_coordinate_max")
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("square_property_residual", math.nan),
+    ("square_property_residual", math.inf),
+    ("normed_algebra_ratio", -math.inf),
+    ("iterate_relation_residuals", [0.0] * 9 + [math.nan]),
+    ("sup_equality_residual", math.nan),
+    ("final_submultiplicativity_ratio", -math.inf),
+    ("m_hat", math.nan),
+])
+def test_verdict_fails_on_non_finite_residual(rr_max_report, field, bad):
+    assert compute_verdict(rr_max_report) == "pass"
+    mutated = dataclasses.replace(rr_max_report, **{field: bad})
+    assert compute_verdict(mutated) == "fail"
+
+
+def test_nan_square_residual_stops_at_stage_one():
+    rr = corpus.builtin("rr")
+
+    def max_abs_but_nan_at_8e0(a):   # 8 e_0 is one of the square probes
+        if list(a.coords) == [8.0, 0.0]:
+            return math.nan
+        return float(np.abs(a.coords).max())
+
+    rep = verify_theorem(rr, OpaqueSeminorm(max_abs_but_nan_at_8e0), QUICK)
+    assert math.isnan(rep.square_property_residual)
+    assert rep.square_witness == [8.0, 0.0]
+    assert rep.verdict == "hypothesis_not_met"
+    assert rep.m_hat is None  # later stages skipped
 
 
 def test_fuzz_deterministic_and_clean():
