@@ -10,12 +10,18 @@ table with BLAS matrix products.  The associativity check compares
 (e_i e_j) e_k with e_i (e_j e_k) a block of i at a time: O(n^5) flops,
 but only O(n^3) memory (a few MB per block) where the whole (i, j, k, l)
 comparison would hold three n^4 arrays (380 MB at n = 63).
+
+An algebra is immutable, so what is derived from its table alone is built
+once, on first use, and kept on it: the unital hull (`hull`) and the split
+of every L_a into diagonal blocks (`spectral_split`).  Each part is built
+independently of the other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +31,10 @@ UNIT_TOL = 1e-12
 IDEAL_TOL = 1e-10
 INVERT_CUTOFF = 1e-10  # smallest/largest singular value, scale free
 _ASSOC_BLOCK_BYTES = 4 << 20  # one (i-block, j, k, l) slab of the check
+_SPLIT_SEED = 0         # draws the generic central element of the split
+_SPLIT_CLUSTER = 1e-6   # eigenvalues of L_z closer than this (relative) merge
+_SPLIT_LEAK = 1e-10     # invariance defect a block may show, relative
+_SPLIT_INDEPENDENCE = 1e-8  # smallest singular value of the joined bases
 
 
 class AlgebraError(Exception):
@@ -144,6 +154,21 @@ class FiniteDimRealAlgebra:
     @property
     def is_unital(self) -> bool:
         return self.unit is not None
+
+    @cached_property
+    def hull(self) -> "FiniteDimRealAlgebra":
+        """The algebra itself when it is unital, else unitize(self)."""
+        return self if self.is_unital else unitize(self)
+
+    @cached_property
+    def spectral_split(self):
+        """Block tables of L_a along a generic central element of the hull,
+        or None when the split has one block or fails its invariance gate
+        (see _spectral_split)."""
+        try:
+            return _spectral_split(self)
+        except np.linalg.LinAlgError:  # an eigen- or Schur solver stalled
+            return None
 
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, np.asarray(coords, dtype=float))
@@ -270,6 +295,95 @@ def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
     return FiniteDimRealAlgebra(
         n + 1, ["e"] + list(algebra.labels), c, unit=unit,
         name=f"unitize({algebra.name})")
+
+
+def _nullspace(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+    """Rows spanning the right null space of M.
+
+    A thin SVD suffices for a tall M; a wide M needs the full V, whose extra
+    rows are part of the null space.
+    """
+    if M.size == 0:
+        return np.eye(M.shape[1])
+    _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    smax = s[0] if s.size else 0.0
+    rank = int((s > rtol * max(smax, 1.0)).sum())
+    return Vt[rank:]
+
+
+def center_basis(c: np.ndarray) -> np.ndarray:
+    """Rows spanning the center of the algebra with table c: the null space
+    of x -> (x e_j - e_j x)_j."""
+    n = c.shape[0]
+    return _nullspace((c - c.transpose(1, 0, 2)).reshape(n, n * n).T)
+
+
+def _spectral_split(algebra: FiniteDimRealAlgebra):
+    """Split L_a, for every a at once, into small diagonal blocks.
+
+    For z central in the hull, L_z commutes with every L_a, so each real
+    generalized eigenspace of L_z is invariant under every L_a and sp(a) is
+    the union of the spectra of the diagonal blocks.  A generic z, drawn
+    with a fixed seed, separates the blocks of the center.  Each subspace
+    is taken orthonormal from a reordered real Schur form of L_z, so the
+    block of L_a on V is V^T L_a V.  Blocks are grouped by size d; the
+    group's table holds, in row i, the K blocks of L_(e_i) flattened to
+    K*d^2 numbers, so that X @ table stacks the blocks of every row of X.
+
+    Returns a tuple of (d, table) with tables of shape (dim, K*d^2), or
+    None when the split has one block, when a reordered Schur form does not
+    hold its cluster, when on some basis element a block leaks out of its
+    subspace, or when the subspaces are not independent; the spectrum is
+    then computed on the whole matrix.
+    """
+    hull = algebra.hull
+    N, c = hull.dim, hull.table
+    Z = center_basis(c)
+    z = Z.T @ np.random.default_rng(_SPLIT_SEED).standard_normal(Z.shape[0])
+    L_z = (z @ c.reshape(N, N * N)).reshape(N, N).T
+    mus = np.linalg.eigvals(L_z)
+    # a real eigenvalue and a conjugate pair each give one real subspace
+    key = np.column_stack([mus.real, np.abs(mus.imag)])
+    tol = _SPLIT_CLUSTER * (1.0 + np.abs(mus).max())
+    # clusters: the transitive closure of "within tol", by boolean squaring
+    near = np.abs(key[:, None] - key).sum(axis=2) <= tol
+    while not np.array_equal(closed := near @ near, near):
+        near = closed
+    _, label = np.unique(near, axis=0, return_inverse=True)
+    count = label.max() + 1
+    if count < 2:
+        return None
+    L_all = c.transpose(0, 2, 1)            # L_all[i] = L_(e_i)
+    cmax = float(np.abs(c).max())
+    bases, blocks = [], []
+    for k in range(count):
+        members = key[label == k]
+
+        def in_cluster(re, im, members=members):
+            return bool((np.abs(members - [re, abs(im)]).sum(axis=1)
+                         <= tol).any())
+
+        _, Q, sdim = scipy.linalg.schur(L_z, output="real", sort=in_cluster)
+        if sdim != len(members):
+            return None
+        V = Q[:, :sdim]
+        LV = L_all @ V
+        B = V.T @ LV                        # [i]: block of L_(e_i) on V
+        leak = float(np.abs(LV - V @ B).max())
+        # written so that a NaN defect fails the check
+        if not leak <= _SPLIT_LEAK * (1.0 + cmax):
+            return None
+        bases.append(V)
+        blocks.append(B)
+    s = np.linalg.svd(np.hstack(bases), compute_uv=False)
+    if not s[-1] >= _SPLIT_INDEPENDENCE:
+        return None
+    pad = hull.dim - algebra.dim
+    sizes = sorted({B.shape[1] for B in blocks})
+    return tuple(
+        (d, np.concatenate([B.reshape(N, d * d) for B in blocks
+                            if B.shape[1] == d], axis=1)[pad:])
+        for d in sizes)
 
 
 def embed_in_unitization(a: AlgebraElement, hull: FiniteDimRealAlgebra) -> AlgebraElement:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, FiniteDimRealAlgebra, AlgebraMismatch,
-                      NotUnital, is_invertible, quotient, unitize)
+                      NotUnital, _nullspace, center_basis, is_invertible,
+                      quotient)
 from .quaternion import HAMILTON, Quaternion, qnorm, qspectrum
-from .seminorm import SpectralRadius, _nullspace
+from .seminorm import SpectralRadius
 from .spectral import spectral_radius, spectrum
 
 ACCEPT_RESIDUAL = 1e-11    # gate on every constructed character
@@ -92,7 +93,7 @@ def _blocks(algebra: FiniteDimRealAlgebra):
     Returns (hull, projection, B, blocks): projection maps hull coordinates
     to the quotient B, and blocks lists _classify's (name, basis) pairs.
     """
-    hull = algebra if algebra.is_unital else unitize(algebra)
+    hull = algebra.hull
     rad = SpectralRadius().kernel(hull)
     if rad.shape[0]:
         qm = quotient(hull, rad)
@@ -100,9 +101,8 @@ def _blocks(algebra: FiniteDimRealAlgebra):
     else:
         B, proj = hull, np.eye(hull.dim)
     u = proj @ hull.unit
-    m = B.dim
     c = B.table
-    Z = _nullspace((c - c.transpose(1, 0, 2)).reshape(m, m * m).T)  # center
+    Z = center_basis(c)
     z = Z.T @ np.random.default_rng(_CENTER_SEED).standard_normal(Z.shape[0])
     # the center is a product of copies of R and C; a generic central z has
     # one real eigenvalue per R and a conjugate pair per C, and the spectral

@@ -346,11 +346,17 @@ class FuzzSummary:
 _FUZZ_SAMPLES = 24
 
 
-def _random_instance(rng):
-    kinds = [["R", "C", "H"][i] for i in rng.integers(0, 3, rng.integers(1, 4))]
-    parts = {"R": corpus.reals, "C": corpus.complexes,
-             "H": corpus.quaternions}
-    algebra = corpus.direct_sum([parts[k]() for k in kinds])
+def _random_instance(rng, algebras):
+    """One fuzz instance; `algebras` memoizes the immutable products by
+    their kind tuple, which draws nothing from rng."""
+    kinds = tuple(["R", "C", "H"][i]
+                  for i in rng.integers(0, 3, rng.integers(1, 4)))
+    algebra = algebras.get(kinds)
+    if algebra is None:
+        parts = {"R": corpus.reals, "C": corpus.complexes,
+                 "H": corpus.quaternions}
+        algebra = algebras[kinds] = corpus.direct_sum(
+            [parts[k]() for k in kinds])
     choice = int(rng.integers(0, 3))
     if choice == 0:
         twists = {i: random_unit_quaternion(rng)
@@ -386,9 +392,10 @@ def fuzz(config: PipelineConfig | None = None,
     config = config or PipelineConfig()
     summary = FuzzSummary(iterations=iterations, seed=config.seed,
                           tol=config.tol)
+    algebras = {}
     for i in range(iterations):
         rng = np.random.default_rng([config.seed, i])
-        algebra, p, kind = _random_instance(rng)
+        algebra, p, kind = _random_instance(rng, algebras)
         summary.kind_counts[kind] = summary.kind_counts.get(kind, 0) + 1
         inst_seed = int(rng.integers(0, 2 ** 31))
         residual = check_square_property(p, algebra, _FUZZ_SAMPLES, inst_seed)

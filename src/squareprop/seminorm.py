@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import FiniteDimRealAlgebra, AlgebraElement, unitize
+from .algebra import FiniteDimRealAlgebra, AlgebraElement, _nullspace
 from .spectral import spectral_radius_batch
 
 RATIO_FLOOR = 1e-12
@@ -34,20 +34,6 @@ class PayloadMismatch(SeminormError):
 
 class UnsupportedVariant(SeminormError):
     pass
-
-
-def _nullspace(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Rows spanning the right null space of M.
-
-    A thin SVD suffices for a tall M; a wide M needs the full V, whose extra
-    rows are part of the null space.
-    """
-    if M.size == 0:
-        return np.eye(M.shape[1])
-    _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    smax = s[0] if s.size else 0.0
-    rank = int((s > rtol * max(smax, 1.0)).sum())
-    return Vt[rank:]
 
 
 class SeminormVariant:
@@ -94,7 +80,8 @@ class CharacterSup(SeminormVariant):
 
     def values(self, algebra, X):
         imgs = self._images(algebra)
-        vals = np.einsum("sn,mnq->smq", X, imgs)
+        m, n, _ = imgs.shape
+        vals = (X @ imgs.transpose(1, 0, 2).reshape(n, 4 * m)).reshape(-1, m, 4)
         return np.sqrt((vals * vals).sum(axis=2)).max(axis=1)
 
     def kernel(self, algebra):
@@ -115,7 +102,7 @@ class SpectralRadius(SeminormVariant):
         # spectral radius in the seminorm case) iff tr(L_(x a)) = 0 for all a,
         # taken in the unital hull when there is no unit.  With t_k = tr(L_e_k),
         # M[i, j] = tr(L_(x_i e_j)) = sum_k c[i, j, k] t_k.
-        hull = algebra if algebra.is_unital else unitize(algebra)
+        hull = algebra.hull
         pad = hull.dim - algebra.dim
         M = hull.table[pad:] @ np.einsum("kjj->k", hull.table)
         return _nullspace(M.T)

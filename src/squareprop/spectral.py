@@ -7,6 +7,23 @@ The Gelfand radius lim ||a^n||^(1/n) is computed by repeated squaring with
 log-domain renormalization, and both routes are cross-checked in tests.
 The squaring is written once, as the generator log_square_norms; its two
 consumers are gelfand_radius and the iterated-square stage of the pipeline.
+
+Spectra by blocks.  For z central in the unital hull, L_z commutes with
+every L_a, so the real generalized eigenspaces of L_z are invariant under
+every L_a and sp(a) is the union of the spectra of the diagonal blocks.
+The algebra builds that split once (FiniteDimRealAlgebra.spectral_split)
+from a seeded generic central z, without any character, so comparing r
+against characters stays non-circular.  A batch of elements then costs,
+per block size d, one matmul X @ table_d and one eigvals over a stack of
+d x d blocks, and the max of |lambda| over all blocks.  The split is
+gated at build time: every block must be invariant on the basis within a
+scale-relative tolerance (a NaN fails), the subspaces must be independent
+and there must be at least two blocks; otherwise the dense path below is
+used.  Small matrices stay dense too: the blocked path is taken only when
+the hull dimension is at least _BLOCKED_MIN_DIM, the measured crossover,
+so small algebras never build the split.  On the dense path a non-unital
+algebra needs no hull for its radius: in the hull L_(0,a) is the block
+triangular [[0, 0], [a, L_a]], so sp = {0} u eig(L_a).
 """
 
 from __future__ import annotations
@@ -19,7 +36,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (AlgebraElement, NotUnital, embed_in_unitization,
-                      left_regular_matrix, mul, unitize)
+                      left_regular_matrix, mul)
+
+# the blocked path wins from here on (hull dimension); below it, one dense
+# eigvals per row is as fast and builds nothing
+_BLOCKED_MIN_DIM = 16
 
 
 class NonConvergence(Exception):
@@ -35,13 +56,39 @@ class SpectrumResult:
 def _regular_matrix_in_hull(a: AlgebraElement) -> np.ndarray:
     if a.algebra.is_unital:
         return left_regular_matrix(a)
-    hull = unitize(a.algebra)
-    return left_regular_matrix(embed_in_unitization(a, hull))
+    return left_regular_matrix(embed_in_unitization(a, a.algebra.hull))
+
+
+def _eigvals(M: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals, retried in complex arithmetic when the real QR
+    iteration does not converge: LAPACK's real iteration can stall on an
+    exactly structured matrix, such as the 4 x 4 block L_q of a quaternion
+    q = (0.01776737537132592, -0.1593314977115078, -0.0126456452583658,
+    0.13573614522656216) laid out in C order."""
+    try:
+        return np.linalg.eigvals(M)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvals(M.astype(complex))
+
+
+def _block_eigvals(algebra, X: np.ndarray):
+    """Per block size d, the (rows, K*d) eigenvalues of the K diagonal
+    d x d blocks of L_x for every row x of X; None when the dense path
+    applies."""
+    small = algebra.dim + (not algebra.is_unital) < _BLOCKED_MIN_DIM
+    if small or algebra.spectral_split is None:
+        return None
+    return [_eigvals((X @ table).reshape(-1, d, d)).reshape(X.shape[0], -1)
+            for d, table in algebra.spectral_split]
 
 
 def spectrum(a: AlgebraElement) -> SpectrumResult:
     """sp(a) as the eigenvalues of L_a (in the unital hull if needed)."""
-    eig = np.linalg.eigvals(_regular_matrix_in_hull(a))
+    eigs = _block_eigvals(a.algebra, a.coords[None, :])
+    if eigs is None:
+        eig = _eigvals(_regular_matrix_in_hull(a))
+    else:
+        eig = np.concatenate([e[0] for e in eigs])
     pts = tuple(sorted((complex(v) for v in eig),
                        key=lambda z: (z.real, z.imag)))
     radius = float(max(abs(z) for z in pts))
@@ -53,13 +100,13 @@ def spectral_radius(a: AlgebraElement) -> float:
 
 
 def spectral_radius_batch(algebra, coords: np.ndarray) -> np.ndarray:
-    """Spectral radii of a stack of elements of one unital algebra."""
-    if not algebra.is_unital:
-        hull = unitize(algebra)
-        coords = np.hstack([np.zeros((coords.shape[0], 1)), coords])
-        algebra = hull
-    L = algebra.left_matrices_batch(coords)
-    return np.abs(np.linalg.eigvals(L)).max(axis=1)
+    """Spectral radii of a stack of elements of one algebra, by blocks
+    when the algebra's split applies (see the module docstring)."""
+    eigs = _block_eigvals(algebra, coords)
+    if eigs is None:
+        # a non-unital algebra's hull only adds the eigenvalue 0
+        eigs = [_eigvals(algebra.left_matrices_batch(coords))]
+    return np.max([np.abs(eig).max(axis=1) for eig in eigs], axis=0)
 
 
 def in_spectrum_paper_def(a: AlgebraElement, s: float, t: float) -> bool:

@@ -16,6 +16,7 @@ import pytest
 from squareprop import corpus
 from squareprop.algebra import left_regular_matrix, mul, quotient
 from squareprop.pipeline import PipelineConfig, verify_theorem
+from squareprop.quaternion import random_unit_quaternion
 from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
                                  CoordinateSum, OpaqueSeminorm, OperatorNorm,
                                  SpectralRadius, estimate_m, kernel)
@@ -186,6 +187,24 @@ def _stages_4_to_6_by_loop(algebra, p, config):
             residuals[lvl - 1] = max(residuals[lvl - 1],
                                      abs(log_norm - expected))
     return [wd, ratio, sq_res] + residuals
+
+
+@pytest.mark.parametrize("name", ["hc", "H8_twisted"])
+def test_character_sup_matmul_matches_einsum(name):
+    rng = np.random.default_rng(12)
+    if name == "hc":
+        A = corpus.builtin("hc")
+        chars = corpus.known_characters(A)
+    else:
+        A = corpus.function_algebra_H(8)
+        chars = corpus.known_characters(
+            A, {i: random_unit_quaternion(rng) for i in range(0, 8, 2)})
+    p = CharacterSup(tuple(chars))
+    X = rng.standard_normal((500, A.dim))
+    imgs = np.stack([c.images for c in chars])
+    vals = np.einsum("sn,mnq->smq", X, imgs)      # the formula replaced
+    old = np.sqrt((vals * vals).sum(axis=2)).max(axis=1)
+    assert np.max(np.abs(p.values(A, X) - old) / old) <= 1e-13
 
 
 def _pipeline_cases():

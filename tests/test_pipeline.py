@@ -9,7 +9,9 @@ from squareprop import corpus, pipeline
 from squareprop.pipeline import (PipelineConfig, compute_verdict, fuzz,
                                  verify_theorem)
 from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateSum,
-                                 OpaqueSeminorm, UnsupportedVariant)
+                                 OpaqueSeminorm, UnsupportedVariant,
+                                 check_square_property,
+                                 check_submultiplicative)
 
 QUICK = PipelineConfig(sample_count=400, seed=5, restarts=30)
 
@@ -162,6 +164,44 @@ def test_fuzz_deterministic_and_clean():
         == json.dumps(b.to_dict(), sort_keys=True)
     assert a.counterexamples == []
     assert a.checked + a.square_rejections == 150
+
+
+def _fuzz_with_fresh_algebras(config, iterations):
+    """fuzz's loop, building every instance's algebra anew."""
+    summary = pipeline.FuzzSummary(iterations=iterations, seed=config.seed,
+                                   tol=config.tol)
+    for i in range(iterations):
+        rng = np.random.default_rng([config.seed, i])
+        algebra, p, kind = pipeline._random_instance(rng, {})
+        summary.kind_counts[kind] = summary.kind_counts.get(kind, 0) + 1
+        inst_seed = int(rng.integers(0, 2 ** 31))
+        residual = check_square_property(p, algebra, pipeline._FUZZ_SAMPLES,
+                                         inst_seed)
+        if residual > config.tol:
+            summary.square_rejections += 1
+            continue
+        summary.checked += 1
+        ratio = check_submultiplicative(p, algebra, pipeline._FUZZ_SAMPLES,
+                                        inst_seed + 1)
+        if ratio > 1.0 + 10.0 * config.tol:
+            summary.counterexamples.append({
+                "iteration": i, "algebra": algebra.name, "seminorm": kind,
+                "square_residual": residual, "ratio": ratio})
+    return summary
+
+
+def test_fuzz_shared_algebras_match_fresh_ones(monkeypatch):
+    built = []
+    orig = corpus.direct_sum
+    monkeypatch.setattr(corpus, "direct_sum",
+                        lambda parts, **kw: built.append(1) or orig(parts, **kw))
+    config = PipelineConfig(seed=42)
+    shared = fuzz(config, iterations=500)
+    n_shared = len(built)
+    assert n_shared <= 39        # one per kind tuple of 1 to 3 of R, C, H
+    fresh = _fuzz_with_fresh_algebras(config, 500)
+    assert len(built) == n_shared + 500
+    assert shared.to_dict() == fresh.to_dict()
 
 
 def test_fuzz_zero_iterations():

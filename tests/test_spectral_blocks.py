@@ -1,0 +1,257 @@
+"""Spectral radii by blocks against the dense eigenvalue formula they replace.
+
+``spectral_radius_batch`` evaluates r(a) on the diagonal blocks of L_a along
+a generic central element of the hull, once the hull dimension reaches
+``spectral._BLOCKED_MIN_DIM``.  The dense formula it replaced (eigenvalues
+of the whole left regular matrix, in the unital hull) is kept here as the
+reference.  The split's gate (invariance on the basis, independence, two
+or more blocks) must send every failure to the dense path, and small
+algebras must never build the split.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from squareprop import algebra as algebra_mod
+from squareprop import corpus, spectral
+from squareprop.algebra import make_algebra, unitize
+from squareprop.pipeline import PipelineConfig, fuzz, verify_theorem
+from squareprop.seminorm import SpectralRadius
+from squareprop.spectral import spectral_radius_batch, spectrum
+
+
+def _dense_radius(A, X):
+    """The dense formula: the largest |eigenvalue| of L_x in the unital
+    hull, one eigenvalue problem of the hull's size per row."""
+    if not A.is_unital:
+        A = unitize(A)
+        X = np.hstack([np.zeros((X.shape[0], 1)), X])
+    L = A.left_matrices_batch(X)
+    return np.abs(np.linalg.eigvals(L)).max(axis=1)
+
+
+def _rotated(A, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (A.dim, A.dim)))
+    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q, optimize=True)
+    unit = None if A.unit is None else Q.T @ A.unit
+    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
+                        unit=unit, name=f"rotated {A.name}")
+
+
+def _t2r():
+    """T2(R) with basis E11, E12, E22; its radical is the line of E12."""
+    return make_algebra(3, ["E11", "E12", "E22"],
+                        {(0, 0, 0): 1.0, (0, 1, 1): 1.0, (1, 2, 1): 1.0,
+                         (2, 2, 2): 1.0},
+                        unit=[1.0, 0.0, 1.0], name="T2(R)")
+
+
+def _matrix_algebra(k):
+    """M_k(R) on the matrix units E_ab (index a*k + b); its center is R."""
+    table = {}
+    for a in range(k):
+        for b in range(k):
+            for d in range(k):
+                table[(a * k + b, b * k + d, a * k + d)] = 1.0
+    unit = np.eye(k).ravel()
+    return make_algebra(k * k, [f"E{a}{b}" for a in range(k) for b in range(k)],
+                        table, unit=unit, name=f"M{k}(R)")
+
+
+def _h(k):
+    return [corpus.quaternions() for _ in range(k)]
+
+
+# (algebra, relative bound, block sizes of the split)
+CASES = {
+    "H8": (lambda: corpus.function_algebra_H(8), 1e-12, {4: 8}),
+    "H16": (lambda: corpus.function_algebra_H(16), 1e-12, {4: 16}),
+    "rotated_H8": (lambda: _rotated(corpus.function_algebra_H(8), 3),
+                   1e-12, {4: 8}),
+    "H4+M2R": (lambda: corpus.direct_sum(_h(4) + [corpus.m2_reals()]),
+               1e-10, {4: 5}),
+    "H4+T2R": (lambda: corpus.direct_sum(_h(4) + [_t2r()]), 1e-10,
+               {3: 1, 4: 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_blocked_radius_matches_dense(name):
+    build, bound, sizes = CASES[name]
+    A = build()
+    split = A.spectral_split
+    assert split is not None
+    assert {d: table.shape[1] // (d * d) for d, table in split} == sizes
+    assert all(table.shape[0] == A.dim for _, table in split)
+    X = np.random.default_rng(7).standard_normal((2000, A.dim))
+    dense = _dense_radius(A, X)
+    blocked = spectral_radius_batch(A, X)
+    assert np.all(dense > 0.0)
+    assert float(np.max(np.abs(blocked - dense) / dense)) <= bound
+
+
+def test_blocked_spectrum_is_the_dense_multiset():
+    A = corpus.direct_sum(_h(4) + [_t2r()])
+    a = A.element(np.random.default_rng(2).standard_normal(A.dim))
+    L = np.einsum("i,ijk->kj", a.coords, A.table)
+    dense = np.sort_complex(np.linalg.eigvals(L))
+    got = np.array(spectrum(a).points)
+    assert got.shape == dense.shape
+    assert np.abs(np.sort_complex(got) - dense).max() <= 1e-10
+
+
+@pytest.mark.parametrize("leak", [-1.0, math.nan], ids=["negative", "nan"])
+def test_failed_invariance_gate_gives_dense_numbers(monkeypatch, leak):
+    monkeypatch.setattr(algebra_mod, "_SPLIT_LEAK", leak)
+    A = _rotated(corpus.function_algebra_H(8), 3)
+    assert A.spectral_split is None
+    X = np.random.default_rng(8).standard_normal((300, A.dim))
+    assert np.array_equal(spectral_radius_batch(A, X), _dense_radius(A, X))
+
+
+def test_single_block_gives_dense_numbers():
+    A = _matrix_algebra(4)
+    assert A.dim >= spectral._BLOCKED_MIN_DIM
+    assert A.spectral_split is None
+    X = np.random.default_rng(9).standard_normal((300, A.dim))
+    assert np.array_equal(spectral_radius_batch(A, X), _dense_radius(A, X))
+
+
+# LAPACK's real QR iteration does not converge on L_q of this quaternion
+# when L_q is laid out in C order, as a block of the split is
+_STALLING_Q = np.array([0.01776737537132592, -0.1593314977115078,
+                        -0.0126456452583658, 0.13573614522656216])
+
+
+@pytest.mark.parametrize("points", [1, 4])
+def test_stalled_qr_iteration_is_retried(points):
+    A = corpus.function_algebra_H(points)   # H^4 takes the blocked path
+    x = np.zeros((1, A.dim))
+    x[0, :4] = _STALLING_Q
+    r = spectral_radius_batch(A, x)[0]
+    assert abs(r - np.linalg.norm(_STALLING_Q)) <= 1e-15
+    assert abs(spectrum(A.element(x[0])).radius - r) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["H8", "H8_unbuilt", "rrc"])
+def test_every_real_eigvals_failure_is_retried(monkeypatch, name):
+    """On the blocks, on the dense path, and while the split is built
+    (which then gives no split)."""
+    A = corpus.builtin("rrc") if name == "rrc" else corpus.function_algebra_H(8)
+    if name == "H8":
+        assert A.spectral_split is not None
+    X = np.random.default_rng(11).standard_normal((200, A.dim))
+    want = _dense_radius(A, X)
+    orig = np.linalg.eigvals
+
+    def real_fails(M):
+        if not np.iscomplexobj(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return orig(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", real_fails)
+    got = spectral_radius_batch(A, X)
+    if name != "rrc":
+        assert (A.spectral_split is None) == (name == "H8_unbuilt")
+    assert float(np.max(np.abs(got - want) / want)) <= 1e-12
+
+
+def test_hull_and_split_are_built_once_and_separately():
+    A = corpus.function_algebra_H(8)
+    assert A.hull is A
+    N = corpus.nonunital_with_ideal()
+    assert N.hull is N.hull and N.hull.dim == N.dim + 1
+    assert "spectral_split" not in vars(N)
+    SpectralRadius().kernel(N)   # the kernel reads the hull only
+    assert "spectral_split" not in vars(N)
+    assert A.spectral_split is A.spectral_split
+
+
+# -- non-unital algebras -------------------------------------------------
+
+def _count_unitize(monkeypatch):
+    calls = []
+    orig = algebra_mod.unitize
+
+    def counted(A):
+        calls.append(A.name)
+        return orig(A)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "squareprop" or key.startswith("squareprop."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_nonunital_verify_unitizes_at_most_once(monkeypatch):
+    calls = _count_unitize(monkeypatch)
+    rep = verify_theorem(corpus.builtin("nonunital3"), SpectralRadius(),
+                         PipelineConfig(seed=1))
+    assert rep.verdict == "pass"
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("name", ["nonunital3", "rotated_hc+nonunital3",
+                                  "rotated_H4+nonunital3"])
+def test_nonunital_radius_equals_hull_formula(name):
+    A = {
+        "nonunital3": lambda: corpus.builtin("nonunital3"),
+        "rotated_hc+nonunital3": lambda: _rotated(corpus.direct_sum(
+            [corpus.builtin("hc"), corpus.builtin("nonunital3")]), 4),
+        "rotated_H4+nonunital3": lambda: _rotated(corpus.direct_sum(
+            _h(4) + [corpus.builtin("nonunital3")]), 5),
+    }[name]()
+    assert not A.is_unital
+    X = np.random.default_rng(10).standard_normal((2000, A.dim))
+    dense = _dense_radius(A, X)
+    got = spectral_radius_batch(A, X)
+    assert float(np.max(np.abs(got - dense) / (1.0 + dense))) <= 1e-12
+
+
+# -- structural guard: where the crossover sends each workload ------------
+
+def _record_eig_sizes(monkeypatch):
+    sizes = []
+    orig = np.linalg.eigvals
+
+    def recorded(M):
+        sizes.append(np.shape(M)[-1])
+        return orig(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    return sizes
+
+
+def test_h8_spectral_radius_asks_only_for_small_eigenproblems(monkeypatch):
+    """Once H^8's split is built (its one-time eigenproblem is on L_z),
+    every spectrum the proof chain asks for is a stack of 4 x 4 blocks."""
+    A = corpus.function_algebra_H(8)
+    assert A.spectral_split is not None
+    eig_sizes = _record_eig_sizes(monkeypatch)
+    rep = verify_theorem(A, SpectralRadius(), PipelineConfig(seed=0))
+    assert rep.verdict == "pass"
+    assert eig_sizes and max(eig_sizes) <= 4
+
+
+def test_fuzz_chunk_builds_no_split(monkeypatch):
+    eig_sizes = _record_eig_sizes(monkeypatch)
+    built = []
+    orig = algebra_mod._spectral_split
+    monkeypatch.setattr(algebra_mod, "_spectral_split",
+                        lambda A: built.append(A.name) or orig(A))
+    summary = fuzz(PipelineConfig(seed=42), iterations=50)
+    assert built == []
+    assert max(eig_sizes) <= 12
+    # the summary of the dense code path before the split existed
+    assert summary.to_dict() == {
+        "iterations": 50, "seed": 42, "tol": 1e-09, "checked": 37,
+        "square_rejections": 13,
+        "kind_counts": {"spectral_radius": 19, "character_sup": 15,
+                        "coordinate_max": 16},
+        "counterexamples": []}
