@@ -12,9 +12,11 @@ but only O(n^3) memory (a few MB per block) where the whole (i, j, k, l)
 comparison would hold three n^4 arrays (380 MB at n = 63).
 
 An algebra is immutable, so what is derived from its table alone is built
-once, on first use, and kept on it: the unital hull (`hull`) and the split
-of every L_a into diagonal blocks (`spectral_split`).  Each part is built
-independently of the other.
+once, on first use, and kept on it: the unital hull (`hull`), the radical
+(`radical`), the quotient of the hull by its radical (`semisimple_quotient`),
+the simple blocks of that quotient (`simple_blocks`) and the split of every
+L_a into diagonal blocks (`spectral_split`), which is read off the simple
+blocks.  The characters and the split share the one block decomposition.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ UNIT_TOL = 1e-12
 IDEAL_TOL = 1e-10
 INVERT_CUTOFF = 1e-10  # smallest/largest singular value, scale free
 _ASSOC_BLOCK_BYTES = 4 << 20  # one (i-block, j, k, l) slab of the check
-_SPLIT_SEED = 0         # draws the generic central element of the split
-_SPLIT_CLUSTER = 1e-6   # eigenvalues of L_z closer than this (relative) merge
+_SPLIT_SEED = 0         # draws the generic central element of the blocks
 _SPLIT_LEAK = 1e-10     # invariance defect a block may show, relative
 _SPLIT_INDEPENDENCE = 1e-8  # smallest singular value of the joined bases
 
@@ -161,13 +162,34 @@ class FiniteDimRealAlgebra:
         return self if self.is_unital else unitize(self)
 
     @cached_property
+    def radical(self) -> np.ndarray:
+        """Rows spanning rad(A), read-only.  Dickson: x is in it iff
+        tr(L_(x a)) = 0 for every a of the hull; with t_k = tr(L_e_k),
+        M[i, j] = tr(L_(x_i e_j)) = sum_k c[i, j, k] t_k."""
+        hull = self.hull
+        M = hull.table[hull.dim - self.dim:] @ np.einsum("kjj->k", hull.table)
+        rad = _nullspace(M.T)
+        rad.setflags(write=False)
+        return rad
+
+    @cached_property
+    def semisimple_quotient(self) -> "QuotientMap":
+        """hull / rad(hull); the identity map on the hull when rad is 0."""
+        return quotient(self.hull, self.hull.radical)
+
+    @cached_property
+    def simple_blocks(self):
+        """The simple blocks of semisimple_quotient (see _simple_blocks)."""
+        return _simple_blocks(self)
+
+    @cached_property
     def spectral_split(self):
-        """Block tables of L_a along a generic central element of the hull,
-        or None when the split has one block or fails its invariance gate
-        (see _spectral_split)."""
+        """Block tables of L_a on the simple blocks of the hull, or None when
+        the hull has a radical, when there is one block or when the split
+        fails its gate (see _spectral_split)."""
         try:
             return _spectral_split(self)
-        except np.linalg.LinAlgError:  # an eigen- or Schur solver stalled
+        except np.linalg.LinAlgError:  # an eigen- or SVD solver stalled
             return None
 
     def element(self, coords) -> "AlgebraElement":
@@ -311,83 +333,82 @@ def _nullspace(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return Vt[rank:]
 
 
-def center_basis(c: np.ndarray) -> np.ndarray:
-    """Rows spanning the center of the algebra with table c: the null space
-    of x -> (x e_j - e_j x)_j."""
+def _simple_blocks(algebra: FiniteDimRealAlgebra):
+    """Wedderburn-Artin blocks of B = hull / rad(hull).
+
+    The center of B is a product of copies of R and C; a generic central z,
+    drawn with a fixed seed, has one real eigenvalue mu per R and a
+    conjugate pair per C on it, and the spectral projectors of z applied to
+    the unit are the primitive central idempotents e.  Every e*B is a
+    simple block, invariant under every L_b.
+
+    Returns (z, blocks) in B's coordinates, blocks a tuple of (mu, e, V)
+    ordered by mu, where mu has imag >= 0 and V holds an orthonormal basis
+    of e*B as columns (the leading left singular vectors of L_e).
+    """
+    qm = algebra.semisimple_quotient
+    c = qm.algebra.table
+    u = qm.projection @ algebra.hull.unit
     n = c.shape[0]
-    return _nullspace((c - c.transpose(1, 0, 2)).reshape(n, n * n).T)
+    # the center: rows spanning the null space of x -> (x e_j - e_j x)_j
+    Z = _nullspace((c - c.transpose(1, 0, 2)).reshape(n, n * n).T)
+    z = Z.T @ np.random.default_rng(_SPLIT_SEED).standard_normal(Z.shape[0])
+    mus, vecs = np.linalg.eig(Z @ np.einsum("i,ijk->kj", z, c) @ Z.T)
+    left = np.linalg.inv(vecs)
+    tol = 1e-9 * (1.0 + np.abs(mus).max())
+    blocks = []
+    for k in np.lexsort((mus.imag, mus.real)):
+        mu = mus[k]
+        if mu.imag < -tol:
+            continue
+        proj_k = np.outer(vecs[:, k], left[k])
+        if mu.imag > tol:
+            proj_k = 2.0 * proj_k
+        else:
+            mu = complex(mu.real, 0.0)
+        e = Z.T @ (proj_k @ (Z @ u)).real
+        U, s, _ = np.linalg.svd(np.einsum("i,ijk->kj", e, c))
+        blocks.append((mu, e, U[:, :int((s > 1e-8 * s[0]).sum())]))
+    return z, tuple(blocks)
 
 
 def _spectral_split(algebra: FiniteDimRealAlgebra):
     """Split L_a, for every a at once, into small diagonal blocks.
 
-    For z central in the hull, L_z commutes with every L_a, so each real
-    generalized eigenspace of L_z is invariant under every L_a and sp(a) is
-    the union of the spectra of the diagonal blocks.  A generic z, drawn
-    with a fixed seed, separates the blocks of the center.  Each subspace
-    is taken orthonormal from a reordered real Schur form of L_z, so the
-    block of L_a on V is V^T L_a V.  Blocks are grouped by size d; the
-    group's table holds, in row i, the K blocks of L_(e_i) flattened to
-    K*d^2 numbers, so that X @ table stacks the blocks of every row of X.
+    A semisimple hull is the direct sum of its simple blocks e*A, each
+    invariant under every L_a, so sp(a) is the union of the spectra of the
+    diagonal blocks.  A block's basis V is orthonormal, so the block of L_a
+    on it is V^T L_a V.  Blocks are grouped by size d; the group's table
+    holds, in row i, the K blocks of L_(e_i) flattened to K*d^2 numbers, so
+    that X @ table stacks the blocks of every row of X.
 
     Returns a tuple of (d, table) with tables of shape (dim, K*d^2), or
-    None when the split has one block, when a reordered Schur form does not
-    hold its cluster, when on some basis element a block leaks out of its
-    subspace, or when the subspaces are not independent; the spectrum is
-    then computed on the whole matrix.
+    None when the hull has a radical, when there is one block, when the
+    block dimensions do not sum to the hull dimension, when on some basis
+    element a block leaks out of its subspace, or when the subspaces are
+    not independent; the spectrum is then computed on the whole matrix.
     """
     hull = algebra.hull
-    N, c = hull.dim, hull.table
-    Z = center_basis(c)
-    z = Z.T @ np.random.default_rng(_SPLIT_SEED).standard_normal(Z.shape[0])
-    L_z = (z @ c.reshape(N, N * N)).reshape(N, N).T
-    mus = np.linalg.eigvals(L_z)
-    # a real eigenvalue and a conjugate pair each give one real subspace
-    key = np.column_stack([mus.real, np.abs(mus.imag)])
-    tol = _SPLIT_CLUSTER * (1.0 + np.abs(mus).max())
-    # clusters: the transitive closure of "within tol", by boolean squaring
-    near = np.abs(key[:, None] - key).sum(axis=2) <= tol
-    while not np.array_equal(closed := near @ near, near):
-        near = closed
-    _, label = np.unique(near, axis=0, return_inverse=True)
-    count = label.max() + 1
-    if count < 2:
+    if hull.radical.shape[0]:
         return None
-    L_all = c.transpose(0, 2, 1)            # L_all[i] = L_(e_i)
-    cmax = float(np.abs(c).max())
-    bases, blocks = [], []
-    for k in range(count):
-        members = key[label == k]
-
-        def in_cluster(re, im, members=members):
-            return bool((np.abs(members - [re, abs(im)]).sum(axis=1)
-                         <= tol).any())
-
-        _, Q, sdim = scipy.linalg.schur(L_z, output="real", sort=in_cluster)
-        if sdim != len(members):
-            return None
-        V = Q[:, :sdim]
-        LV = L_all @ V
-        B = V.T @ LV                        # [i]: block of L_(e_i) on V
-        leak = float(np.abs(LV - V @ B).max())
-        # written so that a NaN defect fails the check
-        if not leak <= _SPLIT_LEAK * (1.0 + cmax):
-            return None
-        bases.append(V)
-        blocks.append(B)
+    bases = [V for _, _, V in algebra.simple_blocks[1]]
+    N, c = hull.dim, hull.table
+    if len(bases) < 2 or sum(V.shape[1] for V in bases) != N:
+        return None
+    LVs = [c.transpose(0, 2, 1) @ V for V in bases]   # [i]: L_(e_i) V
+    blocks = [V.T @ LV for V, LV in zip(bases, LVs)]  # [i]: block on V
+    leak = np.max([np.abs(LV - V @ B).max()
+                   for V, LV, B in zip(bases, LVs, blocks)])
     s = np.linalg.svd(np.hstack(bases), compute_uv=False)
-    if not s[-1] >= _SPLIT_INDEPENDENCE:
+    # written so that a NaN defect fails the gate
+    if not (leak <= _SPLIT_LEAK * (1.0 + np.abs(c).max())
+            and s[-1] >= _SPLIT_INDEPENDENCE):
         return None
     pad = hull.dim - algebra.dim
-    sizes = sorted({B.shape[1] for B in blocks})
     return tuple(
         (d, np.concatenate([B.reshape(N, d * d) for B in blocks
                             if B.shape[1] == d], axis=1)[pad:])
-        for d in sizes)
-
-
-def embed_in_unitization(a: AlgebraElement, hull: FiniteDimRealAlgebra) -> AlgebraElement:
-    return hull.element(np.concatenate([[0.0], a.coords]))
+        for d in sorted({B.shape[1] for B in blocks}))
 
 
 def subspace_is_two_sided_ideal(algebra: FiniteDimRealAlgebra, V) -> bool:

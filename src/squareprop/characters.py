@@ -3,11 +3,14 @@
 A character x: A -> H is real-linear and multiplicative.  H has no
 nilpotents, so x vanishes on rad(A) and factors through the semisimple
 quotient A/rad(A), which Wedderburn-Artin splits into simple blocks cut out
-by the primitive idempotents of its center.  By Frobenius a block carries a
-character only if it is R, C or H, and by Skolem-Noether all characters of
-one block are conjugate, so |x(a)| does not depend on the one chosen.
-find_characters therefore returns one character per R, C or H block, and a
-sup over its result is the sup over every character of A, not a sample.
+by the primitive idempotents of its center.  The algebra computes those
+blocks once and keeps them (FiniteDimRealAlgebra.simple_blocks, the same
+record its spectral split is read from); this module only names each block.
+By Frobenius a block carries a character only if it is R, C or H, and by
+Skolem-Noether all characters of one block are conjugate, so |x(a)| does
+not depend on the one chosen.  find_characters therefore returns one
+character per R, C or H block, and a sup over its result is the sup over
+every character of A, not a sample.
 """
 
 from __future__ import annotations
@@ -17,15 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, FiniteDimRealAlgebra, AlgebraMismatch,
-                      NotUnital, _nullspace, center_basis, is_invertible,
-                      quotient)
+                      NotUnital, _nullspace, is_invertible)
 from .quaternion import HAMILTON, Quaternion, qnorm, qspectrum
-from .seminorm import SpectralRadius
 from .spectral import spectral_radius, spectrum
 
 ACCEPT_RESIDUAL = 1e-11    # gate on every constructed character
 NONZERO_FLOOR = 1e-6
-_CENTER_SEED = 0           # draws the generic central element
 
 
 class EmptyCharacterSet(Exception):
@@ -56,14 +56,13 @@ def character_residual(algebra: FiniteDimRealAlgebra, images) -> float:
     return float(defect / scale)
 
 
-def _classify(B, e, mu, z):
-    """(name, basis) of the block e*B, where mu is the eigenvalue of the
-    central element z that cut it out.  basis holds e, i, j, ij as columns
-    (as many as the block needs) for R, C and H, and is None otherwise."""
+def _classify(B, z, mu, e, V):
+    """(name, basis) of the block e*B with orthonormal basis V (columns),
+    where mu is the eigenvalue of the central element z that cut it out.
+    basis holds e, i, j, ij as columns (as many as the block needs) for R,
+    C and H, and is None otherwise."""
     c = B.table
-    L_e = np.einsum("i,ijk->kj", e, c)
-    s = np.linalg.svd(L_e, compute_uv=False)
-    dim = int((s > 1e-8 * s[0]).sum())
+    dim = V.shape[1]
     center_dim = 1 if mu.imag == 0.0 else 2
     if (center_dim, dim) == (1, 1):
         return "R", e[:, None]
@@ -74,55 +73,31 @@ def _classify(B, e, mu, z):
         # the trace-zero part of a 4-dim central simple block is 3-dim, and
         # symmetrized products of its elements are multiples of e; the block
         # is H iff that quadratic form is negative definite (else M2(R))
-        U = np.linalg.svd(L_e)[0][:, :4]
-        T = U @ _nullspace((np.einsum("ijj->i", c) @ U)[None, :]).T
+        T = V @ _nullspace((np.einsum("ijj->i", c) @ V)[None, :]).T
         P = np.einsum("ia,jb,ijk->abk", T, T, c)
         G = (P + P.transpose(1, 0, 2)) @ e / (2.0 * (e @ e))
-        lam, V = np.linalg.eigh(G)
+        lam, W = np.linalg.eigh(G)
         if lam[-1] >= -1e-8 * abs(lam[0]):
             return "M2(R)", None
-        i = T @ V[:, 0] / np.sqrt(-lam[0])
-        j = T @ V[:, 1] / np.sqrt(-lam[1])
+        i = T @ W[:, 0] / np.sqrt(-lam[0])
+        j = T @ W[:, 1] / np.sqrt(-lam[1])
         return "H", np.column_stack([e, i, j, B.mul_coords(i, j)])
     return f"a simple block of dim {dim} with center dim {center_dim}", None
 
 
 def _blocks(algebra: FiniteDimRealAlgebra):
-    """Simple blocks of the unital hull of A modulo its radical.
+    """The named simple blocks of A/rad(A): _classify's (name, basis) per
+    block of algebra.simple_blocks, in the coordinates of the quotient."""
+    B = algebra.semisimple_quotient.algebra
+    z, blocks = algebra.simple_blocks
+    return [_classify(B, z, mu, e, V) for mu, e, V in blocks]
 
-    Returns (hull, projection, B, blocks): projection maps hull coordinates
-    to the quotient B, and blocks lists _classify's (name, basis) pairs.
-    """
-    hull = algebra.hull
-    rad = SpectralRadius().kernel(hull)
-    if rad.shape[0]:
-        qm = quotient(hull, rad)
-        B, proj = qm.algebra, qm.projection
-    else:
-        B, proj = hull, np.eye(hull.dim)
-    u = proj @ hull.unit
-    c = B.table
-    Z = center_basis(c)
-    z = Z.T @ np.random.default_rng(_CENTER_SEED).standard_normal(Z.shape[0])
-    # the center is a product of copies of R and C; a generic central z has
-    # one real eigenvalue per R and a conjugate pair per C, and the spectral
-    # projectors of L_z applied to the unit are the primitive idempotents
-    mus, vecs = np.linalg.eig(Z @ np.einsum("i,ijk->kj", z, c) @ Z.T)
-    left = np.linalg.inv(vecs)
-    tol = 1e-9 * (1.0 + np.abs(mus).max())
-    blocks = []
-    for k in np.lexsort((mus.imag, mus.real)):
-        mu = mus[k]
-        if mu.imag < -tol:
-            continue
-        proj_k = np.outer(vecs[:, k], left[k])
-        if mu.imag > tol:
-            proj_k = 2.0 * proj_k
-        else:
-            mu = complex(mu.real, 0.0)
-        e = Z.T @ (proj_k @ (Z @ u)).real
-        blocks.append(_classify(B, e, mu, z))
-    return hull, proj, B, blocks
+
+def non_division_block(algebra: FiniteDimRealAlgebra):
+    """(k, name) of the first simple block of A/rad(A) that is not R, C or
+    H, or None when every block is."""
+    return next(((k, name) for k, (name, basis) in enumerate(_blocks(algebra))
+                 if basis is None), None)
 
 
 def find_characters(algebra: FiniteDimRealAlgebra, restarts: int = 50,
@@ -136,17 +111,17 @@ def find_characters(algebra: FiniteDimRealAlgebra, restarts: int = 50,
     the multiplicativity residual gate of 1e-11.  `restarts` and `seed` are
     accepted for interface stability and do not affect the result.
     """
-    hull, proj, B, blocks = _blocks(algebra)
-    pad = hull.dim - algebra.dim
+    qm = algebra.semisimple_quotient
     found = []
-    for _, basis in blocks:
+    for _, basis in _blocks(algebra):
         if basis is None:
             continue
-        e_pi = np.einsum("i,ijk->kj", basis[:, 0], B.table) @ proj
-        images = np.zeros((hull.dim, 4))
+        e_pi = (np.einsum("i,ijk->kj", basis[:, 0], qm.algebra.table)
+                @ qm.projection)
+        images = np.zeros((e_pi.shape[1], 4))   # on the hull's basis
         images[:, :basis.shape[1]] = np.linalg.lstsq(basis, e_pi,
                                                      rcond=None)[0].T
-        images = images[pad:]
+        images = images[-algebra.dim:]
         if np.sqrt((images * images).sum(axis=1)).max() < NONZERO_FLOOR:
             continue
         residual = character_residual(algebra, images)
@@ -228,8 +203,8 @@ def nonexistence_explanation(algebra: FiniteDimRealAlgebra):
             return (f"basis element {algebra.labels[i]} is nilpotent "
                     f"(spectral radius {r:.2e}) but nonzero, so no norm can "
                     f"satisfy ||a|| <= m*r(a) and the character space is empty")
-    for k, (name, basis) in enumerate(_blocks(algebra)[3]):
-        if basis is None:
-            return (f"block {k} of A/rad(A) is {name}, not R, C or H, so it "
-                    f"admits no quaternion character")
+    bad = non_division_block(algebra)
+    if bad is not None:
+        return (f"block {bad[0]} of A/rad(A) is {bad[1]}, not R, C or H, so "
+                f"it admits no quaternion character")
     return None

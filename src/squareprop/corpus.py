@@ -103,9 +103,6 @@ def _embedding_images(kind: str, offset: int, dim: int,
     return images
 
 
-_COMPONENT_DIM = {"R": 1, "C": 2, "H": 4}
-
-
 def known_characters(algebra: FiniteDimRealAlgebra,
                      twists: dict[int, Quaternion] | None = None) -> list[Character]:
     """One canonical character per R/C/H component of a product algebra.

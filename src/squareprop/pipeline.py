@@ -1,10 +1,11 @@
 """End-to-end verification of the submultiplicativity proof chain.
 
-verify_theorem walks, on one (algebra, seminorm) pair: square property,
-working constant, kernel and quotient, the scaled quotient norm and its
-square identity, the iterated-power relation, the radius identity, the
-character / unitization branch, and the final submultiplicativity check,
-recording a residual at every stage.  fuzz hammers randomized instances
+verify_theorem walks, on one (algebra, seminorm) pair: square property
+(and, for the spectral radius, whether it is a seminorm at all), working
+constant, kernel and quotient, the scaled quotient norm and its square
+identity, the iterated-power relation, the radius identity, the character
+/ unitization branch, and the final submultiplicativity check, recording a
+residual at every stage.  fuzz hammers randomized instances
 looking for a counterexample the theorem says cannot exist.
 """
 
@@ -19,8 +20,8 @@ import numpy as np
 from . import corpus
 from .algebra import (FiniteDimRealAlgebra, quotient,
                       subspace_is_two_sided_ideal, unitize)
-from .characters import (check_prop31, find_characters, nonexistence_explanation,
-                         sampled_sup_norm)
+from .characters import (check_prop31, find_characters, non_division_block,
+                         nonexistence_explanation, sampled_sup_norm)
 from .quaternion import random_unit_quaternion
 from .seminorm import (CharacterSup, CoordinateMax, SeminormVariant,
                        SpectralRadius, check_square_property,
@@ -238,6 +239,16 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
             f"recorded witness; later stages skipped")
         report.verdict = "hypothesis_not_met"
         return report
+    # r is a seminorm iff every simple block of A/rad(A) is R, C or H: an
+    # M_k(D) block with k >= 2 holds nilpotents x, y with r(x + y) > 0
+    if isinstance(p, SpectralRadius):
+        bad = non_division_block(algebra)
+        if bad is not None:
+            report.notes.append(
+                f"the spectral radius is not a seminorm: block {bad[0]} of "
+                f"A/rad(A) is {bad[1]}, not R, C or H; later stages skipped")
+            report.verdict = "hypothesis_not_met"
+            return report
 
     # 2. working constant
     m = estimate_m(p, algebra, config.sample_count, config.seed + 1)

@@ -13,6 +13,7 @@ the base class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,10 +63,14 @@ class CharacterSup(SeminormVariant):
 
     characters: tuple  # Character records or (n, 4) image arrays
 
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """(m, n, 4): the images of the m characters, stacked once."""
+        return np.stack([np.asarray(getattr(ch, "images", ch), dtype=float)
+                         for ch in self.characters])
+
     def _images(self, algebra) -> np.ndarray:
-        mats = [np.asarray(getattr(ch, "images", ch), dtype=float)
-                for ch in self.characters]
-        stack = np.stack(mats)
+        stack = self._stack
         if stack.shape[1:] != (algebra.dim, 4):
             raise PayloadMismatch(
                 f"character images shaped {stack.shape[1:]}, "
@@ -98,14 +103,9 @@ class SpectralRadius(SeminormVariant):
         return spectral_radius_batch(algebra, X)
 
     def kernel(self, algebra):
-        # Dickson trace criterion: x is in the radical (the zero set of the
-        # spectral radius in the seminorm case) iff tr(L_(x a)) = 0 for all a,
-        # taken in the unital hull when there is no unit.  With t_k = tr(L_e_k),
-        # M[i, j] = tr(L_(x_i e_j)) = sum_k c[i, j, k] t_k.
-        hull = algebra.hull
-        pad = hull.dim - algebra.dim
-        M = hull.table[pad:] @ np.einsum("kjj->k", hull.table)
-        return _nullspace(M.T)
+        # the radical, the zero set of the spectral radius when r is a
+        # seminorm (Dickson's trace criterion, see algebra.radical)
+        return algebra.radical
 
 
 @dataclass(frozen=True)

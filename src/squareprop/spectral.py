@@ -8,22 +8,24 @@ log-domain renormalization, and both routes are cross-checked in tests.
 The squaring is written once, as the generator log_square_norms; its two
 consumers are gelfand_radius and the iterated-square stage of the pipeline.
 
-Spectra by blocks.  For z central in the unital hull, L_z commutes with
-every L_a, so the real generalized eigenspaces of L_z are invariant under
-every L_a and sp(a) is the union of the spectra of the diagonal blocks.
-The algebra builds that split once (FiniteDimRealAlgebra.spectral_split)
-from a seeded generic central z, without any character, so comparing r
-against characters stays non-circular.  A batch of elements then costs,
-per block size d, one matmul X @ table_d and one eigvals over a stack of
-d x d blocks, and the max of |lambda| over all blocks.  The split is
-gated at build time: every block must be invariant on the basis within a
-scale-relative tolerance (a NaN fails), the subspaces must be independent
-and there must be at least two blocks; otherwise the dense path below is
-used.  Small matrices stay dense too: the blocked path is taken only when
-the hull dimension is at least _BLOCKED_MIN_DIM, the measured crossover,
-so small algebras never build the split.  On the dense path a non-unital
-algebra needs no hull for its radius: in the hull L_(0,a) is the block
-triangular [[0, 0], [a, L_a]], so sp = {0} u eig(L_a).
+Spectra by blocks.  A semisimple unital hull is the direct sum of its
+simple blocks e*A (Wedderburn-Artin), each invariant under every L_a, so
+sp(a) is the union of the spectra of the diagonal blocks of L_a.  The
+algebra builds that split once (FiniteDimRealAlgebra.spectral_split) from
+the same cached simple blocks the characters are read from; a block's
+basis comes from its central idempotent, not from any character, so
+comparing r against characters stays non-circular.  A batch of elements
+then costs, per block size d, one matmul X @ table_d and one eigvals over a
+stack of d x d blocks, and the max of |lambda| over all blocks.  The split
+is gated at build time: the hull must have no radical, every block must be
+invariant on the basis within a scale-relative tolerance (a NaN fails), the
+subspaces must be independent, their dimensions must sum to the hull's and
+there must be at least two blocks; otherwise the dense path below is used.
+Small matrices stay dense too: the blocked path is taken only when the hull
+dimension is at least _BLOCKED_MIN_DIM, the measured crossover, so small
+algebras never build the split.  On the dense path a non-unital algebra
+needs no hull: in the hull L_(0,a) is the block triangular
+[[0, 0], [a, L_a]], so sp = {0} u eig(L_a).
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import (AlgebraElement, NotUnital, embed_in_unitization,
-                      left_regular_matrix, mul)
+from .algebra import AlgebraElement, NotUnital, left_regular_matrix, mul
 
 # the blocked path wins from here on (hull dimension); below it, one dense
 # eigvals per row is as fast and builds nothing
@@ -51,12 +52,6 @@ class NonConvergence(Exception):
 class SpectrumResult:
     points: tuple          # complex eigenvalues, conjugate-closed
     radius: float          # max modulus over points
-
-
-def _regular_matrix_in_hull(a: AlgebraElement) -> np.ndarray:
-    if a.algebra.is_unital:
-        return left_regular_matrix(a)
-    return left_regular_matrix(embed_in_unitization(a, a.algebra.hull))
 
 
 def _eigvals(M: np.ndarray) -> np.ndarray:
@@ -86,7 +81,9 @@ def spectrum(a: AlgebraElement) -> SpectrumResult:
     """sp(a) as the eigenvalues of L_a (in the unital hull if needed)."""
     eigs = _block_eigvals(a.algebra, a.coords[None, :])
     if eigs is None:
-        eig = _eigvals(_regular_matrix_in_hull(a))
+        eig = _eigvals(left_regular_matrix(a))
+        if not a.algebra.is_unital:     # the hull adds the eigenvalue 0
+            eig = np.append(eig, 0.0)
     else:
         eig = np.concatenate([e[0] for e in eigs])
     pts = tuple(sorted((complex(v) for v in eig),

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from squareprop import cli
+from squareprop import cli, corpus
+from squareprop.algebra import make_algebra
 
 
 def run_capture(capsys, argv):
@@ -203,3 +205,64 @@ def test_table_entry_too_large_to_square_exit_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "big.json" in err and "table entry" in err
+
+
+def test_nonunital_spectrum_json_is_unchanged(capsys):
+    """The dense formula eig(L_a) u {0} gives the hull's output, byte for
+    byte."""
+    code, out = run_capture(capsys, [
+        "spectrum", "--algebra", "nonunital3", "--element", "1 -2 3",
+        "--format", "json"])
+    assert code == 0
+    assert out == (
+        '{\n  "algebra": "R(+)R(+)null",\n  "points": [\n'
+        '    [\n      -2.0,\n      0.0\n    ],\n'
+        '    [\n      0.0,\n      0.0\n    ],\n'
+        '    [\n      0.0,\n      0.0\n    ],\n'
+        '    [\n      1.0,\n      0.0\n    ]\n  ],\n'
+        '  "radius": 2.0\n}\n')
+
+
+def _rotated(A, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (A.dim, A.dim)))
+    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q)
+    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
+                        unit=Q.T @ A.unit, name=f"rotated {A.name}")
+
+
+def _t2r_plus_m2r():
+    t2r = make_algebra(3, ["E11", "E12", "E22"],
+                       {(0, 0, 0): 1.0, (0, 1, 1): 1.0, (1, 2, 1): 1.0,
+                        (2, 2, 2): 1.0}, unit=[1.0, 0.0, 1.0], name="T2(R)")
+    return corpus.direct_sum([t2r, corpus.m2_reals()])
+
+
+@pytest.mark.parametrize("name, block", [
+    ("m2_reals", 0), ("rotated_m2r+r", 1), ("t2r+m2r", 1)])
+def test_spectral_radius_on_a_matrix_block_exits_three(tmp_path, capsys,
+                                                        name, block):
+    """r is no seminorm when A/rad(A) has an M2(R) block; these used to
+    exit 1 with final ratios 41.7, 15.6 and 7.9."""
+    spec = name
+    if name != "m2_reals":
+        A = (_rotated(corpus.direct_sum([corpus.m2_reals(), corpus.reals()]), 1)
+             if name == "rotated_m2r+r" else _t2r_plus_m2r())
+        spec = str(tmp_path / f"{name}.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump({"dim": A.dim, "basis": A.labels, "unit": A.unit.tolist(),
+                       "table": [[*map(int, ijk), float(A.table[ijk])]
+                                 for ijk in zip(*np.nonzero(A.table))]}, fh)
+    code, out = run_capture(capsys, [
+        "verify", "--algebra", spec, "--seminorm", "spectral_radius",
+        "--format", "json"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "hypothesis_not_met"
+    assert payload["final_submultiplicativity_ratio"] is None
+    assert [n for n in payload["notes"]
+            if f"block {block} of A/rad(A) is M2(R)" in n]
+    code, out = run_capture(capsys, [
+        "verify", "--algebra", "rrc", "--seminorm", "spectral_radius",
+        "--samples", "300", "--format", "json"])
+    assert code == 0 and set(json.loads(out)) == set(payload)

@@ -19,7 +19,8 @@ from squareprop.pipeline import PipelineConfig, verify_theorem
 from squareprop.quaternion import random_unit_quaternion
 from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
                                  CoordinateSum, OpaqueSeminorm, OperatorNorm,
-                                 SpectralRadius, estimate_m, kernel)
+                                 PayloadMismatch, SpectralRadius, estimate_m,
+                                 kernel)
 from squareprop.spectral import (NonConvergence, gelfand_radius,
                                  operator_norm, spectral_radius)
 
@@ -205,6 +206,30 @@ def test_character_sup_matmul_matches_einsum(name):
     vals = np.einsum("sn,mnq->smq", X, imgs)      # the formula replaced
     old = np.sqrt((vals * vals).sum(axis=2)).max(axis=1)
     assert np.max(np.abs(p.values(A, X) - old) / old) <= 1e-13
+
+
+def test_character_sup_stacks_its_images_once(monkeypatch):
+    A = corpus.function_algebra_H(8)
+    p = CharacterSup(tuple(corpus.known_characters(A)))
+    stacked = []
+    orig = np.stack
+    monkeypatch.setattr(np, "stack",
+                        lambda *a, **k: stacked.append(1) or orig(*a, **k))
+    X = np.random.default_rng(13).standard_normal((50, A.dim))
+    first = p.values(A, X)
+    for _ in range(5):
+        p.check_payload(A)
+        assert np.array_equal(p.values(A, X), first)
+        assert p.value(A.element(X[0])) == first[0]
+        assert kernel(p, A).shape == (0, A.dim)
+    assert len(stacked) == 1
+    # the shape check against the algebra still runs on every call
+    H4 = corpus.function_algebra_H(4)
+    with pytest.raises(PayloadMismatch):
+        p.values(H4, X[:, :H4.dim])
+    bad = CharacterSup((np.full((A.dim, 4), np.nan),))
+    with pytest.raises(PayloadMismatch):
+        bad.check_payload(A)
 
 
 def _pipeline_cases():

@@ -1,12 +1,13 @@
 """Spectral radii by blocks against the dense eigenvalue formula they replace.
 
-``spectral_radius_batch`` evaluates r(a) on the diagonal blocks of L_a along
-a generic central element of the hull, once the hull dimension reaches
+``spectral_radius_batch`` evaluates r(a) on the diagonal blocks of L_a on
+the simple blocks of a semisimple hull, once the hull dimension reaches
 ``spectral._BLOCKED_MIN_DIM``.  The dense formula it replaced (eigenvalues
 of the whole left regular matrix, in the unital hull) is kept here as the
-reference.  The split's gate (invariance on the basis, independence, two
-or more blocks) must send every failure to the dense path, and small
-algebras must never build the split.
+reference.  A hull with a radical, and a split that fails its gate
+(invariance on the basis, independence, dimensions summing to the hull's,
+two or more blocks), must take the dense path; small algebras must never
+build the split, and the simple blocks are built once per algebra.
 """
 
 import math
@@ -14,12 +15,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from squareprop import algebra as algebra_mod
 from squareprop import corpus, spectral
 from squareprop.algebra import make_algebra, unitize
 from squareprop.pipeline import PipelineConfig, fuzz, verify_theorem
-from squareprop.seminorm import SpectralRadius
+from squareprop.seminorm import CharacterSup, SpectralRadius
 from squareprop.spectral import spectral_radius_batch, spectrum
 
 
@@ -66,7 +68,8 @@ def _h(k):
     return [corpus.quaternions() for _ in range(k)]
 
 
-# (algebra, relative bound, block sizes of the split)
+# (algebra, relative bound, block sizes of the split or None when the hull
+# has a radical and the split is not built)
 CASES = {
     "H8": (lambda: corpus.function_algebra_H(8), 1e-12, {4: 8}),
     "H16": (lambda: corpus.function_algebra_H(16), 1e-12, {4: 16}),
@@ -74,8 +77,7 @@ CASES = {
                    1e-12, {4: 8}),
     "H4+M2R": (lambda: corpus.direct_sum(_h(4) + [corpus.m2_reals()]),
                1e-10, {4: 5}),
-    "H4+T2R": (lambda: corpus.direct_sum(_h(4) + [_t2r()]), 1e-10,
-               {3: 1, 4: 4}),
+    "H4+T2R": (lambda: corpus.direct_sum(_h(4) + [_t2r()]), 1e-10, None),
 }
 
 
@@ -84,9 +86,12 @@ def test_blocked_radius_matches_dense(name):
     build, bound, sizes = CASES[name]
     A = build()
     split = A.spectral_split
-    assert split is not None
-    assert {d: table.shape[1] // (d * d) for d, table in split} == sizes
-    assert all(table.shape[0] == A.dim for _, table in split)
+    if sizes is None:
+        assert A.hull.radical.shape[0] > 0
+        assert split is None
+    else:
+        assert {d: table.shape[1] // (d * d) for d, table in split} == sizes
+        assert all(table.shape[0] == A.dim for _, table in split)
     X = np.random.default_rng(7).standard_normal((2000, A.dim))
     dense = _dense_radius(A, X)
     blocked = spectral_radius_batch(A, X)
@@ -95,13 +100,17 @@ def test_blocked_radius_matches_dense(name):
 
 
 def test_blocked_spectrum_is_the_dense_multiset():
-    A = corpus.direct_sum(_h(4) + [_t2r()])
-    a = A.element(np.random.default_rng(2).standard_normal(A.dim))
-    L = np.einsum("i,ijk->kj", a.coords, A.table)
-    dense = np.sort_complex(np.linalg.eigvals(L))
-    got = np.array(spectrum(a).points)
-    assert got.shape == dense.shape
-    assert np.abs(np.sort_complex(got) - dense).max() <= 1e-10
+    """On a hull with a radical (dense) and on a semisimple one (blocked)."""
+    for parts, blocked in ((_h(4) + [_t2r()], False),
+                           (_h(4) + [corpus.m2_reals()], True)):
+        A = corpus.direct_sum(parts)
+        assert (A.spectral_split is not None) == blocked
+        a = A.element(np.random.default_rng(2).standard_normal(A.dim))
+        L = np.einsum("i,ijk->kj", a.coords, A.table)
+        dense = np.sort_complex(np.linalg.eigvals(L))
+        got = np.array(spectrum(a).points)
+        assert got.shape == dense.shape
+        assert np.abs(np.sort_complex(got) - dense).max() <= 1e-10
 
 
 @pytest.mark.parametrize("leak", [-1.0, math.nan], ids=["negative", "nan"])
@@ -139,8 +148,8 @@ def test_stalled_qr_iteration_is_retried(points):
 
 @pytest.mark.parametrize("name", ["H8", "H8_unbuilt", "rrc"])
 def test_every_real_eigvals_failure_is_retried(monkeypatch, name):
-    """On the blocks, on the dense path, and while the split is built
-    (which then gives no split)."""
+    """On the blocks and on the dense path; a real eigensolver that fails
+    while the simple blocks are built gives no split."""
     A = corpus.builtin("rrc") if name == "rrc" else corpus.function_algebra_H(8)
     if name == "H8":
         assert A.spectral_split is not None
@@ -154,6 +163,7 @@ def test_every_real_eigvals_failure_is_retried(monkeypatch, name):
         return orig(M)
 
     monkeypatch.setattr(np.linalg, "eigvals", real_fails)
+    monkeypatch.setattr(np.linalg, "eig", real_fails)   # the block build
     got = spectral_radius_batch(A, X)
     if name != "rrc":
         assert (A.spectral_split is None) == (name == "H8_unbuilt")
@@ -214,6 +224,24 @@ def test_nonunital_radius_equals_hull_formula(name):
     assert float(np.max(np.abs(got - dense) / (1.0 + dense))) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["nonunital3", "rotated_hc+nonunital3"])
+def test_nonunital_spectrum_is_the_hull_multiset(name):
+    """spectrum's dense path: eig(L_a) and the 0 the hull adds."""
+    A = corpus.builtin("nonunital3")
+    if name != "nonunital3":
+        A = _rotated(corpus.direct_sum([corpus.builtin("hc"), A]), 4)
+    hull = unitize(A)
+    for row in np.random.default_rng(12).standard_normal((20, A.dim)):
+        L = np.einsum("i,ijk->kj", np.concatenate([[0.0], row]), hull.table)
+        dense = np.linalg.eigvals(L)
+        got = np.array(spectrum(A.element(row)).points)
+        assert got.shape == dense.shape
+        # pair the two multisets up at least total distance
+        gap = np.abs(got[:, None] - dense[None, :])
+        pairs = scipy.optimize.linear_sum_assignment(gap)
+        assert gap[pairs].max() <= 1e-12 * (1.0 + np.abs(dense).max())
+
+
 # -- structural guard: where the crossover sends each workload ------------
 
 def _record_eig_sizes(monkeypatch):
@@ -229,8 +257,9 @@ def _record_eig_sizes(monkeypatch):
 
 
 def test_h8_spectral_radius_asks_only_for_small_eigenproblems(monkeypatch):
-    """Once H^8's split is built (its one-time eigenproblem is on L_z),
-    every spectrum the proof chain asks for is a stack of 4 x 4 blocks."""
+    """Once H^8's split is built (its one-time eigenproblem is on the
+    center), every spectrum the proof chain asks for is a stack of 4 x 4
+    blocks."""
     A = corpus.function_algebra_H(8)
     assert A.spectral_split is not None
     eig_sizes = _record_eig_sizes(monkeypatch)
@@ -239,14 +268,32 @@ def test_h8_spectral_radius_asks_only_for_small_eigenproblems(monkeypatch):
     assert eig_sizes and max(eig_sizes) <= 4
 
 
+def _record_builds(monkeypatch, attr):
+    built = []
+    orig = getattr(algebra_mod, attr)
+    monkeypatch.setattr(algebra_mod, attr, lambda A: built.append(A) or orig(A))
+    return built
+
+
+def test_h8_verify_builds_the_simple_blocks_once(monkeypatch):
+    """The split and the characters read one cached block decomposition:
+    verify with both seminorms on one H^8 builds it once."""
+    blocks = _record_builds(monkeypatch, "_simple_blocks")
+    splits = _record_builds(monkeypatch, "_spectral_split")
+    A = corpus.function_algebra_H(8)
+    for p in (SpectralRadius(), CharacterSup(tuple(corpus.known_characters(A)))):
+        rep = verify_theorem(A, p, PipelineConfig(seed=0))
+        assert rep.verdict == "pass" and rep.character_count == 8
+    assert splits == [A]
+    assert blocks == [A]
+
+
 def test_fuzz_chunk_builds_no_split(monkeypatch):
     eig_sizes = _record_eig_sizes(monkeypatch)
-    built = []
-    orig = algebra_mod._spectral_split
-    monkeypatch.setattr(algebra_mod, "_spectral_split",
-                        lambda A: built.append(A.name) or orig(A))
+    splits = _record_builds(monkeypatch, "_spectral_split")
+    blocks = _record_builds(monkeypatch, "_simple_blocks")
     summary = fuzz(PipelineConfig(seed=42), iterations=50)
-    assert built == []
+    assert splits == [] and blocks == []
     assert max(eig_sizes) <= 12
     # the summary of the dense code path before the split existed
     assert summary.to_dict() == {
