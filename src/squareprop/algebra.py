@@ -14,9 +14,15 @@ comparison would hold three n^4 arrays (380 MB at n = 63).
 An algebra is immutable, so what is derived from its table alone is built
 once, on first use, and kept on it: the unital hull (`hull`), the radical
 (`radical`), the quotient of the hull by its radical (`semisimple_quotient`),
-the simple blocks of that quotient (`simple_blocks`) and the split of every
-L_a into diagonal blocks (`spectral_split`), which is read off the simple
-blocks.  The characters and the split share the one block decomposition.
+the simple blocks of that quotient, each with its name R, C, H or M2(R)
+(`simple_blocks`), and the split of every L_a into diagonal blocks
+(`spectral_split`), which is read off the simple blocks.  The characters,
+the seminorm test of the spectral radius and the split share the one block
+decomposition and its names.  The split tags each group of blocks as
+division (R, C or H) or not: on a division block D of dimension d, L_x is
+|x| times an orthogonal map in D's standard basis, so every eigenvalue of
+the block has modulus |x| and the block's spectral radius is |det|^(1/d),
+whatever basis of D the block is written in (see spectral).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -178,15 +185,17 @@ class FiniteDimRealAlgebra:
         return quotient(self.hull, self.hull.radical)
 
     @cached_property
-    def simple_blocks(self):
-        """The simple blocks of semisimple_quotient (see _simple_blocks)."""
+    def simple_blocks(self) -> tuple:
+        """The named simple blocks of semisimple_quotient, a tuple of
+        SimpleBlock (see _simple_blocks)."""
         return _simple_blocks(self)
 
     @cached_property
     def spectral_split(self):
-        """Block tables of L_a on the simple blocks of the hull, or None when
-        the hull has a radical, when there is one block or when the split
-        fails its gate (see _spectral_split)."""
+        """Block tables of L_a on the simple blocks of the hull, grouped by
+        size and tagged division or not, or None when the hull has a
+        radical, when there is one block or when the split fails its gate
+        (see _spectral_split)."""
         try:
             return _spectral_split(self)
         except np.linalg.LinAlgError:  # an eigen- or SVD solver stalled
@@ -333,21 +342,72 @@ def _nullspace(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return Vt[rank:]
 
 
+class SimpleBlock(NamedTuple):
+    """One simple block e*B of B = hull / rad(hull), in B's coordinates.
+
+    mu is the eigenvalue of the generic central element that cut the block
+    out (imag >= 0), e its central idempotent and V an orthonormal basis of
+    e*B as columns.  name is "R", "C", "H", "M2(R)" or a description of
+    another simple block; basis holds e, i, j, ij as columns (as many as
+    the block needs) for R, C and H, and is None otherwise.
+    """
+
+    mu: complex
+    e: np.ndarray
+    V: np.ndarray
+    name: str
+    basis: Optional[np.ndarray]
+
+    @property
+    def division(self) -> bool:
+        """True for R, C and H, the blocks that are division algebras."""
+        return self.basis is not None
+
+
+def _classify(B, z, mu, e, V):
+    """(name, basis) of the block e*B with orthonormal basis V (columns),
+    where mu is the eigenvalue of the central element z that cut it out
+    (see SimpleBlock)."""
+    c = B.table
+    dim = V.shape[1]
+    center_dim = 1 if mu.imag == 0.0 else 2
+    if (center_dim, dim) == (1, 1):
+        return "R", e[:, None]
+    if (center_dim, dim) == (2, 2):
+        i = (B.mul_coords(e, z) - mu.real * e) / mu.imag
+        return "C", np.column_stack([e, i])
+    if (center_dim, dim) == (1, 4):
+        # the trace-zero part of a 4-dim central simple block is 3-dim, and
+        # symmetrized products of its elements are multiples of e; the block
+        # is H iff that quadratic form is negative definite (else M2(R))
+        T = V @ _nullspace((np.einsum("ijj->i", c) @ V)[None, :]).T
+        P = np.einsum("ia,jb,ijk->abk", T, T, c)
+        G = (P + P.transpose(1, 0, 2)) @ e / (2.0 * (e @ e))
+        lam, W = np.linalg.eigh(G)
+        if lam[-1] >= -1e-8 * abs(lam[0]):
+            return "M2(R)", None
+        i = T @ W[:, 0] / np.sqrt(-lam[0])
+        j = T @ W[:, 1] / np.sqrt(-lam[1])
+        return "H", np.column_stack([e, i, j, B.mul_coords(i, j)])
+    return f"a simple block of dim {dim} with center dim {center_dim}", None
+
+
 def _simple_blocks(algebra: FiniteDimRealAlgebra):
-    """Wedderburn-Artin blocks of B = hull / rad(hull).
+    """Wedderburn-Artin blocks of B = hull / rad(hull), named.
 
     The center of B is a product of copies of R and C; a generic central z,
     drawn with a fixed seed, has one real eigenvalue mu per R and a
     conjugate pair per C on it, and the spectral projectors of z applied to
     the unit are the primitive central idempotents e.  Every e*B is a
-    simple block, invariant under every L_b.
+    simple block, invariant under every L_b.  Each block is named once,
+    here (see _classify).
 
-    Returns (z, blocks) in B's coordinates, blocks a tuple of (mu, e, V)
-    ordered by mu, where mu has imag >= 0 and V holds an orthonormal basis
-    of e*B as columns (the leading left singular vectors of L_e).
+    Returns a tuple of SimpleBlock ordered by mu, where V holds the
+    leading left singular vectors of L_e.
     """
     qm = algebra.semisimple_quotient
-    c = qm.algebra.table
+    B = qm.algebra
+    c = B.table
     u = qm.projection @ algebra.hull.unit
     n = c.shape[0]
     # the center: rows spanning the null space of x -> (x e_j - e_j x)_j
@@ -368,8 +428,9 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
             mu = complex(mu.real, 0.0)
         e = Z.T @ (proj_k @ (Z @ u)).real
         U, s, _ = np.linalg.svd(np.einsum("i,ijk->kj", e, c))
-        blocks.append((mu, e, U[:, :int((s > 1e-8 * s[0]).sum())]))
-    return z, tuple(blocks)
+        V = U[:, :int((s > 1e-8 * s[0]).sum())]
+        blocks.append(SimpleBlock(mu, e, V, *_classify(B, z, mu, e, V)))
+    return tuple(blocks)
 
 
 def _spectral_split(algebra: FiniteDimRealAlgebra):
@@ -378,20 +439,23 @@ def _spectral_split(algebra: FiniteDimRealAlgebra):
     A semisimple hull is the direct sum of its simple blocks e*A, each
     invariant under every L_a, so sp(a) is the union of the spectra of the
     diagonal blocks.  A block's basis V is orthonormal, so the block of L_a
-    on it is V^T L_a V.  Blocks are grouped by size d; the group's table
-    holds, in row i, the K blocks of L_(e_i) flattened to K*d^2 numbers, so
-    that X @ table stacks the blocks of every row of X.
+    on it is V^T L_a V.  Blocks are grouped by size d and by whether they
+    are division blocks (R, C or H); the group's table holds, in row i, the
+    K blocks of L_(e_i) flattened to K*d^2 numbers, so that X @ table
+    stacks the blocks of every row of X.
 
-    Returns a tuple of (d, table) with tables of shape (dim, K*d^2), or
-    None when the hull has a radical, when there is one block, when the
-    block dimensions do not sum to the hull dimension, when on some basis
-    element a block leaks out of its subspace, or when the subspaces are
-    not independent; the spectrum is then computed on the whole matrix.
+    Returns a tuple of (d, division, table) with tables of shape
+    (dim, K*d^2), ordered by (d, division), or None when the hull has a
+    radical, when there is one block, when the block dimensions do not sum
+    to the hull dimension, when on some basis element a block leaks out of
+    its subspace, or when the subspaces are not independent; the spectrum
+    is then computed on the whole matrix.
     """
     hull = algebra.hull
     if hull.radical.shape[0]:
         return None
-    bases = [V for _, _, V in algebra.simple_blocks[1]]
+    simple = algebra.simple_blocks
+    bases = [b.V for b in simple]
     N, c = hull.dim, hull.table
     if len(bases) < 2 or sum(V.shape[1] for V in bases) != N:
         return None
@@ -405,10 +469,12 @@ def _spectral_split(algebra: FiniteDimRealAlgebra):
             and s[-1] >= _SPLIT_INDEPENDENCE):
         return None
     pad = hull.dim - algebra.dim
+    tags = [(B.shape[1], b.division) for B, b in zip(blocks, simple)]
     return tuple(
-        (d, np.concatenate([B.reshape(N, d * d) for B in blocks
-                            if B.shape[1] == d], axis=1)[pad:])
-        for d in sorted({B.shape[1] for B in blocks}))
+        (d, division,
+         np.concatenate([B.reshape(N, d * d) for B, tag in zip(blocks, tags)
+                         if tag == (d, division)], axis=1)[pad:])
+        for d, division in sorted(set(tags)))
 
 
 def subspace_is_two_sided_ideal(algebra: FiniteDimRealAlgebra, V) -> bool:

@@ -4,13 +4,14 @@ A character x: A -> H is real-linear and multiplicative.  H has no
 nilpotents, so x vanishes on rad(A) and factors through the semisimple
 quotient A/rad(A), which Wedderburn-Artin splits into simple blocks cut out
 by the primitive idempotents of its center.  The algebra computes those
-blocks once and keeps them (FiniteDimRealAlgebra.simple_blocks, the same
-record its spectral split is read from); this module only names each block.
-By Frobenius a block carries a character only if it is R, C or H, and by
-Skolem-Noether all characters of one block are conjugate, so |x(a)| does
-not depend on the one chosen.  find_characters therefore returns one
-character per R, C or H block, and a sup over its result is the sup over
-every character of A, not a sample.
+blocks once, names each R, C, H or M2(R) and keeps them with their bases
+(FiniteDimRealAlgebra.simple_blocks, the record its spectral split is read
+from too); this module reads names and bases from that record and never
+classifies a block itself.  By Frobenius a block carries a character only
+if it is R, C or H, and by Skolem-Noether all characters of one block are
+conjugate, so |x(a)| does not depend on the one chosen.  find_characters
+therefore returns one character per R, C or H block, and a sup over its
+result is the sup over every character of A, not a sample.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, FiniteDimRealAlgebra, AlgebraMismatch,
-                      NotUnital, _nullspace, is_invertible)
+                      NotUnital, is_invertible)
 from .quaternion import HAMILTON, Quaternion, qnorm, qspectrum
 from .spectral import spectral_radius, spectrum
 
@@ -56,48 +57,12 @@ def character_residual(algebra: FiniteDimRealAlgebra, images) -> float:
     return float(defect / scale)
 
 
-def _classify(B, z, mu, e, V):
-    """(name, basis) of the block e*B with orthonormal basis V (columns),
-    where mu is the eigenvalue of the central element z that cut it out.
-    basis holds e, i, j, ij as columns (as many as the block needs) for R,
-    C and H, and is None otherwise."""
-    c = B.table
-    dim = V.shape[1]
-    center_dim = 1 if mu.imag == 0.0 else 2
-    if (center_dim, dim) == (1, 1):
-        return "R", e[:, None]
-    if (center_dim, dim) == (2, 2):
-        i = (B.mul_coords(e, z) - mu.real * e) / mu.imag
-        return "C", np.column_stack([e, i])
-    if (center_dim, dim) == (1, 4):
-        # the trace-zero part of a 4-dim central simple block is 3-dim, and
-        # symmetrized products of its elements are multiples of e; the block
-        # is H iff that quadratic form is negative definite (else M2(R))
-        T = V @ _nullspace((np.einsum("ijj->i", c) @ V)[None, :]).T
-        P = np.einsum("ia,jb,ijk->abk", T, T, c)
-        G = (P + P.transpose(1, 0, 2)) @ e / (2.0 * (e @ e))
-        lam, W = np.linalg.eigh(G)
-        if lam[-1] >= -1e-8 * abs(lam[0]):
-            return "M2(R)", None
-        i = T @ W[:, 0] / np.sqrt(-lam[0])
-        j = T @ W[:, 1] / np.sqrt(-lam[1])
-        return "H", np.column_stack([e, i, j, B.mul_coords(i, j)])
-    return f"a simple block of dim {dim} with center dim {center_dim}", None
-
-
-def _blocks(algebra: FiniteDimRealAlgebra):
-    """The named simple blocks of A/rad(A): _classify's (name, basis) per
-    block of algebra.simple_blocks, in the coordinates of the quotient."""
-    B = algebra.semisimple_quotient.algebra
-    z, blocks = algebra.simple_blocks
-    return [_classify(B, z, mu, e, V) for mu, e, V in blocks]
-
-
 def non_division_block(algebra: FiniteDimRealAlgebra):
     """(k, name) of the first simple block of A/rad(A) that is not R, C or
     H, or None when every block is."""
-    return next(((k, name) for k, (name, basis) in enumerate(_blocks(algebra))
-                 if basis is None), None)
+    return next(((k, block.name)
+                 for k, block in enumerate(algebra.simple_blocks)
+                 if not block.division), None)
 
 
 def find_characters(algebra: FiniteDimRealAlgebra, restarts: int = 50,
@@ -113,9 +78,10 @@ def find_characters(algebra: FiniteDimRealAlgebra, restarts: int = 50,
     """
     qm = algebra.semisimple_quotient
     found = []
-    for _, basis in _blocks(algebra):
-        if basis is None:
+    for block in algebra.simple_blocks:
+        if not block.division:
             continue
+        basis = block.basis
         e_pi = (np.einsum("i,ijk->kj", basis[:, 0], qm.algebra.table)
                 @ qm.projection)
         images = np.zeros((e_pi.shape[1], 4))   # on the hull's basis

@@ -251,18 +251,21 @@ def check_square_property(p, algebra, samples: int = 2000, seed: int = 0) -> flo
 
 def _ratio_scan(p, algebra, samples, seed):
     """All (ratio, a, b) candidates: deterministic basis sweep plus random
-    pairs normalized to p = 1 where possible."""
+    pairs normalized to p = 1 where possible.
+
+    The sweep's n^2 pairs (e_i, e_j) hold only n distinct elements, so p is
+    evaluated once on the basis and its values repeated and tiled."""
     p.check_payload(algebra)
     rng = np.random.default_rng(seed)
-    eye = np.eye(algebra.dim)
-    A = np.repeat(eye, algebra.dim, axis=0)
-    B = np.tile(eye, (algebra.dim, 1))
+    n = algebra.dim
+    eye = np.eye(n)
     Xa = _sample(algebra, samples, rng)
     Xb = _sample(algebra, samples, rng)
-    A = np.concatenate([A, Xa])
-    B = np.concatenate([B, Xb])
-    va = p.values(algebra, A)
-    vb = p.values(algebra, B)
+    A = np.concatenate([np.repeat(eye, n, axis=0), Xa])
+    B = np.concatenate([np.tile(eye, (n, 1)), Xb])
+    pe = p.values(algebra, eye)
+    va = np.concatenate([np.repeat(pe, n), p.values(algebra, Xa)])
+    vb = np.concatenate([np.tile(pe, n), p.values(algebra, Xb)])
     scale = 1.0 + max(va.max(), vb.max(), 1.0)
     ok = va * vb > RATIO_FLOOR * scale ** 2
     # normalize the random block to p = 1 so ratio statistics are scale-free

@@ -12,20 +12,33 @@ Spectra by blocks.  A semisimple unital hull is the direct sum of its
 simple blocks e*A (Wedderburn-Artin), each invariant under every L_a, so
 sp(a) is the union of the spectra of the diagonal blocks of L_a.  The
 algebra builds that split once (FiniteDimRealAlgebra.spectral_split) from
-the same cached simple blocks the characters are read from; a block's
-basis comes from its central idempotent, not from any character, so
-comparing r against characters stays non-circular.  A batch of elements
-then costs, per block size d, one matmul X @ table_d and one eigvals over a
-stack of d x d blocks, and the max of |lambda| over all blocks.  The split
-is gated at build time: the hull must have no radical, every block must be
-invariant on the basis within a scale-relative tolerance (a NaN fails), the
-subspaces must be independent, their dimensions must sum to the hull's and
-there must be at least two blocks; otherwise the dense path below is used.
-Small matrices stay dense too: the blocked path is taken only when the hull
-dimension is at least _BLOCKED_MIN_DIM, the measured crossover, so small
-algebras never build the split.  On the dense path a non-unital algebra
-needs no hull: in the hull L_(0,a) is the block triangular
-[[0, 0], [a, L_a]], so sp = {0} u eig(L_a).
+the same cached simple blocks the characters are read from, and tags each
+group of blocks of one size d as division (R, C or H) or not.  A batch of
+elements then costs, per group, one matmul X @ table and one batched
+solve over the stack of d x d blocks.
+
+The solve on a division group is a determinant.  On a division algebra D
+with its standard basis, L_x is |x| times an orthogonal map (|xy| = |x||y|),
+so every eigenvalue of L_x has modulus |x|.  A block of L_a on e*A is L_x
+for x = e*a written in another basis of D, a similar matrix with the same
+eigenvalues, so its spectral radius is exactly |det|^(1/d); it is taken as
+m |det(B/m)|^(1/d) with m = max|B|, which stays finite at any scale.  Any
+other block (M2(R), say) keeps eigvals, and so does spectrum, which needs
+the points.  Neither route is circular: no character enters them, the
+division tag is the block's name in the algebra's record, and a block's
+basis comes from its central idempotent, so comparing r against characters
+still compares two independent computations.
+
+The split is gated at build time: the hull must have no radical, every
+block must be invariant on the basis within a scale-relative tolerance (a
+NaN fails), the subspaces must be independent, their dimensions must sum
+to the hull's and there must be at least two blocks; otherwise the dense
+path below is used.  Small matrices stay dense too: the blocked path is
+taken only when the hull dimension is at least _BLOCKED_MIN_DIM, the
+measured crossover, so small algebras never build the split.  On the
+dense path a non-unital algebra needs no hull: in the hull L_(0,a) is the
+block triangular [[0, 0], [a, L_a]], so sp = {0} u eig(L_a).  Both paths
+raise LinAlgError on a non-finite element.
 """
 
 from __future__ import annotations
@@ -66,26 +79,45 @@ def _eigvals(M: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(M.astype(complex))
 
 
-def _block_eigvals(algebra, X: np.ndarray):
-    """Per block size d, the (rows, K*d) eigenvalues of the K diagonal
-    d x d blocks of L_x for every row x of X; None when the dense path
-    applies."""
-    small = algebra.dim + (not algebra.is_unital) < _BLOCKED_MIN_DIM
-    if small or algebra.spectral_split is None:
+def _split(algebra):
+    """The algebra's spectral split, or None when the dense path applies."""
+    if algebra.dim + (not algebra.is_unital) < _BLOCKED_MIN_DIM:
         return None
-    return [_eigvals((X @ table).reshape(-1, d, d)).reshape(X.shape[0], -1)
-            for d, table in algebra.spectral_split]
+    return algebra.spectral_split
+
+
+def _stack(X: np.ndarray, d: int, table: np.ndarray) -> np.ndarray:
+    """(rows, K, d, d): the K diagonal d x d blocks of L_x in one group of
+    the split, for every row x of X."""
+    return (X @ table).reshape(X.shape[0], table.shape[1] // (d * d), d, d)
+
+
+def _division_radii(S: np.ndarray) -> np.ndarray:
+    """Spectral radius of every d x d division block in the stack S.
+
+    Every eigenvalue of a division block has the same modulus, so the
+    radius is |det|^(1/d), taken as m |det(S / m)|^(1/d) with m = max|S|
+    per block so that neither det overflows nor underflows; a zero block
+    gives 0.  Raises LinAlgError on a non-finite block, as eigvals does.
+    """
+    m = np.abs(S).max(axis=(-2, -1))
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    scale = np.where(m > 0.0, m, 1.0)[..., None, None]
+    return m * np.abs(np.linalg.det(S / scale)) ** (1.0 / S.shape[-1])
 
 
 def spectrum(a: AlgebraElement) -> SpectrumResult:
     """sp(a) as the eigenvalues of L_a (in the unital hull if needed)."""
-    eigs = _block_eigvals(a.algebra, a.coords[None, :])
-    if eigs is None:
+    split = _split(a.algebra)
+    if split is None:
         eig = _eigvals(left_regular_matrix(a))
         if not a.algebra.is_unital:     # the hull adds the eigenvalue 0
             eig = np.append(eig, 0.0)
     else:
-        eig = np.concatenate([e[0] for e in eigs])
+        x = a.coords[None, :]
+        eig = np.concatenate([_eigvals(_stack(x, d, table)).ravel()
+                              for d, _, table in split])
     pts = tuple(sorted((complex(v) for v in eig),
                        key=lambda z: (z.real, z.imag)))
     radius = float(max(abs(z) for z in pts))
@@ -99,11 +131,17 @@ def spectral_radius(a: AlgebraElement) -> float:
 def spectral_radius_batch(algebra, coords: np.ndarray) -> np.ndarray:
     """Spectral radii of a stack of elements of one algebra, by blocks
     when the algebra's split applies (see the module docstring)."""
-    eigs = _block_eigvals(algebra, coords)
-    if eigs is None:
+    split = _split(algebra)
+    if split is None:
         # a non-unital algebra's hull only adds the eigenvalue 0
-        eigs = [_eigvals(algebra.left_matrices_batch(coords))]
-    return np.max([np.abs(eig).max(axis=1) for eig in eigs], axis=0)
+        eig = _eigvals(algebra.left_matrices_batch(coords))
+        return np.abs(eig).max(axis=1)
+    radii = []
+    for d, division, table in split:
+        S = _stack(coords, d, table)
+        radii.append(_division_radii(S).max(axis=1) if division
+                     else np.abs(_eigvals(S)).max(axis=(1, 2)))
+    return np.max(radii, axis=0)
 
 
 def in_spectrum_paper_def(a: AlgebraElement, s: float, t: float) -> bool:

@@ -2,9 +2,11 @@
 
 ``spectral_radius_batch`` evaluates r(a) on the diagonal blocks of L_a on
 the simple blocks of a semisimple hull, once the hull dimension reaches
-``spectral._BLOCKED_MIN_DIM``.  The dense formula it replaced (eigenvalues
-of the whole left regular matrix, in the unital hull) is kept here as the
-reference.  A hull with a radical, and a split that fails its gate
+``spectral._BLOCKED_MIN_DIM``: by a scaled determinant on R, C and H
+blocks, by eigenvalues on any other block.  The dense formula it replaced
+(eigenvalues of the whole left regular matrix, in the unital hull) is kept
+here as the reference, at ordinary and extreme scales and on non-finite
+rows.  A hull with a radical, and a split that fails its gate
 (invariance on the basis, independence, dimensions summing to the hull's,
 two or more blocks), must take the dense path; small algebras must never
 build the split, and the simple blocks are built once per algebra.
@@ -21,7 +23,8 @@ from squareprop import algebra as algebra_mod
 from squareprop import corpus, spectral
 from squareprop.algebra import make_algebra, unitize
 from squareprop.pipeline import PipelineConfig, fuzz, verify_theorem
-from squareprop.seminorm import CharacterSup, SpectralRadius
+from squareprop.seminorm import (CharacterSup, SpectralRadius,
+                                 check_submultiplicative)
 from squareprop.spectral import spectral_radius_batch, spectrum
 
 
@@ -68,15 +71,23 @@ def _h(k):
     return [corpus.quaternions() for _ in range(k)]
 
 
-# (algebra, relative bound, block sizes of the split or None when the hull
-# has a radical and the split is not built)
+def _mixed():
+    """R + C + H^4 after a change of basis: one division group per size."""
+    return _rotated(corpus.direct_sum([corpus.reals(), corpus.complexes()]
+                                      + _h(4)), 6)
+
+
+# (algebra, relative bound, {(block size, division): block count} of the
+# split, or None when the hull has a radical and the split is not built)
 CASES = {
-    "H8": (lambda: corpus.function_algebra_H(8), 1e-12, {4: 8}),
-    "H16": (lambda: corpus.function_algebra_H(16), 1e-12, {4: 16}),
+    "H8": (lambda: corpus.function_algebra_H(8), 1e-12, {(4, True): 8}),
+    "H16": (lambda: corpus.function_algebra_H(16), 1e-12, {(4, True): 16}),
     "rotated_H8": (lambda: _rotated(corpus.function_algebra_H(8), 3),
-                   1e-12, {4: 8}),
+                   1e-12, {(4, True): 8}),
+    "rotated_R+C+H4": (_mixed, 1e-12,
+                       {(1, True): 1, (2, True): 1, (4, True): 4}),
     "H4+M2R": (lambda: corpus.direct_sum(_h(4) + [corpus.m2_reals()]),
-               1e-10, {4: 5}),
+               1e-10, {(4, False): 1, (4, True): 4}),
     "H4+T2R": (lambda: corpus.direct_sum(_h(4) + [_t2r()]), 1e-10, None),
 }
 
@@ -90,8 +101,9 @@ def test_blocked_radius_matches_dense(name):
         assert A.hull.radical.shape[0] > 0
         assert split is None
     else:
-        assert {d: table.shape[1] // (d * d) for d, table in split} == sizes
-        assert all(table.shape[0] == A.dim for _, table in split)
+        assert {(d, division): table.shape[1] // (d * d)
+                for d, division, table in split} == sizes
+        assert all(table.shape[0] == A.dim for _, _, table in split)
     X = np.random.default_rng(7).standard_normal((2000, A.dim))
     dense = _dense_radius(A, X)
     blocked = spectral_radius_batch(A, X)
@@ -111,6 +123,64 @@ def test_blocked_spectrum_is_the_dense_multiset():
         got = np.array(spectrum(a).points)
         assert got.shape == dense.shape
         assert np.abs(np.sort_complex(got) - dense).max() <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+@pytest.mark.parametrize("name", ["H8", "rotated_H8"])
+def test_determinant_radius_holds_at_extreme_scales(name, scale):
+    """m |det(B/m)|^(1/d) neither overflows nor underflows where det(B)
+    alone would."""
+    A = CASES[name][0]()
+    X = scale * np.random.default_rng(13).standard_normal((500, A.dim))
+    dense = _dense_radius(A, X)
+    blocked = spectral_radius_batch(A, X)
+    assert np.all(np.isfinite(dense)) and np.all(dense > 0.0)
+    assert float(np.max(np.abs(blocked - dense) / dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["H8", "rotated_R+C+H4"])
+def test_zero_row_has_radius_zero(name):
+    A = CASES[name][0]()
+    X = np.random.default_rng(14).standard_normal((3, A.dim))
+    X[1] = 0.0
+    r = spectral_radius_batch(A, X)
+    assert r[1] == 0.0 and np.all(r[[0, 2]] > 0.0)
+    assert _dense_radius(A, X[1:2])[0] == 0.0
+
+
+@pytest.mark.parametrize("name", ["H8", "H4+M2R"])
+def test_empty_stack_gives_empty_radii(name):
+    """The ratio scan evaluates its random samples apart from the basis,
+    so a scan without samples hands the blocked path zero rows."""
+    A = CASES[name][0]()
+    assert spectral_radius_batch(A, np.zeros((0, A.dim))).shape == (0,)
+    ratio = check_submultiplicative(SpectralRadius(), A, samples=0)
+    assert abs(ratio - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["H8", "H4+M2R", "H2_dense"])
+def test_non_finite_row_raises_on_both_paths(name, bad):
+    A = (corpus.function_algebra_H(2) if name == "H2_dense"
+         else CASES[name][0]())
+    assert (spectral._split(A) is None) == (name == "H2_dense")
+    X = np.random.default_rng(15).standard_normal((4, A.dim))
+    X[2, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        _dense_radius(A, X)
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral_radius_batch(A, X)
+
+
+def test_h8_radius_batch_calls_no_eigensolver(monkeypatch):
+    """Every block of H^8 is a division block: once the split is built,
+    its radii are determinants."""
+    A = corpus.function_algebra_H(8)
+    assert A.spectral_split is not None
+    eig_sizes = _record_eig_sizes(monkeypatch)
+    X = np.random.default_rng(16).standard_normal((200, A.dim))
+    spectral_radius_batch(A, X)
+    assert eig_sizes == []
 
 
 @pytest.mark.parametrize("leak", [-1.0, math.nan], ids=["negative", "nan"])
@@ -275,17 +345,33 @@ def _record_builds(monkeypatch, attr):
     return built
 
 
+def _record_names(monkeypatch):
+    names = []
+    orig = algebra_mod._classify
+
+    def counted(*args):
+        name, basis = orig(*args)
+        names.append(name)
+        return name, basis
+
+    monkeypatch.setattr(algebra_mod, "_classify", counted)
+    return names
+
+
 def test_h8_verify_builds_the_simple_blocks_once(monkeypatch):
-    """The split and the characters read one cached block decomposition:
-    verify with both seminorms on one H^8 builds it once."""
+    """The split, the seminorm test of the spectral radius and the
+    characters read one cached block decomposition and its names: verify
+    with both seminorms on one H^8 builds it, and names each block, once."""
     blocks = _record_builds(monkeypatch, "_simple_blocks")
     splits = _record_builds(monkeypatch, "_spectral_split")
+    names = _record_names(monkeypatch)
     A = corpus.function_algebra_H(8)
     for p in (SpectralRadius(), CharacterSup(tuple(corpus.known_characters(A)))):
         rep = verify_theorem(A, p, PipelineConfig(seed=0))
         assert rep.verdict == "pass" and rep.character_count == 8
     assert splits == [A]
     assert blocks == [A]
+    assert names == ["H"] * 8
 
 
 def test_fuzz_chunk_builds_no_split(monkeypatch):
