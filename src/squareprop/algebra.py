@@ -13,16 +13,15 @@ comparison would hold three n^4 arrays (380 MB at n = 63).
 
 An algebra is immutable, so what is derived from its table alone is built
 once, on first use, and kept on it: the unital hull (`hull`), the radical
-(`radical`), the quotient of the hull by its radical (`semisimple_quotient`),
-the simple blocks of that quotient, each with its name R, C, H or M2(R)
-(`simple_blocks`), and the split of every L_a into diagonal blocks
-(`spectral_split`), which is read off the simple blocks.  The characters,
-the seminorm test of the spectral radius and the split share the one block
-decomposition and its names.  The split tags each group of blocks as
-division (R, C or H) or not: on a division block D of dimension d, L_x is
-|x| times an orthogonal map in D's standard basis, so every eigenvalue of
-the block has modulus |x| and the block's spectral radius is |det|^(1/d),
-whatever basis of D the block is written in (see spectral).
+(`radical`), B = hull / rad(hull) (`semisimple_quotient`), the simple
+blocks of B, each named R, C, H or M2(R) (`simple_blocks`), and the
+diagonal blocks of L_pi(a) on B for every a at once (`spectral_split`).
+The radical is nil, so r(a) = r(pi(a)), and on B no L_b keeps a nilpotent
+Jordan part from the radical: its eigenvalues are exact to rounding where
+those of a defective L_a err by about eps^(1/k).  The characters, the
+seminorm test of the spectral radius and the split share the one block
+decomposition and its names; the split tags each group of blocks as
+division (R, C or H) or not (see spectral).
 """
 
 from __future__ import annotations
@@ -41,6 +40,10 @@ IDEAL_TOL = 1e-10
 INVERT_CUTOFF = 1e-10  # smallest/largest singular value, scale free
 _ASSOC_BLOCK_BYTES = 4 << 20  # one (i-block, j, k, l) slab of the check
 _SPLIT_SEED = 0         # draws the generic central element of the blocks
+# from this dimension of B = hull / rad(hull) up, the split is B's simple
+# blocks (the measured crossover: H^2 at dim 8 verifies about 2.5 times
+# faster by blocks); below it B stays one block and nothing is built
+_BLOCKED_MIN_DIM = 8
 _SPLIT_LEAK = 1e-10     # invariance defect a block may show, relative
 _SPLIT_INDEPENDENCE = 1e-8  # smallest singular value of the joined bases
 
@@ -191,15 +194,10 @@ class FiniteDimRealAlgebra:
         return _simple_blocks(self)
 
     @cached_property
-    def spectral_split(self):
-        """Block tables of L_a on the simple blocks of the hull, grouped by
-        size and tagged division or not, or None when the hull has a
-        radical, when there is one block or when the split fails its gate
-        (see _spectral_split)."""
-        try:
-            return _spectral_split(self)
-        except np.linalg.LinAlgError:  # an eigen- or SVD solver stalled
-            return None
+    def spectral_split(self) -> tuple:
+        """Block tables of L_pi(a) on B = hull / rad(hull), grouped by size
+        and tagged division or not (see _spectral_split)."""
+        return _spectral_split(self)
 
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, np.asarray(coords, dtype=float))
@@ -369,7 +367,7 @@ def _classify(B, z, mu, e, V):
     where mu is the eigenvalue of the central element z that cut it out
     (see SimpleBlock)."""
     c = B.table
-    dim = V.shape[1]
+    n, dim = V.shape
     center_dim = 1 if mu.imag == 0.0 else 2
     if (center_dim, dim) == (1, 1):
         return "R", e[:, None]
@@ -381,7 +379,7 @@ def _classify(B, z, mu, e, V):
         # symmetrized products of its elements are multiples of e; the block
         # is H iff that quadratic form is negative definite (else M2(R))
         T = V @ _nullspace((np.einsum("ijj->i", c) @ V)[None, :]).T
-        P = np.einsum("ia,jb,ijk->abk", T, T, c)
+        P = np.matmul(T.T, (T.T @ c.reshape(n, n * n)).reshape(-1, n, n))
         G = (P + P.transpose(1, 0, 2)) @ e / (2.0 * (e @ e))
         lam, W = np.linalg.eigh(G)
         if lam[-1] >= -1e-8 * abs(lam[0]):
@@ -433,48 +431,59 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
     return tuple(blocks)
 
 
-def _spectral_split(algebra: FiniteDimRealAlgebra):
-    """Split L_a, for every a at once, into small diagonal blocks.
+def _block_groups(B: FiniteDimRealAlgebra, simple):
+    """Tables of L_b on the simple blocks of B, or None when they fail
+    their gate: dimensions summing to dim B, no block leaking out of its
+    subspace on a basis element, independent subspaces (a NaN fails).
 
-    A semisimple hull is the direct sum of its simple blocks e*A, each
-    invariant under every L_a, so sp(a) is the union of the spectra of the
-    diagonal blocks.  A block's basis V is orthonormal, so the block of L_a
-    on it is V^T L_a V.  Blocks are grouped by size d and by whether they
-    are division blocks (R, C or H); the group's table holds, in row i, the
-    K blocks of L_(e_i) flattened to K*d^2 numbers, so that X @ table
-    stacks the blocks of every row of X.
-
-    Returns a tuple of (d, division, table) with tables of shape
-    (dim, K*d^2), ordered by (d, division), or None when the hull has a
-    radical, when there is one block, when the block dimensions do not sum
-    to the hull dimension, when on some basis element a block leaks out of
-    its subspace, or when the subspaces are not independent; the spectrum
-    is then computed on the whole matrix.
+    Each block e*B is invariant under every L_b, and its basis V is
+    orthonormal, so the block of L_b on it is V^T L_b V.  Blocks are
+    grouped by size d and by whether they are division blocks (R, C or H);
+    a group's table holds, in row i, the K blocks of L_(e_i) flattened.
     """
-    hull = algebra.hull
-    if hull.radical.shape[0]:
-        return None
-    simple = algebra.simple_blocks
     bases = [b.V for b in simple]
-    N, c = hull.dim, hull.table
-    if len(bases) < 2 or sum(V.shape[1] for V in bases) != N:
+    N, c = B.dim, B.table
+    if sum(V.shape[1] for V in bases) != N:
         return None
     LVs = [c.transpose(0, 2, 1) @ V for V in bases]   # [i]: L_(e_i) V
     blocks = [V.T @ LV for V, LV in zip(bases, LVs)]  # [i]: block on V
-    leak = np.max([np.abs(LV - V @ B).max()
-                   for V, LV, B in zip(bases, LVs, blocks)])
+    leak = np.max([np.abs(LV - V @ L).max()
+                   for V, LV, L in zip(bases, LVs, blocks)])
     s = np.linalg.svd(np.hstack(bases), compute_uv=False)
-    # written so that a NaN defect fails the gate
     if not (leak <= _SPLIT_LEAK * (1.0 + np.abs(c).max())
             and s[-1] >= _SPLIT_INDEPENDENCE):
         return None
-    pad = hull.dim - algebra.dim
-    tags = [(B.shape[1], b.division) for B, b in zip(blocks, simple)]
+    tags = [(L.shape[1], b.division) for L, b in zip(blocks, simple)]
     return tuple(
         (d, division,
-         np.concatenate([B.reshape(N, d * d) for B, tag in zip(blocks, tags)
-                         if tag == (d, division)], axis=1)[pad:])
+         np.concatenate([L.reshape(N, d * d) for L, tag in zip(blocks, tags)
+                         if tag == (d, division)], axis=1))
         for d, division in sorted(set(tags)))
+
+
+def _spectral_split(algebra: FiniteDimRealAlgebra):
+    """Split L_pi(a), for every a at once, into diagonal blocks on B.
+
+    From dim B = _BLOCKED_MIN_DIM up the blocks are B's simple blocks (see
+    _block_groups); below it, when they fail their gate or when a solver
+    stalls while they are built, B is one non-division block in its own
+    coordinates.  Each table is composed with pi, so that X @ table stacks
+    the blocks of pi(x) for every row x of X.  Returns a non-empty tuple of
+    (d, division, table), tables of shape (dim, K*d^2), by (d, division).
+    """
+    qm = algebra.semisimple_quotient
+    B = qm.algebra
+    q = B.dim
+    groups = None
+    if q >= _BLOCKED_MIN_DIM:
+        try:
+            groups = _block_groups(B, algebra.simple_blocks)
+        except np.linalg.LinAlgError:  # an eigen- or SVD solver stalled
+            pass
+    if groups is None:
+        groups = ((q, False, B.table.transpose(0, 2, 1).reshape(q, q * q)),)
+    P = qm.projection[:, algebra.hull.dim - algebra.dim:]  # a -> pi(a)
+    return tuple((d, division, P.T @ T) for d, division, T in groups)
 
 
 def subspace_is_two_sided_ideal(algebra: FiniteDimRealAlgebra, V) -> bool:

@@ -50,8 +50,9 @@ class Character:
 def character_residual(algebra: FiniteDimRealAlgebra, images) -> float:
     """Max multiplicativity defect over basis pairs, scaled by 1 + max|q|^2."""
     Q = np.asarray(images, dtype=float).reshape(algebra.dim, 4)
-    E = (np.einsum("ip,jq,pqc->ijc", Q, Q, HAMILTON)
-         - np.einsum("ijk,kc->ijc", algebra.table, Q))
+    # [i, j, c]: coordinate c of x(e_i) x(e_j) - x(e_i e_j)
+    E = (np.matmul(Q, (Q @ HAMILTON.reshape(4, 16)).reshape(-1, 4, 4))
+         - algebra.table @ Q)
     defect = np.sqrt((E * E).sum(axis=2)).max()
     scale = 1.0 + (Q * Q).sum(axis=1).max()
     return float(defect / scale)

@@ -150,7 +150,10 @@ def _config(args) -> pipeline.PipelineConfig:
 def cmd_verify(args) -> int:
     algebra = load_algebra(args.algebra)
     p = load_seminorm(args.seminorm, algebra)
-    rep = pipeline.verify_theorem(algebra, p, _config(args))
+    try:
+        rep = pipeline.verify_theorem(algebra, p, _config(args))
+    except pipeline.VanishingSeminorm as exc:
+        raise InputError(f"seminorm {args.seminorm}: {exc}") from None
     payload = rep.to_dict()
     lines = [f"verify {algebra.name} / {rep.seminorm_kind}"]
     for key, val in sorted(payload.items()):

@@ -30,6 +30,10 @@ from .seminorm import (CharacterSup, CoordinateMax, SeminormVariant,
 from .spectral import NonConvergence, gelfand_radius, log_square_norms
 
 
+class VanishingSeminorm(ValueError):
+    """p vanishes on all of A, so the quotient by its kernel is 0."""
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     sample_count: int = 2000
@@ -263,6 +267,10 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
         report.notes.append("computed kernel is not a two-sided ideal")
         report.verdict = "fail"
         return report
+    if K.shape[0] == algebra.dim:
+        raise VanishingSeminorm(
+            f"p vanishes on all of {algebra.name}, so no quotient is left "
+            "to check")
 
     # 4. quotient and well-definedness of the induced norm
     qm = quotient(algebra, K)

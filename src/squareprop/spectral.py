@@ -8,41 +8,38 @@ log-domain renormalization, and both routes are cross-checked in tests.
 The squaring is written once, as the generator log_square_norms; its two
 consumers are gelfand_radius and the iterated-square stage of the pipeline.
 
-Spectra by blocks.  A semisimple unital hull is the direct sum of its
-simple blocks e*A (Wedderburn-Artin), each invariant under every L_a, so
-sp(a) is the union of the spectra of the diagonal blocks of L_a.  The
-algebra builds that split once (FiniteDimRealAlgebra.spectral_split) from
-the same cached simple blocks the characters are read from, and tags each
-group of blocks of one size d as division (R, C or H) or not.  A batch of
-elements then costs, per group, one matmul X @ table and one batched
-solve over the stack of d x d blocks.
+One spectral-radius path.  The radical of the unital hull is nil, so
+r(a) = r(pi(a)) in B = hull / rad(hull), which is semisimple: the direct
+sum of its simple blocks e*B (Wedderburn-Artin), each invariant under
+every L_b.  The algebra keeps, once built, the tables that give the
+diagonal blocks of L_pi(a) for every a at once
+(FiniteDimRealAlgebra.spectral_split), grouped by block size d and tagged
+division (R, C or H) or not; a small B, or one whose blocks fail their
+gate, is one non-division block.  A batch of elements then costs, per
+group, one matmul X @ table and one batched solve over the stack of d x d
+blocks.
 
 The solve on a division group is a determinant.  On a division algebra D
 with its standard basis, L_x is |x| times an orthogonal map (|xy| = |x||y|),
-so every eigenvalue of L_x has modulus |x|.  A block of L_a on e*A is L_x
-for x = e*a written in another basis of D, a similar matrix with the same
+so every eigenvalue of L_x has modulus |x|.  A block of L_b on e*B is L_x
+for x = e*b written in another basis of D, a similar matrix with the same
 eigenvalues, so its spectral radius is exactly |det|^(1/d); it is taken as
-m |det(B/m)|^(1/d) with m = max|B|, which stays finite at any scale.  Any
-other block (M2(R), say) keeps eigvals, and so does spectrum, which needs
-the points.  Neither route is circular: no character enters them, the
-division tag is the block's name in the algebra's record, and a block's
-basis comes from its central idempotent, so comparing r against characters
-still compares two independent computations.
+m |det(M/m)|^(1/d) with m = max|M| on a block M, which stays finite at any
+scale.  Any other group keeps eigvals.  Neither route is circular: no
+character enters them, the division tag is the block's name in the
+algebra's record, and a block's basis comes from its central idempotent,
+so comparing r against characters still compares two independent
+computations.  Both raise LinAlgError on a non-finite element.
 
-The split is gated at build time: the hull must have no radical, every
-block must be invariant on the basis within a scale-relative tolerance (a
-NaN fails), the subspaces must be independent, their dimensions must sum
-to the hull's and there must be at least two blocks; otherwise the dense
-path below is used.  Small matrices stay dense too: the blocked path is
-taken only when the hull dimension is at least _BLOCKED_MIN_DIM, the
-measured crossover, so small algebras never build the split.  On the
-dense path a non-unital algebra needs no hull: in the hull L_(0,a) is the
-block triangular [[0, 0], [a, L_a]], so sp = {0} u eig(L_a).  Both paths
-raise LinAlgError on a non-finite element.
+spectrum needs the points with the hull's multiplicities, which B does not
+keep, so it takes the eigenvalues of L_a itself: in the hull of a
+non-unital algebra L_(0,a) is the block triangular [[0, 0], [a, L_a]], so
+sp = {0} u eig(L_a).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,10 +48,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import AlgebraElement, NotUnital, left_regular_matrix, mul
-
-# the blocked path wins from here on (hull dimension); below it, one dense
-# eigvals per row is as fast and builds nothing
-_BLOCKED_MIN_DIM = 16
 
 
 class NonConvergence(Exception):
@@ -79,19 +72,6 @@ def _eigvals(M: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(M.astype(complex))
 
 
-def _split(algebra):
-    """The algebra's spectral split, or None when the dense path applies."""
-    if algebra.dim + (not algebra.is_unital) < _BLOCKED_MIN_DIM:
-        return None
-    return algebra.spectral_split
-
-
-def _stack(X: np.ndarray, d: int, table: np.ndarray) -> np.ndarray:
-    """(rows, K, d, d): the K diagonal d x d blocks of L_x in one group of
-    the split, for every row x of X."""
-    return (X @ table).reshape(X.shape[0], table.shape[1] // (d * d), d, d)
-
-
 def _division_radii(S: np.ndarray) -> np.ndarray:
     """Spectral radius of every d x d division block in the stack S.
 
@@ -108,16 +88,10 @@ def _division_radii(S: np.ndarray) -> np.ndarray:
 
 
 def spectrum(a: AlgebraElement) -> SpectrumResult:
-    """sp(a) as the eigenvalues of L_a (in the unital hull if needed)."""
-    split = _split(a.algebra)
-    if split is None:
-        eig = _eigvals(left_regular_matrix(a))
-        if not a.algebra.is_unital:     # the hull adds the eigenvalue 0
-            eig = np.append(eig, 0.0)
-    else:
-        x = a.coords[None, :]
-        eig = np.concatenate([_eigvals(_stack(x, d, table)).ravel()
-                              for d, _, table in split])
+    """sp(a) as the eigenvalues of L_a, and 0 when the hull adds it."""
+    eig = _eigvals(left_regular_matrix(a))
+    if not a.algebra.is_unital:
+        eig = np.append(eig, 0.0)
     pts = tuple(sorted((complex(v) for v in eig),
                        key=lambda z: (z.real, z.imag)))
     radius = float(max(abs(z) for z in pts))
@@ -128,20 +102,20 @@ def spectral_radius(a: AlgebraElement) -> float:
     return spectrum(a).radius
 
 
+def _group_radii(X: np.ndarray, d: int, division: bool,
+                 table: np.ndarray) -> np.ndarray:
+    """Spectral radius of every row x of X on one group of the split, from
+    the stack (rows, K, d, d) of the K diagonal blocks of L_pi(x)."""
+    S = (X @ table).reshape(X.shape[0], table.shape[1] // (d * d), d, d)
+    return (_division_radii(S).max(axis=1) if division
+            else np.abs(_eigvals(S)).max(axis=(1, 2)))
+
+
 def spectral_radius_batch(algebra, coords: np.ndarray) -> np.ndarray:
-    """Spectral radii of a stack of elements of one algebra, by blocks
-    when the algebra's split applies (see the module docstring)."""
-    split = _split(algebra)
-    if split is None:
-        # a non-unital algebra's hull only adds the eigenvalue 0
-        eig = _eigvals(algebra.left_matrices_batch(coords))
-        return np.abs(eig).max(axis=1)
-    radii = []
-    for d, division, table in split:
-        S = _stack(coords, d, table)
-        radii.append(_division_radii(S).max(axis=1) if division
-                     else np.abs(_eigvals(S)).max(axis=(1, 2)))
-    return np.max(radii, axis=0)
+    """Spectral radii of a stack of elements of one algebra, on the blocks
+    of its spectral split (see the module docstring)."""
+    return functools.reduce(np.maximum, (_group_radii(coords, *group)
+                                         for group in algebra.spectral_split))
 
 
 def in_spectrum_paper_def(a: AlgebraElement, s: float, t: float) -> bool:

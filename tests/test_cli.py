@@ -266,3 +266,25 @@ def test_spectral_radius_on_a_matrix_block_exits_three(tmp_path, capsys,
         "verify", "--algebra", "rrc", "--seminorm", "spectral_radius",
         "--samples", "300", "--format", "json"])
     assert code == 0 and set(json.loads(out)) == set(payload)
+
+
+@pytest.mark.parametrize("algebra, seminorm", [
+    ("rr", "coordinate_max:0,0"),
+    ("rr", "coordinate_sum:0,0"),
+    ("null_line", "spectral_radius"),
+])
+def test_seminorm_vanishing_on_the_algebra_exits_two(tmp_path, capsys,
+                                                      algebra, seminorm):
+    """p = 0 on all of A leaves a 0-dimensional quotient; verify stops
+    after the kernel stage and names the cause instead of a traceback."""
+    if algebra == "null_line":
+        algebra = str(tmp_path / "null.json")
+        with open(algebra, "w", encoding="utf-8") as fh:
+            json.dump({"dim": 1, "basis": ["n"], "table": []}, fh)
+    code = cli.run(["verify", "--algebra", algebra, "--seminorm", seminorm,
+                    "--samples", "200", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "vanishes on all of" in captured.err
+    assert "no quotient is left to check" in captured.err

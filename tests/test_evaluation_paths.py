@@ -6,7 +6,9 @@ of its n^2 pairs.  ``gelfand_radius`` and pipeline stage 6 consume the one
 repeated-squaring generator ``log_square_norms``; stages 4 and 5 evaluate
 their samples in blocks.  The per-variant scalar formulas, the old
 ``gelfand_radius`` loop and the old per-sample loops of stages 4-6 are kept
-here as references.
+here as references, and so are the three-operand einsums that
+``character_residual`` and the block classifier ran before they became
+matmuls.
 """
 
 import math
@@ -15,9 +17,11 @@ import numpy as np
 import pytest
 
 from squareprop import corpus
-from squareprop.algebra import left_regular_matrix, mul, quotient
+from squareprop.algebra import (_classify, _nullspace, left_regular_matrix,
+                                make_algebra, mul, quotient)
+from squareprop.characters import character_residual, find_characters
 from squareprop.pipeline import PipelineConfig, verify_theorem
-from squareprop.quaternion import random_unit_quaternion
+from squareprop.quaternion import HAMILTON, random_unit_quaternion
 from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
                                  CoordinateMax, CoordinateSum, OpaqueSeminorm,
                                  OperatorNorm, PayloadMismatch, SpectralRadius,
@@ -207,6 +211,91 @@ def test_character_sup_matmul_matches_einsum(name):
     vals = np.einsum("sn,mnq->smq", X, imgs)      # the formula replaced
     old = np.sqrt((vals * vals).sum(axis=2)).max(axis=1)
     assert np.max(np.abs(p.values(A, X) - old) / old) <= 1e-13
+
+
+def _character_residual_by_einsum(algebra, images):
+    """character_residual before its products were matmuls."""
+    Q = np.asarray(images, dtype=float).reshape(algebra.dim, 4)
+    E = (np.einsum("ip,jq,pqc->ijc", Q, Q, HAMILTON)
+         - np.einsum("ijk,kc->ijc", algebra.table, Q))
+    defect = np.sqrt((E * E).sum(axis=2)).max()
+    return float(defect / (1.0 + (Q * Q).sum(axis=1).max()))
+
+
+@pytest.mark.parametrize("name", ["hc", "h2", "rrc", "nonunital3"])
+def test_character_residual_matches_einsum(name):
+    A = corpus.builtin(name)
+    for c in find_characters(A):
+        assert abs(character_residual(A, c.images)
+                   - _character_residual_by_einsum(A, c.images)) <= 1e-15
+    # images that are no character: a residual of order 1
+    Q = np.random.default_rng(18).standard_normal((A.dim, 4))
+    want = _character_residual_by_einsum(A, Q)
+    assert want > 0.1
+    assert abs(character_residual(A, Q) - want) <= 1e-13 * want
+
+
+def _rotated(A, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (A.dim, A.dim)))
+    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q, optimize=True)
+    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
+                        unit=Q.T @ A.unit, name=f"rotated {A.name}")
+
+
+def _classify_4dim_by_einsum(B, e, V):
+    """The classifier of a 4-dim block with center R before its products
+    of trace-zero elements were two matmuls."""
+    c = B.table
+    T = V @ _nullspace((np.einsum("ijj->i", c) @ V)[None, :]).T
+    P = np.einsum("ia,jb,ijk->abk", T, T, c)
+    G = (P + P.transpose(1, 0, 2)) @ e / (2.0 * (e @ e))
+    lam, W = np.linalg.eigh(G)
+    if lam[-1] >= -1e-8 * abs(lam[0]):
+        return "M2(R)", None
+    i = T @ W[:, 0] / np.sqrt(-lam[0])
+    j = T @ W[:, 1] / np.sqrt(-lam[1])
+    return "H", np.column_stack([e, i, j, B.mul_coords(i, j)])
+
+
+@pytest.mark.parametrize("name", ["hc", "H4", "rotated_H4",
+                                  "rotated_M2R+R+H"])
+def test_classifier_matches_einsum(name):
+    """Same names, and on an H block the same e and span.  The quadratic
+    form on a block's trace-zero part is -I whenever the basis is
+    orthonormal, so which i and j eigh picks in that eigenspace follows the
+    last bits of the form: on rotated tables the two forms pick different
+    (conjugate) H bases, so there only the quaternion relations are
+    compared, and on the standard tables the bases themselves."""
+    A = {"hc": lambda: corpus.builtin("hc"),
+         "H4": lambda: corpus.function_algebra_H(4),
+         "rotated_H4": lambda: _rotated(corpus.function_algebra_H(4), 2),
+         "rotated_M2R+R+H": lambda: _rotated(corpus.direct_sum(
+             [corpus.m2_reals(), corpus.reals(), corpus.quaternions()]), 3),
+         }[name]()
+    B = A.semisimple_quotient.algebra
+    names = []
+    for block in A.simple_blocks:
+        if block.V.shape[1] != 4:
+            continue
+        want, basis = _classify_4dim_by_einsum(B, block.e, block.V)
+        assert _classify(B, None, block.mu, block.e, block.V)[0] == want
+        assert block.name == want
+        names.append(want)
+        if basis is None:
+            assert block.basis is None
+            continue
+        e, i, j, k = block.basis.T
+        assert np.array_equal(e, basis[:, 0])
+        span = np.linalg.qr(basis)[0]
+        assert np.abs(block.basis - span @ (span.T @ block.basis)).max() \
+            <= 1e-12
+        for x, y, xy in ((i, i, -e), (j, j, -e), (i, j, k), (j, i, -k)):
+            assert np.abs(B.mul_coords(x, y) - xy).max() <= 1e-12
+        if not name.startswith("rotated"):
+            assert np.abs(block.basis - basis).max() <= 1e-12
+    assert names == {"hc": ["H"], "H4": ["H"] * 4, "rotated_H4": ["H"] * 4,
+                     "rotated_M2R+R+H": ["H", "M2(R)"]}[name]
 
 
 def test_character_sup_stacks_its_images_once(monkeypatch):

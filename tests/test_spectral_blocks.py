@@ -1,15 +1,16 @@
-"""Spectral radii by blocks against the dense eigenvalue formula they replace.
+"""Spectral radii on the blocks of A/rad(A) against the dense eigenvalue
+formula they replace.
 
-``spectral_radius_batch`` evaluates r(a) on the diagonal blocks of L_a on
-the simple blocks of a semisimple hull, once the hull dimension reaches
-``spectral._BLOCKED_MIN_DIM``: by a scaled determinant on R, C and H
-blocks, by eigenvalues on any other block.  The dense formula it replaced
-(eigenvalues of the whole left regular matrix, in the unital hull) is kept
-here as the reference, at ordinary and extreme scales and on non-finite
-rows.  A hull with a radical, and a split that fails its gate
-(invariance on the basis, independence, dimensions summing to the hull's,
-two or more blocks), must take the dense path; small algebras must never
-build the split, and the simple blocks are built once per algebra.
+``spectral_radius_batch`` evaluates r(a) = r(pi(a)) on the diagonal blocks
+of L_pi(a) on B = hull / rad(hull): on B's simple blocks once dim B
+reaches ``algebra._BLOCKED_MIN_DIM`` (by a scaled determinant on R, C and
+H blocks, by eigenvalues on any other block), and on B as one block below
+it or when the blocks fail their gate (invariance on the basis,
+independence, dimensions summing to dim B).  The dense formula (eigenvalues
+of the whole left regular matrix, in the unital hull) is kept here as the
+reference, at ordinary and extreme scales, on hulls with a radical and on
+non-finite rows.  A failed gate and a single block give the dense numbers
+exactly, and the record is built once per algebra.
 """
 
 import math
@@ -20,7 +21,7 @@ import pytest
 import scipy.optimize
 
 from squareprop import algebra as algebra_mod
-from squareprop import corpus, spectral
+from squareprop import corpus
 from squareprop.algebra import make_algebra, unitize
 from squareprop.pipeline import PipelineConfig, fuzz, verify_theorem
 from squareprop.seminorm import (CharacterSup, SpectralRadius,
@@ -78,7 +79,7 @@ def _mixed():
 
 
 # (algebra, relative bound, {(block size, division): block count} of the
-# split, or None when the hull has a radical and the split is not built)
+# split); T2(R) and the null line of nonunital3 give the hull a radical
 CASES = {
     "H8": (lambda: corpus.function_algebra_H(8), 1e-12, {(4, True): 8}),
     "H16": (lambda: corpus.function_algebra_H(16), 1e-12, {(4, True): 16}),
@@ -88,7 +89,11 @@ CASES = {
                        {(1, True): 1, (2, True): 1, (4, True): 4}),
     "H4+M2R": (lambda: corpus.direct_sum(_h(4) + [corpus.m2_reals()]),
                1e-10, {(4, False): 1, (4, True): 4}),
-    "H4+T2R": (lambda: corpus.direct_sum(_h(4) + [_t2r()]), 1e-10, None),
+    "H4+T2R": (lambda: corpus.direct_sum(_h(4) + [_t2r()]), 1e-10,
+               {(1, True): 2, (4, True): 4}),
+    "rotated_H4+nonunital3": (lambda: _rotated(corpus.direct_sum(
+        _h(4) + [corpus.builtin("nonunital3")]), 5), 1e-10,
+        {(1, True): 3, (4, True): 4}),
 }
 
 
@@ -97,13 +102,9 @@ def test_blocked_radius_matches_dense(name):
     build, bound, sizes = CASES[name]
     A = build()
     split = A.spectral_split
-    if sizes is None:
-        assert A.hull.radical.shape[0] > 0
-        assert split is None
-    else:
-        assert {(d, division): table.shape[1] // (d * d)
-                for d, division, table in split} == sizes
-        assert all(table.shape[0] == A.dim for _, _, table in split)
+    assert {(d, division): table.shape[1] // (d * d)
+            for d, division, table in split} == sizes
+    assert all(table.shape[0] == A.dim for _, _, table in split)
     X = np.random.default_rng(7).standard_normal((2000, A.dim))
     dense = _dense_radius(A, X)
     blocked = spectral_radius_batch(A, X)
@@ -112,11 +113,10 @@ def test_blocked_radius_matches_dense(name):
 
 
 def test_blocked_spectrum_is_the_dense_multiset():
-    """On a hull with a radical (dense) and on a semisimple one (blocked)."""
-    for parts, blocked in ((_h(4) + [_t2r()], False),
-                           (_h(4) + [corpus.m2_reals()], True)):
+    """spectrum keeps the hull's multiplicities, which the blocks of B do
+    not: on a hull with a radical and on a semisimple one it is eig(L_a)."""
+    for parts in (_h(4) + [_t2r()], _h(4) + [corpus.m2_reals()]):
         A = corpus.direct_sum(parts)
-        assert (A.spectral_split is not None) == blocked
         a = A.element(np.random.default_rng(2).standard_normal(A.dim))
         L = np.einsum("i,ijk->kj", a.coords, A.table)
         dense = np.sort_complex(np.linalg.eigvals(L))
@@ -160,10 +160,16 @@ def test_empty_stack_gives_empty_radii(name):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("name", ["H8", "H4+M2R", "H2_dense"])
-def test_non_finite_row_raises_on_both_paths(name, bad):
-    A = (corpus.function_algebra_H(2) if name == "H2_dense"
-         else CASES[name][0]())
-    assert (spectral._split(A) is None) == (name == "H2_dense")
+def test_non_finite_row_raises_on_both_paths(monkeypatch, name, bad):
+    """On determinant groups, on eigvals groups, and on B as one block
+    (H^2 with the crossover raised above its dimension)."""
+    if name == "H2_dense":
+        monkeypatch.setattr(algebra_mod, "_BLOCKED_MIN_DIM", 9)
+        A = corpus.function_algebra_H(2)
+    else:
+        A = CASES[name][0]()
+    assert [division for _, division, _ in A.spectral_split] == {
+        "H8": [True], "H4+M2R": [False, True], "H2_dense": [False]}[name]
     X = np.random.default_rng(15).standard_normal((4, A.dim))
     X[2, 1] = bad
     with pytest.raises(np.linalg.LinAlgError):
@@ -187,15 +193,15 @@ def test_h8_radius_batch_calls_no_eigensolver(monkeypatch):
 def test_failed_invariance_gate_gives_dense_numbers(monkeypatch, leak):
     monkeypatch.setattr(algebra_mod, "_SPLIT_LEAK", leak)
     A = _rotated(corpus.function_algebra_H(8), 3)
-    assert A.spectral_split is None
+    assert [(d, div) for d, div, _ in A.spectral_split] == [(32, False)]
     X = np.random.default_rng(8).standard_normal((300, A.dim))
     assert np.array_equal(spectral_radius_batch(A, X), _dense_radius(A, X))
 
 
 def test_single_block_gives_dense_numbers():
     A = _matrix_algebra(4)
-    assert A.dim >= spectral._BLOCKED_MIN_DIM
-    assert A.spectral_split is None
+    assert A.dim >= algebra_mod._BLOCKED_MIN_DIM
+    assert [(d, div) for d, div, _ in A.spectral_split] == [(16, False)]
     X = np.random.default_rng(9).standard_normal((300, A.dim))
     assert np.array_equal(spectral_radius_batch(A, X), _dense_radius(A, X))
 
@@ -218,8 +224,8 @@ def test_stalled_qr_iteration_is_retried(points):
 
 @pytest.mark.parametrize("name", ["H8", "H8_unbuilt", "rrc"])
 def test_every_real_eigvals_failure_is_retried(monkeypatch, name):
-    """On the blocks and on the dense path; a real eigensolver that fails
-    while the simple blocks are built gives no split."""
+    """On the blocks and on B as one block; a real eigensolver that fails
+    while the simple blocks are built leaves B as one block."""
     A = corpus.builtin("rrc") if name == "rrc" else corpus.function_algebra_H(8)
     if name == "H8":
         assert A.spectral_split is not None
@@ -236,7 +242,8 @@ def test_every_real_eigvals_failure_is_retried(monkeypatch, name):
     monkeypatch.setattr(np.linalg, "eig", real_fails)   # the block build
     got = spectral_radius_batch(A, X)
     if name != "rrc":
-        assert (A.spectral_split is None) == (name == "H8_unbuilt")
+        assert [(d, div) for d, div, _ in A.spectral_split] == (
+            [(32, False)] if name == "H8_unbuilt" else [(4, True)])
     assert float(np.max(np.abs(got - want) / want)) <= 1e-12
 
 
@@ -249,6 +256,33 @@ def test_hull_and_split_are_built_once_and_separately():
     SpectralRadius().kernel(N)   # the kernel reads the hull only
     assert "spectral_split" not in vars(N)
     assert A.spectral_split is A.spectral_split
+
+
+# -- hulls with a radical ------------------------------------------------
+
+def _truncated_polynomials(k):
+    """R[x]/(x^k) on 1, x, ..., x^(k-1); its radical is spanned by the x^i,
+    i >= 1, so r(a) = |a_0|."""
+    table = {(i, j, i + j): 1.0 for i in range(k) for j in range(k - i)}
+    return make_algebra(k, [f"x{i}" for i in range(k)], table,
+                        unit=np.eye(k)[0], name=f"R[x]/(x^{k})")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rotated_truncated_polynomials_pass_with_spectral_radius(k):
+    """L_a is defective here, and eigvals of L_a err by about eps^(1/k):
+    the square residual read 3.5e-8 (k = 2) and 2.2e-5 (k = 3) against the
+    tolerance 1e-9, and verify stopped with hypothesis_not_met.  On the
+    quotient by the radical r is exact to rounding."""
+    A = _rotated(_truncated_polynomials(k), 1)
+    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((k, k)))
+    X = np.random.default_rng(17).standard_normal((500, k))
+    exact = np.abs(X @ Q.T[:, 0])          # |a_0| in the monomial basis
+    got = spectral_radius_batch(A, X)
+    assert float(np.max(np.abs(got - exact) / (1.0 + exact))) <= 1e-13
+    rep = verify_theorem(A, SpectralRadius(), PipelineConfig(seed=0))
+    assert rep.verdict == "pass"
+    assert rep.square_property_residual <= 1e-13
 
 
 # -- non-unital algebras -------------------------------------------------
@@ -328,14 +362,15 @@ def _record_eig_sizes(monkeypatch):
 
 def test_h8_spectral_radius_asks_only_for_small_eigenproblems(monkeypatch):
     """Once H^8's split is built (its one-time eigenproblem is on the
-    center), every spectrum the proof chain asks for is a stack of 4 x 4
-    blocks."""
+    center), every radius the proof chain asks for is a determinant of a
+    4 x 4 block; the one eigenproblem left is spectrum's L_a, asked once per
+    element of stage 8's Proposition 3.1 check (20 of them)."""
     A = corpus.function_algebra_H(8)
-    assert A.spectral_split is not None
+    assert [(d, div) for d, div, _ in A.spectral_split] == [(4, True)]
     eig_sizes = _record_eig_sizes(monkeypatch)
     rep = verify_theorem(A, SpectralRadius(), PipelineConfig(seed=0))
     assert rep.verdict == "pass"
-    assert eig_sizes and max(eig_sizes) <= 4
+    assert eig_sizes == [32] * 20
 
 
 def _record_builds(monkeypatch, attr):
@@ -374,13 +409,19 @@ def test_h8_verify_builds_the_simple_blocks_once(monkeypatch):
     assert names == ["H"] * 8
 
 
-def test_fuzz_chunk_builds_no_split(monkeypatch):
+def test_fuzz_chunk_builds_one_record_per_product(monkeypatch):
+    """fuzz builds each product once per call, and each product's split
+    and simple blocks at most once; below the crossover B stays one block
+    and no simple blocks are built."""
     eig_sizes = _record_eig_sizes(monkeypatch)
     splits = _record_builds(monkeypatch, "_spectral_split")
     blocks = _record_builds(monkeypatch, "_simple_blocks")
     summary = fuzz(PipelineConfig(seed=42), iterations=50)
-    assert splits == [] and blocks == []
-    assert max(eig_sizes) <= 12
+    assert splits and len({id(A) for A in splits}) == len(splits)
+    assert len({id(A) for A in blocks}) == len(blocks)
+    assert {id(A) for A in blocks} == {
+        id(A) for A in splits if A.dim >= algebra_mod._BLOCKED_MIN_DIM}
+    assert max(eig_sizes) < algebra_mod._BLOCKED_MIN_DIM
     # the summary of the dense code path before the split existed
     assert summary.to_dict() == {
         "iterations": 50, "seed": 42, "tol": 1e-09, "checked": 37,
