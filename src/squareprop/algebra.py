@@ -381,11 +381,13 @@ def _classify(B, z, mu, e, V):
         T = V @ _nullspace((np.einsum("ijj->i", c) @ V)[None, :]).T
         P = np.matmul(T.T, (T.T @ c.reshape(n, n * n)).reshape(-1, n, n))
         G = (P + P.transpose(1, 0, 2)) @ e / (2.0 * (e @ e))
-        lam, W = np.linalg.eigh(G)
+        lam = np.linalg.eigvalsh(G)
         if lam[-1] >= -1e-8 * abs(lam[0]):
             return "M2(R)", None
-        i = T @ W[:, 0] / np.sqrt(-lam[0])
-        j = T @ W[:, 1] / np.sqrt(-lam[1])
+        # G is -I on an orthonormal basis, where eigenvectors would follow
+        # rounding; the Cholesky factor -G = L L^T is continuous in G, and
+        # the columns of inv(L)^T are G-orthonormal: i^2 = j^2 = -e, ij = -ji
+        i, j = (T @ np.linalg.inv(np.linalg.cholesky(-G)).T)[:, :2].T
         return "H", np.column_stack([e, i, j, B.mul_coords(i, j)])
     return f"a simple block of dim {dim} with center dim {center_dim}", None
 

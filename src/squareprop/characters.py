@@ -66,16 +66,15 @@ def non_division_block(algebra: FiniteDimRealAlgebra):
                  if not block.division), None)
 
 
-def find_characters(algebra: FiniteDimRealAlgebra, restarts: int = 50,
-                    seed: int = 0) -> list[Character]:
+def find_characters(algebra: FiniteDimRealAlgebra) -> list[Character]:
     """One character per R, C or H block of A/rad(A), canonically ordered.
 
     The images of block e*B with basis (e, i, j, ij) are the coordinates of
     e*pi(e_m) in that basis, for every basis element e_m of A.  A non-unital
     A is unitized first and the results restricted back; a restriction that
     vanishes (the character killing A) is dropped.  Every character passes
-    the multiplicativity residual gate of 1e-11.  `restarts` and `seed` are
-    accepted for interface stability and do not affect the result.
+    the multiplicativity residual gate of 1e-11.  The result depends on
+    the algebra alone: nothing is sampled.
     """
     qm = algebra.semisimple_quotient
     found = []

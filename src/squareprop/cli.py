@@ -28,10 +28,6 @@ EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_HYPOTHESIS = 3
 
-_SEMINORM_KINDS = ("character_sup", "spectral_radius", "coordinate_max",
-                   "coordinate_sum", "operator_norm", "component_sup")
-
-
 class InputError(Exception):
     """Malformed user input; the message names the offending field."""
 
@@ -106,9 +102,9 @@ def load_seminorm(spec: str, algebra: FiniteDimRealAlgebra):
         except ValueError:
             raise InputError(f"seminorm {spec}: parameters after ':' must be "
                              "comma-separated numbers") from None
-    if kind not in _SEMINORM_KINDS:
+    if kind not in corpus.SEMINORM_KINDS:
         raise InputError(f"seminorm type {kind!r} unknown; expected one of "
-                         f"{', '.join(_SEMINORM_KINDS)}")
+                         f"{', '.join(corpus.SEMINORM_KINDS)}")
     try:
         p = corpus.make_seminorm(kind, args, algebra)
         p.check_payload(algebra)
@@ -138,11 +134,9 @@ def _emit(payload: dict, fmt: str, text_lines):
             print(line)
 
 
-def _config(args) -> pipeline.PipelineConfig:
+def _config(**fields) -> pipeline.PipelineConfig:
     try:
-        return pipeline.PipelineConfig(
-            sample_count=args.samples, seed=args.seed, tol=args.tol,
-            restarts=args.restarts)
+        return pipeline.PipelineConfig(**fields)
     except ValueError as exc:
         raise InputError(f"options: {exc}") from None
 
@@ -151,7 +145,9 @@ def cmd_verify(args) -> int:
     algebra = load_algebra(args.algebra)
     p = load_seminorm(args.seminorm, algebra)
     try:
-        rep = pipeline.verify_theorem(algebra, p, _config(args))
+        rep = pipeline.verify_theorem(algebra, p, _config(
+            sample_count=args.samples, seed=args.seed, tol=args.tol,
+            restarts=args.restarts))
     except pipeline.VanishingSeminorm as exc:
         raise InputError(f"seminorm {args.seminorm}: {exc}") from None
     payload = rep.to_dict()
@@ -203,7 +199,7 @@ def cmd_radius(args) -> int:
 
 def cmd_characters(args) -> int:
     algebra = load_algebra(args.algebra)
-    chars = find_characters(algebra, restarts=args.restarts, seed=args.seed)
+    chars = find_characters(algebra)
     payload = {
         "algebra": algebra.name,
         "restarts": args.restarts,
@@ -230,7 +226,8 @@ def cmd_characters(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    summary = pipeline.fuzz(_config(args), iterations=args.iterations)
+    summary = pipeline.fuzz(_config(seed=args.seed, tol=args.tol),
+                            iterations=args.iterations)
     payload = summary.to_dict()
     _emit(payload, args.format, [
         f"fuzz: {summary.iterations} instances, seed {summary.seed}",
@@ -259,58 +256,51 @@ def cmd_corpus(args) -> int:
     return EXIT_PASS
 
 
+# every option a subcommand takes changes its result or is echoed in it
+_OPTIONS = {
+    "algebra": dict(required=True, help="algebra JSON file or builtin name"),
+    "seminorm": dict(required=True,
+                     help="seminorm JSON file or kind shorthand"),
+    "element": dict(required=True, help="whitespace-separated coordinates"),
+    "samples": dict(type=int, default=2000),
+    "seed": dict(type=int, default=0),
+    "tol": dict(type=float, default=1e-9),
+    "restarts": dict(type=int, default=50,
+                     help="echoed in the output; changes no result"),
+    "iterations": dict(type=int, default=10000),
+    "format": dict(choices=("text", "json"), default="text"),
+}
+
+_COMMANDS = {
+    "verify": (cmd_verify, "run the full proof-chain pipeline",
+               "algebra seminorm samples seed tol restarts"),
+    "spectrum": (cmd_spectrum, "spectrum of one element", "algebra element"),
+    "radius": (cmd_radius, "Gelfand and spectral radius", "algebra element"),
+    "characters": (cmd_characters, "construct quaternion characters",
+                   "algebra restarts seed"),
+    "fuzz": (cmd_fuzz, "randomized counterexample search",
+             "iterations seed tol"),
+    "corpus": (cmd_corpus, "list builtin algebras and pairs", ""),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squareprop",
         description="Numerical verification toolkit for square-property "
                     "seminorms on finite-dimensional real algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, element=False, seminorm=False, algebra=True):
-        if algebra:
-            sp.add_argument("--algebra", required=True,
-                            help="algebra JSON file or builtin name")
-        if seminorm:
-            sp.add_argument("--seminorm", required=True,
-                            help="seminorm JSON file or kind shorthand")
-        if element:
-            sp.add_argument("--element", required=True,
-                            help="whitespace-separated coordinates")
-        sp.add_argument("--samples", type=int, default=2000)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--restarts", type=int, default=50)
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-
-    common(sub.add_parser("verify", help="run the full proof-chain pipeline"),
-           seminorm=True)
-    common(sub.add_parser("spectrum", help="spectrum of one element"),
-           element=True)
-    common(sub.add_parser("radius", help="Gelfand and spectral radius"),
-           element=True)
-    common(sub.add_parser("characters", help="construct quaternion characters"))
-    fz = sub.add_parser("fuzz", help="randomized counterexample search")
-    fz.add_argument("--iterations", type=int, default=10000)
-    common(fz, algebra=False)
-    common(sub.add_parser("corpus", help="list builtin algebras and pairs"),
-           algebra=False)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for option in options.split() + ["format"]:
+            sp.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "spectrum": cmd_spectrum,
-    "radius": cmd_radius,
-    "characters": cmd_characters,
-    "fuzz": cmd_fuzz,
-    "corpus": cmd_corpus,
-}
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -182,9 +182,13 @@ MANIFEST = [
 ]
 
 
+SEMINORM_KINDS = ("character_sup", "spectral_radius", "coordinate_max",
+                  "coordinate_sum", "operator_norm", "component_sup")
+
+
 def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
-    """Instantiate a seminorm variant for an algebra from a kind tag and
-    payload dict (the same vocabulary the CLI file format uses)."""
+    """Instantiate a seminorm variant for an algebra from a kind tag, one of
+    SEMINORM_KINDS, and payload dict (the vocabulary of the CLI files)."""
     from . import seminorm as sn
 
     if kind == "coordinate_max":

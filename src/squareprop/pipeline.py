@@ -144,16 +144,17 @@ def _abs_norm(p, algebra, lift):
     return norm
 
 
-def _unital_branch(report, qalg, abs_norm, config, check_sup_equality, rng):
-    chars = find_characters(qalg, restarts=config.restarts,
-                            seed=config.seed + 11)
+def _unital_branch(report, qalg, abs_norm, config, rng):
+    """Characters, Proposition 3.1 and the sup bound on qalg; returns the
+    worst |max_x |x(b)| - |b|| / (1 + |b|), or None with no character."""
+    chars = find_characters(qalg)
     report.character_count = len(chars)
     if not chars:
         note = nonexistence_explanation(qalg)
         report.notes.append(
             "the quotient has no quaternion character"
             + (f": {note}" if note else ""))
-        return
+        return None
     n_el = min(20, config.sample_count)
     fwd = incl = True
     sup_bound = 0.0
@@ -170,8 +171,7 @@ def _unital_branch(report, qalg, abs_norm, config, check_sup_equality, rng):
     report.prop31_forward_ok = fwd
     report.prop31_inclusion_ok = incl
     report.sup_bound_residual = max(0.0, sup_bound)
-    if check_sup_equality:
-        report.sup_equality_residual = sup_eq
+    return sup_eq
 
 
 def _nonunital_branch(report, qalg, abs_norm, m_hat, config, rng):
@@ -216,13 +216,19 @@ def _nonunital_branch(report, qalg, abs_norm, m_hat, config, rng):
     def abs_norm_b1(x):
         return N(x) / m_hat
 
-    _unital_branch(report, b1, abs_norm_b1, config, False, rng)
+    # N is not a sup over characters, so there is no equality to report
+    _unital_branch(report, b1, abs_norm_b1, config, rng)
 
 
 def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
                    config: PipelineConfig | None = None, *,
-                   check_sup_equality: bool = False,
                    force_nonunital_branch: bool = False) -> VerificationReport:
+    """Walk the proof chain on (algebra, p) and gate every residual.
+
+    On the unital branch sup_equality_residual is always set: on A / Ker p,
+    p(b) = max |x(b)| over the quaternion characters.  The unitization route,
+    which force_nonunital_branch reaches on any algebra, leaves it None.
+    """
     config = config or PipelineConfig()
     tol = config.tol
     report = VerificationReport(
@@ -336,7 +342,8 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     # 8. unital or unitization branch
     if qalg.is_unital and not force_nonunital_branch:
         report.branch = "unital"
-        _unital_branch(report, qalg, abs_norm, config, check_sup_equality, rng)
+        report.sup_equality_residual = _unital_branch(report, qalg, abs_norm,
+                                                      config, rng)
     else:
         report.branch = "non_unital"
         _nonunital_branch(report, qalg, abs_norm, m_hat, config, rng)

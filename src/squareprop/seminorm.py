@@ -214,15 +214,11 @@ def _sample(algebra, count, rng):
 
 
 def _square_probes(algebra) -> np.ndarray:
-    """Deterministic probes: scaled basis vectors and pairwise sums."""
-    n = algebra.dim
-    eye = np.eye(n)
-    rows = [eye]
-    pair_sums = [eye[i] + eye[j] for i in range(n) for j in range(i + 1, n)]
-    pair_diffs = [eye[i] - eye[j] for i in range(n) for j in range(i + 1, n)]
-    if pair_sums:
-        rows += [np.array(pair_sums), np.array(pair_diffs)]
-    base = np.concatenate(rows)
+    """Deterministic probes: scaled basis vectors, pairwise sums and
+    pairwise differences."""
+    eye = np.eye(algebra.dim)
+    i, j = np.nonzero(~np.tri(algebra.dim, dtype=bool))   # i < j, row-major
+    base = np.concatenate([eye, eye[i] + eye[j], eye[i] - eye[j]])
     return np.concatenate([base * s for s in (1.0, 2.0, 8.0)])
 
 

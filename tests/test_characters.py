@@ -28,7 +28,7 @@ def test_residual_examples():
 
 def test_find_characters_rr():
     rr = corpus.builtin("rr")
-    chars = find_characters(rr, restarts=50, seed=1)
+    chars = find_characters(rr)
     assert len(chars) == 2
     firsts = sorted(round(float(c.images[0, 0])) for c in chars)
     assert firsts == [0, 1]  # the two coordinate projections
@@ -38,7 +38,7 @@ def test_find_characters_rr():
 
 def test_find_characters_h_conjugations():
     H = corpus.quaternions()
-    chars = find_characters(H, restarts=50, seed=1)
+    chars = find_characters(H)
     assert len(chars) == 1  # one representative for the one H block
     (x,) = chars
     rng = np.random.default_rng(0)
@@ -60,15 +60,15 @@ def test_find_characters_h_conjugations():
 
 def test_find_characters_m2_empty():
     m2 = corpus.m2_reals()
-    assert find_characters(m2, restarts=100, seed=0) == []
+    assert find_characters(m2) == []
     note = nonexistence_explanation(m2)
     assert note is not None and "E12" in note
 
 
 def test_find_characters_deterministic():
     hc = corpus.builtin("hc")
-    a = find_characters(hc, restarts=20, seed=9)
-    b = find_characters(hc, restarts=20, seed=9)
+    a = find_characters(hc)
+    b = find_characters(hc)
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert np.array_equal(x.images, y.images)
@@ -108,7 +108,7 @@ def test_prop31_rr():
 
 def test_prop31_quaternions():
     H = corpus.quaternions()
-    chars = find_characters(H, restarts=30, seed=2)
+    chars = find_characters(H)
     a = H.element([1, 1, 1, 1])
     res = check_prop31(a, chars)
     assert res.forward_ok and res.spectrum_inclusion_ok
@@ -138,7 +138,7 @@ def test_sup_norm_matches_spectral_radius_on_products():
     rng = np.random.default_rng(8)
     for name in ("rr", "rrc", "hc", "h2"):
         A = corpus.builtin(name)
-        chars = find_characters(A, restarts=50, seed=3)
+        chars = find_characters(A)
         assert chars
         for _ in range(30):
             a = A.element(rng.standard_normal(A.dim))

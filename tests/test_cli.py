@@ -288,3 +288,45 @@ def test_seminorm_vanishing_on_the_algebra_exits_two(tmp_path, capsys,
     assert captured.out == ""
     assert "vanishes on all of" in captured.err
     assert "no quotient is left to check" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--algebra", "rr", "--element", "1 2", "--samples", "5"],
+    ["radius", "--algebra", "rr", "--element", "1 2", "--tol", "1e-3"],
+    ["corpus", "--seed", "1"],
+    ["fuzz", "--iterations", "1", "--samples", "5"],
+    ["characters", "--algebra", "rr", "--tol", "1e-3"],
+])
+def test_removed_flags_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
+        capsys.readouterr().err
+
+
+def test_every_option_is_read_or_echoed():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.choices and "verify" in a.choices)
+    options = {name: sorted(o for a in sp._actions for o in a.option_strings
+                            if o != "-h" and o != "--help" and not a.required)
+               for name, sp in sub.choices.items()}
+    assert options == {
+        "verify": ["--format", "--restarts", "--samples", "--seed", "--tol"],
+        "spectrum": ["--format"],
+        "radius": ["--format"],
+        "corpus": ["--format"],
+        "characters": ["--format", "--restarts", "--seed"],
+        "fuzz": ["--format", "--iterations", "--seed", "--tol"],
+    }
+
+
+@pytest.mark.parametrize("algebra, seminorm", [
+    ("rrc", "spectral_radius"), ("hc", "character_sup")])
+def test_verify_reports_sup_equality(algebra, seminorm, capsys):
+    code, out = run_capture(capsys, [
+        "verify", "--algebra", algebra, "--seminorm", seminorm,
+        "--samples", "300", "--format", "json"])
+    assert code == 0
+    residual = json.loads(out)["sup_equality_residual"]
+    assert isinstance(residual, float) and residual <= 1e-12

@@ -8,7 +8,7 @@ their samples in blocks.  The per-variant scalar formulas, the old
 ``gelfand_radius`` loop and the old per-sample loops of stages 4-6 are kept
 here as references, and so are the three-operand einsums that
 ``character_residual`` and the block classifier ran before they became
-matmuls.
+matmuls, and the list comprehensions that built the square-check probes.
 """
 
 import math
@@ -25,7 +25,8 @@ from squareprop.quaternion import HAMILTON, random_unit_quaternion
 from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
                                  CoordinateMax, CoordinateSum, OpaqueSeminorm,
                                  OperatorNorm, PayloadMismatch, SpectralRadius,
-                                 _ratio_scan, estimate_m, kernel)
+                                 _ratio_scan, _square_probes, estimate_m,
+                                 kernel)
 from squareprop.spectral import (NonConvergence, gelfand_radius,
                                  operator_norm, spectral_radius)
 
@@ -245,7 +246,7 @@ def _rotated(A, seed):
 
 def _classify_4dim_by_einsum(B, e, V):
     """The classifier of a 4-dim block with center R before its products
-    of trace-zero elements were two matmuls."""
+    of trace-zero elements were two matmuls and i, j a Cholesky factor."""
     c = B.table
     T = V @ _nullspace((np.einsum("ijj->i", c) @ V)[None, :]).T
     P = np.einsum("ia,jb,ijk->abk", T, T, c)
@@ -261,12 +262,14 @@ def _classify_4dim_by_einsum(B, e, V):
 @pytest.mark.parametrize("name", ["hc", "H4", "rotated_H4",
                                   "rotated_M2R+R+H"])
 def test_classifier_matches_einsum(name):
-    """Same names, and on an H block the same e and span.  The quadratic
-    form on a block's trace-zero part is -I whenever the basis is
-    orthonormal, so which i and j eigh picks in that eigenspace follows the
-    last bits of the form: on rotated tables the two forms pick different
-    (conjugate) H bases, so there only the quaternion relations are
-    compared, and on the standard tables the bases themselves."""
+    """Same names, and on an H block the same e and span.  The reference
+    takes i and j from eigh of the quadratic form on a block's trace-zero
+    part, the library from its Cholesky factor.  The form is -I whenever
+    the basis is orthonormal, so which i and j eigh picks in that
+    eigenspace follows the last bits of the form: on rotated tables the two
+    pick different (conjugate) H bases, so there only the quaternion
+    relations are compared, and on the standard tables, where the form is
+    exactly -I, the bases themselves."""
     A = {"hc": lambda: corpus.builtin("hc"),
          "H4": lambda: corpus.function_algebra_H(4),
          "rotated_H4": lambda: _rotated(corpus.function_algebra_H(4), 2),
@@ -296,6 +299,35 @@ def test_classifier_matches_einsum(name):
             assert np.abs(block.basis - basis).max() <= 1e-12
     assert names == {"hc": ["H"], "H4": ["H"] * 4, "rotated_H4": ["H"] * 4,
                      "rotated_M2R+R+H": ["H", "M2(R)"]}[name]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_h_basis_does_not_follow_rounding(seed):
+    """Relative noise of 4e-16 on B's table moves every H basis of rotated
+    H^4 by rounding only (eigh of the -I form moved it by more than 1)."""
+    A = _rotated(corpus.function_algebra_H(4), seed)
+    B = A.semisimple_quotient.algebra
+    noise = np.random.default_rng(seed).standard_normal(B.table.shape)
+    B2 = make_algebra(B.dim, B.labels, B.table * (1.0 + 4e-16 * noise),
+                      unit=B.unit)
+    for block in A.simple_blocks:
+        name, basis = _classify(B2, None, block.mu, block.e, block.V)
+        assert name == block.name == "H"
+        assert np.abs(basis - block.basis).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_square_probes_match_loops(n):
+    eye = np.eye(n)
+    rows = [eye]
+    pair_sums = [eye[i] + eye[j] for i in range(n) for j in range(i + 1, n)]
+    pair_diffs = [eye[i] - eye[j] for i in range(n) for j in range(i + 1, n)]
+    if pair_sums:
+        rows += [np.array(pair_sums), np.array(pair_diffs)]
+    base = np.concatenate(rows)
+    want = np.concatenate([base * s for s in (1.0, 2.0, 8.0)])
+    got = _square_probes(corpus.direct_sum([corpus.reals()] * n))
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_character_sup_stacks_its_images_once(monkeypatch):

@@ -16,10 +16,10 @@ from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateSum,
 QUICK = PipelineConfig(sample_count=400, seed=5, restarts=30)
 
 
-def _run(pair_name, **kw):
+def _run(pair_name):
     pair = next(p for p in corpus.MANIFEST if p.name == pair_name)
     algebra, p = corpus.manifest_pair(pair)
-    return verify_theorem(algebra, p, QUICK, **kw)
+    return verify_theorem(algebra, p, QUICK)
 
 
 def test_config_validation():
@@ -30,7 +30,7 @@ def test_config_validation():
 
 
 def test_pass_rrc_spectral_radius():
-    rep = _run("rrc_spectral_radius", check_sup_equality=True)
+    rep = _run("rrc_spectral_radius")
     assert rep.verdict == "pass"
     assert rep.kernel_dim == 0
     assert rep.branch == "unital"
@@ -38,7 +38,7 @@ def test_pass_rrc_spectral_radius():
 
 
 def test_pass_component_sup_with_kernel():
-    rep = _run("rr_component_sup", check_sup_equality=True)
+    rep = _run("rr_component_sup")
     assert rep.verdict == "pass"
     assert rep.kernel_dim == 1
     assert rep.quotient_dim == 1
@@ -63,7 +63,7 @@ def test_iterate_relation_residuals():
 
 
 def test_nonunital_ambient_quotient_is_unital():
-    rep = _run("nonunital3_component_sup", check_sup_equality=True)
+    rep = _run("nonunital3_component_sup")
     assert rep.verdict == "pass"
     assert rep.kernel_dim == 1
     assert rep.branch == "unital"
@@ -82,6 +82,7 @@ def test_forced_nonunital_branch():
     assert uc["submultiplicative_ratio"] <= 1.0 + 1e-9
     assert uc["restriction_residual"] <= 1e-12
     assert rep.character_count > 0
+    assert rep.sup_equality_residual is None   # N is no sup over characters
     assert rep.verdict == "pass"
 
 
@@ -99,7 +100,7 @@ def test_report_serializable():
 
 
 def test_verdict_never_passes_on_injected_violation():
-    rep = _run("rrc_spectral_radius", check_sup_equality=True)
+    rep = _run("rrc_spectral_radius")
     assert compute_verdict(rep) == "pass"
     for field, bad in [
         ("ideal_check", False),
