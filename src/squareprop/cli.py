@@ -198,12 +198,13 @@ def cmd_radius(args) -> int:
 
 
 def cmd_characters(args) -> int:
+    config = _config(restarts=args.restarts, seed=args.seed)
     algebra = load_algebra(args.algebra)
     chars = find_characters(algebra)
     payload = {
         "algebra": algebra.name,
-        "restarts": args.restarts,
-        "seed": args.seed,
+        "restarts": config.restarts,
+        "seed": config.seed,
         "count": len(chars),
         "characters": [
             {"images": np.round(c.images, 12).tolist(), "residual": c.residual}
@@ -211,7 +212,7 @@ def cmd_characters(args) -> int:
         ],
     }
     lines = [f"{len(chars)} character(s) found on {algebra.name} "
-             f"({args.restarts} restarts, seed {args.seed})"]
+             f"({config.restarts} restarts, seed {config.seed})"]
     for c in chars:
         lines.append(f"  residual {c.residual:.3e}  images "
                      + " | ".join(str(np.round(row, 6).tolist())
@@ -226,8 +227,11 @@ def cmd_characters(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    summary = pipeline.fuzz(_config(seed=args.seed, tol=args.tol),
-                            iterations=args.iterations)
+    config = _config(seed=args.seed, tol=args.tol)
+    if args.iterations <= 0:
+        raise InputError(
+            f"options: iterations must be positive, got {args.iterations}")
+    summary = pipeline.fuzz(config, iterations=args.iterations)
     payload = summary.to_dict()
     _emit(payload, args.format, [
         f"fuzz: {summary.iterations} instances, seed {summary.seed}",

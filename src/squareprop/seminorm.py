@@ -8,6 +8,12 @@ exists but cannot feed the quotient stages.
 Every variant implements one evaluation, the batched values(algebra, X) on
 a stack of coordinate rows; the scalar value(a) is derived from it once, in
 the base class.
+
+The square and ratio checks multiply only their random rows
+(mul_coords_batch).  Their deterministic products are entries of the table
+c, read per call: the squares of the probes s e_i and s (e_i +- e_j) are
+sums of rows c[i,i], c[j,j], c[i,j] and c[j,i] (_probe_squares), and the
+basis pair (e_i, e_j) has the product c[i,j].
 """
 
 from __future__ import annotations
@@ -222,6 +228,18 @@ def _square_probes(algebra) -> np.ndarray:
     return np.concatenate([base * s for s in (1.0, 2.0, 8.0)])
 
 
+def _probe_squares(algebra) -> np.ndarray:
+    """The squares of the _square_probes rows, read from the table c:
+    (s e_i)^2 = s^2 c[i,i] and (s (e_i +- e_j))^2 =
+    s^2 (c[i,i] + c[j,j] +- (c[i,j] + c[j,i]))."""
+    c = algebra.table
+    diag = np.einsum("iik->ik", c)
+    i, j = np.nonzero(~np.tri(algebra.dim, dtype=bool))   # i < j, row-major
+    both, cross = diag[i] + diag[j], c[i, j] + c[j, i]
+    base = np.concatenate([diag, both + cross, both - cross])
+    return np.concatenate([base * (s * s) for s in (1.0, 2.0, 8.0)])
+
+
 @dataclass(frozen=True)
 class SquareCheck:
     residual: float
@@ -233,9 +251,12 @@ def square_property_details(p: SeminormVariant, algebra: FiniteDimRealAlgebra,
     """Max of |p(a^2) - p(a)^2| / (1 + p(a)^2) over probes and random samples."""
     p.check_payload(algebra)
     rng = np.random.default_rng(seed)
-    X = np.concatenate([_square_probes(algebra), _sample(algebra, samples, rng)])
+    R = _sample(algebra, samples, rng)
+    X = np.concatenate([_square_probes(algebra), R])
     pa = p.values(algebra, X)
-    pa2 = p.values(algebra, algebra.mul_coords_batch(X, X))
+    # the probes' squares are read from the table; only R is multiplied
+    pa2 = p.values(algebra, np.concatenate(
+        [_probe_squares(algebra), algebra.mul_coords_batch(R, R)]))
     res = np.abs(pa2 - pa ** 2) / (1.0 + pa ** 2)
     i = int(np.argmax(res))
     return SquareCheck(float(res[i]), X[i])
@@ -250,7 +271,9 @@ def _ratio_scan(p, algebra, samples, seed):
     pairs normalized to p = 1 where possible.
 
     The sweep's n^2 pairs (e_i, e_j) hold only n distinct elements, so p is
-    evaluated once on the basis and its values repeated and tiled."""
+    evaluated once on the basis and its values repeated and tiled; their
+    products are the table rows c[i,j], divided by p(e_i) p(e_j).  Only the
+    random pairs are multiplied, after they are normalized."""
     p.check_payload(algebra)
     rng = np.random.default_rng(seed)
     n = algebra.dim
@@ -264,12 +287,16 @@ def _ratio_scan(p, algebra, samples, seed):
     vb = np.concatenate([np.tile(pe, n), p.values(algebra, Xb)])
     scale = 1.0 + max(va.max(), vb.max(), 1.0)
     ok = va * vb > RATIO_FLOOR * scale ** 2
-    # normalize the random block to p = 1 so ratio statistics are scale-free
+    basis = ok[:n * n]
+    k = int(basis.sum())
+    # normalize every pair to p = 1 so ratio statistics are scale-free
     A, B, va, vb = A[ok], B[ok], va[ok], vb[ok]
     A = A / va[:, None]
     B = B / vb[:, None]
-    vab = p.values(algebra, algebra.mul_coords_batch(A, B))
-    return vab, A, B
+    prods = np.concatenate([
+        algebra.table.reshape(n * n, n)[basis] / (va[:k] * vb[:k])[:, None],
+        algebra.mul_coords_batch(A[k:], B[k:])])
+    return p.values(algebra, prods), A, B
 
 
 def check_submultiplicative(p, algebra, samples: int = 2000, seed: int = 0) -> float:

@@ -19,17 +19,19 @@ gate, is one non-division block.  A batch of elements then costs, per
 group, one matmul X @ table and one batched solve over the stack of d x d
 blocks.
 
-The solve on a division group is a determinant.  On a division algebra D
+The solve on a division group is two traces.  On a division algebra D
 with its standard basis, L_x is |x| times an orthogonal map (|xy| = |x||y|),
-so every eigenvalue of L_x has modulus |x|.  A block of L_b on e*B is L_x
-for x = e*b written in another basis of D, a similar matrix with the same
-eigenvalues, so its spectral radius is exactly |det|^(1/d); it is taken as
-m |det(M/m)|^(1/d) with m = max|M| on a block M, which stays finite at any
-scale.  Any other group keeps eigvals.  Neither route is circular: no
-character enters them, the division tag is the block's name in the
-algebra's record, and a block's basis comes from its central idempotent,
-so comparing r against characters still compares two independent
-computations.  Both raise LinAlgError on a non-finite element.
+so every eigenvalue of L_x has modulus |x|; for x in C or H they are one
+conjugate pair l, conj(l), each d/2 times on D of dimension d.  A block of
+L_b on e*B is L_x for x = e*b written in another basis of D, a similar
+matrix with the same eigenvalues, so its spectral radius is exactly
+sqrt(2 (tr M)^2 - d tr M^2) / d on a block M (see _division_radii), taken on
+M/m with m = max|M| so that it stays finite at any scale.  Any other group
+keeps eigvals.  Neither route is circular: no character enters them, the
+division tag is the block's name in the algebra's record, and a block's
+basis comes from its central idempotent, so comparing r against characters
+still compares two independent computations.  Both raise LinAlgError on a
+non-finite element.
 
 spectrum needs the points with the hull's multiplicities, which B does not
 keep, so it takes the eigenvalues of L_a itself: in the hull of a
@@ -75,16 +77,22 @@ def _eigvals(M: np.ndarray) -> np.ndarray:
 def _division_radii(S: np.ndarray) -> np.ndarray:
     """Spectral radius of every d x d division block in the stack S.
 
-    Every eigenvalue of a division block has the same modulus, so the
-    radius is |det|^(1/d), taken as m |det(S / m)|^(1/d) with m = max|S|
-    per block so that neither det overflows nor underflows; a zero block
-    gives 0.  Raises LinAlgError on a non-finite block, as eigvals does.
+    The eigenvalues of a division block M are l and conj(l), d/2 times
+    each (l = x real when d = 1), so tr M = d Re l, tr M^2 = d Re l^2 and
+    r^2 = |l|^2 = (2 (tr M)^2 - d tr M^2) / d^2.  Each term is at most twice
+    r^2, so nothing cancels; rounding below 0 is clamped to 0.  The traces
+    are taken on M / m with m = max|M| per block, so that no product
+    overflows or underflows; a zero block gives 0.  Raises LinAlgError on a
+    non-finite block, as eigvals does.
     """
+    d = S.shape[-1]
     m = np.abs(S).max(axis=(-2, -1))
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    scale = np.where(m > 0.0, m, 1.0)[..., None, None]
-    return m * np.abs(np.linalg.det(S / scale)) ** (1.0 / S.shape[-1])
+    S = S / np.where(m > 0.0, m, 1.0)[..., None, None]
+    t1 = np.einsum("...ii->...", S)
+    t2 = np.einsum("...ij,...ji->...", S, S)
+    return m / d * np.sqrt(np.maximum(2.0 * t1 * t1 - d * t2, 0.0))
 
 
 def spectrum(a: AlgebraElement) -> SpectrumResult:

@@ -147,6 +147,21 @@ def test_zero_samples_exit_two(capsys):
     assert "sample_count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["fuzz", "--iterations", "-5"], "iterations"),
+    (["fuzz", "--iterations", "0"], "iterations"),
+    (["characters", "--algebra", "rr", "--restarts", "-3"], "restarts"),
+    (["characters", "--algebra", "rr", "--restarts", "0"], "restarts"),
+], ids=["fuzz_negative", "fuzz_zero", "characters_negative",
+        "characters_zero"])
+def test_non_positive_count_exit_two(argv, field, capsys):
+    code = cli.run(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert field in captured.err
+
+
 def test_non_numeric_seminorm_shorthand_exit_two(capsys):
     code = cli.run(["verify", "--algebra", "rr", "--seminorm",
                     "coordinate_max:a"])

@@ -9,6 +9,8 @@ their samples in blocks.  The per-variant scalar formulas, the old
 here as references, and so are the three-operand einsums that
 ``character_residual`` and the block classifier ran before they became
 matmuls, and the list comprehensions that built the square-check probes.
+The probe squares and the basis-pair products that the checks read from
+the table are checked against ``mul_coords_batch``.
 """
 
 import math
@@ -17,16 +19,18 @@ import numpy as np
 import pytest
 
 from squareprop import corpus
-from squareprop.algebra import (_classify, _nullspace, left_regular_matrix,
-                                make_algebra, mul, quotient)
+from squareprop.algebra import (FiniteDimRealAlgebra, _classify, _nullspace,
+                                left_regular_matrix, make_algebra, mul,
+                                quotient)
 from squareprop.characters import character_residual, find_characters
 from squareprop.pipeline import PipelineConfig, verify_theorem
 from squareprop.quaternion import HAMILTON, random_unit_quaternion
 from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
                                  CoordinateMax, CoordinateSum, OpaqueSeminorm,
-                                 OperatorNorm, PayloadMismatch, SpectralRadius,
-                                 _ratio_scan, _square_probes, estimate_m,
-                                 kernel)
+                                 OperatorNorm, PayloadMismatch,
+                                 SeminormVariant, SpectralRadius,
+                                 _probe_squares, _ratio_scan, _square_probes,
+                                 estimate_m, kernel, square_property_details)
 from squareprop.spectral import (NonConvergence, gelfand_radius,
                                  operator_norm, spectral_radius)
 
@@ -431,3 +435,76 @@ def test_ratio_scan_evaluates_the_basis_once(kind):
         assert x.shape == y.shape and np.array_equal(x, y)
     if kind == "opaque":
         assert len(calls_old) - len(calls) == 2 * n * n - n
+
+
+# -- products read from the table ---------------------------------------
+
+def _table_cases():
+    """Every builtin (integer tables) and two dense tables in a rotated
+    basis, with the relative bound between table reads and products."""
+    cases = [(name, corpus.builtin(name), 0.0)
+             for name in corpus.builtin_names()]
+    cases.append(("rotated_hc", _rotated(corpus.builtin("hc"), 3), 1e-12))
+    cases.append(("rotated_H4", _rotated(corpus.function_algebra_H(4), 4),
+                  1e-12))
+    return cases
+
+
+def _close(got, want, rtol):
+    assert got.shape == want.shape
+    if rtol == 0.0:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=rtol,
+                                   atol=rtol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("case", _table_cases(), ids=lambda c: c[0])
+def test_probe_squares_are_the_products(case):
+    _, A, rtol = case
+    P = _square_probes(A)
+    _close(_probe_squares(A), A.mul_coords_batch(P, P), rtol)
+
+
+class _Recorded(SeminormVariant):
+    """A weighted max-abs seminorm that keeps every stack it evaluates."""
+
+    def __init__(self, weights):
+        self.weights, self.stacks = weights, []
+
+    def values(self, algebra, X):
+        self.stacks.append(X)
+        return (self.weights * np.abs(X)).max(axis=1)
+
+
+@pytest.mark.parametrize("case", _table_cases(), ids=lambda c: c[0])
+def test_basis_pair_products_are_the_products(case):
+    """The ratio scan evaluates p on the products of its normalized pairs;
+    the basis pairs' rows are read from the table.  Weights of 1 keep every
+    p(e_i) = 1 on the integer tables, so there the rows are equal; the
+    rotated tables take weights in (0.5, 2)."""
+    _, A, rtol = case
+    w = (np.ones(A.dim) if rtol == 0.0
+         else np.random.default_rng(6).uniform(0.5, 2.0, A.dim))
+    p = _Recorded(w)
+    _, Xa, Xb = _ratio_scan(p, A, 200, 5)
+    assert Xa.shape[0] >= A.dim ** 2
+    _close(p.stacks[-1], A.mul_coords_batch(Xa, Xb), rtol)
+
+
+def test_square_and_ratio_checks_multiply_only_random_rows(monkeypatch):
+    """On H^8 the 3 n^2 probe squares and the n^2 basis products are read
+    from the table: the products formed are the random rows alone."""
+    rows = []
+    orig = FiniteDimRealAlgebra.mul_coords_batch
+
+    def counted(self, A, B):
+        rows.append(A.shape[0])
+        return orig(self, A, B)
+
+    monkeypatch.setattr(FiniteDimRealAlgebra, "mul_coords_batch", counted)
+    A = corpus.function_algebra_H(8)
+    square_property_details(SpectralRadius(), A, samples=300, seed=1)
+    assert rows == [300]
+    estimate_m(SpectralRadius(), A, samples=300, seed=2)
+    assert rows == [300, 300]

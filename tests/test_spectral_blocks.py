@@ -3,14 +3,17 @@ formula they replace.
 
 ``spectral_radius_batch`` evaluates r(a) = r(pi(a)) on the diagonal blocks
 of L_pi(a) on B = hull / rad(hull): on B's simple blocks once dim B
-reaches ``algebra._BLOCKED_MIN_DIM`` (by a scaled determinant on R, C and
-H blocks, by eigenvalues on any other block), and on B as one block below
-it or when the blocks fail their gate (invariance on the basis,
-independence, dimensions summing to dim B).  The dense formula (eigenvalues
+reaches ``algebra._BLOCKED_MIN_DIM`` (by two traces on R, C and H blocks,
+whose eigenvalues are one conjugate pair, so that
+r^2 = (2 (tr M)^2 - d tr M^2) / d^2 on a d x d block M; by eigenvalues on
+any other block), and on B as one block below it or when the blocks fail
+their gate (invariance on the basis, independence, dimensions summing to
+dim B).  The dense formula (eigenvalues
 of the whole left regular matrix, in the unital hull) is kept here as the
 reference, at ordinary and extreme scales, on hulls with a radical and on
-non-finite rows.  A failed gate and a single block give the dense numbers
-exactly, and the record is built once per algebra.
+non-finite rows, and on R + C + H^4 in the basis 10^k e_i, k = -8 ... 8.
+A failed gate and a single block give the dense numbers exactly, and the
+record is built once per algebra.
 """
 
 import math
@@ -72,10 +75,17 @@ def _h(k):
     return [corpus.quaternions() for _ in range(k)]
 
 
-def _mixed():
+def _mixed(rotate=True):
     """R + C + H^4 after a change of basis: one division group per size."""
-    return _rotated(corpus.direct_sum([corpus.reals(), corpus.complexes()]
-                                      + _h(4)), 6)
+    A = corpus.direct_sum([corpus.reals(), corpus.complexes()] + _h(4))
+    return _rotated(A, 6) if rotate else A
+
+
+def _rescaled(A, t):
+    """A in the basis t e_i: table entries times t, unit over t."""
+    unit = None if A.unit is None else A.unit / t
+    return make_algebra(A.dim, A.labels, A.table * t, unit=unit,
+                        name=f"{t:g} {A.name}")
 
 
 # (algebra, relative bound, {(block size, division): block count} of the
@@ -95,9 +105,28 @@ CASES = {
         _h(4) + [corpus.builtin("nonunital3")]), 5), 1e-10,
         {(1, True): 3, (4, True): 4}),
 }
+# R + C + H^4, rotated or not, in the basis 10^k e_i
+CASES.update({
+    f"{'rotated_' if rotate else ''}R+C+H4_1e{k}": (
+        lambda rotate=rotate, k=k: _rescaled(_mixed(rotate), 10.0 ** k),
+        1e-12, {(1, True): 1, (2, True): 1, (4, True): 4})
+    for rotate in (False, True) for k in range(-8, 9)})
+# below t = 1e-5 the trace form of the hull falls under the absolute rank
+# floor of algebra._nullspace, so the radical is all of A, B is empty and
+# building the split fails in algebra._solve_unit
+_RADICAL_FLOOR = {f"{prefix}R+C+H4_1e{k}" for prefix in ("", "rotated_")
+                  for k in (-8, -7, -6)}
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def _case_params():
+    floor = pytest.mark.xfail(
+        raises=ValueError, strict=True,
+        reason="the rank floor of _nullspace is absolute, not relative")
+    return [pytest.param(name, marks=floor) if name in _RADICAL_FLOOR
+            else name for name in sorted(CASES)]
+
+
+@pytest.mark.parametrize("name", _case_params())
 def test_blocked_radius_matches_dense(name):
     build, bound, sizes = CASES[name]
     A = build()
@@ -128,8 +157,8 @@ def test_blocked_spectrum_is_the_dense_multiset():
 @pytest.mark.parametrize("scale", [1e150, 1e-150])
 @pytest.mark.parametrize("name", ["H8", "rotated_H8"])
 def test_determinant_radius_holds_at_extreme_scales(name, scale):
-    """m |det(B/m)|^(1/d) neither overflows nor underflows where det(B)
-    alone would."""
+    """The traces, taken on M/m with m = max|M| per block, neither
+    overflow nor underflow where tr M^2 alone would."""
     A = CASES[name][0]()
     X = scale * np.random.default_rng(13).standard_normal((500, A.dim))
     dense = _dense_radius(A, X)
@@ -161,7 +190,7 @@ def test_empty_stack_gives_empty_radii(name):
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("name", ["H8", "H4+M2R", "H2_dense"])
 def test_non_finite_row_raises_on_both_paths(monkeypatch, name, bad):
-    """On determinant groups, on eigvals groups, and on B as one block
+    """On division groups, on eigvals groups, and on B as one block
     (H^2 with the crossover raised above its dimension)."""
     if name == "H2_dense":
         monkeypatch.setattr(algebra_mod, "_BLOCKED_MIN_DIM", 9)
@@ -180,7 +209,7 @@ def test_non_finite_row_raises_on_both_paths(monkeypatch, name, bad):
 
 def test_h8_radius_batch_calls_no_eigensolver(monkeypatch):
     """Every block of H^8 is a division block: once the split is built,
-    its radii are determinants."""
+    its radii come from two traces of each block."""
     A = corpus.function_algebra_H(8)
     assert A.spectral_split is not None
     eig_sizes = _record_eig_sizes(monkeypatch)
@@ -362,9 +391,9 @@ def _record_eig_sizes(monkeypatch):
 
 def test_h8_spectral_radius_asks_only_for_small_eigenproblems(monkeypatch):
     """Once H^8's split is built (its one-time eigenproblem is on the
-    center), every radius the proof chain asks for is a determinant of a
-    4 x 4 block; the one eigenproblem left is spectrum's L_a, asked once per
-    element of stage 8's Proposition 3.1 check (20 of them)."""
+    center), every radius the proof chain asks for comes from the traces
+    of 4 x 4 blocks; the one eigenproblem left is spectrum's L_a, asked once
+    per element of stage 8's Proposition 3.1 check (20 of them)."""
     A = corpus.function_algebra_H(8)
     assert [(d, div) for d, div, _ in A.spectral_split] == [(4, True)]
     eig_sizes = _record_eig_sizes(monkeypatch)
