@@ -290,8 +290,14 @@ def is_invertible(a: AlgebraElement) -> bool:
     """
     if not a.algebra.is_unital:
         raise NotUnital("invertibility needs a unit")
-    s = np.linalg.svd(left_regular_matrix(a), compute_uv=False)
-    return s[-1] > INVERT_CUTOFF * s[0]
+    return bool(nonsingular(left_regular_matrix(a)))
+
+
+def nonsingular(L: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: its smallest singular value exceeds
+    INVERT_CUTOFF times its largest."""
+    s = np.linalg.svd(L, compute_uv=False)
+    return s[..., -1] > INVERT_CUTOFF * s[..., 0]
 
 
 def find_unit(algebra: FiniteDimRealAlgebra):

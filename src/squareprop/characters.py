@@ -12,18 +12,25 @@ if it is R, C or H, and by Skolem-Noether all characters of one block are
 conjugate, so |x(a)| does not depend on the one chosen.  find_characters
 therefore returns one character per R, C or H block, and a sup over its
 result is the sup over every character of A, not a sample.
+
+The checks on values take a stack of rows.  The sup max |x(a)| is
+seminorm.CharacterSup, the one sup formula.  check_prop31 takes one SVD
+and one eigvals of the stacked L_a and tests the inclusion of the spectra
+{w +- i|v|} in sp(a) as a nearest-point distance, as full_spectrum_match does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import (AlgebraElement, FiniteDimRealAlgebra, AlgebraMismatch,
-                      NotUnital, is_invertible)
-from .quaternion import HAMILTON, Quaternion, qnorm, qspectrum
-from .spectral import spectral_radius, spectrum
+                      NotUnital, nonsingular)
+from .quaternion import HAMILTON, Quaternion
+from .seminorm import CharacterSup
+from .spectral import spectra, spectral_radius_batch
 
 ACCEPT_RESIDUAL = 1e-11    # gate on every constructed character
 NONZERO_FLOOR = 1e-6
@@ -108,65 +115,77 @@ def sampled_sup_norm(a: AlgebraElement, chars: list[Character]) -> float:
     result of find_characters."""
     if not chars:
         raise EmptyCharacterSet("no characters to evaluate")
-    return max(qnorm(q) for q in j_evaluate(a, chars))
+    return CharacterSup(tuple(chars)).value(a)
 
 
-@dataclass(frozen=True)
-class Prop31Result:
+def _qspectra(Q: np.ndarray) -> np.ndarray:
+    """(rows, 2m): the quaternion spectra {w +- i|v|} of the (rows, m, 4)
+    values Q; |v| <= 1e-12 gives the real point w twice (qspectrum once)."""
+    v = np.sqrt((Q[..., 1:] * Q[..., 1:]).sum(axis=-1))
+    v = np.where(v <= 1e-12, 0.0, v)[..., None]
+    return (Q[..., :1] + 1j * v * [1.0, -1.0]).reshape(len(Q), -1)
+
+
+def _within(Z: np.ndarray, W: np.ndarray, tol: float) -> np.ndarray:
+    """Per row r: every point of Z[r] lies within tol of some point of W[r]."""
+    gap = np.abs(Z[:, :, None] - W[:, None, :]).min(axis=2)
+    return (gap <= tol).all(axis=1)
+
+
+class Prop31Result(NamedTuple):
     forward_ok: bool
     spectrum_inclusion_ok: bool
 
 
-def check_prop31(a: AlgebraElement, chars: list[Character],
-                 tol: float = 1e-6) -> Prop31Result:
-    """Invertibility transfer and spectrum inclusion at the given characters.
+def check_prop31(algebra: FiniteDimRealAlgebra, X: np.ndarray,
+                 chars: list[Character], tol: float = 1e-6) -> Prop31Result:
+    """Invertibility transfer and spectrum inclusion at the given characters,
+    on every row of the stack X, from one SVD and one eigvals of L_X.
 
     forward_ok: an invertible element has nowhere-vanishing character values.
     spectrum_inclusion_ok: every point of the quaternion spectrum of x(a)
     lies in sp(a), for every given character.
     """
-    if not a.algebra.is_unital:
+    if not algebra.is_unital:
         raise NotUnital("Proposition checks need a unit")
-    values = j_evaluate(a, chars)
-    forward_ok = True
-    if is_invertible(a) and values:
-        forward_ok = min(qnorm(q) for q in values) > 1e-10
-    sp = spectrum(a).points
-    inclusion = all(
-        min(abs(z - w) for w in sp) <= tol
-        for q in values for z in qspectrum(q))
-    return Prop31Result(forward_ok, inclusion)
+    if not chars:
+        return Prop31Result(True, True)
+    Q = CharacterSup(tuple(chars)).evaluations(algebra, X)
+    L = algebra.left_matrices_batch(X)
+    norms = np.sqrt((Q * Q).sum(axis=2))[nonsingular(L)]
+    inside = _within(_qspectra(Q), spectra(algebra, L), tol)
+    return Prop31Result(bool((norms.min(axis=1) > 1e-10).all()),
+                        bool(inside.all()))
 
 
-def full_spectrum_match(a: AlgebraElement, chars: list[Character],
-                        tol: float = 1e-6) -> bool:
-    """sp(a) equals the union of quaternion spectra of the character values.
+def full_spectrum_match(algebra: FiniteDimRealAlgebra, X: np.ndarray,
+                        chars: list[Character],
+                        tol: float = 1e-6) -> np.ndarray:
+    """Per row a of X: sp(a) equals the union of quaternion spectra of the
+    character values (False for every row when chars is empty).
 
     Holds for find_characters(A) exactly when every simple block of
     A/rad(A) is R, C or H.
     """
-    union = [z for q in j_evaluate(a, chars) for z in qspectrum(q)]
-    if not union:
-        return False
-    sp = spectrum(a).points
-    fwd = all(min(abs(z - w) for w in sp) <= tol for z in union)
-    bwd = all(min(abs(z - w) for z in union) <= tol for w in sp)
-    return fwd and bwd
+    if not chars:
+        return np.zeros(X.shape[0], dtype=bool)
+    Z = _qspectra(CharacterSup(tuple(chars)).evaluations(algebra, X))
+    W = spectra(algebra, algebra.left_matrices_batch(X))
+    return _within(Z, W, tol) & _within(W, Z, tol)
 
 
 def nonexistence_explanation(algebra: FiniteDimRealAlgebra):
     """Why an algebra has no character, when that is diagnosable.
 
-    First looks for a nonzero basis element with vanishing spectral radius:
-    such a nilpotent rules out any norm with ||a|| <= m*r(a), which is the
+    First looks for a basis element with vanishing spectral radius: such a
+    nonzero nilpotent rules out any norm with ||a|| <= m*r(a), which is the
     standing hypothesis behind the existence of characters.  Otherwise names
     the first simple block of A/rad(A) that is not R, C or H.
     """
-    for i in range(algebra.dim):
-        e = algebra.basis_element(i)
-        r = spectral_radius(e)
-        if np.linalg.norm(e.coords) > 0.5 and r <= 1e-10:
-            return (f"basis element {algebra.labels[i]} is nilpotent "
+    radii = spectral_radius_batch(algebra, np.eye(algebra.dim))
+    for label, r in zip(algebra.labels, radii):
+        if r <= 1e-10:
+            return (f"basis element {label} is nilpotent "
                     f"(spectral radius {r:.2e}) but nonzero, so no norm can "
                     f"satisfy ||a|| <= m*r(a) and the character space is empty")
     bad = non_division_block(algebra)

@@ -93,18 +93,13 @@ def load_seminorm(spec: str, algebra: FiniteDimRealAlgebra):
         args = {k: v for k, v in doc.items() if k != "type"}
     else:
         kind, _, rest = spec.partition(":")
-        args = {}
+        field, num = (("subset", int) if kind == "component_sup"
+                      else ("weights", float))
         try:
-            if kind == "component_sup" and rest:
-                args["subset"] = [int(v) for v in rest.split(",")]
-            elif rest:
-                args["weights"] = [float(v) for v in rest.split(",")]
+            args = {field: [num(v) for v in rest.split(",")]} if rest else {}
         except ValueError:
             raise InputError(f"seminorm {spec}: parameters after ':' must be "
                              "comma-separated numbers") from None
-    if kind not in corpus.SEMINORM_KINDS:
-        raise InputError(f"seminorm type {kind!r} unknown; expected one of "
-                         f"{', '.join(corpus.SEMINORM_KINDS)}")
     try:
         p = corpus.make_seminorm(kind, args, algebra)
         p.check_payload(algebra)

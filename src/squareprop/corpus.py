@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import FiniteDimRealAlgebra, make_algebra
-from .characters import Character, character_residual
-from .quaternion import HAMILTON, Quaternion, qinv, qmul
+from .characters import Character, character_residual, find_characters
+from .quaternion import HAMILTON, qmul_arrays
 
 
 def reals() -> FiniteDimRealAlgebra:
@@ -86,40 +86,35 @@ def nonunital_with_ideal() -> FiniteDimRealAlgebra:
 
 
 def _embedding_images(kind: str, offset: int, dim: int,
-                      u: Quaternion | None = None) -> np.ndarray:
+                      u: np.ndarray | None = None) -> np.ndarray:
     """Images of the full basis under the canonical character of one component,
-    optionally twisted by conjugation with a unit quaternion u."""
-    units = {
-        "R": [Quaternion(1.0)],
-        "C": [Quaternion(1.0), Quaternion(0.0, 1.0)],
-        "H": [Quaternion(1.0), Quaternion(0.0, 1.0),
-              Quaternion(0.0, 0.0, 1.0), Quaternion(0.0, 0.0, 0.0, 1.0)],
-    }[kind]
+    optionally twisted by conjugation with a unit quaternion u, an array
+    (w, x, y, z)."""
+    units = np.eye(4)[:{"R": 1, "C": 2, "H": 4}[kind]]
+    if u is not None:
+        u_inv = u * np.array([1.0, -1.0, -1.0, -1.0]) / (u @ u)
+        units = qmul_arrays(qmul_arrays(u, units), u_inv)
     images = np.zeros((dim, 4))
-    for local, q in enumerate(units):
-        if u is not None:
-            q = qmul(qmul(u, q), qinv(u))
-        images[offset + local] = q.as_array()
+    images[offset:offset + len(units)] = units
     return images
 
 
 def known_characters(algebra: FiniteDimRealAlgebra,
-                     twists: dict[int, Quaternion] | None = None) -> list[Character]:
+                     twists: dict | None = None) -> list[Character]:
     """One canonical character per R/C/H component of a product algebra.
 
     Their union of quaternion spectra equals sp(a) for every element, which
     is what makes these algebras usable as equality oracles.  `twists` maps
-    component index -> unit quaternion for a conjugated representative.
+    component index -> unit quaternion, an array (w, x, y, z), for a
+    conjugated representative.
     """
     if algebra.components is None:
         raise ValueError(f"{algebra.name} is not a tagged product of R/C/H")
-    chars = []
-    for idx, (kind, off) in enumerate(algebra.components):
-        u = (twists or {}).get(idx)
-        images = _embedding_images(kind, off, algebra.dim, u)
-        chars.append(Character(algebra, images,
-                               character_residual(algebra, images)))
-    return chars
+    twists = twists or {}
+    images = [_embedding_images(kind, off, algebra.dim, twists.get(idx))
+              for idx, (kind, off) in enumerate(algebra.components)]
+    return [Character(algebra, q, character_residual(algebra, q))
+            for q in images]
 
 
 _BUILTINS = {
@@ -182,35 +177,45 @@ MANIFEST = [
 ]
 
 
-SEMINORM_KINDS = ("character_sup", "spectral_radius", "coordinate_max",
-                  "coordinate_sum", "operator_norm", "component_sup")
+# each kind with the payload fields it reads; identity and known are the
+# shorthands that the manifest lists for the characters of the algebra
+SEMINORM_KINDS = {
+    "character_sup": ("characters", "identity", "known"),
+    "spectral_radius": (), "coordinate_max": ("weights",),
+    "coordinate_sum": ("weights",), "operator_norm": (),
+    "component_sup": ("subset",)}
 
 
 def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
     """Instantiate a seminorm variant for an algebra from a kind tag, one of
-    SEMINORM_KINDS, and payload dict (the vocabulary of the CLI files)."""
+    SEMINORM_KINDS, and payload dict (the vocabulary of the CLI files).
+    Raises ValueError on an unknown kind or a field the kind does not read."""
     from . import seminorm as sn
 
-    if kind == "coordinate_max":
+    if kind not in SEMINORM_KINDS:
+        raise ValueError(f"unknown type {kind!r}; expected one of "
+                         f"{', '.join(SEMINORM_KINDS)}")
+    fields = SEMINORM_KINDS[kind]
+    unread = sorted(set(args) - set(fields))
+    if unread:
+        raise ValueError(f"{kind} does not read field {unread[0]!r}; it "
+                         f"reads {', '.join(fields) or 'none'}")
+    if kind in ("coordinate_max", "coordinate_sum"):
         w = args.get("weights")
-        return sn.CoordinateMax(tuple(w) if w is not None else None)
-    if kind == "coordinate_sum":
-        w = args.get("weights")
-        return sn.CoordinateSum(tuple(w) if w is not None else None)
+        cls = {"coordinate_max": sn.CoordinateMax,
+               "coordinate_sum": sn.CoordinateSum}[kind]
+        return cls(tuple(w) if w is not None else None)
     if kind == "component_sup":
         return sn.ComponentSup(tuple(args["subset"]))
     if kind == "spectral_radius":
         return sn.SpectralRadius()
     if kind == "operator_norm":
         return sn.OperatorNorm()
-    if kind == "character_sup":
-        if args.get("characters") is not None:
-            images = tuple(np.asarray(c, dtype=float)
-                           for c in args["characters"])
-            return sn.CharacterSup(images)
-        # identity/known shorthands resolve through the component metadata
-        return sn.CharacterSup(tuple(known_characters(algebra)))
-    raise KeyError(f"unknown seminorm kind {kind!r}")
+    if args.get("characters") is not None:
+        images = tuple(np.asarray(c, dtype=float) for c in args["characters"])
+        return sn.CharacterSup(images)
+    # the identity/known shorthands: one character per R, C or H block
+    return sn.CharacterSup(tuple(find_characters(algebra)))
 
 
 def manifest_pair(pair: CorpusPair):

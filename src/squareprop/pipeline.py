@@ -5,8 +5,12 @@ verify_theorem walks, on one (algebra, seminorm) pair: square property
 constant, kernel and quotient, the scaled quotient norm and its square
 identity, the iterated-power relation, the radius identity, the character
 / unitization branch, and the final submultiplicativity check, recording a
-residual at every stage.  fuzz hammers randomized instances
-looking for a counterexample the theorem says cannot exist.
+residual at every stage.  Stages 4, 5 and 8 evaluate one stack of rows
+per quantity: the quotient norm p(lift b), the character sup,
+Proposition 3.1 and the unitization norm N.  Stages 6 and 7, and the
+Gelfand radii of the unitization route, square one element at a time.
+fuzz hammers randomized instances looking for a counterexample the
+theorem says cannot exist.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from . import corpus
 from .algebra import (FiniteDimRealAlgebra, quotient,
                       subspace_is_two_sided_ideal, unitize)
 from .characters import (check_prop31, find_characters, non_division_block,
-                         nonexistence_explanation, sampled_sup_norm)
+                         nonexistence_explanation)
 from .quaternion import random_unit_quaternion
 from .seminorm import (CharacterSup, CoordinateMax, SeminormVariant,
                        SpectralRadius, check_square_property,
@@ -137,16 +141,10 @@ def compute_verdict(r: VerificationReport) -> str:
     return "pass" if all(checks) else "fail"
 
 
-def _abs_norm(p, algebra, lift):
-    """The induced quotient norm |b + Ker(p)| = p(b), via the linear section."""
-    def norm(b):
-        return p.value(algebra.element(lift @ b.coords))
-    return norm
-
-
-def _unital_branch(report, qalg, abs_norm, config, rng):
-    """Characters, Proposition 3.1 and the sup bound on qalg; returns the
-    worst |max_x |x(b)| - |b|| / (1 + |b|), or None with no character."""
+def _unital_branch(report, qalg, norms, config, rng):
+    """Characters, Proposition 3.1 and the sup bound on qalg, all on one
+    stack of rows; norms gives |b| on each row b.  Returns the worst
+    |max_x |x(b)| - |b|| / (1 + |b|), or None with no character."""
     chars = find_characters(qalg)
     report.character_count = len(chars)
     if not chars:
@@ -155,69 +153,57 @@ def _unital_branch(report, qalg, abs_norm, config, rng):
             "the quotient has no quaternion character"
             + (f": {note}" if note else ""))
         return None
-    n_el = min(20, config.sample_count)
-    fwd = incl = True
-    sup_bound = 0.0
-    sup_eq = 0.0
-    for _ in range(n_el):
-        b = qalg.element(rng.standard_normal(qalg.dim))
-        res = check_prop31(b, chars)
-        fwd &= res.forward_ok
-        incl &= res.spectrum_inclusion_ok
-        nb = abs_norm(b)
-        ssn = sampled_sup_norm(b, chars)
-        sup_bound = max(sup_bound, (ssn - nb) / (1.0 + nb))
-        sup_eq = max(sup_eq, abs(ssn - nb) / (1.0 + nb))
-    report.prop31_forward_ok = fwd
-    report.prop31_inclusion_ok = incl
-    report.sup_bound_residual = max(0.0, sup_bound)
-    return sup_eq
+    X = rng.standard_normal((min(20, config.sample_count), qalg.dim))
+    report.prop31_forward_ok, report.prop31_inclusion_ok = check_prop31(
+        qalg, X, chars)
+    nb = norms(X)
+    gap = (CharacterSup(tuple(chars)).values(qalg, X) - nb) / (1.0 + nb)
+    report.sup_bound_residual = max(0.0, float(gap.max()))
+    return float(np.abs(gap).max())
 
 
-def _nonunital_branch(report, qalg, abs_norm, m_hat, config, rng):
-    """Unitization route: extend to B1 with N(b + l*e) = ||b|| + |l|, measure
-    the three properties the proof needs, then rerun the unital route on B1."""
+def _nonunital_branch(report, qalg, norms, m_hat, config, rng):
+    """Unitization route: extend to B1 with N(b + l*e) = m||b|| + |l|,
+    measure the three properties the proof needs, then rerun the unital
+    route on B1."""
     b1 = unitize(qalg)
 
-    def N(x):
-        lam = x.coords[0]
-        body = qalg.element(x.coords[1:])
-        return m_hat * abs_norm(body) + abs(lam)
+    def N(X):
+        """N on each row (l, b) of X."""
+        return m_hat * norms(X[:, 1:]) + np.abs(X[:, 0])
 
     n_s = min(100, config.sample_count)
-    sub_ratio = 0.0
+    # row i = (x_i, y_i), drawn in one call
+    Z = rng.standard_normal((n_s, 2 * b1.dim))
+    X, Y = Z[:, :b1.dim], Z[:, b1.dim:]
+    nx, ny, nxy = N(np.concatenate([X, Y, b1.mul_coords_batch(X, Y)])
+                    ).reshape(3, -1)
+    ok = nx * ny > 1e-12
+    sub_ratio = float(np.max(nxy[ok] / (nx * ny)[ok], initial=0.0))
     bound_ratio = 0.0
-    for _ in range(n_s):
-        x = b1.element(rng.standard_normal(b1.dim))
-        y = b1.element(rng.standard_normal(b1.dim))
-        nx, ny, nxy = N(x), N(y), N(x * y)
-        if nx * ny > 1e-12:
-            sub_ratio = max(sub_ratio, nxy / (nx * ny))
+    for x, n in zip(X, nx):
         try:
-            r = gelfand_radius(x, norm=N)
+            r = gelfand_radius(b1.element(x),
+                               norm=lambda a: float(N(a.coords[None])[0]))
         except NonConvergence:
             continue
         if r > 1e-12:
-            bound_ratio = max(bound_ratio, N(x) / (m_hat ** 3 * r))
+            bound_ratio = max(bound_ratio, n / (m_hat ** 3 * r))
     # (iii) N restricted to B equals the scaled quotient norm by construction
-    b = qalg.element(rng.standard_normal(qalg.dim))
-    embedded = b1.element(np.concatenate([[0.0], b.coords]))
-    equiv_residual = abs(N(embedded) - m_hat * abs_norm(b))
+    b = rng.standard_normal((1, qalg.dim))
+    equiv_residual = abs(N(np.pad(b, ((0, 0), (1, 0))))[0]
+                         - m_hat * norms(b)[0])
     report.unitization_checks = {
         "submultiplicative_ratio": sub_ratio,
         "radius_bound_ratio": bound_ratio,      # N(b) / (m^3 r(b)), finding only
-        "restriction_residual": equiv_residual,
+        "restriction_residual": float(equiv_residual),
     }
     if bound_ratio > 1.0 + 1e-6:
         report.notes.append(
             f"unitization bound N(b) <= m^3 r(b) violated by factor "
             f"{bound_ratio:.6g} on samples; reported as a finding")
-
-    def abs_norm_b1(x):
-        return N(x) / m_hat
-
     # N is not a sup over characters, so there is no equality to report
-    _unital_branch(report, b1, abs_norm_b1, config, rng)
+    _unital_branch(report, b1, lambda X: N(X) / m_hat, config, rng)
 
 
 def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
@@ -293,19 +279,20 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
         wd = float(np.max(np.abs(pk - pa) / (1.0 + pa)))
     report.quotient_norm_well_defined_residual = wd
 
-    abs_norm = _abs_norm(p, algebra, qm.lift)
     m_hat = m.m_hat
 
+    def norms(X):   # the induced |b + Ker(p)| = p(b) on each row b of X
+        return p.values(algebra, X @ qm.lift.T)
+
     def scaled(b):
-        return m_hat * abs_norm(b)
+        return m_hat * p.value(algebra.element(qm.lift @ b.coords))
 
     # 5. scaled norm: normed algebra + square identity; row i = (b_i, c_i)
     Z = rng.standard_normal((min(200, config.sample_count), 2 * qalg.dim))
     B, C = Z[:, :qalg.dim], Z[:, qalg.dim:]
     stack = np.concatenate([B, C, qalg.mul_coords_batch(B, C),
                             qalg.mul_coords_batch(B, B)])
-    nb, nc, nbc, nbb = m_hat * p.values(algebra, stack @ qm.lift.T
-                                        ).reshape(4, -1)
+    nb, nc, nbc, nbb = m_hat * norms(stack).reshape(4, -1)
     ok = nb * nc > 1e-12
     report.normed_algebra_ratio = float(
         np.max(nbc[ok] / (nb * nc)[ok], initial=0.0))
@@ -342,11 +329,11 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     # 8. unital or unitization branch
     if qalg.is_unital and not force_nonunital_branch:
         report.branch = "unital"
-        report.sup_equality_residual = _unital_branch(report, qalg, abs_norm,
+        report.sup_equality_residual = _unital_branch(report, qalg, norms,
                                                       config, rng)
     else:
         report.branch = "non_unital"
-        _nonunital_branch(report, qalg, abs_norm, m_hat, config, rng)
+        _nonunital_branch(report, qalg, norms, m_hat, config, rng)
 
     # 9. final submultiplicativity of p itself, fresh samples
     report.final_submultiplicativity_ratio = check_submultiplicative(

@@ -27,7 +27,8 @@ HAMILTON.setflags(write=False)
 
 @dataclass(frozen=True)
 class Quaternion:
-    """Immutable quaternion w + x*i + y*j + z*k."""
+    """Immutable quaternion w + x*i + y*j + z*k; qmul multiplies and
+    qnorm measures it."""
 
     w: float = 0.0
     x: float = 0.0
@@ -42,9 +43,6 @@ class Quaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w + other.w, self.x + other.x,
                           self.y + other.y, self.z + other.z)
@@ -55,19 +53,6 @@ class Quaternion:
 
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return qmul(self, other)
-        return Quaternion(self.w * other, self.x * other,
-                          self.y * other, self.z * other)
-
-    def __rmul__(self, scalar: float) -> "Quaternion":
-        return Quaternion(self.w * scalar, self.x * scalar,
-                          self.y * scalar, self.z * scalar)
-
-    def __abs__(self) -> float:
-        return qnorm(self)
 
 
 ONE = Quaternion(1.0)
@@ -118,6 +103,7 @@ def qmul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...p,...q,pqc->...c", a, b, HAMILTON)
 
 
-def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
+def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
+    """A random unit quaternion as the array (w, x, y, z)."""
     v = rng.standard_normal(4)
-    return Quaternion.from_array(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)

@@ -89,16 +89,21 @@ class CharacterSup(SeminormVariant):
         if not np.isfinite(self._images(algebra)).all():
             raise PayloadMismatch("character images must be finite")
 
-    def values(self, algebra, X):
+    def evaluations(self, algebra, X) -> np.ndarray:
+        """(rows, m, 4): x(a) for every row a of X and each character x."""
         imgs = self._images(algebra)
         m, n, _ = imgs.shape
-        vals = (X @ imgs.transpose(1, 0, 2).reshape(n, 4 * m)).reshape(-1, m, 4)
+        vals = X @ imgs.transpose(1, 0, 2).reshape(n, 4 * m)
+        return vals.reshape(-1, m, 4)
+
+    def values(self, algebra, X):
+        vals = self.evaluations(algebra, X)
         return np.sqrt((vals * vals).sum(axis=2)).max(axis=1)
 
     def kernel(self, algebra):
-        imgs = self._images(algebra)  # (m, n, 4)
-        M = np.concatenate([imgs[m].T for m in range(imgs.shape[0])])
-        return _nullspace(M)
+        # rows (m, c): coordinate c of the m-th character's images
+        return _nullspace(self._images(algebra).transpose(0, 2, 1)
+                          .reshape(-1, algebra.dim))
 
 
 @dataclass(frozen=True)
@@ -172,27 +177,23 @@ class OperatorNorm(SeminormVariant):
 
 @dataclass(frozen=True)
 class ComponentSup(SeminormVariant):
-    """Max-abs over a subset of coordinates; kernel = the excluded ones."""
+    """Max-abs over a subset of coordinates: CoordinateMax with weight 1 on
+    the subset and 0 elsewhere, so its kernel is the excluded ones."""
 
     subset: tuple
 
-    def _idx(self, algebra):
+    def _w(self, algebra):
         idx = np.asarray(self.subset, dtype=int)
         if idx.size == 0 or idx.min() < 0 or idx.max() >= algebra.dim:
             raise PayloadMismatch(
                 f"subset {self.subset} invalid for dim {algebra.dim}")
-        return idx
+        w = np.zeros(algebra.dim)
+        w[idx] = 1.0
+        return w
 
-    def check_payload(self, algebra):
-        self._idx(algebra)
-
-    def values(self, algebra, X):
-        return np.abs(X[:, self._idx(algebra)]).max(axis=1)
-
-    def kernel(self, algebra):
-        keep = np.ones(algebra.dim, dtype=bool)
-        keep[self._idx(algebra)] = False
-        return np.eye(algebra.dim)[keep]
+    check_payload = CoordinateMax.check_payload
+    values = CoordinateMax.values
+    kernel = CoordinateMax.kernel
 
 
 @dataclass(frozen=True)
@@ -213,10 +214,6 @@ def evaluate(p: SeminormVariant, a: AlgebraElement) -> float:
 def kernel(p: SeminormVariant, algebra: FiniteDimRealAlgebra) -> np.ndarray:
     """Basis (rows) of Ker(p) as an exact linear subspace."""
     return p.kernel(algebra)
-
-
-def _sample(algebra, count, rng):
-    return rng.standard_normal((count, algebra.dim))
 
 
 def _square_probes(algebra) -> np.ndarray:
@@ -251,7 +248,7 @@ def square_property_details(p: SeminormVariant, algebra: FiniteDimRealAlgebra,
     """Max of |p(a^2) - p(a)^2| / (1 + p(a)^2) over probes and random samples."""
     p.check_payload(algebra)
     rng = np.random.default_rng(seed)
-    R = _sample(algebra, samples, rng)
+    R = rng.standard_normal((samples, algebra.dim))
     X = np.concatenate([_square_probes(algebra), R])
     pa = p.values(algebra, X)
     # the probes' squares are read from the table; only R is multiplied
@@ -278,8 +275,8 @@ def _ratio_scan(p, algebra, samples, seed):
     rng = np.random.default_rng(seed)
     n = algebra.dim
     eye = np.eye(n)
-    Xa = _sample(algebra, samples, rng)
-    Xb = _sample(algebra, samples, rng)
+    Xa = rng.standard_normal((samples, algebra.dim))
+    Xb = rng.standard_normal((samples, algebra.dim))
     A = np.concatenate([np.repeat(eye, n, axis=0), Xa])
     B = np.concatenate([np.tile(eye, (n, 1)), Xb])
     pe = p.values(algebra, eye)

@@ -34,7 +34,7 @@ still compares two independent computations.  Both raise LinAlgError on a
 non-finite element.
 
 spectrum needs the points with the hull's multiplicities, which B does not
-keep, so it takes the eigenvalues of L_a itself: in the hull of a
+keep, so spectra takes the eigenvalues of a stack of L_a: in the hull of a
 non-unital algebra L_(0,a) is the block triangular [[0, 0], [a, L_a]], so
 sp = {0} u eig(L_a).
 """
@@ -95,15 +95,19 @@ def _division_radii(S: np.ndarray) -> np.ndarray:
     return m / d * np.sqrt(np.maximum(2.0 * t1 * t1 - d * t2, 0.0))
 
 
+def spectra(algebra, L: np.ndarray) -> np.ndarray:
+    """sp(a) for each matrix L_a of the stack L: its eigenvalues, and the
+    0 that the hull adds when the algebra is not unital."""
+    eig = _eigvals(L)
+    return eig if algebra.is_unital else np.pad(eig, ((0, 0), (0, 1)))
+
+
 def spectrum(a: AlgebraElement) -> SpectrumResult:
-    """sp(a) as the eigenvalues of L_a, and 0 when the hull adds it."""
-    eig = _eigvals(left_regular_matrix(a))
-    if not a.algebra.is_unital:
-        eig = np.append(eig, 0.0)
+    """sp(a), sorted, and its radius."""
+    eig = spectra(a.algebra, left_regular_matrix(a)[None])[0]
     pts = tuple(sorted((complex(v) for v in eig),
                        key=lambda z: (z.real, z.imag)))
-    radius = float(max(abs(z) for z in pts))
-    return SpectrumResult(pts, radius)
+    return SpectrumResult(pts, float(max(abs(z) for z in pts)))
 
 
 def spectral_radius(a: AlgebraElement) -> float:

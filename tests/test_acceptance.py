@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from squareprop import cli, corpus, pipeline
-from squareprop.characters import (find_characters, full_spectrum_match,
-                                   j_evaluate, nonexistence_explanation)
-from squareprop.algebra import is_invertible
+from squareprop.characters import (check_prop31, find_characters,
+                                   full_spectrum_match, j_evaluate,
+                                   nonexistence_explanation)
+from squareprop.algebra import is_invertible, nonsingular
 from squareprop.pipeline import PipelineConfig, fuzz, verify_theorem
 from squareprop.quaternion import qmul_arrays, qnorm
 from squareprop.spectral import (gelfand_radius, in_spectrum_paper_def,
@@ -125,18 +126,13 @@ def test_criterion_6_prop31_on_products():
         A = corpus.builtin(name)
         chars = find_characters(A)
         ok &= bool(chars)
-        matched = 0
-        for _ in range(100):
-            a = A.element(rng.standard_normal(A.dim))
-            matched += full_spectrum_match(a, chars, tol=1e-6)
+        matched = int(full_spectrum_match(
+            A, rng.standard_normal((100, A.dim)), chars, tol=1e-6).sum())
         ok &= matched == 100
-        inv_ok = 0
-        for _ in range(100):
-            a = A.element(rng.standard_normal(A.dim))
-            if not is_invertible(a):
-                continue
-            inv_ok += min(qnorm(q) for q in j_evaluate(a, chars)) > 1e-10
-        ok &= inv_ok >= 90  # random elements are a.s. invertible
+        X = rng.standard_normal((100, A.dim))
+        ok &= check_prop31(A, X, chars).forward_ok
+        # random elements are a.s. invertible
+        ok &= nonsingular(A.left_matrices_batch(X)).sum() >= 90
         # witnessed non-invertible element: supported on one component only
         witness = np.zeros(A.dim)
         witness[A.components[0][1]] = 1.0

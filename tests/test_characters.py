@@ -3,12 +3,13 @@ import pytest
 
 from squareprop import corpus
 from squareprop.algebra import make_algebra
-from squareprop.characters import (EmptyCharacterSet, character_residual,
-                                   check_prop31, find_characters,
-                                   full_spectrum_match, j_evaluate,
-                                   nonexistence_explanation, sampled_sup_norm)
-from squareprop.quaternion import (Quaternion, qinv, qmul, qnorm,
-                                   random_unit_quaternion)
+from squareprop.algebra import NotUnital
+from squareprop.characters import (EmptyCharacterSet, Prop31Result,
+                                   character_residual, check_prop31,
+                                   find_characters, full_spectrum_match,
+                                   j_evaluate, nonexistence_explanation,
+                                   sampled_sup_norm)
+from squareprop.quaternion import qmul_arrays, qnorm, random_unit_quaternion
 from squareprop.pipeline import PipelineConfig, verify_theorem
 from squareprop.seminorm import SpectralRadius, kernel
 from squareprop.spectral import spectral_radius
@@ -50,8 +51,8 @@ def test_find_characters_h_conjugations():
     # conjugating by a unit quaternion leaves |x(a)| unchanged
     for _ in range(20):
         u = random_unit_quaternion(rng)
-        images = np.array([qmul(qmul(u, Quaternion.from_array(q)),
-                                qinv(u)).as_array() for q in x.images])
+        images = qmul_arrays(qmul_arrays(u, x.images),
+                             u * np.array([1.0, -1.0, -1.0, -1.0]))
         assert character_residual(H, images) <= 1e-12
         for a in elements:
             assert np.linalg.norm(a.coords @ images) == pytest.approx(
@@ -98,21 +99,53 @@ def test_sampled_sup_norm():
 def test_prop31_rr():
     rr = corpus.builtin("rr")
     chars = corpus.known_characters(rr)
-    res = check_prop31(rr.element([2, 3]), chars)
+    X = np.array([[2.0, 3.0], [-1.0, 0.5]])
+    res = check_prop31(rr, X, chars)
     assert res.forward_ok and res.spectrum_inclusion_ok
-    assert full_spectrum_match(rr.element([2, 3]), chars)
-    # witnessed non-invertibility: the first projection vanishes at (0, 3)
-    vals = j_evaluate(rr.element([0, 3]), chars)
+    assert full_spectrum_match(rr, X, chars).tolist() == [True, True]
+    # witnessed non-invertibility: the first projection vanishes at (0, 3);
+    # the row is not invertible, so forward_ok does not look at it
+    W = np.array([[2.0, 3.0], [0.0, 3.0]])
+    assert check_prop31(rr, W, chars).forward_ok
+    vals = j_evaluate(rr.element(W[1]), chars)
     assert min(qnorm(q) for q in vals) <= 1e-12
 
 
 def test_prop31_quaternions():
     H = corpus.quaternions()
     chars = find_characters(H)
-    a = H.element([1, 1, 1, 1])
-    res = check_prop31(a, chars)
+    X = np.array([[1.0, 1.0, 1.0, 1.0], [0.5, -2.0, 0.0, 3.0]])
+    res = check_prop31(H, X, chars)
     assert res.forward_ok and res.spectrum_inclusion_ok
-    assert full_spectrum_match(a, chars)
+    assert full_spectrum_match(H, X, chars).all()
+
+
+def test_prop31_flags_a_wrong_character_row_by_row():
+    """Images that are no character: x(e_1) = 2 on R(+)R puts 4 outside
+    sp((2, 3)) = {2, 3}, while at 0 both spectra are {0}."""
+    rr = corpus.builtin("rr")
+    bad = [np.array([[2.0, 0, 0, 0], [0, 0, 0, 0]])]
+    X = np.array([[2.0, 3.0], [0.0, 0.0]])
+    assert check_prop31(rr, X, bad) == Prop31Result(True, False)
+    assert full_spectrum_match(rr, X, bad).tolist() == [False, True]
+    # a value of 0 at an invertible element breaks invertibility transfer
+    assert not check_prop31(rr, np.array([[0.0, 1.0], [1.0, 1.0]]),
+                            [np.array([[0.0, 0, 0, 0], [0, 0, 0, 0]])]
+                            ).forward_ok
+
+
+def test_prop31_with_no_characters():
+    """Both parts hold vacuously; no union of spectra can equal sp(a)."""
+    rr = corpus.builtin("rr")
+    X = np.random.default_rng(3).standard_normal((5, 2))
+    assert check_prop31(rr, X, []) == Prop31Result(True, True)
+    assert full_spectrum_match(rr, X, []).tolist() == [False] * 5
+
+
+def test_prop31_needs_a_unit():
+    A = corpus.builtin("nonunital3")
+    with pytest.raises(NotUnital):
+        check_prop31(A, np.ones((1, 3)), find_characters(A))
 
 
 def test_spectral_bound_for_characters():

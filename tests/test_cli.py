@@ -345,3 +345,56 @@ def test_verify_reports_sup_equality(algebra, seminorm, capsys):
     assert code == 0
     residual = json.loads(out)["sup_equality_residual"]
     assert isinstance(residual, float) and residual <= 1e-12
+
+
+def test_character_sup_shorthand_on_an_untagged_algebra(tmp_path, capsys):
+    """The shorthand takes the characters of the algebra itself, so a JSON
+    copy of H, which carries no R/C/H component tags, verifies as H."""
+    H = corpus.quaternions()
+    i, j, k = np.nonzero(H.table)
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({
+        "name": "H-from-file", "dim": 4, "basis": ["1", "i", "j", "k"],
+        "table": [[int(a), int(b), int(c), float(H.table[a, b, c])]
+                  for a, b, c in zip(i, j, k)],
+        "unit": [1.0, 0.0, 0.0, 0.0]}))
+    code, out = run_capture(capsys, [
+        "verify", "--algebra", str(path), "--seminorm", "character_sup",
+        "--samples", "300", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass" and payload["character_count"] == 1
+
+
+@pytest.mark.parametrize("spec, field", [
+    ("spectral_radius:1,2", "weights"),
+    ("operator_norm:5", "weights"),
+    ("character_sup:3", "weights"),
+    ({"type": "spectral_radius", "bogus": 3}, "bogus"),
+    ({"type": "component_sup", "subset": [0], "weights": [1, 1]},
+     "weights"),
+], ids=["radius_params", "operator_params", "character_params",
+        "unknown_field", "foreign_field"])
+def test_seminorm_input_the_kind_does_not_read_exits_two(tmp_path, capsys,
+                                                          spec, field):
+    if isinstance(spec, dict):
+        path = tmp_path / "seminorm.json"
+        path.write_text(json.dumps(spec))
+        spec = str(path)
+    code = cli.run(["verify", "--algebra", "rr", "--seminorm", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"does not read field '{field}'" in captured.err
+
+
+@pytest.mark.parametrize("payload", [
+    {"type": "character_sup", "identity": True},
+    {"type": "character_sup", "known": True},
+], ids=["identity", "known"])
+def test_character_sup_shorthand_fields_are_read(tmp_path, capsys, payload):
+    path = tmp_path / "seminorm.json"
+    path.write_text(json.dumps(payload))
+    code = cli.run(["verify", "--algebra", "hc", "--seminorm", str(path),
+                    "--samples", "300"])
+    assert code == 0

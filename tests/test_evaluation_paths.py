@@ -10,21 +10,28 @@ here as references, and so are the three-operand einsums that
 ``character_residual`` and the block classifier ran before they became
 matmuls, and the list comprehensions that built the square-check probes.
 The probe squares and the basis-pair products that the checks read from
-the table are checked against ``mul_coords_batch``.
+the table are checked against ``mul_coords_batch``.  Stage 8 and the
+unitization route evaluate one stack of rows each; their per-element
+loops, with the per-element Proposition 3.1 check, are kept as references
+too, and so are ComponentSup's own max-abs formula and kernel from before
+it became CoordinateMax with 0/1 weights.
 """
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from squareprop import corpus
+from squareprop import corpus, pipeline
 from squareprop.algebra import (FiniteDimRealAlgebra, _classify, _nullspace,
-                                left_regular_matrix, make_algebra, mul,
-                                quotient)
-from squareprop.characters import character_residual, find_characters
+                                is_invertible, left_regular_matrix,
+                                make_algebra, mul, quotient, unitize)
+from squareprop.characters import (character_residual, find_characters,
+                                   j_evaluate)
 from squareprop.pipeline import PipelineConfig, verify_theorem
-from squareprop.quaternion import HAMILTON, random_unit_quaternion
+from squareprop.quaternion import (HAMILTON, qnorm, qspectrum,
+                                   random_unit_quaternion)
 from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
                                  CoordinateMax, CoordinateSum, OpaqueSeminorm,
                                  OperatorNorm, PayloadMismatch,
@@ -32,7 +39,7 @@ from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
                                  _probe_squares, _ratio_scan, _square_probes,
                                  estimate_m, kernel, square_property_details)
 from squareprop.spectral import (NonConvergence, gelfand_radius,
-                                 operator_norm, spectral_radius)
+                                 operator_norm, spectral_radius, spectrum)
 
 
 def _max_abs(a):
@@ -79,6 +86,23 @@ def test_derived_value_matches_values_and_old_scalar(case):
         assert derived == pytest.approx(v, rel=1e-13, abs=1e-15)
         old = old_value(a)
         assert abs(derived - old) <= 1e-12 * (1.0 + abs(old))
+
+
+@pytest.mark.parametrize("name", ["rr_component_sup",
+                                  "nonunital3_component_sup"])
+def test_component_sup_is_bit_identical_to_its_own_formula(name):
+    pair = next(c for c in corpus.MANIFEST if c.name == name)
+    algebra, p = corpus.manifest_pair(pair)
+    idx = list(pair.seminorm_args["subset"])
+    X = np.random.default_rng(19).standard_normal((500, algebra.dim))
+    X[0] = 0.0
+    X[1, idx] = 0.0
+    assert np.array_equal(p.values(algebra, X),
+                          np.abs(X[:, idx]).max(axis=1))
+    keep = np.ones(algebra.dim, dtype=bool)
+    keep[idx] = False
+    assert np.array_equal(kernel(p, algebra), np.eye(algebra.dim)[keep])
+    assert type(p).__name__ == "ComponentSup"
 
 
 def _gelfand_by_loop(a, norm=None, iterations=40, conv_tol=1e-6,
@@ -386,6 +410,162 @@ def test_block_stages_match_per_sample_loops(case):
     assert len(new) == len(old)
     for x, y in zip(new, old):
         assert abs(x - y) <= 1e-12 * (1.0 + abs(y)), (new, old)
+
+
+def _prop31_by_loop(a, chars, tol=1e-6):
+    """check_prop31 on one element, before it took stacks."""
+    values = j_evaluate(a, chars)
+    forward_ok = True
+    if is_invertible(a) and values:
+        forward_ok = min(qnorm(q) for q in values) > 1e-10
+    sp = spectrum(a).points
+    inclusion = all(min(abs(z - w) for w in sp) <= tol
+                    for q in values for z in qspectrum(q))
+    return forward_ok, inclusion
+
+
+def _unital_branch_by_loop(qalg, abs_norm, config, rng):
+    """Report fields of stage 8's unital branch from its per-element loop."""
+    chars = find_characters(qalg)
+    if not chars:
+        return {"character_count": 0}
+    fwd = incl = True
+    sup_bound = sup_eq = 0.0
+    for _ in range(min(20, config.sample_count)):
+        b = qalg.element(rng.standard_normal(qalg.dim))
+        f, i = _prop31_by_loop(b, chars)
+        fwd &= f
+        incl &= i
+        nb = abs_norm(b)
+        ssn = max(qnorm(q) for q in j_evaluate(b, chars))
+        sup_bound = max(sup_bound, (ssn - nb) / (1.0 + nb))
+        sup_eq = max(sup_eq, abs(ssn - nb) / (1.0 + nb))
+    return {"character_count": len(chars), "prop31_forward_ok": fwd,
+            "prop31_inclusion_ok": incl,
+            "sup_bound_residual": max(0.0, sup_bound),
+            "sup_equality_residual": sup_eq}
+
+
+def _nonunital_branch_by_loop(qalg, abs_norm, m_hat, config, rng):
+    """Report fields of the unitization route from its per-sample loop."""
+    b1 = unitize(qalg)
+
+    def N(x):
+        return m_hat * abs_norm(qalg.element(x.coords[1:])) + abs(x.coords[0])
+
+    sub_ratio = bound_ratio = 0.0
+    for _ in range(min(100, config.sample_count)):
+        x = b1.element(rng.standard_normal(b1.dim))
+        y = b1.element(rng.standard_normal(b1.dim))
+        nx, ny, nxy = N(x), N(y), N(x * y)
+        if nx * ny > 1e-12:
+            sub_ratio = max(sub_ratio, nxy / (nx * ny))
+        try:
+            r = gelfand_radius(x, norm=N)
+        except NonConvergence:
+            continue
+        if r > 1e-12:
+            bound_ratio = max(bound_ratio, N(x) / (m_hat ** 3 * r))
+    b = qalg.element(rng.standard_normal(qalg.dim))
+    embedded = b1.element(np.concatenate([[0.0], b.coords]))
+    fields = _unital_branch_by_loop(b1, lambda x: N(x) / m_hat, config, rng)
+    fields["sup_equality_residual"] = None
+    fields["unitization_checks"] = {
+        "submultiplicative_ratio": sub_ratio,
+        "radius_bound_ratio": bound_ratio,
+        "restriction_residual": abs(N(embedded) - m_hat * abs_norm(b))}
+    return fields
+
+
+def _flatten(fields):
+    checks = fields.pop("unitization_checks", None) or {}
+    return {**fields, **{f"unitization.{k}": v for k, v in checks.items()}}
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["unital", "forced"])
+@pytest.mark.parametrize("case", _pipeline_cases(), ids=lambda c: c[0])
+def test_stage_8_matches_per_element_loops(monkeypatch, case, force):
+    """Stage 8 and the unitization route on stacks give the report fields
+    of their per-element loops, replayed from the generator state at the
+    start of stage 8 with the scalar quotient norm p(lift b)."""
+    _, algebra, p, config = case
+    entry = []
+    for name in ("_unital_branch", "_nonunital_branch"):
+        orig = getattr(pipeline, name)
+
+        def recorded(report, qalg, norms, *rest, _orig=orig):
+            rng = rest[-1]
+            if not entry:
+                entry.append((qalg, copy.deepcopy(rng.bit_generator.state)))
+            return _orig(report, qalg, norms, *rest)
+        monkeypatch.setattr(pipeline, name, recorded)
+    rep = verify_theorem(algebra, p, config, force_nonunital_branch=force)
+    qalg, state = entry[0]
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    lift = quotient(algebra, kernel(p, algebra)).lift
+
+    def abs_norm(b):
+        return p.value(algebra.element(lift @ b.coords))
+
+    if force:
+        old = _nonunital_branch_by_loop(qalg, abs_norm, rep.m_hat, config,
+                                        rng)
+    else:
+        old = _unital_branch_by_loop(qalg, abs_norm, config, rng)
+    old = _flatten(old)
+    new = _flatten({k: getattr(rep, k) for k in (
+        "character_count", "prop31_forward_ok", "prop31_inclusion_ok",
+        "sup_bound_residual", "sup_equality_residual", "unitization_checks")})
+    assert new["character_count"] > 0
+    assert set(old) <= set(new)
+    for key, y in old.items():
+        x = new[key]
+        if isinstance(y, bool) or y is None or isinstance(y, int):
+            assert x == y, key
+        else:
+            assert abs(x - y) <= 1e-12 * (1.0 + abs(y)), (key, x, y)
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["unital", "forced"])
+@pytest.mark.parametrize("name", ["hc_character_sup",
+                                  "nonunital3_component_sup"])
+def test_stage_8_asks_for_one_svd_and_one_eigvals(monkeypatch, name, force):
+    """Outside the quotient's block decomposition (find_characters),
+    stage 8 calls np.linalg.svd and eigvals once each, on the stack of its
+    20 matrices L_b; these seminorms evaluate without either."""
+    pair = next(c for c in corpus.MANIFEST if c.name == name)
+    algebra, p = corpus.manifest_pair(pair)
+    active, calls = [], []
+
+    def spy(fn, label):
+        def wrapped(*args, **kwargs):
+            if active and active[-1]:
+                calls.append((label, np.shape(args[0])))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def scoped(fn, on):
+        def wrapped(*args, **kwargs):
+            active.append(on)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapped
+
+    for label in ("svd", "eigvals"):
+        monkeypatch.setattr(np.linalg, label,
+                            spy(getattr(np.linalg, label), label))
+    for attr, on in (("_unital_branch", True), ("_nonunital_branch", True),
+                     ("find_characters", False)):
+        monkeypatch.setattr(pipeline, attr,
+                            scoped(getattr(pipeline, attr), on))
+    rep = verify_theorem(algebra, p, PipelineConfig(sample_count=300),
+                         force_nonunital_branch=force)
+    assert rep.verdict == "pass"
+    n = rep.quotient_dim + force
+    assert calls == [("svd", (20, n, n)), ("eigvals", (20, n, n))]
 
 
 def _ratio_scan_on_every_pair(p, algebra, samples, seed):
