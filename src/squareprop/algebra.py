@@ -5,11 +5,13 @@ validated for associativity at construction.  Everything downstream
 (spectra, seminorm kernels, quotients, characters) is computed from
 this table and the left regular representation.
 
-The checks, the quotient table and the batched products contract the
-table with BLAS matrix products.  The associativity check compares
-(e_i e_j) e_k with e_i (e_j e_k) a block of i at a time: O(n^5) flops,
-but only O(n^3) memory (a few MB per block) where the whole (i, j, k, l)
-comparison would hold three n^4 arrays (380 MB at n = 63).
+The checks, the quotient table and the products contract the table with
+BLAS matrix products.  Products and L_a are written once, for stacks of
+rows (mul_coords_batch, left_matrices_batch); mul_coords, mul and
+left_regular_matrix are their one-row views.  The associativity check
+compares (e_i e_j) e_k with e_i (e_j e_k) a block of i at a time: O(n^5)
+flops, but only O(n^3) memory (a few MB per block) where the whole
+(i, j, k, l) comparison would hold three n^4 arrays (380 MB at n = 63).
 
 An algebra is immutable, so what is derived from its table alone is built
 once, on first use, and kept on it: the unital hull (`hull`), the radical
@@ -151,10 +153,9 @@ class FiniteDimRealAlgebra:
                 f"coefficient {l} differs by {worst:.3e}")
 
     def _check_unit(self, u):
-        n = self.dim
-        eye = np.eye(n)
-        left = (u @ self.table.reshape(n, n * n)).reshape(n, n) - eye
-        right = u @ self.table - eye      # [j, k]: e_j u
+        eye = np.eye(self.dim)
+        left = self._left_rows(u[None])[0] - eye   # [j, k]: u e_j
+        right = u @ self.table - eye               # [j, k]: e_j u
         # written so that a NaN defect fails the check
         good = ((np.abs(left).max(axis=1) <= UNIT_TOL)
                 & (np.abs(right).max(axis=1) <= UNIT_TOL))
@@ -214,7 +215,8 @@ class FiniteDimRealAlgebra:
         return self.element(self.unit)
 
     def mul_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", a, b, self.table)
+        """The product a b: one row of mul_coords_batch."""
+        return self.mul_coords_batch(a[None], b[None])[0]
 
     def _left_rows(self, A: np.ndarray) -> np.ndarray:
         """[s, j, k]: coordinate k of A[s] e_j."""
@@ -226,6 +228,7 @@ class FiniteDimRealAlgebra:
         return np.matmul(B[:, None, :], self._left_rows(A))[:, 0]
 
     def left_matrices_batch(self, A: np.ndarray) -> np.ndarray:
+        """[s]: the matrix L with L @ b = A[s] b."""
         return self._left_rows(A).transpose(0, 2, 1)
 
     def __repr__(self):
@@ -278,8 +281,8 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def left_regular_matrix(a: AlgebraElement) -> np.ndarray:
-    """Matrix L with L @ coords(b) = coords(a*b)."""
-    return np.einsum("i,ijk->kj", a.coords, a.algebra.table)
+    """L with L @ coords(b) = coords(a*b): one row of left_matrices_batch."""
+    return a.algebra.left_matrices_batch(a.coords[None])[0]
 
 
 def is_invertible(a: AlgebraElement) -> bool:
@@ -419,7 +422,7 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
     # the center: rows spanning the null space of x -> (x e_j - e_j x)_j
     Z = _nullspace((c - c.transpose(1, 0, 2)).reshape(n, n * n).T)
     z = Z.T @ np.random.default_rng(_SPLIT_SEED).standard_normal(Z.shape[0])
-    mus, vecs = np.linalg.eig(Z @ np.einsum("i,ijk->kj", z, c) @ Z.T)
+    mus, vecs = np.linalg.eig(Z @ left_regular_matrix(B.element(z)) @ Z.T)
     left = np.linalg.inv(vecs)
     tol = 1e-9 * (1.0 + np.abs(mus).max())
     blocks = []
@@ -433,7 +436,7 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
         else:
             mu = complex(mu.real, 0.0)
         e = Z.T @ (proj_k @ (Z @ u)).real
-        U, s, _ = np.linalg.svd(np.einsum("i,ijk->kj", e, c))
+        U, s, _ = np.linalg.svd(left_regular_matrix(B.element(e)))
         V = U[:, :int((s > 1e-8 * s[0]).sum())]
         blocks.append(SimpleBlock(mu, e, V, *_classify(B, z, mu, e, V)))
     return tuple(blocks)

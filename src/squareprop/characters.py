@@ -13,9 +13,10 @@ conjugate, so |x(a)| does not depend on the one chosen.  find_characters
 therefore returns one character per R, C or H block, and a sup over its
 result is the sup over every character of A, not a sample.
 
-The checks on values take a stack of rows.  The sup max |x(a)| is
-seminorm.CharacterSup, the one sup formula.  check_prop31 takes one SVD
-and one eigvals of the stacked L_a and tests the inclusion of the spectra
+Values are quaternion arrays (w, x, y, z).  seminorm.CharacterSup holds
+the one evaluation of x(a) and the one sup max |x(a)|; Character.value and
+j_evaluate are its one-row cases.  check_prop31 takes one SVD and one
+eigvals of the stacked L_a and tests the inclusion of the spectra
 {w +- i|v|} in sp(a) as a nearest-point distance, as full_spectrum_match does.
 """
 
@@ -27,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import (AlgebraElement, FiniteDimRealAlgebra, AlgebraMismatch,
-                      NotUnital, nonsingular)
-from .quaternion import HAMILTON, Quaternion
+                      NotUnital, left_regular_matrix, nonsingular)
+from .quaternion import HAMILTON, qnorm, qspectrum
 from .seminorm import CharacterSup
 from .spectral import spectra, spectral_radius_batch
 
@@ -46,10 +47,11 @@ class Character:
     images: np.ndarray          # (n, 4), row i = x(e_i) as (w, x, y, z)
     residual: float
 
-    def value(self, a: AlgebraElement) -> Quaternion:
+    def value(self, a: AlgebraElement) -> np.ndarray:
+        """x(a) as the array (w, x, y, z)."""
         if a.algebra is not self.algebra:
             raise AlgebraMismatch("element and character algebras differ")
-        return Quaternion.from_array(a.coords @ self.images)
+        return a.coords @ self.images
 
     __call__ = value
 
@@ -60,7 +62,7 @@ def character_residual(algebra: FiniteDimRealAlgebra, images) -> float:
     # [i, j, c]: coordinate c of x(e_i) x(e_j) - x(e_i e_j)
     E = (np.matmul(Q, (Q @ HAMILTON.reshape(4, 16)).reshape(-1, 4, 4))
          - algebra.table @ Q)
-    defect = np.sqrt((E * E).sum(axis=2)).max()
+    defect = qnorm(E).max()
     scale = 1.0 + (Q * Q).sum(axis=1).max()
     return float(defect / scale)
 
@@ -89,13 +91,13 @@ def find_characters(algebra: FiniteDimRealAlgebra) -> list[Character]:
         if not block.division:
             continue
         basis = block.basis
-        e_pi = (np.einsum("i,ijk->kj", basis[:, 0], qm.algebra.table)
+        e_pi = (left_regular_matrix(qm.algebra.element(basis[:, 0]))
                 @ qm.projection)
         images = np.zeros((e_pi.shape[1], 4))   # on the hull's basis
         images[:, :basis.shape[1]] = np.linalg.lstsq(basis, e_pi,
                                                      rcond=None)[0].T
         images = images[-algebra.dim:]
-        if np.sqrt((images * images).sum(axis=1)).max() < NONZERO_FLOOR:
+        if qnorm(images).max() < NONZERO_FLOOR:
             continue
         residual = character_residual(algebra, images)
         if residual <= ACCEPT_RESIDUAL:
@@ -105,9 +107,14 @@ def find_characters(algebra: FiniteDimRealAlgebra) -> list[Character]:
     return found
 
 
-def j_evaluate(a: AlgebraElement, chars: list[Character]) -> list[Quaternion]:
-    """The representation value J(a) at the given characters."""
-    return [x.value(a) for x in chars]
+def j_evaluate(a: AlgebraElement, chars: list[Character]) -> np.ndarray:
+    """J(a) at the given characters: the (m, 4) row of
+    CharacterSup.evaluations at a."""
+    if any(x.algebra is not a.algebra for x in chars):
+        raise AlgebraMismatch("element and character algebras differ")
+    if not chars:
+        return np.zeros((0, 4))
+    return CharacterSup(tuple(chars)).evaluations(a.algebra, a.coords[None])[0]
 
 
 def sampled_sup_norm(a: AlgebraElement, chars: list[Character]) -> float:
@@ -116,14 +123,6 @@ def sampled_sup_norm(a: AlgebraElement, chars: list[Character]) -> float:
     if not chars:
         raise EmptyCharacterSet("no characters to evaluate")
     return CharacterSup(tuple(chars)).value(a)
-
-
-def _qspectra(Q: np.ndarray) -> np.ndarray:
-    """(rows, 2m): the quaternion spectra {w +- i|v|} of the (rows, m, 4)
-    values Q; |v| <= 1e-12 gives the real point w twice (qspectrum once)."""
-    v = np.sqrt((Q[..., 1:] * Q[..., 1:]).sum(axis=-1))
-    v = np.where(v <= 1e-12, 0.0, v)[..., None]
-    return (Q[..., :1] + 1j * v * [1.0, -1.0]).reshape(len(Q), -1)
 
 
 def _within(Z: np.ndarray, W: np.ndarray, tol: float) -> np.ndarray:
@@ -152,8 +151,9 @@ def check_prop31(algebra: FiniteDimRealAlgebra, X: np.ndarray,
         return Prop31Result(True, True)
     Q = CharacterSup(tuple(chars)).evaluations(algebra, X)
     L = algebra.left_matrices_batch(X)
-    norms = np.sqrt((Q * Q).sum(axis=2))[nonsingular(L)]
-    inside = _within(_qspectra(Q), spectra(algebra, L), tol)
+    norms = qnorm(Q)[nonsingular(L)]
+    inside = _within(qspectrum(Q).reshape(len(Q), -1), spectra(algebra, L),
+                     tol)
     return Prop31Result(bool((norms.min(axis=1) > 1e-10).all()),
                         bool(inside.all()))
 
@@ -169,7 +169,8 @@ def full_spectrum_match(algebra: FiniteDimRealAlgebra, X: np.ndarray,
     """
     if not chars:
         return np.zeros(X.shape[0], dtype=bool)
-    Z = _qspectra(CharacterSup(tuple(chars)).evaluations(algebra, X))
+    Z = qspectrum(CharacterSup(tuple(chars)).evaluations(algebra, X))
+    Z = Z.reshape(len(X), -1)
     W = spectra(algebra, algebra.left_matrices_batch(X))
     return _within(Z, W, tol) & _within(W, Z, tol)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import FiniteDimRealAlgebra, make_algebra
 from .characters import Character, character_residual, find_characters
-from .quaternion import HAMILTON, qmul_arrays
+from .quaternion import HAMILTON, qinv, qmul
 
 
 def reals() -> FiniteDimRealAlgebra:
@@ -92,8 +92,7 @@ def _embedding_images(kind: str, offset: int, dim: int,
     (w, x, y, z)."""
     units = np.eye(4)[:{"R": 1, "C": 2, "H": 4}[kind]]
     if u is not None:
-        u_inv = u * np.array([1.0, -1.0, -1.0, -1.0]) / (u @ u)
-        units = qmul_arrays(qmul_arrays(u, units), u_inv)
+        units = qmul(qmul(u, units), qinv(u))
     images = np.zeros((dim, 4))
     images[offset:offset + len(units)] = units
     return images
@@ -189,7 +188,8 @@ SEMINORM_KINDS = {
 def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
     """Instantiate a seminorm variant for an algebra from a kind tag, one of
     SEMINORM_KINDS, and payload dict (the vocabulary of the CLI files).
-    Raises ValueError on an unknown kind or a field the kind does not read."""
+    Raises ValueError on an unknown kind, a field the kind does not read
+    or a missing component_sup subset."""
     from . import seminorm as sn
 
     if kind not in SEMINORM_KINDS:
@@ -206,6 +206,8 @@ def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
                "coordinate_sum": sn.CoordinateSum}[kind]
         return cls(tuple(w) if w is not None else None)
     if kind == "component_sup":
+        if args.get("subset") is None:
+            raise ValueError("component_sup needs field 'subset'")
         return sn.ComponentSup(tuple(args["subset"]))
     if kind == "spectral_radius":
         return sn.SpectralRadius()

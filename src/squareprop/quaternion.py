@@ -1,14 +1,13 @@
 """Quaternion arithmetic: the real normed division algebra spanned by 1, i, j, k.
 
-Quaternions are the codomain of every multiplicative functional in this
-package, so the laws that matter downstream (norm multiplicativity,
-|q^2| = |q|^2, associativity) are exercised hard in the test suite.
+A quaternion is an array whose last axis holds (w, x, y, z); every
+function here acts on each quaternion of a stack (..., 4).  Quaternions are
+the codomain of every multiplicative functional in this package, so the
+laws that matter downstream (norm multiplicativity, |q^2| = |q|^2,
+associativity) are exercised hard in the test suite.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,82 +24,34 @@ for (_p, _q), (_c, _s) in _PRODUCTS.items():
 HAMILTON.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Immutable quaternion w + x*i + y*j + z*k; qmul multiplies and
-    qnorm measures it."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    @staticmethod
-    def from_array(arr) -> "Quaternion":
-        w, x, y, z = (float(v) for v in arr)
-        return Quaternion(w, x, y, z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-
-ONE = Quaternion(1.0)
-I = Quaternion(0.0, 1.0)
-J = Quaternion(0.0, 0.0, 1.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
+def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product pq (bilinear, associative, noncommutative)."""
-    return Quaternion(
-        p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
-        p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
-        p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
-        p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
-    )
+    return np.einsum("...p,...q,pqc->...c", p, q, HAMILTON)
 
 
-def qnorm(q: Quaternion) -> float:
+def qnorm(q: np.ndarray) -> np.ndarray:
     """Euclidean norm on H viewed as R^4; multiplicative: |pq| = |p||q|."""
-    return math.sqrt(q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z)
+    return np.sqrt((q * q).sum(axis=-1))
 
 
-def qinv(q: Quaternion) -> Quaternion:
-    """Inverse conj(q)/|q|^2.  Raises ZeroDivisionError at q = 0."""
-    n2 = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
-    if n2 == 0.0:
+def qinv(q: np.ndarray) -> np.ndarray:
+    """Inverse conj(q)/|q|^2.  Raises ZeroDivisionError when any q is 0."""
+    n2 = (q * q).sum(axis=-1, keepdims=True)
+    if (n2 == 0.0).any():
         raise ZeroDivisionError("zero quaternion has no inverse")
-    return Quaternion(q.w / n2, -q.x / n2, -q.y / n2, -q.z / n2)
+    return q * [1.0, -1.0, -1.0, -1.0] / n2
 
 
-def qspectrum(q: Quaternion, tol: float = 1e-12) -> tuple[complex, ...]:
-    """Spectrum of q in H: {s +- i|v|} with s the scalar part, v the vector part.
+def qspectrum(q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Spectrum of q in H, shape (..., 2): {s +- i|v|} with s the scalar
+    part and v the vector part.
 
     (q - s)^2 = -|v|^2, so (q - s)^2 + t^2 fails to be invertible exactly for
-    t = +-|v|.  Returns the conjugate pair, collapsed to a single real point
-    when |v| <= tol.
+    t = +-|v|.  When |v| <= tol the pair is the real point s twice.
     """
-    s = q.w
-    v = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
-    if v <= tol:
-        return (complex(s, 0.0),)
-    return (complex(s, v), complex(s, -v))
-
-
-def qmul_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of stacked quaternions, components on the last axis."""
-    return np.einsum("...p,...q,pqc->...c", a, b, HAMILTON)
+    v = qnorm(q[..., 1:])
+    v = np.where(v <= tol, 0.0, v)[..., None]
+    return q[..., :1] + 1j * v * [1.0, -1.0]
 
 
 def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import FiniteDimRealAlgebra, AlgebraElement, _nullspace
+from .quaternion import qnorm
 from .spectral import spectral_radius_batch
 
 RATIO_FLOOR = 1e-12
@@ -97,8 +98,7 @@ class CharacterSup(SeminormVariant):
         return vals.reshape(-1, m, 4)
 
     def values(self, algebra, X):
-        vals = self.evaluations(algebra, X)
-        return np.sqrt((vals * vals).sum(axis=2)).max(axis=1)
+        return qnorm(self.evaluations(algebra, X)).max(axis=1)
 
     def kernel(self, algebra):
         # rows (m, c): coordinate c of the m-th character's images

@@ -4,7 +4,8 @@ For a unital finite-dimensional algebra, (a - se)^2 + t^2 e factors as
 (a - (s+it)e)(a - (s-it)e) after complexifying, so the spectrum of a is
 exactly the (conjugate-closed) eigenvalue set of the left regular matrix.
 The Gelfand radius lim ||a^n||^(1/n) is computed by repeated squaring with
-log-domain renormalization, and both routes are cross-checked in tests.
+log-domain renormalization, in the operator norm (seminorm.OperatorNorm)
+unless another norm is given, and both routes are cross-checked in tests.
 The squaring is written once, as the generator log_square_norms; its two
 consumers are gelfand_radius and the iterated-square stage of the pipeline.
 
@@ -147,11 +148,6 @@ def in_spectrum_paper_def(a: AlgebraElement, s: float, t: float) -> bool:
     return sv[-1] <= 1e-8 * (1.0 + scale)
 
 
-def operator_norm(a: AlgebraElement) -> float:
-    """Largest singular value of the left regular matrix."""
-    return float(np.linalg.norm(left_regular_matrix(a), 2))
-
-
 def log_square_norms(a: AlgebraElement,
                      norm: Callable[[AlgebraElement], float]):
     """Yield log||a||, then log||u^2|| where u is the current power
@@ -181,7 +177,10 @@ def gelfand_radius(a: AlgebraElement,
     iterates of ||a^(2^k)||^(2^-k) still differ by more than conv_tol after
     the budget.
     """
-    logs = log_square_norms(a, norm or operator_norm)
+    if norm is None:
+        from .seminorm import OperatorNorm  # seminorm imports this module
+        norm = OperatorNorm().value
+    logs = log_square_norms(a, norm)
     log_r = next(logs)             # log of ||a^(2^k)||^(2^-k)
     delta = math.inf
     for k, log_nv in enumerate(itertools.islice(logs, iterations), 1):

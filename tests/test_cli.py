@@ -388,6 +388,22 @@ def test_seminorm_input_the_kind_does_not_read_exits_two(tmp_path, capsys,
     assert f"does not read field '{field}'" in captured.err
 
 
+@pytest.mark.parametrize("spec", [
+    "component_sup", "component_sup:", {"type": "component_sup"},
+    {"type": "component_sup", "subset": None},
+], ids=["shorthand", "empty_params", "file", "file_null"])
+def test_component_sup_without_subset_names_the_field(tmp_path, capsys, spec):
+    if isinstance(spec, dict):
+        path = tmp_path / "seminorm.json"
+        path.write_text(json.dumps(spec))
+        spec = str(path)
+    code = cli.run(["verify", "--algebra", "rr", "--seminorm", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "component_sup needs field 'subset'" in captured.err
+
+
 @pytest.mark.parametrize("payload", [
     {"type": "character_sup", "identity": True},
     {"type": "character_sup", "known": True},

@@ -14,7 +14,9 @@ the table are checked against ``mul_coords_batch``.  Stage 8 and the
 unitization route evaluate one stack of rows each; their per-element
 loops, with the per-element Proposition 3.1 check, are kept as references
 too, and so are ComponentSup's own max-abs formula and kernel from before
-it became CoordinateMax with 0/1 weights.
+it became CoordinateMax with 0/1 weights.  The element-wise calls (mul,
+left_regular_matrix, Character.value, j_evaluate and the default norm of
+gelfand_radius) are one-row views of the batched kernels, bit for bit.
 """
 
 import copy
@@ -27,8 +29,8 @@ from squareprop import corpus, pipeline
 from squareprop.algebra import (FiniteDimRealAlgebra, _classify, _nullspace,
                                 is_invertible, left_regular_matrix,
                                 make_algebra, mul, quotient, unitize)
-from squareprop.characters import (character_residual, find_characters,
-                                   j_evaluate)
+from squareprop.characters import (Character, character_residual,
+                                   find_characters, j_evaluate)
 from squareprop.pipeline import PipelineConfig, verify_theorem
 from squareprop.quaternion import (HAMILTON, qnorm, qspectrum,
                                    random_unit_quaternion)
@@ -39,7 +41,7 @@ from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
                                  _probe_squares, _ratio_scan, _square_probes,
                                  estimate_m, kernel, square_property_details)
 from squareprop.spectral import (NonConvergence, gelfand_radius,
-                                 operator_norm, spectral_radius, spectrum)
+                                 spectral_radius, spectrum)
 
 
 def _max_abs(a):
@@ -109,7 +111,7 @@ def _gelfand_by_loop(a, norm=None, iterations=40, conv_tol=1e-6,
                      return_delta=False):
     """gelfand_radius before it consumed log_square_norms."""
     if norm is None:
-        norm = operator_norm
+        norm = OperatorNorm().value
     na = norm(a)
     if na == 0.0:
         return (0.0, 0.0) if return_delta else 0.0
@@ -416,8 +418,8 @@ def _prop31_by_loop(a, chars, tol=1e-6):
     """check_prop31 on one element, before it took stacks."""
     values = j_evaluate(a, chars)
     forward_ok = True
-    if is_invertible(a) and values:
-        forward_ok = min(qnorm(q) for q in values) > 1e-10
+    if is_invertible(a) and len(values):
+        forward_ok = bool(min(qnorm(q) for q in values) > 1e-10)
     sp = spectrum(a).points
     inclusion = all(min(abs(z - w) for w in sp) <= tol
                     for q in values for z in qspectrum(q))
@@ -674,7 +676,9 @@ def test_basis_pair_products_are_the_products(case):
 
 def test_square_and_ratio_checks_multiply_only_random_rows(monkeypatch):
     """On H^8 the 3 n^2 probe squares and the n^2 basis products are read
-    from the table: the products formed are the random rows alone."""
+    from the table: the products formed are the random rows alone.  The
+    spectral split is built first: naming its blocks forms one-row
+    products, which are not the checks' own."""
     rows = []
     orig = FiniteDimRealAlgebra.mul_coords_batch
 
@@ -682,9 +686,50 @@ def test_square_and_ratio_checks_multiply_only_random_rows(monkeypatch):
         rows.append(A.shape[0])
         return orig(self, A, B)
 
-    monkeypatch.setattr(FiniteDimRealAlgebra, "mul_coords_batch", counted)
     A = corpus.function_algebra_H(8)
+    A.spectral_split
+    monkeypatch.setattr(FiniteDimRealAlgebra, "mul_coords_batch", counted)
     square_property_details(SpectralRadius(), A, samples=300, seed=1)
     assert rows == [300]
     estimate_m(SpectralRadius(), A, samples=300, seed=2)
     assert rows == [300, 300]
+
+
+# -- element-wise calls are one-row views of the batched kernels ---------
+
+def _one_path_cases():
+    cases = [(name, corpus.builtin(name)) for name in corpus.builtin_names()]
+    return cases + [("H8", corpus.function_algebra_H(8)),
+                    ("rotated_hc", _rotated(corpus.builtin("hc"), 3))]
+
+
+@pytest.mark.parametrize("case", _one_path_cases(), ids=lambda c: c[0])
+def test_element_wise_calls_are_rows_of_the_batch(case):
+    """Each element-wise call equals, bit for bit, its batched kernel on
+    the one-row stack of its element(s): mul and mul_coords, L_a,
+    Character.value and j_evaluate (rows of CharacterSup.evaluations) and
+    the default norm of gelfand_radius (OperatorNorm.values).  A stack of
+    more rows may round otherwise, as BLAS blocks a product by its shape."""
+    _, A = case
+    rng = np.random.default_rng(23)
+    chars = find_characters(A) + [
+        Character(A, rng.standard_normal((A.dim, 4)), 0.0)]
+    sup = CharacterSup(tuple(chars))
+
+    def batch_norm(b):
+        return float(OperatorNorm().values(A, b.coords[None])[0])
+
+    for x, y in rng.standard_normal((30, 2, A.dim)):
+        a, b = A.element(x), A.element(y)
+        prod = A.mul_coords_batch(x[None], y[None])[0]
+        assert np.array_equal(mul(a, b).coords, prod)
+        assert np.array_equal(A.mul_coords(x, y), prod)
+        assert np.array_equal(left_regular_matrix(a),
+                              A.left_matrices_batch(x[None])[0])
+        row = sup.evaluations(A, x[None])[0]
+        assert np.array_equal(j_evaluate(a, chars), row)
+        for k, ch in enumerate(chars):
+            assert np.array_equal(ch.value(a), row[k])
+        for kw in ({}, {"return_delta": True}):
+            assert _outcome(gelfand_radius, a, **kw) \
+                == _outcome(gelfand_radius, a, norm=batch_norm, **kw)
