@@ -6,7 +6,7 @@ view of a batched kernel."""
 from .algebra import (AlgebraElement, FiniteDimRealAlgebra, find_unit,
                       is_invertible, left_regular_matrix, make_algebra, mul,
                       quotient, subspace_is_two_sided_ideal, unitize)
-from .characters import Character, find_characters, j_evaluate, sampled_sup_norm
+from .characters import find_characters, j_evaluate, sampled_sup_norm
 from .pipeline import PipelineConfig, VerificationReport, fuzz, verify_theorem
 from .quaternion import qinv, qmul, qnorm, qspectrum
 from .seminorm import (CharacterSup, ComponentSup, CoordinateMax,
@@ -19,7 +19,7 @@ from .spectral import (SpectrumResult, gelfand_radius, in_spectrum_paper_def,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "Character", "CharacterSup", "ComponentSup",
+    "AlgebraElement", "CharacterSup", "ComponentSup",
     "CoordinateMax", "CoordinateSum", "FiniteDimRealAlgebra", "OperatorNorm",
     "PipelineConfig", "SpectralRadius", "SpectrumResult", "VerificationReport",
     "check_square_property", "check_submultiplicative", "estimate_m",

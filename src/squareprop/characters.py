@@ -13,23 +13,23 @@ conjugate, so |x(a)| does not depend on the one chosen.  find_characters
 therefore returns one character per R, C or H block, and a sup over its
 result is the sup over every character of A, not a sample.
 
-Values are quaternion arrays (w, x, y, z).  seminorm.CharacterSup holds
-the one evaluation of x(a) and the one sup max |x(a)|; Character.value and
-j_evaluate are its one-row cases.  check_prop31 takes one SVD and one
-eigvals of the stacked L_a and tests the inclusion of the spectra
+A character is the (n, 4) array of its images x(e_i), quaternions
+(w, x, y, z), so x(a) = a.coords @ x; a set of characters is one (m, n, 4)
+stack.  seminorm.CharacterSup holds the one evaluation of x(a) and the one
+sup max |x(a)|; j_evaluate is its one-row case.  check_prop31 takes one SVD
+and one eigvals of the stacked L_a and tests the inclusion of the spectra
 {w +- i|v|} in sp(a) as a nearest-point distance, as full_spectrum_match does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (AlgebraElement, FiniteDimRealAlgebra, AlgebraMismatch,
-                      NotUnital, left_regular_matrix, nonsingular)
-from .quaternion import HAMILTON, qnorm, qspectrum
+from .algebra import (AlgebraElement, FiniteDimRealAlgebra, NotUnital,
+                      left_regular_matrix, nonsingular)
+from .quaternion import qmul, qnorm, qspectrum
 from .seminorm import CharacterSup
 from .spectral import spectra, spectral_radius_batch
 
@@ -41,27 +41,11 @@ class EmptyCharacterSet(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Character:
-    algebra: FiniteDimRealAlgebra
-    images: np.ndarray          # (n, 4), row i = x(e_i) as (w, x, y, z)
-    residual: float
-
-    def value(self, a: AlgebraElement) -> np.ndarray:
-        """x(a) as the array (w, x, y, z)."""
-        if a.algebra is not self.algebra:
-            raise AlgebraMismatch("element and character algebras differ")
-        return a.coords @ self.images
-
-    __call__ = value
-
-
 def character_residual(algebra: FiniteDimRealAlgebra, images) -> float:
     """Max multiplicativity defect over basis pairs, scaled by 1 + max|q|^2."""
     Q = np.asarray(images, dtype=float).reshape(algebra.dim, 4)
-    # [i, j, c]: coordinate c of x(e_i) x(e_j) - x(e_i e_j)
-    E = (np.matmul(Q, (Q @ HAMILTON.reshape(4, 16)).reshape(-1, 4, 4))
-         - algebra.table @ Q)
+    # [i, j]: x(e_i) x(e_j) - x(e_i e_j)
+    E = qmul(Q[:, None], Q[None]) - algebra.table @ Q
     defect = qnorm(E).max()
     scale = 1.0 + (Q * Q).sum(axis=1).max()
     return float(defect / scale)
@@ -75,8 +59,9 @@ def non_division_block(algebra: FiniteDimRealAlgebra):
                  if not block.division), None)
 
 
-def find_characters(algebra: FiniteDimRealAlgebra) -> list[Character]:
-    """One character per R, C or H block of A/rad(A), canonically ordered.
+def find_characters(algebra: FiniteDimRealAlgebra) -> np.ndarray:
+    """One character per R, C or H block of A/rad(A), canonically ordered,
+    as one read-only (m, n, 4) stack; (0, n, 4) when there is none.
 
     The images of block e*B with basis (e, i, j, ij) are the coordinates of
     e*pi(e_m) in that basis, for every basis element e_m of A.  A non-unital
@@ -97,32 +82,29 @@ def find_characters(algebra: FiniteDimRealAlgebra) -> list[Character]:
         images[:, :basis.shape[1]] = np.linalg.lstsq(basis, e_pi,
                                                      rcond=None)[0].T
         images = images[-algebra.dim:]
-        if qnorm(images).max() < NONZERO_FLOOR:
-            continue
-        residual = character_residual(algebra, images)
-        if residual <= ACCEPT_RESIDUAL:
-            images.setflags(write=False)
-            found.append(Character(algebra, images, residual))
-    found.sort(key=lambda x: np.round(x.images, 9).tobytes())
-    return found
+        if (qnorm(images).max() >= NONZERO_FLOOR
+                and character_residual(algebra, images) <= ACCEPT_RESIDUAL):
+            found.append(images)
+    found.sort(key=lambda x: np.round(x, 9).tobytes())
+    chars = np.array(found).reshape(-1, algebra.dim, 4)
+    chars.setflags(write=False)
+    return chars
 
 
-def j_evaluate(a: AlgebraElement, chars: list[Character]) -> np.ndarray:
-    """J(a) at the given characters: the (m, 4) row of
+def j_evaluate(a: AlgebraElement, chars) -> np.ndarray:
+    """J(a) at the (m, n, 4) stack chars: the (m, 4) row of
     CharacterSup.evaluations at a."""
-    if any(x.algebra is not a.algebra for x in chars):
-        raise AlgebraMismatch("element and character algebras differ")
-    if not chars:
+    if len(chars) == 0:
         return np.zeros((0, 4))
-    return CharacterSup(tuple(chars)).evaluations(a.algebra, a.coords[None])[0]
+    return CharacterSup(chars).evaluations(a.algebra, a.coords[None])[0]
 
 
-def sampled_sup_norm(a: AlgebraElement, chars: list[Character]) -> float:
-    """Max |x(a)| over the given characters; ||J(a)||_s when they are the
+def sampled_sup_norm(a: AlgebraElement, chars) -> float:
+    """Max |x(a)| over the (m, n, 4) stack chars; ||J(a)||_s when it is the
     result of find_characters."""
-    if not chars:
+    if len(chars) == 0:
         raise EmptyCharacterSet("no characters to evaluate")
-    return CharacterSup(tuple(chars)).value(a)
+    return CharacterSup(chars).value(a)
 
 
 def _within(Z: np.ndarray, W: np.ndarray, tol: float) -> np.ndarray:
@@ -137,7 +119,7 @@ class Prop31Result(NamedTuple):
 
 
 def check_prop31(algebra: FiniteDimRealAlgebra, X: np.ndarray,
-                 chars: list[Character], tol: float = 1e-6) -> Prop31Result:
+                 chars, tol: float = 1e-6) -> Prop31Result:
     """Invertibility transfer and spectrum inclusion at the given characters,
     on every row of the stack X, from one SVD and one eigvals of L_X.
 
@@ -147,9 +129,9 @@ def check_prop31(algebra: FiniteDimRealAlgebra, X: np.ndarray,
     """
     if not algebra.is_unital:
         raise NotUnital("Proposition checks need a unit")
-    if not chars:
+    if len(chars) == 0:
         return Prop31Result(True, True)
-    Q = CharacterSup(tuple(chars)).evaluations(algebra, X)
+    Q = CharacterSup(chars).evaluations(algebra, X)
     L = algebra.left_matrices_batch(X)
     norms = qnorm(Q)[nonsingular(L)]
     inside = _within(qspectrum(Q).reshape(len(Q), -1), spectra(algebra, L),
@@ -159,17 +141,16 @@ def check_prop31(algebra: FiniteDimRealAlgebra, X: np.ndarray,
 
 
 def full_spectrum_match(algebra: FiniteDimRealAlgebra, X: np.ndarray,
-                        chars: list[Character],
-                        tol: float = 1e-6) -> np.ndarray:
+                        chars, tol: float = 1e-6) -> np.ndarray:
     """Per row a of X: sp(a) equals the union of quaternion spectra of the
     character values (False for every row when chars is empty).
 
     Holds for find_characters(A) exactly when every simple block of
     A/rad(A) is R, C or H.
     """
-    if not chars:
+    if len(chars) == 0:
         return np.zeros(X.shape[0], dtype=bool)
-    Z = qspectrum(CharacterSup(tuple(chars)).evaluations(algebra, X))
+    Z = qspectrum(CharacterSup(chars).evaluations(algebra, X))
     Z = Z.reshape(len(X), -1)
     W = spectra(algebra, algebra.left_matrices_batch(X))
     return _within(Z, W, tol) & _within(W, Z, tol)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import corpus, pipeline
 from .algebra import AlgebraError, FiniteDimRealAlgebra, make_algebra
-from .characters import find_characters, nonexistence_explanation
+from .characters import (character_residual, find_characters,
+                         nonexistence_explanation)
 from .seminorm import SeminormError
 from .spectral import gelfand_radius, spectrum
 
@@ -196,23 +197,24 @@ def cmd_characters(args) -> int:
     config = _config(restarts=args.restarts, seed=args.seed)
     algebra = load_algebra(args.algebra)
     chars = find_characters(algebra)
+    residuals = [character_residual(algebra, x) for x in chars]
     payload = {
         "algebra": algebra.name,
         "restarts": config.restarts,
         "seed": config.seed,
         "count": len(chars),
         "characters": [
-            {"images": np.round(c.images, 12).tolist(), "residual": c.residual}
-            for c in chars
+            {"images": np.round(x, 12).tolist(), "residual": r}
+            for x, r in zip(chars, residuals)
         ],
     }
     lines = [f"{len(chars)} character(s) found on {algebra.name} "
              f"({config.restarts} restarts, seed {config.seed})"]
-    for c in chars:
-        lines.append(f"  residual {c.residual:.3e}  images "
+    for x, r in zip(chars, residuals):
+        lines.append(f"  residual {r:.3e}  images "
                      + " | ".join(str(np.round(row, 6).tolist())
-                                  for row in c.images))
-    if not chars:
+                                  for row in x))
+    if len(chars) == 0:
         note = nonexistence_explanation(algebra)
         if note:
             payload["note"] = note

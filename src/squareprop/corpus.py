@@ -2,9 +2,9 @@
 
 Direct sums of R, C and H carry component metadata so that a complete set
 of representative characters (one per component) can be written down
-analytically.  known_characters is that closed form: the oracle that
-characters.find_characters is tested against, and the source of the fuzz
-instances' character seminorms.
+analytically.  known_characters is that closed form, a (k, n, 4) stack of
+images: the oracle that characters.find_characters is tested against, and
+the source of the fuzz instances' character seminorms.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import seminorm as sn
 from .algebra import FiniteDimRealAlgebra, make_algebra
-from .characters import Character, character_residual, find_characters
+from .characters import find_characters
 from .quaternion import HAMILTON, qinv, qmul
 
 
@@ -99,8 +100,9 @@ def _embedding_images(kind: str, offset: int, dim: int,
 
 
 def known_characters(algebra: FiniteDimRealAlgebra,
-                     twists: dict | None = None) -> list[Character]:
-    """One canonical character per R/C/H component of a product algebra.
+                     twists: dict | None = None) -> np.ndarray:
+    """One canonical character per R/C/H component of a product algebra, as
+    the (k, n, 4) stack of their images.
 
     Their union of quaternion spectra equals sp(a) for every element, which
     is what makes these algebras usable as equality oracles.  `twists` maps
@@ -110,10 +112,8 @@ def known_characters(algebra: FiniteDimRealAlgebra,
     if algebra.components is None:
         raise ValueError(f"{algebra.name} is not a tagged product of R/C/H")
     twists = twists or {}
-    images = [_embedding_images(kind, off, algebra.dim, twists.get(idx))
-              for idx, (kind, off) in enumerate(algebra.components)]
-    return [Character(algebra, q, character_residual(algebra, q))
-            for q in images]
+    return np.stack([_embedding_images(kind, off, algebra.dim, twists.get(idx))
+                     for idx, (kind, off) in enumerate(algebra.components)])
 
 
 _BUILTINS = {
@@ -189,9 +189,7 @@ def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
     """Instantiate a seminorm variant for an algebra from a kind tag, one of
     SEMINORM_KINDS, and payload dict (the vocabulary of the CLI files).
     Raises ValueError on an unknown kind, a field the kind does not read
-    or a missing component_sup subset."""
-    from . import seminorm as sn
-
+    or that is malformed, or a missing component_sup subset."""
     if kind not in SEMINORM_KINDS:
         raise ValueError(f"unknown type {kind!r}; expected one of "
                          f"{', '.join(SEMINORM_KINDS)}")
@@ -200,6 +198,15 @@ def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
     if unread:
         raise ValueError(f"{kind} does not read field {unread[0]!r}; it "
                          f"reads {', '.join(fields) or 'none'}")
+    for name, ndim in (("subset", 1), ("weights", 1), ("characters", 3)):
+        try:   # a number, a ragged list or a non-number fails
+            ok = (args.get(name) is None
+                  or np.asarray(args[name], dtype=float).ndim == ndim)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"field {name!r} must be a rectangular list of "
+                             f"numbers {ndim} deep")
     if kind in ("coordinate_max", "coordinate_sum"):
         w = args.get("weights")
         cls = {"coordinate_max": sn.CoordinateMax,
@@ -214,10 +221,9 @@ def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
     if kind == "operator_norm":
         return sn.OperatorNorm()
     if args.get("characters") is not None:
-        images = tuple(np.asarray(c, dtype=float) for c in args["characters"])
-        return sn.CharacterSup(images)
+        return sn.CharacterSup(args["characters"])
     # the identity/known shorthands: one character per R, C or H block
-    return sn.CharacterSup(tuple(find_characters(algebra)))
+    return sn.CharacterSup(find_characters(algebra))
 
 
 def manifest_pair(pair: CorpusPair):

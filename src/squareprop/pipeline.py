@@ -147,7 +147,7 @@ def _unital_branch(report, qalg, norms, config, rng):
     |max_x |x(b)| - |b|| / (1 + |b|), or None with no character."""
     chars = find_characters(qalg)
     report.character_count = len(chars)
-    if not chars:
+    if len(chars) == 0:
         note = nonexistence_explanation(qalg)
         report.notes.append(
             "the quotient has no quaternion character"
@@ -157,7 +157,7 @@ def _unital_branch(report, qalg, norms, config, rng):
     report.prop31_forward_ok, report.prop31_inclusion_ok = check_prop31(
         qalg, X, chars)
     nb = norms(X)
-    gap = (CharacterSup(tuple(chars)).values(qalg, X) - nb) / (1.0 + nb)
+    gap = (CharacterSup(chars).values(qalg, X) - nb) / (1.0 + nb)
     report.sup_bound_residual = max(0.0, float(gap.max()))
     return float(np.abs(gap).max())
 
@@ -376,8 +376,8 @@ def _random_instance(rng, algebras):
                   for i, (k, _) in enumerate(algebra.components)
                   if k != "R" and rng.random() < 0.5}
         chars = corpus.known_characters(algebra, twists)
-        keep = [c for c in chars if rng.random() < 0.7]
-        p = CharacterSup(tuple(keep or chars))
+        keep = rng.random(len(chars)) < 0.7
+        p = CharacterSup(chars[keep] if keep.any() else chars)
         kind = "character_sup"
     elif choice == 1:
         p = SpectralRadius()

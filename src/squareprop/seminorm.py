@@ -66,15 +66,14 @@ class SeminormVariant:
 
 @dataclass(frozen=True)
 class CharacterSup(SeminormVariant):
-    """p(a) = max |x(a)| over a fixed list of characters."""
+    """p(a) = max |x(a)| over a fixed set of characters."""
 
-    characters: tuple  # Character records or (n, 4) image arrays
+    characters: object   # (m, n, 4) images, or (n, 4) rows / nested lists
 
     @cached_property
     def _stack(self) -> np.ndarray:
-        """(m, n, 4): the images of the m characters, stacked once."""
-        return np.stack([np.asarray(getattr(ch, "images", ch), dtype=float)
-                         for ch in self.characters])
+        """(m, n, 4): the images of the m characters, converted once."""
+        return np.asarray(self.characters, dtype=float)
 
     def _images(self, algebra) -> np.ndarray:
         stack = self._stack
@@ -85,7 +84,7 @@ class CharacterSup(SeminormVariant):
         return stack
 
     def check_payload(self, algebra):
-        if not self.characters:
+        if self._stack.size == 0:
             raise PayloadMismatch("character_sup needs at least one character")
         if not np.isfinite(self._images(algebra)).all():
             raise PayloadMismatch("character images must be finite")

@@ -5,6 +5,7 @@ import pytest
 
 from squareprop import cli, corpus
 from squareprop.algebra import make_algebra
+from squareprop.characters import character_residual, find_characters
 
 
 def run_capture(capsys, argv):
@@ -65,6 +66,21 @@ def test_characters_negative_control_note(capsys):
     payload = json.loads(out)
     assert payload["count"] == 0
     assert "E12" in payload["note"]
+
+
+@pytest.mark.parametrize("name", corpus.builtin_names())
+def test_characters_json_residuals_are_character_residual(capsys, name):
+    """Each printed residual is character_residual of the images that
+    find_characters gates on; the printed images are those rounded."""
+    code, out = run_capture(capsys, [
+        "characters", "--algebra", name, "--format", "json"])
+    A = corpus.builtin(name)
+    chars = find_characters(A)
+    printed = json.loads(out)["characters"]
+    assert code == 0 and len(printed) == len(chars)
+    for c, x in zip(printed, chars):
+        assert c["residual"] == character_residual(A, x)
+        assert c["images"] == np.round(x, 12).tolist()
 
 
 def test_fuzz_command(capsys):
@@ -194,6 +210,26 @@ def test_non_finite_seminorm_exit_two(tmp_path, capsys, payload):
     code = cli.run(["verify", "--algebra", "rr", "--seminorm", str(sn)])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"type": "component_sup", "subset": 5}, "subset"),
+    ({"type": "coordinate_max", "weights": 5}, "weights"),
+    ({"type": "character_sup", "characters": 5}, "characters"),
+    ({"type": "character_sup",
+      "characters": [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0]]]},
+     "characters"),
+], ids=["subset_number", "weights_number", "characters_number",
+        "characters_ragged"])
+def test_malformed_seminorm_payload_exit_two(tmp_path, capsys, payload,
+                                             field):
+    sn = tmp_path / "malformed.json"
+    sn.write_text(json.dumps(payload))
+    code = cli.run(["verify", "--algebra", "rr", "--seminorm", str(sn)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"field {field!r}" in captured.err
 
 
 def test_non_finite_element_exit_two(capsys):

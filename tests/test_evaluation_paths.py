@@ -8,15 +8,16 @@ their samples in blocks.  The per-variant scalar formulas, the old
 ``gelfand_radius`` loop and the old per-sample loops of stages 4-6 are kept
 here as references, and so are the three-operand einsums that
 ``character_residual`` and the block classifier ran before they became
-matmuls, and the list comprehensions that built the square-check probes.
+``qmul`` and matmuls, and the list comprehensions that built the
+square-check probes.
 The probe squares and the basis-pair products that the checks read from
 the table are checked against ``mul_coords_batch``.  Stage 8 and the
 unitization route evaluate one stack of rows each; their per-element
 loops, with the per-element Proposition 3.1 check, are kept as references
 too, and so are ComponentSup's own max-abs formula and kernel from before
 it became CoordinateMax with 0/1 weights.  The element-wise calls (mul,
-left_regular_matrix, Character.value, j_evaluate and the default norm of
-gelfand_radius) are one-row views of the batched kernels, bit for bit.
+left_regular_matrix, x(a) = a.coords @ x, j_evaluate and the default norm
+of gelfand_radius) are one-row views of the batched kernels, bit for bit.
 """
 
 import copy
@@ -29,8 +30,8 @@ from squareprop import corpus, pipeline
 from squareprop.algebra import (FiniteDimRealAlgebra, _classify, _nullspace,
                                 is_invertible, left_regular_matrix,
                                 make_algebra, mul, quotient, unitize)
-from squareprop.characters import (Character, character_residual,
-                                   find_characters, j_evaluate)
+from squareprop.characters import (character_residual, find_characters,
+                                   j_evaluate)
 from squareprop.pipeline import PipelineConfig, verify_theorem
 from squareprop.quaternion import (HAMILTON, qnorm, qspectrum,
                                    random_unit_quaternion)
@@ -238,7 +239,7 @@ def test_character_sup_matmul_matches_einsum(name):
             A, {i: random_unit_quaternion(rng) for i in range(0, 8, 2)})
     p = CharacterSup(tuple(chars))
     X = rng.standard_normal((500, A.dim))
-    imgs = np.stack([c.images for c in chars])
+    imgs = np.stack([c for c in chars])
     vals = np.einsum("sn,mnq->smq", X, imgs)      # the formula replaced
     old = np.sqrt((vals * vals).sum(axis=2)).max(axis=1)
     assert np.max(np.abs(p.values(A, X) - old) / old) <= 1e-13
@@ -257,8 +258,8 @@ def _character_residual_by_einsum(algebra, images):
 def test_character_residual_matches_einsum(name):
     A = corpus.builtin(name)
     for c in find_characters(A):
-        assert abs(character_residual(A, c.images)
-                   - _character_residual_by_einsum(A, c.images)) <= 1e-15
+        assert abs(character_residual(A, c)
+                   - _character_residual_by_einsum(A, c)) <= 1e-15
     # images that are no character: a residual of order 1
     Q = np.random.default_rng(18).standard_normal((A.dim, 4))
     want = _character_residual_by_einsum(A, Q)
@@ -364,9 +365,10 @@ def test_character_sup_stacks_its_images_once(monkeypatch):
     A = corpus.function_algebra_H(8)
     p = CharacterSup(tuple(corpus.known_characters(A)))
     stacked = []
-    orig = np.stack
-    monkeypatch.setattr(np, "stack",
-                        lambda *a, **k: stacked.append(1) or orig(*a, **k))
+    orig = np.asarray
+    # the tuple of (n, 4) rows is stacked by np.asarray of the whole payload
+    monkeypatch.setattr(np, "asarray", lambda x, *a, **k: (
+        x is p.characters and stacked.append(1)) or orig(x, *a, **k))
     X = np.random.default_rng(13).standard_normal((50, A.dim))
     first = p.values(A, X)
     for _ in range(5):
@@ -429,7 +431,7 @@ def _prop31_by_loop(a, chars, tol=1e-6):
 def _unital_branch_by_loop(qalg, abs_norm, config, rng):
     """Report fields of stage 8's unital branch from its per-element loop."""
     chars = find_characters(qalg)
-    if not chars:
+    if len(chars) == 0:
         return {"character_count": 0}
     fwd = incl = True
     sup_bound = sup_eq = 0.0
@@ -707,13 +709,13 @@ def _one_path_cases():
 def test_element_wise_calls_are_rows_of_the_batch(case):
     """Each element-wise call equals, bit for bit, its batched kernel on
     the one-row stack of its element(s): mul and mul_coords, L_a,
-    Character.value and j_evaluate (rows of CharacterSup.evaluations) and
+    a.coords @ x and j_evaluate (rows of CharacterSup.evaluations) and
     the default norm of gelfand_radius (OperatorNorm.values).  A stack of
     more rows may round otherwise, as BLAS blocks a product by its shape."""
     _, A = case
     rng = np.random.default_rng(23)
-    chars = find_characters(A) + [
-        Character(A, rng.standard_normal((A.dim, 4)), 0.0)]
+    chars = np.concatenate([find_characters(A),
+                            rng.standard_normal((1, A.dim, 4))])
     sup = CharacterSup(tuple(chars))
 
     def batch_norm(b):
@@ -729,7 +731,7 @@ def test_element_wise_calls_are_rows_of_the_batch(case):
         row = sup.evaluations(A, x[None])[0]
         assert np.array_equal(j_evaluate(a, chars), row)
         for k, ch in enumerate(chars):
-            assert np.array_equal(ch.value(a), row[k])
+            assert np.array_equal(a.coords @ ch, row[k])
         for kw in ({}, {"return_delta": True}):
             assert _outcome(gelfand_radius, a, **kw) \
                 == _outcome(gelfand_radius, a, norm=batch_norm, **kw)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
                                  check_square_property,
                                  check_submultiplicative, estimate_m,
                                  evaluate, kernel, square_property_details)
+from squareprop.quaternion import random_unit_quaternion
 
 
 def _identity_char_sup():
@@ -143,6 +146,19 @@ def test_opaque_escape_hatch():
     assert evaluate(p, rr.element([2, -3])) == 3.0
     with pytest.raises(UnsupportedVariant):
         kernel(p, rr)
+
+
+def test_character_sup_payload_forms_agree():
+    """The (m, n, 4) stack, a tuple of its (n, 4) rows and the nested lists
+    a seminorm file holds give the same values, bit for bit."""
+    H2 = corpus.builtin("h2")
+    rng = np.random.default_rng(21)
+    chars = corpus.known_characters(
+        H2, {i: random_unit_quaternion(rng) for i in range(2)})
+    X = rng.standard_normal((40, H2.dim))
+    want = CharacterSup(chars).values(H2, X)
+    for form in (tuple(chars), json.loads(json.dumps(chars.tolist()))):
+        assert np.array_equal(CharacterSup(form).values(H2, X), want)
 
 
 def test_character_sup_rejects_empty():
