@@ -1,7 +1,9 @@
 """Numerical verification toolkit for seminorms with the square property
 on finite-dimensional real associative algebras.  Quaternion values are
 arrays (..., 4) of (w, x, y, z), and every element-wise call is a one-row
-view of a batched kernel."""
+view of a batched kernel.  Algebra elements, like quaternions, take
+stacks: an AlgebraElement holds coords of shape (n,) or (..., n), and mul,
+SeminormVariant.value and gelfand_radius act on every row of a stack."""
 
 from .algebra import (AlgebraElement, FiniteDimRealAlgebra, find_unit,
                       is_invertible, left_regular_matrix, make_algebra, mul,

@@ -177,9 +177,14 @@ class FiniteDimRealAlgebra:
         """Rows spanning rad(A), read-only.  Dickson: x is in it iff
         tr(L_(x a)) = 0 for every a of the hull; with t_k = tr(L_e_k),
         M[i, j] = tr(L_(x_i e_j)) = sum_k c[i, j, k] t_k."""
-        hull = self.hull
-        M = hull.table[hull.dim - self.dim:] @ np.einsum("kjj->k", hull.table)
-        rad = _nullspace(M.T)
+        c = self.hull.table
+        rows = c[-self.dim:]    # the products x_i e_j, x_i in A
+        # row j of M.T sums terms of at most |rows[:, j]| |t|, where
+        # |t_k| <= sum_j |c[k, j, j]|; divided by that size, every row is
+        # rounded alike, also where it is 0 in exact arithmetic (a nil A)
+        size = (np.abs(rows) @ np.einsum("kjj->k", np.abs(c))).max(axis=0)
+        M = (rows @ np.einsum("kjj->k", c)).T
+        rad = _nullspace(M / np.where(size > 0, size, 1.0)[:, None], 1.0)
         rad.setflags(write=False)
         return rad
 
@@ -237,21 +242,22 @@ class FiniteDimRealAlgebra:
 
 @dataclass(frozen=True)
 class AlgebraElement:
+    """One element (coords of shape (n,)) or a stack of them ((..., n))."""
+
     algebra: FiniteDimRealAlgebra
     coords: np.ndarray
 
     def __post_init__(self):
-        if self.coords.shape != (self.algebra.dim,):
+        if self.coords.shape[-1:] != (self.algebra.dim,):
             raise DimensionMismatch(
-                f"coords length {self.coords.shape} for dim {self.algebra.dim}")
+                f"coords shaped {self.coords.shape} for dim {self.algebra.dim}")
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return mul(self, other)
         return AlgebraElement(self.algebra, self.coords * other)
 
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, self.coords * scalar)
+    __rmul__ = __mul__    # scalar * a: other is the scalar
 
     def __add__(self, other):
         _require_same(self, other)
@@ -276,8 +282,12 @@ def make_algebra(dim, labels, table, unit=None, name="", components=None):
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """a b, row by row on two stacks of one shape: one mul_coords_batch
+    call, on the one-row stack for one element (as mul_coords)."""
     _require_same(a, b)
-    return AlgebraElement(a.algebra, a.algebra.mul_coords(a.coords, b.coords))
+    A, B = (x.coords.reshape(-1, a.algebra.dim) for x in (a, b))
+    return AlgebraElement(a.algebra, a.algebra.mul_coords_batch(A, B)
+                          .reshape(a.coords.shape))
 
 
 def left_regular_matrix(a: AlgebraElement) -> np.ndarray:
@@ -308,6 +318,17 @@ def find_unit(algebra: FiniteDimRealAlgebra):
     return _solve_unit(algebra.table)
 
 
+def with_found_unit(dim, labels, c: np.ndarray, name=""):
+    """The algebra of the dense table c with the unit that find_unit solves
+    for, checked on construction like a given unit; without a unit when
+    there is none, or when the solution fails that check (a lstsq
+    artifact)."""
+    try:
+        return FiniteDimRealAlgebra(dim, labels, c, _solve_unit(c), name)
+    except BadUnit:
+        return FiniteDimRealAlgebra(dim, labels, c, name=name)
+
+
 def _solve_unit(c: np.ndarray):
     n = c.shape[0]
     # rows: for each (j, k), sum_i u_i c[i,j,k] = delta_jk and c[j,i,k] side
@@ -335,17 +356,23 @@ def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
         name=f"unitize({algebra.name})")
 
 
-def _nullspace(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def _nullspace(M: np.ndarray, scale=None, rtol: float = 1e-10) -> np.ndarray:
     """Rows spanning the right null space of M.
 
     A thin SVD suffices for a tall M; a wide M needs the full V, whose extra
-    rows are part of the null space.
+    rows are part of the null space.  The rank counts the singular values
+    above rtol * scale, where scale is the size of the data M is computed
+    from, by default its own largest singular value.  So the cut follows
+    the scale of the data (a basis 10^k e_i scales the Dickson matrix of
+    `radical` by 10^(2k)) and the zero matrix has rank 0; an M that is 0
+    in exact arithmetic but computed by rounding (a commutator on a
+    commutative table) passes the scale of its inputs, so that the
+    rounding stays under the cut.
     """
     if M.size == 0:
         return np.eye(M.shape[1])
     _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    smax = s[0] if s.size else 0.0
-    rank = int((s > rtol * max(smax, 1.0)).sum())
+    rank = int((s > rtol * (s[0] if scale is None else scale)).sum())
     return Vt[rank:]
 
 
@@ -419,12 +446,14 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
     c = B.table
     u = qm.projection @ algebra.hull.unit
     n = c.shape[0]
-    # the center: rows spanning the null space of x -> (x e_j - e_j x)_j
-    Z = _nullspace((c - c.transpose(1, 0, 2)).reshape(n, n * n).T)
+    # the center: rows spanning the null space of x -> (x e_j - e_j x)_j,
+    # a map that is rounding of the size of c where B is commutative
+    Z = _nullspace((c - c.transpose(1, 0, 2)).reshape(n, n * n).T,
+                   np.abs(c).max())
     z = Z.T @ np.random.default_rng(_SPLIT_SEED).standard_normal(Z.shape[0])
     mus, vecs = np.linalg.eig(Z @ left_regular_matrix(B.element(z)) @ Z.T)
     left = np.linalg.inv(vecs)
-    tol = 1e-9 * (1.0 + np.abs(mus).max())
+    tol = 1e-9 * np.abs(mus).max()
     blocks = []
     for k in np.lexsort((mus.imag, mus.real)):
         mu = mus[k]
@@ -548,10 +577,5 @@ def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
     table = np.einsum("ia,jb,ijk,qk->abq", S, S, algebra.table, proj,
                       optimize=True)
     labels = [f"[{algebra.labels[c]}]" for c in cols]
-    name = f"{algebra.name}/ideal"
-    u = _solve_unit(table)
-    try:
-        quo = FiniteDimRealAlgebra(q, labels, table, unit=u, name=name)
-    except BadUnit:  # lstsq artifact; keep the quotient non-unital
-        quo = FiniteDimRealAlgebra(q, labels, table, name=name)
-    return QuotientMap(quo, proj, S)
+    return QuotientMap(with_found_unit(q, labels, table,
+                                       f"{algebra.name}/ideal"), proj, S)

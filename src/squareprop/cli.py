@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import corpus, pipeline
-from .algebra import AlgebraError, FiniteDimRealAlgebra, make_algebra
+from .algebra import (AlgebraElement, AlgebraError, FiniteDimRealAlgebra,
+                      make_algebra, with_found_unit)
 from .characters import (character_residual, find_characters,
                          nonexistence_explanation)
 from .seminorm import SeminormError
@@ -71,12 +72,13 @@ def load_algebra(spec: str) -> FiniteDimRealAlgebra:
         except (TypeError, ValueError):
             raise InputError(f"algebra file {spec}: table row {row!r} needs "
                              "integer indices and a real value") from None
-    unit = doc.get("unit")
     try:
-        return make_algebra(dim, basis, table, unit=unit,
-                            name=doc.get("name", os.path.basename(spec)))
+        A = make_algebra(dim, basis, table, unit=doc.get("unit"),
+                         name=doc.get("name", os.path.basename(spec)))
     except (AlgebraError, TypeError, ValueError) as exc:
         raise InputError(f"algebra file {spec}: {exc}") from None
+    # a file without a unit gets the one detected, verified in the same way
+    return A if A.is_unital else with_found_unit(dim, basis, A.table, A.name)
 
 
 def load_seminorm(spec: str, algebra: FiniteDimRealAlgebra):
@@ -109,7 +111,7 @@ def load_seminorm(spec: str, algebra: FiniteDimRealAlgebra):
     return p
 
 
-def parse_element(algebra, text: str) -> np.ndarray:
+def parse_element(algebra, text: str) -> AlgebraElement:
     try:
         coords = np.array([float(v) for v in text.split()])
     except ValueError:
@@ -119,7 +121,7 @@ def parse_element(algebra, text: str) -> np.ndarray:
                          f"algebra dim is {algebra.dim}")
     if not np.isfinite(coords).all():
         raise InputError(f"element {text!r}: coordinates must be finite")
-    return coords
+    return algebra.element(coords)
 
 
 def _emit(payload: dict, fmt: str, text_lines):
@@ -160,15 +162,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    algebra = load_algebra(args.algebra)
-    a = algebra.element(parse_element(algebra, args.element))
+    a = parse_element(load_algebra(args.algebra), args.element)
     res = spectrum(a)
     payload = {
-        "algebra": algebra.name,
+        "algebra": a.algebra.name,
         "points": [[z.real, z.imag] for z in res.points],
         "radius": res.radius,
     }
-    lines = [f"sp(a) in {algebra.name}:"] + [
+    lines = [f"sp(a) in {a.algebra.name}:"] + [
         f"  {z.real:+.12g} {z.imag:+.12g}i" for z in res.points
     ] + [f"  radius {res.radius:.12g}"]
     _emit(payload, args.format, lines)
@@ -176,12 +177,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_radius(args) -> int:
-    algebra = load_algebra(args.algebra)
-    a = algebra.element(parse_element(algebra, args.element))
+    a = parse_element(load_algebra(args.algebra), args.element)
     res = spectrum(a)
     gr, delta = gelfand_radius(a, return_delta=True)
     payload = {
-        "algebra": algebra.name,
+        "algebra": a.algebra.name,
         "gelfand_radius": gr,
         "last_delta": delta,
         "spectral_radius": res.radius,

@@ -5,11 +5,12 @@ verify_theorem walks, on one (algebra, seminorm) pair: square property
 constant, kernel and quotient, the scaled quotient norm and its square
 identity, the iterated-power relation, the radius identity, the character
 / unitization branch, and the final submultiplicativity check, recording a
-residual at every stage.  Stages 4, 5 and 8 evaluate one stack of rows
-per quantity: the quotient norm p(lift b), the character sup,
-Proposition 3.1 and the unitization norm N.  Stages 6 and 7, and the
-Gelfand radii of the unitization route, square one element at a time.
-fuzz hammers randomized instances looking for a counterexample the
+residual at every stage.  Stages 4 to 8 evaluate one stack of rows per
+quantity: the quotient norm p(lift b), the iterated squares of stage 6,
+the Gelfand radii of stage 7 and of the unitization route, the character
+sup, Proposition 3.1 and the unitization norm N.  p.value, mul and
+gelfand_radius take stacks of elements, and a row of a Gelfand iteration
+stops squaring once it converges.  fuzz hammers randomized instances looking for a counterexample the
 theorem says cannot exist.
 """
 
@@ -22,8 +23,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import corpus
-from .algebra import (FiniteDimRealAlgebra, quotient,
-                      subspace_is_two_sided_ideal, unitize)
+from .algebra import FiniteDimRealAlgebra, NotAnIdeal, quotient, unitize
 from .characters import (check_prop31, find_characters, non_division_block,
                          nonexistence_explanation)
 from .quaternion import random_unit_quaternion
@@ -143,8 +143,8 @@ def compute_verdict(r: VerificationReport) -> str:
 
 def _unital_branch(report, qalg, norms, config, rng):
     """Characters, Proposition 3.1 and the sup bound on qalg, all on one
-    stack of rows; norms gives |b| on each row b.  Returns the worst
-    |max_x |x(b)| - |b|| / (1 + |b|), or None with no character."""
+    stack of rows; norms gives |b| on each row of a stack b.  Returns the
+    worst |max_x |x(b)| - |b|| / (1 + |b|), or None with no character."""
     chars = find_characters(qalg)
     report.character_count = len(chars)
     if len(chars) == 0:
@@ -156,43 +156,38 @@ def _unital_branch(report, qalg, norms, config, rng):
     X = rng.standard_normal((min(20, config.sample_count), qalg.dim))
     report.prop31_forward_ok, report.prop31_inclusion_ok = check_prop31(
         qalg, X, chars)
-    nb = norms(X)
+    nb = norms(qalg.element(X))
     gap = (CharacterSup(chars).values(qalg, X) - nb) / (1.0 + nb)
     report.sup_bound_residual = max(0.0, float(gap.max()))
     return float(np.abs(gap).max())
 
 
-def _nonunital_branch(report, qalg, norms, m_hat, config, rng):
+def _nonunital_branch(report, qalg, scaled, m_hat, config, rng):
     """Unitization route: extend to B1 with N(b + l*e) = m||b|| + |l|,
     measure the three properties the proof needs, then rerun the unital
-    route on B1."""
+    route on B1.  scaled gives m||b|| on each row of a stack b of qalg."""
     b1 = unitize(qalg)
 
-    def N(X):
-        """N on each row (l, b) of X."""
-        return m_hat * norms(X[:, 1:]) + np.abs(X[:, 0])
+    def N(x):
+        """N on each row (l, b) of the stack x of B1."""
+        return scaled(qalg.element(x.coords[:, 1:])) + np.abs(x.coords[:, 0])
 
-    n_s = min(100, config.sample_count)
     # row i = (x_i, y_i), drawn in one call
-    Z = rng.standard_normal((n_s, 2 * b1.dim))
-    X, Y = Z[:, :b1.dim], Z[:, b1.dim:]
-    nx, ny, nxy = N(np.concatenate([X, Y, b1.mul_coords_batch(X, Y)])
-                    ).reshape(3, -1)
+    Z = rng.standard_normal((min(100, config.sample_count), 2 * b1.dim))
+    x, y = b1.element(Z[:, :b1.dim]), b1.element(Z[:, b1.dim:])
+    nx, ny, nxy = N(x), N(y), N(x * y)
     ok = nx * ny > 1e-12
     sub_ratio = float(np.max(nxy[ok] / (nx * ny)[ok], initial=0.0))
-    bound_ratio = 0.0
-    for x, n in zip(X, nx):
-        try:
-            r = gelfand_radius(b1.element(x),
-                               norm=lambda a: float(N(a.coords[None])[0]))
-        except NonConvergence:
-            continue
-        if r > 1e-12:
-            bound_ratio = max(bound_ratio, n / (m_hat ** 3 * r))
+    try:
+        r = gelfand_radius(x, norm=N)
+    except NonConvergence as exc:   # skip the rows that stalled (NaN)
+        r = exc.radii
+    ok = r > 1e-12
+    bound_ratio = float(np.max(nx[ok] / (m_hat ** 3 * r[ok]), initial=0.0))
     # (iii) N restricted to B equals the scaled quotient norm by construction
     b = rng.standard_normal((1, qalg.dim))
-    equiv_residual = abs(N(np.pad(b, ((0, 0), (1, 0))))[0]
-                         - m_hat * norms(b)[0])
+    equiv_residual = abs(N(b1.element(np.pad(b, ((0, 0), (1, 0)))))[0]
+                         - scaled(qalg.element(b))[0])
     report.unitization_checks = {
         "submultiplicative_ratio": sub_ratio,
         "radius_bound_ratio": bound_ratio,      # N(b) / (m^3 r(b)), finding only
@@ -203,7 +198,7 @@ def _nonunital_branch(report, qalg, norms, m_hat, config, rng):
             f"unitization bound N(b) <= m^3 r(b) violated by factor "
             f"{bound_ratio:.6g} on samples; reported as a finding")
     # N is not a sup over characters, so there is no equality to report
-    _unital_branch(report, b1, lambda X: N(X) / m_hat, config, rng)
+    _unital_branch(report, b1, lambda x: N(x) / m_hat, config, rng)
 
 
 def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
@@ -216,12 +211,11 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     which force_nonunital_branch reaches on any algebra, leaves it None.
     """
     config = config or PipelineConfig()
-    tol = config.tol
     report = VerificationReport(
         algebra_name=algebra.name,
         seminorm_kind=type(p).__name__,
         config=asdict(config),
-        tolerances=stage_tolerances(tol),
+        tolerances=stage_tolerances(config.tol),
     )
     rng = np.random.default_rng(config.seed + 7)
 
@@ -229,7 +223,7 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     sq = square_property_details(p, algebra, config.sample_count, config.seed)
     report.square_property_residual = sq.residual
     report.square_witness = [float(v) for v in sq.witness]
-    if not sq.residual <= tol:
+    if not sq.residual <= config.tol:
         report.notes.append(
             f"square property fails: residual {sq.residual:.6g} at the "
             f"recorded witness; later stages skipped")
@@ -248,24 +242,24 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
 
     # 2. working constant
     m = estimate_m(p, algebra, config.sample_count, config.seed + 1)
-    report.m_hat = m.m_hat
+    m_hat = report.m_hat = m.m_hat
     report.m_hat_pair = [list(map(float, m.pair[0])), list(map(float, m.pair[1]))]
 
-    # 3. kernel is a two-sided ideal
+    # 3. kernel is a two-sided ideal; 4. the quotient by it, which checks
+    # that once, and well-definedness of the induced norm
     K = kernel(p, algebra)
     report.kernel_dim = int(K.shape[0])
-    report.ideal_check = subspace_is_two_sided_ideal(algebra, K)
-    if not report.ideal_check:
-        report.notes.append("computed kernel is not a two-sided ideal")
-        report.verdict = "fail"
-        return report
     if K.shape[0] == algebra.dim:
         raise VanishingSeminorm(
             f"p vanishes on all of {algebra.name}, so no quotient is left "
             "to check")
-
-    # 4. quotient and well-definedness of the induced norm
-    qm = quotient(algebra, K)
+    try:
+        qm = quotient(algebra, K)
+    except NotAnIdeal:             # the verdict stays "fail"
+        report.ideal_check = False
+        report.notes.append("computed kernel is not a two-sided ideal")
+        return report
+    report.ideal_check = True
     qalg = qm.algebra
     report.quotient_dim = qalg.dim
     # row i = (a_i, coefficients of a kernel element k_i), drawn in one call
@@ -279,52 +273,44 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
         wd = float(np.max(np.abs(pk - pa) / (1.0 + pa)))
     report.quotient_norm_well_defined_residual = wd
 
-    m_hat = m.m_hat
+    def norms(b):   # the induced |b + Ker(p)| = p(lift b), b one or a stack
+        return p.value(algebra.element(b.coords @ qm.lift.T))
 
-    def norms(X):   # the induced |b + Ker(p)| = p(b) on each row b of X
-        return p.values(algebra, X @ qm.lift.T)
-
-    def scaled(b):
-        return m_hat * p.value(algebra.element(qm.lift @ b.coords))
+    def scaled(b):  # the working norm m |b + Ker(p)|
+        return m_hat * norms(b)
 
     # 5. scaled norm: normed algebra + square identity; row i = (b_i, c_i)
     Z = rng.standard_normal((min(200, config.sample_count), 2 * qalg.dim))
-    B, C = Z[:, :qalg.dim], Z[:, qalg.dim:]
-    stack = np.concatenate([B, C, qalg.mul_coords_batch(B, C),
-                            qalg.mul_coords_batch(B, B)])
-    nb, nc, nbc, nbb = m_hat * norms(stack).reshape(4, -1)
+    b, c = qalg.element(Z[:, :qalg.dim]), qalg.element(Z[:, qalg.dim:])
+    nb, nc, nbc, nbb = (scaled(x) for x in (b, c, b * c, b * b))
     ok = nb * nc > 1e-12
     report.normed_algebra_ratio = float(
         np.max(nbc[ok] / (nb * nc)[ok], initial=0.0))
     report.scaled_norm_square_residual = float(
         np.max(np.abs(nbb - nb * nb / m_hat) / (1.0 + nb * nb), initial=0.0))
 
-    # 6. iterated squaring relation, log domain
-    n_it = config.max_square_iterates
-    residuals = [0.0] * n_it
-    for _ in range(10):
-        logs = log_square_norms(qalg.element(rng.standard_normal(qalg.dim)),
-                                scaled)
-        log_nb = log_norm = next(logs)
-        if log_nb <= math.log(1e-12):
-            continue
-        for lvl, log_nv in enumerate(itertools.islice(logs, n_it), 1):
-            # a zero power ends the sequence with -inf: residual inf
-            log_norm = 2.0 * log_norm + log_nv
-            expected = (-(2.0 ** lvl - 1.0) * math.log(m_hat)
-                        + 2.0 ** lvl * log_nb)
-            residuals[lvl - 1] = max(residuals[lvl - 1],
-                                     abs(log_norm - expected))
+    # 6. iterated squaring relation, log domain, on one stack of 10 rows
+    residuals = [0.0] * config.max_square_iterates
+    logs = log_square_norms(qalg.element(rng.standard_normal((10, qalg.dim))),
+                            scaled)
+    log_nb = log_norm = next(logs)
+    ok = ~(log_nb <= math.log(1e-12))
+    for lvl, log_nv in enumerate(itertools.islice(logs, len(residuals)), 1):
+        # a zero power reads -inf from then on: residual inf
+        log_norm = 2.0 * log_norm + log_nv
+        expected = (-(2.0 ** lvl - 1.0) * math.log(m_hat)
+                    + 2.0 ** lvl * log_nb)
+        residuals[lvl - 1] = float(
+            np.max(np.abs(log_norm - expected)[ok], initial=0.0))
     report.iterate_relation_residuals = residuals
 
-    # 7. radius identity ||b|| = m * r(b)
-    rad_res = 0.0
-    for _ in range(min(100, config.sample_count)):
-        b = qalg.element(rng.standard_normal(qalg.dim))
-        nb = scaled(b)
-        r = gelfand_radius(b, norm=scaled)
-        rad_res = max(rad_res, abs(m_hat * r - nb) / (1.0 + nb))
-    report.radius_match_residual = rad_res
+    # 7. radius identity ||b|| = m * r(b), on one stack
+    b = qalg.element(rng.standard_normal((min(100, config.sample_count),
+                                          qalg.dim)))
+    nb = scaled(b)
+    r = gelfand_radius(b, norm=scaled)
+    report.radius_match_residual = float(
+        np.max(np.abs(m_hat * r - nb) / (1.0 + nb), initial=0.0))
 
     # 8. unital or unitization branch
     if qalg.is_unital and not force_nonunital_branch:
@@ -333,7 +319,7 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
                                                       config, rng)
     else:
         report.branch = "non_unital"
-        _nonunital_branch(report, qalg, norms, m_hat, config, rng)
+        _nonunital_branch(report, qalg, scaled, m_hat, config, rng)
 
     # 9. final submultiplicativity of p itself, fresh samples
     report.final_submultiplicativity_ratio = check_submultiplicative(

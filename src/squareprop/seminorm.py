@@ -6,8 +6,8 @@ the quotient construction downstream depends on.  An opaque escape hatch
 exists but cannot feed the quotient stages.
 
 Every variant implements one evaluation, the batched values(algebra, X) on
-a stack of coordinate rows; the scalar value(a) is derived from it once, in
-the base class.
+a stack of coordinate rows; value(a), on one element or a stack of them, is
+derived from it once, in the base class.
 
 The square and ratio checks multiply only their random rows
 (mul_coords_batch).  Their deterministic products are entries of the table
@@ -48,14 +48,17 @@ class SeminormVariant:
     """Base: a seminorm evaluatable on one algebra's elements.
 
     A variant implements values, p on each row of a stack of coordinates;
-    value(a) is that evaluation on the one row of a.
+    value(a) is that evaluation on the rows of a: a float for one element,
+    an array of shape coords.shape[:-1] for a stack.
     """
 
     def check_payload(self, algebra: FiniteDimRealAlgebra) -> None:
         pass
 
-    def value(self, a: AlgebraElement) -> float:
-        return float(self.values(a.algebra, a.coords[None, :])[0])
+    def value(self, a: AlgebraElement):
+        shape = a.coords.shape[:-1]
+        v = self.values(a.algebra, a.coords.reshape(-1, a.algebra.dim))
+        return v.reshape(shape) if shape else float(v[0])
 
     def values(self, algebra: FiniteDimRealAlgebra, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError

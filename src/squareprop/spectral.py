@@ -8,6 +8,8 @@ log-domain renormalization, in the operator norm (seminorm.OperatorNorm)
 unless another norm is given, and both routes are cross-checked in tests.
 The squaring is written once, as the generator log_square_norms; its two
 consumers are gelfand_radius and the iterated-square stage of the pipeline.
+Both take one element or a stack of them and square every row of a stack
+at once; a row stops once it converges or its power has norm 0.
 
 One spectral-radius path.  The radical of the unital hull is nil, so
 r(a) = r(pi(a)) in B = hull / rad(hull), which is semisimple: the direct
@@ -43,18 +45,20 @@ sp = {0} u eig(L_a).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement, NotUnital, left_regular_matrix, mul
+from .algebra import AlgebraElement, left_regular_matrix, mul
 
 
 class NonConvergence(Exception):
-    pass
+    """The Gelfand iteration stalled.  gelfand_radius sets radii to what it
+    would have returned, with NaN on each row that stalled."""
+
+    radii = None
 
 
 @dataclass(frozen=True)
@@ -138,9 +142,7 @@ def in_spectrum_paper_def(a: AlgebraElement, s: float, t: float) -> bool:
     element itself: at a true spectrum point the element is numerically
     zero, where a self-relative singular-value ratio is meaningless.
     """
-    if not a.algebra.is_unital:
-        raise NotUnital("the membership test needs a unit")
-    e = a.algebra.unit_element()
+    e = a.algebra.unit_element()   # raises NotUnital without a unit
     shifted = a - s * e
     x = mul(shifted, shifted) + (t * t) * e
     sv = np.linalg.svd(left_regular_matrix(x), compute_uv=False)
@@ -148,50 +150,72 @@ def in_spectrum_paper_def(a: AlgebraElement, s: float, t: float) -> bool:
     return sv[-1] <= 1e-8 * (1.0 + scale)
 
 
-def log_square_norms(a: AlgebraElement,
-                     norm: Callable[[AlgebraElement], float]):
+def log_square_norms(a: AlgebraElement, norm: Callable):
     """Yield log||a||, then log||u^2|| where u is the current power
     a^(2^k) kept scaled to norm 1, so no power ever overflows.
 
-    A zero norm yields -inf and ends the sequence.  Each square is formed
-    only when its value is asked for.
+    On one element each step is a float, and a zero norm yields -inf and
+    ends the sequence.  On a stack (coords (..., n)) each step is an array
+    with one log per row: a row whose norm reaches 0 reads -inf from then
+    on and is not squared again, and the sequence ends when no row is
+    left.  A boolean mask sent in place of next() stops the squaring of
+    the rows it leaves out; they repeat their last log.  Each square is
+    formed only when its value is asked for.  The logs are taken per entry
+    with math.log, whose last bit NumPy's log does not always match, so
+    one element gives the bits of a loop of scalar calls.
     """
-    n = norm(a)
-    while n != 0.0:
-        yield math.log(n)
-        u = (1.0 / n) * a
+    alg, shape = a.algebra, a.coords.shape[:-1]
+    logs = np.full(shape, -math.inf).ravel()
+    rows = np.arange(logs.size)     # the rows still squared, flat
+    while True:
+        n = np.ravel(norm(a))
+        logs[rows] = [math.log(v) if v != 0.0 else -math.inf for v in n]
+        mask = yield logs.reshape(shape).copy() if shape else float(logs[0])
+        keep = (n != 0.0) & (True if mask is None else np.ravel(mask)[rows])
+        rows = rows[keep]
+        if not rows.size:
+            return
+        u = a.coords.reshape(-1, alg.dim)[keep] * (1.0 / n[keep])[:, None]
+        u = alg.element(u if shape else u[0])
         a = mul(u, u)
-        n = norm(a)
-    yield -math.inf
 
 
 def gelfand_radius(a: AlgebraElement,
-                   norm: Optional[Callable[[AlgebraElement], float]] = None,
+                   norm: Optional[Callable] = None,
                    iterations: int = 40,
                    conv_tol: float = 1e-6,
                    return_delta: bool = False):
     """lim ||a^n||^(1/n) by repeated squaring with renormalization.
 
     Sums the log_square_norms steps, scaled by 2^-k, so powers up to
-    2^iterations never overflow.  Raises NonConvergence if the last two
-    iterates of ||a^(2^k)||^(2^-k) still differ by more than conv_tol after
-    the budget.
+    2^iterations never overflow.  On a stack of elements every row is one
+    such sum, and a row stops squaring once its step falls under
+    conv_tol * 2^-20; the radii (and last deltas) come back as arrays.
+    Raises NonConvergence if, on some row, the last two iterates of
+    ||a^(2^k)||^(2^-k) still differ by more than conv_tol after the budget;
+    its radii hold what would have been returned, NaN on those rows.
     """
-    if norm is None:
-        from .seminorm import OperatorNorm  # seminorm imports this module
-        norm = OperatorNorm().value
+    from .seminorm import OperatorNorm  # seminorm imports this module
+    norm = norm or OperatorNorm().value
     logs = log_square_norms(a, norm)
-    log_r = next(logs)             # log of ||a^(2^k)||^(2^-k)
-    delta = math.inf
-    for k, log_nv in enumerate(itertools.islice(logs, iterations), 1):
-        step = log_nv / 2.0 ** k
-        log_r += step
-        delta = abs(step)
-        if delta < conv_tol * 2.0 ** -20:
+    log_r = np.ravel(next(logs))   # log of ||a^(2^k)||^(2^-k), per row
+    delta = np.full(log_r.shape, math.inf)
+    run = log_r != -math.inf
+    for k in range(1, iterations + 1):
+        if not run.any():
             break
-    if log_r == -math.inf:         # some power of a has norm zero
-        return (0.0, 0.0) if return_delta else 0.0
-    if delta > conv_tol:
-        raise NonConvergence(
-            f"radius iteration stalled, last delta {delta:.3e}")
-    return (math.exp(log_r), delta) if return_delta else math.exp(log_r)
+        step = np.ravel(logs.send(run))[run] / 2.0 ** k
+        log_r[run] += step
+        delta[run] = np.abs(step)
+        run[run] = (step != -math.inf) & ~(delta[run] < conv_tol * 2.0 ** -20)
+    delta[log_r == -math.inf] = 0.0   # some power of the row has norm zero
+    stalled = delta > conv_tol
+    r = np.where(stalled, math.nan, [math.exp(v) for v in log_r])
+    shape = a.coords.shape[:-1]     # floats for one element
+    r, last = (x.reshape(shape) if shape else float(x[0]) for x in (r, delta))
+    if stalled.any():
+        exc = NonConvergence("radius iteration stalled, last delta "
+                             f"{delta[stalled].max():.3e}")
+        exc.radii = r
+        raise exc
+    return (r, last) if return_delta else r

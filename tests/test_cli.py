@@ -450,3 +450,64 @@ def test_character_sup_shorthand_fields_are_read(tmp_path, capsys, payload):
     code = cli.run(["verify", "--algebra", "hc", "--seminorm", str(path),
                     "--samples", "300"])
     assert code == 0
+
+
+def _write_algebra(path, A, unit):
+    """A as an algebra file; the unit is left out when unit is None."""
+    doc = {"dim": A.dim, "basis": A.labels,
+           "table": [[*map(int, ijk), float(A.table[ijk])]
+                     for ijk in zip(*np.nonzero(A.table))]}
+    if unit is not None:
+        doc["unit"] = list(unit)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_algebra_file_without_unit_gets_the_detected_one(tmp_path, capsys):
+    """C written without "unit" loads unital, as the builtin: the same
+    spectrum points and radii, and the unital branch of verify (the file
+    used to load non-unital, with an extra 0 in every spectrum)."""
+    spec = _write_algebra(tmp_path / "c.json", corpus.complexes(), None)
+    assert cli.load_algebra(spec).unit.tolist() == [1.0, 0.0]
+    for argv in (["spectrum", "--element", "1 0"],
+                 ["spectrum", "--element", "0.5 -2"],
+                 ["radius", "--element", "0.3 -1.7"]):
+        outs = []
+        for algebra in (spec, "complexes"):
+            code, out = run_capture(capsys, argv + [
+                "--algebra", algebra, "--format", "json"])
+            assert code == 0
+            payload = json.loads(out)
+            del payload["algebra"]
+            outs.append(payload)
+        assert outs[0] == outs[1]
+    code, out = run_capture(capsys, [
+        "verify", "--algebra", spec, "--seminorm", "spectral_radius",
+        "--samples", "300", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["branch"] == "unital"
+
+
+def test_algebra_file_without_unit_stays_non_unital_when_there_is_none(
+        tmp_path):
+    spec = _write_algebra(tmp_path / "n.json",
+                          corpus.builtin("nonunital3"), None)
+    assert not cli.load_algebra(spec).is_unital
+
+
+def test_small_basis_of_c_has_no_radical(tmp_path, capsys):
+    """C in the basis (t, t i), t = 1e-6: table entries +-t, unit (1/t, 0).
+    The rank cut of the radical is relative to the Dickson matrix, whose
+    entries are about 2 t^2, so the radical is 0 and verify passes; with
+    an absolute cut it was all of C and verify died in a traceback."""
+    t = 1e-6
+    A = make_algebra(2, ["t", "ti"], corpus.complexes().table * t,
+                     unit=[1.0 / t, 0.0], name="C/1e-6")
+    assert A.radical.shape == (0, 2)
+    spec = _write_algebra(tmp_path / "c_small.json", A, A.unit)
+    code, out = run_capture(capsys, [
+        "verify", "--algebra", spec, "--seminorm", "spectral_radius",
+        "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+    assert capsys.readouterr().err == ""

@@ -4,12 +4,13 @@ Seminorm variants implement only the batched ``values``; ``value`` is
 derived from it, and the ratio scan evaluates the basis once, not on each
 of its n^2 pairs.  ``gelfand_radius`` and pipeline stage 6 consume the one
 repeated-squaring generator ``log_square_norms``; stages 4 and 5 evaluate
-their samples in blocks.  The per-variant scalar formulas, the old
-``gelfand_radius`` loop and the old per-sample loops of stages 4-6 are kept
-here as references, and so are the three-operand einsums that
-``character_residual`` and the block classifier ran before they became
-``qmul`` and matmuls, and the list comprehensions that built the
-square-check probes.
+their samples in blocks, and stages 6 and 7 and the unitization route
+square one stack each, every row of it the one-element call.  The
+per-variant scalar formulas, the old ``gelfand_radius`` loop and the old
+per-sample loops of stages 4-7 are kept here as references, and so are
+the three-operand einsums that ``character_residual`` and the block
+classifier ran before they became ``qmul`` and matmuls, and the list
+comprehensions that built the square-check probes.
 The probe squares and the basis-pair products that the checks read from
 the table are checked against ``mul_coords_batch``.  Stage 8 and the
 unitization route evaluate one stack of rows each; their per-element
@@ -42,7 +43,7 @@ from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
                                  _probe_squares, _ratio_scan, _square_probes,
                                  estimate_m, kernel, square_property_details)
 from squareprop.spectral import (NonConvergence, gelfand_radius,
-                                 spectral_radius, spectrum)
+                                 log_square_norms, spectral_radius, spectrum)
 
 
 def _max_abs(a):
@@ -174,8 +175,8 @@ def test_gelfand_radius_bit_identical_to_old_loop():
     assert kinds == {"radius", "zero", "NonConvergence"}
 
 
-def _stages_4_to_6_by_loop(algebra, p, config):
-    """Residuals of pipeline stages 4-6 from the per-sample loops they had
+def _stages_4_to_7_by_loop(algebra, p, config):
+    """Residuals of pipeline stages 4-7 from the per-sample loops they had
     before they were evaluated in blocks, drawing from the same stream."""
     rng = np.random.default_rng(config.seed + 7)
     m_hat = estimate_m(p, algebra, config.sample_count, config.seed + 1).m_hat
@@ -224,7 +225,13 @@ def _stages_4_to_6_by_loop(algebra, p, config):
                         + 2.0 ** lvl * math.log(nb))
             residuals[lvl - 1] = max(residuals[lvl - 1],
                                      abs(log_norm - expected))
-    return [wd, ratio, sq_res] + residuals
+    rad_res = 0.0
+    for _ in range(min(100, config.sample_count)):
+        b = qalg.element(rng.standard_normal(qalg.dim))
+        nb = scaled(b)
+        r = gelfand_radius(b, norm=scaled)
+        rad_res = max(rad_res, abs(m_hat * r - nb) / (1.0 + nb))
+    return [wd, ratio, sq_res] + residuals + [rad_res]
 
 
 @pytest.mark.parametrize("name", ["hc", "H8_twisted"])
@@ -410,7 +417,8 @@ def test_block_stages_match_per_sample_loops(case):
     rep = verify_theorem(algebra, p, config)
     new = [rep.quotient_norm_well_defined_residual, rep.normed_algebra_ratio,
            rep.scaled_norm_square_residual] + rep.iterate_relation_residuals
-    old = _stages_4_to_6_by_loop(algebra, p, config)
+    new.append(rep.radius_match_residual)
+    old = _stages_4_to_7_by_loop(algebra, p, config)
     assert len(new) == len(old)
     for x, y in zip(new, old):
         assert abs(x - y) <= 1e-12 * (1.0 + abs(y)), (new, old)
@@ -735,3 +743,101 @@ def test_element_wise_calls_are_rows_of_the_batch(case):
         for kw in ({}, {"return_delta": True}):
             assert _outcome(gelfand_radius, a, **kw) \
                 == _outcome(gelfand_radius, a, norm=batch_norm, **kw)
+
+
+# -- stages 6 and 7 and the unitization route square one stack each -------
+
+def _m2_stack():
+    """Random elements of M2(R) with E12 (radius 0) among them."""
+    A = corpus.m2_reals()
+    X = np.random.default_rng(31).standard_normal((12, A.dim))
+    X[3] = A.basis_element(1).coords
+    return A, X
+
+
+@pytest.mark.parametrize("norm", [None, _max_abs], ids=["operator", "max_abs"])
+def test_stacked_gelfand_radius_rows_are_one_element_calls(norm):
+    """Each row of a stacked gelfand_radius is its one-element call; E12
+    squares to 0, so its row reads radius 0 and last delta 0."""
+    A, X = _m2_stack()
+    kw = {} if norm is None else {"norm": lambda b: np.abs(b.coords).max(-1)}
+    r, delta = gelfand_radius(A.element(X), return_delta=True, **kw)
+    assert r.shape == delta.shape == (len(X),)
+    assert (r[3], delta[3]) == (0.0, 0.0)
+    for x, got in zip(X, zip(r, delta)):
+        one = gelfand_radius(A.element(x), norm=norm, return_delta=True)
+        assert all(isinstance(v, float) for v in one)
+        np.testing.assert_allclose(got, one, rtol=1e-14, atol=0.0)
+    # a (3, 4) stack of the same rows gives the same radii, shaped (3, 4)
+    assert np.array_equal(
+        gelfand_radius(A.element(X.reshape(3, 4, A.dim)), **kw),
+        r.reshape(3, 4))
+
+
+def test_stacked_gelfand_radius_marks_the_rows_that_stall():
+    """With iterations=3 most rows stall: NonConvergence carries NaN
+    exactly on the rows whose one-element call raises, and elsewhere the
+    radius that call returns."""
+    A, X = _m2_stack()
+    with pytest.raises(NonConvergence) as info:
+        gelfand_radius(A.element(X), iterations=3)
+    radii = info.value.radii
+    assert radii.shape == (len(X),)
+    stalls = []
+    for x, got in zip(X, radii):
+        try:
+            want = gelfand_radius(A.element(x), iterations=3)
+        except NonConvergence:
+            stalls.append(True)
+            assert math.isnan(got)
+            continue
+        stalls.append(False)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert any(stalls) and not all(stalls)    # E12 converges at once
+
+
+def test_log_square_norms_stops_a_row_at_a_zero_power():
+    """A row whose power vanishes reads -inf from then on and is not
+    squared again; the other rows go on."""
+    A, X = _m2_stack()
+    seen = []
+
+    def norm(b):
+        seen.append(b.coords.shape[0])
+        return OperatorNorm().value(b)
+
+    logs = log_square_norms(A.element(X[2:5]), norm)
+    first, second, third = next(logs), next(logs), next(logs)
+    assert np.isfinite(first).all()
+    assert second[1] == third[1] == -math.inf
+    assert np.isfinite(second[[0, 2]]).all()
+    assert seen == [3, 3, 2]
+
+
+def _count_calls(monkeypatch, name):
+    """Record the leading shape of the stack each pipeline.<name> call
+    gets."""
+    shapes = []
+    orig = getattr(pipeline, name)
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.coords.shape[:-1])
+        return orig(a, *args, **kwargs)
+    monkeypatch.setattr(pipeline, name, counted)
+    return shapes
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["unital", "forced"])
+def test_stages_6_and_7_square_one_stack_each(monkeypatch, force):
+    """Stage 6 asks log_square_norms once, for its 10 rows; stage 7 asks
+    gelfand_radius once, for its 100 rows, and the unitization route once
+    more, for its 100 rows of B1 (the parent made one call per row)."""
+    logs = _count_calls(monkeypatch, "log_square_norms")
+    radii = _count_calls(monkeypatch, "gelfand_radius")
+    algebra, p = corpus.manifest_pair(next(
+        c for c in corpus.MANIFEST if c.name == "rrc_spectral_radius"))
+    rep = verify_theorem(algebra, p, PipelineConfig(sample_count=300),
+                         force_nonunital_branch=force)
+    assert rep.verdict == "pass"
+    assert logs == [(10,)]
+    assert radii == [(100,)] * (2 if force else 1)

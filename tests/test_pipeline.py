@@ -223,3 +223,47 @@ def test_character_sup_subset_still_passes():
 def test_stage_tolerances_in_report():
     rep = _run("rr_coordinate_max")
     assert rep.tolerances == pipeline.stage_tolerances(QUICK.tol)
+
+
+def test_kernel_that_is_no_ideal_fails_at_the_quotient(monkeypatch):
+    """Stage 4's quotient is the one ideal check: a kernel that is not a
+    two-sided ideal gives ideal_check False, a note and verdict fail, with
+    no quotient built."""
+    calls = []
+    orig = pipeline.quotient
+
+    def counted(algebra, V):
+        calls.append(np.array(V))
+        return orig(algebra, V)
+    monkeypatch.setattr(pipeline, "quotient", counted)
+    # span{(1, 1)}, the unit of R (+) R: (1, 1)(1, 0) = (1, 0) is outside
+    monkeypatch.setattr(pipeline, "kernel",
+                        lambda p, algebra: np.array([[1.0, 1.0]]))
+    rep = _run("rr_coordinate_max")
+    assert rep.kernel_dim == 1
+    assert rep.ideal_check is False
+    assert rep.verdict == "fail"
+    assert rep.quotient_dim is None
+    assert "computed kernel is not a two-sided ideal" in rep.notes
+    assert len(calls) == 1
+
+
+def test_verify_checks_the_kernel_ideal_once(monkeypatch):
+    """verify_theorem tests Ker(p) for being an ideal once, inside the
+    quotient of stage 4 (the parent checked it in stage 3 as well)."""
+    from squareprop import algebra as algebra_mod
+    pair = next(p for p in corpus.MANIFEST if p.name == "rr_component_sup")
+    A, p = corpus.manifest_pair(pair)
+    seen = []
+    orig = algebra_mod.subspace_is_two_sided_ideal
+
+    def counted(algebra, V):
+        if algebra is A:    # not the checks of the quotient's own record
+            seen.append(np.shape(V))
+        return orig(algebra, V)
+    for module in (algebra_mod, pipeline):
+        monkeypatch.setattr(module, "subspace_is_two_sided_ideal", counted,
+                            raising=False)
+    rep = verify_theorem(A, p, QUICK)
+    assert rep.verdict == "pass" and rep.ideal_check is True
+    assert seen == [(1, 2)]
