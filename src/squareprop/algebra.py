@@ -313,15 +313,10 @@ def nonsingular(L: np.ndarray) -> np.ndarray:
     return s[..., -1] > INVERT_CUTOFF * s[..., 0]
 
 
-def find_unit(algebra: FiniteDimRealAlgebra):
-    """Solve u*e_j = e_j = e_j*u; returns the unit coords or None."""
-    return _solve_unit(algebra.table)
-
-
 def with_found_unit(dim, labels, c: np.ndarray, name=""):
-    """The algebra of the dense table c with the unit that find_unit solves
-    for, checked on construction like a given unit; without a unit when
-    there is none, or when the solution fails that check (a lstsq
+    """The algebra of the dense table c with the unit that _solve_unit
+    solves for, checked on construction like a given unit; without a unit
+    when there is none, or when the solution fails that check (a lstsq
     artifact)."""
     try:
         return FiniteDimRealAlgebra(dim, labels, c, _solve_unit(c), name)

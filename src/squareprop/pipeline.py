@@ -3,15 +3,21 @@
 verify_theorem walks, on one (algebra, seminorm) pair: square property
 (and, for the spectral radius, whether it is a seminorm at all), working
 constant, kernel and quotient, the scaled quotient norm and its square
-identity, the iterated-power relation, the radius identity, the character
-/ unitization branch, and the final submultiplicativity check, recording a
-residual at every stage.  Stages 4 to 8 evaluate one stack of rows per
-quantity: the quotient norm p(lift b), the iterated squares of stage 6,
-the Gelfand radii of stage 7 and of the unitization route, the character
-sup, Proposition 3.1 and the unitization norm N.  p.value, mul and
-gelfand_radius take stacks of elements, and a row of a Gelfand iteration
-stops squaring once it converges.  fuzz hammers randomized instances looking for a counterexample the
-theorem says cannot exist.
+identity, the iterated-power relation, the radius identity, the
+characters with Proposition 3.1 and the sup bound, and the final
+submultiplicativity check, recording a residual at every stage.  Stages 4
+to 8 evaluate one stack of rows per quantity: the quotient norm p(lift b),
+the iterated squares of stage 6, the Gelfand radii of stage 7, the
+character sup and Proposition 3.1.  p.value, mul and gelfand_radius take
+stacks of elements, and a row of a Gelfand iteration stops squaring once
+it converges.
+
+In finite dimension the square property leaves A / Ker p no radical: a
+nilpotent b has p(b)^(2^k) = p(b^(2^k)) = 0 for some k, so b = 0.  The
+quotient is then semisimple and has a unit (Wedderburn-Artin), so stage 8
+has one branch.  A radical in the quotient is a failed hypothesis, with a
+power of a radical row as its witness.  fuzz hammers randomized instances
+looking for a counterexample the theorem says cannot exist.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import corpus
-from .algebra import FiniteDimRealAlgebra, NotAnIdeal, quotient, unitize
+from .algebra import FiniteDimRealAlgebra, NotAnIdeal, quotient
 from .characters import (check_prop31, find_characters, non_division_block,
                          nonexistence_explanation)
 from .quaternion import random_unit_quaternion
@@ -31,7 +37,7 @@ from .seminorm import (CharacterSup, CoordinateMax, SeminormVariant,
                        SpectralRadius, check_square_property,
                        check_submultiplicative, estimate_m, kernel,
                        square_property_details)
-from .spectral import NonConvergence, gelfand_radius, log_square_norms
+from .spectral import gelfand_radius, log_square_norms
 
 
 class VanishingSeminorm(ValueError):
@@ -133,11 +139,10 @@ def compute_verdict(r: VerificationReport) -> str:
         r.prop31_forward_ok is True,
         r.prop31_inclusion_ok is True,
         within(r.sup_bound_residual, t["sup_bound"]),
+        within(r.sup_equality_residual, t["sup_equality"]),
         within(r.final_submultiplicativity_ratio, t["final_ratio"]),
         within(r.m_hat, t["m_hat_max"]),
     ]
-    if r.sup_equality_residual is not None:
-        checks.append(within(r.sup_equality_residual, t["sup_equality"]))
     return "pass" if all(checks) else "fail"
 
 
@@ -162,53 +167,43 @@ def _unital_branch(report, qalg, norms, config, rng):
     return float(np.abs(gap).max())
 
 
-def _nonunital_branch(report, qalg, scaled, m_hat, config, rng):
-    """Unitization route: extend to B1 with N(b + l*e) = m||b|| + |l|,
-    measure the three properties the proof needs, then rerun the unital
-    route on B1.  scaled gives m||b|| on each row of a stack b of qalg."""
-    b1 = unitize(qalg)
-
-    def N(x):
-        """N on each row (l, b) of the stack x of B1."""
-        return scaled(qalg.element(x.coords[:, 1:])) + np.abs(x.coords[:, 0])
-
-    # row i = (x_i, y_i), drawn in one call
-    Z = rng.standard_normal((min(100, config.sample_count), 2 * b1.dim))
-    x, y = b1.element(Z[:, :b1.dim]), b1.element(Z[:, b1.dim:])
-    nx, ny, nxy = N(x), N(y), N(x * y)
-    ok = nx * ny > 1e-12
-    sub_ratio = float(np.max(nxy[ok] / (nx * ny)[ok], initial=0.0))
-    try:
-        r = gelfand_radius(x, norm=N)
-    except NonConvergence as exc:   # skip the rows that stalled (NaN)
-        r = exc.radii
-    ok = r > 1e-12
-    bound_ratio = float(np.max(nx[ok] / (m_hat ** 3 * r[ok]), initial=0.0))
-    # (iii) N restricted to B equals the scaled quotient norm by construction
-    b = rng.standard_normal((1, qalg.dim))
-    equiv_residual = abs(N(b1.element(np.pad(b, ((0, 0), (1, 0)))))[0]
-                         - scaled(qalg.element(b))[0])
-    report.unitization_checks = {
-        "submultiplicative_ratio": sub_ratio,
-        "radius_bound_ratio": bound_ratio,      # N(b) / (m^3 r(b)), finding only
-        "restriction_residual": float(equiv_residual),
-    }
-    if bound_ratio > 1.0 + 1e-6:
-        report.notes.append(
-            f"unitization bound N(b) <= m^3 r(b) violated by factor "
-            f"{bound_ratio:.6g} on samples; reported as a finding")
-    # N is not a sup over characters, so there is no equality to report
-    _unital_branch(report, b1, lambda x: N(x) / m_hat, config, rng)
+def _quotient_defect(p, algebra, qm, tol):
+    """Why stage 8 cannot run on Q = qm.algebra, as (verdict, note); None
+    when Q has a unit and no radical.  For a radical row b of Q, the first
+    of the squares c = b, b^2, b^4, ... with |p(c^2) - p(c)^2| > tol p(c)^2,
+    p read on the lifts to A, is the witness."""
+    Q = qm.algebra
+    if not Q.radical.shape[0]:
+        return None if Q.is_unital else (
+            "fail", "A / Ker p has no radical, but no unit was found")
+    c = Q.element(Q.radical[0])
+    powers = [c.coords]
+    for _ in range(Q.dim.bit_length() + 1):
+        c = c * c
+        powers.append(c.coords)
+    lifts = np.array(powers) @ qm.lift.T
+    v = p.values(algebra, lifts)
+    for k, (pc, pc2) in enumerate(zip(v, v[1:])):
+        if abs(pc2 - pc * pc) > tol * pc * pc:
+            return "hypothesis_not_met", (
+                f"A / Ker p has a radical: b = {lifts[0].tolist()} is "
+                f"nilpotent, and c = b^{2 ** k} has p(c) = {pc:.6g} but "
+                f"p(c^2) = {pc2:.6g}, not p(c)^2 = {pc * pc:.6g}, so the "
+                "square property fails")
+    return "fail", ("A / Ker p has a radical, but no square of its first "
+                    "row shows p(c^2) != p(c)^2")
 
 
 def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
-                   config: PipelineConfig | None = None, *,
-                   force_nonunital_branch: bool = False) -> VerificationReport:
+                   config: PipelineConfig | None = None) -> VerificationReport:
     """Walk the proof chain on (algebra, p) and gate every residual.
 
-    On the unital branch sup_equality_residual is always set: on A / Ker p,
-    p(b) = max |x(b)| over the quaternion characters.  The unitization route,
-    which force_nonunital_branch reaches on any algebra, leaves it None.
+    A radical in A / Ker p ends the walk after stage 4: hypothesis_not_met
+    with the power of a radical row where p(c^2) != p(c)^2, or fail when no
+    power shows it.  So does a quotient without a unit (fail).  Stage 8 sets
+    sup_equality_residual whenever a character exists: on A / Ker p,
+    p(b) = max |x(b)| over the quaternion characters.  unitization_checks
+    stays None.
     """
     config = config or PipelineConfig()
     report = VerificationReport(
@@ -272,6 +267,11 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
                           ).reshape(2, -1)
         wd = float(np.max(np.abs(pk - pa) / (1.0 + pa)))
     report.quotient_norm_well_defined_residual = wd
+    stop = _quotient_defect(p, algebra, qm, config.tol)
+    if stop is not None:
+        report.verdict, note = stop
+        report.notes.append(f"{note}; later stages skipped")
+        return report
 
     def norms(b):   # the induced |b + Ker(p)| = p(lift b), b one or a stack
         return p.value(algebra.element(b.coords @ qm.lift.T))
@@ -312,14 +312,10 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     report.radius_match_residual = float(
         np.max(np.abs(m_hat * r - nb) / (1.0 + nb), initial=0.0))
 
-    # 8. unital or unitization branch
-    if qalg.is_unital and not force_nonunital_branch:
-        report.branch = "unital"
-        report.sup_equality_residual = _unital_branch(report, qalg, norms,
-                                                      config, rng)
-    else:
-        report.branch = "non_unital"
-        _nonunital_branch(report, qalg, scaled, m_hat, config, rng)
+    # 8. characters of the unital quotient
+    report.branch = "unital"
+    report.sup_equality_residual = _unital_branch(report, qalg, norms,
+                                                  config, rng)
 
     # 9. final submultiplicativity of p itself, fresh samples
     report.final_submultiplicativity_ratio = check_submultiplicative(

@@ -208,11 +208,6 @@ class OpaqueSeminorm(SeminormVariant):
         return np.array([float(self.fn(algebra.element(row))) for row in X])
 
 
-def evaluate(p: SeminormVariant, a: AlgebraElement) -> float:
-    p.check_payload(a.algebra)
-    return p.value(a)
-
-
 def kernel(p: SeminormVariant, algebra: FiniteDimRealAlgebra) -> np.ndarray:
     """Basis (rows) of Ker(p) as an exact linear subspace."""
     return p.kernel(algebra)

@@ -115,10 +115,6 @@ def spectrum(a: AlgebraElement) -> SpectrumResult:
     return SpectrumResult(pts, float(max(abs(z) for z in pts)))
 
 
-def spectral_radius(a: AlgebraElement) -> float:
-    return spectrum(a).radius
-
-
 def _group_radii(X: np.ndarray, d: int, division: bool,
                  table: np.ndarray) -> np.ndarray:
     """Spectral radius of every row x of X on one group of the split, from

@@ -19,7 +19,7 @@ from squareprop.pipeline import PipelineConfig, fuzz, verify_theorem
 from squareprop.quaternion import qmul, qnorm
 from squareprop.seminorm import OperatorNorm
 from squareprop.spectral import (gelfand_radius, in_spectrum_paper_def,
-                                 spectral_radius, spectrum)
+                                 spectrum)
 
 ALL_CORPUS = ("reals", "complexes", "quaternions", "m2_reals", "rr", "rrc",
               "hc", "h2", "nonunital3")
@@ -152,7 +152,7 @@ def test_criterion_7_character_negative_control():
     ok = len(find_characters(m2)) == 0
     note = nonexistence_explanation(m2)
     ok &= note is not None and "E12" in note and "m*r(a)" in note
-    assert spectral_radius(m2.basis_element(1)) == 0.0
+    assert spectrum(m2.basis_element(1)).radius == 0.0
     _report_line(7, ok,
                  f"M2(R): empty character set from its block decomposition; "
                  f"note: {note}")

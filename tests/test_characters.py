@@ -12,7 +12,7 @@ from squareprop.characters import (EmptyCharacterSet, Prop31Result,
 from squareprop.quaternion import qmul, qnorm, random_unit_quaternion
 from squareprop.pipeline import PipelineConfig, verify_theorem
 from squareprop.seminorm import SpectralRadius, kernel
-from squareprop.spectral import spectral_radius
+from squareprop.spectral import spectrum
 
 
 def test_residual_examples():
@@ -167,7 +167,7 @@ def test_spectral_bound_for_characters():
         chars = corpus.known_characters(A)
         for _ in range(30):
             a = A.element(rng.standard_normal(A.dim))
-            r = spectral_radius(a)
+            r = spectrum(a).radius
             for q in j_evaluate(a, chars):
                 assert qnorm(q) <= r + 1e-8
 
@@ -187,7 +187,7 @@ def test_sup_norm_matches_spectral_radius_on_products():
         assert len(chars) > 0
         for _ in range(30):
             a = A.element(rng.standard_normal(A.dim))
-            r = spectral_radius(a)
+            r = spectrum(a).radius
             assert abs(sampled_sup_norm(a, chars) - r) <= 1e-6 * (1.0 + r)
 
 
@@ -216,7 +216,7 @@ def _check_characters(A, count, sup_is_radius=True):
     rng = np.random.default_rng(30)
     for _ in range(30):
         a = A.element(rng.standard_normal(A.dim))
-        r = spectral_radius(a)
+        r = spectrum(a).radius
         sup = max((qnorm(q) for q in j_evaluate(a, chars)), default=0.0)
         if sup_is_radius:
             assert abs(sup - r) <= 1e-9 * (1.0 + r)

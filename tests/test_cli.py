@@ -511,3 +511,45 @@ def test_small_basis_of_c_has_no_radical(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
     assert capsys.readouterr().err == ""
+
+
+def _truncated_polynomial_file(tmp_path, powers):
+    """R[x]/(x^k), k = len(powers), with x^powers[i] as basis element i."""
+    at = {e: i for i, e in enumerate(powers)}
+    table = {(at[e], at[f], at[e + f]): 1.0 for e in powers for f in powers
+             if e + f < len(powers)}
+    A = make_algebra(len(powers), [f"x{e}" for e in powers], table,
+                     unit=np.eye(len(powers))[at[0]])
+    return _write_algebra(tmp_path / "truncated.json", A, A.unit.tolist())
+
+
+@pytest.mark.parametrize("algebra, seminorm, note", [
+    ("nonunital3", "coordinate_max:1,1,1e-6",
+     "b = [0.0, 0.0, 1.0] is nilpotent, and c = b^1 has p(c) = 1e-06 but "
+     "p(c^2) = 0"),
+    ((0, 1), "coordinate_max:1,1e-6",
+     "b = [0.0, 1.0] is nilpotent, and c = b^1 has p(c) = 1e-06 but "
+     "p(c^2) = 0"),
+    ((0, 1, 2), "coordinate_max:1,1e-6,1e-12",
+     "b = [0.0, 0.0, 1.0] is nilpotent, and c = b^1 has p(c) = 1e-12 but "
+     "p(c^2) = 0"),
+    # b = x: p(b^2) = p(b)^2 = 1e-12, and the defect shows at c = b^2
+    ((0, 2, 1), "coordinate_max:1,1e-12,1e-6",
+     "b = [0.0, 0.0, 1.0] is nilpotent, and c = b^2 has p(c) = 1e-12 but "
+     "p(c^2) = 0"),
+])
+def test_radical_in_the_quotient_exits_three(tmp_path, capsys, algebra,
+                                             seminorm, note):
+    """A / Ker p = A has a radical whose square defects sit below the
+    square check's tolerance.  These used to pass: nonunital3 through the
+    unitization route, the truncated polynomials on the unital branch."""
+    if isinstance(algebra, tuple):
+        algebra = _truncated_polynomial_file(tmp_path, algebra)
+    code, out = run_capture(capsys, [
+        "verify", "--algebra", algebra, "--seminorm", seminorm,
+        "--samples", "300", "--format", "json"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "hypothesis_not_met"
+    assert payload["square_property_residual"] <= 1e-9
+    assert [n for n in payload["notes"] if note in n], payload["notes"]

@@ -4,21 +4,21 @@ Seminorm variants implement only the batched ``values``; ``value`` is
 derived from it, and the ratio scan evaluates the basis once, not on each
 of its n^2 pairs.  ``gelfand_radius`` and pipeline stage 6 consume the one
 repeated-squaring generator ``log_square_norms``; stages 4 and 5 evaluate
-their samples in blocks, and stages 6 and 7 and the unitization route
-square one stack each, every row of it the one-element call.  The
-per-variant scalar formulas, the old ``gelfand_radius`` loop and the old
-per-sample loops of stages 4-7 are kept here as references, and so are
-the three-operand einsums that ``character_residual`` and the block
-classifier ran before they became ``qmul`` and matmuls, and the list
-comprehensions that built the square-check probes.
+their samples in blocks, and stages 6 and 7 square one stack each, every
+row of it the one-element call.  The per-variant scalar formulas, the old
+``gelfand_radius`` loop and the old per-sample loops of stages 4-7 are
+kept here as references, and so are the three-operand einsums that
+``character_residual`` and the block classifier ran before they became
+``qmul`` and matmuls, and the list comprehensions that built the
+square-check probes.
 The probe squares and the basis-pair products that the checks read from
-the table are checked against ``mul_coords_batch``.  Stage 8 and the
-unitization route evaluate one stack of rows each; their per-element
-loops, with the per-element Proposition 3.1 check, are kept as references
-too, and so are ComponentSup's own max-abs formula and kernel from before
-it became CoordinateMax with 0/1 weights.  The element-wise calls (mul,
-left_regular_matrix, x(a) = a.coords @ x, j_evaluate and the default norm
-of gelfand_radius) are one-row views of the batched kernels, bit for bit.
+the table are checked against ``mul_coords_batch``.  Stage 8 evaluates
+one stack of rows; its per-element loop, with the per-element Proposition
+3.1 check, is kept as a reference too, and so are ComponentSup's own
+max-abs formula and kernel from before it became CoordinateMax with 0/1
+weights.  The element-wise calls (mul, left_regular_matrix,
+x(a) = a.coords @ x, j_evaluate and the default norm of gelfand_radius)
+are one-row views of the batched kernels, bit for bit.
 """
 
 import copy
@@ -30,7 +30,7 @@ import pytest
 from squareprop import corpus, pipeline
 from squareprop.algebra import (FiniteDimRealAlgebra, _classify, _nullspace,
                                 is_invertible, left_regular_matrix,
-                                make_algebra, mul, quotient, unitize)
+                                make_algebra, mul, quotient)
 from squareprop.characters import (character_residual, find_characters,
                                    j_evaluate)
 from squareprop.pipeline import PipelineConfig, verify_theorem
@@ -43,7 +43,7 @@ from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
                                  _probe_squares, _ratio_scan, _square_probes,
                                  estimate_m, kernel, square_property_details)
 from squareprop.spectral import (NonConvergence, gelfand_radius,
-                                 log_square_norms, spectral_radius, spectrum)
+                                 log_square_norms, spectrum)
 
 
 def _max_abs(a):
@@ -56,13 +56,16 @@ def _variant_cases():
     hc = corpus.builtin("hc")
     chars = CharacterSup(tuple(corpus.known_characters(hc)))
     w = np.array([0.5, 2.0])
+
+    def radius(a):
+        return spectrum(a).radius
     return [
         ("character_sup/hc", hc, chars,
          lambda a: float(chars.values(hc, a.coords[None, :])[0])),
         ("spectral_radius/rrc", corpus.builtin("rrc"), SpectralRadius(),
-         spectral_radius),
+         radius),
         ("spectral_radius/nonunital3", corpus.builtin("nonunital3"),
-         SpectralRadius(), spectral_radius),
+         SpectralRadius(), radius),
         ("coordinate_max/rr", corpus.builtin("rr"), CoordinateMax(tuple(w)),
          lambda a: float((w * np.abs(a.coords)).max())),
         ("coordinate_sum/rrc", corpus.builtin("rrc"), CoordinateSum(),
@@ -458,61 +461,21 @@ def _unital_branch_by_loop(qalg, abs_norm, config, rng):
             "sup_equality_residual": sup_eq}
 
 
-def _nonunital_branch_by_loop(qalg, abs_norm, m_hat, config, rng):
-    """Report fields of the unitization route from its per-sample loop."""
-    b1 = unitize(qalg)
-
-    def N(x):
-        return m_hat * abs_norm(qalg.element(x.coords[1:])) + abs(x.coords[0])
-
-    sub_ratio = bound_ratio = 0.0
-    for _ in range(min(100, config.sample_count)):
-        x = b1.element(rng.standard_normal(b1.dim))
-        y = b1.element(rng.standard_normal(b1.dim))
-        nx, ny, nxy = N(x), N(y), N(x * y)
-        if nx * ny > 1e-12:
-            sub_ratio = max(sub_ratio, nxy / (nx * ny))
-        try:
-            r = gelfand_radius(x, norm=N)
-        except NonConvergence:
-            continue
-        if r > 1e-12:
-            bound_ratio = max(bound_ratio, N(x) / (m_hat ** 3 * r))
-    b = qalg.element(rng.standard_normal(qalg.dim))
-    embedded = b1.element(np.concatenate([[0.0], b.coords]))
-    fields = _unital_branch_by_loop(b1, lambda x: N(x) / m_hat, config, rng)
-    fields["sup_equality_residual"] = None
-    fields["unitization_checks"] = {
-        "submultiplicative_ratio": sub_ratio,
-        "radius_bound_ratio": bound_ratio,
-        "restriction_residual": abs(N(embedded) - m_hat * abs_norm(b))}
-    return fields
-
-
-def _flatten(fields):
-    checks = fields.pop("unitization_checks", None) or {}
-    return {**fields, **{f"unitization.{k}": v for k, v in checks.items()}}
-
-
-@pytest.mark.parametrize("force", [False, True], ids=["unital", "forced"])
 @pytest.mark.parametrize("case", _pipeline_cases(), ids=lambda c: c[0])
-def test_stage_8_matches_per_element_loops(monkeypatch, case, force):
-    """Stage 8 and the unitization route on stacks give the report fields
-    of their per-element loops, replayed from the generator state at the
-    start of stage 8 with the scalar quotient norm p(lift b)."""
+def test_stage_8_matches_per_element_loops(monkeypatch, case):
+    """Stage 8 on stacks gives the report fields of its per-element loop,
+    replayed from the generator state at the start of stage 8 with the
+    scalar quotient norm p(lift b)."""
     _, algebra, p, config = case
     entry = []
-    for name in ("_unital_branch", "_nonunital_branch"):
-        orig = getattr(pipeline, name)
+    orig = pipeline._unital_branch
 
-        def recorded(report, qalg, norms, *rest, _orig=orig):
-            rng = rest[-1]
-            if not entry:
-                entry.append((qalg, copy.deepcopy(rng.bit_generator.state)))
-            return _orig(report, qalg, norms, *rest)
-        monkeypatch.setattr(pipeline, name, recorded)
-    rep = verify_theorem(algebra, p, config, force_nonunital_branch=force)
-    qalg, state = entry[0]
+    def recorded(report, qalg, norms, config, rng):
+        entry.append((qalg, copy.deepcopy(rng.bit_generator.state)))
+        return orig(report, qalg, norms, config, rng)
+    monkeypatch.setattr(pipeline, "_unital_branch", recorded)
+    rep = verify_theorem(algebra, p, config)
+    (qalg, state), = entry
     rng = np.random.default_rng()
     rng.bit_generator.state = state
     lift = quotient(algebra, kernel(p, algebra)).lift
@@ -520,29 +483,19 @@ def test_stage_8_matches_per_element_loops(monkeypatch, case, force):
     def abs_norm(b):
         return p.value(algebra.element(lift @ b.coords))
 
-    if force:
-        old = _nonunital_branch_by_loop(qalg, abs_norm, rep.m_hat, config,
-                                        rng)
-    else:
-        old = _unital_branch_by_loop(qalg, abs_norm, config, rng)
-    old = _flatten(old)
-    new = _flatten({k: getattr(rep, k) for k in (
-        "character_count", "prop31_forward_ok", "prop31_inclusion_ok",
-        "sup_bound_residual", "sup_equality_residual", "unitization_checks")})
-    assert new["character_count"] > 0
-    assert set(old) <= set(new)
+    old = _unital_branch_by_loop(qalg, abs_norm, config, rng)
+    assert rep.character_count > 0
     for key, y in old.items():
-        x = new[key]
-        if isinstance(y, bool) or y is None or isinstance(y, int):
+        x = getattr(rep, key)
+        if isinstance(y, (bool, int)):
             assert x == y, key
         else:
             assert abs(x - y) <= 1e-12 * (1.0 + abs(y)), (key, x, y)
 
 
-@pytest.mark.parametrize("force", [False, True], ids=["unital", "forced"])
 @pytest.mark.parametrize("name", ["hc_character_sup",
                                   "nonunital3_component_sup"])
-def test_stage_8_asks_for_one_svd_and_one_eigvals(monkeypatch, name, force):
+def test_stage_8_asks_for_one_svd_and_one_eigvals(monkeypatch, name):
     """Outside the quotient's block decomposition (find_characters),
     stage 8 calls np.linalg.svd and eigvals once each, on the stack of its
     20 matrices L_b; these seminorms evaluate without either."""
@@ -569,14 +522,12 @@ def test_stage_8_asks_for_one_svd_and_one_eigvals(monkeypatch, name, force):
     for label in ("svd", "eigvals"):
         monkeypatch.setattr(np.linalg, label,
                             spy(getattr(np.linalg, label), label))
-    for attr, on in (("_unital_branch", True), ("_nonunital_branch", True),
-                     ("find_characters", False)):
+    for attr, on in (("_unital_branch", True), ("find_characters", False)):
         monkeypatch.setattr(pipeline, attr,
                             scoped(getattr(pipeline, attr), on))
-    rep = verify_theorem(algebra, p, PipelineConfig(sample_count=300),
-                         force_nonunital_branch=force)
+    rep = verify_theorem(algebra, p, PipelineConfig(sample_count=300))
     assert rep.verdict == "pass"
-    n = rep.quotient_dim + force
+    n = rep.quotient_dim
     assert calls == [("svd", (20, n, n)), ("eigvals", (20, n, n))]
 
 
@@ -745,7 +696,7 @@ def test_element_wise_calls_are_rows_of_the_batch(case):
                 == _outcome(gelfand_radius, a, norm=batch_norm, **kw)
 
 
-# -- stages 6 and 7 and the unitization route square one stack each -------
+# -- stages 6 and 7 square one stack each --------------------------------
 
 def _m2_stack():
     """Random elements of M2(R) with E12 (radius 0) among them."""
@@ -827,17 +778,15 @@ def _count_calls(monkeypatch, name):
     return shapes
 
 
-@pytest.mark.parametrize("force", [False, True], ids=["unital", "forced"])
-def test_stages_6_and_7_square_one_stack_each(monkeypatch, force):
+def test_stages_6_and_7_square_one_stack_each(monkeypatch):
     """Stage 6 asks log_square_norms once, for its 10 rows; stage 7 asks
-    gelfand_radius once, for its 100 rows, and the unitization route once
-    more, for its 100 rows of B1 (the parent made one call per row)."""
+    gelfand_radius once, for its 100 rows (the loops they replaced made one
+    call per row)."""
     logs = _count_calls(monkeypatch, "log_square_norms")
     radii = _count_calls(monkeypatch, "gelfand_radius")
     algebra, p = corpus.manifest_pair(next(
         c for c in corpus.MANIFEST if c.name == "rrc_spectral_radius"))
-    rep = verify_theorem(algebra, p, PipelineConfig(sample_count=300),
-                         force_nonunital_branch=force)
+    rep = verify_theorem(algebra, p, PipelineConfig(sample_count=300))
     assert rep.verdict == "pass"
     assert logs == [(10,)]
-    assert radii == [(100,)] * (2 if force else 1)
+    assert radii == [(100,)]

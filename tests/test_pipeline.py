@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from squareprop import corpus, pipeline
+from squareprop.algebra import FiniteDimRealAlgebra
 from squareprop.pipeline import (PipelineConfig, compute_verdict, fuzz,
                                  verify_theorem)
-from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateSum,
-                                 OpaqueSeminorm, UnsupportedVariant,
-                                 check_square_property,
+from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
+                                 CoordinateSum, OpaqueSeminorm,
+                                 UnsupportedVariant, check_square_property,
                                  check_submultiplicative)
 
 QUICK = PipelineConfig(sample_count=400, seed=5, restarts=30)
@@ -69,21 +70,34 @@ def test_nonunital_ambient_quotient_is_unital():
     assert rep.branch == "unital"
 
 
-def test_forced_nonunital_branch():
-    # no finite-dimensional pass instance reaches a genuinely non-unital
-    # quotient (a square-property norm forces semisimplicity), so the
-    # unitization route is exercised by forcing the branch
-    pair = next(p for p in corpus.MANIFEST if p.name == "rr_coordinate_max")
-    algebra, p = corpus.manifest_pair(pair)
-    rep = verify_theorem(algebra, p, QUICK, force_nonunital_branch=True)
-    assert rep.branch == "non_unital"
-    uc = rep.unitization_checks
-    assert uc is not None
-    assert uc["submultiplicative_ratio"] <= 1.0 + 1e-9
-    assert uc["restriction_residual"] <= 1e-12
-    assert rep.character_count > 0
-    assert rep.sup_equality_residual is None   # N is no sup over characters
-    assert rep.verdict == "pass"
+def test_quotient_without_a_unit_fails(monkeypatch):
+    """A / Ker p without a radical has a unit; where the unit search
+    misses it, verify stops after stage 4 with fail and a note (it used
+    to pass on the unitization route)."""
+    quotient = pipeline.quotient
+
+    def stripped(algebra, V):
+        qm = quotient(algebra, V)
+        q = qm.algebra
+        return dataclasses.replace(qm, algebra=FiniteDimRealAlgebra(
+            q.dim, q.labels, q.table, name=q.name))
+    monkeypatch.setattr(pipeline, "quotient", stripped)
+    rep = _run("rr_coordinate_max")
+    assert rep.verdict == "fail"
+    assert rep.branch is None and rep.character_count is None
+    assert [n for n in rep.notes if "no unit was found" in n], rep.notes
+
+
+def test_radical_without_a_square_defect_fails(monkeypatch):
+    """A radical in A / Ker p whose squares show no defect (here a spurious
+    one, an idempotent of R (+) R) is no pass either: verify stops after
+    stage 4 with fail and a note."""
+    monkeypatch.setattr(FiniteDimRealAlgebra, "radical",
+                        property(lambda self: np.eye(self.dim)[:1]))
+    rep = _run("rr_coordinate_max")
+    assert rep.verdict == "fail"
+    assert rep.quotient_dim == 2 and rep.branch is None
+    assert [n for n in rep.notes if "has a radical, but" in n], rep.notes
 
 
 def test_opaque_seminorm_rejected():
@@ -139,6 +153,41 @@ def test_verdict_fails_on_non_finite_residual(rr_max_report, field, bad):
     assert compute_verdict(rr_max_report) == "pass"
     mutated = dataclasses.replace(rr_max_report, **{field: bad})
     assert compute_verdict(mutated) == "fail"
+
+
+@pytest.mark.parametrize("field, missing", [
+    ("ideal_check", None),
+    ("quotient_norm_well_defined_residual", None),
+    ("normed_algebra_ratio", None),
+    ("scaled_norm_square_residual", None),
+    ("iterate_relation_residuals", []),
+    ("radius_match_residual", None),
+    ("character_count", None),
+    ("prop31_forward_ok", None),
+    ("prop31_inclusion_ok", None),
+    ("sup_bound_residual", None),
+    ("sup_equality_residual", None),
+    ("final_submultiplicativity_ratio", None),
+    ("m_hat", None),
+])
+def test_verdict_fails_on_a_missing_residual(rr_max_report, field, missing):
+    """No stage is skipped in silence: a residual left unset fails the
+    verdict (a missing sup_equality_residual used to pass)."""
+    assert compute_verdict(rr_max_report) == "pass"
+    mutated = dataclasses.replace(rr_max_report, **{field: missing})
+    assert compute_verdict(mutated) == "fail"
+
+
+@pytest.mark.parametrize("pair", corpus.MANIFEST, ids=lambda c: c.name)
+def test_manifest_reports_keep_the_branch_keys(pair):
+    """Stage 8 has one branch: a report that reaches it says "unital", and
+    unitization_checks stays in the JSON as null."""
+    rep = verify_theorem(*corpus.manifest_pair(pair), QUICK)
+    assert rep.verdict == pair.expected
+    blob = rep.to_dict()
+    assert blob["unitization_checks"] is None
+    assert blob["branch"] == ("unital" if rep.character_count is not None
+                              else None)
 
 
 def test_nan_square_residual_stops_at_stage_one():
