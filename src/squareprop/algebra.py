@@ -1,7 +1,11 @@
 """Finite-dimensional real associative algebras given by structure constants.
 
-An algebra is a dense table c[i, j, k] with e_i e_j = sum_k c[i,j,k] e_k,
-validated for associativity at construction.  Everything downstream
+An algebra is a dense table c[i, j, k] with e_i e_j = sum_k c[i,j,k] e_k.
+Every table is checked for associativity once: where it is given
+(make_algebra, FiniteDimRealAlgebra) or computed with rounding
+(quotient).  The unitization and corpus.direct_sum assemble their tables
+from checked ones with exact 0s and 1s, so their defects are those of
+their parts, and they inherit the check.  Everything downstream
 (spectra, seminorm kernels, quotients, characters) is computed from
 this table and the left regular representation.
 
@@ -82,6 +86,21 @@ class FiniteDimRealAlgebra:
     """Structure-constant presentation of a real associative algebra."""
 
     def __init__(self, dim, labels, table, unit=None, name="", components=None):
+        self._build(dim, labels, table, unit, name, components, True)
+
+    @classmethod
+    def _from_checked(cls, dim, labels, table, unit=None, name="",
+                      components=None):
+        """An algebra whose table is assembled from the tables of algebras
+        that passed their associativity check, in a way that keeps every
+        defect (see unitize and corpus.direct_sum).  Every check of
+        __init__ runs but the dense associativity check, whose answer the
+        table inherits."""
+        algebra = cls.__new__(cls)
+        algebra._build(dim, labels, table, unit, name, components, False)
+        return algebra
+
+    def _build(self, dim, labels, table, unit, name, components, check_assoc):
         if dim <= 0:
             raise DimensionMismatch("dim must be positive")
         labels = list(labels)
@@ -107,7 +126,10 @@ class FiniteDimRealAlgebra:
         self.name = name or "algebra"
         # optional (kind, offset, dim) metadata for direct sums of R/C/H
         self.components = components
-        self._check_associativity()
+        if check_assoc:
+            self._check_associativity()
+        else:
+            self._assoc_tol()   # its finiteness checks alone
         self.unit = None
         if unit is not None:
             unit = np.asarray(unit, dtype=float)
@@ -117,18 +139,23 @@ class FiniteDimRealAlgebra:
             self.unit = unit
             self.unit.setflags(write=False)
 
-    def _check_associativity(self):
-        c = self.table
-        n = self.dim
-        cmax = float(np.abs(c).max())
+    def _assoc_tol(self) -> float:
+        """ASSOC_TOL (1 + max|c|)^2; raises on a non-finite table and on a
+        table whose largest entry squared overflows."""
+        cmax = float(np.abs(self.table).max())
         if not math.isfinite(cmax):  # NaN compares False against any tol
             raise AlgebraError("table has non-finite entries")
         try:
-            tol = ASSOC_TOL * (1.0 + cmax) ** 2
+            return ASSOC_TOL * (1.0 + cmax) ** 2
         except OverflowError:
             raise AlgebraError(
                 f"table entry of size {cmax:.3e} is too large: its square "
                 "overflows the associativity check") from None
+
+    def _check_associativity(self):
+        c = self.table
+        n = self.dim
+        tol = self._assoc_tol()
         rows = c.reshape(n * n, n)        # [j k, m]: e_j e_k
         cols = c.reshape(n, n * n)        # [m, k l]: e_m e_k
         step = max(1, _ASSOC_BLOCK_BYTES // (8 * n ** 3))
@@ -313,15 +340,20 @@ def nonsingular(L: np.ndarray) -> np.ndarray:
     return s[..., -1] > INVERT_CUTOFF * s[..., 0]
 
 
-def with_found_unit(dim, labels, c: np.ndarray, name=""):
-    """The algebra of the dense table c with the unit that _solve_unit
-    solves for, checked on construction like a given unit; without a unit
-    when there is none, or when the solution fails that check (a lstsq
-    artifact)."""
+def with_found_unit(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
+    """The algebra with the unit that _solve_unit solves for, checked like
+    a given unit; the algebra itself when there is none, or when the
+    solution fails that check (a lstsq artifact).  The table is the one
+    the algebra was checked with, so it is not checked again."""
+    u = _solve_unit(algebra.table)
+    if u is None:
+        return algebra
     try:
-        return FiniteDimRealAlgebra(dim, labels, c, _solve_unit(c), name)
+        return FiniteDimRealAlgebra._from_checked(
+            algebra.dim, algebra.labels, algebra.table, u, algebra.name,
+            algebra.components)
     except BadUnit:
-        return FiniteDimRealAlgebra(dim, labels, c, name=name)
+        return algebra
 
 
 def _solve_unit(c: np.ndarray):
@@ -338,7 +370,13 @@ def _solve_unit(c: np.ndarray):
 
 
 def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
-    """Adjoin a unit: (n+1)-dim algebra R*e + A with e in slot 0."""
+    """Adjoin a unit: (n+1)-dim algebra R*e + A with e in slot 0.
+
+    The table is not checked for associativity again: a triple of A's
+    basis has A's own defect, since the added entries are exact 0s and 1s
+    and the terms through e are exact 0s, and a triple with e has defect
+    exactly 0; the tolerance ASSOC_TOL (1 + max|c|)^2 is at least A's.
+    """
     n = algebra.dim
     c = np.zeros((n + 1, n + 1, n + 1))
     c[1:, 1:, 1:] = algebra.table
@@ -346,7 +384,7 @@ def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
     c[0, idx, idx] = c[idx, 0, idx] = 1.0
     unit = np.zeros(n + 1)
     unit[0] = 1.0
-    return FiniteDimRealAlgebra(
+    return FiniteDimRealAlgebra._from_checked(
         n + 1, ["e"] + list(algebra.labels), c, unit=unit,
         name=f"unitize({algebra.name})")
 
@@ -572,5 +610,7 @@ def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
     table = np.einsum("ia,jb,ijk,qk->abq", S, S, algebra.table, proj,
                       optimize=True)
     labels = [f"[{algebra.labels[c]}]" for c in cols]
-    return QuotientMap(with_found_unit(q, labels, table,
-                                       f"{algebra.name}/ideal"), proj, S)
+    # checked: rounding in the change of basis can break associativity
+    qalg = FiniteDimRealAlgebra(q, labels, table,
+                                name=f"{algebra.name}/ideal")
+    return QuotientMap(with_found_unit(qalg), proj, S)

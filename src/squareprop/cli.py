@@ -78,7 +78,7 @@ def load_algebra(spec: str) -> FiniteDimRealAlgebra:
     except (AlgebraError, TypeError, ValueError) as exc:
         raise InputError(f"algebra file {spec}: {exc}") from None
     # a file without a unit gets the one detected, verified in the same way
-    return A if A.is_unital else with_found_unit(dim, basis, A.table, A.name)
+    return A if A.is_unital else with_found_unit(A)
 
 
 def load_seminorm(spec: str, algebra: FiniteDimRealAlgebra):

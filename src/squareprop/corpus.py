@@ -50,6 +50,13 @@ def m2_reals() -> FiniteDimRealAlgebra:
 
 def direct_sum(parts: list[FiniteDimRealAlgebra],
                name: str | None = None) -> FiniteDimRealAlgebra:
+    """The parts side by side, each a block of the table.
+
+    The table is not checked for associativity again: a triple inside one
+    part has that part's own defect, any other triple has defect exactly 0
+    (products across parts are exact 0s), and the tolerance
+    ASSOC_TOL (1 + max|c|)^2 is at least each part's.
+    """
     dims = [p.dim for p in parts]
     n = sum(dims)
     table = np.zeros((n, n, n))
@@ -69,9 +76,9 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
             components = None  # not a recognized R/C/H product
         labels.extend(f"{lbl}@{off}" for lbl in p.labels)
         off += d
-    return make_algebra(n, labels, table, unit=unit if unital else None,
-                        name=name or "(+)".join(p.name for p in parts),
-                        components=components)
+    return FiniteDimRealAlgebra._from_checked(
+        n, labels, table, unit=unit if unital else None,
+        name=name or "(+)".join(p.name for p in parts), components=components)
 
 
 def function_algebra_H(points: int) -> FiniteDimRealAlgebra:

@@ -1,13 +1,14 @@
 """The matrix-product kernels of ``algebra`` against the dense einsums and
 Python loops they replaced, which are kept here as the references."""
 
+import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from squareprop import algebra, corpus
+from squareprop import algebra, cli, corpus
 from squareprop.algebra import (ASSOC_TOL, IDEAL_TOL, AlgebraError,
                                 AssociativityViolation, BadUnit,
                                 left_regular_matrix, make_algebra, quotient,
@@ -123,6 +124,116 @@ def test_associativity_check_memory_is_cubic():
         tracemalloc.stop()
     # one 63^4 float array is 126 MB; the dense check held three
     assert peak < 64 << 20
+
+
+# -- associativity inherited by the hull and by direct sums -------------
+
+def _h2_nonunital3():
+    return corpus.direct_sum([corpus.quaternions()] * 2
+                             + [corpus.nonunital_with_ideal()])
+
+
+def _inheritance_cases():
+    cases = [(name, corpus.builtin(name)) for name in corpus.builtin_names()]
+    cases.append(("rotated nonunital3",
+                  _rotate(corpus.builtin("nonunital3"), 12)[0]))
+    cases.append(("rotated H2+nonunital3", _rotate(_h2_nonunital3(), 13)[0]))
+    return cases
+
+
+INHERITANCE_CASES = _inheritance_cases()
+
+
+def _assert_inherits(table, parts):
+    """The dense defect of table is within its tolerance, and equal to the
+    worst of the parts' defects up to the rounding of the check."""
+    worst, _, tol = _dense_assoc(table)
+    checks = [_dense_assoc(part.table) for part in parts]
+    assert all(t <= tol for _, _, t in checks)
+    assert worst <= tol
+    rounding = 8 * np.finfo(float).eps * (1.0 + np.abs(table).max()) ** 2
+    assert abs(worst - max(w for w, _, _ in checks)) <= rounding
+
+
+@pytest.mark.parametrize("label, A", INHERITANCE_CASES,
+                         ids=[c[0] for c in INHERITANCE_CASES])
+def test_unitize_inherits_the_associativity_check(label, A):
+    _assert_inherits(algebra.unitize(A).table, [A])
+
+
+def test_direct_sum_inherits_the_associativity_check():
+    parts = [_rotate(corpus.builtin(name), seed)[0] for name, seed in
+             (("quaternions", 14), ("nonunital3", 15), ("m2_reals", 16),
+              ("complexes", 17))]
+    parts.append(_rotate(_h2_nonunital3(), 18)[0])
+    _assert_inherits(corpus.direct_sum(parts).table, parts)
+
+
+@pytest.fixture
+def assoc_checks(monkeypatch):
+    """The dims of the tables that run the dense associativity check."""
+    dims = []
+    check = algebra.FiniteDimRealAlgebra._check_associativity
+
+    def counted(self):
+        dims.append(self.dim)
+        return check(self)
+
+    monkeypatch.setattr(algebra.FiniteDimRealAlgebra, "_check_associativity",
+                        counted)
+    return dims
+
+
+def test_hull_and_direct_sum_run_no_associativity_check(assoc_checks):
+    A, _ = _rotate(_h2_nonunital3(), 19)
+    parts = [corpus.quaternions(), A, corpus.builtin("rrc")]
+    assoc_checks.clear()
+    assert algebra.unitize(A).is_unital
+    assert A.hull.dim == A.dim + 1
+    assert corpus.direct_sum(parts).dim == 4 + A.dim + 4
+    assert assoc_checks == []
+
+
+def test_make_algebra_and_quotient_check_once(assoc_checks):
+    A = corpus.builtin("nonunital3")
+    assoc_checks.clear()
+    B = make_algebra(A.dim, A.labels, A.table)
+    assert assoc_checks == [3]
+    for V, unital in (([[0, 0, 1]], True), ([[1, 0, 0]], False)):
+        assoc_checks.clear()
+        assert quotient(B, V).algebra.is_unital is unital
+        assert assoc_checks == [2]
+
+
+def test_algebra_file_without_unit_is_checked_once(tmp_path, assoc_checks):
+    A = corpus.builtin("hc")
+    path = tmp_path / "hc.json"
+    path.write_text(json.dumps({
+        "dim": A.dim, "basis": A.labels,
+        "table": [[*map(int, ijk), float(A.table[ijk])]
+                  for ijk in zip(*np.nonzero(A.table))]}))
+    assoc_checks.clear()
+    loaded = cli.load_algebra(str(path))
+    assert assoc_checks == [A.dim]
+    assert np.array_equal(loaded.unit, A.unit)
+
+
+NON_ASSOCIATIVE = {(0, 0, 1): 1.0, (1, 0, 0): 1.0}   # (e0 e0) e0 = e0, e0 e1 = 0
+
+
+def test_non_associative_tables_still_raise(tmp_path, capsys):
+    message = r"^\(e0 e0\) e0 != e0 \(e0 e0\): coefficient 0 differs by"
+    with pytest.raises(AssociativityViolation, match=message):
+        make_algebra(2, ["a", "b"], NON_ASSOCIATIVE)
+    with pytest.raises(AssociativityViolation, match=message):
+        algebra.FiniteDimRealAlgebra(2, ["a", "b"], NON_ASSOCIATIVE)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "dim": 2, "basis": ["a", "b"],
+        "table": [[*ijk, v] for ijk, v in NON_ASSOCIATIVE.items()]}))
+    assert cli.run(["verify", "--algebra", str(path), "--seminorm",
+                    "spectral_radius"]) == 2
+    assert "(e0 e0) e0 != e0 (e0 e0)" in capsys.readouterr().err
 
 
 # -- unit, ideal, quotient and batch products ---------------------------

@@ -3,7 +3,7 @@
 ``bench/workloads.py`` names, per workload, the trace layers that must
 record calls in every traced sweep; a silent layer, or a traced run whose
 outputs differ from the untraced one, makes a traced benchmark run report
-``correct: false``.  This runs a small slice of three workloads under
+``correct: false``.  This runs a small slice of each workload under
 ``bench/tracing.Tracer`` so that a library change which stops calling a
 required layer fails here, not first in the benchmark.
 """
@@ -27,11 +27,16 @@ def bench(request):
 
 def _slice(workloads, name):
     """The workload and the ops of its first sweep: one fuzz chunk, one
-    manifest sweep, and the H^2 ops of hn."""
+    manifest sweep, the H^2 ops of hn, and structure at dim 11 (H^2 and
+    the null algebra)."""
     class H2(workloads.Hn):
         POINTS = (2,)
 
-    kinds = {"fuzz": workloads.Fuzz, "manifest": workloads.Manifest, "hn": H2}
+    class Structure11(workloads.Structure):
+        COPIES = (2,)
+
+    kinds = {"fuzz": workloads.Fuzz, "manifest": workloads.Manifest, "hn": H2,
+             "structure": Structure11}
     workload = kinds[name](1)
     ops = workload.sweep(0)
     return workload, ops[:1] if name == "fuzz" else ops
@@ -46,7 +51,7 @@ def _run(ops):
     return checks, digests
 
 
-@pytest.mark.parametrize("name", ["fuzz", "manifest", "hn"])
+@pytest.mark.parametrize("name", ["fuzz", "manifest", "hn", "structure"])
 def test_required_layers_record_calls(bench, name):
     tracing, workloads = bench
     workload, ops = _slice(workloads, name)
