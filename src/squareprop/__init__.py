@@ -5,18 +5,17 @@ view of a batched kernel.  Algebra elements, like quaternions, take
 stacks: an AlgebraElement holds coords of shape (n,) or (..., n), and mul,
 SeminormVariant.value and gelfand_radius act on every row of a stack."""
 
-from .algebra import (AlgebraElement, FiniteDimRealAlgebra, is_invertible,
+from .algebra import (AlgebraElement, FiniteDimRealAlgebra,
                       left_regular_matrix, make_algebra, mul, quotient,
                       subspace_is_two_sided_ideal, unitize)
-from .characters import find_characters, j_evaluate, sampled_sup_norm
+from .characters import find_characters
 from .pipeline import PipelineConfig, VerificationReport, fuzz, verify_theorem
 from .quaternion import qinv, qmul, qnorm, qspectrum
 from .seminorm import (CharacterSup, ComponentSup, CoordinateMax,
                        CoordinateSum, OperatorNorm, SpectralRadius,
                        check_square_property, check_submultiplicative,
                        estimate_m, kernel)
-from .spectral import (SpectrumResult, gelfand_radius, in_spectrum_paper_def,
-                       spectrum)
+from .spectral import SpectrumResult, gelfand_radius, spectrum
 
 __version__ = "0.1.0"
 
@@ -25,9 +24,8 @@ __all__ = [
     "CoordinateMax", "CoordinateSum", "FiniteDimRealAlgebra", "OperatorNorm",
     "PipelineConfig", "SpectralRadius", "SpectrumResult", "VerificationReport",
     "check_square_property", "check_submultiplicative", "estimate_m",
-    "find_characters", "fuzz", "gelfand_radius", "in_spectrum_paper_def",
-    "is_invertible", "j_evaluate", "kernel", "left_regular_matrix",
-    "make_algebra", "mul", "qinv", "qmul", "qnorm", "qspectrum", "quotient",
-    "sampled_sup_norm", "spectrum", "subspace_is_two_sided_ideal", "unitize",
-    "verify_theorem",
+    "find_characters", "fuzz", "gelfand_radius", "kernel",
+    "left_regular_matrix", "make_algebra", "mul", "qinv", "qmul", "qnorm",
+    "qspectrum", "quotient", "spectrum", "subspace_is_two_sided_ideal",
+    "unitize", "verify_theorem",
 ]

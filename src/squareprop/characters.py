@@ -16,9 +16,9 @@ result is the sup over every character of A, not a sample.
 A character is the (n, 4) array of its images x(e_i), quaternions
 (w, x, y, z), so x(a) = a.coords @ x; a set of characters is one (m, n, 4)
 stack.  seminorm.CharacterSup holds the one evaluation of x(a) and the one
-sup max |x(a)|; j_evaluate is its one-row case.  check_prop31 takes one SVD
-and one eigvals of the stacked L_a and tests the inclusion of the spectra
-{w +- i|v|} in sp(a) as a nearest-point distance, as full_spectrum_match does.
+sup max |x(a)|.  check_prop31 takes one SVD and one eigvals of the stacked
+L_a and tests the inclusion of the spectra {w +- i|v|} in sp(a) as a
+nearest-point distance.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ ACCEPT_RESIDUAL = 1e-11    # gate on every constructed character
 NONZERO_FLOOR = 1e-6
 
 
+# raised only by sampled_sup_norm, which bench/tracing.py wraps by name
 class EmptyCharacterSet(Exception):
     pass
 
@@ -91,14 +92,7 @@ def find_characters(algebra: FiniteDimRealAlgebra) -> np.ndarray:
     return chars
 
 
-def j_evaluate(a: AlgebraElement, chars) -> np.ndarray:
-    """J(a) at the (m, n, 4) stack chars: the (m, 4) row of
-    CharacterSup.evaluations at a."""
-    if len(chars) == 0:
-        return np.zeros((0, 4))
-    return CharacterSup(chars).evaluations(a.algebra, a.coords[None])[0]
-
-
+# bench/tracing.py wraps this name; keep it until the library records spans
 def sampled_sup_norm(a: AlgebraElement, chars) -> float:
     """Max |x(a)| over the (m, n, 4) stack chars; ||J(a)||_s when it is the
     result of find_characters."""
@@ -138,22 +132,6 @@ def check_prop31(algebra: FiniteDimRealAlgebra, X: np.ndarray,
                      tol)
     return Prop31Result(bool((norms.min(axis=1) > 1e-10).all()),
                         bool(inside.all()))
-
-
-def full_spectrum_match(algebra: FiniteDimRealAlgebra, X: np.ndarray,
-                        chars, tol: float = 1e-6) -> np.ndarray:
-    """Per row a of X: sp(a) equals the union of quaternion spectra of the
-    character values (False for every row when chars is empty).
-
-    Holds for find_characters(A) exactly when every simple block of
-    A/rad(A) is R, C or H.
-    """
-    if len(chars) == 0:
-        return np.zeros(X.shape[0], dtype=bool)
-    Z = qspectrum(CharacterSup(chars).evaluations(algebra, X))
-    Z = Z.reshape(len(X), -1)
-    W = spectra(algebra, algebra.left_matrices_batch(X))
-    return _within(Z, W, tol) & _within(W, Z, tol)
 
 
 def nonexistence_explanation(algebra: FiniteDimRealAlgebra):

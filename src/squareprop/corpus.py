@@ -106,6 +106,7 @@ def _embedding_images(kind: str, offset: int, dim: int,
     return images
 
 
+# bench/tracing.py wraps this name; keep it until the library records spans
 def known_characters(algebra: FiniteDimRealAlgebra,
                      twists: dict | None = None) -> np.ndarray:
     """One canonical character per R/C/H component of a product algebra, as

@@ -57,6 +57,8 @@ class PipelineConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(
                     f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:   # NumPy seeds only with non-negative integers
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tol must be in (0, 1), got {self.tol}")
 

@@ -9,7 +9,11 @@ unless another norm is given, and both routes are cross-checked in tests.
 The squaring is written once, as the generator log_square_norms; its two
 consumers are gelfand_radius and the iterated-square stage of the pipeline.
 Both take one element or a stack of them and square every row of a stack
-at once; a row stops once it converges or its power has norm 0.
+at once; a row stops once its power has norm 0, or once its step is small
+and 2^k > dim.  An exactly structured element can take a step of exactly 0
+before its nilpotent part vanishes (x in R[x]/(x^3) has ||x^2|| = ||x||^2
+and x^4 = 0), and a nilpotent element of A is 0 from its power dim + 1
+on, so a small step counts as convergence only from there.
 
 One spectral-radius path.  The radical of the unital hull is nil, so
 r(a) = r(pi(a)) in B = hull / rad(hull), which is semisimple: the direct
@@ -107,6 +111,7 @@ def spectra(algebra, L: np.ndarray) -> np.ndarray:
     return eig if algebra.is_unital else np.pad(eig, ((0, 0), (0, 1)))
 
 
+# bench/tracing.py wraps this name; keep it until the library records spans
 def spectrum(a: AlgebraElement) -> SpectrumResult:
     """sp(a), sorted, and its radius."""
     eig = spectra(a.algebra, left_regular_matrix(a)[None])[0]
@@ -129,21 +134,6 @@ def spectral_radius_batch(algebra, coords: np.ndarray) -> np.ndarray:
     of its spectral split (see the module docstring)."""
     return functools.reduce(np.maximum, (_group_radii(coords, *group)
                                          for group in algebra.spectral_split))
-
-
-def in_spectrum_paper_def(a: AlgebraElement, s: float, t: float) -> bool:
-    """Literal membership test: (a - se)^2 + t^2 e not invertible.
-
-    Singularity is judged against the scale of (a, s, t), not of the test
-    element itself: at a true spectrum point the element is numerically
-    zero, where a self-relative singular-value ratio is meaningless.
-    """
-    e = a.algebra.unit_element()   # raises NotUnital without a unit
-    shifted = a - s * e
-    x = mul(shifted, shifted) + (t * t) * e
-    sv = np.linalg.svd(left_regular_matrix(x), compute_uv=False)
-    scale = (np.linalg.norm(left_regular_matrix(a), 2) + abs(s) + abs(t)) ** 2
-    return sv[-1] <= 1e-8 * (1.0 + scale)
 
 
 def log_square_norms(a: AlgebraElement, norm: Callable):
@@ -186,7 +176,8 @@ def gelfand_radius(a: AlgebraElement,
     Sums the log_square_norms steps, scaled by 2^-k, so powers up to
     2^iterations never overflow.  On a stack of elements every row is one
     such sum, and a row stops squaring once its step falls under
-    conv_tol * 2^-20; the radii (and last deltas) come back as arrays.
+    conv_tol * 2^-20 and 2^k > dim, or once a power has norm 0; the radii
+    (and last deltas) come back as arrays.
     Raises NonConvergence if, on some row, the last two iterates of
     ||a^(2^k)||^(2^-k) still differ by more than conv_tol after the budget;
     its radii hold what would have been returned, NaN on those rows.
@@ -203,7 +194,9 @@ def gelfand_radius(a: AlgebraElement,
         step = np.ravel(logs.send(run))[run] / 2.0 ** k
         log_r[run] += step
         delta[run] = np.abs(step)
-        run[run] = (step != -math.inf) & ~(delta[run] < conv_tol * 2.0 ** -20)
+        # a small step stops a row only once 2^k > dim (module docstring)
+        small = delta[run] < conv_tol * 2.0 ** -20
+        run[run] = (step != -math.inf) & ~(small & (2 ** k > a.algebra.dim))
     delta[log_r == -math.inf] = 0.0   # some power of the row has norm zero
     stalled = delta > conv_tol
     r = np.where(stalled, math.nan, [math.exp(v) for v in log_r])

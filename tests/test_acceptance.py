@@ -12,14 +12,15 @@ import pytest
 
 from squareprop import cli, corpus, pipeline
 from squareprop.characters import (check_prop31, find_characters,
-                                   full_spectrum_match, j_evaluate,
                                    nonexistence_explanation)
-from squareprop.algebra import is_invertible, nonsingular
+from squareprop.algebra import nonsingular
 from squareprop.pipeline import PipelineConfig, fuzz, verify_theorem
 from squareprop.quaternion import qmul, qnorm
 from squareprop.seminorm import OperatorNorm
-from squareprop.spectral import (gelfand_radius, in_spectrum_paper_def,
-                                 spectrum)
+from squareprop.spectral import gelfand_radius, spectrum
+
+from oracles import (full_spectrum_match, in_spectrum_paper_def,
+                     is_invertible, j_evaluate)
 
 ALL_CORPUS = ("reals", "complexes", "quaternions", "m2_reals", "rr", "rrc",
               "hc", "h2", "nonunital3")

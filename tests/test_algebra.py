@@ -5,9 +5,10 @@ from squareprop import corpus
 from squareprop.algebra import (AlgebraError, AlgebraMismatch,
                                 AssociativityViolation, BadUnit,
                                 NotAnIdeal, NotUnital, _solve_unit,
-                                is_invertible, left_regular_matrix,
-                                make_algebra, mul, quotient,
-                                subspace_is_two_sided_ideal, unitize)
+                                left_regular_matrix, make_algebra, mul,
+                                quotient, subspace_is_two_sided_ideal, unitize)
+
+from oracles import is_invertible
 
 
 def test_complexes_accepted_with_unit():
@@ -136,8 +137,9 @@ def test_quotient_componentwise():
     for _ in range(100):
         a = rrc.element(rng.standard_normal(4))
         b = rrc.element(rng.standard_normal(4))
-        lhs = qm.project(mul(a, b)).coords
-        rhs = mul(qm.project(a), qm.project(b)).coords
+        lhs = qm.projection @ mul(a, b).coords
+        rhs = mul(qm.algebra.element(qm.projection @ a.coords),
+                  qm.algebra.element(qm.projection @ b.coords)).coords
         assert np.abs(lhs - rhs).max() <= 1e-10
 
 

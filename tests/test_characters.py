@@ -6,13 +6,14 @@ from squareprop.algebra import make_algebra
 from squareprop.algebra import NotUnital
 from squareprop.characters import (EmptyCharacterSet, Prop31Result,
                                    character_residual, check_prop31,
-                                   find_characters, full_spectrum_match,
-                                   j_evaluate, nonexistence_explanation,
+                                   find_characters, nonexistence_explanation,
                                    sampled_sup_norm)
 from squareprop.quaternion import qmul, qnorm, random_unit_quaternion
 from squareprop.pipeline import PipelineConfig, verify_theorem
 from squareprop.seminorm import SpectralRadius, kernel
 from squareprop.spectral import spectrum
+
+from oracles import full_spectrum_match, j_evaluate
 
 
 def test_residual_examples():

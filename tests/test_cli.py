@@ -178,6 +178,43 @@ def test_non_positive_count_exit_two(argv, field, capsys):
     assert field in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--algebra", "rr", "--seminorm", "coordinate_max",
+     "--seed", "-3"],
+    ["fuzz", "--iterations", "5", "--seed", "-1"],
+    ["characters", "--algebra", "rr", "--seed", "-5"],
+], ids=["verify", "fuzz", "characters"])
+def test_negative_seed_exit_two(argv, capsys):
+    code = cli.run(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "seed must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("subset", [[0.5], [1.9], [0, 1.5], [float("nan")]],
+                         ids=["half", "1.9", "mixed", "nan"])
+def test_non_integral_subset_exit_two(tmp_path, capsys, subset):
+    sn = tmp_path / "subset.json"
+    sn.write_text(json.dumps({"type": "component_sup", "subset": subset}))
+    code = cli.run(["verify", "--algebra", "rr", "--seminorm", str(sn)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "subset entries must be integers" in captured.err
+
+
+def test_integral_float_subset_is_the_integer_one(tmp_path, capsys):
+    sn = tmp_path / "subset.json"
+    sn.write_text(json.dumps({"type": "component_sup", "subset": [0.0]}))
+    outs = []
+    for spec in (str(sn), "component_sup:0"):
+        assert cli.run(["verify", "--algebra", "rr", "--seminorm", spec,
+                        "--samples", "200", "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_non_numeric_seminorm_shorthand_exit_two(capsys):
     code = cli.run(["verify", "--algebra", "rr", "--seminorm",
                     "coordinate_max:a"])

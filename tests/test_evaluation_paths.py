@@ -9,8 +9,9 @@ row of it the one-element call.  The per-variant scalar formulas, the old
 ``gelfand_radius`` loop and the old per-sample loops of stages 4-7 are
 kept here as references, and so are the three-operand einsums that
 ``character_residual`` and the block classifier ran before they became
-``qmul`` and matmuls, and the list comprehensions that built the
-square-check probes.
+``qmul`` and matmuls, the list comprehensions that built the
+square-check probes, and the probes at scales 1, 2 and 8 that the square
+check evaluated before it kept scale 8 alone.
 The probe squares and the basis-pair products that the checks read from
 the table are checked against ``mul_coords_batch``.  Stage 8 evaluates
 one stack of rows; its per-element loop, with the per-element Proposition
@@ -29,21 +30,21 @@ import pytest
 
 from squareprop import corpus, pipeline
 from squareprop.algebra import (FiniteDimRealAlgebra, _classify, _nullspace,
-                                is_invertible, left_regular_matrix,
-                                make_algebra, mul, quotient)
-from squareprop.characters import (character_residual, find_characters,
-                                   j_evaluate)
+                                left_regular_matrix, make_algebra, mul,
+                                quotient)
+from squareprop.characters import character_residual, find_characters
 from squareprop.pipeline import PipelineConfig, verify_theorem
 from squareprop.quaternion import (HAMILTON, qnorm, qspectrum,
                                    random_unit_quaternion)
 from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
-                                 CoordinateMax, CoordinateSum, OpaqueSeminorm,
-                                 OperatorNorm, PayloadMismatch,
-                                 SeminormVariant, SpectralRadius,
-                                 _probe_squares, _ratio_scan, _square_probes,
+                                 CoordinateMax, CoordinateSum, OperatorNorm,
+                                 PayloadMismatch, SeminormVariant,
+                                 SpectralRadius, _ratio_scan, _square_probes,
                                  estimate_m, kernel, square_property_details)
 from squareprop.spectral import (NonConvergence, gelfand_radius,
                                  log_square_norms, spectrum)
+
+from oracles import CallableSeminorm, is_invertible, j_evaluate
 
 
 def _max_abs(a):
@@ -74,7 +75,7 @@ def _variant_cases():
          lambda a: float(np.linalg.norm(left_regular_matrix(a), 2))),
         ("component_sup/rr", corpus.builtin("rr"), ComponentSup((0,)),
          lambda a: float(np.abs(a.coords[[0]]).max())),
-        ("opaque/rr", corpus.builtin("rr"), OpaqueSeminorm(_max_abs),
+        ("callable/rr", corpus.builtin("rr"), CallableSeminorm(_max_abs),
          _max_abs),
     ]
 
@@ -114,7 +115,8 @@ def test_component_sup_is_bit_identical_to_its_own_formula(name):
 
 def _gelfand_by_loop(a, norm=None, iterations=40, conv_tol=1e-6,
                      return_delta=False):
-    """gelfand_radius before it consumed log_square_norms."""
+    """gelfand_radius before it consumed log_square_norms; a small step
+    stops it only once 2^k > dim, as in gelfand_radius."""
     if norm is None:
         norm = OperatorNorm().value
     na = norm(a)
@@ -131,7 +133,7 @@ def _gelfand_by_loop(a, norm=None, iterations=40, conv_tol=1e-6,
         step = math.log(nv) / 2.0 ** k
         log_r += step
         delta = abs(step)
-        if delta < conv_tol * 2.0 ** -20:
+        if delta < conv_tol * 2.0 ** -20 and 2 ** k > a.algebra.dim:
             break
         u = (1.0 / nv) * v
     if delta > conv_tol:
@@ -365,10 +367,67 @@ def test_square_probes_match_loops(n):
     pair_diffs = [eye[i] - eye[j] for i in range(n) for j in range(i + 1, n)]
     if pair_sums:
         rows += [np.array(pair_sums), np.array(pair_diffs)]
-    base = np.concatenate(rows)
-    want = np.concatenate([base * s for s in (1.0, 2.0, 8.0)])
-    got = _square_probes(corpus.direct_sum([corpus.reals()] * n))
-    assert got.shape == want.shape and np.array_equal(got, want)
+    want = 8.0 * np.concatenate(rows)
+    got, _ = _square_probes(corpus.direct_sum([corpus.reals()] * n))
+    assert got.shape == want.shape == (n * n, n)
+    assert np.array_equal(got, want)
+
+
+def _three_scale_probes(algebra):
+    """The probes and their squares as the square check built them before
+    it kept scale 8 alone: every row at the scales 1, 2 and 8."""
+    eye, c = np.eye(algebra.dim), algebra.table
+    i, j = np.nonzero(~np.tri(algebra.dim, dtype=bool))   # i < j, row-major
+    base = np.concatenate([eye, eye[i] + eye[j], eye[i] - eye[j]])
+    diag = np.einsum("iik->ik", c)
+    both, cross = diag[i] + diag[j], c[i, j] + c[j, i]
+    squares = np.concatenate([diag, both + cross, both - cross])
+    return (np.concatenate([base * s for s in (1.0, 2.0, 8.0)]),
+            np.concatenate([squares * (s * s) for s in (1.0, 2.0, 8.0)]))
+
+
+def _square_check_cases():
+    """Every builtin with four seminorms, and every manifest pair."""
+    cases = [(f"{name}/{kind}", A, corpus.make_seminorm(kind, {}, A))
+             for name in corpus.builtin_names()
+             for A in [corpus.builtin(name)]
+             for kind in ("spectral_radius", "coordinate_max",
+                          "coordinate_sum", "operator_norm")]
+    return cases + [(pair.name, *corpus.manifest_pair(pair))
+                    for pair in corpus.MANIFEST]
+
+
+@pytest.mark.parametrize("case", _square_check_cases(), ids=lambda c: c[0])
+def test_scale_8_probes_keep_the_square_residual(case):
+    """The probes at scales 1 and 2 never set the maximum: the residual of
+    the square check is the three-scale one bit for bit, and per probe the
+    scale-8 residual is at least the scale-1 and scale-2 ones.  The witness
+    moves only where every residual is 0, to the first scale-8 probe."""
+    _, A, p = case
+    P3, P3sq = _three_scale_probes(A)
+    pa = p.values(A, P3)
+    res = (np.abs(p.values(A, P3sq) - pa ** 2) / (1.0 + pa ** 2)).reshape(3, -1)
+    assert (res[2] >= res[1]).all() and (res[2] >= res[0]).all()
+    for seed in range(3):
+        got = square_property_details(p, A, 2000, seed)
+        R = np.random.default_rng(seed).standard_normal((2000, A.dim))
+        X = np.concatenate([P3, R])
+        pa = p.values(A, X)
+        pa2 = p.values(A, np.concatenate([P3sq, A.mul_coords_batch(R, R)]))
+        old = np.abs(pa2 - pa ** 2) / (1.0 + pa ** 2)
+        assert got.residual == old.max()
+        if not np.array_equal(got.witness, X[np.argmax(old)]):
+            assert got.residual == 0.0
+            assert np.array_equal(got.witness, 8.0 * np.eye(A.dim)[0])
+
+
+def test_stage_1_evaluates_n_squared_probes():
+    """On H^8 (n = 32) the square check evaluates p on n^2 = 1024 probes
+    and their squares, next to its random rows."""
+    A = corpus.function_algebra_H(8)
+    p = _Recorded(np.ones(A.dim))
+    square_property_details(p, A, samples=300, seed=1)
+    assert [len(X) for X in p.stacks] == [32 * 32 + 300] * 2
 
 
 def test_character_sup_stacks_its_images_once(monkeypatch):
@@ -556,17 +615,17 @@ def _counted_max_abs():
     def fn(a):
         calls.append(1)
         return _max_abs(a)
-    return OpaqueSeminorm(fn), calls
+    return CallableSeminorm(fn), calls
 
 
 @pytest.mark.parametrize("kind", ["spectral_radius", "coordinate_max",
-                                  "opaque"])
+                                  "callable"])
 def test_ratio_scan_evaluates_the_basis_once(kind):
-    """Bit for bit the scan over every basis pair; an opaque callable is
+    """Bit for bit the scan over every basis pair; a callable seminorm is
     called 2 n^2 - n times fewer (n basis values instead of 2 n^2)."""
     A = corpus.function_algebra_H(8)
     n, samples = A.dim, 300
-    if kind == "opaque":
+    if kind == "callable":
         p, calls = _counted_max_abs()
         p_old, calls_old = _counted_max_abs()
     else:
@@ -576,7 +635,7 @@ def test_ratio_scan_evaluates_the_basis_once(kind):
     old = _ratio_scan_on_every_pair(p_old, A, samples, 5)
     for x, y in zip(new, old):
         assert x.shape == y.shape and np.array_equal(x, y)
-    if kind == "opaque":
+    if kind == "callable":
         assert len(calls_old) - len(calls) == 2 * n * n - n
 
 
@@ -605,8 +664,8 @@ def _close(got, want, rtol):
 @pytest.mark.parametrize("case", _table_cases(), ids=lambda c: c[0])
 def test_probe_squares_are_the_products(case):
     _, A, rtol = case
-    P = _square_probes(A)
-    _close(_probe_squares(A), A.mul_coords_batch(P, P), rtol)
+    P, P2 = _square_probes(A)
+    _close(P2, A.mul_coords_batch(P, P), rtol)
 
 
 class _Recorded(SeminormVariant):
@@ -636,7 +695,7 @@ def test_basis_pair_products_are_the_products(case):
 
 
 def test_square_and_ratio_checks_multiply_only_random_rows(monkeypatch):
-    """On H^8 the 3 n^2 probe squares and the n^2 basis products are read
+    """On H^8 the n^2 probe squares and the n^2 basis products are read
     from the table: the products formed are the random rows alone.  The
     spectral split is built first: naming its blocks forms one-row
     products, which are not the checks' own."""

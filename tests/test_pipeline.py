@@ -10,9 +10,11 @@ from squareprop.algebra import FiniteDimRealAlgebra
 from squareprop.pipeline import (PipelineConfig, compute_verdict, fuzz,
                                  verify_theorem)
 from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
-                                 CoordinateSum, OpaqueSeminorm,
-                                 UnsupportedVariant, check_square_property,
+                                 CoordinateSum, UnsupportedVariant,
+                                 check_square_property,
                                  check_submultiplicative)
+
+from oracles import CallableSeminorm
 
 QUICK = PipelineConfig(sample_count=400, seed=5, restarts=30)
 
@@ -100,9 +102,9 @@ def test_radical_without_a_square_defect_fails(monkeypatch):
     assert [n for n in rep.notes if "has a radical, but" in n], rep.notes
 
 
-def test_opaque_seminorm_rejected():
+def test_seminorm_without_kernel_rejected():
     rr = corpus.builtin("rr")
-    p = OpaqueSeminorm(lambda a: float(np.abs(a.coords).max()))
+    p = CallableSeminorm(lambda a: float(np.abs(a.coords).max()))
     with pytest.raises(UnsupportedVariant):
         verify_theorem(rr, p, QUICK)
 
@@ -198,7 +200,7 @@ def test_nan_square_residual_stops_at_stage_one():
             return math.nan
         return float(np.abs(a.coords).max())
 
-    rep = verify_theorem(rr, OpaqueSeminorm(max_abs_but_nan_at_8e0), QUICK)
+    rep = verify_theorem(rr, CallableSeminorm(max_abs_but_nan_at_8e0), QUICK)
     assert math.isnan(rep.square_property_residual)
     assert rep.square_witness == [8.0, 0.0]
     assert rep.verdict == "hypothesis_not_met"

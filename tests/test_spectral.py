@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from squareprop import corpus
-from squareprop.algebra import NotUnital
+from squareprop.algebra import NotUnital, make_algebra
 from squareprop.quaternion import qspectrum
 from squareprop.seminorm import OperatorNorm
-from squareprop.spectral import (gelfand_radius, in_spectrum_paper_def,
-                                 spectrum)
+from squareprop.spectral import gelfand_radius, spectrum
+
+from oracles import in_spectrum_paper_def
 
 ALL_CORPUS = ("reals", "complexes", "quaternions", "m2_reals", "rr", "rrc",
               "hc", "h2", "nonunital3")
@@ -131,3 +132,42 @@ def test_log_domain_no_overflow():
     assert gelfand_radius(big, norm=lambda a: float(np.abs(a.coords).max())) \
         == pytest.approx(2e150, rel=1e-9)
     assert math.isfinite(gelfand_radius(big))
+
+
+def _rx3():
+    """R[x]/(x^3) on 1, x, x^2."""
+    table = {(0, 0, 0): 1.0, (0, 1, 1): 1.0, (0, 2, 2): 1.0, (1, 0, 1): 1.0,
+             (2, 0, 2): 1.0, (1, 1, 2): 1.0}
+    return make_algebra(3, ["1", "x", "x2"], table, unit=[1.0, 0.0, 0.0],
+                        name="R[x]/(x^3)")
+
+
+def _rotated(A, seed):
+    """A in the basis f_i = sum_a Q[a, i] e_a for a seeded orthogonal Q,
+    with Q."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (A.dim, A.dim)))
+    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q)
+    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
+                        unit=Q.T @ A.unit, name=f"rotated {A.name}"), Q
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("plus_r", [False, True])
+def test_gelfand_radius_waits_for_the_nilpotent_part(plus_r, rotate):
+    """x in R[x]/(x^3) has ||x^2|| = ||x||^2 = 1 in the operator norm, so
+    the step at k = 1 is exactly 0, and x^4 = 0 shows only at k = 2.  The
+    radius of x is 0, and that of (x, 0.5) in R[x]/(x^3) + R is 0.5; in a
+    rotated basis the steps are rounding and x^4 is rounding too."""
+    A = corpus.direct_sum([_rx3(), corpus.reals()]) if plus_r else _rx3()
+    coords = np.array([0.0, 1.0, 0.0, 0.5][:A.dim])
+    want = 0.5 if plus_r else 0.0
+    if rotate:
+        A, Q = _rotated(A, 0)
+        coords = Q.T @ coords
+    a = A.element(coords)
+    got = gelfand_radius(a)
+    if rotate:
+        assert abs(got - want) <= (1e-12 if plus_r else 1e-4)
+    else:
+        assert got == want == spectrum(a).radius
