@@ -75,7 +75,7 @@ def _variant_cases():
          lambda a: float(np.linalg.norm(left_regular_matrix(a), 2))),
         ("component_sup/rr", corpus.builtin("rr"), ComponentSup((0,)),
          lambda a: float(np.abs(a.coords[[0]]).max())),
-        ("callable/rr", corpus.builtin("rr"), CallableSeminorm(_max_abs),
+        ("opaque/rr", corpus.builtin("rr"), CallableSeminorm(_max_abs),
          _max_abs),
     ]
 
@@ -619,13 +619,13 @@ def _counted_max_abs():
 
 
 @pytest.mark.parametrize("kind", ["spectral_radius", "coordinate_max",
-                                  "callable"])
+                                  "opaque"])
 def test_ratio_scan_evaluates_the_basis_once(kind):
     """Bit for bit the scan over every basis pair; a callable seminorm is
     called 2 n^2 - n times fewer (n basis values instead of 2 n^2)."""
     A = corpus.function_algebra_H(8)
     n, samples = A.dim, 300
-    if kind == "callable":
+    if kind == "opaque":
         p, calls = _counted_max_abs()
         p_old, calls_old = _counted_max_abs()
     else:
@@ -635,7 +635,7 @@ def test_ratio_scan_evaluates_the_basis_once(kind):
     old = _ratio_scan_on_every_pair(p_old, A, samples, 5)
     for x, y in zip(new, old):
         assert x.shape == y.shape and np.array_equal(x, y)
-    if kind == "callable":
+    if kind == "opaque":
         assert len(calls_old) - len(calls) == 2 * n * n - n
 
 

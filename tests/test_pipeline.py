@@ -102,7 +102,7 @@ def test_radical_without_a_square_defect_fails(monkeypatch):
     assert [n for n in rep.notes if "has a radical, but" in n], rep.notes
 
 
-def test_seminorm_without_kernel_rejected():
+def test_opaque_seminorm_rejected():
     rr = corpus.builtin("rr")
     p = CallableSeminorm(lambda a: float(np.abs(a.coords).max()))
     with pytest.raises(UnsupportedVariant):

@@ -143,7 +143,7 @@ def test_quotient_value_constant_on_cosets():
         assert abs(p.value(rr.element(a + k)) - pa) <= 1e-10 * (1.0 + pa)
 
 
-def test_seminorm_without_kernel_is_unsupported():
+def test_opaque_escape_hatch():
     rr = corpus.builtin("rr")
     p = CallableSeminorm(lambda a: float(np.abs(a.coords).max()))
     assert p.value(rr.element([2, -3])) == 3.0
