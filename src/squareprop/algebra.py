@@ -25,9 +25,12 @@ diagonal blocks of L_pi(a) on B for every a at once (`spectral_split`).
 The radical is nil, so r(a) = r(pi(a)), and on B no L_b keeps a nilpotent
 Jordan part from the radical: its eigenvalues are exact to rounding where
 those of a defective L_a err by about eps^(1/k).  The characters, the
-seminorm test of the spectral radius and the split share the one block
-decomposition and its names; the split tags each group of blocks as
-division (R, C or H) or not (see spectral).
+seminorm test of the spectral radius and the split read the block record
+and its names; the split tags each group of blocks as division (R, C or
+H) or not (see spectral).  A direct sum keeps its parts
+(corpus.direct_sum), and its split is its parts' splits side by side, so
+on a sum only the characters and the seminorm test build the sum's own
+blocks.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ IDEAL_TOL = 1e-10
 INVERT_CUTOFF = 1e-10  # smallest/largest singular value, scale free
 _ASSOC_BLOCK_BYTES = 4 << 20  # one (i-block, j, k, l) slab of the check
 _SPLIT_SEED = 0         # draws the generic central element of the blocks
-# from this dimension of B = hull / rad(hull) up, the split is B's simple
-# blocks (the measured crossover: H^2 at dim 8 verifies about 2.5 times
-# faster by blocks); below it B stays one block and nothing is built
-_BLOCKED_MIN_DIM = 8
 _SPLIT_LEAK = 1e-10     # invariance defect a block may show, relative
 _SPLIT_INDEPENDENCE = 1e-8  # smallest singular value of the joined bases
 
@@ -85,19 +84,23 @@ class NotAnIdeal(AlgebraError):
 class FiniteDimRealAlgebra:
     """Structure-constant presentation of a real associative algebra."""
 
+    _parts = ()   # the summands of a direct sum, in order (_from_checked)
+
     def __init__(self, dim, labels, table, unit=None, name="", components=None):
         self._build(dim, labels, table, unit, name, components, True)
 
     @classmethod
     def _from_checked(cls, dim, labels, table, unit=None, name="",
-                      components=None):
+                      components=None, parts=()):
         """An algebra whose table is assembled from the tables of algebras
         that passed their associativity check, in a way that keeps every
         defect (see unitize and corpus.direct_sum).  Every check of
         __init__ runs but the dense associativity check, whose answer the
-        table inherits."""
+        table inherits.  parts are the algebras a direct sum puts side by
+        side, in order; the sum's spectral split is then theirs."""
         algebra = cls.__new__(cls)
         algebra._build(dim, labels, table, unit, name, components, False)
+        algebra._parts = tuple(parts)
         return algebra
 
     def _build(self, dim, labels, table, unit, name, components, check_assoc):
@@ -518,23 +521,36 @@ def _block_groups(B: FiniteDimRealAlgebra, simple):
 def _spectral_split(algebra: FiniteDimRealAlgebra):
     """Split L_pi(a), for every a at once, into diagonal blocks on B.
 
-    From dim B = _BLOCKED_MIN_DIM up the blocks are B's simple blocks (see
-    _block_groups); below it, when they fail their gate or when a solver
-    stalls while they are built, B is one non-division block in its own
-    coordinates.  Each table is composed with pi, so that X @ table stacks
-    the blocks of pi(x) for every row x of X.  Returns a non-empty tuple of
-    (d, division, table), tables of shape (dim, K*d^2), by (d, division).
+    On a direct sum (corpus.direct_sum) L_a is block diagonal, one block
+    per part, and sp(a) is the union of the parts' spectra, so the split
+    is the parts' splits side by side: each part's tables fill that part's
+    rows and are zero elsewhere, and the tables of one (d, division) are
+    concatenated in part order.  Nothing is solved on the sum itself.  On
+    any other algebra the blocks are B's simple blocks (see _block_groups);
+    when they fail their gate, or when a solver stalls while they are
+    built, B is one non-division block in its own coordinates.  Each table
+    is composed with pi, so that X @ table stacks the blocks of pi(x) for
+    every row x of X.  Returns a non-empty tuple of (d, division, table),
+    tables of shape (dim, K*d^2), by (d, division).
     """
+    if algebra._parts:
+        groups, off = {}, 0
+        for part in algebra._parts:
+            for d, division, T in part.spectral_split:
+                rows = np.zeros((algebra.dim, T.shape[1]))
+                rows[off:off + part.dim] = T
+                groups.setdefault((d, division), []).append(rows)
+            off += part.dim
+        return tuple((d, division, np.hstack(groups[d, division]))
+                     for d, division in sorted(groups))
     qm = algebra.semisimple_quotient
     B = qm.algebra
-    q = B.dim
-    groups = None
-    if q >= _BLOCKED_MIN_DIM:
-        try:
-            groups = _block_groups(B, algebra.simple_blocks)
-        except np.linalg.LinAlgError:  # an eigen- or SVD solver stalled
-            pass
+    try:
+        groups = _block_groups(B, algebra.simple_blocks)
+    except np.linalg.LinAlgError:  # an eigen- or SVD solver stalled
+        groups = None
     if groups is None:
+        q = B.dim
         groups = ((q, False, B.table.transpose(0, 2, 1).reshape(q, q * q)),)
     P = qm.projection[:, algebra.hull.dim - algebra.dim:]  # a -> pi(a)
     return tuple((d, division, P.T @ T) for d, division, T in groups)

@@ -55,7 +55,9 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
     The table is not checked for associativity again: a triple inside one
     part has that part's own defect, any other triple has defect exactly 0
     (products across parts are exact 0s), and the tolerance
-    ASSOC_TOL (1 + max|c|)^2 is at least each part's.
+    ASSOC_TOL (1 + max|c|)^2 is at least each part's.  The sum keeps its
+    parts, and its spectral split is theirs side by side (see
+    algebra._spectral_split).
     """
     dims = [p.dim for p in parts]
     n = sum(dims)
@@ -78,13 +80,14 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
         off += d
     return FiniteDimRealAlgebra._from_checked(
         n, labels, table, unit=unit if unital else None,
-        name=name or "(+)".join(p.name for p in parts), components=components)
+        name=name or "(+)".join(p.name for p in parts), components=components,
+        parts=parts)
 
 
 def function_algebra_H(points: int) -> FiniteDimRealAlgebra:
-    """H-valued functions on a finite point set: a direct sum of copies of H."""
-    return direct_sum([quaternions() for _ in range(points)],
-                      name=f"C({points} pts, H)")
+    """H-valued functions on a finite point set: a direct sum of copies of
+    one H, whose records (its spectral split) are built once."""
+    return direct_sum([quaternions()] * points, name=f"C({points} pts, H)")
 
 
 def nonunital_with_ideal() -> FiniteDimRealAlgebra:
@@ -193,11 +196,18 @@ SEMINORM_KINDS = {
     "component_sup": ("subset",)}
 
 
+def _holds_bool(x) -> bool:
+    """True when a JSON true or false is x or sits in x, a nested list."""
+    return isinstance(x, bool) or (isinstance(x, (list, tuple))
+                                   and any(map(_holds_bool, x)))
+
+
 def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
     """Instantiate a seminorm variant for an algebra from a kind tag, one of
     SEMINORM_KINDS, and payload dict (the vocabulary of the CLI files).
     Raises ValueError on an unknown kind, a field the kind does not read
-    or that is malformed, or a missing component_sup subset."""
+    or that is malformed (true or false among numbers too), or a missing
+    component_sup subset."""
     if kind not in SEMINORM_KINDS:
         raise ValueError(f"unknown type {kind!r}; expected one of "
                          f"{', '.join(SEMINORM_KINDS)}")
@@ -207,6 +217,9 @@ def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
         raise ValueError(f"{kind} does not read field {unread[0]!r}; it "
                          f"reads {', '.join(fields) or 'none'}")
     for name, ndim in (("subset", 1), ("weights", 1), ("characters", 3)):
+        if _holds_bool(args.get(name)):   # NumPy reads true as 1.0
+            raise ValueError(f"field {name!r} holds true or false where a "
+                             "number belongs")
         try:   # a number, a ragged list or a non-number fails
             ok = (args.get(name) is None
                   or np.asarray(args[name], dtype=float).ndim == ndim)

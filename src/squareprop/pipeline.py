@@ -341,19 +341,25 @@ class FuzzSummary:
 
 
 _FUZZ_SAMPLES = 24
+_FUZZ_PARTS = {"R": corpus.reals, "C": corpus.complexes,
+               "H": corpus.quaternions}
 
 
 def _random_instance(rng, algebras):
     """One fuzz instance; `algebras` memoizes the immutable products by
-    their kind tuple, which draws nothing from rng."""
+    their kind tuple and the parts R, C and H by their letter, so every
+    product is formed from one shared copy of each part and their records
+    (probes, spectral splits) are built once.  The memo draws nothing from
+    rng."""
     kinds = tuple(["R", "C", "H"][i]
                   for i in rng.integers(0, 3, rng.integers(1, 4)))
     algebra = algebras.get(kinds)
     if algebra is None:
-        parts = {"R": corpus.reals, "C": corpus.complexes,
-                 "H": corpus.quaternions}
+        for k in kinds:
+            if k not in algebras:
+                algebras[k] = _FUZZ_PARTS[k]()
         algebra = algebras[kinds] = corpus.direct_sum(
-            [parts[k]() for k in kinds])
+            [algebras[k] for k in kinds])
     choice = int(rng.integers(0, 3))
     if choice == 0:
         twists = {i: random_unit_quaternion(rng)

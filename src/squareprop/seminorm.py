@@ -10,9 +10,10 @@ derived from it once, in the base class.
 
 The square and ratio checks multiply only their random rows
 (mul_coords_batch).  Their deterministic products are entries of the table
-c, read per call: the squares of the probes 8 e_i and 8 (e_i +- e_j) are
-sums of rows c[i,i], c[j,j], c[i,j] and c[j,i] (_square_probes), and the
-basis pair (e_i, e_j) has the product c[i,j].
+c: the squares of the probes 8 e_i and 8 (e_i +- e_j) are sums of rows
+c[i,i], c[j,j], c[i,j] and c[j,i] (_square_probes, built once per
+algebra and kept on it), and the basis pair (e_i, e_j) has the product
+c[i,j], read per call.
 """
 
 from __future__ import annotations
@@ -209,17 +210,25 @@ def kernel(p: SeminormVariant, algebra: FiniteDimRealAlgebra) -> np.ndarray:
 def _square_probes(algebra) -> tuple:
     """(P, P2): the probes 8 e_i and 8 (e_i +- e_j), i < j, and their
     squares read from the table c, 64 c[i,i] and
-    64 (c[i,i] + c[j,j] +- (c[i,j] + c[j,i])).
+    64 (c[i,i] + c[j,j] +- (c[i,j] + c[j,i])).  Built once per algebra
+    and kept on it, read-only, as its radical is.
 
     One scale is enough: with N = |p(a^2) - p(a)^2| and D = p(a)^2 the
     probe s a has the residual s^2 N / (1 + s^2 D), which grows with s, so
     probes at scales below 8 never set the maximum."""
-    eye, c = np.eye(algebra.dim), algebra.table
-    diag = np.einsum("iik->ik", c)
-    i, j = np.nonzero(~np.tri(algebra.dim, dtype=bool))   # i < j, row-major
-    both, cross = diag[i] + diag[j], c[i, j] + c[j, i]
-    P = np.concatenate([eye, eye[i] + eye[j], eye[i] - eye[j]])
-    return 8.0 * P, 64.0 * np.concatenate([diag, both + cross, both - cross])
+    probes = vars(algebra).get("_square_probes")
+    if probes is None:
+        eye, c = np.eye(algebra.dim), algebra.table
+        diag = np.einsum("iik->ik", c)
+        i, j = np.nonzero(~np.tri(algebra.dim, dtype=bool))  # i < j, by row
+        both, cross = diag[i] + diag[j], c[i, j] + c[j, i]
+        P = np.concatenate([eye, eye[i] + eye[j], eye[i] - eye[j]])
+        probes = (8.0 * P,
+                  64.0 * np.concatenate([diag, both + cross, both - cross]))
+        for x in probes:
+            x.setflags(write=False)
+        algebra._square_probes = probes
+    return probes
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ sum of its simple blocks e*B (Wedderburn-Artin), each invariant under
 every L_b.  The algebra keeps, once built, the tables that give the
 diagonal blocks of L_pi(a) for every a at once
 (FiniteDimRealAlgebra.spectral_split), grouped by block size d and tagged
-division (R, C or H) or not; a small B, or one whose blocks fail their
-gate, is one non-division block.  A batch of elements then costs, per
+division (R, C or H) or not; a B whose blocks fail their gate is one
+non-division block.  On a direct sum L_a is block diagonal and sp(a) is
+the union of the parts' spectra, so the split is the parts' splits side
+by side, each in its part's rows.  A batch of elements then costs, per
 group, one matmul X @ table and one batched solve over the stack of d x d
 blocks.
 

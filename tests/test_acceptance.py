@@ -44,6 +44,13 @@ def test_criterion_1_fuzz_no_counterexamples():
                  f"10^4 fuzz instances, {len(summary.counterexamples)} "
                  f"counterexamples, {summary.checked} hypothesis-passing, "
                  f"{elapsed:.1f}s")
+    # the whole summary, unchanged since the dense eigenvalue path
+    assert summary.to_dict() == {
+        "iterations": 10000, "seed": 42, "tol": 1e-09, "checked": 6851,
+        "square_rejections": 3149,
+        "kind_counts": {"character_sup": 3392, "coordinate_max": 3313,
+                        "spectral_radius": 3295},
+        "counterexamples": []}
 
 
 @pytest.mark.parametrize("pair_name", PASS_PAIRS)

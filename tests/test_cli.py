@@ -269,6 +269,28 @@ def test_malformed_seminorm_payload_exit_two(tmp_path, capsys, payload,
     assert f"field {field!r}" in captured.err
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"type": "component_sup", "subset": [True]}, "subset"),
+    ({"type": "component_sup", "subset": [0, False]}, "subset"),
+    ({"type": "coordinate_max", "weights": [1, True]}, "weights"),
+    ({"type": "coordinate_sum", "weights": [False, 1]}, "weights"),
+    ({"type": "character_sup",
+      "characters": [[[1, 0, 0, 0], [0, 0, 0, True]]]}, "characters"),
+], ids=["subset_true", "subset_false", "weights_max", "weights_sum",
+        "characters"])
+def test_json_boolean_among_numbers_exit_two(tmp_path, capsys, payload,
+                                             field):
+    """NumPy reads true as 1 and false as 0: subset [true] verified as
+    subset [1] with kernel_dim 1, and weights [1, true] as [1, 1]."""
+    sn = tmp_path / "bool.json"
+    sn.write_text(json.dumps(payload))
+    code = cli.run(["verify", "--algebra", "rr", "--seminorm", str(sn)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"field {field!r} holds true or false" in captured.err
+
+
 def test_non_finite_element_exit_two(capsys):
     code = cli.run(["spectrum", "--algebra", "rr", "--element", "nan 1"])
     assert code == 2

@@ -668,6 +668,22 @@ def test_probe_squares_are_the_products(case):
     _close(P2, A.mul_coords_batch(P, P), rtol)
 
 
+@pytest.mark.parametrize("case", _table_cases(), ids=lambda c: c[0])
+def test_square_probes_are_kept_on_the_algebra(case):
+    """The probes are built once per algebra and kept on it: a second call
+    returns the same read-only arrays, bit for bit those that a fresh
+    algebra with the same table builds."""
+    _, A, _ = case
+    probes = _square_probes(A)
+    again = _square_probes(A)
+    assert all(x is y for x, y in zip(probes, again))
+    assert not any(x.flags.writeable for x in probes)
+    fresh = _square_probes(make_algebra(A.dim, A.labels, A.table,
+                                        unit=A.unit))
+    assert all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes() for x, y in zip(probes, fresh))
+
+
 class _Recorded(SeminormVariant):
     """A weighted max-abs seminorm that keeps every stack it evaluates."""
 

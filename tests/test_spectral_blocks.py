@@ -2,18 +2,19 @@
 formula they replace.
 
 ``spectral_radius_batch`` evaluates r(a) = r(pi(a)) on the diagonal blocks
-of L_pi(a) on B = hull / rad(hull): on B's simple blocks once dim B
-reaches ``algebra._BLOCKED_MIN_DIM`` (by two traces on R, C and H blocks,
-whose eigenvalues are one conjugate pair, so that
-r^2 = (2 (tr M)^2 - d tr M^2) / d^2 on a d x d block M; by eigenvalues on
-any other block), and on B as one block below it or when the blocks fail
-their gate (invariance on the basis, independence, dimensions summing to
-dim B).  The dense formula (eigenvalues
-of the whole left regular matrix, in the unital hull) is kept here as the
-reference, at ordinary and extreme scales, on hulls with a radical and on
-non-finite rows, and on R + C + H^4 in the basis 10^k e_i, k = -8 ... 8.
-A failed gate and a single block give the dense numbers exactly, and the
-record is built once per algebra.
+of L_pi(a) on B = hull / rad(hull): on B's simple blocks at every
+dimension (by two traces on R, C and H blocks, whose eigenvalues are one
+conjugate pair, so that r^2 = (2 (tr M)^2 - d tr M^2) / d^2 on a d x d
+block M; by eigenvalues on any other block), and on B as one block when
+the blocks fail their gate (invariance on the basis, independence,
+dimensions summing to dim B) or a solver stalls.  A direct sum solves
+nothing of its own: its split is its parts' splits side by side, each in
+that part's rows.  The dense formula (eigenvalues of the whole left
+regular matrix, in the unital hull) is kept here as the reference, at
+ordinary and extreme scales, on hulls with a radical, on non-unital,
+M2(R) and nested parts and on non-finite rows, and on R + C + H^4 in the
+basis 10^k e_i, k = -8 ... 8.  A failed gate and a single block give the
+dense numbers exactly, and each record is built once per algebra.
 """
 
 import math
@@ -183,9 +184,10 @@ def test_empty_stack_gives_empty_radii(name):
 @pytest.mark.parametrize("name", ["H8", "H4+M2R", "H2_dense"])
 def test_non_finite_row_raises_on_both_paths(monkeypatch, name, bad):
     """On division groups, on eigvals groups, and on B as one block
-    (H^2 with the crossover raised above its dimension)."""
+    (H^2 with the invariance gate forced to fail, so that each part's B
+    is one block)."""
     if name == "H2_dense":
-        monkeypatch.setattr(algebra_mod, "_BLOCKED_MIN_DIM", 9)
+        monkeypatch.setattr(algebra_mod, "_SPLIT_LEAK", -1.0)
         A = corpus.function_algebra_H(2)
     else:
         A = CASES[name][0]()
@@ -221,7 +223,6 @@ def test_failed_invariance_gate_gives_dense_numbers(monkeypatch, leak):
 
 def test_single_block_gives_dense_numbers():
     A = _matrix_algebra(4)
-    assert A.dim >= algebra_mod._BLOCKED_MIN_DIM
     assert [(d, div) for d, div, _ in A.spectral_split] == [(16, False)]
     X = np.random.default_rng(9).standard_normal((300, A.dim))
     assert np.array_equal(spectral_radius_batch(A, X), _dense_radius(A, X))
@@ -235,7 +236,9 @@ _STALLING_Q = np.array([0.01776737537132592, -0.1593314977115078,
 
 @pytest.mark.parametrize("points", [1, 4])
 def test_stalled_qr_iteration_is_retried(points):
-    A = corpus.function_algebra_H(points)   # H^4 takes the blocked path
+    """r from the traces of H's block, and spectrum from eigvals of
+    L_a, which retries in complex arithmetic."""
+    A = corpus.function_algebra_H(points)
     x = np.zeros((1, A.dim))
     x[0, :4] = _STALLING_Q
     r = spectral_radius_batch(A, x)[0]
@@ -246,7 +249,8 @@ def test_stalled_qr_iteration_is_retried(points):
 @pytest.mark.parametrize("name", ["H8", "H8_unbuilt", "rrc"])
 def test_every_real_eigvals_failure_is_retried(monkeypatch, name):
     """On the blocks and on B as one block; a real eigensolver that fails
-    while the simple blocks are built leaves B as one block."""
+    while the simple blocks are built leaves B as one block, on each part
+    of a direct sum on its own."""
     A = corpus.builtin("rrc") if name == "rrc" else corpus.function_algebra_H(8)
     if name == "H8":
         assert A.spectral_split is not None
@@ -264,7 +268,7 @@ def test_every_real_eigvals_failure_is_retried(monkeypatch, name):
     got = spectral_radius_batch(A, X)
     if name != "rrc":
         assert [(d, div) for d, div, _ in A.spectral_split] == (
-            [(32, False)] if name == "H8_unbuilt" else [(4, True)])
+            [(4, False)] if name == "H8_unbuilt" else [(4, True)])
     assert float(np.max(np.abs(got - want) / want)) <= 1e-12
 
 
@@ -403,7 +407,7 @@ def test_nonunital_spectrum_is_the_hull_multiset(name):
         assert gap[pairs].max() <= 1e-12 * (1.0 + np.abs(dense).max())
 
 
-# -- structural guard: where the crossover sends each workload ------------
+# -- structural guard: which solver each workload reaches ----------------
 
 def _record_eig_sizes(monkeypatch):
     sizes = []
@@ -451,34 +455,39 @@ def _record_names(monkeypatch):
 
 
 def test_h8_verify_builds_the_simple_blocks_once(monkeypatch):
-    """The split, the seminorm test of the spectral radius and the
-    characters read one cached block decomposition and its names: verify
-    with both seminorms on one H^8 builds it, and names each block, once."""
+    """H^8 repeats one H.  Its split is H's split eight times, read from
+    H's blocks; the seminorm test of the spectral radius and the
+    characters read the blocks of the sum.  verify with both seminorms
+    builds each split and each block decomposition, and names each block,
+    once."""
     blocks = _record_builds(monkeypatch, "_simple_blocks")
     splits = _record_builds(monkeypatch, "_spectral_split")
     names = _record_names(monkeypatch)
     A = corpus.function_algebra_H(8)
+    (H,) = set(A._parts)
     for p in (SpectralRadius(), CharacterSup(tuple(corpus.known_characters(A)))):
         rep = verify_theorem(A, p, PipelineConfig(seed=0))
         assert rep.verdict == "pass" and rep.character_count == 8
-    assert splits == [A]
-    assert blocks == [A]
-    assert names == ["H"] * 8
+    assert splits == [A, H]
+    assert blocks == [H, A]
+    assert names == ["H"] * 9
 
 
 def test_fuzz_chunk_builds_one_record_per_product(monkeypatch):
-    """fuzz builds each product once per call, and each product's split
-    and simple blocks at most once; below the crossover B stays one block
-    and no simple blocks are built."""
+    """fuzz builds R, C and H once per call and forms every product from
+    them: each product's split is its parts' splits, so the simple blocks
+    are built on R, C and H alone, once each, and every radius comes from
+    two traces, with no eigvals call."""
     eig_sizes = _record_eig_sizes(monkeypatch)
     splits = _record_builds(monkeypatch, "_spectral_split")
     blocks = _record_builds(monkeypatch, "_simple_blocks")
     summary = fuzz(PipelineConfig(seed=42), iterations=50)
     assert splits and len({id(A) for A in splits}) == len(splits)
-    assert len({id(A) for A in blocks}) == len(blocks)
-    assert {id(A) for A in blocks} == {
-        id(A) for A in splits if A.dim >= algebra_mod._BLOCKED_MIN_DIM}
-    assert max(eig_sizes) < algebra_mod._BLOCKED_MIN_DIM
+    assert sorted(A.name for A in blocks) == ["C", "H", "R"]
+    assert not any(A._parts for A in blocks)
+    parts = {id(A) for A in blocks}
+    assert all({id(P) for P in A._parts} <= parts for A in splits if A._parts)
+    assert eig_sizes == []
     # the summary of the dense code path before the split existed
     assert summary.to_dict() == {
         "iterations": 50, "seed": 42, "tol": 1e-09, "checked": 37,
@@ -486,3 +495,74 @@ def test_fuzz_chunk_builds_one_record_per_product(monkeypatch):
         "kind_counts": {"spectral_radius": 19, "character_sup": 15,
                         "coordinate_max": 16},
         "counterexamples": []}
+
+
+# -- direct sums: the parts' splits side by side --------------------------
+
+def _scaled_parts(k):
+    """R, C and H^2 in the basis 10^k e_i, and H in the basis 10^-k e_i."""
+    t = 10.0 ** k
+    return corpus.direct_sum([
+        _rescaled(corpus.reals(), t), _rescaled(corpus.complexes(), t),
+        _rescaled(corpus.function_algebra_H(2), t),
+        _rescaled(corpus.quaternions(), 1.0 / t)])
+
+
+# (sum, {(block size, division): block count} of the split); the hull of
+# a non-unital part adds an R block of its own, on which the part is 0
+SUMS = {
+    "H+nonunital3": (lambda: corpus.direct_sum(
+        [corpus.quaternions(), corpus.nonunital_with_ideal()]),
+        {(1, True): 3, (4, True): 1}),
+    "H4+M2R": (lambda: corpus.direct_sum(_h(4) + [corpus.m2_reals()]),
+               {(4, False): 1, (4, True): 4}),
+    "R[x]/(x^2)+C": (lambda: corpus.direct_sum(
+        [_truncated_polynomials(2), corpus.complexes()]),
+        {(1, True): 1, (2, True): 1}),
+    "sum_of_sums": (lambda: corpus.direct_sum([
+        corpus.builtin("hc"),
+        corpus.direct_sum([corpus.reals(), corpus.nonunital_with_ideal()]),
+        _rotated(corpus.builtin("rrc"), 2), corpus.quaternions()]),
+        {(1, True): 6, (2, True): 2, (4, True): 2}),
+}
+SUMS.update({f"scaled_parts_1e{k}": (
+    lambda k=k: _scaled_parts(k),
+    {(1, True): 1, (2, True): 1, (4, True): 3}) for k in range(-8, 9)})
+
+
+@pytest.mark.parametrize("name", sorted(SUMS))
+def test_direct_sum_split_is_its_parts_splits(name):
+    """The split of a sum is assembled from its parts' splits, with no
+    quotient, block or solve of its own: each part's tables sit in its
+    rows, zero elsewhere, grouped by (d, division) in part order.  Its
+    radii match the dense formula on rows over the whole sum and on rows
+    in one part, where each part is read at its own scale."""
+    build, sizes = SUMS[name]
+    A = build()
+    split = A.spectral_split
+    assert "semisimple_quotient" not in vars(A)
+    assert "simple_blocks" not in vars(A)
+    assert {(d, division): table.shape[1] // (d * d)
+            for d, division, table in split} == sizes
+    offsets = np.cumsum([0] + [P.dim for P in A._parts])
+    for d, division, table in split:
+        want = []
+        for P, off in zip(A._parts, offsets):
+            for T in (T for d2, div2, T in P.spectral_split
+                      if (d2, div2) == (d, division)):
+                rows = np.zeros((A.dim, T.shape[1]))
+                rows[off:off + P.dim] = T
+                want.append(rows)
+        assert np.array_equal(table, np.hstack(want))
+    rng = np.random.default_rng(18)
+    X = rng.standard_normal((500, A.dim))
+    stacks = [X]
+    for P, off in zip(A._parts, offsets):
+        Y = np.zeros_like(X)
+        Y[:, off:off + P.dim] = X[:, off:off + P.dim]
+        stacks.append(Y)
+    for Y in stacks:
+        dense = _dense_radius(A, Y)
+        got = spectral_radius_batch(A, Y)
+        assert np.all(dense > 0.0)
+        assert float(np.max(np.abs(got - dense) / dense)) <= 1e-12
