@@ -20,8 +20,9 @@ flops, but only O(n^3) memory (a few MB per block) where the whole
 An algebra is immutable, so what is derived from its table alone is built
 once, on first use, and kept on it: the unital hull (`hull`), the radical
 (`radical`), B = hull / rad(hull) (`semisimple_quotient`), the simple
-blocks of B, each named R, C, H or M2(R) (`simple_blocks`), and the
-diagonal blocks of L_pi(a) on B for every a at once (`spectral_split`).
+blocks of B, each named R, C, H or M2(R) (`simple_blocks`), and per group
+of blocks a table that gives for every a at once the blocks of L_pi(a),
+or on R, C and H blocks a factor of r(a)^2 (`spectral_split`).
 The radical is nil, so r(a) = r(pi(a)), and on B no L_b keeps a nilpotent
 Jordan part from the radical: its eigenvalues are exact to rounding where
 those of a defective L_a err by about eps^(1/k).  The characters, the
@@ -231,8 +232,9 @@ class FiniteDimRealAlgebra:
 
     @cached_property
     def spectral_split(self) -> tuple:
-        """Block tables of L_pi(a) on B = hull / rad(hull), grouped by size
-        and tagged division or not (see _spectral_split)."""
+        """Tables of L_pi(a) on the blocks of B = hull / rad(hull), or of
+        radius factors on its R, C and H blocks, grouped by size and tagged
+        division or not (see _spectral_split)."""
         return _spectral_split(self)
 
     def element(self, coords) -> "AlgebraElement":
@@ -495,8 +497,10 @@ def _block_groups(B: FiniteDimRealAlgebra, simple):
 
     Each block e*B is invariant under every L_b, and its basis V is
     orthonormal, so the block of L_b on it is V^T L_b V.  Blocks are
-    grouped by size d and by whether they are division blocks (R, C or H);
-    a group's table holds, in row i, the K blocks of L_(e_i) flattened.
+    grouped by size d and by whether they are division blocks (R, C or H).
+    A division group's table holds the K factors W of _radius_factor side
+    by side, (N, K*d); any other group's table holds, in row i, the K
+    blocks of L_(e_i) flattened, (N, K*d^2).
     """
     bases = [b.V for b in simple]
     N, c = B.dim, B.table
@@ -511,11 +515,36 @@ def _block_groups(B: FiniteDimRealAlgebra, simple):
             and s[-1] >= _SPLIT_INDEPENDENCE):
         return None
     tags = [(L.shape[1], b.division) for L, b in zip(blocks, simple)]
+    cols = [_radius_factor(L) if division else L.reshape(N, d * d)
+            for L, (d, division) in zip(blocks, tags)]
     return tuple(
         (d, division,
-         np.concatenate([L.reshape(N, d * d) for L, tag in zip(blocks, tags)
+         np.concatenate([C for C, tag in zip(cols, tags)
                          if tag == (d, division)], axis=1))
         for d, division in sorted(set(tags)))
+
+
+def _radius_factor(L: np.ndarray) -> np.ndarray:
+    """W, of shape (N, d), with r(b) = |b W| for every b, on a division
+    block whose d x d block of L_(e_i) is L[i].
+
+    The block M of L_b has one conjugate pair of eigenvalues l, conj(l),
+    d/2 times each (l = b real when d = 1), so tr M = d Re l,
+    tr M^2 = d Re l^2 and r(b)^2 = |l|^2 = (2 (tr M)^2 - d tr M^2) / d^2:
+    the quadratic form b Q b^T with Q = (2 t t^T - d G) / d^2, where
+    t_i = tr L[i] and G_ij = tr(L[i] L[j]).  Q is positive semidefinite of
+    rank <= d, as r = |x| on the division algebra, so its top d eigenpairs
+    factor it as W W^T; eigenvalues rounded below 0 count as 0.  L is
+    scaled to max|L| = 1 first, so Q neither overflows nor underflows.
+    Only traces of L enter: neither the block's basis nor a character.
+    """
+    N, d, _ = L.shape
+    s = np.abs(L).max()
+    L = L / s
+    t = np.einsum("ijj->i", L)
+    G = L.reshape(N, d * d) @ L.transpose(0, 2, 1).reshape(N, d * d).T
+    lam, U = np.linalg.eigh((2.0 * np.outer(t, t) - d * G) / (d * d))
+    return U[:, -d:] * (s * np.sqrt(np.maximum(lam[-d:], 0.0)))
 
 
 def _spectral_split(algebra: FiniteDimRealAlgebra):
@@ -529,9 +558,12 @@ def _spectral_split(algebra: FiniteDimRealAlgebra):
     any other algebra the blocks are B's simple blocks (see _block_groups);
     when they fail their gate, or when a solver stalls while they are
     built, B is one non-division block in its own coordinates.  Each table
-    is composed with pi, so that X @ table stacks the blocks of pi(x) for
-    every row x of X.  Returns a non-empty tuple of (d, division, table),
-    tables of shape (dim, K*d^2), by (d, division).
+    is composed with pi, so that for every row x of X, X @ table stacks
+    the K blocks of L_pi(x) on a non-division group, and on a division
+    group the K vectors whose lengths are the blocks' spectral radii.
+    Returns a non-empty tuple of (d, division, table), by (d, division),
+    with tables of shape (dim, K*d) on division groups and (dim, K*d^2) on
+    the others.
     """
     if algebra._parts:
         groups, off = {}, 0

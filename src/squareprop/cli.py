@@ -124,6 +124,19 @@ def parse_element(algebra, text: str) -> AlgebraElement:
     return algebra.element(coords)
 
 
+def _spectrum(a: AlgebraElement, text: str):
+    """spectrum(a), or InputError naming the element when a point of its
+    spectrum, or the radius, leaves the float range."""
+    try:
+        res = spectrum(a)
+    except OverflowError:   # abs of a complex point
+        res = None
+    if res is None or not np.isfinite(res.radius):
+        raise InputError(f"element {text!r}: its spectrum overflows the "
+                         "float range")
+    return res
+
+
 def _emit(payload: dict, fmt: str, text_lines):
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -163,7 +176,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     a = parse_element(load_algebra(args.algebra), args.element)
-    res = spectrum(a)
+    res = _spectrum(a, args.element)
     payload = {
         "algebra": a.algebra.name,
         "points": [[z.real, z.imag] for z in res.points],
@@ -178,7 +191,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_radius(args) -> int:
     a = parse_element(load_algebra(args.algebra), args.element)
-    res = spectrum(a)
+    res = _spectrum(a, args.element)
     gr, delta = gelfand_radius(a, return_delta=True)
     payload = {
         "algebra": a.algebra.name,

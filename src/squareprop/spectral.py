@@ -18,29 +18,32 @@ on, so a small step counts as convergence only from there.
 One spectral-radius path.  The radical of the unital hull is nil, so
 r(a) = r(pi(a)) in B = hull / rad(hull), which is semisimple: the direct
 sum of its simple blocks e*B (Wedderburn-Artin), each invariant under
-every L_b.  The algebra keeps, once built, the tables that give the
-diagonal blocks of L_pi(a) for every a at once
+every L_b.  The algebra keeps, once built, a table per group of blocks
 (FiniteDimRealAlgebra.spectral_split), grouped by block size d and tagged
 division (R, C or H) or not; a B whose blocks fail their gate is one
 non-division block.  On a direct sum L_a is block diagonal and sp(a) is
 the union of the parts' spectra, so the split is the parts' splits side
 by side, each in its part's rows.  A batch of elements then costs, per
-group, one matmul X @ table and one batched solve over the stack of d x d
-blocks.
+group, one matmul X @ table, and on a non-division group one batched
+eigvals over the stack of d x d blocks it gives.
 
-The solve on a division group is two traces.  On a division algebra D
+On a division group the radius is a row norm.  On a division algebra D
 with its standard basis, L_x is |x| times an orthogonal map (|xy| = |x||y|),
 so every eigenvalue of L_x has modulus |x|; for x in C or H they are one
 conjugate pair l, conj(l), each d/2 times on D of dimension d.  A block of
 L_b on e*B is L_x for x = e*b written in another basis of D, a similar
-matrix with the same eigenvalues, so its spectral radius is exactly
-sqrt(2 (tr M)^2 - d tr M^2) / d on a block M (see _division_radii), taken on
-M/m with m = max|M| so that it stays finite at any scale.  Any other group
-keeps eigvals.  Neither route is circular: no character enters them, the
-division tag is the block's name in the algebra's record, and a block's
-basis comes from its central idempotent, so comparing r against characters
-still compares two independent computations.  Both raise LinAlgError on a
-non-finite element.
+matrix with the same eigenvalues, so r(b)^2 = |x|^2 on that block is a
+positive semidefinite quadratic form in b of rank d, read once from two
+traces of the block's L_(e_i) and kept as a factor W with r(b) = |b W|
+(algebra._radius_factor).  The group's table holds the K factors side by
+side, so X @ table stacks K vectors of length d per row, and the radius
+is the largest of their norms, taken on the row over its largest entry so
+that it stays finite at any scale.  Neither route is circular: no
+character enters them, the division tag is the block's name in the
+algebra's record, and a factor comes from traces of L_b on a block whose
+basis comes from its central idempotent, so comparing r against
+characters still compares two independent computations.  Both raise
+LinAlgError on a non-finite element.
 
 spectrum needs the points with the hull's multiplicities, which B does not
 keep, so spectra takes the eigenvalues of a stack of L_a: in the hull of a
@@ -85,27 +88,6 @@ def _eigvals(M: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(M.astype(complex))
 
 
-def _division_radii(S: np.ndarray) -> np.ndarray:
-    """Spectral radius of every d x d division block in the stack S.
-
-    The eigenvalues of a division block M are l and conj(l), d/2 times
-    each (l = x real when d = 1), so tr M = d Re l, tr M^2 = d Re l^2 and
-    r^2 = |l|^2 = (2 (tr M)^2 - d tr M^2) / d^2.  Each term is at most twice
-    r^2, so nothing cancels; rounding below 0 is clamped to 0.  The traces
-    are taken on M / m with m = max|M| per block, so that no product
-    overflows or underflows; a zero block gives 0.  Raises LinAlgError on a
-    non-finite block, as eigvals does.
-    """
-    d = S.shape[-1]
-    m = np.abs(S).max(axis=(-2, -1))
-    if not np.isfinite(m).all():
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    S = S / np.where(m > 0.0, m, 1.0)[..., None, None]
-    t1 = np.einsum("...ii->...", S)
-    t2 = np.einsum("...ij,...ji->...", S, S)
-    return m / d * np.sqrt(np.maximum(2.0 * t1 * t1 - d * t2, 0.0))
-
-
 def spectra(algebra, L: np.ndarray) -> np.ndarray:
     """sp(a) for each matrix L_a of the stack L: its eigenvalues, and the
     0 that the hull adds when the algebra is not unital."""
@@ -124,11 +106,25 @@ def spectrum(a: AlgebraElement) -> SpectrumResult:
 
 def _group_radii(X: np.ndarray, d: int, division: bool,
                  table: np.ndarray) -> np.ndarray:
-    """Spectral radius of every row x of X on one group of the split, from
-    the stack (rows, K, d, d) of the K diagonal blocks of L_pi(x)."""
-    S = (X @ table).reshape(X.shape[0], table.shape[1] // (d * d), d, d)
-    return (_division_radii(S).max(axis=1) if division
-            else np.abs(_eigvals(S)).max(axis=(1, 2)))
+    """Spectral radius of every row x of X on one group of the split.
+
+    On a division group X @ table stacks, per row, K vectors of length d
+    whose norms are the radii of the K blocks; they are taken on Y / m
+    with m = max|Y| per row, so that no square overflows or underflows,
+    and a zero row gives 0.  On any other group it stacks the K blocks
+    (rows, K, d, d) of L_pi(x), and the radii come from eigvals.  Both
+    raise LinAlgError on a non-finite row.
+    """
+    rows, cols = X.shape[0], table.shape[1]
+    Y = X @ table
+    if not division:
+        S = Y.reshape(rows, cols // (d * d), d, d)
+        return np.abs(_eigvals(S)).max(axis=(1, 2))
+    m = np.abs(Y).max(axis=1)
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    Y = (Y / np.where(m > 0.0, m, 1.0)[:, None]).reshape(rows, cols // d, d)
+    return m * np.sqrt((Y * Y).sum(axis=2).max(axis=1))
 
 
 def spectral_radius_batch(algebra, coords: np.ndarray) -> np.ndarray:

@@ -297,6 +297,31 @@ def test_non_finite_element_exit_two(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "radius"])
+@pytest.mark.parametrize("algebra", ["quaternions", "m2_reals"])
+def test_overflowing_spectrum_exit_two(capsys, command, algebra):
+    """sp(a) of these elements lies beyond the largest float: on H its
+    points 1e308 +- 1.7e308 i have a modulus that does not fit, and on
+    M2(R) eigvals returns the point 2e308 as inf."""
+    code = cli.run([command, "--algebra", algebra,
+                    "--element", "1e308 1e308 1e308 1e308"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: element ")
+    assert "overflows" in captured.err
+
+
+@pytest.mark.parametrize("command, key", [("spectrum", "radius"),
+                                          ("radius", "spectral_radius")])
+def test_radius_up_to_the_largest_float_prints(capsys, command, key):
+    code, out = run_capture(capsys, [
+        command, "--algebra", "rrc", "--element", "1e308 1e308 1e308 1e308",
+        "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[key] == pytest.approx(2.0 ** 0.5 * 1e308)
+
+
 def test_nan_table_exit_two(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps({"dim": 1, "basis": ["1"],

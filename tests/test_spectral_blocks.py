@@ -3,17 +3,19 @@ formula they replace.
 
 ``spectral_radius_batch`` evaluates r(a) = r(pi(a)) on the diagonal blocks
 of L_pi(a) on B = hull / rad(hull): on B's simple blocks at every
-dimension (by two traces on R, C and H blocks, whose eigenvalues are one
-conjugate pair, so that r^2 = (2 (tr M)^2 - d tr M^2) / d^2 on a d x d
-block M; by eigenvalues on any other block), and on B as one block when
+dimension (on R, C and H blocks, whose eigenvalues are one conjugate
+pair, as the norm |a W| of a factor W of the quadratic form
+r^2 = (2 (tr M)^2 - d tr M^2) / d^2 on a d x d block M, built once with
+the split; by eigenvalues on any other block), and on B as one block when
 the blocks fail their gate (invariance on the basis, independence,
 dimensions summing to dim B) or a solver stalls.  A direct sum solves
 nothing of its own: its split is its parts' splits side by side, each in
 that part's rows.  The dense formula (eigenvalues of the whole left
 regular matrix, in the unital hull) is kept here as the reference, at
 ordinary and extreme scales, on hulls with a radical, on non-unital,
-M2(R) and nested parts and on non-finite rows, and on R + C + H^4 in the
-basis 10^k e_i, k = -8 ... 8.  A failed gate and a single block give the
+M2(R) and nested parts and on non-finite rows, on R + C + H^4 in the
+basis 10^k e_i, k = -8 ... 8, and on H^4 and R + C + H^4 in bases of
+condition number up to 100.  A failed gate and a single block give the
 dense numbers exactly, and each record is built once per algebra.
 """
 
@@ -52,6 +54,15 @@ def _rotated(A, seed):
                         unit=unit, name=f"rotated {A.name}")
 
 
+def _in_basis(A, S, name):
+    """A in the basis f_i = sum_a S[a, i] e_a."""
+    table = np.einsum("abg,ai,bj,gk->ijk", A.table, S, S, np.linalg.inv(S).T,
+                      optimize=True)
+    unit = None if A.unit is None else np.linalg.solve(S, A.unit)
+    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
+                        unit=unit, name=name)
+
+
 def _t2r():
     """T2(R) with basis E11, E12, E22; its radical is the line of E12."""
     return make_algebra(3, ["E11", "E12", "E22"],
@@ -80,6 +91,22 @@ def _mixed(rotate=True):
     """R + C + H^4 after a change of basis: one division group per size."""
     A = corpus.direct_sum([corpus.reals(), corpus.complexes()] + _h(4))
     return _rotated(A, 6) if rotate else A
+
+
+def _block_count(d, division, table):
+    """K of a group of the split: a division group keeps one factor of d
+    columns per block, any other group one d x d block."""
+    return table.shape[1] // (d if division else d * d)
+
+
+def _conditioned(A, kappa):
+    """A in a basis of condition number kappa: S = U diag(s) V^T with
+    seeded orthogonal U and V and s spread from 1 to kappa."""
+    rng = np.random.default_rng(19)
+    U, V = (np.linalg.qr(rng.standard_normal((A.dim, A.dim)))[0]
+            for _ in range(2))
+    return _in_basis(A, U * np.geomspace(1.0, kappa, A.dim) @ V.T,
+                     f"{A.name} at condition {kappa:g}")
 
 
 def _rescaled(A, t):
@@ -112,6 +139,18 @@ CASES.update({
         lambda rotate=rotate, k=k: _rescaled(_mixed(rotate), 10.0 ** k),
         1e-12, {(1, True): 1, (2, True): 1, (4, True): 4})
     for rotate in (False, True) for k in range(-8, 9)})
+# H^4 and R + C + H^4 in bases of condition number 1, 10 and 100: the
+# nonzero eigenvalues of a division block's quadratic form spread by up to
+# kappa^2, and its top d eigenpairs still give r to the same bound
+CASES.update({
+    f"{name}_cond{kappa}": (
+        lambda build=build, kappa=kappa: _conditioned(build(), kappa),
+        1e-12, sizes)
+    for name, build, sizes in [
+        ("H4", lambda: corpus.function_algebra_H(4), {(4, True): 4}),
+        ("R+C+H4", lambda: _mixed(False),
+         {(1, True): 1, (2, True): 1, (4, True): 4})]
+    for kappa in (1, 10, 100)})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -119,7 +158,7 @@ def test_blocked_radius_matches_dense(name):
     build, bound, sizes = CASES[name]
     A = build()
     split = A.spectral_split
-    assert {(d, division): table.shape[1] // (d * d)
+    assert {(d, division): _block_count(d, division, table)
             for d, division, table in split} == sizes
     assert all(table.shape[0] == A.dim for _, _, table in split)
     X = np.random.default_rng(7).standard_normal((2000, A.dim))
@@ -145,8 +184,8 @@ def test_blocked_spectrum_is_the_dense_multiset():
 @pytest.mark.parametrize("scale", [1e150, 1e-150])
 @pytest.mark.parametrize("name", ["H8", "rotated_H8"])
 def test_determinant_radius_holds_at_extreme_scales(name, scale):
-    """The traces, taken on M/m with m = max|M| per block, neither
-    overflow nor underflow where tr M^2 alone would."""
+    """The row norms, taken on Y/m with m = max|Y| per row, neither
+    overflow nor underflow where the sum of squares of Y alone would."""
     A = CASES[name][0]()
     X = scale * np.random.default_rng(13).standard_normal((500, A.dim))
     dense = _dense_radius(A, X)
@@ -203,13 +242,20 @@ def test_non_finite_row_raises_on_both_paths(monkeypatch, name, bad):
 
 def test_h8_radius_batch_calls_no_eigensolver(monkeypatch):
     """Every block of H^8 is a division block: once the split is built,
-    its radii come from two traces of each block."""
+    it is one (4, True) group holding a 32 x 4 factor per block, and the
+    radii of a stack are one matmul and a row norm, with no eigvals and
+    no einsum call."""
     A = corpus.function_algebra_H(8)
-    assert A.spectral_split is not None
+    ((d, division, W),) = A.spectral_split
+    assert (d, division, W.shape) == (4, True, (32, 32))
     eig_sizes = _record_eig_sizes(monkeypatch)
+    einsums = []
+    orig = np.einsum
+    monkeypatch.setattr(np, "einsum",
+                        lambda *a, **k: einsums.append(a[0]) or orig(*a, **k))
     X = np.random.default_rng(16).standard_normal((200, A.dim))
     spectral_radius_batch(A, X)
-    assert eig_sizes == []
+    assert eig_sizes == [] and einsums == []
 
 
 @pytest.mark.parametrize("leak", [-1.0, math.nan], ids=["negative", "nan"])
@@ -236,7 +282,7 @@ _STALLING_Q = np.array([0.01776737537132592, -0.1593314977115078,
 
 @pytest.mark.parametrize("points", [1, 4])
 def test_stalled_qr_iteration_is_retried(points):
-    """r from the traces of H's block, and spectrum from eigvals of
+    """r from the factor of H's block, and spectrum from eigvals of
     L_a, which retries in complex arithmetic."""
     A = corpus.function_algebra_H(points)
     x = np.zeros((1, A.dim))
@@ -289,11 +335,7 @@ def _skewed(A, t):
     entry a sum of rounded products, the whole table scaled by t."""
     Q = t * np.linalg.qr(np.random.default_rng(3).standard_normal(
         (A.dim, A.dim)))[0]
-    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, np.linalg.inv(Q).T,
-                      optimize=True)
-    unit = None if A.unit is None else np.linalg.solve(Q, A.unit)
-    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
-                        unit=unit, name=f"{t:g} skewed {A.name}")
+    return _in_basis(A, Q, f"{t:g} skewed {A.name}")
 
 
 _NIL = make_algebra(2, ["x", "x2"], {(0, 0, 1): 1.0}, name="x R[x]/(x^3)")
@@ -423,8 +465,8 @@ def _record_eig_sizes(monkeypatch):
 
 def test_h8_spectral_radius_asks_only_for_small_eigenproblems(monkeypatch):
     """Once H^8's split is built (its one-time eigenproblem is on the
-    center), every radius the proof chain asks for comes from the traces
-    of 4 x 4 blocks; the one eigenproblem left is stage 8's Proposition 3.1
+    center), every radius the proof chain asks for comes from the factors
+    of its 4 x 4 blocks; the one eigenproblem left is stage 8's Proposition 3.1
     check, one stacked eigvals call on the 20 matrices L_a, 32 x 32."""
     A = corpus.function_algebra_H(8)
     assert [(d, div) for d, div, _ in A.spectral_split] == [(4, True)]
@@ -477,7 +519,7 @@ def test_fuzz_chunk_builds_one_record_per_product(monkeypatch):
     """fuzz builds R, C and H once per call and forms every product from
     them: each product's split is its parts' splits, so the simple blocks
     are built on R, C and H alone, once each, and every radius comes from
-    two traces, with no eigvals call."""
+    the factors of their blocks, with no eigvals call."""
     eig_sizes = _record_eig_sizes(monkeypatch)
     splits = _record_builds(monkeypatch, "_spectral_split")
     blocks = _record_builds(monkeypatch, "_simple_blocks")
@@ -542,7 +584,7 @@ def test_direct_sum_split_is_its_parts_splits(name):
     split = A.spectral_split
     assert "semisimple_quotient" not in vars(A)
     assert "simple_blocks" not in vars(A)
-    assert {(d, division): table.shape[1] // (d * d)
+    assert {(d, division): _block_count(d, division, table)
             for d, division, table in split} == sizes
     offsets = np.cumsum([0] + [P.dim for P in A._parts])
     for d, division, table in split:
