@@ -23,7 +23,7 @@ from .algebra import (AlgebraElement, AlgebraError, FiniteDimRealAlgebra,
 from .characters import (character_residual, find_characters,
                          nonexistence_explanation)
 from .seminorm import SeminormError
-from .spectral import gelfand_radius, spectrum
+from .spectral import NonConvergence, gelfand_radius, spectrum
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -192,7 +192,12 @@ def cmd_spectrum(args) -> int:
 def cmd_radius(args) -> int:
     a = parse_element(load_algebra(args.algebra), args.element)
     res = _spectrum(a, args.element)
-    gr, delta = gelfand_radius(a, return_delta=True)
+    try:    # a norm of a power leaves the float range: inf, or 1/n is inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            gr, delta = gelfand_radius(a, return_delta=True)
+    except (NonConvergence, np.linalg.LinAlgError):
+        raise InputError(f"element {args.element!r}: the norms of its powers "
+                         "leave the float range") from None
     payload = {
         "algebra": a.algebra.name,
         "gelfand_radius": gr,

@@ -18,6 +18,14 @@ quotient is then semisimple and has a unit (Wedderburn-Artin), so stage 8
 has one branch.  A radical in the quotient is a failed hypothesis, with a
 power of a radical row as its witness.  fuzz hammers randomized instances
 looking for a counterexample the theorem says cannot exist.
+
+The walk records facts and picks no verdict: each stage fills its fields of
+the report, and a stop returns a note.  compute_verdict alone turns a report
+into a verdict, from its fields and notes, so a report read back from its
+JSON gets the verdict it carries.  A square residual over its bound, or a
+note that begins with HYPOTHESIS_NOT_MET (the spectral-radius axiom stop
+and a radical stop with a witness), gives hypothesis_not_met; the stage
+gates give pass or fail otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +46,10 @@ from .seminorm import (CharacterSup, CoordinateMax, SeminormVariant,
                        check_submultiplicative, estimate_m, kernel,
                        square_property_details)
 from .spectral import gelfand_radius, log_square_norms
+
+
+# begins the note of every stop whose hypothesis is false beyond stage 1
+HYPOTHESIS_NOT_MET = "hypothesis not met: "
 
 
 class VanishingSeminorm(ValueError):
@@ -114,20 +126,25 @@ class VerificationReport:
 
 
 def compute_verdict(r: VerificationReport) -> str:
-    """Pure residual-vs-tolerance gate; never passes a stage over budget,
-    nor one whose residual is missing or not finite."""
+    """The one verdict of a report, read from its fields alone, so a report
+    loaded from JSON is re-gated to the verdict it carries.
+
+    hypothesis_not_met when the square residual is not within its bound
+    (NaN and inf included), or when a note begins with HYPOTHESIS_NOT_MET;
+    otherwise pass when every stage's residual is present, finite and
+    within its bound, and fail when one is not."""
     t = r.tolerances
 
     def within(x, bound):
         return x is not None and math.isfinite(x) and x <= bound
 
     sq = r.square_property_residual
-    if sq is None or not math.isfinite(sq):
-        return "fail"
-    if sq > t["square_property"]:
+    if (sq is not None and not sq <= t["square_property"]) or any(
+            n.startswith(HYPOTHESIS_NOT_MET) for n in r.notes):
         return "hypothesis_not_met"
     iterates = r.iterate_relation_residuals
     checks = [
+        within(sq, t["square_property"]),
         r.ideal_check is True,
         within(r.quotient_norm_well_defined_residual,
                t["quotient_well_defined"]),
@@ -170,14 +187,15 @@ def _unital_branch(report, qalg, norms, config, rng):
 
 
 def _quotient_defect(p, algebra, qm, tol):
-    """Why stage 8 cannot run on Q = qm.algebra, as (verdict, note); None
-    when Q has a unit and no radical.  For a radical row b of Q, the first
-    of the squares c = b, b^2, b^4, ... with |p(c^2) - p(c)^2| > tol p(c)^2,
-    p read on the lifts to A, is the witness."""
+    """Why stage 8 cannot run on Q = qm.algebra, as a note; None when Q has
+    a unit and no radical.  For a radical row b of Q, the first of the
+    squares c = b, b^2, b^4, ... with |p(c^2) - p(c)^2| > tol p(c)^2, p read
+    on the lifts to A, is the witness, and its note begins with
+    HYPOTHESIS_NOT_MET."""
     Q = qm.algebra
     if not Q.radical.shape[0]:
         return None if Q.is_unital else (
-            "fail", "A / Ker p has no radical, but no unit was found")
+            "A / Ker p has no radical, but no unit was found")
     c = Q.element(Q.radical[0])
     powers = [c.coords]
     for _ in range(Q.dim.bit_length() + 1):
@@ -187,33 +205,19 @@ def _quotient_defect(p, algebra, qm, tol):
     v = p.values(algebra, lifts)
     for k, (pc, pc2) in enumerate(zip(v, v[1:])):
         if abs(pc2 - pc * pc) > tol * pc * pc:
-            return "hypothesis_not_met", (
-                f"A / Ker p has a radical: b = {lifts[0].tolist()} is "
-                f"nilpotent, and c = b^{2 ** k} has p(c) = {pc:.6g} but "
-                f"p(c^2) = {pc2:.6g}, not p(c)^2 = {pc * pc:.6g}, so the "
-                "square property fails")
-    return "fail", ("A / Ker p has a radical, but no square of its first "
-                    "row shows p(c^2) != p(c)^2")
+            return (f"{HYPOTHESIS_NOT_MET}A / Ker p has a radical: "
+                    f"b = {lifts[0].tolist()} is nilpotent, and c = "
+                    f"b^{2 ** k} has p(c) = {pc:.6g} but p(c^2) = {pc2:.6g}, "
+                    f"not p(c)^2 = {pc * pc:.6g}, so the square property "
+                    "fails")
+    return ("A / Ker p has a radical, but no square of its first row shows "
+            "p(c^2) != p(c)^2")
 
 
-def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
-                   config: PipelineConfig | None = None) -> VerificationReport:
-    """Walk the proof chain on (algebra, p) and gate every residual.
-
-    A radical in A / Ker p ends the walk after stage 4: hypothesis_not_met
-    with the power of a radical row where p(c^2) != p(c)^2, or fail when no
-    power shows it.  So does a quotient without a unit (fail).  Stage 8 sets
-    sup_equality_residual whenever a character exists: on A / Ker p,
-    p(b) = max |x(b)| over the quaternion characters.  unitization_checks
-    stays None.
-    """
-    config = config or PipelineConfig()
-    report = VerificationReport(
-        algebra_name=algebra.name,
-        seminorm_kind=type(p).__name__,
-        config=asdict(config),
-        tolerances=stage_tolerances(config.tol),
-    )
+def _walk(report, algebra, p, config):
+    """Stages 1 to 9 on (algebra, p), recording each stage's facts in
+    report.  A stop returns its note and skips the later stages; a walk
+    that reaches stage 9 returns None."""
     rng = np.random.default_rng(config.seed + 7)
 
     # 1. square property
@@ -221,21 +225,16 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     report.square_property_residual = sq.residual
     report.square_witness = [float(v) for v in sq.witness]
     if not sq.residual <= config.tol:
-        report.notes.append(
-            f"square property fails: residual {sq.residual:.6g} at the "
-            f"recorded witness; later stages skipped")
-        report.verdict = "hypothesis_not_met"
-        return report
+        return (f"square property fails: residual {sq.residual:.6g} at the "
+                "recorded witness")
     # r is a seminorm iff every simple block of A/rad(A) is R, C or H: an
     # M_k(D) block with k >= 2 holds nilpotents x, y with r(x + y) > 0
     if isinstance(p, SpectralRadius):
         bad = non_division_block(algebra)
         if bad is not None:
-            report.notes.append(
-                f"the spectral radius is not a seminorm: block {bad[0]} of "
-                f"A/rad(A) is {bad[1]}, not R, C or H; later stages skipped")
-            report.verdict = "hypothesis_not_met"
-            return report
+            return (f"{HYPOTHESIS_NOT_MET}the spectral radius is not a "
+                    f"seminorm: block {bad[0]} of A/rad(A) is {bad[1]}, not "
+                    "R, C or H")
 
     # 2. working constant
     m = estimate_m(p, algebra, config.sample_count, config.seed + 1)
@@ -252,10 +251,10 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
             "to check")
     try:
         qm = quotient(algebra, K)
-    except NotAnIdeal:             # the verdict stays "fail"
+    except NotAnIdeal:      # a stop; its note has no "skipped" tail
         report.ideal_check = False
         report.notes.append("computed kernel is not a two-sided ideal")
-        return report
+        return None
     report.ideal_check = True
     qalg = qm.algebra
     report.quotient_dim = qalg.dim
@@ -271,9 +270,7 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     report.quotient_norm_well_defined_residual = wd
     stop = _quotient_defect(p, algebra, qm, config.tol)
     if stop is not None:
-        report.verdict, note = stop
-        report.notes.append(f"{note}; later stages skipped")
-        return report
+        return stop
 
     def norms(b):   # the induced |b + Ker(p)| = p(lift b), b one or a stack
         return p.value(algebra.element(b.coords @ qm.lift.T))
@@ -322,6 +319,34 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     # 9. final submultiplicativity of p itself, fresh samples
     report.final_submultiplicativity_ratio = check_submultiplicative(
         p, algebra, config.sample_count, config.seed + 3)
+    return None
+
+
+def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
+                   config: PipelineConfig | None = None) -> VerificationReport:
+    """Walk the proof chain on (algebra, p); the verdict is compute_verdict
+    of the report, so the JSON re-gates to it.
+
+    Three stops end the walk with hypothesis_not_met: the square property
+    over tol (stage 1), the spectral radius on an algebra where it is no
+    seminorm, and a radical in A / Ker p with the power of a radical row
+    where p(c^2) != p(c)^2 (after stage 4); the last two notes begin with
+    HYPOTHESIS_NOT_MET.  A kernel that is no ideal, a radical that no power
+    shows and a quotient without a unit stop it with fail.  Stage 8 sets
+    sup_equality_residual whenever a character exists: on A / Ker p,
+    p(b) = max |x(b)| over the quaternion characters.  unitization_checks
+    stays None.
+    """
+    config = config or PipelineConfig()
+    report = VerificationReport(
+        algebra_name=algebra.name,
+        seminorm_kind=type(p).__name__,
+        config=asdict(config),
+        tolerances=stage_tolerances(config.tol),
+    )
+    note = _walk(report, algebra, p, config)
+    if note is not None:
+        report.notes.append(f"{note}; later stages skipped")
     report.verdict = compute_verdict(report)
     return report
 

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from squareprop import cli, corpus
+from squareprop import cli, corpus, pipeline
 from squareprop.algebra import make_algebra
 from squareprop.characters import character_residual, find_characters
 
@@ -312,6 +313,25 @@ def test_overflowing_spectrum_exit_two(capsys, command, algebra):
     assert "overflows" in captured.err
 
 
+@pytest.mark.parametrize("algebra, element", [
+    ("m2_reals", "1e308 1e308 -1e308 -1e308"),
+    ("rr", "1e-320 0"),
+    ("quaternions", "1e-320 0 0 0"),
+    ("m2_reals", "1e-320 0 0 0"),
+])
+def test_radius_whose_powers_leave_the_float_range_exit_two(capsys, algebra,
+                                                            element):
+    """The spectra are finite, but the Gelfand iteration's norms are not:
+    the nilpotent's operator norm overflows, so the iteration stalls, and
+    a subnormal norm n overflows 1/n.  Both used to print a traceback."""
+    code = cli.run(["radius", "--algebra", algebra, "--element", element])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: element {element!r}: the norms of its "
+                            "powers leave the float range\n")
+
+
 @pytest.mark.parametrize("command, key", [("spectrum", "radius"),
                                           ("radius", "spectral_radius")])
 def test_radius_up_to_the_largest_float_prints(capsys, command, key):
@@ -401,6 +421,28 @@ def test_spectral_radius_on_a_matrix_block_exits_three(tmp_path, capsys,
         "verify", "--algebra", "rrc", "--seminorm", "spectral_radius",
         "--samples", "300", "--format", "json"])
     assert code == 0 and set(json.loads(out)) == set(payload)
+
+
+@pytest.mark.parametrize("algebra, seminorm, note", [
+    ("nonunital3", "coordinate_max:1,1,1e-6", "A / Ker p has a radical"),
+    ("m2_reals", "spectral_radius", "the spectral radius is not a seminorm"),
+], ids=["radical", "axiom"])
+def test_early_stop_json_regates_to_its_verdict(monkeypatch, capsys, algebra,
+                                                seminorm, note):
+    """The console entry point exits 3 on both stops, and compute_verdict
+    on the printed JSON reads hypothesis_not_met from the stop's note."""
+    monkeypatch.setattr(sys, "argv", [
+        "squareprop", "verify", "--algebra", algebra, "--seminorm", seminorm,
+        "--format", "json"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "hypothesis_not_met"
+    assert pipeline.compute_verdict(
+        pipeline.VerificationReport(**payload)) == "hypothesis_not_met"
+    assert [n for n in payload["notes"]
+            if n.startswith(pipeline.HYPOTHESIS_NOT_MET + note)]
 
 
 @pytest.mark.parametrize("algebra, seminorm", [

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from squareprop import corpus, pipeline
+from squareprop import cli, corpus, pipeline
 from squareprop.algebra import FiniteDimRealAlgebra
 from squareprop.pipeline import (PipelineConfig, compute_verdict, fuzz,
                                  verify_theorem)
@@ -23,6 +23,12 @@ def _run(pair_name):
     pair = next(p for p in corpus.MANIFEST if p.name == pair_name)
     algebra, p = corpus.manifest_pair(pair)
     return verify_theorem(algebra, p, QUICK)
+
+
+def _regated(rep):
+    """compute_verdict of the report as a consumer of its JSON reads it."""
+    blob = json.loads(json.dumps(rep.to_dict()))
+    return compute_verdict(pipeline.VerificationReport(**blob))
 
 
 def test_config_validation():
@@ -85,7 +91,7 @@ def test_quotient_without_a_unit_fails(monkeypatch):
             q.dim, q.labels, q.table, name=q.name))
     monkeypatch.setattr(pipeline, "quotient", stripped)
     rep = _run("rr_coordinate_max")
-    assert rep.verdict == "fail"
+    assert rep.verdict == _regated(rep) == "fail"
     assert rep.branch is None and rep.character_count is None
     assert [n for n in rep.notes if "no unit was found" in n], rep.notes
 
@@ -97,7 +103,7 @@ def test_radical_without_a_square_defect_fails(monkeypatch):
     monkeypatch.setattr(FiniteDimRealAlgebra, "radical",
                         property(lambda self: np.eye(self.dim)[:1]))
     rep = _run("rr_coordinate_max")
-    assert rep.verdict == "fail"
+    assert rep.verdict == _regated(rep) == "fail"
     assert rep.quotient_dim == 2 and rep.branch is None
     assert [n for n in rep.notes if "has a radical, but" in n], rep.notes
 
@@ -143,8 +149,8 @@ def rr_max_report():
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("square_property_residual", math.nan),
-    ("square_property_residual", math.inf),
+    ("scaled_norm_square_residual", math.inf),
+    ("radius_match_residual", math.nan),
     ("normed_algebra_ratio", -math.inf),
     ("iterate_relation_residuals", [0.0] * 9 + [math.nan]),
     ("sup_equality_residual", math.nan),
@@ -155,6 +161,17 @@ def test_verdict_fails_on_non_finite_residual(rr_max_report, field, bad):
     assert compute_verdict(rr_max_report) == "pass"
     mutated = dataclasses.replace(rr_max_report, **{field: bad})
     assert compute_verdict(mutated) == "fail"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verdict_hypothesis_not_met_on_non_finite_square_residual(
+        rr_max_report, bad):
+    """A seminorm maps into [0, inf), so a square residual that is NaN or
+    inf means p failed the seminorm hypothesis, not that the theorem did:
+    hypothesis_not_met, as verify_theorem and the CLI (exit 3) say."""
+    mutated = dataclasses.replace(rr_max_report,
+                                  square_property_residual=bad)
+    assert compute_verdict(mutated) == "hypothesis_not_met"
 
 
 @pytest.mark.parametrize("field, missing", [
@@ -171,6 +188,7 @@ def test_verdict_fails_on_non_finite_residual(rr_max_report, field, bad):
     ("sup_equality_residual", None),
     ("final_submultiplicativity_ratio", None),
     ("m_hat", None),
+    ("square_property_residual", None),
 ])
 def test_verdict_fails_on_a_missing_residual(rr_max_report, field, missing):
     """No stage is skipped in silence: a residual left unset fails the
@@ -203,8 +221,58 @@ def test_nan_square_residual_stops_at_stage_one():
     rep = verify_theorem(rr, CallableSeminorm(max_abs_but_nan_at_8e0), QUICK)
     assert math.isnan(rep.square_property_residual)
     assert rep.square_witness == [8.0, 0.0]
-    assert rep.verdict == "hypothesis_not_met"
+    assert rep.verdict == _regated(rep) == "hypothesis_not_met"
     assert rep.m_hat is None  # later stages skipped
+
+
+def _shorthand(pair):
+    subset = pair.seminorm_args.get("subset")
+    return pair.seminorm_kind + (f":{','.join(map(str, subset))}"
+                                 if subset is not None else "")
+
+
+# (algebra, seminorm, verdict): the radical stop and the spectral-radius
+# axiom stop, which the JSON once re-gated to fail; C with a tiny l1 norm,
+# whose square residual the 1 + p(a)^2 normaliser hides; a subnormal weight
+# on R (+) R; a weight 1.01e-9 under 1, whose square residual is in tol
+_INSTANCES = [
+    ("nonunital3", "coordinate_max:1,1,1e-6", "hypothesis_not_met"),
+    ("m2_reals", "spectral_radius", "hypothesis_not_met"),
+    ("complexes", "coordinate_sum:1e-12,1e-12", "fail"),
+    ("rr", "coordinate_max:1e-320,1", "fail"),
+    ("rr", "coordinate_max:1,0.99999999899", "fail"),
+] + [(c.algebra_name, _shorthand(c), c.expected) for c in corpus.MANIFEST]
+
+
+@pytest.mark.parametrize("algebra, seminorm, verdict", _INSTANCES,
+                         ids=[f"{a}-{s}" for a, s, _ in _INSTANCES])
+def test_one_verdict_from_the_walk_the_json_and_the_exit_code(
+        capsys, algebra, seminorm, verdict):
+    """verify_theorem, compute_verdict on its JSON and the CLI's exit code
+    give one verdict, and the CLI prints the report verify_theorem builds.
+    The subnormal weight sends non-finite numbers through stage 4, an open
+    fault of its own; its RuntimeWarnings are silenced here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = cli.load_algebra(algebra)
+        rep = verify_theorem(A, cli.load_seminorm(seminorm, A), QUICK)
+        code = cli.run(["verify", "--algebra", algebra, "--seminorm", seminorm,
+                        "--samples", str(QUICK.sample_count),
+                        "--seed", str(QUICK.seed),
+                        "--restarts", str(QUICK.restarts), "--format", "json"])
+    assert rep.verdict == _regated(rep) == verdict
+    assert code == {"pass": 0, "fail": 1, "hypothesis_not_met": 3}[verdict]
+    assert capsys.readouterr().out == json.dumps(
+        rep.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def test_one_verdict_on_fuzz_instances():
+    rng, algebras, verdicts = np.random.default_rng(21), {}, set()
+    for _ in range(200):
+        algebra, p, _ = pipeline._random_instance(rng, algebras)
+        rep = verify_theorem(algebra, p, QUICK)
+        assert rep.verdict == _regated(rep), (algebra.name, p)
+        verdicts.add(rep.verdict)
+    assert verdicts == {"pass", "hypothesis_not_met"}
 
 
 def test_fuzz_deterministic_and_clean():
@@ -293,7 +361,7 @@ def test_kernel_that_is_no_ideal_fails_at_the_quotient(monkeypatch):
     rep = _run("rr_coordinate_max")
     assert rep.kernel_dim == 1
     assert rep.ideal_check is False
-    assert rep.verdict == "fail"
+    assert rep.verdict == _regated(rep) == "fail"
     assert rep.quotient_dim is None
     assert "computed kernel is not a two-sided ideal" in rep.notes
     assert len(calls) == 1
