@@ -12,10 +12,16 @@ this table and the left regular representation.
 The checks, the quotient table and the products contract the table with
 BLAS matrix products.  Products and L_a are written once, for stacks of
 rows (mul_coords_batch, left_matrices_batch); mul_coords, mul and
-left_regular_matrix are their one-row views.  The associativity check
-compares (e_i e_j) e_k with e_i (e_j e_k) a block of i at a time: O(n^5)
-flops, but only O(n^3) memory (a few MB per block) where the whole
-(i, j, k, l) comparison would hold three n^4 arrays (380 MB at n = 63).
+left_regular_matrix are their one-row views.  A table with fewer than
+n^2 nonzeros (a direct sum's, a sparse builtin's or file's) multiplies
+on its nonzeros alone, from a matrix built once and kept on the algebra;
+any other table (a division algebra's, or one written in a dense basis,
+as the rotated tables and their quotients are) is contracted densely,
+since its nonzeros would save little, and keeps its bits.  The
+associativity check compares (e_i e_j) e_k with e_i (e_j e_k) a block of
+i at a time: O(n^5) flops, but only O(n^3) memory (a few MB per block)
+where the whole (i, j, k, l) comparison would hold three n^4 arrays
+(380 MB at n = 63).
 
 An algebra is immutable, so what is derived from its table alone is built
 once, on first use, and kept on it: the unital hull (`hull`), the radical
@@ -29,9 +35,9 @@ those of a defective L_a err by about eps^(1/k).  The characters, the
 seminorm test of the spectral radius and the split read the block record
 and its names; the split tags each group of blocks as division (R, C or
 H) or not (see spectral).  A direct sum keeps its parts
-(corpus.direct_sum), and its split is its parts' splits side by side, so
-on a sum only the characters and the seminorm test build the sum's own
-blocks.
+(corpus.direct_sum): its split is its parts' splits side by side and its
+characters are its parts' characters (see characters), so on a sum only
+the seminorm test builds the sum's own blocks.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ UNIT_TOL = 1e-12
 IDEAL_TOL = 1e-10
 INVERT_CUTOFF = 1e-10  # smallest/largest singular value, scale free
 _ASSOC_BLOCK_BYTES = 4 << 20  # one (i-block, j, k, l) slab of the check
+_PRODUCT_BLOCK_BYTES = 128 << 10  # one (rows, nnz) slab of a product
 _SPLIT_SEED = 0         # draws the generic central element of the blocks
 _SPLIT_LEAK = 1e-10     # invariance defect a block may show, relative
 _SPLIT_INDEPENDENCE = 1e-8  # smallest singular value of the joined bases
@@ -261,9 +268,43 @@ class FiniteDimRealAlgebra:
         n = self.dim
         return (A @ self.table.reshape(n, n * n)).reshape(-1, n, n)
 
+    @cached_property
+    def _nonzero_products(self):
+        """(I, J, S) for a table with fewer than n^2 nonzeros, else None:
+        the one place that picks the product path of mul_coords_batch.
+
+        (I, J, K) are the nonzero indices of c, and S is the (nnz, n)
+        matrix holding c[I, J, K] in column K, read-only."""
+        n = self.dim
+        I, J, K = np.nonzero(self.table)
+        if I.size >= n * n:
+            return None
+        S = np.zeros((I.size, n))
+        S[np.arange(I.size), K] = self.table[I, J, K]
+        S.setflags(write=False)
+        return I, J, S
+
     def mul_coords_batch(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Row-wise products of two stacks of coordinate vectors."""
-        return np.matmul(B[:, None, :], self._left_rows(A))[:, 0]
+        """Row-wise products of two stacks of coordinate vectors.
+
+        On a table with nnz < n^2 nonzeros the product of rows a, b is
+        (a[I] * b[J]) @ S (see _nonzero_products), about nnz (n + 2) flops
+        a row against n^3 + n^2 for the dense contraction b L_a^T.  It is
+        taken a slab of rows at a time, so that the (rows, nnz) terms stay
+        in cache: on H^8, 2000 rows at once took 2-3 times as long.  Any other
+        table (a division algebra's, or one written in a dense basis) would
+        save little or nothing on its nonzeros, so it keeps the dense
+        contraction and its bits."""
+        nonzero = self._nonzero_products
+        if nonzero is None:
+            return np.matmul(B[:, None, :], self._left_rows(A))[:, 0]
+        I, J, S = nonzero
+        step = max(1, _PRODUCT_BLOCK_BYTES // (8 * max(1, I.size)))
+        out = np.empty((A.shape[0], self.dim))
+        for r in range(0, A.shape[0], step):
+            np.matmul(A[r:r + step, I] * B[r:r + step, J], S,
+                      out=out[r:r + step])
+        return out
 
     def left_matrices_batch(self, A: np.ndarray) -> np.ndarray:
         """[s]: the matrix L with L @ b = A[s] b."""

@@ -13,6 +13,12 @@ conjugate, so |x(a)| does not depend on the one chosen.  find_characters
 therefore returns one character per R, C or H block, and a sup over its
 result is the sup over every character of A, not a sample.
 
+A direct sum's characters are its parts' characters.  H has no zero
+divisors, and x(a1) x(a2) = x(a1 a2) = 0 for a1, a2 in different parts,
+so a character vanishes on every part but one.  find_characters reads
+them from the parts (corpus.direct_sum keeps them) and never builds the
+sum's own blocks.
+
 A character is the (n, 4) array of its images x(e_i), quaternions
 (w, x, y, z), so x(a) = a.coords @ x; a set of characters is one (m, n, 4)
 stack.  seminorm.CharacterSup holds the one evaluation of x(a) and the one
@@ -70,9 +76,42 @@ def find_characters(algebra: FiniteDimRealAlgebra) -> np.ndarray:
     vanishes (the character killing A) is dropped.  Every character passes
     the multiplicativity residual gate of 1e-11.  The result depends on
     the algebra alone: nothing is sampled.
+
+    A direct sum's characters are its parts' characters, each in its
+    part's rows and exactly 0 elsewhere, found once per distinct part.
     """
+    found = list(_characters(algebra))
+    found.sort(key=lambda x: np.round(x, 9).tobytes())
+    chars = np.array(found).reshape(-1, algebra.dim, 4)
+    chars.setflags(write=False)
+    return chars
+
+
+def _characters(algebra: FiniteDimRealAlgebra):
+    """Yield the characters of find_characters, unsorted."""
+    return (_part_characters if algebra._parts
+            else _block_characters)(algebra)
+
+
+def _part_characters(algebra: FiniteDimRealAlgebra):
+    """Yield the characters of each part of a direct sum, put in that
+    part's rows.  A product across parts is exactly 0 on both sides of
+    the multiplicativity defect, so the sum's residual of each is its
+    part's, which passed the gate."""
+    of_part, off = {}, 0
+    for part in algebra._parts:
+        if id(part) not in of_part:
+            of_part[id(part)] = list(_characters(part))
+        for x in of_part[id(part)]:
+            images = np.zeros((algebra.dim, 4))
+            images[off:off + part.dim] = x
+            yield images
+        off += part.dim
+
+
+def _block_characters(algebra: FiniteDimRealAlgebra):
+    """Yield the gated character of each R, C or H block of A/rad(A)."""
     qm = algebra.semisimple_quotient
-    found = []
     for block in algebra.simple_blocks:
         if not block.division:
             continue
@@ -85,11 +124,7 @@ def find_characters(algebra: FiniteDimRealAlgebra) -> np.ndarray:
         images = images[-algebra.dim:]
         if (qnorm(images).max() >= NONZERO_FLOOR
                 and character_residual(algebra, images) <= ACCEPT_RESIDUAL):
-            found.append(images)
-    found.sort(key=lambda x: np.round(x, 9).tobytes())
-    chars = np.array(found).reshape(-1, algebra.dim, 4)
-    chars.setflags(write=False)
-    return chars
+            yield images
 
 
 # bench/tracing.py wraps this name; keep it until the library records spans

@@ -192,7 +192,7 @@ def cmd_spectrum(args) -> int:
 def cmd_radius(args) -> int:
     a = parse_element(load_algebra(args.algebra), args.element)
     res = _spectrum(a, args.element)
-    try:    # a norm of a power leaves the float range: inf, or 1/n is inf
+    try:    # a norm of a power overflows to inf
         with np.errstate(over="ignore", invalid="ignore"):
             gr, delta = gelfand_radius(a, return_delta=True)
     except (NonConvergence, np.linalg.LinAlgError):

@@ -264,20 +264,21 @@ def _ratio_scan(p, algebra, samples, seed):
     pairs normalized to p = 1 where possible.
 
     The sweep's n^2 pairs (e_i, e_j) hold only n distinct elements, so p is
-    evaluated once on the basis and its values repeated and tiled; their
+    evaluated once on the basis and its values indexed per pair; their
     products are the table rows c[i,j], divided by p(e_i) p(e_j).  Only the
     random pairs are multiplied, after they are normalized."""
     p.check_payload(algebra)
     rng = np.random.default_rng(seed)
     n = algebra.dim
     eye = np.eye(n)
+    i, j = np.divmod(np.arange(n * n), n)   # the basis pairs, by row
     Xa = rng.standard_normal((samples, algebra.dim))
     Xb = rng.standard_normal((samples, algebra.dim))
-    A = np.concatenate([np.repeat(eye, n, axis=0), Xa])
-    B = np.concatenate([np.tile(eye, (n, 1)), Xb])
+    A = np.concatenate([eye[i], Xa])
+    B = np.concatenate([eye[j], Xb])
     pe = p.values(algebra, eye)
-    va = np.concatenate([np.repeat(pe, n), p.values(algebra, Xa)])
-    vb = np.concatenate([np.tile(pe, n), p.values(algebra, Xb)])
+    va = np.concatenate([pe[i], p.values(algebra, Xa)])
+    vb = np.concatenate([pe[j], p.values(algebra, Xb)])
     scale = 1.0 + max(va.max(), vb.max(), 1.0)
     ok = va * vb > RATIO_FLOOR * scale ** 2
     basis = ok[:n * n]

@@ -159,7 +159,7 @@ def log_square_norms(a: AlgebraElement, norm: Callable):
         rows = rows[keep]
         if not rows.size:
             return
-        u = a.coords.reshape(-1, alg.dim)[keep] * (1.0 / n[keep])[:, None]
+        u = a.coords.reshape(-1, alg.dim)[keep] / n[keep][:, None]
         u = alg.element(u if shape else u[0])
         a = mul(u, u)
 

@@ -348,3 +348,62 @@ def test_batch_products_match_scalar(name):
         assert np.abs(p - A.mul_coords(x, y)).max() <= 1e-13 * scale
         assert np.abs(L - left_regular_matrix(A.element(x))).max() \
             <= 1e-13 * (1 + np.abs(x).max())
+
+
+# -- products on the table's nonzeros -----------------------------------
+
+def _sparse_file_algebra(tmp_path):
+    """T2(R) (+) M2(R) (+) R read from a file of [i, j, k, value] rows."""
+    base = corpus.direct_sum([_t2r_hc()._parts[0], corpus.m2_reals(),
+                              corpus.reals()])
+    rows = [[int(i), int(j), int(k), float(base.table[i, j, k])]
+            for i, j, k in zip(*np.nonzero(base.table))]
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"dim": base.dim, "basis": base.labels,
+                                "table": rows, "unit": base.unit.tolist()}))
+    return cli.load_algebra(str(path))
+
+
+def _nonzero_cases():
+    nested = corpus.direct_sum([
+        corpus.direct_sum([corpus.nonunital_with_ideal(),
+                           corpus.m2_reals()]),
+        corpus.quaternions()])
+    return ([(name, corpus.builtin(name)) for name in corpus.builtin_names()]
+            + [(f"H{n}", corpus.function_algebra_H(n)) for n in (2, 4, 8)]
+            + [("nonunital3+M2R+H", nested)])
+
+
+NONZERO_CASES = _nonzero_cases()
+
+
+def _dense_products(A, X, Y):
+    """The dense contraction: row s is Y[s] @ L_(X[s])^T."""
+    return np.matmul(Y[:, None], A._left_rows(X))[:, 0]
+
+
+@pytest.mark.parametrize("label, A", NONZERO_CASES + [("file", None)],
+                         ids=[c[0] for c in NONZERO_CASES] + ["file"])
+def test_nonzero_products_match_dense(label, A, tmp_path):
+    if A is None:
+        A = _sparse_file_algebra(tmp_path)
+    n, nnz = A.dim, np.count_nonzero(A.table)
+    # the table's nonzeros are multiplied iff there are fewer than n^2
+    assert (A._nonzero_products is None) == (nnz >= n * n)
+    if label in ("file", "nonunital3+M2R+H") or label.startswith("H"):
+        assert A._nonzero_products is not None
+    rng = np.random.default_rng(12)
+    X = 10.0 ** rng.uniform(-3, 3, (300, n)) * rng.standard_normal((300, n))
+    Y = 10.0 ** rng.uniform(-3, 3, (300, n)) * rng.standard_normal((300, n))
+    scale = np.abs(X).max() * np.abs(Y).max() * np.abs(A.table).max()
+    err = np.abs(A.mul_coords_batch(X, Y) - _dense_products(A, X, Y)).max()
+    assert err <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("name", ["hc", "h2", "rrc", "nonunital3"])
+def test_dense_table_keeps_the_dense_bits(name):
+    A, _ = _rotate(corpus.builtin(name), 4)
+    assert A._nonzero_products is None
+    rng = np.random.default_rng(13)
+    X, Y = rng.standard_normal((2, 200, A.dim))
+    assert np.array_equal(A.mul_coords_batch(X, Y), _dense_products(A, X, Y))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from squareprop import corpus
+from squareprop import characters, corpus
 from squareprop.algebra import make_algebra
 from squareprop.algebra import NotUnital
 from squareprop.characters import (EmptyCharacterSet, Prop31Result,
@@ -261,3 +261,34 @@ def test_verify_h12_passes(kind):
                          PipelineConfig(sample_count=400))
     assert rep.verdict == "pass"
     assert rep.character_count == 12
+
+
+@pytest.mark.parametrize("A, count", [
+    (corpus.builtin("rr"), 2), (corpus.builtin("rrc"), 3),
+    (corpus.builtin("hc"), 2), (corpus.builtin("h2"), 2),
+    (corpus.function_algebra_H(8), 8),
+    (corpus.direct_sum([corpus.nonunital_with_ideal(),
+                        corpus.quaternions()]), 3),
+], ids=["rr", "rrc", "hc", "h2", "H8", "nonunital3+H"])
+def test_direct_sum_characters_are_its_parts(A, count):
+    """One character per R, C or H block, each exactly 0 outside one part
+    and gated on the sum; its sup is that of the characters built from
+    the sum's own blocks."""
+    chars = find_characters(A)
+    own = np.array(list(characters._block_characters(A)))
+    assert len(chars) == len(own) == count
+    assert count == sum(b.division for b in A.simple_blocks) - (
+        not A.is_unital)   # the hull's extra block kills A
+    ends = np.cumsum([0] + [part.dim for part in A._parts])
+    for x in chars:
+        support = [k for k in range(len(A._parts))
+                   if np.any(x[ends[k]:ends[k + 1]] != 0.0)]
+        assert len(support) == 1
+        outside = np.ones(A.dim, dtype=bool)
+        outside[ends[support[0]]:ends[support[0] + 1]] = False
+        assert np.all(x[outside] == 0.0)
+        assert character_residual(A, x) <= 1e-11
+    X = np.random.default_rng(31).standard_normal((100, A.dim))
+    sup = qnorm(np.einsum("sn,mnq->smq", X, chars)).max(axis=1)
+    sup_own = qnorm(np.einsum("sn,mnq->smq", X, own)).max(axis=1)
+    assert np.abs(sup - sup_own).max() <= 1e-12 * (1.0 + sup_own.max())

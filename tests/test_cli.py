@@ -315,21 +315,36 @@ def test_overflowing_spectrum_exit_two(capsys, command, algebra):
 
 @pytest.mark.parametrize("algebra, element", [
     ("m2_reals", "1e308 1e308 -1e308 -1e308"),
-    ("rr", "1e-320 0"),
-    ("quaternions", "1e-320 0 0 0"),
-    ("m2_reals", "1e-320 0 0 0"),
 ])
 def test_radius_whose_powers_leave_the_float_range_exit_two(capsys, algebra,
                                                             element):
-    """The spectra are finite, but the Gelfand iteration's norms are not:
-    the nilpotent's operator norm overflows, so the iteration stalls, and
-    a subnormal norm n overflows 1/n.  Both used to print a traceback."""
+    """The spectrum is finite, but the Gelfand iteration's norms are not:
+    the nilpotent's operator norm overflows, so the iteration stalls.  It
+    used to print a traceback."""
     code = cli.run(["radius", "--algebra", algebra, "--element", element])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == (f"error: element {element!r}: the norms of its "
                             "powers leave the float range\n")
+
+
+@pytest.mark.parametrize("algebra, element", [
+    ("rr", "1e-320 0"),
+    ("quaternions", "1e-320 0 0 0"),
+    ("m2_reals", "1e-320 0 0 0"),
+])
+def test_radius_of_a_subnormal_element_prints(capsys, algebra, element):
+    """A power is renormalised by dividing by its norm n, which stays
+    finite where 1 / n overflows for a subnormal n; these three used to
+    exit 2, and a traceback before that."""
+    code = cli.run(["radius", "--algebra", algebra, "--element", element])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out == ("gelfand radius  9.99988867183e-321 "
+                            "(last delta 0)\n"
+                            "spectral radius 9.99988867183e-321\n")
 
 
 @pytest.mark.parametrize("command, key", [("spectrum", "radius"),

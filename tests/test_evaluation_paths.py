@@ -116,13 +116,14 @@ def test_component_sup_is_bit_identical_to_its_own_formula(name):
 def _gelfand_by_loop(a, norm=None, iterations=40, conv_tol=1e-6,
                      return_delta=False):
     """gelfand_radius before it consumed log_square_norms; a small step
-    stops it only once 2^k > dim, as in gelfand_radius."""
+    stops it only once 2^k > dim, and a power is divided by its norm, as
+    in gelfand_radius."""
     if norm is None:
         norm = OperatorNorm().value
     na = norm(a)
     if na == 0.0:
         return (0.0, 0.0) if return_delta else 0.0
-    u = (1.0 / na) * a
+    u = a.algebra.element(a.coords / na)
     log_r = math.log(na)
     delta = math.inf
     for k in range(1, iterations + 1):
@@ -135,7 +136,7 @@ def _gelfand_by_loop(a, norm=None, iterations=40, conv_tol=1e-6,
         delta = abs(step)
         if delta < conv_tol * 2.0 ** -20 and 2 ** k > a.algebra.dim:
             break
-        u = (1.0 / nv) * v
+        u = v.algebra.element(v.coords / nv)
     if delta > conv_tol:
         raise NonConvergence(
             f"radius iteration stalled, last delta {delta:.3e}")
