@@ -13,7 +13,7 @@ The square and ratio checks multiply only their random rows
 c: the squares of the probes 8 e_i and 8 (e_i +- e_j) are sums of rows
 c[i,i], c[j,j], c[i,j] and c[j,i] (_square_probes, built once per
 algebra and kept on it), and the basis pair (e_i, e_j) has the product
-c[i,j], read per call.
+c[i,j], read per call and kept as the index pair (i, j).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import FiniteDimRealAlgebra, AlgebraElement, _nullspace
-from .quaternion import qnorm
-from .spectral import spectral_radius_batch
+from .spectral import max_block_norm, spectral_radius_batch
 
 RATIO_FLOOR = 1e-12
 M_HAT_FLOOR = 1e-12
@@ -69,7 +68,14 @@ class SeminormVariant:
 
 @dataclass(frozen=True)
 class CharacterSup(SeminormVariant):
-    """p(a) = max |x(a)| over a fixed set of characters."""
+    """p(a) = max |x(a)| over a fixed set of characters.
+
+    values takes the sup block-major, as spectral._group_radii takes the
+    division radii: table.T @ X.T stacks x(a) as (m, 4, rows), and the
+    norms and the max reduce over its leading axes in one pass over
+    contiguous rows (spectral.max_block_norm), where the row-major
+    (rows, m, 4) of evaluations would loop over each short row.
+    """
 
     characters: object   # (m, n, 4) images, or (n, 4) rows / nested lists
 
@@ -77,6 +83,13 @@ class CharacterSup(SeminormVariant):
     def _stack(self) -> np.ndarray:
         """(m, n, 4): the images of the m characters, converted once."""
         return np.asarray(self.characters, dtype=float)
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """(n, 4m): column 4k + c holds coordinate c of the images of the
+        k-th character, so X @ table is x(a) row-major."""
+        m, n, _ = self._stack.shape
+        return self._stack.transpose(1, 0, 2).reshape(n, 4 * m)
 
     def _images(self, algebra) -> np.ndarray:
         stack = self._stack
@@ -94,13 +107,12 @@ class CharacterSup(SeminormVariant):
 
     def evaluations(self, algebra, X) -> np.ndarray:
         """(rows, m, 4): x(a) for every row a of X and each character x."""
-        imgs = self._images(algebra)
-        m, n, _ = imgs.shape
-        vals = X @ imgs.transpose(1, 0, 2).reshape(n, 4 * m)
-        return vals.reshape(-1, m, 4)
+        m = len(self._images(algebra))
+        return (X @ self._table).reshape(-1, m, 4)
 
     def values(self, algebra, X):
-        return qnorm(self.evaluations(algebra, X)).max(axis=1)
+        self._images(algebra)   # PayloadMismatch on a wrong shape
+        return max_block_norm(self._table.T @ X.T, 4)
 
     def kernel(self, algebra):
         # rows (m, c): coordinate c of the m-th character's images
@@ -260,42 +272,45 @@ def check_square_property(p, algebra, samples: int = 2000, seed: int = 0) -> flo
 
 
 def _ratio_scan(p, algebra, samples, seed):
-    """All (ratio, a, b) candidates: deterministic basis sweep plus random
-    pairs normalized to p = 1 where possible.
+    """(ratios, pair): every ratio p(ab) / (p(a) p(b)) of a deterministic
+    basis sweep plus random pairs normalized to p = 1 where possible, and
+    pair(r), the normalized pair (a, b) of ratios[r].
 
     The sweep's n^2 pairs (e_i, e_j) hold only n distinct elements, so p is
     evaluated once on the basis and its values indexed per pair; their
-    products are the table rows c[i,j], divided by p(e_i) p(e_j).  Only the
-    random pairs are multiplied, after they are normalized."""
+    products are the table rows c[i,j], divided by p(e_i) p(e_j), and the
+    pairs are kept as the indices (i, j).  Only the random pairs are
+    normalized and multiplied."""
     p.check_payload(algebra)
     rng = np.random.default_rng(seed)
     n = algebra.dim
     eye = np.eye(n)
     i, j = np.divmod(np.arange(n * n), n)   # the basis pairs, by row
-    Xa = rng.standard_normal((samples, algebra.dim))
-    Xb = rng.standard_normal((samples, algebra.dim))
-    A = np.concatenate([eye[i], Xa])
-    B = np.concatenate([eye[j], Xb])
-    pe = p.values(algebra, eye)
-    va = np.concatenate([pe[i], p.values(algebra, Xa)])
-    vb = np.concatenate([pe[j], p.values(algebra, Xb)])
+    Xa = rng.standard_normal((samples, n))
+    Xb = rng.standard_normal((samples, n))
+    pe, pa, pb = (p.values(algebra, Z) for Z in (eye, Xa, Xb))
+    va = np.concatenate([pe[i], pa])
+    vb = np.concatenate([pe[j], pb])
     scale = 1.0 + max(va.max(), vb.max(), 1.0)
     ok = va * vb > RATIO_FLOOR * scale ** 2
-    basis = ok[:n * n]
-    k = int(basis.sum())
+    i, j, rand = i[ok[:n * n]], j[ok[:n * n]], ok[n * n:]
     # normalize every pair to p = 1 so ratio statistics are scale-free
-    A, B, va, vb = A[ok], B[ok], va[ok], vb[ok]
-    A = A / va[:, None]
-    B = B / vb[:, None]
+    A = Xa[rand] / pa[rand][:, None]
+    B = Xb[rand] / pb[rand][:, None]
     prods = np.concatenate([
-        algebra.table.reshape(n * n, n)[basis] / (va[:k] * vb[:k])[:, None],
-        algebra.mul_coords_batch(A[k:], B[k:])])
-    return p.values(algebra, prods), A, B
+        algebra.table[i, j] / (pe[i] * pe[j])[:, None],
+        algebra.mul_coords_batch(A, B)])
+
+    def pair(r):
+        if r < len(i):
+            return eye[i[r]] / pe[i[r]], eye[j[r]] / pe[j[r]]
+        return A[r - len(i)], B[r - len(i)]
+    return p.values(algebra, prods), pair
 
 
 def check_submultiplicative(p, algebra, samples: int = 2000, seed: int = 0) -> float:
     """Max of p(ab) / (p(a) p(b)) over basis pairs and random samples."""
-    ratios, _, _ = _ratio_scan(p, algebra, samples, seed)
+    ratios, _ = _ratio_scan(p, algebra, samples, seed)
     return float(ratios.max()) if ratios.size else 0.0
 
 
@@ -308,8 +323,8 @@ class MEstimate:
 def estimate_m(p, algebra, samples: int = 2000, seed: int = 0) -> MEstimate:
     """Sampled working constant for p(ab) <= m p(a) p(b); a lower bound of
     the true m, floored at 1e-12."""
-    ratios, A, B = _ratio_scan(p, algebra, samples, seed)
+    ratios, pair = _ratio_scan(p, algebra, samples, seed)
     if ratios.size == 0:
         return MEstimate(M_HAT_FLOOR, (np.zeros(algebra.dim),) * 2)
     i = int(np.argmax(ratios))
-    return MEstimate(max(M_HAT_FLOOR, float(ratios[i])), (A[i], B[i]))
+    return MEstimate(max(M_HAT_FLOOR, float(ratios[i])), pair(i))

@@ -36,14 +36,29 @@ matrix with the same eigenvalues, so r(b)^2 = |x|^2 on that block is a
 positive semidefinite quadratic form in b of rank d, read once from two
 traces of the block's L_(e_i) and kept as a factor W with r(b) = |b W|
 (algebra._radius_factor).  The group's table holds the K factors side by
-side, so X @ table stacks K vectors of length d per row, and the radius
-is the largest of their norms, taken on the row over its largest entry so
-that it stays finite at any scale.  Neither route is circular: no
-character enters them, the division tag is the block's name in the
-algebra's record, and a factor comes from traces of L_b on a block whose
-basis comes from its central idempotent, so comparing r against
-characters still compares two independent computations.  Both raise
-LinAlgError on a non-finite element.
+side, so the product of table and X stacks K vectors of length d per
+row, and the radius is the largest of their norms, taken on the row over
+its largest entry so that it stays finite at any scale.  Neither route
+is circular: no character enters them, the division tag is the block's
+name in the algebra's record, and a factor comes from traces of L_b on a
+block whose basis comes from its central idempotent, so comparing r
+against characters still compares two independent computations.  Both
+raise LinAlgError on a non-finite element.
+
+The division radii, like seminorm.CharacterSup's sup, are max_k |W_k x|
+over K vectors of length d in {1, 2, 4}, and both are taken block-major:
+one BLAS call table.T @ X.T gives the vectors as a (K*d, rows) stack, so
+that every reduction (max_block_norm) runs over a leading axis, one
+elementwise pass over contiguous rows of length `rows`.  Laid out
+row-major, as (rows, K, d), the same reductions run one inner loop of
+length d or K per row, several times slower than the matmul itself.  The
+reductions give the same bits in both layouts: NumPy adds the rows of a
+leading axis in order, as its sum over a last axis shorter than 8 does,
+and sqrt is monotone, so the sqrt of the max is the max of the sqrts.
+The product's last bits are BLAS's.  OpenBLAS 0.3.31 (x86-64, Haswell
+kernels) gives table.T @ X.T the bits of X @ table on every table of the
+corpus and of H^n, but not on every shape: at n >= 16, with 2, 3, 4 or
+12 columns, its kernels sum in another order.
 
 spectrum needs the points with the hull's multiplicities, which B does not
 keep, so spectra takes the eigenvalues of a stack of L_a: in the hull of a
@@ -104,27 +119,34 @@ def spectrum(a: AlgebraElement) -> SpectrumResult:
     return SpectrumResult(pts, float(max(abs(z) for z in pts)))
 
 
+def max_block_norm(Y: np.ndarray, d: int) -> np.ndarray:
+    """Per column of the (K*d, rows) stack Y, the largest Euclidean norm
+    of its K vectors of length d, read on the (K, d, rows) view: every
+    reduction runs over a leading axis (see the module docstring)."""
+    Y = Y.reshape(len(Y) // d, d, Y.shape[1])
+    return np.sqrt((Y * Y).sum(axis=1).max(axis=0))
+
+
 def _group_radii(X: np.ndarray, d: int, division: bool,
                  table: np.ndarray) -> np.ndarray:
     """Spectral radius of every row x of X on one group of the split.
 
-    On a division group X @ table stacks, per row, K vectors of length d
-    whose norms are the radii of the K blocks; they are taken on Y / m
-    with m = max|Y| per row, so that no square overflows or underflows,
-    and a zero row gives 0.  On any other group it stacks the K blocks
-    (rows, K, d, d) of L_pi(x), and the radii come from eigvals.  Both
-    raise LinAlgError on a non-finite row.
+    On a division group table.T @ X.T stacks, per column, K vectors of
+    length d whose norms are the radii of the K blocks, block-major as
+    (K*d, rows); they are taken on Y / m with m = max|Y| per column, so
+    that no square overflows or underflows, and a zero row gives 0.  On
+    any other group X @ table stacks the K blocks (rows, K, d, d) of
+    L_pi(x), and the radii come from eigvals.  Both raise LinAlgError on
+    a non-finite row.
     """
-    rows, cols = X.shape[0], table.shape[1]
-    Y = X @ table
     if not division:
-        S = Y.reshape(rows, cols // (d * d), d, d)
+        S = (X @ table).reshape(len(X), table.shape[1] // (d * d), d, d)
         return np.abs(_eigvals(S)).max(axis=(1, 2))
-    m = np.abs(Y).max(axis=1)
+    Y = table.T @ X.T
+    m = np.abs(Y).max(axis=0)
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    Y = (Y / np.where(m > 0.0, m, 1.0)[:, None]).reshape(rows, cols // d, d)
-    return m * np.sqrt((Y * Y).sum(axis=2).max(axis=1))
+    return m * max_block_norm(Y / np.where(m > 0.0, m, 1.0), d)
 
 
 def spectral_radius_batch(algebra, coords: np.ndarray) -> np.ndarray:
@@ -147,21 +169,36 @@ def log_square_norms(a: AlgebraElement, norm: Callable):
     formed only when its value is asked for.  The logs are taken per entry
     with math.log, whose last bit NumPy's log does not always match, so
     one element gives the bits of a loop of scalar calls.
+
+    A row whose first norm overflows to inf, such as a nilpotent of M2(R)
+    with entries 1e308, has it taken on the row scaled to max|a| = 1 and
+    log max|a| added; its squares are formed from that scaled row, so no
+    later norm overflows.  A row with a finite norm keeps its bits.
     """
     alg, shape = a.algebra, a.coords.shape[:-1]
     logs = np.full(shape, -math.inf).ravel()
     rows = np.arange(logs.size)     # the rows still squared, flat
+    X, n = a.coords.reshape(-1, alg.dim), np.ravel(norm(a))
+    lift = np.zeros(n.size)         # log of the scale a norm was taken at
+    big = np.isinf(n)
+    if big.any():
+        s = np.abs(X[big]).max(axis=1)
+        X, n = X.copy(), n.copy()
+        X[big] /= s[:, None]
+        n[big] = np.ravel(norm(alg.element(X[big])))
+        lift[big] = [math.log(v) for v in s]
     while True:
-        n = np.ravel(norm(a))
         logs[rows] = [math.log(v) if v != 0.0 else -math.inf for v in n]
+        logs[rows] += lift
         mask = yield logs.reshape(shape).copy() if shape else float(logs[0])
         keep = (n != 0.0) & (True if mask is None else np.ravel(mask)[rows])
         rows = rows[keep]
         if not rows.size:
             return
-        u = a.coords.reshape(-1, alg.dim)[keep] / n[keep][:, None]
+        u = X[keep] / n[keep][:, None]
         u = alg.element(u if shape else u[0])
         a = mul(u, u)
+        X, n, lift = a.coords.reshape(-1, alg.dim), np.ravel(norm(a)), 0.0
 
 
 def gelfand_radius(a: AlgebraElement,

@@ -9,7 +9,10 @@ batched library path, and has no caller in the library itself:
 - j_evaluate: J(a) at a set of characters, one row of
   CharacterSup.evaluations;
 - full_spectrum_match: sp(a) equals the union of the quaternion spectra of
-  the character values, the two-sided form of check_prop31's inclusion.
+  the character values, the two-sided form of check_prop31's inclusion;
+- division_radii_rows and character_sup_rows: the division radii of
+  spectral._group_radii and CharacterSup.values laid out row-major, as
+  (rows, K, d), against their block-major (K, d, rows) forms.
 
 CallableSeminorm is a test fake: a seminorm given by a bare callable.
 """
@@ -19,7 +22,7 @@ import numpy as np
 from squareprop.algebra import (NotUnital, left_regular_matrix, mul,
                                 nonsingular)
 from squareprop.characters import _within
-from squareprop.quaternion import qspectrum
+from squareprop.quaternion import qnorm, qspectrum
 from squareprop.seminorm import CharacterSup, SeminormVariant
 from squareprop.spectral import spectra
 
@@ -73,6 +76,24 @@ def full_spectrum_match(algebra, X: np.ndarray, chars,
     Z = Z.reshape(len(X), -1)
     W = spectra(algebra, algebra.left_matrices_batch(X))
     return _within(Z, W, tol) & _within(W, Z, tol)
+
+
+def division_radii_rows(X: np.ndarray, d: int, table: np.ndarray) -> np.ndarray:
+    """spectral._group_radii on a division group, row-major: X @ table is
+    read as (rows, K, d), scaled by m = max|Y| per row, and reduced over
+    its last two axes."""
+    Y = X @ table
+    m = np.abs(Y).max(axis=1)
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    Y = (Y / np.where(m > 0.0, m, 1.0)[:, None]).reshape(len(X), -1, d)
+    return m * np.sqrt((Y * Y).sum(axis=2).max(axis=1))
+
+
+def character_sup_rows(algebra, X: np.ndarray, chars) -> np.ndarray:
+    """CharacterSup.values, row-major: the largest |x(a)| over the
+    (rows, m, 4) stack of CharacterSup.evaluations."""
+    return qnorm(CharacterSup(chars).evaluations(algebra, X)).max(axis=1)
 
 
 class CallableSeminorm(SeminormVariant):

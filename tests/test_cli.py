@@ -318,15 +318,18 @@ def test_overflowing_spectrum_exit_two(capsys, command, algebra):
 ])
 def test_radius_whose_powers_leave_the_float_range_exit_two(capsys, algebra,
                                                             element):
-    """The spectrum is finite, but the Gelfand iteration's norms are not:
-    the nilpotent's operator norm overflows, so the iteration stalls.  It
-    used to print a traceback."""
-    code = cli.run(["radius", "--algebra", algebra, "--element", element])
+    """The nilpotent's operator norm overflows to inf.  The Gelfand
+    iteration takes that first norm on the element scaled to max|a| = 1
+    and adds log max|a|, so the next power is 0 and the radius is 0, with
+    exit 0.  The name is older than that: the element exited 2 when its
+    first norm stalled the iteration, and a traceback before that."""
+    code = cli.run(["radius", "--algebra", algebra, "--element", element,
+                    "--format", "json"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == (f"error: element {element!r}: the norms of its "
-                            "powers leave the float range\n")
+    assert code == 0
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["gelfand_radius"] == 0.0 and out["last_delta"] == 0.0
 
 
 @pytest.mark.parametrize("algebra, element", [

@@ -610,6 +610,13 @@ def _ratio_scan_on_every_pair(p, algebra, samples, seed):
     return p.values(algebra, algebra.mul_coords_batch(A, B)), A, B
 
 
+def _pairs(ratios, pair):
+    """(A, B): the normalized pair of every ratio of a scan, stacked one
+    row per ratio, as _ratio_scan returned them before it kept the basis
+    pairs as indices."""
+    return tuple(np.array(x) for x in zip(*map(pair, range(len(ratios)))))
+
+
 def _counted_max_abs():
     calls = []
 
@@ -632,7 +639,8 @@ def test_ratio_scan_evaluates_the_basis_once(kind):
     else:
         p = p_old = {"spectral_radius": SpectralRadius(),
                      "coordinate_max": CoordinateMax()}[kind]
-    new = _ratio_scan(p, A, samples, 5)
+    ratios, pair = _ratio_scan(p, A, samples, 5)
+    new = (ratios, *_pairs(ratios, pair))
     old = _ratio_scan_on_every_pair(p_old, A, samples, 5)
     for x, y in zip(new, old):
         assert x.shape == y.shape and np.array_equal(x, y)
@@ -706,7 +714,7 @@ def test_basis_pair_products_are_the_products(case):
     w = (np.ones(A.dim) if rtol == 0.0
          else np.random.default_rng(6).uniform(0.5, 2.0, A.dim))
     p = _Recorded(w)
-    _, Xa, Xb = _ratio_scan(p, A, 200, 5)
+    Xa, Xb = _pairs(*_ratio_scan(p, A, 200, 5))
     assert Xa.shape[0] >= A.dim ** 2
     _close(p.stacks[-1], A.mul_coords_batch(Xa, Xb), rtol)
 

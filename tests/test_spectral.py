@@ -7,7 +7,7 @@ from squareprop import corpus
 from squareprop.algebra import NotUnital, make_algebra
 from squareprop.quaternion import qspectrum
 from squareprop.seminorm import OperatorNorm
-from squareprop.spectral import gelfand_radius, spectrum
+from squareprop.spectral import gelfand_radius, log_square_norms, spectrum
 
 from oracles import in_spectrum_paper_def
 
@@ -132,6 +132,22 @@ def test_log_domain_no_overflow():
     assert gelfand_radius(big, norm=lambda a: float(np.abs(a.coords).max())) \
         == pytest.approx(2e150, rel=1e-9)
     assert math.isfinite(gelfand_radius(big))
+
+
+def test_overflowing_first_norm_is_taken_on_the_scaled_row():
+    """The operator norm of the M2(R) nilpotent with entries 1e308
+    overflows.  Taken on the row over max|a| and lifted by log max|a|, it
+    gives the radius 0; the other rows of the stack keep their bits."""
+    m2 = corpus.builtin("m2_reals")
+    X = np.array([[1.0, 2.0, -0.5, 3.0], [1e308, 1e308, -1e308, -1e308],
+                  [1e150, 0.0, 0.0, 2e150]])
+    r = gelfand_radius(m2.element(X))
+    assert r[1] == 0.0
+    for k in (0, 2):
+        assert r[k] == gelfand_radius(m2.element(X[k]))
+    logs = log_square_norms(m2.element(X[1]), OperatorNorm().value)
+    assert next(logs) == math.log(2.0) + math.log(1e308)
+    assert next(logs) == -math.inf
 
 
 def _rx3():
