@@ -28,7 +28,8 @@ once, on first use, and kept on it: the unital hull (`hull`), the radical
 (`radical`), B = hull / rad(hull) (`semisimple_quotient`), the simple
 blocks of B, each named R, C, H or M2(R) (`simple_blocks`), and per group
 of blocks a table that gives for every a at once the blocks of L_pi(a),
-or on R, C and H blocks a factor of r(a)^2 (`spectral_split`).
+or on R, C and H blocks a factor of r(a)^2 (`spectral_split`), whose
+division tables are also kept side by side (`division_columns`).
 The radical is nil, so r(a) = r(pi(a)), and on B no L_b keeps a nilpotent
 Jordan part from the radical: its eigenvalues are exact to rounding where
 those of a defective L_a err by about eps^(1/k).  The characters, the
@@ -243,6 +244,20 @@ class FiniteDimRealAlgebra:
         radius factors on its R, C and H blocks, grouped by size and tagged
         division or not (see _spectral_split)."""
         return _spectral_split(self)
+
+    @cached_property
+    def division_columns(self) -> tuple:
+        """(table, sizes): the tables of the division groups of
+        spectral_split side by side, (dim, C), read-only, and (d, K*d) per
+        group in column order; (None, ()) when no group is division.
+        spectral.division_radii takes them all with one product."""
+        groups = [(d, T) for d, division, T in self.spectral_split
+                  if division]
+        if not groups:
+            return None, ()
+        table = np.hstack([T for _, T in groups])
+        table.setflags(write=False)
+        return table, tuple((d, T.shape[1]) for d, T in groups)
 
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, np.asarray(coords, dtype=float))

@@ -162,6 +162,8 @@ def cmd_verify(args) -> int:
             restarts=args.restarts))
     except pipeline.VanishingSeminorm as exc:
         raise InputError(f"seminorm {args.seminorm}: {exc}") from None
+    except pipeline.SampleBudgetExceeded as exc:
+        raise InputError(f"options: {exc}") from None
     payload = rep.to_dict()
     lines = [f"verify {algebra.name} / {rep.seminorm_kind}"]
     for key, val in sorted(payload.items()):

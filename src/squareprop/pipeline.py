@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -54,6 +54,50 @@ HYPOTHESIS_NOT_MET = "hypothesis not met: "
 
 class VanishingSeminorm(ValueError):
     """p vanishes on all of A, so the quotient by its kernel is 0."""
+
+
+class SampleBudgetExceeded(ValueError):
+    """The stacks of sample rows would not fit in SAMPLE_BUDGET_BYTES."""
+
+
+# the most the stacks of sample rows may take: 2 GiB, which the default
+# 2000 samples keep up to dim 366 (H^64 has dim 256); far beyond it a run
+# would fail to allocate or swap
+SAMPLE_BUDGET_BYTES = 2 ** 31
+
+
+def sample_bytes(samples: int, dim: int) -> int:
+    """Bytes of the largest stack a stage builds from `samples` rows of an
+    algebra of dimension n = dim: stage 1's stack [P; R; P^2; R^2] of
+    2 (n^2 + samples) rows, or the n x n left matrices of the `samples`
+    rows that a dense product forms."""
+    return 8 * max(2 * (dim * dim + samples) * dim, samples * dim * dim)
+
+
+def check_sample_budget(samples: int, dim: int) -> None:
+    """Raise SampleBudgetExceeded, before anything is drawn, when the
+    stacks of `samples` rows at dim exceed SAMPLE_BUDGET_BYTES."""
+    need = sample_bytes(samples, dim)
+    if need > SAMPLE_BUDGET_BYTES:
+        raise SampleBudgetExceeded(
+            f"samples {samples} would stack {need / 2 ** 30:.3g} GiB of "
+            f"rows at dim {dim}, over the "
+            f"{SAMPLE_BUDGET_BYTES / 2 ** 30:g} GiB budget")
+
+
+def _copied(value):
+    """value with each list and dict in it copied, its numbers shared."""
+    if isinstance(value, list):
+        return [_copied(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    return value
+
+
+def _fields_dict(obj) -> dict:
+    """The fields of a dataclass of numbers, strings, lists and dicts, as
+    asdict gives them, without its deep copy of every number."""
+    return {f.name: _copied(getattr(obj, f.name)) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -122,7 +166,7 @@ class VerificationReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _fields_dict(self)
 
 
 def compute_verdict(r: VerificationReport) -> str:
@@ -335,9 +379,11 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     shows and a quotient without a unit stop it with fail.  Stage 8 sets
     sup_equality_residual whenever a character exists: on A / Ker p,
     p(b) = max |x(b)| over the quaternion characters.  unitization_checks
-    stays None.
+    stays None.  A sample_count whose stacks exceed SAMPLE_BUDGET_BYTES
+    raises SampleBudgetExceeded before any stage runs.
     """
     config = config or PipelineConfig()
+    check_sample_budget(config.sample_count, algebra.dim)
     report = VerificationReport(
         algebra_name=algebra.name,
         seminorm_kind=type(p).__name__,
@@ -362,7 +408,7 @@ class FuzzSummary:
     counterexamples: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _fields_dict(self)
 
 
 _FUZZ_SAMPLES = 24

@@ -13,7 +13,9 @@ The square and ratio checks multiply only their random rows
 c: the squares of the probes 8 e_i and 8 (e_i +- e_j) are sums of rows
 c[i,i], c[j,j], c[i,j] and c[j,i] (_square_probes, built once per
 algebra and kept on it), and the basis pair (e_i, e_j) has the product
-c[i,j], read per call and kept as the index pair (i, j).
+c[i,j], read per call and kept as the index pair (i, j).  Each check
+stacks what it evaluates, with its random rows drawn into the stack, and
+calls values once per stack.
 """
 
 from __future__ import annotations
@@ -133,43 +135,58 @@ class SpectralRadius(SeminormVariant):
         return algebra.radical
 
 
-@dataclass(frozen=True)
-class CoordinateMax(SeminormVariant):
-    """p(a) = max_i weight_i |coord_i|; weights default to 1."""
+class _Weighted(SeminormVariant):
+    """A seminorm read from one weight per coordinate.  The weights are
+    converted and checked once per object and dim, by _weights, and kept
+    read-only; a payload that fails the check raises on every call."""
 
-    weights: Optional[tuple] = None
+    @cached_property
+    def _by_dim(self) -> dict:
+        return {}
 
-    def _w(self, algebra):
-        if self.weights is None:
-            return np.ones(algebra.dim)
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (algebra.dim,):
-            raise PayloadMismatch(f"{w.size} weights for dim {algebra.dim}")
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise PayloadMismatch("weights must be finite and nonnegative")
+    def _w(self, algebra) -> np.ndarray:
+        w = self._by_dim.get(algebra.dim)
+        if w is None:
+            w = self._weights(algebra.dim)
+            w.setflags(write=False)
+            self._by_dim[algebra.dim] = w
         return w
 
     def check_payload(self, algebra):
         self._w(algebra)
 
-    def values(self, algebra, X):
-        return (self._w(algebra) * np.abs(X)).max(axis=1)
-
     def kernel(self, algebra):
-        w = self._w(algebra)
-        return np.eye(algebra.dim)[w == 0.0]
+        return np.eye(algebra.dim)[self._w(algebra) == 0.0]
 
 
 @dataclass(frozen=True)
-class CoordinateSum(SeminormVariant):
+class CoordinateMax(_Weighted):
+    """p(a) = max_i weight_i |coord_i|; weights default to 1."""
+
+    weights: Optional[tuple] = None
+
+    def _weights(self, dim):
+        if self.weights is None:
+            return np.ones(dim)
+        w = np.array(self.weights, dtype=float)
+        if w.shape != (dim,):
+            raise PayloadMismatch(f"{w.size} weights for dim {dim}")
+        if not np.isfinite(w).all() or (w < 0).any():
+            raise PayloadMismatch("weights must be finite and nonnegative")
+        return w
+
+    def values(self, algebra, X):
+        return (self._w(algebra) * np.abs(X)).max(axis=1)
+
+
+@dataclass(frozen=True)
+class CoordinateSum(_Weighted):
     """l1-style p(a) = sum_i weight_i |coord_i|; lacks the square property
     on most algebras, which makes it the standard hypothesis-rejection case."""
 
     weights: Optional[tuple] = None
 
-    _w = CoordinateMax._w
-    check_payload = CoordinateMax.check_payload
-    kernel = CoordinateMax.kernel
+    _weights = CoordinateMax._weights
 
     def values(self, algebra, X):
         return (self._w(algebra) * np.abs(X)).sum(axis=1)
@@ -190,27 +207,25 @@ class OperatorNorm(SeminormVariant):
 
 
 @dataclass(frozen=True)
-class ComponentSup(SeminormVariant):
+class ComponentSup(_Weighted):
     """Max-abs over a subset of coordinates: CoordinateMax with weight 1 on
     the subset and 0 elsewhere, so its kernel is the excluded ones."""
 
     subset: tuple
 
-    def _w(self, algebra):
+    def _weights(self, dim):
         idx = np.asarray(self.subset, dtype=float)
         if not (idx == np.floor(idx)).all():   # NaN fails too
             raise PayloadMismatch(
                 f"subset entries must be integers, got {self.subset}")
-        if idx.size == 0 or idx.min() < 0 or idx.max() >= algebra.dim:
+        if idx.size == 0 or idx.min() < 0 or idx.max() >= dim:
             raise PayloadMismatch(
-                f"subset {self.subset} invalid for dim {algebra.dim}")
-        w = np.zeros(algebra.dim)
+                f"subset {self.subset} invalid for dim {dim}")
+        w = np.zeros(dim)
         w[idx.astype(int)] = 1.0
         return w
 
-    check_payload = CoordinateMax.check_payload
     values = CoordinateMax.values
-    kernel = CoordinateMax.kernel
 
 
 # bench/ calls this name; keep it until the benchmark is revised
@@ -251,19 +266,23 @@ class SquareCheck:
 
 def square_property_details(p: SeminormVariant, algebra: FiniteDimRealAlgebra,
                             samples: int = 2000, seed: int = 0) -> SquareCheck:
-    """Max of |p(a^2) - p(a)^2| / (1 + p(a)^2) over probes and random samples."""
+    """Max of |p(a^2) - p(a)^2| / (1 + p(a)^2) over probes and random samples.
+
+    p is evaluated once, on one stack [P; R; P^2; R^2]: the n^2 probes P,
+    the random rows R drawn into it, and their squares."""
     p.check_payload(algebra)
-    rng = np.random.default_rng(seed)
-    R = rng.standard_normal((samples, algebra.dim))
     P, P2 = _square_probes(algebra)
-    X = np.concatenate([P, R])
-    pa = p.values(algebra, X)
+    half = len(P) + samples
+    X = np.empty((2 * half, algebra.dim))
+    X[:len(P)], X[half:half + len(P)] = P, P2
+    R = X[len(P):half]
+    np.random.default_rng(seed).standard_normal(out=R)
     # the probes' squares are read from the table; only R is multiplied
-    pa2 = p.values(algebra,
-                   np.concatenate([P2, algebra.mul_coords_batch(R, R)]))
+    X[half + len(P):] = algebra.mul_coords_batch(R, R)
+    pa, pa2 = p.values(algebra, X).reshape(2, half)
     res = np.abs(pa2 - pa ** 2) / (1.0 + pa ** 2)
     i = int(np.argmax(res))
-    return SquareCheck(float(res[i]), X[i])
+    return SquareCheck(float(res[i]), X[i].copy())
 
 
 # bench/tracing.py wraps this name; keep it until the library records spans
@@ -277,18 +296,21 @@ def _ratio_scan(p, algebra, samples, seed):
     pair(r), the normalized pair (a, b) of ratios[r].
 
     The sweep's n^2 pairs (e_i, e_j) hold only n distinct elements, so p is
-    evaluated once on the basis and its values indexed per pair; their
+    evaluated on the basis alone and its values indexed per pair; their
     products are the table rows c[i,j], divided by p(e_i) p(e_j), and the
     pairs are kept as the indices (i, j).  Only the random pairs are
-    normalized and multiplied."""
+    normalized and multiplied.  p is evaluated once on one stack
+    [I; Xa; Xb], with Xa and Xb drawn into it as one draw, and once on the
+    products."""
     p.check_payload(algebra)
-    rng = np.random.default_rng(seed)
     n = algebra.dim
-    eye = np.eye(n)
+    X = np.empty((n + 2 * samples, n))
+    X[:n] = np.eye(n)
+    np.random.default_rng(seed).standard_normal(out=X[n:])
+    eye, Xa, Xb = X[:n], X[n:n + samples], X[n + samples:]
     i, j = np.divmod(np.arange(n * n), n)   # the basis pairs, by row
-    Xa = rng.standard_normal((samples, n))
-    Xb = rng.standard_normal((samples, n))
-    pe, pa, pb = (p.values(algebra, Z) for Z in (eye, Xa, Xb))
+    v = p.values(algebra, X)
+    pe, pa, pb = v[:n], v[n:n + samples], v[n + samples:]
     va = np.concatenate([pe[i], pa])
     vb = np.concatenate([pe[j], pb])
     scale = 1.0 + max(va.max(), vb.max(), 1.0)

@@ -23,9 +23,10 @@ every L_b.  The algebra keeps, once built, a table per group of blocks
 division (R, C or H) or not; a B whose blocks fail their gate is one
 non-division block.  On a direct sum L_a is block diagonal and sp(a) is
 the union of the parts' spectra, so the split is the parts' splits side
-by side, each in its part's rows.  A batch of elements then costs, per
-group, one matmul X @ table, and on a non-division group one batched
-eigvals over the stack of d x d blocks it gives.
+by side, each in its part's rows.  A batch of elements then costs one
+product for all division groups together (below), and per non-division
+group one matmul X @ table and one batched eigvals over the stack of
+d x d blocks it gives.
 
 On a division group the radius is a row norm.  On a division algebra D
 with its standard basis, L_x is |x| times an orthogonal map (|xy| = |x||y|),
@@ -37,8 +38,14 @@ positive semidefinite quadratic form in b of rank d, read once from two
 traces of the block's L_(e_i) and kept as a factor W with r(b) = |b W|
 (algebra._radius_factor).  The group's table holds the K factors side by
 side, so the product of table and X stacks K vectors of length d per
-row, and the radius is the largest of their norms, taken on the row over
-its largest entry so that it stays finite at any scale.  Neither route
+row, and the radius is the largest of their norms.  Every division group
+of a split is read at once (division_radii): their tables are kept side
+by side (FiniteDimRealAlgebra.division_columns), one product gives the
+vectors of every group, R, C and H blocks alike, and one scale per row,
+its largest entry m over all groups, keeps the norms finite at any
+scale.  The common scale is safe: the largest norm is at least m, and a
+block whose squares underflow on the row over m is too small to set it.
+Neither route
 is circular: no character enters them, the division tag is the block's
 name in the algebra's record, and a factor comes from traces of L_b on a
 block whose basis comes from its central idempotent, so comparing r
@@ -127,33 +134,52 @@ def max_block_norm(Y: np.ndarray, d: int) -> np.ndarray:
     return np.sqrt((Y * Y).sum(axis=1).max(axis=0))
 
 
-def _group_radii(X: np.ndarray, d: int, division: bool,
-                 table: np.ndarray) -> np.ndarray:
-    """Spectral radius of every row x of X on one group of the split.
+def _group_radii(X: np.ndarray, d: int, table: np.ndarray) -> np.ndarray:
+    """Spectral radius of every row x of X on one non-division group of
+    the split: X @ table stacks the K blocks (rows, K, d, d) of L_pi(x),
+    and the radii come from eigvals.  The division groups are not taken
+    one at a time: division_radii reads all their columns with one
+    product and one scale per row, which is safe (see there)."""
+    S = (X @ table).reshape(len(X), table.shape[1] // (d * d), d, d)
+    return np.abs(_eigvals(S)).max(axis=(1, 2))
 
-    On a division group table.T @ X.T stacks, per column, K vectors of
-    length d whose norms are the radii of the K blocks, block-major as
-    (K*d, rows); they are taken on Y / m with m = max|Y| per column, so
-    that no square overflows or underflows, and a zero row gives 0.  On
-    any other group X @ table stacks the K blocks (rows, K, d, d) of
-    L_pi(x), and the radii come from eigvals.  Both raise LinAlgError on
-    a non-finite row.
+
+def division_radii(X: np.ndarray, table: np.ndarray, sizes) -> np.ndarray:
+    """Largest spectral radius of every row x of X over the division
+    blocks of a split, whose groups' tables are the columns of table side
+    by side, (d, K*d) per group in column order (see
+    FiniteDimRealAlgebra.division_columns).
+
+    One product table.T @ X.T stacks, per column, the vectors of every
+    group, block-major; one scale m = max|Y| per column, over every group,
+    keeps the squares of Y / m from overflowing and gives a zero row 0;
+    max_block_norm then reduces each group on its slice of rows.  A
+    common scale is safe: the block holding the entry m has norm at least
+    m, so the max is at least 1 on Y / m, and a block whose squares
+    underflow there is below 1e-150 of it and cannot set the max.  Raises
+    LinAlgError on a non-finite row.
     """
-    if not division:
-        S = (X @ table).reshape(len(X), table.shape[1] // (d * d), d, d)
-        return np.abs(_eigvals(S)).max(axis=(1, 2))
     Y = table.T @ X.T
     m = np.abs(Y).max(axis=0)
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    return m * max_block_norm(Y / np.where(m > 0.0, m, 1.0), d)
+    Y /= np.where(m > 0.0, m, 1.0)
+    radii, start = [], 0
+    for d, width in sizes:
+        radii.append(max_block_norm(Y[start:start + width], d))
+        start += width
+    return m * functools.reduce(np.maximum, radii)
 
 
 def spectral_radius_batch(algebra, coords: np.ndarray) -> np.ndarray:
     """Spectral radii of a stack of elements of one algebra, on the blocks
     of its spectral split (see the module docstring)."""
-    return functools.reduce(np.maximum, (_group_radii(coords, *group)
-                                         for group in algebra.spectral_split))
+    table, sizes = algebra.division_columns
+    radii = [_group_radii(coords, d, T)
+             for d, division, T in algebra.spectral_split if not division]
+    if sizes:
+        radii.append(division_radii(coords, table, sizes))
+    return functools.reduce(np.maximum, radii)
 
 
 def log_square_norms(a: AlgebraElement, norm: Callable):

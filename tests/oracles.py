@@ -10,9 +10,9 @@ batched library path, and has no caller in the library itself:
   CharacterSup.evaluations;
 - full_spectrum_match: sp(a) equals the union of the quaternion spectra of
   the character values, the two-sided form of check_prop31's inclusion;
-- division_radii_rows and character_sup_rows: the division radii of
-  spectral._group_radii and CharacterSup.values laid out row-major, as
-  (rows, K, d), against their block-major (K, d, rows) forms.
+- division_radii_rows and character_sup_rows: spectral.division_radii
+  and CharacterSup.values laid out row-major, as (rows, K, d), against
+  their block-major (K, d, rows) forms.
 
 CallableSeminorm is a test fake: a seminorm given by a bare callable.
 """
@@ -78,16 +78,24 @@ def full_spectrum_match(algebra, X: np.ndarray, chars,
     return _within(Z, W, tol) & _within(W, Z, tol)
 
 
-def division_radii_rows(X: np.ndarray, d: int, table: np.ndarray) -> np.ndarray:
-    """spectral._group_radii on a division group, row-major: X @ table is
-    read as (rows, K, d), scaled by m = max|Y| per row, and reduced over
-    its last two axes."""
+def division_radii_rows(X: np.ndarray, table: np.ndarray,
+                        sizes) -> np.ndarray:
+    """spectral.division_radii, row-major: X @ table is scaled by one
+    m = max|Y| per row, over every group; each group's columns, (d, K*d)
+    per group in column order, are read as (rows, K, d) and reduced over
+    their last two axes, and the max is taken over the groups.  On one
+    group it is the formula each group was taken by alone."""
     Y = X @ table
     m = np.abs(Y).max(axis=1)
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    Y = (Y / np.where(m > 0.0, m, 1.0)[:, None]).reshape(len(X), -1, d)
-    return m * np.sqrt((Y * Y).sum(axis=2).max(axis=1))
+    Y = Y / np.where(m > 0.0, m, 1.0)[:, None]
+    radii, start = [], 0
+    for d, width in sizes:
+        G = Y[:, start:start + width].reshape(len(X), -1, d)
+        radii.append(np.sqrt((G * G).sum(axis=2).max(axis=1)))
+        start += width
+    return m * np.max(radii, axis=0)
 
 
 def character_sup_rows(algebra, X: np.ndarray, chars) -> np.ndarray:

@@ -164,6 +164,24 @@ def test_zero_samples_exit_two(capsys):
     assert "sample_count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", [10 ** 9, 2 ** 62])
+def test_samples_over_the_budget_exit_two_before_any_stage(monkeypatch,
+                                                           capsys, samples):
+    """--samples 1e9 on rrc would stack 119 GiB of rows (its first draw
+    alone took 29.8 GiB): it exits 2 and names samples, and no stage runs,
+    so nothing is drawn."""
+    monkeypatch.setattr(pipeline, "_walk",
+                        lambda *a: pytest.fail("a stage ran"))
+    code = cli.run(["verify", "--algebra", "rrc", "--seminorm",
+                    "spectral_radius", "--samples", str(samples),
+                    "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"samples {samples}" in captured.err
+    assert "budget" in captured.err
+
+
 @pytest.mark.parametrize("argv, field", [
     (["fuzz", "--iterations", "-5"], "iterations"),
     (["fuzz", "--iterations", "0"], "iterations"),

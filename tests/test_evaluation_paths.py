@@ -423,12 +423,17 @@ def test_scale_8_probes_keep_the_square_residual(case):
 
 
 def test_stage_1_evaluates_n_squared_probes():
-    """On H^8 (n = 32) the square check evaluates p on n^2 = 1024 probes
-    and their squares, next to its random rows."""
+    """On H^8 (n = 32) the square check evaluates p once, on one stack of
+    2 (n^2 + 300) rows: the n^2 = 1024 probes and their squares, each
+    half followed by its random rows."""
     A = corpus.function_algebra_H(8)
     p = _Recorded(np.ones(A.dim))
     square_property_details(p, A, samples=300, seed=1)
-    assert [len(X) for X in p.stacks] == [32 * 32 + 300] * 2
+    assert [len(X) for X in p.stacks] == [2 * (32 * 32 + 300)]
+    P, P2 = _square_probes(A)
+    top, bottom = p.stacks[0].reshape(2, 32 * 32 + 300, A.dim)
+    assert np.array_equal(top[:32 * 32], P)
+    assert np.array_equal(bottom[:32 * 32], P2)
 
 
 def test_character_sup_stacks_its_images_once(monkeypatch):
@@ -454,6 +459,39 @@ def test_character_sup_stacks_its_images_once(monkeypatch):
     bad = CharacterSup((np.full((A.dim, 4), np.nan),))
     with pytest.raises(PayloadMismatch):
         bad.check_payload(A)
+
+
+@pytest.mark.parametrize("p", [CoordinateMax((0.5, 2.0, 1.0, 1.5)),
+                               CoordinateSum((0.5, 2.0, 1.0, 1.5)),
+                               ComponentSup((0, 2))],
+                         ids=lambda p: type(p).__name__)
+def test_weights_are_converted_once_per_dim(monkeypatch, p):
+    """The weights are converted and checked on the first call at a dim
+    and kept read-only; a dim they do not fit raises on every call."""
+    converted = []
+    convert = type(p)._weights
+    monkeypatch.setattr(type(p), "_weights", lambda self, dim: (
+        converted.append(dim) or convert(self, dim)))
+    A, rr = corpus.builtin("rrc"), corpus.builtin("rr")
+    X = np.random.default_rng(15).standard_normal((50, A.dim))
+    first = p.values(A, X)
+    for _ in range(3):
+        p.check_payload(A)
+        assert np.array_equal(p.values(A, X), first)
+        assert p.value(A.element(X[0])) == first[0]
+        assert kernel(p, A).shape[1] == A.dim
+    assert converted == [4]
+    assert not p._w(A).flags.writeable
+    for _ in range(2):
+        with pytest.raises(PayloadMismatch):
+            p.values(rr, X[:, :2])
+    assert converted == [4, 2, 2]
+
+
+def test_weights_given_as_an_array_stay_the_caller_s():
+    w = np.array([0.5, 2.0, 1.0, 1.5])
+    CoordinateMax(w).values(corpus.builtin("rrc"), np.ones((1, 4)))
+    assert w.flags.writeable
 
 
 def _pipeline_cases():

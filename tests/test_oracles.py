@@ -5,6 +5,7 @@ j_evaluate is checked in test_evaluation_paths.py, bit for bit against a
 one-row stack of CharacterSup.evaluations
 (test_element_wise_calls_are_rows_of_the_batch)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from squareprop.algebra import nonsingular
 from squareprop.characters import (check_prop31, find_characters,
                                    non_division_block)
 from squareprop.seminorm import CharacterSup
-from squareprop.spectral import _group_radii, spectra
+from squareprop.spectral import division_radii, spectra
 
 from oracles import (character_sup_rows, division_radii_rows,
                      full_spectrum_match, in_spectrum_paper_def,
@@ -108,9 +109,40 @@ def test_division_radii_are_the_row_major_radii(K, d):
     rng = np.random.default_rng(100 * K + d)
     table = _exact_table(rng, K * d)
     for X in _stacks(_scaled_rows(rng, 300, K * d)):
-        got = _group_radii(X, d, True, table)
-        assert np.array_equal(got, division_radii_rows(X, d, table))
+        got = division_radii(X, table, ((d, K * d),))
+        assert np.array_equal(got, division_radii_rows(X, table,
+                                                       ((d, K * d),)))
     assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("counts", [(1, 1, 0), (0, 2, 1), (3, 0, 2),
+                                    (2, 1, 1), (1, 3, 2)],
+                         ids=lambda c: "R%dC%dH%d" % c)
+def test_mixed_division_radii_are_the_row_major_radii(counts):
+    """R, C and H groups side by side, K blocks each as counted, under the
+    one scale per row of every group."""
+    sizes = tuple((d, K * d) for d, K in zip((1, 2, 4), counts) if K)
+    rng = np.random.default_rng(sum(counts))
+    n = sum(width for _, width in sizes)
+    table = _exact_table(rng, n)
+    for X in _stacks(_scaled_rows(rng, 300, n)):
+        got = division_radii(X, table, sizes)
+        assert np.array_equal(got, division_radii_rows(X, table, sizes))
+    assert got[0] == 0.0
+
+
+def test_a_group_far_below_the_common_scale_cannot_set_the_max():
+    """Three C blocks 2^-600 below two H blocks: on the row over the one
+    scale their squares underflow to 0, and the radii are the H blocks'
+    alone, bit for bit."""
+    rng = np.random.default_rng(12)
+    small, big = _exact_table(rng, 6) * 2.0 ** -600, _exact_table(rng, 8)
+    table = np.zeros((14, 14))
+    table[:6, :6], table[6:, 6:] = small, big
+    X = rng.standard_normal((50, 14))
+    got = division_radii(X, table, ((2, 6), (4, 8)))
+    assert np.array_equal(got, division_radii(X[:, 6:], big, ((4, 8),)))
+    assert (division_radii(X[:, :6], small, ((2, 6),)) > 0.0).all()
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -140,11 +172,11 @@ def test_block_major_kernels_keep_the_corpus_bits(case):
     _, A = case
     X = np.random.default_rng(8).standard_normal((2000, A.dim))
     chars = find_characters(A)
+    table, sizes = A.division_columns
     for Z in (X, X[:1]):
-        for d, division, table in A.spectral_split:
-            if division:
-                assert np.array_equal(_group_radii(Z, d, True, table),
-                                      division_radii_rows(Z, d, table))
+        if sizes:
+            assert np.array_equal(division_radii(Z, table, sizes),
+                                  division_radii_rows(Z, table, sizes))
         if len(chars):
             assert np.array_equal(CharacterSup(chars).values(A, Z),
                                   character_sup_rows(A, Z, chars))
@@ -162,6 +194,36 @@ def test_non_finite_row_raises_in_both_layouts(bad):
     X = _scaled_rows(rng, 5, 12)
     X[3, 7] = bad
     with pytest.raises(np.linalg.LinAlgError):
-        _group_radii(X, 4, True, table)
+        division_radii(X, table, ((4, 12),))
     with pytest.raises(np.linalg.LinAlgError):
-        division_radii_rows(X, 4, table)
+        division_radii_rows(X, table, ((4, 12),))
+
+
+def _mixed_splits():
+    """Every builtin and every R, C, H product of two or three parts whose
+    split has division groups of more than one size."""
+    parts = {"R": corpus.reals(), "C": corpus.complexes(),
+             "H": corpus.quaternions()}
+    cases = [(name, corpus.builtin(name)) for name in corpus.builtin_names()]
+    cases += [("".join(kinds), corpus.direct_sum([parts[k] for k in kinds]))
+              for k in (2, 3) for kinds in itertools.product("RCH", repeat=k)]
+    return [(name, A) for name, A in cases
+            if len(A.division_columns[1]) > 1]
+
+
+@pytest.mark.parametrize("case", _mixed_splits(), ids=lambda c: c[0])
+def test_one_scale_moves_mixed_radii_by_rounding(case):
+    """Against the radii taken one group at a time, each on its own scale:
+    both round each step of their formula once, a few eps each, so they
+    agree to 8 eps relative."""
+    _, A = case
+    table, sizes = A.division_columns
+    X = np.random.default_rng(14).standard_normal((2000, A.dim))
+    per_group, start = [], 0
+    for d, width in sizes:
+        per_group.append(division_radii(X, table[:, start:start + width],
+                                        ((d, width),)))
+        start += width
+    np.testing.assert_allclose(division_radii(X, table, sizes),
+                               np.max(per_group, axis=0),
+                               rtol=8 * np.finfo(float).eps, atol=0.0)

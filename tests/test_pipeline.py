@@ -10,7 +10,8 @@ from squareprop.algebra import FiniteDimRealAlgebra
 from squareprop.pipeline import (PipelineConfig, compute_verdict, fuzz,
                                  verify_theorem)
 from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
-                                 CoordinateSum, UnsupportedVariant,
+                                 CoordinateSum, SpectralRadius,
+                                 UnsupportedVariant,
                                  check_square_property,
                                  check_submultiplicative)
 
@@ -208,6 +209,61 @@ def test_manifest_reports_keep_the_branch_keys(pair):
     assert blob["unitization_checks"] is None
     assert blob["branch"] == ("unital" if rep.character_count is not None
                               else None)
+
+
+def _mutate(value):
+    """Append to every list and add a key to every dict in value."""
+    if isinstance(value, list):
+        for v in value:
+            _mutate(v)
+        value.append("mutated")
+    elif isinstance(value, dict):
+        for v in value.values():
+            _mutate(v)
+        value["mutated"] = True
+
+
+def _assert_dict_is_asdict(obj):
+    """to_dict gives asdict's JSON byte for byte, and a caller that
+    mutates its lists and dicts leaves the object as it was."""
+    want = json.dumps(dataclasses.asdict(obj), sort_keys=True, indent=2)
+    blob = obj.to_dict()
+    assert json.dumps(blob, sort_keys=True, indent=2) == want
+    _mutate(blob)
+    assert json.dumps(dataclasses.asdict(obj), sort_keys=True,
+                      indent=2) == want
+
+
+@pytest.mark.parametrize("pair", corpus.MANIFEST, ids=lambda c: c.name)
+def test_report_to_dict_is_asdict(pair):
+    _assert_dict_is_asdict(verify_theorem(*corpus.manifest_pair(pair)))
+
+
+def test_fuzz_summary_to_dict_is_asdict():
+    summary = fuzz(PipelineConfig(seed=42), iterations=60)
+    assert summary.kind_counts and summary.square_rejections
+    summary.counterexamples.append({"iteration": 0, "ratio": 2.0})
+    _assert_dict_is_asdict(summary)
+
+
+def test_sample_budget_is_read_from_samples_and_dim():
+    """Checked before anything is drawn: at dim 4 the largest count within
+    the budget passes and one more is rejected.  The default 2000 fits on
+    every manifest pair and up to H^64 (dim 256)."""
+    budget = pipeline.SAMPLE_BUDGET_BYTES
+    largest = budget // (8 * 4 * 4)   # the 4 x 4 left matrices dominate
+    assert pipeline.sample_bytes(largest, 4) == budget
+    pipeline.check_sample_budget(largest, 4)
+    with pytest.raises(pipeline.SampleBudgetExceeded, match="samples"):
+        pipeline.check_sample_budget(largest + 1, 4)
+    default = PipelineConfig().sample_count
+    for pair in corpus.MANIFEST:
+        pipeline.check_sample_budget(default,
+                                     corpus.builtin(pair.algebra_name).dim)
+    pipeline.check_sample_budget(default, 256)
+    rrc, p = corpus.builtin("rrc"), SpectralRadius()
+    with pytest.raises(pipeline.SampleBudgetExceeded, match="samples"):
+        verify_theorem(rrc, p, PipelineConfig(sample_count=10 ** 9))
 
 
 def test_nan_square_residual_stops_at_stage_one():

@@ -218,3 +218,22 @@ def test_spectral_radius_kernel_matches_loop_on_rotated_algebra(parts):
     ref = _radical_by_loop(A)
     assert K.shape == ref.shape == (1, n)
     assert np.allclose(K.T @ K, ref.T @ ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+@pytest.mark.parametrize("name", corpus.builtin_names())
+def test_coordinate_sum_m_hat_is_the_exact_supremum(name, weighted):
+    """The l1 ball's vertices are +-e_i / w_i and p(ab) is bilinear, so
+    sup p(ab) / (p(a) p(b)) = max_ij sum_k w_k |c_ijk| / (w_i w_j), reached
+    on a basis pair: the basis sweep makes estimate_m exact, and no
+    sampled ratio exceeds it."""
+    A = corpus.builtin(name)
+    w = (np.random.default_rng(A.dim).uniform(0.5, 2.0, A.dim) if weighted
+         else np.ones(A.dim))
+    exact = (np.abs(A.table) @ w / np.outer(w, w)).max()
+    p = CoordinateSum(tuple(w))
+    for seed in range(3):
+        m_hat = estimate_m(p, A, 2000, seed).m_hat
+        assert m_hat == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert check_submultiplicative(p, A, 2000, seed + 10) <= (
+            exact * (1.0 + 1e-12))
