@@ -10,7 +10,7 @@ from .algebra import (AlgebraElement, FiniteDimRealAlgebra,
                       subspace_is_two_sided_ideal, unitize)
 from .characters import find_characters
 from .pipeline import PipelineConfig, VerificationReport, fuzz, verify_theorem
-from .quaternion import qinv, qmul, qnorm, qspectrum
+from .quaternion import qmul, qnorm, qspectrum
 from .seminorm import (CharacterSup, ComponentSup, CoordinateMax,
                        CoordinateSum, OperatorNorm, SpectralRadius,
                        check_square_property, check_submultiplicative,
@@ -25,7 +25,7 @@ __all__ = [
     "PipelineConfig", "SpectralRadius", "SpectrumResult", "VerificationReport",
     "check_square_property", "check_submultiplicative", "estimate_m",
     "find_characters", "fuzz", "gelfand_radius", "kernel",
-    "left_regular_matrix", "make_algebra", "mul", "qinv", "qmul", "qnorm",
+    "left_regular_matrix", "make_algebra", "mul", "qmul", "qnorm",
     "qspectrum", "quotient", "spectrum", "subspace_is_two_sided_ideal",
     "unitize", "verify_theorem",
 ]

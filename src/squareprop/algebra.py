@@ -24,12 +24,14 @@ where the whole (i, j, k, l) comparison would hold three n^4 arrays
 (380 MB at n = 63).
 
 An algebra is immutable, so what is derived from its table alone is built
-once, on first use, and kept on it: the unital hull (`hull`), the radical
-(`radical`), B = hull / rad(hull) (`semisimple_quotient`), the simple
-blocks of B, each named R, C, H or M2(R) (`simple_blocks`), and per group
-of blocks a table that gives for every a at once the blocks of L_pi(a),
-or on R, C and H blocks a factor of r(a)^2 (`spectral_split`), whose
-division tables are also kept side by side (`division_columns`).
+once, on first use, and kept on it: the unit when none is given (`unit`,
+solved for from the table and held to the gate a given unit passes), the
+unital hull (`hull`), the radical (`radical`), B = hull / rad(hull)
+(`semisimple_quotient`), the simple blocks of B, each named R, C, H or
+M2(R) (`simple_blocks`), and per group of blocks a table that gives for
+every a at once the blocks of L_pi(a), or on R, C and H blocks a factor
+of r(a)^2 (`spectral_split`), whose division tables are also kept side
+by side (`division_columns`).
 The radical is nil, so r(a) = r(pi(a)), and on B no L_b keeps a nilpotent
 Jordan part from the radical: its eigenvalues are exact to rounding where
 those of a defective L_a err by about eps^(1/k).  The characters, the
@@ -52,7 +54,7 @@ import numpy as np
 import scipy.linalg
 
 ASSOC_TOL = 1e-10
-UNIT_TOL = 1e-12
+UNIT_TOL = 1e-12  # relative, see _unit_failure
 IDEAL_TOL = 1e-10
 INVERT_CUTOFF = 1e-10  # smallest/largest singular value, scale free
 _ASSOC_BLOCK_BYTES = 4 << 20  # one (i-block, j, k, l) slab of the check
@@ -142,14 +144,15 @@ class FiniteDimRealAlgebra:
             self._check_associativity()
         else:
             self._assoc_tol()   # its finiteness checks alone
-        self.unit = None
         if unit is not None:
             unit = np.asarray(unit, dtype=float)
             if unit.shape != (dim,):
                 raise DimensionMismatch("unit vector has wrong length")
-            self._check_unit(unit)
-            self.unit = unit
-            self.unit.setflags(write=False)
+            bad = self._unit_failure(unit)
+            if bad is not None:
+                raise BadUnit(f"claimed unit fails on basis element {bad}")
+            unit.setflags(write=False)
+            self.unit = unit    # fills the cache of the unit property
 
     def _assoc_tol(self) -> float:
         """ASSOC_TOL (1 + max|c|)^2; raises on a non-finite table and on a
@@ -191,16 +194,38 @@ class FiniteDimRealAlgebra:
                 f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}): "
                 f"coefficient {l} differs by {worst:.3e}")
 
-    def _check_unit(self, u):
-        eye = np.eye(self.dim)
+    def _unit_failure(self, u):
+        """The first j with u e_j or e_j u off e_j by more than
+        UNIT_TOL (1 + s), where s is the largest sum_i |u_i c[i,j,k]| or
+        sum_i |u_i c[j,i,k]|: the size of the terms those products add up,
+        to which they are rounded.  A component of u that multiplies only
+        zeros adds nothing to s.  None when u is a unit.  The one gate of a
+        unit, given or solved for; a non-finite u fails."""
+        n = self.dim
+        au, ac = np.abs(u), np.abs(self.table)
+        s = max(float((au @ ac.reshape(n, n * n)).max()),
+                float((au @ ac).max()))
+        tol = UNIT_TOL * (1.0 + s)
+        eye = np.eye(n)
         left = self._left_rows(u[None])[0] - eye   # [j, k]: u e_j
         right = u @ self.table - eye               # [j, k]: e_j u
         # written so that a NaN defect fails the check
-        good = ((np.abs(left).max(axis=1) <= UNIT_TOL)
-                & (np.abs(right).max(axis=1) <= UNIT_TOL))
-        if not good.all():
-            raise BadUnit(
-                f"claimed unit fails on basis element {int(np.argmin(good))}")
+        good = ((np.abs(left).max(axis=1) <= tol)
+                & (np.abs(right).max(axis=1) <= tol))
+        if good.all() and math.isfinite(tol):
+            return None
+        return int(np.argmin(good))
+
+    @cached_property
+    def unit(self) -> Optional[np.ndarray]:
+        """The unit's coordinates, read-only, or None when A has none.  A
+        unit given to the constructor is checked and kept there; otherwise
+        the one _solve_unit finds is kept if it passes the same gate."""
+        u = _solve_unit(self.table)
+        if u is None or self._unit_failure(u) is not None:
+            return None
+        u.setflags(write=False)
+        return u
 
     @property
     def is_unital(self) -> bool:
@@ -381,33 +406,19 @@ def nonsingular(L: np.ndarray) -> np.ndarray:
     return s[..., -1] > INVERT_CUTOFF * s[..., 0]
 
 
-def with_found_unit(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
-    """The algebra with the unit that _solve_unit solves for, checked like
-    a given unit; the algebra itself when there is none, or when the
-    solution fails that check (a lstsq artifact).  The table is the one
-    the algebra was checked with, so it is not checked again."""
-    u = _solve_unit(algebra.table)
-    if u is None:
-        return algebra
-    try:
-        return FiniteDimRealAlgebra._from_checked(
-            algebra.dim, algebra.labels, algebra.table, u, algebra.name,
-            algebra.components)
-    except BadUnit:
-        return algebra
-
-
 def _solve_unit(c: np.ndarray):
+    """The least-squares solution u of u e_j = e_j u = e_j for every j, or
+    None when lstsq does not converge; FiniteDimRealAlgebra.unit decides
+    whether u is a unit."""
     n = c.shape[0]
     # rows: for each (j, k), sum_i u_i c[i,j,k] = delta_jk and c[j,i,k] side
     left = c.reshape(n, n * n).T            # (j*n+k, i) from c[i,j,k]
     right = np.transpose(c, (1, 0, 2)).reshape(n, n * n).T
-    A = np.vstack([left, right])
     b = np.concatenate([np.eye(n).ravel()] * 2)
-    u, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.abs(A @ u - b).max() > 1e-9 * (1.0 + np.abs(c).max()):
+    try:
+        return np.linalg.lstsq(np.vstack([left, right]), b, rcond=None)[0]
+    except np.linalg.LinAlgError:
         return None
-    return u
 
 
 # bench/tracing.py wraps this name; keep it until the library records spans
@@ -693,6 +704,6 @@ def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
                       optimize=True)
     labels = [f"[{algebra.labels[c]}]" for c in cols]
     # checked: rounding in the change of basis can break associativity
-    qalg = FiniteDimRealAlgebra(q, labels, table,
-                                name=f"{algebra.name}/ideal")
-    return QuotientMap(with_found_unit(qalg), proj, S)
+    return QuotientMap(FiniteDimRealAlgebra(q, labels, table,
+                                            name=f"{algebra.name}/ideal"),
+                       proj, S)

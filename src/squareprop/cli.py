@@ -20,7 +20,7 @@ import numpy as np
 
 from . import corpus, pipeline
 from .algebra import (AlgebraElement, AlgebraError, FiniteDimRealAlgebra,
-                      make_algebra, with_found_unit)
+                      make_algebra)
 from .characters import (character_residual, find_characters,
                          nonexistence_explanation)
 from .seminorm import SeminormError
@@ -74,12 +74,10 @@ def load_algebra(spec: str) -> FiniteDimRealAlgebra:
             raise InputError(f"algebra file {spec}: table row {row!r} needs "
                              "integer indices and a real value") from None
     try:
-        A = make_algebra(dim, basis, table, unit=doc.get("unit"),
-                         name=doc.get("name", os.path.basename(spec)))
+        return make_algebra(dim, basis, table, unit=doc.get("unit"),
+                            name=doc.get("name", os.path.basename(spec)))
     except (AlgebraError, TypeError, ValueError) as exc:
         raise InputError(f"algebra file {spec}: {exc}") from None
-    # a file without a unit gets the one detected, verified in the same way
-    return A if A.is_unital else with_found_unit(A)
 
 
 def load_seminorm(spec: str, algebra: FiniteDimRealAlgebra):
@@ -158,8 +156,7 @@ def cmd_verify(args) -> int:
     p = load_seminorm(args.seminorm, algebra)
     try:
         rep = pipeline.verify_theorem(algebra, p, _config(
-            sample_count=args.samples, seed=args.seed, tol=args.tol,
-            restarts=args.restarts))
+            sample_count=args.samples, seed=args.seed, tol=args.tol))
     except pipeline.VanishingSeminorm as exc:
         raise InputError(f"seminorm {args.seminorm}: {exc}") from None
     except pipeline.SampleBudgetExceeded as exc:
@@ -215,13 +212,13 @@ def cmd_radius(args) -> int:
 
 
 def cmd_characters(args) -> int:
-    config = _config(restarts=args.restarts, seed=args.seed)
+    config = _config(seed=args.seed)
     algebra = load_algebra(args.algebra)
     chars = find_characters(algebra)
     residuals = [character_residual(algebra, x) for x in chars]
     payload = {
         "algebra": algebra.name,
-        "restarts": config.restarts,
+        "restarts": pipeline.RESTARTS_ECHO,
         "seed": config.seed,
         "count": len(chars),
         "characters": [
@@ -230,7 +227,7 @@ def cmd_characters(args) -> int:
         ],
     }
     lines = [f"{len(chars)} character(s) found on {algebra.name} "
-             f"({config.restarts} restarts, seed {config.seed})"]
+             f"({pipeline.RESTARTS_ECHO} restarts, seed {config.seed})"]
     for x, r in zip(chars, residuals):
         lines.append(f"  residual {r:.3e}  images "
                      + " | ".join(str(np.round(row, 6).tolist())
@@ -287,19 +284,17 @@ _OPTIONS = {
     "samples": dict(type=int, default=2000),
     "seed": dict(type=int, default=0),
     "tol": dict(type=float, default=1e-9),
-    "restarts": dict(type=int, default=50,
-                     help="echoed in the output; changes no result"),
     "iterations": dict(type=int, default=10000),
     "format": dict(choices=("text", "json"), default="text"),
 }
 
 _COMMANDS = {
     "verify": (cmd_verify, "run the full proof-chain pipeline",
-               "algebra seminorm samples seed tol restarts"),
+               "algebra seminorm samples seed tol"),
     "spectrum": (cmd_spectrum, "spectrum of one element", "algebra element"),
     "radius": (cmd_radius, "Gelfand and spectral radius", "algebra element"),
     "characters": (cmd_characters, "construct quaternion characters",
-                   "algebra restarts seed"),
+                   "algebra seed"),
     "fuzz": (cmd_fuzz, "randomized counterexample search",
              "iterations seed tol"),
     "corpus": (cmd_corpus, "list builtin algebras and pairs", ""),

@@ -16,7 +16,7 @@ import numpy as np
 from . import seminorm as sn
 from .algebra import FiniteDimRealAlgebra, make_algebra
 from .characters import find_characters
-from .quaternion import HAMILTON, qinv, qmul
+from .quaternion import HAMILTON
 
 
 def reals() -> FiniteDimRealAlgebra:
@@ -96,35 +96,27 @@ def nonunital_with_ideal() -> FiniteDimRealAlgebra:
     return make_algebra(3, ["a", "b", "n"], table, name="R(+)R(+)null")
 
 
-def _embedding_images(kind: str, offset: int, dim: int,
-                      u: np.ndarray | None = None) -> np.ndarray:
-    """Images of the full basis under the canonical character of one component,
-    optionally twisted by conjugation with a unit quaternion u, an array
-    (w, x, y, z)."""
+def _embedding_images(kind: str, offset: int, dim: int) -> np.ndarray:
+    """Images of the full basis under the canonical character of one
+    component."""
     units = np.eye(4)[:{"R": 1, "C": 2, "H": 4}[kind]]
-    if u is not None:
-        units = qmul(qmul(u, units), qinv(u))
     images = np.zeros((dim, 4))
     images[offset:offset + len(units)] = units
     return images
 
 
 # bench/tracing.py wraps this name; keep it until the library records spans
-def known_characters(algebra: FiniteDimRealAlgebra,
-                     twists: dict | None = None) -> np.ndarray:
+def known_characters(algebra: FiniteDimRealAlgebra) -> np.ndarray:
     """One canonical character per R/C/H component of a product algebra, as
     the (k, n, 4) stack of their images.
 
     Their union of quaternion spectra equals sp(a) for every element, which
-    is what makes these algebras usable as equality oracles.  `twists` maps
-    component index -> unit quaternion, an array (w, x, y, z), for a
-    conjugated representative.
+    is what makes these algebras usable as equality oracles.
     """
     if algebra.components is None:
         raise ValueError(f"{algebra.name} is not a tagged product of R/C/H")
-    twists = twists or {}
-    return np.stack([_embedding_images(kind, off, algebra.dim, twists.get(idx))
-                     for idx, (kind, off) in enumerate(algebra.components)])
+    return np.stack([_embedding_images(kind, off, algebra.dim)
+                     for kind, off in algebra.components])
 
 
 _BUILTINS = {

@@ -34,14 +34,6 @@ def qnorm(q: np.ndarray) -> np.ndarray:
     return np.sqrt((q * q).sum(axis=-1))
 
 
-def qinv(q: np.ndarray) -> np.ndarray:
-    """Inverse conj(q)/|q|^2.  Raises ZeroDivisionError when any q is 0."""
-    n2 = (q * q).sum(axis=-1, keepdims=True)
-    if (n2 == 0.0).any():
-        raise ZeroDivisionError("zero quaternion has no inverse")
-    return q * [1.0, -1.0, -1.0, -1.0] / n2
-
-
 def qspectrum(q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Spectrum of q in H, shape (..., 2): {s +- i|v|} with s the scalar
     part and v the vector part.
@@ -52,9 +44,3 @@ def qspectrum(q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     v = qnorm(q[..., 1:])
     v = np.where(v <= tol, 0.0, v)[..., None]
     return q[..., :1] + 1j * v * [1.0, -1.0]
-
-
-def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
-    """A random unit quaternion as the array (w, x, y, z)."""
-    v = rng.standard_normal(4)
-    return v / np.linalg.norm(v)

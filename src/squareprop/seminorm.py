@@ -269,7 +269,8 @@ def square_property_details(p: SeminormVariant, algebra: FiniteDimRealAlgebra,
     """Max of |p(a^2) - p(a)^2| / (1 + p(a)^2) over probes and random samples.
 
     p is evaluated once, on one stack [P; R; P^2; R^2]: the n^2 probes P,
-    the random rows R drawn into it, and their squares."""
+    the random rows R drawn into it, and their squares.  R is drawn from
+    default_rng(seed), so a Generator passed as seed is drawn from as is."""
     p.check_payload(algebra)
     P, P2 = _square_probes(algebra)
     half = len(P) + samples
@@ -331,7 +332,8 @@ def _ratio_scan(p, algebra, samples, seed):
 
 
 def check_submultiplicative(p, algebra, samples: int = 2000, seed: int = 0) -> float:
-    """Max of p(ab) / (p(a) p(b)) over basis pairs and random samples."""
+    """Max of p(ab) / (p(a) p(b)) over basis pairs and random samples,
+    drawn from default_rng(seed) (a Generator is drawn from as is)."""
     ratios, _ = _ratio_scan(p, algebra, samples, seed)
     return float(ratios.max()) if ratios.size else 0.0
 

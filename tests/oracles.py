@@ -14,7 +14,9 @@ batched library path, and has no caller in the library itself:
   and CharacterSup.values laid out row-major, as (rows, K, d), against
   their block-major (K, d, rows) forms.
 
-CallableSeminorm is a test fake: a seminorm given by a bare callable.
+CallableSeminorm is a test fake: a seminorm given by a bare callable, and
+twisted conjugates characters by random unit quaternions
+(random_unit_quaternion, qinv).
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ import numpy as np
 from squareprop.algebra import (NotUnital, left_regular_matrix, mul,
                                 nonsingular)
 from squareprop.characters import _within
-from squareprop.quaternion import qnorm, qspectrum
+from squareprop.quaternion import qmul, qnorm, qspectrum
 from squareprop.seminorm import CharacterSup, SeminormVariant
 from squareprop.spectral import spectra
 
@@ -102,6 +104,31 @@ def character_sup_rows(algebra, X: np.ndarray, chars) -> np.ndarray:
     """CharacterSup.values, row-major: the largest |x(a)| over the
     (rows, m, 4) stack of CharacterSup.evaluations."""
     return qnorm(CharacterSup(chars).evaluations(algebra, X)).max(axis=1)
+
+
+def qinv(q: np.ndarray) -> np.ndarray:
+    """Inverse conj(q)/|q|^2.  Raises ZeroDivisionError when any q is 0."""
+    n2 = (q * q).sum(axis=-1, keepdims=True)
+    if (n2 == 0.0).any():
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    return q * [1.0, -1.0, -1.0, -1.0] / n2
+
+
+def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
+    """A random unit quaternion as the array (w, x, y, z)."""
+    v = rng.standard_normal(4)
+    return v / np.linalg.norm(v)
+
+
+def twisted(chars, rows, rng: np.random.Generator) -> np.ndarray:
+    """The (m, n, 4) stack chars with each character in rows conjugated by
+    its own random unit quaternion u, x -> u x u^-1, drawn in that order:
+    another character with the same |x(a)|."""
+    chars = np.array(chars, dtype=float)
+    for i in rows:
+        u = random_unit_quaternion(rng)
+        chars[i] = qmul(qmul(u, chars[i]), qinv(u))
+    return chars
 
 
 class CallableSeminorm(SeminormVariant):

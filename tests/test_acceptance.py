@@ -185,11 +185,9 @@ def test_criterion_8_iterate_relation():
 def test_criterion_9_cli_determinism(capsys):
     invocations = [
         ["verify", "--algebra", "rrc", "--seminorm", "spectral_radius",
-         "--samples", "400", "--seed", "7", "--restarts", "25",
-         "--format", "json"],
+         "--samples", "400", "--seed", "7", "--format", "json"],
         ["fuzz", "--iterations", "200", "--seed", "7", "--format", "json"],
-        ["characters", "--algebra", "hc", "--restarts", "25", "--seed", "7",
-         "--format", "json"],
+        ["characters", "--algebra", "hc", "--seed", "7", "--format", "json"],
         ["spectrum", "--algebra", "quaternions", "--element", "1 1 1 1",
          "--format", "json"],
     ]

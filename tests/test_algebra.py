@@ -9,6 +9,7 @@ from squareprop.algebra import (AlgebraError, AlgebraMismatch,
                                 quotient, subspace_is_two_sided_ideal, unitize)
 
 from oracles import is_invertible
+from transforms import in_basis, skew
 
 
 def test_complexes_accepted_with_unit():
@@ -85,7 +86,38 @@ def test_is_invertible_needs_unit():
 def test_find_unit():
     assert np.allclose(_solve_unit(corpus.quaternions().table), [1, 0, 0, 0])
     null = make_algebra(1, ["n"], {})  # one-dim null product
-    assert _solve_unit(null.table) is None
+    assert not null.is_unital   # its least-squares unit fails the unit gate
+
+
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_rescaled_algebra_finds_its_unit(k):
+    """hc in the basis 10^k e_i, built without a unit, finds its unit 10^-k
+    e: the unit gate is relative to the size of the products u e_j."""
+    H = corpus.builtin("hc")
+    A = make_algebra(H.dim, H.labels, H.table * 10.0 ** k)
+    assert A.is_unital
+    assert np.abs(A.unit * 10.0 ** k - H.unit).max() <= 1e-12
+
+
+def test_algebra_without_a_unit_finds_none():
+    """nonunital3, built without a unit, in its own basis and in a skewed
+    one, has no unit: the least-squares solution fails the gate."""
+    N = corpus.builtin("nonunital3")
+    for S in (np.eye(3), skew(3)):
+        A = in_basis(N, S)
+        assert not A.is_unital and A.unit is None
+        assert A.hull.dim == 4
+
+
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_mixed_scale_algebra_without_a_unit_finds_none(k):
+    """nonunital3 in the basis diag(10^k, 10^-k, 1), built without a unit,
+    has none.  Its least-squares solution has a large component that
+    multiplies only small entries, or only zeros; the gate is set by the
+    terms the products add up, so that component does not widen it."""
+    N = corpus.builtin("nonunital3")
+    A = in_basis(N, np.diag([10.0 ** k, 10.0 ** -k, 1.0]))
+    assert not A.is_unital and A.unit is None
 
 
 def test_unitize_null_line():
@@ -173,3 +205,5 @@ def test_non_finite_table_rejected():
         make_algebra(1, ["1"], {(0, 0, 0): float("nan")})
     with pytest.raises(BadUnit):
         make_algebra(1, ["1"], {(0, 0, 0): 1.0}, unit=[float("nan")])
+    with pytest.raises(BadUnit):   # its bound UNIT_TOL (1 + inf) is inf too
+        make_algebra(1, ["1"], {(0, 0, 0): 1.0}, unit=[float("inf")])

@@ -14,16 +14,7 @@ from squareprop.algebra import (ASSOC_TOL, IDEAL_TOL, AlgebraError,
                                 left_regular_matrix, make_algebra, quotient,
                                 subspace_is_two_sided_ideal)
 
-
-def _rotate(A, seed):
-    """(A in the basis f_i = sum_a Q[a, i] e_a, Q) for a seeded orthogonal
-    Q; the coordinates of e_g in the new basis are Q[g, :]."""
-    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
-        (A.dim, A.dim)))
-    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q, optimize=True)
-    unit = None if A.unit is None else Q.T @ A.unit
-    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
-                        unit=unit, name=f"rotated {A.name}"), Q
+from transforms import rotated
 
 
 def _t2r_hc():
@@ -69,7 +60,7 @@ def rotated_43():
     """H^10 (+) nonunital3 in a dense basis: dim 43, several i-blocks."""
     base = corpus.direct_sum([corpus.quaternions()] * 10
                              + [corpus.nonunital_with_ideal()])
-    A, _ = _rotate(base, 5)
+    A, _ = rotated(base, 5)
     assert 1 < _block_rows(A.dim) < A.dim
     return A.table.copy()
 
@@ -113,7 +104,7 @@ def test_nan_defect_rejected():
 def test_associativity_check_memory_is_cubic():
     base = corpus.direct_sum([corpus.quaternions()] * 15
                              + [corpus.nonunital_with_ideal()])
-    A, _ = _rotate(base, 7)
+    A, _ = rotated(base, 7)
     table = A.table.copy()
     assert table.shape == (63, 63, 63)
     tracemalloc.start()
@@ -136,8 +127,8 @@ def _h2_nonunital3():
 def _inheritance_cases():
     cases = [(name, corpus.builtin(name)) for name in corpus.builtin_names()]
     cases.append(("rotated nonunital3",
-                  _rotate(corpus.builtin("nonunital3"), 12)[0]))
-    cases.append(("rotated H2+nonunital3", _rotate(_h2_nonunital3(), 13)[0]))
+                  rotated(corpus.builtin("nonunital3"), 12)[0]))
+    cases.append(("rotated H2+nonunital3", rotated(_h2_nonunital3(), 13)[0]))
     return cases
 
 
@@ -162,10 +153,10 @@ def test_unitize_inherits_the_associativity_check(label, A):
 
 
 def test_direct_sum_inherits_the_associativity_check():
-    parts = [_rotate(corpus.builtin(name), seed)[0] for name, seed in
+    parts = [rotated(corpus.builtin(name), seed)[0] for name, seed in
              (("quaternions", 14), ("nonunital3", 15), ("m2_reals", 16),
               ("complexes", 17))]
-    parts.append(_rotate(_h2_nonunital3(), 18)[0])
+    parts.append(rotated(_h2_nonunital3(), 18)[0])
     _assert_inherits(corpus.direct_sum(parts).table, parts)
 
 
@@ -185,7 +176,7 @@ def assoc_checks(monkeypatch):
 
 
 def test_hull_and_direct_sum_run_no_associativity_check(assoc_checks):
-    A, _ = _rotate(_h2_nonunital3(), 19)
+    A, _ = rotated(_h2_nonunital3(), 19)
     parts = [corpus.quaternions(), A, corpus.builtin("rrc")]
     assoc_checks.clear()
     assert algebra.unitize(A).is_unital
@@ -239,31 +230,40 @@ def test_non_associative_tables_still_raise(tmp_path, capsys):
 # -- unit, ideal, quotient and batch products ---------------------------
 
 def _loop_first_bad_unit(c, u):
-    """The parent's check: first j with u e_j != e_j or e_j u != e_j."""
+    """The unit gate as a loop: the first j with u e_j or e_j u off e_j by
+    more than UNIT_TOL (1 + s), s the largest sum over i of |u_i c[i,j,k]|
+    or of |u_i c[j,i,k]|."""
     n = c.shape[0]
+    s = max(max(sum(abs(u[i] * c[i, j, k]) for i in range(n)),
+                sum(abs(u[i] * c[j, i, k]) for i in range(n)))
+            for j in range(n) for k in range(n))
+    tol = algebra.UNIT_TOL * (1.0 + s)
     for j in range(n):
         ej = np.eye(n)[j]
         left = np.einsum("i,j,ijk->k", u, ej, c)
         right = np.einsum("i,j,ijk->k", ej, u, c)
-        if not (np.abs(left - ej).max() <= algebra.UNIT_TOL
-                and np.abs(right - ej).max() <= algebra.UNIT_TOL):
+        if not (np.abs(left - ej).max() <= tol
+                and np.abs(right - ej).max() <= tol):
             return j
     return None
 
 
 @pytest.mark.parametrize("case", ["t2r_hc_drop_c", "rotated_t2r_hc",
-                                  "nonunital3"])
+                                  "nonunital3", "nonunital3_null_line"])
 def test_bad_unit_message_matches_loop(case):
     if case == "t2r_hc_drop_c":
         A = _t2r_hc()
         u = A.unit.copy()
         u[7] = 0.0  # identity on everything but the C block
     elif case == "rotated_t2r_hc":
-        A, Q = _rotate(_t2r_hc(), 2)
+        A, Q = rotated(_t2r_hc(), 2)
         u = A.unit + 1e-9 * Q[4]
-    else:
+    elif case == "nonunital3":
         A = corpus.builtin("nonunital3")
         u = np.array([1.0, 1.0, 0.0])
+    else:   # a huge component on the null line multiplies only zeros
+        A = corpus.builtin("nonunital3")
+        u = np.array([1.0, 1.0, 1e13])
     j = _loop_first_bad_unit(A.table, u)
     assert j is not None
     with pytest.raises(BadUnit,
@@ -289,8 +289,8 @@ def _loop_is_ideal(A, V):
 
 
 def _ideal_cases():
-    A, Q = _rotate(_t2r_hc(), 3)
-    m2, Qm = _rotate(corpus.m2_reals(), 4)
+    A, Q = rotated(_t2r_hc(), 3)
+    m2, Qm = rotated(corpus.m2_reals(), 4)
     return [
         ("radical", A, Q[[1]], True),
         ("radical+C", A, Q[[1, 7, 8]], True),
@@ -336,7 +336,7 @@ def test_batch_products_match_scalar(name):
     if name == "nonunital3":
         A = corpus.builtin(name)
     else:
-        A = _t2r_hc() if name == "t2r_hc" else _rotate(_t2r_hc(), 6)[0]
+        A = _t2r_hc() if name == "t2r_hc" else rotated(_t2r_hc(), 6)[0]
     rng = np.random.default_rng(8)
     X = rng.standard_normal((25, A.dim))
     Y = rng.standard_normal((25, A.dim))
@@ -402,7 +402,7 @@ def test_nonzero_products_match_dense(label, A, tmp_path):
 
 @pytest.mark.parametrize("name", ["hc", "h2", "rrc", "nonunital3"])
 def test_dense_table_keeps_the_dense_bits(name):
-    A, _ = _rotate(corpus.builtin(name), 4)
+    A, _ = rotated(corpus.builtin(name), 4)
     assert A._nonzero_products is None
     rng = np.random.default_rng(13)
     X, Y = rng.standard_normal((2, 200, A.dim))

@@ -8,12 +8,13 @@ from squareprop.characters import (EmptyCharacterSet, Prop31Result,
                                    character_residual, check_prop31,
                                    find_characters, nonexistence_explanation,
                                    sampled_sup_norm)
-from squareprop.quaternion import qmul, qnorm, random_unit_quaternion
+from squareprop.quaternion import qmul, qnorm
 from squareprop.pipeline import PipelineConfig, verify_theorem
 from squareprop.seminorm import SpectralRadius, kernel
 from squareprop.spectral import spectrum
 
-from oracles import full_spectrum_match, j_evaluate
+from oracles import full_spectrum_match, j_evaluate, random_unit_quaternion
+from transforms import rotated
 
 
 def test_residual_examples():
@@ -192,17 +193,6 @@ def test_sup_norm_matches_spectral_radius_on_products():
             assert abs(sampled_sup_norm(a, chars) - r) <= 1e-6 * (1.0 + r)
 
 
-def _rotated(A, seed):
-    """A in the basis f_i = sum_a Q[a, i] e_a for a seeded orthogonal Q; the
-    copy carries no R/C/H component tags."""
-    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
-        (A.dim, A.dim)))
-    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q)
-    unit = None if A.unit is None else Q.T @ A.unit
-    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
-                        unit=unit, name=f"rotated {A.name}")
-
-
 def _upper_triangular_2x2():
     """T2(R) with basis E11, E12, E22; its radical is the line of E12."""
     table = {(0, 0, 0): 1.0, (0, 1, 1): 1.0, (1, 2, 1): 1.0, (2, 2, 2): 1.0}
@@ -227,8 +217,8 @@ def _check_characters(A, count, sup_is_radius=True):
 
 
 @pytest.mark.parametrize("A, count", [
-    (_rotated(corpus.builtin("hc"), 1), 2),
-    (_rotated(corpus.function_algebra_H(4), 2), 4),
+    (rotated(corpus.builtin("hc"), 1)[0], 2),
+    (rotated(corpus.function_algebra_H(4), 2)[0], 4),
     (_upper_triangular_2x2(), 2),
     (corpus.builtin("nonunital3"), 2),
 ], ids=["rotated_hc", "rotated_H4", "T2R", "nonunital3"])
@@ -248,7 +238,7 @@ def test_construction_m2_plus_r():
 
 
 def test_construction_rotated_m2_names_block():
-    A = _rotated(corpus.m2_reals(), 3)
+    A = rotated(corpus.m2_reals(), 3)[0]
     _check_characters(A, 0, sup_is_radius=False)
     note = nonexistence_explanation(A)
     assert note is not None and "block 0" in note and "M2(R)" in note

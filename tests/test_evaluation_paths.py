@@ -34,8 +34,7 @@ from squareprop.algebra import (FiniteDimRealAlgebra, _classify, _nullspace,
                                 quotient)
 from squareprop.characters import character_residual, find_characters
 from squareprop.pipeline import PipelineConfig, verify_theorem
-from squareprop.quaternion import (HAMILTON, qnorm, qspectrum,
-                                   random_unit_quaternion)
+from squareprop.quaternion import HAMILTON, qnorm, qspectrum
 from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
                                  CoordinateMax, CoordinateSum, OperatorNorm,
                                  PayloadMismatch, SeminormVariant,
@@ -44,7 +43,8 @@ from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
 from squareprop.spectral import (NonConvergence, gelfand_radius,
                                  log_square_norms, spectrum)
 
-from oracles import CallableSeminorm, is_invertible, j_evaluate
+from oracles import CallableSeminorm, is_invertible, j_evaluate, twisted
+from transforms import rotated
 
 
 def _max_abs(a):
@@ -248,8 +248,7 @@ def test_character_sup_matmul_matches_einsum(name):
         chars = corpus.known_characters(A)
     else:
         A = corpus.function_algebra_H(8)
-        chars = corpus.known_characters(
-            A, {i: random_unit_quaternion(rng) for i in range(0, 8, 2)})
+        chars = twisted(corpus.known_characters(A), range(0, 8, 2), rng)
     p = CharacterSup(tuple(chars))
     X = rng.standard_normal((500, A.dim))
     imgs = np.stack([c for c in chars])
@@ -280,14 +279,6 @@ def test_character_residual_matches_einsum(name):
     assert abs(character_residual(A, Q) - want) <= 1e-13 * want
 
 
-def _rotated(A, seed):
-    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
-        (A.dim, A.dim)))
-    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q, optimize=True)
-    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
-                        unit=Q.T @ A.unit, name=f"rotated {A.name}")
-
-
 def _classify_4dim_by_einsum(B, e, V):
     """The classifier of a 4-dim block with center R before its products
     of trace-zero elements were two matmuls and i, j a Cholesky factor."""
@@ -316,9 +307,9 @@ def test_classifier_matches_einsum(name):
     exactly -I, the bases themselves."""
     A = {"hc": lambda: corpus.builtin("hc"),
          "H4": lambda: corpus.function_algebra_H(4),
-         "rotated_H4": lambda: _rotated(corpus.function_algebra_H(4), 2),
-         "rotated_M2R+R+H": lambda: _rotated(corpus.direct_sum(
-             [corpus.m2_reals(), corpus.reals(), corpus.quaternions()]), 3),
+         "rotated_H4": lambda: rotated(corpus.function_algebra_H(4), 2)[0],
+         "rotated_M2R+R+H": lambda: rotated(corpus.direct_sum(
+             [corpus.m2_reals(), corpus.reals(), corpus.quaternions()]), 3)[0],
          }[name]()
     B = A.semisimple_quotient.algebra
     names = []
@@ -349,7 +340,7 @@ def test_classifier_matches_einsum(name):
 def test_h_basis_does_not_follow_rounding(seed):
     """Relative noise of 4e-16 on B's table moves every H basis of rotated
     H^4 by rounding only (eigh of the -I form moved it by more than 1)."""
-    A = _rotated(corpus.function_algebra_H(4), seed)
+    A = rotated(corpus.function_algebra_H(4), seed)[0]
     B = A.semisimple_quotient.algebra
     noise = np.random.default_rng(seed).standard_normal(B.table.shape)
     B2 = make_algebra(B.dim, B.labels, B.table * (1.0 + 4e-16 * noise),
@@ -693,8 +684,8 @@ def _table_cases():
     basis, with the relative bound between table reads and products."""
     cases = [(name, corpus.builtin(name), 0.0)
              for name in corpus.builtin_names()]
-    cases.append(("rotated_hc", _rotated(corpus.builtin("hc"), 3), 1e-12))
-    cases.append(("rotated_H4", _rotated(corpus.function_algebra_H(4), 4),
+    cases.append(("rotated_hc", rotated(corpus.builtin("hc"), 3)[0], 1e-12))
+    cases.append(("rotated_H4", rotated(corpus.function_algebra_H(4), 4)[0],
                   1e-12))
     return cases
 
@@ -783,7 +774,7 @@ def test_square_and_ratio_checks_multiply_only_random_rows(monkeypatch):
 def _one_path_cases():
     cases = [(name, corpus.builtin(name)) for name in corpus.builtin_names()]
     return cases + [("H8", corpus.function_algebra_H(8)),
-                    ("rotated_hc", _rotated(corpus.builtin("hc"), 3))]
+                    ("rotated_hc", rotated(corpus.builtin("hc"), 3)[0])]
 
 
 @pytest.mark.parametrize("case", _one_path_cases(), ids=lambda c: c[0])

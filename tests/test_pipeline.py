@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from squareprop import cli, corpus, pipeline
-from squareprop.algebra import FiniteDimRealAlgebra
+from squareprop import algebra, cli, corpus, pipeline
+from squareprop.algebra import FiniteDimRealAlgebra, make_algebra
 from squareprop.pipeline import (PipelineConfig, compute_verdict, fuzz,
                                  verify_theorem)
 from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
@@ -17,7 +17,7 @@ from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
 
 from oracles import CallableSeminorm
 
-QUICK = PipelineConfig(sample_count=400, seed=5, restarts=30)
+QUICK = PipelineConfig(sample_count=400, seed=5)
 
 
 def _run(pair_name):
@@ -79,19 +79,24 @@ def test_nonunital_ambient_quotient_is_unital():
     assert rep.branch == "unital"
 
 
-def test_quotient_without_a_unit_fails(monkeypatch):
-    """A / Ker p without a radical has a unit; where the unit search
-    misses it, verify stops after stage 4 with fail and a note (it used
-    to pass on the unitization route)."""
-    quotient = pipeline.quotient
+def test_unital_algebra_built_without_its_unit_passes():
+    """H built by make_algebra without unit= finds its unit.  Its kernel
+    is 0, so the quotient is H itself, and stage 8 reads H's unit; it used
+    to get fail with the note "no unit was found"."""
+    H = corpus.quaternions()
+    A = make_algebra(4, H.labels, H.table)
+    rep = verify_theorem(A, SpectralRadius())
+    assert rep.verdict == _regated(rep) == "pass"
+    assert rep.kernel_dim == 0 and rep.branch == "unital"
+    assert np.abs(A.unit - H.unit).max() <= 1e-12
 
-    def stripped(algebra, V):
-        qm = quotient(algebra, V)
-        q = qm.algebra
-        return dataclasses.replace(qm, algebra=FiniteDimRealAlgebra(
-            q.dim, q.labels, q.table, name=q.name))
-    monkeypatch.setattr(pipeline, "quotient", stripped)
-    rep = _run("rr_coordinate_max")
+
+def test_quotient_without_a_unit_fails(monkeypatch):
+    """A / Ker p without a radical has a unit; where the unit solve
+    fails, verify stops after stage 4 with fail and a note (it used to
+    pass on the unitization route)."""
+    monkeypatch.setattr(algebra, "_solve_unit", lambda c: None)
+    rep = _run("rr_component_sup")    # A / Ker p = R, which gives no unit
     assert rep.verdict == _regated(rep) == "fail"
     assert rep.branch is None and rep.character_count is None
     assert [n for n in rep.notes if "no unit was found" in n], rep.notes
@@ -313,8 +318,7 @@ def test_one_verdict_from_the_walk_the_json_and_the_exit_code(
         rep = verify_theorem(A, cli.load_seminorm(seminorm, A), QUICK)
         code = cli.run(["verify", "--algebra", algebra, "--seminorm", seminorm,
                         "--samples", str(QUICK.sample_count),
-                        "--seed", str(QUICK.seed),
-                        "--restarts", str(QUICK.restarts), "--format", "json"])
+                        "--seed", str(QUICK.seed), "--format", "json"])
     assert rep.verdict == _regated(rep) == verdict
     assert code == {"pass": 0, "fail": 1, "hypothesis_not_met": 3}[verdict]
     assert capsys.readouterr().out == json.dumps(
@@ -350,15 +354,14 @@ def _fuzz_with_fresh_algebras(config, iterations):
         rng = np.random.default_rng([config.seed, i])
         algebra, p, kind = pipeline._random_instance(rng, {})
         summary.kind_counts[kind] = summary.kind_counts.get(kind, 0) + 1
-        inst_seed = int(rng.integers(0, 2 ** 31))
         residual = check_square_property(p, algebra, pipeline._FUZZ_SAMPLES,
-                                         inst_seed)
+                                         rng)
         if residual > config.tol:
             summary.square_rejections += 1
             continue
         summary.checked += 1
         ratio = check_submultiplicative(p, algebra, pipeline._FUZZ_SAMPLES,
-                                        inst_seed + 1)
+                                        rng)
         if ratio > 1.0 + 10.0 * config.tol:
             summary.counterexamples.append({
                 "iteration": i, "algebra": algebra.name, "seminorm": kind,

@@ -13,9 +13,9 @@ from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
                                  check_square_property,
                                  check_submultiplicative, estimate_m, kernel,
                                  square_property_details)
-from squareprop.quaternion import random_unit_quaternion
 
-from oracles import CallableSeminorm
+from oracles import CallableSeminorm, twisted
+from transforms import rotated
 
 
 def _identity_char_sup():
@@ -156,8 +156,7 @@ def test_character_sup_payload_forms_agree():
     a seminorm file holds give the same values, bit for bit."""
     H2 = corpus.builtin("h2")
     rng = np.random.default_rng(21)
-    chars = corpus.known_characters(
-        H2, {i: random_unit_quaternion(rng) for i in range(2)})
+    chars = twisted(corpus.known_characters(H2), range(2), rng)
     X = rng.standard_normal((40, H2.dim))
     want = CharacterSup(chars).values(H2, X)
     for form in (tuple(chars), json.loads(json.dumps(chars.tolist()))):
@@ -210,10 +209,7 @@ def test_spectral_radius_kernel_matches_loop_on_rotated_algebra(parts):
     base = corpus.direct_sum([t2 if name == "T2" else corpus.builtin(name)
                               for name in parts])
     n = base.dim
-    Q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((n, n)))
-    A = make_algebra(n, [f"f{i}" for i in range(n)],
-                     np.einsum("abg,ai,bj,gk->ijk", base.table, Q, Q, Q),
-                     unit=None if base.unit is None else Q.T @ base.unit)
+    A, _ = rotated(base, 12)
     K = kernel(SpectralRadius(), A)
     ref = _radical_by_loop(A)
     assert K.shape == ref.shape == (1, n)

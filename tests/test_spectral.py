@@ -10,6 +10,7 @@ from squareprop.seminorm import OperatorNorm
 from squareprop.spectral import gelfand_radius, log_square_norms, spectrum
 
 from oracles import in_spectrum_paper_def
+from transforms import rotated
 
 ALL_CORPUS = ("reals", "complexes", "quaternions", "m2_reals", "rr", "rrc",
               "hc", "h2", "nonunital3")
@@ -158,16 +159,6 @@ def _rx3():
                         name="R[x]/(x^3)")
 
 
-def _rotated(A, seed):
-    """A in the basis f_i = sum_a Q[a, i] e_a for a seeded orthogonal Q,
-    with Q."""
-    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
-        (A.dim, A.dim)))
-    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q)
-    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
-                        unit=Q.T @ A.unit, name=f"rotated {A.name}"), Q
-
-
 @pytest.mark.parametrize("rotate", [False, True])
 @pytest.mark.parametrize("plus_r", [False, True])
 def test_gelfand_radius_waits_for_the_nilpotent_part(plus_r, rotate):
@@ -179,7 +170,7 @@ def test_gelfand_radius_waits_for_the_nilpotent_part(plus_r, rotate):
     coords = np.array([0.0, 1.0, 0.0, 0.5][:A.dim])
     want = 0.5 if plus_r else 0.0
     if rotate:
-        A, Q = _rotated(A, 0)
+        A, Q = rotated(A, 0)
         coords = Q.T @ coords
     a = A.element(coords)
     got = gelfand_radius(a)

@@ -34,6 +34,8 @@ from squareprop.seminorm import (CharacterSup, SpectralRadius,
                                  check_submultiplicative)
 from squareprop.spectral import spectral_radius_batch, spectrum
 
+from transforms import in_basis, orthogonal, rotated
+
 
 def _dense_radius(A, X):
     """The dense formula: the largest |eigenvalue| of L_x in the unital
@@ -43,24 +45,6 @@ def _dense_radius(A, X):
         X = np.hstack([np.zeros((X.shape[0], 1)), X])
     L = A.left_matrices_batch(X)
     return np.abs(np.linalg.eigvals(L)).max(axis=1)
-
-
-def _rotated(A, seed):
-    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
-        (A.dim, A.dim)))
-    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q, optimize=True)
-    unit = None if A.unit is None else Q.T @ A.unit
-    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
-                        unit=unit, name=f"rotated {A.name}")
-
-
-def _in_basis(A, S, name):
-    """A in the basis f_i = sum_a S[a, i] e_a."""
-    table = np.einsum("abg,ai,bj,gk->ijk", A.table, S, S, np.linalg.inv(S).T,
-                      optimize=True)
-    unit = None if A.unit is None else np.linalg.solve(S, A.unit)
-    return make_algebra(A.dim, [f"f{i}" for i in range(A.dim)], table,
-                        unit=unit, name=name)
 
 
 def _t2r():
@@ -90,7 +74,7 @@ def _h(k):
 def _mixed(rotate=True):
     """R + C + H^4 after a change of basis: one division group per size."""
     A = corpus.direct_sum([corpus.reals(), corpus.complexes()] + _h(4))
-    return _rotated(A, 6) if rotate else A
+    return rotated(A, 6)[0] if rotate else A
 
 
 def _block_count(d, division, table):
@@ -105,8 +89,8 @@ def _conditioned(A, kappa):
     rng = np.random.default_rng(19)
     U, V = (np.linalg.qr(rng.standard_normal((A.dim, A.dim)))[0]
             for _ in range(2))
-    return _in_basis(A, U * np.geomspace(1.0, kappa, A.dim) @ V.T,
-                     f"{A.name} at condition {kappa:g}")
+    return in_basis(A, U * np.geomspace(1.0, kappa, A.dim) @ V.T,
+                    f"{A.name} at condition {kappa:g}")
 
 
 def _rescaled(A, t):
@@ -121,7 +105,7 @@ def _rescaled(A, t):
 CASES = {
     "H8": (lambda: corpus.function_algebra_H(8), 1e-12, {(4, True): 8}),
     "H16": (lambda: corpus.function_algebra_H(16), 1e-12, {(4, True): 16}),
-    "rotated_H8": (lambda: _rotated(corpus.function_algebra_H(8), 3),
+    "rotated_H8": (lambda: rotated(corpus.function_algebra_H(8), 3)[0],
                    1e-12, {(4, True): 8}),
     "rotated_R+C+H4": (_mixed, 1e-12,
                        {(1, True): 1, (2, True): 1, (4, True): 4}),
@@ -129,8 +113,8 @@ CASES = {
                1e-10, {(4, False): 1, (4, True): 4}),
     "H4+T2R": (lambda: corpus.direct_sum(_h(4) + [_t2r()]), 1e-10,
                {(1, True): 2, (4, True): 4}),
-    "rotated_H4+nonunital3": (lambda: _rotated(corpus.direct_sum(
-        _h(4) + [corpus.builtin("nonunital3")]), 5), 1e-10,
+    "rotated_H4+nonunital3": (lambda: rotated(corpus.direct_sum(
+        _h(4) + [corpus.builtin("nonunital3")]), 5)[0], 1e-10,
         {(1, True): 3, (4, True): 4}),
 }
 # R + C + H^4, rotated or not, in the basis 10^k e_i
@@ -261,7 +245,7 @@ def test_h8_radius_batch_calls_no_eigensolver(monkeypatch):
 @pytest.mark.parametrize("leak", [-1.0, math.nan], ids=["negative", "nan"])
 def test_failed_invariance_gate_gives_dense_numbers(monkeypatch, leak):
     monkeypatch.setattr(algebra_mod, "_SPLIT_LEAK", leak)
-    A = _rotated(corpus.function_algebra_H(8), 3)
+    A = rotated(corpus.function_algebra_H(8), 3)[0]
     assert [(d, div) for d, div, _ in A.spectral_split] == [(32, False)]
     X = np.random.default_rng(8).standard_normal((300, A.dim))
     assert np.array_equal(spectral_radius_batch(A, X), _dense_radius(A, X))
@@ -333,9 +317,7 @@ def test_hull_and_split_are_built_once_and_separately():
 def _skewed(A, t):
     """A in the basis t Q^T e_i for a seeded orthogonal Q: every table
     entry a sum of rounded products, the whole table scaled by t."""
-    Q = t * np.linalg.qr(np.random.default_rng(3).standard_normal(
-        (A.dim, A.dim)))[0]
-    return _in_basis(A, Q, f"{t:g} skewed {A.name}")
+    return in_basis(A, t * orthogonal(A.dim, 3), f"{t:g} skewed {A.name}")
 
 
 _NIL = make_algebra(2, ["x", "x2"], {(0, 0, 1): 1.0}, name="x R[x]/(x^3)")
@@ -377,7 +359,7 @@ def test_rotated_truncated_polynomials_pass_with_spectral_radius(k):
     the square residual read 3.5e-8 (k = 2) and 2.2e-5 (k = 3) against the
     tolerance 1e-9, and verify stopped with hypothesis_not_met.  On the
     quotient by the radical r is exact to rounding."""
-    A = _rotated(_truncated_polynomials(k), 1)
+    A = rotated(_truncated_polynomials(k), 1)[0]
     Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((k, k)))
     X = np.random.default_rng(17).standard_normal((500, k))
     exact = np.abs(X @ Q.T[:, 0])          # |a_0| in the monomial basis
@@ -419,10 +401,10 @@ def test_nonunital_verify_unitizes_at_most_once(monkeypatch):
 def test_nonunital_radius_equals_hull_formula(name):
     A = {
         "nonunital3": lambda: corpus.builtin("nonunital3"),
-        "rotated_hc+nonunital3": lambda: _rotated(corpus.direct_sum(
-            [corpus.builtin("hc"), corpus.builtin("nonunital3")]), 4),
-        "rotated_H4+nonunital3": lambda: _rotated(corpus.direct_sum(
-            _h(4) + [corpus.builtin("nonunital3")]), 5),
+        "rotated_hc+nonunital3": lambda: rotated(corpus.direct_sum(
+            [corpus.builtin("hc"), corpus.builtin("nonunital3")]), 4)[0],
+        "rotated_H4+nonunital3": lambda: rotated(corpus.direct_sum(
+            _h(4) + [corpus.builtin("nonunital3")]), 5)[0],
     }[name]()
     assert not A.is_unital
     X = np.random.default_rng(10).standard_normal((2000, A.dim))
@@ -436,7 +418,7 @@ def test_nonunital_spectrum_is_the_hull_multiset(name):
     """spectrum's dense path: eig(L_a) and the 0 the hull adds."""
     A = corpus.builtin("nonunital3")
     if name != "nonunital3":
-        A = _rotated(corpus.direct_sum([corpus.builtin("hc"), A]), 4)
+        A = rotated(corpus.direct_sum([corpus.builtin("hc"), A]), 4)[0]
     hull = unitize(A)
     for row in np.random.default_rng(12).standard_normal((20, A.dim)):
         L = np.einsum("i,ijk->kj", np.concatenate([[0.0], row]), hull.table)
@@ -564,7 +546,7 @@ SUMS = {
     "sum_of_sums": (lambda: corpus.direct_sum([
         corpus.builtin("hc"),
         corpus.direct_sum([corpus.reals(), corpus.nonunital_with_ideal()]),
-        _rotated(corpus.builtin("rrc"), 2), corpus.quaternions()]),
+        rotated(corpus.builtin("rrc"), 2)[0], corpus.quaternions()]),
         {(1, True): 6, (2, True): 2, (4, True): 2}),
 }
 SUMS.update({f"scaled_parts_1e{k}": (
