@@ -31,16 +31,19 @@ unital hull (`hull`), the radical (`radical`), B = hull / rad(hull)
 M2(R) (`simple_blocks`), and per group of blocks a table that gives for
 every a at once the blocks of L_pi(a), or on R, C and H blocks a factor
 of r(a)^2 (`spectral_split`), whose division tables are also kept side
-by side (`division_columns`).
+by side (`division_columns`).  Two records are kept on it from outside,
+read-only, by the module that builds them: the square probes
+(seminorm._square_probes) and the characters (characters.find_characters).
 The radical is nil, so r(a) = r(pi(a)), and on B no L_b keeps a nilpotent
 Jordan part from the radical: its eigenvalues are exact to rounding where
 those of a defective L_a err by about eps^(1/k).  The characters, the
 seminorm test of the spectral radius and the split read the block record
 and its names; the split tags each group of blocks as division (R, C or
 H) or not (see spectral).  A direct sum keeps its parts
-(corpus.direct_sum): its split is its parts' splits side by side and its
-characters are its parts' characters (see characters), so on a sum only
-the seminorm test builds the sum's own blocks.
+(corpus.direct_sum) and is known by them alone, with no tag of what they
+are: its split is its parts' splits side by side and its characters are
+its parts' characters (see characters), so on a sum only the seminorm
+test builds the sum's own blocks.
 """
 
 from __future__ import annotations
@@ -97,12 +100,11 @@ class FiniteDimRealAlgebra:
 
     _parts = ()   # the summands of a direct sum, in order (_from_checked)
 
-    def __init__(self, dim, labels, table, unit=None, name="", components=None):
-        self._build(dim, labels, table, unit, name, components, True)
+    def __init__(self, dim, labels, table, unit=None, name=""):
+        self._build(dim, labels, table, unit, name, True)
 
     @classmethod
-    def _from_checked(cls, dim, labels, table, unit=None, name="",
-                      components=None, parts=()):
+    def _from_checked(cls, dim, labels, table, unit=None, name="", parts=()):
         """An algebra whose table is assembled from the tables of algebras
         that passed their associativity check, in a way that keeps every
         defect (see unitize and corpus.direct_sum).  Every check of
@@ -110,11 +112,11 @@ class FiniteDimRealAlgebra:
         table inherits.  parts are the algebras a direct sum puts side by
         side, in order; the sum's spectral split is then theirs."""
         algebra = cls.__new__(cls)
-        algebra._build(dim, labels, table, unit, name, components, False)
+        algebra._build(dim, labels, table, unit, name, False)
         algebra._parts = tuple(parts)
         return algebra
 
-    def _build(self, dim, labels, table, unit, name, components, check_assoc):
+    def _build(self, dim, labels, table, unit, name, check_assoc):
         if dim <= 0:
             raise DimensionMismatch("dim must be positive")
         labels = list(labels)
@@ -138,8 +140,6 @@ class FiniteDimRealAlgebra:
         self.table = dense
         self.table.setflags(write=False)
         self.name = name or "algebra"
-        # optional (kind, offset, dim) metadata for direct sums of R/C/H
-        self.components = components
         if check_assoc:
             self._check_associativity()
         else:
@@ -380,9 +380,8 @@ def _require_same(a: AlgebraElement, b: AlgebraElement):
 
 
 # bench/ calls this name; keep it until the benchmark is revised
-def make_algebra(dim, labels, table, unit=None, name="", components=None):
-    return FiniteDimRealAlgebra(dim, labels, table, unit=unit, name=name,
-                                components=components)
+def make_algebra(dim, labels, table, unit=None, name=""):
+    return FiniteDimRealAlgebra(dim, labels, table, unit=unit, name=name)
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -17,7 +17,9 @@ A direct sum's characters are its parts' characters.  H has no zero
 divisors, and x(a1) x(a2) = x(a1 a2) = 0 for a1, a2 in different parts,
 so a character vanishes on every part but one.  find_characters reads
 them from the parts (corpus.direct_sum keeps them) and never builds the
-sum's own blocks.
+sum's own blocks.  It keeps its result on the algebra, so a part shared
+by many sums, as the fuzz's R, C and H are, has its characters built
+once; every fuzz character_sup instance reads its characters here.
 
 A character is the (n, 4) array of its images x(e_i), quaternions
 (w, x, y, z), so x(a) = a.coords @ x; a set of characters is one (m, n, 4)
@@ -75,22 +77,21 @@ def find_characters(algebra: FiniteDimRealAlgebra) -> np.ndarray:
     A is unitized first and the results restricted back; a restriction that
     vanishes (the character killing A) is dropped.  Every character passes
     the multiplicativity residual gate of 1e-11.  The result depends on
-    the algebra alone: nothing is sampled.
+    the algebra alone: nothing is sampled.  It is built once per algebra
+    and kept on it, as its radical is.
 
     A direct sum's characters are its parts' characters, each in its
-    part's rows and exactly 0 elsewhere, found once per distinct part.
+    part's rows and exactly 0 elsewhere, read from each part's kept result.
     """
-    found = list(_characters(algebra))
-    found.sort(key=lambda x: np.round(x, 9).tobytes())
-    chars = np.array(found).reshape(-1, algebra.dim, 4)
-    chars.setflags(write=False)
+    chars = vars(algebra).get("_character_stack")
+    if chars is None:
+        found = list((_part_characters if algebra._parts
+                      else _block_characters)(algebra))
+        found.sort(key=lambda x: np.round(x, 9).tobytes())
+        chars = np.array(found).reshape(-1, algebra.dim, 4)
+        chars.setflags(write=False)
+        algebra._character_stack = chars
     return chars
-
-
-def _characters(algebra: FiniteDimRealAlgebra):
-    """Yield the characters of find_characters, unsorted."""
-    return (_part_characters if algebra._parts
-            else _block_characters)(algebra)
 
 
 def _part_characters(algebra: FiniteDimRealAlgebra):
@@ -98,11 +99,9 @@ def _part_characters(algebra: FiniteDimRealAlgebra):
     part's rows.  A product across parts is exactly 0 on both sides of
     the multiplicativity defect, so the sum's residual of each is its
     part's, which passed the gate."""
-    of_part, off = {}, 0
+    off = 0
     for part in algebra._parts:
-        if id(part) not in of_part:
-            of_part[id(part)] = list(_characters(part))
-        for x in of_part[id(part)]:
+        for x in find_characters(part):
             images = np.zeros((algebra.dim, 4))
             images[off:off + part.dim] = x
             yield images

@@ -1,10 +1,10 @@
 """Builtin algebras, their known character sets, and the verification manifest.
 
-Direct sums of R, C and H carry component metadata so that a complete set
-of representative characters (one per component) can be written down
-analytically.  known_characters is that closed form, a (k, n, 4) stack of
-images: the oracle that characters.find_characters is tested against, and
-the source of the fuzz instances' character seminorms.
+A direct sum keeps its parts.  When each part is R, C or H in its
+standard basis (a table equal to a leading corner of quaternion.HAMILTON),
+one canonical character per part can be written down in closed form:
+known_characters, a (k, n, 4) stack of images, the oracle that
+characters.find_characters is tested against.
 """
 
 from __future__ import annotations
@@ -20,20 +20,17 @@ from .quaternion import HAMILTON
 
 
 def reals() -> FiniteDimRealAlgebra:
-    return make_algebra(1, ["1"], {(0, 0, 0): 1.0}, unit=[1.0],
-                        name="R", components=[("R", 0)])
+    return make_algebra(1, ["1"], {(0, 0, 0): 1.0}, unit=[1.0], name="R")
 
 
 def complexes() -> FiniteDimRealAlgebra:
     table = {(0, 0, 0): 1.0, (0, 1, 1): 1.0, (1, 0, 1): 1.0, (1, 1, 0): -1.0}
-    return make_algebra(2, ["1", "i"], table, unit=[1.0, 0.0],
-                        name="C", components=[("C", 0)])
+    return make_algebra(2, ["1", "i"], table, unit=[1.0, 0.0], name="C")
 
 
 def quaternions() -> FiniteDimRealAlgebra:
     return make_algebra(4, ["1", "i", "j", "k"], np.array(HAMILTON),
-                        unit=[1.0, 0.0, 0.0, 0.0],
-                        name="H", components=[("H", 0)])
+                        unit=[1.0, 0.0, 0.0, 0.0], name="H")
 
 
 def m2_reals() -> FiniteDimRealAlgebra:
@@ -64,7 +61,6 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
     table = np.zeros((n, n, n))
     unit = np.zeros(n)
     unital = all(p.is_unital for p in parts)
-    components: list | None = []
     labels = []
     off = 0
     for p in parts:
@@ -72,16 +68,11 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
         table[off:off + d, off:off + d, off:off + d] = p.table
         if unital:
             unit[off:off + d] = p.unit
-        if components is not None and p.components is not None:
-            components.extend((kind, off + o) for kind, o in p.components)
-        elif p.components is None:
-            components = None  # not a recognized R/C/H product
         labels.extend(f"{lbl}@{off}" for lbl in p.labels)
         off += d
     return FiniteDimRealAlgebra._from_checked(
         n, labels, table, unit=unit if unital else None,
-        name=name or "(+)".join(p.name for p in parts), components=components,
-        parts=parts)
+        name=name or "(+)".join(p.name for p in parts), parts=parts)
 
 
 def function_algebra_H(points: int) -> FiniteDimRealAlgebra:
@@ -96,27 +87,29 @@ def nonunital_with_ideal() -> FiniteDimRealAlgebra:
     return make_algebra(3, ["a", "b", "n"], table, name="R(+)R(+)null")
 
 
-def _embedding_images(kind: str, offset: int, dim: int) -> np.ndarray:
-    """Images of the full basis under the canonical character of one
-    component."""
-    units = np.eye(4)[:{"R": 1, "C": 2, "H": 4}[kind]]
-    images = np.zeros((dim, 4))
-    images[offset:offset + len(units)] = units
-    return images
-
-
 # bench/tracing.py wraps this name; keep it until the library records spans
 def known_characters(algebra: FiniteDimRealAlgebra) -> np.ndarray:
-    """One canonical character per R/C/H component of a product algebra, as
-    the (k, n, 4) stack of their images.
+    """One canonical character per part of a product of R, C and H, as the
+    (k, n, 4) stack of their images: the inclusion of each part into H.
 
-    Their union of quaternion spectra equals sp(a) for every element, which
-    is what makes these algebras usable as equality oracles.
+    A part (the algebra itself when it is no direct sum) is R, C or H when
+    its table is the leading d x d x d corner of HAMILTON (d = 1, 2 or 4:
+    the corner at d = 3 is not associative, so no algebra has it); any
+    other part, a direct sum among them, raises ValueError.  Their union of quaternion spectra
+    equals sp(a) for every element, which is what makes these algebras
+    usable as equality oracles.
     """
-    if algebra.components is None:
-        raise ValueError(f"{algebra.name} is not a tagged product of R/C/H")
-    return np.stack([_embedding_images(kind, off, algebra.dim)
-                     for kind, off in algebra.components])
+    chars, off = [], 0
+    for part in algebra._parts or (algebra,):
+        d = part.dim
+        if not np.array_equal(part.table, HAMILTON[:d, :d, :d]):
+            raise ValueError(f"{algebra.name} is not a product of R, C and H "
+                             "in their standard bases")
+        images = np.zeros((algebra.dim, 4))
+        images[off:off + d] = np.eye(4)[:d]
+        chars.append(images)
+        off += d
+    return np.stack(chars)
 
 
 _BUILTINS = {
@@ -237,9 +230,3 @@ def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
         return sn.CharacterSup(args["characters"])
     # the identity/known shorthands: one character per R, C or H block
     return sn.CharacterSup(find_characters(algebra))
-
-
-def manifest_pair(pair: CorpusPair):
-    """Materialize one manifest entry as (algebra, seminorm)."""
-    algebra = builtin(pair.algebra_name)
-    return algebra, make_seminorm(pair.seminorm_kind, pair.seminorm_args, algebra)

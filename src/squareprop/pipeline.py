@@ -103,19 +103,20 @@ def _fields_dict(obj) -> dict:
 # still echo the old search's default in their frozen "restarts" keys
 RESTARTS_ECHO = 50
 
+# levels of the iterated-squares relation that stage 6 checks
+MAX_SQUARE_ITERATES = 10
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     sample_count: int = 2000
     seed: int = 0
     tol: float = 1e-9
-    max_square_iterates: int = 10
 
     def __post_init__(self):
-        for name in ("sample_count", "max_square_iterates"):
-            if getattr(self, name) <= 0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)}")
+        if self.sample_count <= 0:
+            raise ValueError(
+                f"sample_count must be positive, got {self.sample_count}")
         if self.seed < 0:   # NumPy seeds only with non-negative integers
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.tol < 1.0:
@@ -336,7 +337,7 @@ def _walk(report, algebra, p, config):
         np.max(np.abs(nbb - nb * nb / m_hat) / (1.0 + nb * nb), initial=0.0))
 
     # 6. iterated squaring relation, log domain, on one stack of 10 rows
-    residuals = [0.0] * config.max_square_iterates
+    residuals = [0.0] * MAX_SQUARE_ITERATES
     logs = log_square_norms(qalg.element(rng.standard_normal((10, qalg.dim))),
                             scaled)
     log_nb = log_norm = next(logs)
@@ -390,7 +391,8 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     report = VerificationReport(
         algebra_name=algebra.name,
         seminorm_kind=type(p).__name__,
-        config={**asdict(config), "restarts": RESTARTS_ECHO},
+        config={**asdict(config), "max_square_iterates": MAX_SQUARE_ITERATES,
+                "restarts": RESTARTS_ECHO},
         tolerances=stage_tolerances(config.tol),
     )
     note = _walk(report, algebra, p, config)
@@ -423,8 +425,8 @@ def _random_instance(rng, algebras):
     """One fuzz instance; `algebras` memoizes the immutable products by
     their kind tuple and the parts R, C and H by their letter, so every
     product is formed from one shared copy of each part and their records
-    (probes, spectral splits) are built once.  The memo draws nothing from
-    rng."""
+    (probes, spectral splits, characters) are built once.  The memo draws
+    nothing from rng."""
     kinds = tuple(["R", "C", "H"][i]
                   for i in rng.integers(0, 3, rng.integers(1, 4)))
     algebra = algebras.get(kinds)
@@ -436,7 +438,7 @@ def _random_instance(rng, algebras):
             [algebras[k] for k in kinds])
     choice = int(rng.integers(0, 3))
     if choice == 0:
-        chars = corpus.known_characters(algebra)
+        chars = find_characters(algebra)
         keep = rng.random(len(chars)) < 0.7
         p = CharacterSup(chars[keep] if keep.any() else chars)
         kind = "character_sup"
@@ -460,9 +462,12 @@ def fuzz(config: PipelineConfig | None = None,
     Each instance runs the hypothesis check and the conclusion check; an
     instance with square residual within tolerance whose submultiplicativity
     ratio exceeds 1 + 10*tol is recorded as a counterexample (the theorem
-    says there are none, so any hit is an artifact bug).  Deterministic in
-    the seed; iterations are independent, and each draws everything from
-    one Generator, default_rng([seed, i]).
+    says there are none, so any hit is an artifact bug).  A character_sup
+    instance keeps each character of find_characters with probability
+    0.7 (all of them when that keeps none); the characters of R, C and H
+    are built once per call.  Deterministic in the seed; iterations are
+    independent, and each draws everything from one Generator,
+    default_rng([seed, i]).
     """
     config = config or PipelineConfig()
     summary = FuzzSummary(iterations=iterations, seed=config.seed,

@@ -14,6 +14,9 @@ batched library path, and has no caller in the library itself:
   and CharacterSup.values laid out row-major, as (rows, K, d), against
   their block-major (K, d, rows) forms.
 
+manifest_pair materialises a corpus.MANIFEST entry as (algebra,
+seminorm), the pair the CLI's verify builds from the same names.
+
 CallableSeminorm is a test fake: a seminorm given by a bare callable, and
 twisted conjugates characters by random unit quaternions
 (random_unit_quaternion, qinv).
@@ -21,6 +24,7 @@ twisted conjugates characters by random unit quaternions
 
 import numpy as np
 
+from squareprop import corpus
 from squareprop.algebra import (NotUnital, left_regular_matrix, mul,
                                 nonsingular)
 from squareprop.characters import _within
@@ -141,3 +145,10 @@ class CallableSeminorm(SeminormVariant):
 
     def values(self, algebra, X):
         return np.array([float(self.fn(algebra.element(row))) for row in X])
+
+
+def manifest_pair(pair: corpus.CorpusPair):
+    """Materialize one manifest entry as (algebra, seminorm)."""
+    algebra = corpus.builtin(pair.algebra_name)
+    return algebra, corpus.make_seminorm(pair.seminorm_kind,
+                                         pair.seminorm_args, algebra)

@@ -8,7 +8,7 @@ from squareprop.characters import (EmptyCharacterSet, Prop31Result,
                                    character_residual, check_prop31,
                                    find_characters, nonexistence_explanation,
                                    sampled_sup_norm)
-from squareprop.quaternion import qmul, qnorm
+from squareprop.quaternion import HAMILTON, qmul, qnorm
 from squareprop.pipeline import PipelineConfig, verify_theorem
 from squareprop.seminorm import SpectralRadius, kernel
 from squareprop.spectral import spectrum
@@ -80,13 +80,37 @@ def test_find_characters_is_one_read_only_stack(name, count):
         chars[...] = 0.0
 
 
-def test_find_characters_deterministic():
+def _record_block_characters(monkeypatch):
+    """The algebras whose blocks give characters, in call order."""
+    built = []
+    orig = characters._block_characters
+    monkeypatch.setattr(characters, "_block_characters",
+                        lambda A: built.append(A) or orig(A))
+    return built
+
+
+def test_find_characters_deterministic(monkeypatch):
+    """A second call on one algebra returns the kept stack itself and
+    builds no block character."""
     hc = corpus.builtin("hc")
     a = find_characters(hc)
+    built = _record_block_characters(monkeypatch)
     b = find_characters(hc)
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    assert b is a
+    assert built == []
+
+
+def test_function_algebra_builds_its_part_characters_once(monkeypatch):
+    """H^8 repeats one H: its characters, a second call, and H's own
+    characters build H's character once, on H."""
+    built = _record_block_characters(monkeypatch)
+    A = corpus.function_algebra_H(8)
+    (H,) = set(A._parts)
+    assert len(find_characters(A)) == 8
+    find_characters(A)
+    (x,) = find_characters(H)
+    assert built == [H]
+    assert np.array_equal(find_characters(A)[:, :4].sum(axis=0), x)
 
 
 def test_j_evaluate_examples():
@@ -179,6 +203,19 @@ def test_known_characters_are_exact():
         A = corpus.builtin(name)
         for c in corpus.known_characters(A):
             assert character_residual(A, c) <= 1e-14
+
+
+def test_known_characters_recognise_the_standard_tables():
+    """R, C and H are recognised by their tables, whatever built them;
+    any other table, a rotated H's included, is refused."""
+    labels = ["1", "i", "j", "k"]
+    H = make_algebra(4, labels, np.array(HAMILTON), name="H by hand")
+    assert np.array_equal(corpus.known_characters(H),
+                          corpus.known_characters(corpus.quaternions()))
+    for A in (rotated(corpus.quaternions(), 0)[0], corpus.m2_reals(),
+              corpus.direct_sum([corpus.m2_reals(), corpus.reals()])):
+        with pytest.raises(ValueError):
+            corpus.known_characters(A)
 
 
 def test_sup_norm_matches_spectral_radius_on_products():

@@ -43,7 +43,8 @@ from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
 from squareprop.spectral import (NonConvergence, gelfand_radius,
                                  log_square_norms, spectrum)
 
-from oracles import CallableSeminorm, is_invertible, j_evaluate, twisted
+from oracles import (CallableSeminorm, is_invertible, j_evaluate,
+                     manifest_pair, twisted)
 from transforms import rotated
 
 
@@ -100,7 +101,7 @@ def test_derived_value_matches_values_and_old_scalar(case):
                                   "nonunital3_component_sup"])
 def test_component_sup_is_bit_identical_to_its_own_formula(name):
     pair = next(c for c in corpus.MANIFEST if c.name == name)
-    algebra, p = corpus.manifest_pair(pair)
+    algebra, p = manifest_pair(pair)
     idx = list(pair.seminorm_args["subset"])
     X = np.random.default_rng(19).standard_normal((500, algebra.dim))
     X[0] = 0.0
@@ -210,7 +211,7 @@ def _stages_4_to_7_by_loop(algebra, p, config):
             ratio = max(ratio, scaled(b * c) / (nb * nc))
         sq_res = max(sq_res,
                      abs(scaled(b * b) - nb * nb / m_hat) / (1.0 + nb * nb))
-    n_it = config.max_square_iterates
+    n_it = pipeline.MAX_SQUARE_ITERATES
     residuals = [0.0] * n_it
     for _ in range(10):
         b = qalg.element(rng.standard_normal(qalg.dim))
@@ -385,7 +386,7 @@ def _square_check_cases():
              for A in [corpus.builtin(name)]
              for kind in ("spectral_radius", "coordinate_max",
                           "coordinate_sum", "operator_norm")]
-    return cases + [(pair.name, *corpus.manifest_pair(pair))
+    return cases + [(pair.name, *manifest_pair(pair))
                     for pair in corpus.MANIFEST]
 
 
@@ -487,7 +488,7 @@ def test_weights_given_as_an_array_stay_the_caller_s():
 
 def _pipeline_cases():
     config = PipelineConfig(sample_count=300, seed=4)
-    cases = [(pair.name, *corpus.manifest_pair(pair), config)
+    cases = [(pair.name, *manifest_pair(pair), config)
              for pair in corpus.MANIFEST
              if pair.name in ("rrc_spectral_radius", "hc_character_sup",
                               "nonunital3_component_sup")]
@@ -589,7 +590,7 @@ def test_stage_8_asks_for_one_svd_and_one_eigvals(monkeypatch, name):
     stage 8 calls np.linalg.svd and eigvals once each, on the stack of its
     20 matrices L_b; these seminorms evaluate without either."""
     pair = next(c for c in corpus.MANIFEST if c.name == name)
-    algebra, p = corpus.manifest_pair(pair)
+    algebra, p = manifest_pair(pair)
     active, calls = [], []
 
     def spy(fn, label):
@@ -897,7 +898,7 @@ def test_stages_6_and_7_square_one_stack_each(monkeypatch):
     call per row)."""
     logs = _count_calls(monkeypatch, "log_square_norms")
     radii = _count_calls(monkeypatch, "gelfand_radius")
-    algebra, p = corpus.manifest_pair(next(
+    algebra, p = manifest_pair(next(
         c for c in corpus.MANIFEST if c.name == "rrc_spectral_radius"))
     rep = verify_theorem(algebra, p, PipelineConfig(sample_count=300))
     assert rep.verdict == "pass"

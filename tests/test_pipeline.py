@@ -15,14 +15,14 @@ from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
                                  check_square_property,
                                  check_submultiplicative)
 
-from oracles import CallableSeminorm
+from oracles import CallableSeminorm, manifest_pair
 
 QUICK = PipelineConfig(sample_count=400, seed=5)
 
 
 def _run(pair_name):
     pair = next(p for p in corpus.MANIFEST if p.name == pair_name)
-    algebra, p = corpus.manifest_pair(pair)
+    algebra, p = manifest_pair(pair)
     return verify_theorem(algebra, p, QUICK)
 
 
@@ -66,7 +66,7 @@ def test_hypothesis_not_met_l1_on_c():
 def test_iterate_relation_residuals():
     rep = _run("h_character_sup")
     assert rep.verdict == "pass"
-    assert len(rep.iterate_relation_residuals) == QUICK.max_square_iterates
+    assert len(rep.iterate_relation_residuals) == pipeline.MAX_SQUARE_ITERATES
     for n, res in enumerate(rep.iterate_relation_residuals, start=1):
         assert res <= 1e-8 * 2.0 ** n
     assert rep.radius_match_residual <= 1e-6
@@ -208,7 +208,7 @@ def test_verdict_fails_on_a_missing_residual(rr_max_report, field, missing):
 def test_manifest_reports_keep_the_branch_keys(pair):
     """Stage 8 has one branch: a report that reaches it says "unital", and
     unitization_checks stays in the JSON as null."""
-    rep = verify_theorem(*corpus.manifest_pair(pair), QUICK)
+    rep = verify_theorem(*manifest_pair(pair), QUICK)
     assert rep.verdict == pair.expected
     blob = rep.to_dict()
     assert blob["unitization_checks"] is None
@@ -241,7 +241,7 @@ def _assert_dict_is_asdict(obj):
 
 @pytest.mark.parametrize("pair", corpus.MANIFEST, ids=lambda c: c.name)
 def test_report_to_dict_is_asdict(pair):
-    _assert_dict_is_asdict(verify_theorem(*corpus.manifest_pair(pair)))
+    _assert_dict_is_asdict(verify_theorem(*manifest_pair(pair)))
 
 
 def test_fuzz_summary_to_dict_is_asdict():
@@ -383,6 +383,20 @@ def test_fuzz_shared_algebras_match_fresh_ones(monkeypatch):
     assert shared.to_dict() == fresh.to_dict()
 
 
+def test_fuzz_reads_its_characters_from_find_characters(monkeypatch):
+    """The character_sup instances take their characters from
+    find_characters alone, and the summary is the one the closed form
+    corpus.known_characters gave."""
+    def closed_form(algebra):
+        raise AssertionError("fuzz called corpus.known_characters")
+
+    monkeypatch.setattr(corpus, "known_characters", closed_form)
+    summary = fuzz(PipelineConfig(seed=42), iterations=2000)
+    assert (summary.checked, summary.square_rejections,
+            summary.counterexamples) == (1363, 637, [])
+    assert summary.kind_counts["character_sup"] == 656
+
+
 def test_fuzz_zero_iterations():
     summary = fuzz(PipelineConfig(seed=1), iterations=0)
     assert summary.checked == 0
@@ -431,7 +445,7 @@ def test_verify_checks_the_kernel_ideal_once(monkeypatch):
     quotient of stage 4 (the parent checked it in stage 3 as well)."""
     from squareprop import algebra as algebra_mod
     pair = next(p for p in corpus.MANIFEST if p.name == "rr_component_sup")
-    A, p = corpus.manifest_pair(pair)
+    A, p = manifest_pair(pair)
     seen = []
     orig = algebra_mod.subspace_is_two_sided_ideal
 
