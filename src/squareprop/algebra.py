@@ -29,9 +29,9 @@ solved for from the table and held to the gate a given unit passes), the
 unital hull (`hull`), the radical (`radical`), B = hull / rad(hull)
 (`semisimple_quotient`), the simple blocks of B, each named R, C, H or
 M2(R) (`simple_blocks`), and per group of blocks a table that gives for
-every a at once the blocks of L_pi(a), or on R, C and H blocks a factor
-of r(a)^2 (`spectral_split`), whose division tables are also kept side
-by side (`division_columns`).  Two records are kept on it from outside,
+every a at once the blocks of L_pi(a), or on the R, C and H blocks, all
+in one group, a factor of r(a)^2 four columns wide per block
+(`spectral_split`).  Two records are kept on it from outside,
 read-only, by the module that builds them: the square probes
 (seminorm._square_probes) and the characters (characters.find_characters).
 The radical is nil, so r(a) = r(pi(a)), and on B no L_b keeps a nilpotent
@@ -265,38 +265,13 @@ class FiniteDimRealAlgebra:
 
     @cached_property
     def spectral_split(self) -> tuple:
-        """Tables of L_pi(a) on the blocks of B = hull / rad(hull), or of
-        radius factors on its R, C and H blocks, grouped by size and tagged
-        division or not (see _spectral_split)."""
+        """Tables of L_pi(a) on the blocks of B = hull / rad(hull), grouped
+        by size, or of radius factors on all its R, C and H blocks in one
+        group, each tagged division or not (see _spectral_split)."""
         return _spectral_split(self)
-
-    @cached_property
-    def division_columns(self) -> tuple:
-        """(table, sizes): the tables of the division groups of
-        spectral_split side by side, (dim, C), read-only, and (d, K*d) per
-        group in column order; (None, ()) when no group is division.
-        spectral.division_radii takes them all with one product."""
-        groups = [(d, T) for d, division, T in self.spectral_split
-                  if division]
-        if not groups:
-            return None, ()
-        table = np.hstack([T for _, T in groups])
-        table.setflags(write=False)
-        return table, tuple((d, T.shape[1]) for d, T in groups)
 
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, np.asarray(coords, dtype=float))
-
-    def basis_element(self, i: int) -> "AlgebraElement":
-        return self.element(np.eye(self.dim)[i])
-
-    def zero(self) -> "AlgebraElement":
-        return self.element(np.zeros(self.dim))
-
-    def unit_element(self) -> "AlgebraElement":
-        if self.unit is None:
-            raise NotUnital(f"{self.name} has no unit")
-        return self.element(self.unit)
 
     # bench/tracing.py wraps this name; keep it until the library records spans
     def mul_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -523,8 +498,11 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
     simple block, invariant under every L_b.  Each block is named once,
     here (see _classify).
 
-    Returns a tuple of SimpleBlock ordered by mu, where V holds the
-    leading left singular vectors of L_e.
+    Returns a tuple of SimpleBlock, where V holds the leading left
+    singular vectors of L_e, ordered by dimension and name, and by mu
+    only among blocks of one dimension and name: mu is drawn in the basis
+    of the center that _nullspace gives, which rounding rotates, so an
+    order by mu alone follows the last bits of the table.
     """
     qm = algebra.semisimple_quotient
     B = qm.algebra
@@ -553,7 +531,7 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
         U, s, _ = np.linalg.svd(left_regular_matrix(B.element(e)))
         V = U[:, :int((s > 1e-8 * s[0]).sum())]
         blocks.append(SimpleBlock(mu, e, V, *_classify(B, z, mu, e, V)))
-    return tuple(blocks)
+    return tuple(sorted(blocks, key=lambda b: (b.V.shape[1], b.name)))
 
 
 def _block_groups(B: FiniteDimRealAlgebra, simple):
@@ -562,11 +540,12 @@ def _block_groups(B: FiniteDimRealAlgebra, simple):
     subspace on a basis element, independent subspaces (a NaN fails).
 
     Each block e*B is invariant under every L_b, and its basis V is
-    orthonormal, so the block of L_b on it is V^T L_b V.  Blocks are
-    grouped by size d and by whether they are division blocks (R, C or H).
-    A division group's table holds the K factors W of _radius_factor side
-    by side, (N, K*d); any other group's table holds, in row i, the K
-    blocks of L_(e_i) flattened, (N, K*d^2).
+    orthonormal, so the block of L_b on it is V^T L_b V.  The division
+    blocks (R, C and H) form one group, tagged (4, True), whose table
+    holds their K factors W of _radius_factor side by side in block
+    order, (N, 4K); the other blocks are grouped by size d, and such a
+    group's table holds, in row i, its K blocks of L_(e_i) flattened,
+    (N, K*d^2).
     """
     bases = [b.V for b in simple]
     N, c = B.dim, B.table
@@ -580,7 +559,8 @@ def _block_groups(B: FiniteDimRealAlgebra, simple):
     if not (leak <= _SPLIT_LEAK * (1.0 + np.abs(c).max())
             and s[-1] >= _SPLIT_INDEPENDENCE):
         return None
-    tags = [(L.shape[1], b.division) for L, b in zip(blocks, simple)]
+    tags = [(4, True) if b.division else (L.shape[1], False)
+            for L, b in zip(blocks, simple)]
     cols = [_radius_factor(L) if division else L.reshape(N, d * d)
             for L, (d, division) in zip(blocks, tags)]
     return tuple(
@@ -591,8 +571,10 @@ def _block_groups(B: FiniteDimRealAlgebra, simple):
 
 
 def _radius_factor(L: np.ndarray) -> np.ndarray:
-    """W, of shape (N, d), with r(b) = |b W| for every b, on a division
-    block whose d x d block of L_(e_i) is L[i].
+    """W, of shape (N, 4), with r(b) = |b W| for every b, on a division
+    block whose d x d block of L_(e_i) is L[i].  Its last 4 - d columns
+    are 0, so that R, C and H blocks share one width: a 0 added to a sum
+    of squares changes no bit.
 
     The block M of L_b has one conjugate pair of eigenvalues l, conj(l),
     d/2 times each (l = b real when d = 1), so tr M = d Re l,
@@ -610,7 +592,8 @@ def _radius_factor(L: np.ndarray) -> np.ndarray:
     t = np.einsum("ijj->i", L)
     G = L.reshape(N, d * d) @ L.transpose(0, 2, 1).reshape(N, d * d).T
     lam, U = np.linalg.eigh((2.0 * np.outer(t, t) - d * G) / (d * d))
-    return U[:, -d:] * (s * np.sqrt(np.maximum(lam[-d:], 0.0)))
+    W = U[:, -d:] * (s * np.sqrt(np.maximum(lam[-d:], 0.0)))
+    return np.pad(W, ((0, 0), (0, 4 - d)))
 
 
 def _spectral_split(algebra: FiniteDimRealAlgebra):
@@ -620,16 +603,17 @@ def _spectral_split(algebra: FiniteDimRealAlgebra):
     per part, and sp(a) is the union of the parts' spectra, so the split
     is the parts' splits side by side: each part's tables fill that part's
     rows and are zero elsewhere, and the tables of one (d, division) are
-    concatenated in part order.  Nothing is solved on the sum itself.  On
-    any other algebra the blocks are B's simple blocks (see _block_groups);
+    concatenated in part order, so the sum too has one division group at
+    most.  Nothing is solved on the sum itself.  On any other algebra the
+    blocks are B's simple blocks (see _block_groups);
     when they fail their gate, or when a solver stalls while they are
     built, B is one non-division block in its own coordinates.  Each table
     is composed with pi, so that for every row x of X, X @ table stacks
-    the K blocks of L_pi(x) on a non-division group, and on a division
+    the K blocks of L_pi(x) on a non-division group, and on the division
     group the K vectors whose lengths are the blocks' spectral radii.
-    Returns a non-empty tuple of (d, division, table), by (d, division),
-    with tables of shape (dim, K*d) on division groups and (dim, K*d^2) on
-    the others.
+    Returns a non-empty tuple of (d, division, table), by (d, division):
+    at most one division entry, (4, True) with a table of shape (dim, 4K),
+    and per other size d a table of shape (dim, K*d^2).
     """
     if algebra._parts:
         groups, off = {}, 0

@@ -53,7 +53,9 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
     part has that part's own defect, any other triple has defect exactly 0
     (products across parts are exact 0s), and the tolerance
     ASSOC_TOL (1 + max|c|)^2 is at least each part's.  The sum keeps its
-    parts, and its spectral split is theirs side by side (see
+    parts, and its spectral split is theirs side by side, one table per
+    (d, division) in part order: so the radius factors of every R, C and
+    H block of every part form the sum's one division group (see
     algebra._spectral_split).
     """
     dims = [p.dim for p in parts]

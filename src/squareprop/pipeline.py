@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -391,7 +391,8 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     report = VerificationReport(
         algebra_name=algebra.name,
         seminorm_kind=type(p).__name__,
-        config={**asdict(config), "max_square_iterates": MAX_SQUARE_ITERATES,
+        config={**_fields_dict(config),
+                "max_square_iterates": MAX_SQUARE_ITERATES,
                 "restarts": RESTARTS_ECHO},
         tolerances=stage_tolerances(config.tol),
     )

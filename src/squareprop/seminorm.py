@@ -72,7 +72,7 @@ class SeminormVariant:
 class CharacterSup(SeminormVariant):
     """p(a) = max |x(a)| over a fixed set of characters.
 
-    values takes the sup block-major, as spectral._group_radii takes the
+    values takes the sup block-major, as spectral.division_radii takes the
     division radii: table.T @ X.T stacks x(a) as (m, 4, rows), and the
     norms and the max reduce over its leading axes in one pass over
     contiguous rows (spectral.max_block_norm), where the row-major
@@ -114,7 +114,7 @@ class CharacterSup(SeminormVariant):
 
     def values(self, algebra, X):
         self._images(algebra)   # PayloadMismatch on a wrong shape
-        return max_block_norm(self._table.T @ X.T, 4)
+        return max_block_norm(self._table.T @ X.T)
 
     def kernel(self, algebra):
         # rows (m, c): coordinate c of the m-th character's images

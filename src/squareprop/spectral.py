@@ -19,16 +19,16 @@ One spectral-radius path.  The radical of the unital hull is nil, so
 r(a) = r(pi(a)) in B = hull / rad(hull), which is semisimple: the direct
 sum of its simple blocks e*B (Wedderburn-Artin), each invariant under
 every L_b.  The algebra keeps, once built, a table per group of blocks
-(FiniteDimRealAlgebra.spectral_split), grouped by block size d and tagged
-division (R, C or H) or not; a B whose blocks fail their gate is one
-non-division block.  On a direct sum L_a is block diagonal and sp(a) is
-the union of the parts' spectra, so the split is the parts' splits side
-by side, each in its part's rows.  A batch of elements then costs one
-product for all division groups together (below), and per non-division
-group one matmul X @ table and one batched eigvals over the stack of
-d x d blocks it gives.
+(FiniteDimRealAlgebra.spectral_split): one group of all the division
+blocks (R, C and H), and one per size d of the others; a B whose blocks
+fail their gate is one non-division block.  On a direct sum L_a is block
+diagonal and sp(a) is the union of the parts' spectra, so the split is
+the parts' splits side by side, each in its part's rows.  A batch of
+elements then costs one product for the division group (below), and per
+non-division group one matmul X @ table and one batched eigvals over the
+stack of d x d blocks it gives.
 
-On a division group the radius is a row norm.  On a division algebra D
+On the division group the radius is a row norm.  On a division algebra D
 with its standard basis, L_x is |x| times an orthogonal map (|xy| = |x||y|),
 so every eigenvalue of L_x has modulus |x|; for x in C or H they are one
 conjugate pair l, conj(l), each d/2 times on D of dimension d.  A block of
@@ -36,29 +36,28 @@ L_b on e*B is L_x for x = e*b written in another basis of D, a similar
 matrix with the same eigenvalues, so r(b)^2 = |x|^2 on that block is a
 positive semidefinite quadratic form in b of rank d, read once from two
 traces of the block's L_(e_i) and kept as a factor W with r(b) = |b W|
-(algebra._radius_factor).  The group's table holds the K factors side by
-side, so the product of table and X stacks K vectors of length d per
-row, and the radius is the largest of their norms.  Every division group
-of a split is read at once (division_radii): their tables are kept side
-by side (FiniteDimRealAlgebra.division_columns), one product gives the
-vectors of every group, R, C and H blocks alike, and one scale per row,
-its largest entry m over all groups, keeps the norms finite at any
-scale.  The common scale is safe: the largest norm is at least m, and a
-block whose squares underflow on the row over m is too small to set it.
-Neither route
-is circular: no character enters them, the division tag is the block's
-name in the algebra's record, and a factor comes from traces of L_b on a
-block whose basis comes from its central idempotent, so comparing r
-against characters still compares two independent computations.  Both
-raise LinAlgError on a non-finite element.
+(algebra._radius_factor).  Frobenius: R, C and H all sit in H, so every
+factor is four columns wide, with 4 - d columns of 0 on R and C; a 0
+added to a sum of squares changes no bit.  The group's table holds its K
+factors side by side, so the product of table and X stacks K vectors of
+length 4 per row, and the radius is the largest of their norms
+(division_radii).  One scale per row, its largest entry m, keeps the
+norms finite at any scale.  The common scale is safe: the largest norm
+is at least m, and a block whose squares underflow on the row over m is
+too small to set it.  Neither route is circular: no character enters
+them, the division tag is the block's name in the algebra's record, and
+a factor comes from traces of L_b on a block whose basis comes from its
+central idempotent, so comparing r against characters still compares
+two independent computations.  Both raise LinAlgError on a non-finite
+element.
 
 The division radii, like seminorm.CharacterSup's sup, are max_k |W_k x|
-over K vectors of length d in {1, 2, 4}, and both are taken block-major:
-one BLAS call table.T @ X.T gives the vectors as a (K*d, rows) stack, so
-that every reduction (max_block_norm) runs over a leading axis, one
-elementwise pass over contiguous rows of length `rows`.  Laid out
-row-major, as (rows, K, d), the same reductions run one inner loop of
-length d or K per row, several times slower than the matmul itself.  The
+over K vectors of length 4, and both are taken block-major: one BLAS
+call table.T @ X.T gives the vectors as a (4K, rows) stack, so that every
+reduction (max_block_norm) runs over a leading axis, one elementwise
+pass over contiguous rows of length `rows`.  Laid out row-major, as
+(rows, K, 4), the same reductions run one inner loop of length 4 or K
+per row, several times slower than the matmul itself.  The
 reductions give the same bits in both layouts: NumPy adds the rows of a
 leading axis in order, as its sum over a last axis shorter than 8 does,
 and sqrt is monotone, so the sqrt of the max is the max of the sqrts.
@@ -126,60 +125,57 @@ def spectrum(a: AlgebraElement) -> SpectrumResult:
     return SpectrumResult(pts, float(max(abs(z) for z in pts)))
 
 
-def max_block_norm(Y: np.ndarray, d: int) -> np.ndarray:
-    """Per column of the (K*d, rows) stack Y, the largest Euclidean norm
-    of its K vectors of length d, read on the (K, d, rows) view: every
-    reduction runs over a leading axis (see the module docstring)."""
-    Y = Y.reshape(len(Y) // d, d, Y.shape[1])
-    return np.sqrt((Y * Y).sum(axis=1).max(axis=0))
+def max_block_norm(Y: np.ndarray) -> np.ndarray:
+    """Per column of the (4K, rows) stack Y, the largest Euclidean norm
+    of its K vectors of length 4, read on the (K, 4, rows) view: every
+    reduction runs over a leading axis (see the module docstring).
+
+    Y is squared in place; each caller passes the product it has just
+    formed.  A temporary the size of Y costs more than the reduction once
+    it passes malloc's trim threshold (about 128 KiB), whose pages are
+    then faulted in again on every call: at 4032 rows and 12 columns,
+    two such temporaries took division_radii from about 170 us to 400."""
+    Y = np.square(Y, out=Y).reshape(len(Y) // 4, 4, Y.shape[1])
+    return np.sqrt(Y.sum(axis=1).max(axis=0))
 
 
 def _group_radii(X: np.ndarray, d: int, table: np.ndarray) -> np.ndarray:
     """Spectral radius of every row x of X on one non-division group of
     the split: X @ table stacks the K blocks (rows, K, d, d) of L_pi(x),
-    and the radii come from eigvals.  The division groups are not taken
-    one at a time: division_radii reads all their columns with one
-    product and one scale per row, which is safe (see there)."""
+    and the radii come from eigvals."""
     S = (X @ table).reshape(len(X), table.shape[1] // (d * d), d, d)
     return np.abs(_eigvals(S)).max(axis=(1, 2))
 
 
-def division_radii(X: np.ndarray, table: np.ndarray, sizes) -> np.ndarray:
+def division_radii(X: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Largest spectral radius of every row x of X over the division
-    blocks of a split, whose groups' tables are the columns of table side
-    by side, (d, K*d) per group in column order (see
-    FiniteDimRealAlgebra.division_columns).
+    blocks of a split, whose table holds their factors side by side, four
+    columns each (see algebra._radius_factor).
 
     One product table.T @ X.T stacks, per column, the vectors of every
-    group, block-major; one scale m = max|Y| per column, over every group,
-    keeps the squares of Y / m from overflowing and gives a zero row 0;
-    max_block_norm then reduces each group on its slice of rows.  A
-    common scale is safe: the block holding the entry m has norm at least
-    m, so the max is at least 1 on Y / m, and a block whose squares
-    underflow there is below 1e-150 of it and cannot set the max.  Raises
-    LinAlgError on a non-finite row.
+    block, block-major; one scale m = max|Y| per column keeps the squares
+    of Y / m from overflowing and gives a zero row 0, and max_block_norm
+    reduces the blocks.  A common scale is safe: the block holding the
+    entry m has norm at least m, so the max is at least 1 on Y / m, and a
+    block whose squares underflow there is below 1e-150 of it and cannot
+    set the max.  Only squares of Y enter, so Y is replaced by |Y| in
+    place (|y| / m = |y / m| exactly), with no temporary its size (see
+    max_block_norm).  Raises LinAlgError on a non-finite row.
     """
     Y = table.T @ X.T
-    m = np.abs(Y).max(axis=0)
+    m = np.abs(Y, out=Y).max(axis=0)
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     Y /= np.where(m > 0.0, m, 1.0)
-    radii, start = [], 0
-    for d, width in sizes:
-        radii.append(max_block_norm(Y[start:start + width], d))
-        start += width
-    return m * functools.reduce(np.maximum, radii)
+    return m * max_block_norm(Y)
 
 
 def spectral_radius_batch(algebra, coords: np.ndarray) -> np.ndarray:
     """Spectral radii of a stack of elements of one algebra, on the blocks
     of its spectral split (see the module docstring)."""
-    table, sizes = algebra.division_columns
-    radii = [_group_radii(coords, d, T)
-             for d, division, T in algebra.spectral_split if not division]
-    if sizes:
-        radii.append(division_radii(coords, table, sizes))
-    return functools.reduce(np.maximum, radii)
+    return functools.reduce(np.maximum, [
+        division_radii(coords, T) if division else _group_radii(coords, d, T)
+        for d, division, T in algebra.spectral_split])
 
 
 def log_square_norms(a: AlgebraElement, norm: Callable):

@@ -11,11 +11,12 @@ batched library path, and has no caller in the library itself:
 - full_spectrum_match: sp(a) equals the union of the quaternion spectra of
   the character values, the two-sided form of check_prop31's inclusion;
 - division_radii_rows and character_sup_rows: spectral.division_radii
-  and CharacterSup.values laid out row-major, as (rows, K, d), against
-  their block-major (K, d, rows) forms.
+  and CharacterSup.values laid out row-major, as (rows, K, 4), against
+  their block-major (K, 4, rows) forms.
 
 manifest_pair materialises a corpus.MANIFEST entry as (algebra,
-seminorm), the pair the CLI's verify builds from the same names.
+seminorm), the pair the CLI's verify builds from the same names, and
+block_widths reads the width d of each block of a division table.
 
 CallableSeminorm is a test fake: a seminorm given by a bare callable, and
 twisted conjugates characters by random unit quaternions
@@ -41,7 +42,9 @@ def in_spectrum_paper_def(a, s: float, t: float) -> bool:
     zero, where a self-relative singular-value ratio is meaningless.
     Raises NotUnital without a unit.
     """
-    A, e = a.algebra, a.algebra.unit_element().coords
+    A, e = a.algebra, a.algebra.unit
+    if e is None:
+        raise NotUnital(f"{A.name} has no unit")
     shifted = A.element(a.coords - e * s)
     x = A.element(mul(shifted, shifted).coords + e * (t * t))
     sv = np.linalg.svd(left_regular_matrix(x), compute_uv=False)
@@ -84,24 +87,25 @@ def full_spectrum_match(algebra, X: np.ndarray, chars,
     return _within(Z, W, tol) & _within(W, Z, tol)
 
 
-def division_radii_rows(X: np.ndarray, table: np.ndarray,
-                        sizes) -> np.ndarray:
+def division_radii_rows(X: np.ndarray, table: np.ndarray) -> np.ndarray:
     """spectral.division_radii, row-major: X @ table is scaled by one
-    m = max|Y| per row, over every group; each group's columns, (d, K*d)
-    per group in column order, are read as (rows, K, d) and reduced over
-    their last two axes, and the max is taken over the groups.  On one
-    group it is the formula each group was taken by alone."""
+    m = max|Y| per row, read as (rows, K, 4) and reduced over its last two
+    axes."""
     Y = X @ table
     m = np.abs(Y).max(axis=1)
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    Y = Y / np.where(m > 0.0, m, 1.0)[:, None]
-    radii, start = [], 0
-    for d, width in sizes:
-        G = Y[:, start:start + width].reshape(len(X), -1, d)
-        radii.append(np.sqrt((G * G).sum(axis=2).max(axis=1)))
-        start += width
-    return m * np.max(radii, axis=0)
+    Y = (Y / np.where(m > 0.0, m, 1.0)[:, None]).reshape(len(X), -1, 4)
+    return m * np.sqrt((Y * Y).sum(axis=2).max(axis=1))
+
+
+def block_widths(table: np.ndarray) -> np.ndarray:
+    """d per block of a division table (dim, 4K): the number of nonzero
+    columns in its slice of four, 1 on R, 2 on C and 4 on H.  A slice of
+    zeros is the R block that the hull of a non-unital A adds, on which
+    every element of A is 0, and reads 1."""
+    nonzero = (table.reshape(len(table), -1, 4) != 0.0).any(axis=0)
+    return np.maximum(nonzero.sum(axis=1), 1)
 
 
 def character_sup_rows(algebra, X: np.ndarray, chars) -> np.ndarray:

@@ -160,7 +160,7 @@ def test_criterion_7_character_negative_control():
     ok = len(find_characters(m2)) == 0
     note = nonexistence_explanation(m2)
     ok &= note is not None and "E12" in note and "m*r(a)" in note
-    assert spectrum(m2.basis_element(1)).radius == 0.0
+    assert spectrum(m2.element([0, 1, 0, 0])).radius == 0.0
     _report_line(7, ok,
                  f"M2(R): empty character set from its block decomposition; "
                  f"note: {note}")

@@ -118,10 +118,10 @@ def test_j_evaluate_examples():
     chars = corpus.known_characters(rr)
     vals = j_evaluate(rr.element([2, 3]), chars)
     assert sorted(q[0] for q in vals) == [2.0, 3.0]
-    unit_vals = j_evaluate(rr.unit_element(), chars)
+    unit_vals = j_evaluate(rr.element(rr.unit), chars)
     assert all(qnorm(q) == pytest.approx(1.0) and q[0] == pytest.approx(1.0)
                for q in unit_vals)
-    zero_vals = j_evaluate(rr.zero(), chars)
+    zero_vals = j_evaluate(rr.element(np.zeros(rr.dim)), chars)
     assert all(qnorm(q) == 0.0 for q in zero_vals)
 
 
@@ -129,7 +129,7 @@ def test_sampled_sup_norm():
     rr = corpus.builtin("rr")
     chars = corpus.known_characters(rr)
     assert sampled_sup_norm(rr.element([2, -3]), chars) == 3.0
-    assert sampled_sup_norm(rr.zero(), chars) == 0.0
+    assert sampled_sup_norm(rr.element(np.zeros(rr.dim)), chars) == 0.0
     with pytest.raises(EmptyCharacterSet):
         sampled_sup_norm(rr.element([1, 1]), [])
 

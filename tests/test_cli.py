@@ -419,24 +419,19 @@ def _t2r_plus_m2r():
     return corpus.direct_sum([t2r, corpus.m2_reals()])
 
 
-@pytest.mark.parametrize("name, block", [
-    ("m2_reals", 0), ("rotated_m2r+r", None), ("t2r+m2r", 1)])
-def test_spectral_radius_on_a_matrix_block_exits_three(tmp_path, capsys,
-                                                        name, block):
-    """r is no seminorm when A/rad(A) has an M2(R) block; these used to
-    exit 1 with final ratios 41.7, 15.6 and 7.9.  The order of the blocks
-    of a rotated table follows rounding (block None): the note must name
-    the block that simple_blocks calls M2(R)."""
-    spec = name
-    if name != "m2_reals":
-        A = (rotated(corpus.direct_sum([corpus.m2_reals(),
-                                        corpus.reals()]), 1)[0]
-             if name == "rotated_m2r+r" else _t2r_plus_m2r())
-        spec = str(tmp_path / f"{name}.json")
-        with open(spec, "w", encoding="utf-8") as fh:
-            json.dump({"dim": A.dim, "basis": A.labels, "unit": A.unit.tolist(),
-                       "table": [[*map(int, ijk), float(A.table[ijk])]
-                                 for ijk in zip(*np.nonzero(A.table))]}, fh)
+def _algebra_file(tmp_path, name, A) -> str:
+    """A written as an algebra JSON file, with its unit; the file's path."""
+    spec = str(tmp_path / f"{name}.json")
+    with open(spec, "w", encoding="utf-8") as fh:
+        json.dump({"dim": A.dim, "basis": A.labels, "unit": A.unit.tolist(),
+                   "table": [[*map(int, ijk), float(A.table[ijk])]
+                             for ijk in zip(*np.nonzero(A.table))]}, fh)
+    return spec
+
+
+def _matrix_block_note(capsys, spec) -> dict:
+    """verify with the spectral radius on spec: exit 3 at the axiom stop,
+    with no final ratio; the JSON payload."""
     code, out = run_capture(capsys, [
         "verify", "--algebra", spec, "--seminorm", "spectral_radius",
         "--format", "json"])
@@ -444,16 +439,47 @@ def test_spectral_radius_on_a_matrix_block_exits_three(tmp_path, capsys,
     payload = json.loads(out)
     assert payload["verdict"] == "hypothesis_not_met"
     assert payload["final_submultiplicativity_ratio"] is None
-    if block is None:
-        names = [b.name for b in cli.load_algebra(spec).simple_blocks]
-        assert names.count("M2(R)") == 1
-        block = names.index("M2(R)")
+    return payload
+
+
+@pytest.mark.parametrize("name, block", [
+    ("m2_reals", 0), ("rotated_m2r+r", 1), ("t2r+m2r", 2)])
+def test_spectral_radius_on_a_matrix_block_exits_three(tmp_path, capsys,
+                                                        name, block):
+    """r is no seminorm when A/rad(A) has an M2(R) block; these used to
+    exit 1 with final ratios 41.7, 15.6 and 7.9.  The blocks are ordered
+    by dimension and name, so the note names M2(R) after the R blocks."""
+    spec = name
+    if name != "m2_reals":
+        A = (rotated(corpus.direct_sum([corpus.m2_reals(),
+                                        corpus.reals()]), 1)[0]
+             if name == "rotated_m2r+r" else _t2r_plus_m2r())
+        spec = _algebra_file(tmp_path, name, A)
+    payload = _matrix_block_note(capsys, spec)
     assert [n for n in payload["notes"]
             if f"block {block} of A/rad(A) is M2(R)" in n]
     code, out = run_capture(capsys, [
         "verify", "--algebra", "rrc", "--seminorm", "spectral_radius",
         "--samples", "300", "--format", "json"])
     assert code == 0 and set(json.loads(out)) == set(payload)
+
+
+def test_matrix_block_index_does_not_follow_rounding(tmp_path, capsys):
+    """M2(R) (+) R rotated by Q, written twice: by transforms.rotated, and
+    by einsum(optimize=False) with Q in place of Q^-T.  The tables differ
+    by about 3e-16, which once put M2(R) first in one copy and second in
+    the other; ordered by dimension and name, both name block 1."""
+    A = corpus.direct_sum([corpus.m2_reals(), corpus.reals()])
+    R, Q = rotated(A, 1)
+    table = np.einsum("abg,ai,bj,gk->ijk", A.table, Q, Q, Q, optimize=False)
+    E = make_algebra(A.dim, R.labels, table, unit=Q.T @ A.unit)
+    assert 0.0 < np.abs(E.table - R.table).max() <= 1e-15
+    for name, copy in (("rotated", R), ("einsum", E)):
+        assert [b.name for b in copy.simple_blocks] == ["R", "M2(R)"]
+        payload = _matrix_block_note(
+            capsys, _algebra_file(tmp_path, name, copy))
+        assert [n for n in payload["notes"]
+                if "block 1 of A/rad(A) is M2(R)" in n]
 
 
 @pytest.mark.parametrize("algebra, seminorm, note", [

@@ -155,9 +155,9 @@ def _outcome(fn, a, **kwargs):
 def _gelfand_inputs():
     rng = np.random.default_rng(21)
     m2 = corpus.m2_reals()
-    out = [(m2.basis_element(1), {}),             # E12: E12^2 = 0
-           (m2.zero(), {}),
-           (m2.basis_element(1), {"iterations": 0}),
+    e12 = m2.element([0, 1, 0, 0])      # E12: E12^2 = 0
+    out = [(e12, {}), (m2.element(np.zeros(4)), {}),
+           (e12, {"iterations": 0}),
            (corpus.builtin("rr").element([1e150, 2e150]),
             {"norm": _max_abs})]
     for name in ("rr", "rrc", "hc", "m2_reals", "nonunital3", "h2"):
@@ -816,7 +816,7 @@ def _m2_stack():
     """Random elements of M2(R) with E12 (radius 0) among them."""
     A = corpus.m2_reals()
     X = np.random.default_rng(31).standard_normal((12, A.dim))
-    X[3] = A.basis_element(1).coords
+    X[3] = np.eye(A.dim)[1]
     return A, X
 
 

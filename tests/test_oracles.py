@@ -18,7 +18,7 @@ from squareprop.characters import (check_prop31, find_characters,
 from squareprop.seminorm import CharacterSup
 from squareprop.spectral import division_radii, spectra
 
-from oracles import (character_sup_rows, division_radii_rows,
+from oracles import (block_widths, character_sup_rows, division_radii_rows,
                      full_spectrum_match, in_spectrum_paper_def,
                      is_invertible)
 
@@ -103,15 +103,23 @@ def _stacks(X):
     return X, X[:1], X[len(X) // 2:len(X) // 2 + 1]
 
 
+def _padded(table, widths):
+    """The columns of table, read as blocks of the given widths in order,
+    each padded with columns of 0 to width 4, as algebra._radius_factor
+    pads the factor of an R or C block."""
+    blocks = np.split(table, np.cumsum(widths)[:-1], axis=1)
+    return np.hstack([np.pad(B, ((0, 0), (0, 4 - B.shape[1])))
+                      for B in blocks])
+
+
 @pytest.mark.parametrize("d", [1, 2, 4])
 @pytest.mark.parametrize("K", range(1, 9))
 def test_division_radii_are_the_row_major_radii(K, d):
     rng = np.random.default_rng(100 * K + d)
-    table = _exact_table(rng, K * d)
+    table = _padded(_exact_table(rng, K * d), [d] * K)
     for X in _stacks(_scaled_rows(rng, 300, K * d)):
-        got = division_radii(X, table, ((d, K * d),))
-        assert np.array_equal(got, division_radii_rows(X, table,
-                                                       ((d, K * d),)))
+        got = division_radii(X, table)
+        assert np.array_equal(got, division_radii_rows(X, table))
     assert got[0] == 0.0
 
 
@@ -119,15 +127,15 @@ def test_division_radii_are_the_row_major_radii(K, d):
                                     (2, 1, 1), (1, 3, 2)],
                          ids=lambda c: "R%dC%dH%d" % c)
 def test_mixed_division_radii_are_the_row_major_radii(counts):
-    """R, C and H groups side by side, K blocks each as counted, under the
-    one scale per row of every group."""
-    sizes = tuple((d, K * d) for d, K in zip((1, 2, 4), counts) if K)
+    """R, C and H blocks side by side, as many of each as counted, each
+    padded to four columns, under the one scale per row."""
+    widths = [d for d, K in zip((1, 2, 4), counts) for _ in range(K)]
     rng = np.random.default_rng(sum(counts))
-    n = sum(width for _, width in sizes)
-    table = _exact_table(rng, n)
+    n = sum(widths)
+    table = _padded(_exact_table(rng, n), widths)
     for X in _stacks(_scaled_rows(rng, 300, n)):
-        got = division_radii(X, table, sizes)
-        assert np.array_equal(got, division_radii_rows(X, table, sizes))
+        got = division_radii(X, table)
+        assert np.array_equal(got, division_radii_rows(X, table))
     assert got[0] == 0.0
 
 
@@ -136,13 +144,14 @@ def test_a_group_far_below_the_common_scale_cannot_set_the_max():
     scale their squares underflow to 0, and the radii are the H blocks'
     alone, bit for bit."""
     rng = np.random.default_rng(12)
-    small, big = _exact_table(rng, 6) * 2.0 ** -600, _exact_table(rng, 8)
-    table = np.zeros((14, 14))
-    table[:6, :6], table[6:, 6:] = small, big
+    small = _padded(_exact_table(rng, 6) * 2.0 ** -600, [2] * 3)
+    big = _exact_table(rng, 8)
+    table = np.zeros((14, 20))
+    table[:6, :12], table[6:, 12:] = small, big
     X = rng.standard_normal((50, 14))
-    got = division_radii(X, table, ((2, 6), (4, 8)))
-    assert np.array_equal(got, division_radii(X[:, 6:], big, ((4, 8),)))
-    assert (division_radii(X[:, :6], small, ((2, 6),)) > 0.0).all()
+    got = division_radii(X, table)
+    assert np.array_equal(got, division_radii(X[:, 6:], big))
+    assert (division_radii(X[:, :6], small) > 0.0).all()
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -156,6 +165,12 @@ def test_character_sup_is_the_row_major_sup(m):
         got = p.values(A, X)
         assert np.array_equal(got, character_sup_rows(A, X, chars))
     assert got[0] == 0.0
+
+
+def _division_table(A):
+    """The table of the division group of A's split, or None."""
+    return next((T for _, division, T in A.spectral_split if division),
+                None)
 
 
 def _corpus_algebras():
@@ -172,11 +187,11 @@ def test_block_major_kernels_keep_the_corpus_bits(case):
     _, A = case
     X = np.random.default_rng(8).standard_normal((2000, A.dim))
     chars = find_characters(A)
-    table, sizes = A.division_columns
+    table = _division_table(A)
     for Z in (X, X[:1]):
-        if sizes:
-            assert np.array_equal(division_radii(Z, table, sizes),
-                                  division_radii_rows(Z, table, sizes))
+        if table is not None:
+            assert np.array_equal(division_radii(Z, table),
+                                  division_radii_rows(Z, table))
         if len(chars):
             assert np.array_equal(CharacterSup(chars).values(A, Z),
                                   character_sup_rows(A, Z, chars))
@@ -194,36 +209,36 @@ def test_non_finite_row_raises_in_both_layouts(bad):
     X = _scaled_rows(rng, 5, 12)
     X[3, 7] = bad
     with pytest.raises(np.linalg.LinAlgError):
-        division_radii(X, table, ((4, 12),))
+        division_radii(X, table)
     with pytest.raises(np.linalg.LinAlgError):
-        division_radii_rows(X, table, ((4, 12),))
+        division_radii_rows(X, table)
 
 
 def _mixed_splits():
     """Every builtin and every R, C, H product of two or three parts whose
-    split has division groups of more than one size."""
+    division group has blocks of more than one width."""
     parts = {"R": corpus.reals(), "C": corpus.complexes(),
              "H": corpus.quaternions()}
     cases = [(name, corpus.builtin(name)) for name in corpus.builtin_names()]
     cases += [("".join(kinds), corpus.direct_sum([parts[k] for k in kinds]))
               for k in (2, 3) for kinds in itertools.product("RCH", repeat=k)]
     return [(name, A) for name, A in cases
-            if len(A.division_columns[1]) > 1]
+            if _division_table(A) is not None
+            and len(set(block_widths(_division_table(A)))) > 1]
 
 
 @pytest.mark.parametrize("case", _mixed_splits(), ids=lambda c: c[0])
 def test_one_scale_moves_mixed_radii_by_rounding(case):
-    """Against the radii taken one group at a time, each on its own scale:
-    both round each step of their formula once, a few eps each, so they
-    agree to 8 eps relative."""
+    """Against the radii taken one block width at a time, each on its own
+    scale: both round each step of their formula once, a few eps each, so
+    they agree to 8 eps relative."""
     _, A = case
-    table, sizes = A.division_columns
+    table = _division_table(A)
+    widths = block_widths(table)
+    blocks = table.reshape(A.dim, -1, 4)
     X = np.random.default_rng(14).standard_normal((2000, A.dim))
-    per_group, start = [], 0
-    for d, width in sizes:
-        per_group.append(division_radii(X, table[:, start:start + width],
-                                        ((d, width),)))
-        start += width
-    np.testing.assert_allclose(division_radii(X, table, sizes),
-                               np.max(per_group, axis=0),
+    per_width = [division_radii(X, blocks[:, widths == d].reshape(A.dim, -1))
+                 for d in sorted(set(widths))]
+    np.testing.assert_allclose(division_radii(X, table),
+                               np.max(per_width, axis=0),
                                rtol=8 * np.finfo(float).eps, atol=0.0)

@@ -19,6 +19,7 @@ condition number up to 100.  A failed gate and a single block give the
 dense numbers exactly, and each record is built once per algebra.
 """
 
+import collections
 import math
 import sys
 
@@ -34,6 +35,7 @@ from squareprop.seminorm import (CharacterSup, SpectralRadius,
                                  check_submultiplicative)
 from squareprop.spectral import spectral_radius_batch, spectrum
 
+from oracles import block_widths
 from transforms import in_basis, orthogonal, rotated
 
 
@@ -72,15 +74,26 @@ def _h(k):
 
 
 def _mixed(rotate=True):
-    """R + C + H^4 after a change of basis: one division group per size."""
+    """R + C + H^4 after a change of basis: division blocks of each width."""
     A = corpus.direct_sum([corpus.reals(), corpus.complexes()] + _h(4))
     return rotated(A, 6)[0] if rotate else A
 
 
-def _block_count(d, division, table):
-    """K of a group of the split: a division group keeps one factor of d
-    columns per block, any other group one d x d block."""
-    return table.shape[1] // (d if division else d * d)
+def _block_counts(split):
+    """{(d, division): K} over the blocks of a split.  Its one division
+    group keeps a factor four columns wide per block, whose width d is
+    the number of its nonzero columns, which lead; any other group keeps
+    K blocks d x d."""
+    assert [d for d, division, _ in split if division] in ([], [4])
+    counts = collections.Counter()
+    for d, division, table in split:
+        if division:
+            nonzero = (table.reshape(len(table), -1, 4) != 0.0).any(axis=0)
+            assert (nonzero[:, :-1] >= nonzero[:, 1:]).all()
+            counts.update((int(w), True) for w in block_widths(table))
+        else:
+            counts[d, False] += table.shape[1] // (d * d)
+    return dict(counts)
 
 
 def _conditioned(A, kappa):
@@ -142,8 +155,7 @@ def test_blocked_radius_matches_dense(name):
     build, bound, sizes = CASES[name]
     A = build()
     split = A.spectral_split
-    assert {(d, division): _block_count(d, division, table)
-            for d, division, table in split} == sizes
+    assert _block_counts(split) == sizes
     assert all(table.shape[0] == A.dim for _, _, table in split)
     X = np.random.default_rng(7).standard_normal((2000, A.dim))
     dense = _dense_radius(A, X)
@@ -206,7 +218,7 @@ def test_empty_stack_gives_empty_radii(name):
 ])
 @pytest.mark.parametrize("name", ["H8", "H4+M2R", "H2_dense"])
 def test_non_finite_row_raises_on_both_paths(monkeypatch, name, bad):
-    """On division groups, on eigvals groups, and on B as one block
+    """On the division group, on eigvals groups, and on B as one block
     (H^2 with the invariance gate forced to fail, so that each part's B
     is one block)."""
     if name == "H2_dense":
@@ -566,8 +578,7 @@ def test_direct_sum_split_is_its_parts_splits(name):
     split = A.spectral_split
     assert "semisimple_quotient" not in vars(A)
     assert "simple_blocks" not in vars(A)
-    assert {(d, division): _block_count(d, division, table)
-            for d, division, table in split} == sizes
+    assert _block_counts(split) == sizes
     offsets = np.cumsum([0] + [P.dim for P in A._parts])
     for d, division, table in split:
         want = []
