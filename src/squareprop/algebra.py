@@ -9,9 +9,11 @@ their parts, and they inherit the check.  Everything downstream
 (spectra, seminorm kernels, quotients, characters) is computed from
 this table and the left regular representation.
 
-The checks, the quotient table and the products contract the table with
-BLAS matrix products.  Products and L_a are written once, for stacks of
-rows (mul_coords_batch, left_matrices_batch); mul_coords, mul and
+The package needs NumPy alone at run time: even the quotient's choice of
+complement is a short NumPy loop (_pivot_columns).  The checks, the
+quotient table and the products contract the table with BLAS matrix
+products.  Products and L_a are written once, for stacks of rows
+(mul_coords_batch, left_matrices_batch); mul_coords, mul and
 left_regular_matrix are their one-row views.  A table with fewer than
 n^2 nonzeros (a direct sum's, a sparse builtin's or file's) multiplies
 on its nonzeros alone, from a matrix built once and kept on the algebra;
@@ -54,7 +56,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 ASSOC_TOL = 1e-10
 UNIT_TOL = 1e-12  # relative, see _unit_failure
@@ -662,6 +663,34 @@ class QuotientMap:
     lift: np.ndarray                   # (n, q): section, projection @ lift = I
 
 
+def _pivot_columns(P: np.ndarray, q: int) -> np.ndarray:
+    """The first q pivots of column-pivoted QR on P, in the order taken.
+
+    Greedy: each step takes the column with the largest residual norm,
+    the first index on a tie, and projects that column out of the others.
+    Householder QR with column pivoting (LAPACK's geqp3, as SciPy calls
+    it) takes at each step the same column, the largest norm of what is
+    left once the columns already taken are projected out; it only keeps
+    those norms by downdating, recomputing one when cancellation makes the
+    downdate inaccurate, so they agree with these to rounding.  The two
+    sets therefore differ only where two norms tie to within rounding,
+    and any q independent columns of P span the same space, the
+    orthogonal complement of span(V), so the quotient is the same algebra
+    in another basis either way.  A column once taken is left with a
+    residual of rounding size, while P, a projector of rank q, keeps
+    residuals whose squared norms sum to q - t after t steps, so no
+    column is taken twice.
+    """
+    R = np.array(P, dtype=float)
+    cols = np.empty(q, dtype=np.intp)
+    for t in range(q):
+        norms = np.einsum("ij,ij->j", R, R)
+        j = cols[t] = np.argmax(norms)
+        u = R[:, j] / math.sqrt(norms[j])
+        R -= np.outer(u, u @ R)
+    return cols
+
+
 def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
     """Quotient by the two-sided ideal spanned by the rows of V."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
@@ -677,9 +706,10 @@ def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
         return QuotientMap(algebra, ident, ident)
     Qv, _ = np.linalg.qr(V.T)
     P = np.eye(n) - Qv @ Qv.T
-    # deterministic complement: project the standard basis, pick pivot columns
-    _, _, piv = scipy.linalg.qr(P, pivoting=True)
-    cols = np.sort(piv[:q])
+    # deterministic complement: the q columns of P (the standard basis
+    # projected off span(V)) that greedy column pivoting takes first, the
+    # first index on a tie; away from ties, the set LAPACK's pivoted QR takes
+    cols = np.sort(_pivot_columns(P, q))
     S = P[:, cols]                     # section basis, n x q
     B = np.hstack([S, Qv])             # full change of basis
     proj = np.linalg.inv(B)[:q, :]

@@ -13,6 +13,9 @@ batched library path, and has no caller in the library itself:
 - division_radii_rows and character_sup_rows: spectral.division_radii
   and CharacterSup.values laid out row-major, as (rows, K, 4), against
   their block-major (K, 4, rows) forms.
+- lapack_pivot_columns: the columns LAPACK's column-pivoted QR pivots
+  on first, against the complement algebra.quotient picks with
+  _pivot_columns.
 
 manifest_pair materialises a corpus.MANIFEST entry as (algebra,
 seminorm), the pair the CLI's verify builds from the same names, and
@@ -24,6 +27,7 @@ twisted conjugates characters by random unit quaternions
 """
 
 import numpy as np
+import scipy.linalg
 
 from squareprop import corpus
 from squareprop.algebra import (NotUnital, left_regular_matrix, mul,
@@ -112,6 +116,12 @@ def character_sup_rows(algebra, X: np.ndarray, chars) -> np.ndarray:
     """CharacterSup.values, row-major: the largest |x(a)| over the
     (rows, m, 4) stack of CharacterSup.evaluations."""
     return qnorm(CharacterSup(chars).evaluations(algebra, X)).max(axis=1)
+
+
+def lapack_pivot_columns(P: np.ndarray, q: int) -> np.ndarray:
+    """The first q pivots of LAPACK's column-pivoted QR (geqp3, through
+    SciPy) on P, sorted."""
+    return np.sort(scipy.linalg.qr(P, pivoting=True)[2][:q])
 
 
 def qinv(q: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The reference definitions of tests/oracles.py against the library's
 batched paths, on stacks of rows of every unital builtin, and the
-block-major seminorm kernels bit for bit against their row-major forms.
+block-major seminorm kernels bit for bit against their row-major forms,
+and the pivot columns of algebra.quotient against LAPACK's.
 j_evaluate is checked in test_evaluation_paths.py, bit for bit against a
 one-row stack of CharacterSup.evaluations
 (test_element_wise_calls_are_rows_of_the_batch)."""
@@ -11,16 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from squareprop import corpus
-from squareprop.algebra import nonsingular
+from squareprop import algebra, corpus
+from squareprop.algebra import _pivot_columns, nonsingular, quotient
 from squareprop.characters import (check_prop31, find_characters,
                                    non_division_block)
 from squareprop.seminorm import CharacterSup
 from squareprop.spectral import division_radii, spectra
 
+import golden
 from oracles import (block_widths, character_sup_rows, division_radii_rows,
                      full_spectrum_match, in_spectrum_paper_def,
-                     is_invertible)
+                     is_invertible, lapack_pivot_columns)
+from transforms import rotated
 
 UNITAL = [name for name in corpus.builtin_names()
           if corpus.builtin(name).is_unital]
@@ -242,3 +245,79 @@ def test_one_scale_moves_mixed_radii_by_rounding(case):
     np.testing.assert_allclose(division_radii(X, table),
                                np.max(per_width, axis=0),
                                rtol=8 * np.finfo(float).eps, atol=0.0)
+
+
+# -- the complement a quotient keeps ------------------------------------
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Every (P, q) that algebra.quotient hands _pivot_columns while the
+    test runs, in order."""
+    taken = []
+
+    def record(P, q):
+        taken.append((P.copy(), q))
+        return _pivot_columns(P, q)
+
+    monkeypatch.setattr(algebra, "_pivot_columns", record)
+    return taken
+
+
+def _agree_with_lapack(taken):
+    for P, q in taken:
+        assert np.array_equal(np.sort(_pivot_columns(P, q)),
+                              lapack_pivot_columns(P, q))
+
+
+def test_pivots_are_lapack_s_on_dense_ideals():
+    """P = I - Qv Qv^T as quotient forms it, for random dense V of m <= 5
+    rows in dimension n <= 64."""
+    rng = np.random.default_rng(29)
+    taken = []
+    for _ in range(300):
+        n = int(rng.integers(2, 65))
+        m = int(rng.integers(1, min(5, n - 1) + 1))
+        Qv, _ = np.linalg.qr(rng.standard_normal((m, n)).T)
+        taken.append((np.eye(n) - Qv @ Qv.T, n - m))
+    _agree_with_lapack(taken)
+
+
+@pytest.mark.parametrize("copies", [8, 12, 15])
+def test_pivots_are_lapack_s_on_rotated_null_lines(pivots, copies):
+    """The structure benchmark's quotients: H^copies (+) nonunital3 in a
+    rotated basis, by the null line of its last summand."""
+    base = corpus.direct_sum([corpus.quaternions()] * copies
+                             + [corpus.nonunital_with_ideal()])
+    for seed in (0, 1):
+        A, Q = rotated(base, seed)
+        lift = quotient(A, Q[[A.dim - 1]]).lift
+        P, q = pivots[-1]
+        assert P.shape == (base.dim, base.dim) and q == base.dim - 1
+        # the section is the columns LAPACK's QR picked, in basis order
+        assert np.array_equal(lift, P[:, lapack_pivot_columns(P, q)])
+    assert len(pivots) == 2
+
+
+def test_pivots_are_lapack_s_on_every_golden_quotient(pivots):
+    cases = set()
+    for name, thunk in golden.cases():
+        before = len(pivots)
+        thunk()
+        if len(pivots) > before:
+            cases.add(name)
+    # the pairs with a nonzero kernel, and the radical of nonunital3's hull
+    assert cases >= {f"verify {pair} seed {seed}" for seed in (0, 5)
+                     for pair in ("rr_component_sup",
+                                  "nonunital3_component_sup")}
+    assert "characters nonunital3" in cases
+    _agree_with_lapack(pivots)
+
+
+def test_pivot_ties_go_to_the_first_index():
+    assert _pivot_columns(np.eye(4), 2).tolist() == [0, 1]
+    # span(e1 + e2) in dim 4: columns 2 and 3 (e3, e4) tie at norm 1
+    # exactly; columns 0 and 1 then differ by rounding, as in LAPACK
+    Qv, _ = np.linalg.qr(np.array([[1.0, 1.0, 0.0, 0.0]]).T)
+    P = np.eye(4) - Qv @ Qv.T
+    assert _pivot_columns(P, 3).tolist() == [2, 3, 0]
+    assert lapack_pivot_columns(P, 3).tolist() == [0, 2, 3]
