@@ -593,8 +593,9 @@ def _radius_factor(L: np.ndarray) -> np.ndarray:
     t = np.einsum("ijj->i", L)
     G = L.reshape(N, d * d) @ L.transpose(0, 2, 1).reshape(N, d * d).T
     lam, U = np.linalg.eigh((2.0 * np.outer(t, t) - d * G) / (d * d))
-    W = U[:, -d:] * (s * np.sqrt(np.maximum(lam[-d:], 0.0)))
-    return np.pad(W, ((0, 0), (0, 4 - d)))
+    W = np.zeros((N, 4))
+    W[:, :d] = U[:, -d:] * (s * np.sqrt(np.maximum(lam[-d:], 0.0)))
+    return W
 
 
 def _spectral_split(algebra: FiniteDimRealAlgebra):

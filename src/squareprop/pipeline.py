@@ -66,10 +66,14 @@ SAMPLE_BUDGET_BYTES = 2 ** 31
 
 
 def sample_bytes(samples: int, dim: int) -> int:
-    """Bytes of the largest stack a stage builds from `samples` rows of an
-    algebra of dimension n = dim: stage 1's stack [P; R; P^2; R^2] of
-    2 (n^2 + samples) rows, or the n x n left matrices of the `samples`
-    rows that a dense product forms."""
+    """Bytes of the sample rows that a stage holds at `samples` rows of an
+    algebra of dimension n = dim, the larger of two counts.  Stage 1's
+    2 (n^2 + samples) rows: the n^2 probes and their squares, which the
+    algebra keeps, and the random rows R with their squares.  Stage 1 now
+    forms the squares of R a slab at a time, so this counts up to
+    `samples` rows more than it holds; what p.values forms on each slab
+    is not counted.  Or the n x n left matrices of the `samples` rows
+    that a dense product forms."""
     return 8 * max(2 * (dim * dim + samples) * dim, samples * dim * dim)
 
 
@@ -468,8 +472,11 @@ def fuzz(config: PipelineConfig | None = None,
     0.7 (all of them when that keeps none); the characters of R, C and H
     are built once per call.  Deterministic in the seed; iterations are
     independent, and each draws everything from one Generator,
-    default_rng([seed, i]).
+    default_rng([seed, i]).  A negative iterations raises ValueError; 0
+    checks nothing.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be non-negative, got {iterations}")
     config = config or PipelineConfig()
     summary = FuzzSummary(iterations=iterations, seed=config.seed,
                           tol=config.tol)

@@ -14,8 +14,14 @@ c: the squares of the probes 8 e_i and 8 (e_i +- e_j) are sums of rows
 c[i,i], c[j,j], c[i,j] and c[j,i] (_square_probes, built once per
 algebra and kept on it), and the basis pair (e_i, e_j) has the product
 c[i,j], read per call and kept as the index pair (i, j).  Each check
-stacks what it evaluates, with its random rows drawn into the stack, and
-calls values once per stack.
+draws its random rows in one draw, then walks its rows in slabs of at most
+_SLAB_BYTES (_slabs): it stacks a slab's rows, or their products, into one
+buffer reused from slab to slab, calls values once per slab and keeps one
+value per row, 1/n of the row, so np.argmax picks the same worst row, a
+NaN first, and it returns what one call on the whole stack returned, bit
+for bit.  The slabs' temporaries stay small enough for malloc to reuse,
+where whole stacks at H^8 had their pages faulted in again at every
+check.  A stack that fits one slab is evaluated in one call.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from .spectral import max_block_norm, spectral_radius_batch
 
 RATIO_FLOOR = 1e-12
 M_HAT_FLOOR = 1e-12
+# the most rows the checks hand p.values at once; timed at H^4, H^8 and
+# H^16, 64 KiB pays for more calls and 256 KiB has its pages faulted in
+_SLAB_BYTES = 128 << 10
 
 
 class SeminormError(Exception):
@@ -258,6 +267,30 @@ def _square_probes(algebra) -> tuple:
     return probes
 
 
+def _slabs(total: int, dim: int, per_row: int = 1, split: int = 0) -> list:
+    """(start, stop) of each slab of `total` rows, in order: as many rows
+    as keep a stack of per_row rows for each of them within _SLAB_BYTES,
+    and at least two; [(0, total)] when they all fit.  The rows from
+    `split` on are the random rows that a check multiplies.  A slab takes
+    a row more rather than leave one row alone, at the end or past
+    `split`: BLAS forms a one-row product by its matrix-vector path, whose
+    sums round otherwise on a dense table, and the slabs must give the
+    bits of one stack."""
+    step = max(2, _SLAB_BYTES // (8 * per_row * dim))
+    if total <= step:
+        return [(0, total)]
+    slabs, start = [], 0
+    while start < total:
+        stop = min(start + step, total)
+        if start < split == stop - 1 and stop < total:
+            stop += 1
+        if stop == total - 1:
+            stop = total
+        slabs.append((start, stop))
+        start = stop
+    return slabs
+
+
 @dataclass(frozen=True)
 class SquareCheck:
     residual: float
@@ -268,22 +301,35 @@ def square_property_details(p: SeminormVariant, algebra: FiniteDimRealAlgebra,
                             samples: int = 2000, seed: int = 0) -> SquareCheck:
     """Max of |p(a^2) - p(a)^2| / (1 + p(a)^2) over probes and random samples.
 
-    p is evaluated once, on one stack [P; R; P^2; R^2]: the n^2 probes P,
-    the random rows R drawn into it, and their squares.  R is drawn from
-    default_rng(seed), so a Generator passed as seed is drawn from as is."""
+    The rows [P; R], the n^2 probes P and then the random rows R, are
+    walked a slab at a time: each slab's rows and their squares go into
+    one buffer, reused from slab to slab, and p is evaluated once per
+    slab.  The probes' squares are read from _square_probes; only the
+    slab's rows of R are multiplied.  A stack that fits one slab is
+    [P; R; P^2; R^2], evaluated in one call.  One residual per row is
+    kept, and np.argmax over them picks the worst, the first NaN or the
+    first of equal maxima.  R is drawn from default_rng(seed) in one
+    draw, so a Generator passed as seed is drawn from as is."""
     p.check_payload(algebra)
     P, P2 = _square_probes(algebra)
-    half = len(P) + samples
-    X = np.empty((2 * half, algebra.dim))
-    X[:len(P)], X[half:half + len(P)] = P, P2
-    R = X[len(P):half]
-    np.random.default_rng(seed).standard_normal(out=R)
-    # the probes' squares are read from the table; only R is multiplied
-    X[half + len(P):] = algebra.mul_coords_batch(R, R)
-    pa, pa2 = p.values(algebra, X).reshape(2, half)
-    res = np.abs(pa2 - pa ** 2) / (1.0 + pa ** 2)
-    i = int(np.argmax(res))
-    return SquareCheck(float(res[i]), X[i].copy())
+    probes, total = len(P), len(P) + samples
+    R = np.random.default_rng(seed).standard_normal((samples, algebra.dim))
+    slabs = _slabs(total, algebra.dim, 2, probes)   # a row over its square
+    buf = np.empty((2 * max(b - a for a, b in slabs), algebra.dim))
+    res = np.empty(total)
+    for start, stop in slabs:
+        m = stop - start
+        k = max(0, min(m, probes - start))   # the slab's probes come first
+        buf[:k], buf[m:m + k] = P[start:start + k], P2[start:start + k]
+        if k < m:
+            r = R[start + k - probes:stop - probes]
+            buf[k:m], buf[m + k:2 * m] = r, algebra.mul_coords_batch(r, r)
+        pa, pa2 = p.values(algebra, buf[:2 * m]).reshape(2, m)
+        sq = pa ** 2
+        np.divide(np.abs(pa2 - sq), 1.0 + sq, out=res[start:stop])
+    i = int(res.argmax())
+    return SquareCheck(float(res[i]),
+                       (P[i] if i < probes else R[i - probes]).copy())
 
 
 # bench/tracing.py wraps this name; keep it until the library records spans
@@ -300,35 +346,58 @@ def _ratio_scan(p, algebra, samples, seed):
     evaluated on the basis alone and its values indexed per pair; their
     products are the table rows c[i,j], divided by p(e_i) p(e_j), and the
     pairs are kept as the indices (i, j).  Only the random pairs are
-    normalized and multiplied.  p is evaluated once on one stack
-    [I; Xa; Xb], with Xa and Xb drawn into it as one draw, and once on the
-    products."""
+    normalized and multiplied.  p is evaluated on [I; Xa; Xb], with Xa and
+    Xb drawn into it as one draw, slab by slab into one vector, since the
+    floor's scale needs all of it.  The products are then walked in one
+    index space, the basis pairs that clear the floor first and then the
+    random ones, a slab at a time into one reused buffer, with one call of
+    p per slab into the vector of ratios; a scan that fits one slab makes
+    one call on each stack."""
     p.check_payload(algebra)
     n = algebra.dim
     X = np.empty((n + 2 * samples, n))
     X[:n] = np.eye(n)
     np.random.default_rng(seed).standard_normal(out=X[n:])
     eye, Xa, Xb = X[:n], X[n:n + samples], X[n + samples:]
-    i, j = np.divmod(np.arange(n * n), n)   # the basis pairs, by row
-    v = p.values(algebra, X)
+    v = np.empty(len(X))
+    for start, stop in _slabs(len(X), n):
+        v[start:stop] = p.values(algebra, X[start:stop])
     pe, pa, pb = v[:n], v[n:n + samples], v[n + samples:]
-    va = np.concatenate([pe[i], pa])
-    vb = np.concatenate([pe[j], pb])
-    scale = 1.0 + max(va.max(), vb.max(), 1.0)
-    ok = va * vb > RATIO_FLOOR * scale ** 2
-    i, j, rand = i[ok[:n * n]], j[ok[:n * n]], ok[n * n:]
-    # normalize every pair to p = 1 so ratio statistics are scale-free
-    A = Xa[rand] / pa[rand][:, None]
-    B = Xb[rand] / pb[rand][:, None]
-    prods = np.concatenate([
-        algebra.table[i, j] / (pe[i] * pe[j])[:, None],
-        algebra.mul_coords_batch(A, B)])
+    # 1 + the largest of 1, p(a) and p(b) over the pairs (a, b), the basis
+    # values among the p(a); a NaN among the p(b) alone is passed over
+    scale = 1.0 + max(v[:n + samples].max(), pb.max(initial=-np.inf), 1.0)
+    floor = RATIO_FLOOR * scale ** 2
+    # the basis pairs (e_i, e_j) and the random pairs that clear the floor
+    i, j = np.nonzero(pe[:, None] * pe > floor)
+    kept = np.flatnonzero(pa * pb > floor)
+    basis, total = len(i), len(i) + len(kept)
+
+    def random_pairs(a, b):   # the a-th to b-th kept random pairs
+        # read in place when every pair is kept, with no copy of Xa, Xb
+        r = slice(a, b) if len(kept) == samples else kept[a:b]
+        # normalize every pair to p = 1 so ratio statistics are scale-free
+        return Xa[r] / pa[r, None], Xb[r] / pb[r, None]
+
+    slabs = _slabs(total, n, 1, basis)
+    buf = np.empty((max(b - a for a, b in slabs), n))
+    ratios = np.empty(total)
+    for start, stop in slabs:
+        m = stop - start
+        k = max(0, min(m, basis - start))   # the slab's basis pairs first
+        bi, bj = i[start:start + k], j[start:start + k]
+        np.divide(algebra.table[bi, bj], (pe[bi] * pe[bj])[:, None],
+                  out=buf[:k])
+        if k < m:
+            buf[k:m] = algebra.mul_coords_batch(
+                *random_pairs(start + k - basis, start + m - basis))
+        ratios[start:stop] = p.values(algebra, buf[:m])
 
     def pair(r):
-        if r < len(i):
+        if r < basis:
             return eye[i[r]] / pe[i[r]], eye[j[r]] / pe[j[r]]
-        return A[r - len(i)], B[r - len(i)]
-    return p.values(algebra, prods), pair
+        a, b = random_pairs(r - basis, r - basis + 1)
+        return a[0], b[0]
+    return ratios, pair
 
 
 def check_submultiplicative(p, algebra, samples: int = 2000, seed: int = 0) -> float:

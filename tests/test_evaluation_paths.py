@@ -28,7 +28,7 @@ import math
 import numpy as np
 import pytest
 
-from squareprop import corpus, pipeline
+from squareprop import corpus, pipeline, seminorm
 from squareprop.algebra import (FiniteDimRealAlgebra, _classify, _nullspace,
                                 left_regular_matrix, make_algebra, mul,
                                 quotient)
@@ -414,18 +414,28 @@ def test_scale_8_probes_keep_the_square_residual(case):
             assert np.array_equal(got.witness, 8.0 * np.eye(A.dim)[0])
 
 
-def test_stage_1_evaluates_n_squared_probes():
-    """On H^8 (n = 32) the square check evaluates p once, on one stack of
-    2 (n^2 + 300) rows: the n^2 = 1024 probes and their squares, each
-    half followed by its random rows."""
+def test_stage_1_evaluates_n_squared_probes(monkeypatch):
+    """On H^8 (n = 32) the square check evaluates p on the n^2 = 1024
+    probes and then the 300 random rows R, a slab at a time, each slab's
+    rows stacked over their squares and within the slab budget: the top
+    halves of the stacks are [P; R], and the bottom halves [P^2; R^2].
+    A budget that holds the whole stack gives one stack of 2 (n^2 + 300)
+    rows, as the check evaluated before it streamed."""
     A = corpus.function_algebra_H(8)
-    p = _Recorded(np.ones(A.dim))
-    square_property_details(p, A, samples=300, seed=1)
-    assert [len(X) for X in p.stacks] == [2 * (32 * 32 + 300)]
     P, P2 = _square_probes(A)
-    top, bottom = p.stacks[0].reshape(2, 32 * 32 + 300, A.dim)
-    assert np.array_equal(top[:32 * 32], P)
-    assert np.array_equal(bottom[:32 * 32], P2)
+    R = np.random.default_rng(1).standard_normal((300, A.dim))
+    whole = 8 * 2 * (32 * 32 + 300) * A.dim
+    for budget in (seminorm._SLAB_BYTES, whole):
+        monkeypatch.setattr(seminorm, "_SLAB_BYTES", budget)
+        p = _Recording(CoordinateMax())
+        square_property_details(p, A, samples=300, seed=1)
+        assert all(X.nbytes <= budget for X in p.stacks)
+        top, bottom = (np.concatenate(h) for h in zip(*(
+            X.reshape(2, -1, A.dim) for X in p.stacks)))
+        assert np.array_equal(top, np.concatenate([P, R]))
+        assert np.array_equal(bottom[:32 * 32], P2)
+        assert np.array_equal(bottom[32 * 32:], A.mul_coords_batch(R, R))
+    assert len(p.stacks) == 1
 
 
 def test_character_sup_stacks_its_images_once(monkeypatch):
@@ -659,8 +669,9 @@ def _counted_max_abs():
 @pytest.mark.parametrize("kind", ["spectral_radius", "coordinate_max",
                                   "opaque"])
 def test_ratio_scan_evaluates_the_basis_once(kind):
-    """Bit for bit the scan over every basis pair; a callable seminorm is
-    called 2 n^2 - n times fewer (n basis values instead of 2 n^2)."""
+    """Bit for bit the scan over every basis pair, which H^8 walks in
+    several slabs; a callable seminorm is called 2 n^2 - n times fewer
+    (n basis values instead of 2 n^2)."""
     A = corpus.function_algebra_H(8)
     n, samples = A.dim, 300
     if kind == "opaque":
@@ -669,7 +680,9 @@ def test_ratio_scan_evaluates_the_basis_once(kind):
     else:
         p = p_old = {"spectral_radius": SpectralRadius(),
                      "coordinate_max": CoordinateMax()}[kind]
-    ratios, pair = _ratio_scan(p, A, samples, 5)
+    recorded = _Recording(p)
+    ratios, pair = _ratio_scan(recorded, A, samples, 5)
+    assert len(recorded.given) > 2
     new = (ratios, *_pairs(ratios, pair))
     old = _ratio_scan_on_every_pair(p_old, A, samples, 5)
     for x, y in zip(new, old):
@@ -723,51 +736,68 @@ def test_square_probes_are_kept_on_the_algebra(case):
                and x.tobytes() == y.tobytes() for x, y in zip(probes, fresh))
 
 
-class _Recorded(SeminormVariant):
-    """A weighted max-abs seminorm that keeps every stack it evaluates."""
+class _Recording(SeminormVariant):
+    """p, keeping a copy of every stack it is handed (the checks reuse
+    one buffer from slab to slab) and the values it gave, in order."""
 
-    def __init__(self, weights):
-        self.weights, self.stacks = weights, []
+    def __init__(self, p):
+        self.p, self.stacks, self.given = p, [], []
+
+    def check_payload(self, algebra):
+        self.p.check_payload(algebra)
 
     def values(self, algebra, X):
-        self.stacks.append(X)
-        return (self.weights * np.abs(X)).max(axis=1)
+        v = self.p.values(algebra, X)
+        self.stacks.append(X.copy())
+        self.given.append(v)
+        return v
 
 
 @pytest.mark.parametrize("case", _table_cases(), ids=lambda c: c[0])
-def test_basis_pair_products_are_the_products(case):
-    """The ratio scan evaluates p on the products of its normalized pairs;
-    the basis pairs' rows are read from the table.  Weights of 1 keep every
-    p(e_i) = 1 on the integer tables, so there the rows are equal; the
-    rotated tables take weights in (0.5, 2)."""
+def test_basis_pair_products_are_the_products(case, monkeypatch):
+    """The ratio scan evaluates p on the products of its normalized pairs,
+    after [I; Xa; Xb]; the basis pairs' rows are read from the table.
+    Weights of 1 keep every p(e_i) = 1 on the integer tables, so there the
+    rows are equal; the rotated tables take weights in (0.5, 2).  Every
+    product row is compared, at the default budget (one slab on these
+    tables) and in the smallest slabs, of two or three rows."""
     _, A, rtol = case
     w = (np.ones(A.dim) if rtol == 0.0
          else np.random.default_rng(6).uniform(0.5, 2.0, A.dim))
-    p = _Recorded(w)
-    Xa, Xb = _pairs(*_ratio_scan(p, A, 200, 5))
-    assert Xa.shape[0] >= A.dim ** 2
-    _close(p.stacks[-1], A.mul_coords_batch(Xa, Xb), rtol)
+    for budget in (seminorm._SLAB_BYTES, 1):
+        monkeypatch.setattr(seminorm, "_SLAB_BYTES", budget)
+        p = _Recording(CoordinateMax(tuple(w)))
+        Xa, Xb = _pairs(*_ratio_scan(p, A, 200, 5))
+        prods = np.concatenate(p.stacks)[A.dim + 2 * 200:]
+        assert Xa.shape[0] >= A.dim ** 2
+        _close(prods, A.mul_coords_batch(Xa, Xb), rtol)
 
 
 def test_square_and_ratio_checks_multiply_only_random_rows(monkeypatch):
     """On H^8 the n^2 probe squares and the n^2 basis products are read
-    from the table: the products formed are the random rows alone.  The
-    spectral split is built first: naming its blocks forms one-row
-    products, which are not the checks' own."""
+    from the table: the products formed are the random rows alone, slab by
+    slab.  Stage 1 multiplies exactly the rows R it drew; the ratio scan
+    multiplies 300 rows, and none of them is a multiple of a basis
+    element.  The spectral split is built first: naming its blocks forms
+    one-row products, which are not the checks' own."""
     rows = []
     orig = FiniteDimRealAlgebra.mul_coords_batch
 
     def counted(self, A, B):
-        rows.append(A.shape[0])
+        rows.append(A.copy())
         return orig(self, A, B)
 
     A = corpus.function_algebra_H(8)
     A.spectral_split
     monkeypatch.setattr(FiniteDimRealAlgebra, "mul_coords_batch", counted)
     square_property_details(SpectralRadius(), A, samples=300, seed=1)
-    assert rows == [300]
+    R = np.random.default_rng(1).standard_normal((300, A.dim))
+    assert len(rows) > 1 and np.array_equal(np.concatenate(rows), R)
+    rows.clear()
     estimate_m(SpectralRadius(), A, samples=300, seed=2)
-    assert rows == [300, 300]
+    multiplied = np.concatenate(rows)
+    assert len(multiplied) == 300
+    assert (np.count_nonzero(multiplied, axis=1) > 1).all()
 
 
 # -- element-wise calls are one-row views of the batched kernels ---------

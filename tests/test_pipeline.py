@@ -403,6 +403,11 @@ def test_fuzz_zero_iterations():
     assert summary.counterexamples == []
 
 
+def test_fuzz_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="iterations"):
+        fuzz(PipelineConfig(seed=1), iterations=-3)
+
+
 def test_character_sup_subset_still_passes():
     # any nonempty subset of characters keeps the square property
     hc = corpus.builtin("hc")
