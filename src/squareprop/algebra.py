@@ -41,11 +41,11 @@ Jordan part from the radical: its eigenvalues are exact to rounding where
 those of a defective L_a err by about eps^(1/k).  The characters, the
 seminorm test of the spectral radius and the split read the block record
 and its names; the split tags each group of blocks as division (R, C or
-H) or not (see spectral).  A direct sum keeps its parts
-(corpus.direct_sum) and is known by them alone, with no tag of what they
-are: its split is its parts' splits side by side and its characters are
-its parts' characters (see characters), so on a sum only the seminorm
-test builds the sum's own blocks.
+H) or not (see spectral).  A direct sum (corpus.direct_sum) keeps its
+parts, and `summands` walks them, nested sums flattened, with the row at
+which each starts: a sum's split, blocks and characters are its
+summands' (see characters), so nothing builds a sum's own quotient or
+blocks.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ class FiniteDimRealAlgebra:
         that passed their associativity check, in a way that keeps every
         defect (see unitize and corpus.direct_sum).  Every check of
         __init__ runs but the dense associativity check, whose answer the
-        table inherits.  parts are the algebras a direct sum puts side by
-        side, in order; the sum's spectral split is then theirs."""
+        table inherits.  parts are a direct sum's, in order (summands)."""
         algebra = cls.__new__(cls)
         algebra._build(dim, labels, table, unit, name, False)
         algebra._parts = tuple(parts)
@@ -263,6 +262,18 @@ class FiniteDimRealAlgebra:
         """The named simple blocks of semisimple_quotient, a tuple of
         SimpleBlock (see _simple_blocks)."""
         return _simple_blocks(self)
+
+    @cached_property
+    def summands(self) -> tuple:
+        """(offset, leaf) per summand of a direct sum, nested sums
+        flattened depth first; ((0, self),) on an algebra that is no sum."""
+        if not self._parts:
+            return ((0, self),)
+        walk, start = [], 0
+        for part in self._parts:
+            walk += [(start + off, leaf) for off, leaf in part.summands]
+            start += part.dim
+        return tuple(walk)
 
     @cached_property
     def spectral_split(self) -> tuple:
@@ -458,6 +469,12 @@ class SimpleBlock(NamedTuple):
         """True for R, C and H, the blocks that are division algebras."""
         return self.basis is not None
 
+    @property
+    def order(self) -> tuple:
+        """(dimension, name), the order of the blocks; mu, drawn in a basis
+        of the center that rounding rotates, follows the table's last bits."""
+        return self.V.shape[1], self.name
+
 
 def _classify(B, z, mu, e, V):
     """(name, basis) of the block e*B with orthonormal basis V (columns),
@@ -500,10 +517,7 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
     here (see _classify).
 
     Returns a tuple of SimpleBlock, where V holds the leading left
-    singular vectors of L_e, ordered by dimension and name, and by mu
-    only among blocks of one dimension and name: mu is drawn in the basis
-    of the center that _nullspace gives, which rounding rotates, so an
-    order by mu alone follows the last bits of the table.
+    singular vectors of L_e, ordered by SimpleBlock.order, then by mu.
     """
     qm = algebra.semisimple_quotient
     B = qm.algebra
@@ -532,7 +546,7 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
         U, s, _ = np.linalg.svd(left_regular_matrix(B.element(e)))
         V = U[:, :int((s > 1e-8 * s[0]).sum())]
         blocks.append(SimpleBlock(mu, e, V, *_classify(B, z, mu, e, V)))
-    return tuple(sorted(blocks, key=lambda b: (b.V.shape[1], b.name)))
+    return tuple(sorted(blocks, key=lambda b: b.order))
 
 
 def _block_groups(B: FiniteDimRealAlgebra, simple):
@@ -602,29 +616,27 @@ def _spectral_split(algebra: FiniteDimRealAlgebra):
     """Split L_pi(a), for every a at once, into diagonal blocks on B.
 
     On a direct sum (corpus.direct_sum) L_a is block diagonal, one block
-    per part, and sp(a) is the union of the parts' spectra, so the split
-    is the parts' splits side by side: each part's tables fill that part's
-    rows and are zero elsewhere, and the tables of one (d, division) are
-    concatenated in part order, so the sum too has one division group at
-    most.  Nothing is solved on the sum itself.  On any other algebra the
-    blocks are B's simple blocks (see _block_groups);
-    when they fail their gate, or when a solver stalls while they are
-    built, B is one non-division block in its own coordinates.  Each table
-    is composed with pi, so that for every row x of X, X @ table stacks
-    the K blocks of L_pi(x) on a non-division group, and on the division
-    group the K vectors whose lengths are the blocks' spectral radii.
+    per summand, and sp(a) is the union of their spectra, so the split is
+    their splits side by side, each in its rows and 0 elsewhere, tables
+    of one (d, division) in the order of `summands`: one division group
+    at most, and nothing solved on the sum.  On any other algebra the
+    blocks are B's simple blocks (see _block_groups); when they fail their
+    gate, or when a solver stalls while they are built, B is one
+    non-division block in its own coordinates.  Each table is composed
+    with pi, so that for every row x of X, X @ table stacks the K blocks
+    of L_pi(x) on a non-division group, and on the division group the K
+    vectors whose lengths are the blocks' spectral radii.
     Returns a non-empty tuple of (d, division, table), by (d, division):
     at most one division entry, (4, True) with a table of shape (dim, 4K),
     and per other size d a table of shape (dim, K*d^2).
     """
     if algebra._parts:
-        groups, off = {}, 0
-        for part in algebra._parts:
-            for d, division, T in part.spectral_split:
+        groups = {}
+        for off, leaf in algebra.summands:
+            for d, division, T in leaf.spectral_split:
                 rows = np.zeros((algebra.dim, T.shape[1]))
-                rows[off:off + part.dim] = T
+                rows[off:off + leaf.dim] = T
                 groups.setdefault((d, division), []).append(rows)
-            off += part.dim
         return tuple((d, division, np.hstack(groups[d, division]))
                      for d, division in sorted(groups))
     qm = algebra.semisimple_quotient

@@ -13,13 +13,12 @@ conjugate, so |x(a)| does not depend on the one chosen.  find_characters
 therefore returns one character per R, C or H block, and a sup over its
 result is the sup over every character of A, not a sample.
 
-A direct sum's characters are its parts' characters.  H has no zero
-divisors, and x(a1) x(a2) = x(a1 a2) = 0 for a1, a2 in different parts,
-so a character vanishes on every part but one.  find_characters reads
-them from the parts (corpus.direct_sum keeps them) and never builds the
-sum's own blocks.  It keeps its result on the algebra, so a part shared
-by many sums, as the fuzz's R, C and H are, has its characters built
-once; every fuzz character_sup instance reads its characters here.
+A direct sum's blocks are its summands' blocks, and H has no zero
+divisors: x(a1) x(a2) = x(a1 a2) = 0 for a1, a2 in different summands, so
+a character vanishes on every summand but one.  find_characters and
+non_division_block read both from FiniteDimRealAlgebra.summands, and
+find_characters keeps its result on the algebra, so a part shared by
+many sums, as the fuzz's R, C and H are, has its characters built once.
 
 A character is the (n, 4) array of its images x(e_i), quaternions
 (w, x, y, z), so x(a) = a.coords @ x; a set of characters is one (m, n, 4)
@@ -62,9 +61,14 @@ def character_residual(algebra: FiniteDimRealAlgebra, images) -> float:
 
 def non_division_block(algebra: FiniteDimRealAlgebra):
     """(k, name) of the first simple block of A/rad(A) that is not R, C or
-    H, or None when every block is."""
-    return next(((k, block.name)
-                 for k, block in enumerate(algebra.simple_blocks)
+    H, or None when every block is.  A sum's blocks are its summands',
+    listed by SimpleBlock.order; the hull of each non-unital summand adds
+    an R block where a non-unital sum's adds one, so k counts those once."""
+    leaves = [leaf for _, leaf in algebra.summands]
+    blocks = sorted((b for leaf in leaves for b in leaf.simple_blocks),
+                    key=lambda b: b.order)
+    extra = max(0, sum(not leaf.is_unital for leaf in leaves) - 1)
+    return next(((k - extra, block.name) for k, block in enumerate(blocks)
                  if not block.division), None)
 
 
@@ -78,34 +82,24 @@ def find_characters(algebra: FiniteDimRealAlgebra) -> np.ndarray:
     vanishes (the character killing A) is dropped.  Every character passes
     the multiplicativity residual gate of 1e-11.  The result depends on
     the algebra alone: nothing is sampled.  It is built once per algebra
-    and kept on it, as its radical is.
-
-    A direct sum's characters are its parts' characters, each in its
-    part's rows and exactly 0 elsewhere, read from each part's kept result.
+    and kept on it, as its radical is.  A direct sum's characters are its
+    summands', each in its summand's rows and 0 elsewhere, so its residual
+    on the sum is the one it passed.
     """
     chars = vars(algebra).get("_character_stack")
     if chars is None:
-        found = list((_part_characters if algebra._parts
-                      else _block_characters)(algebra))
+        found = []
+        for off, leaf in algebra.summands:
+            for x in (_block_characters(leaf) if leaf is algebra
+                      else find_characters(leaf)):
+                images = np.zeros((algebra.dim, 4))
+                images[off:off + leaf.dim] = x
+                found.append(images)
         found.sort(key=lambda x: np.round(x, 9).tobytes())
         chars = np.array(found).reshape(-1, algebra.dim, 4)
         chars.setflags(write=False)
         algebra._character_stack = chars
     return chars
-
-
-def _part_characters(algebra: FiniteDimRealAlgebra):
-    """Yield the characters of each part of a direct sum, put in that
-    part's rows.  A product across parts is exactly 0 on both sides of
-    the multiplicativity defect, so the sum's residual of each is its
-    part's, which passed the gate."""
-    off = 0
-    for part in algebra._parts:
-        for x in find_characters(part):
-            images = np.zeros((algebra.dim, 4))
-            images[off:off + part.dim] = x
-            yield images
-        off += part.dim
 
 
 def _block_characters(algebra: FiniteDimRealAlgebra):

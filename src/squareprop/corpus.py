@@ -53,18 +53,15 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
     part has that part's own defect, any other triple has defect exactly 0
     (products across parts are exact 0s), and the tolerance
     ASSOC_TOL (1 + max|c|)^2 is at least each part's.  The sum keeps its
-    parts, and its spectral split is theirs side by side, one table per
-    (d, division) in part order: so the radius factors of every R, C and
-    H block of every part form the sum's one division group (see
-    algebra._spectral_split).
+    parts, and its split, blocks and characters are read from them
+    (FiniteDimRealAlgebra.summands): the radius factors of every R, C and
+    H block of every part form its one division group.
     """
-    dims = [p.dim for p in parts]
-    n = sum(dims)
+    n = sum(p.dim for p in parts)
     table = np.zeros((n, n, n))
     unit = np.zeros(n)
     unital = all(p.is_unital for p in parts)
-    labels = []
-    off = 0
+    labels, off = [], 0
     for p in parts:
         d = p.dim
         table[off:off + d, off:off + d, off:off + d] = p.table
@@ -91,26 +88,24 @@ def nonunital_with_ideal() -> FiniteDimRealAlgebra:
 
 # bench/tracing.py wraps this name; keep it until the library records spans
 def known_characters(algebra: FiniteDimRealAlgebra) -> np.ndarray:
-    """One canonical character per part of a product of R, C and H, as the
-    (k, n, 4) stack of their images: the inclusion of each part into H.
+    """One canonical character per summand of a product of R, C and H, as
+    the (k, n, 4) stack of their images: the inclusion of each into H.
 
-    A part (the algebra itself when it is no direct sum) is R, C or H when
-    its table is the leading d x d x d corner of HAMILTON (d = 1, 2 or 4:
-    the corner at d = 3 is not associative, so no algebra has it); any
-    other part, a direct sum among them, raises ValueError.  Their union of quaternion spectra
-    equals sp(a) for every element, which is what makes these algebras
-    usable as equality oracles.
+    A summand (FiniteDimRealAlgebra.summands) is R, C or H when its table
+    is the leading d x d x d corner of HAMILTON (d = 1, 2 or 4: the corner
+    at d = 3 is not associative); any other raises ValueError.  Their
+    union of quaternion spectra equals sp(a) for every element, which is
+    what makes these algebras usable as equality oracles.
     """
-    chars, off = [], 0
-    for part in algebra._parts or (algebra,):
-        d = part.dim
-        if not np.array_equal(part.table, HAMILTON[:d, :d, :d]):
+    chars = []
+    for off, leaf in algebra.summands:
+        d = leaf.dim
+        if not np.array_equal(leaf.table, HAMILTON[:d, :d, :d]):
             raise ValueError(f"{algebra.name} is not a product of R, C and H "
                              "in their standard bases")
         images = np.zeros((algebra.dim, 4))
         images[off:off + d] = np.eye(4)[:d]
         chars.append(images)
-        off += d
     return np.stack(chars)
 
 

@@ -415,9 +415,9 @@ class MEstimate:
 
 def estimate_m(p, algebra, samples: int = 2000, seed: int = 0) -> MEstimate:
     """Sampled working constant for p(ab) <= m p(a) p(b); a lower bound of
-    the true m, floored at 1e-12."""
+    the true m, floored at 1e-12; a NaN ratio stays NaN (np.maximum)."""
     ratios, pair = _ratio_scan(p, algebra, samples, seed)
     if ratios.size == 0:
         return MEstimate(M_HAT_FLOOR, (np.zeros(algebra.dim),) * 2)
     i = int(np.argmax(ratios))
-    return MEstimate(max(M_HAT_FLOOR, float(ratios[i])), pair(i))
+    return MEstimate(float(np.maximum(ratios[i], M_HAT_FLOOR)), pair(i))

@@ -21,10 +21,9 @@ sum of its simple blocks e*B (Wedderburn-Artin), each invariant under
 every L_b.  The algebra keeps, once built, a table per group of blocks
 (FiniteDimRealAlgebra.spectral_split): one group of all the division
 blocks (R, C and H), and one per size d of the others; a B whose blocks
-fail their gate is one non-division block.  On a direct sum L_a is block
-diagonal and sp(a) is the union of the parts' spectra, so the split is
-the parts' splits side by side, each in its part's rows.  A batch of
-elements then costs one product for the division group (below), and per
+fail their gate is one non-division block; a direct sum's split is its
+summands' side by side (algebra._spectral_split).  A batch of elements
+then costs one product for the division group (below), and per
 non-division group one matmul X @ table and one batched eigvals over the
 stack of d x d blocks it gives.
 

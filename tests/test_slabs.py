@@ -13,6 +13,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -66,14 +67,15 @@ def test_verify_prints_the_same_bytes_in_the_smallest_slabs(case, tmp_path,
     assert json.loads(out)["verdict"] == "pass"
 
 
-class _NanOn(SeminormVariant):
+class _NanOn(CoordinateMax):
     """CoordinateMax, but NaN on every row equal to one of `rows`."""
 
     def __init__(self, rows):
-        self.rows = np.asarray(rows)
+        super().__init__()
+        object.__setattr__(self, "rows", np.asarray(rows))  # frozen
 
     def values(self, algebra, X):
-        v = CoordinateMax().values(algebra, X)
+        v = super().values(algebra, X)
         v[(X[:, None, :] == self.rows[None]).all(axis=2).any(axis=1)] = np.nan
         return v
 
@@ -106,11 +108,8 @@ def test_a_nan_in_a_later_slab_is_the_square_witness(monkeypatch):
         assert np.array_equal(sq.witness, R[700])
 
 
-def test_a_nan_in_a_later_slab_is_the_ratio_witness(monkeypatch):
-    """NaN ratios on product rows 900 and 1800 of the scan on rr: the first
-    one is the witness at every budget; check_submultiplicative gives NaN
-    and estimate_m the floor, as they did on the whole stack."""
-    A = corpus.builtin("rr")
+def _scan_products(A, samples, seed):
+    """(product rows, pair) of the ratio scan of CoordinateMax on A."""
     seen = []
 
     class _Seen(SeminormVariant):
@@ -118,14 +117,36 @@ def test_a_nan_in_a_later_slab_is_the_ratio_witness(monkeypatch):
             seen.append(X.copy())
             return CoordinateMax().values(algebra, X)
 
-    _, pair = _ratio_scan(_Seen(), A, 2000, 4)
-    prods = np.concatenate(seen)[A.dim + 2 * 2000:]
+    _, pair = _ratio_scan(_Seen(), A, samples, seed)
+    return np.concatenate(seen)[A.dim + 2 * samples:], pair
+
+
+def test_a_nan_in_a_later_slab_is_the_ratio_witness(monkeypatch):
+    """NaN ratios on product rows 900 and 1800 of the scan on rr: the first
+    one is the witness at every budget, and both check_submultiplicative
+    and estimate_m give NaN, as they do on the whole stack."""
+    A = corpus.builtin("rr")
+    prods, pair = _scan_products(A, 2000, 4)
     p = _NanOn([prods[900], prods[1800]])
     got = _results(monkeypatch, lambda: (
         check_submultiplicative(p, A, 2000, 4), estimate_m(p, A, 2000, 4)))
     for ratio, m in got.values():
-        assert math.isnan(ratio) and m.m_hat == M_HAT_FLOOR
+        assert math.isnan(ratio) and math.isnan(m.m_hat)
         assert all(np.array_equal(x, y) for x, y in zip(m.pair, pair(900)))
+
+
+def test_a_nan_ratio_in_stage_2_fails_verify():
+    """A NaN from p on product row 900 of the stage-2 scan on rr is the
+    working constant itself, not the floor 1e-12 inside the m_hat gate:
+    verify gives fail with m_hat NaN, and warns nothing."""
+    A = corpus.builtin("rr")
+    config = pipeline.PipelineConfig(seed=0)
+    prods, _ = _scan_products(A, config.sample_count, config.seed + 1)
+    p = _NanOn([prods[900]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = pipeline.verify_theorem(A, p, config)
+    assert math.isnan(rep.m_hat) and rep.verdict == "fail"
 
 
 def test_an_all_masked_scan_gives_zero_and_the_floor(monkeypatch):

@@ -10,7 +10,8 @@ the split; by eigenvalues on any other block), and on B as one block when
 the blocks fail their gate (invariance on the basis, independence,
 dimensions summing to dim B) or a solver stalls.  A direct sum solves
 nothing of its own: its split is its parts' splits side by side, each in
-that part's rows.  The dense formula (eigenvalues of the whole left
+that part's rows, and its blocks are its summands' blocks, so no path
+decomposes a sum whole.  The dense formula (eigenvalues of the whole left
 regular matrix, in the unital hull) is kept here as the reference, at
 ordinary and extreme scales, on hulls with a radical, on non-unital,
 M2(R) and nested parts and on non-finite rows, on R + C + H^4 in the
@@ -20,6 +21,8 @@ dense numbers exactly, and each record is built once per algebra.
 """
 
 import collections
+import contextlib
+import io
 import math
 import sys
 
@@ -28,8 +31,9 @@ import pytest
 import scipy.optimize
 
 from squareprop import algebra as algebra_mod
-from squareprop import corpus
+from squareprop import cli, corpus
 from squareprop.algebra import make_algebra, unitize
+from squareprop.characters import non_division_block, nonexistence_explanation
 from squareprop.pipeline import PipelineConfig, fuzz, verify_theorem
 from squareprop.seminorm import (CharacterSup, SpectralRadius,
                                  check_submultiplicative)
@@ -471,9 +475,11 @@ def test_h8_spectral_radius_asks_only_for_small_eigenproblems(monkeypatch):
 
 
 def _record_builds(monkeypatch, attr):
+    """The first argument of every call of algebra_mod.<attr>."""
     built = []
     orig = getattr(algebra_mod, attr)
-    monkeypatch.setattr(algebra_mod, attr, lambda A: built.append(A) or orig(A))
+    monkeypatch.setattr(algebra_mod, attr,
+                        lambda A, *args: built.append(A) or orig(A, *args))
     return built
 
 
@@ -491,11 +497,10 @@ def _record_names(monkeypatch):
 
 
 def test_h8_verify_builds_the_simple_blocks_once(monkeypatch):
-    """H^8 repeats one H.  Its split is H's split eight times, read from
-    H's blocks; the seminorm test of the spectral radius and the
-    characters read the blocks of the sum.  verify with both seminorms
-    builds each split and each block decomposition, and names each block,
-    once."""
+    """H^8 repeats one H.  Its split is H's split eight times, and the
+    seminorm test of the spectral radius and the characters read H's
+    blocks too.  verify with both seminorms builds each split once and
+    decomposes and names H alone, once."""
     blocks = _record_builds(monkeypatch, "_simple_blocks")
     splits = _record_builds(monkeypatch, "_spectral_split")
     names = _record_names(monkeypatch)
@@ -505,8 +510,8 @@ def test_h8_verify_builds_the_simple_blocks_once(monkeypatch):
         rep = verify_theorem(A, p, PipelineConfig(seed=0))
         assert rep.verdict == "pass" and rep.character_count == 8
     assert splits == [A, H]
-    assert blocks == [H, A]
-    assert names == ["H"] * 9
+    assert blocks == [H]
+    assert names == ["H"]
 
 
 def test_fuzz_chunk_builds_one_record_per_product(monkeypatch):
@@ -601,3 +606,131 @@ def test_direct_sum_split_is_its_parts_splits(name):
         got = spectral_radius_batch(A, Y)
         assert np.all(dense > 0.0)
         assert float(np.max(np.abs(got - dense) / dense)) <= 1e-12
+
+
+# -- direct sums: blocks from the summands ---------------------------------
+
+def _nested():
+    return corpus.direct_sum([
+        corpus.direct_sum([corpus.nonunital_with_ideal(), corpus.m2_reals()]),
+        corpus.quaternions()])
+
+
+def _decomposed(A):
+    """A and the sums nested in it that hold a quotient or blocks of
+    their own."""
+    sums = [A] if A._parts else []
+    for P in A._parts:
+        sums += _decomposed(P)
+    return [S for S in sums if {"semisimple_quotient", "simple_blocks"}
+            & set(vars(S))]
+
+
+def test_summands_flatten_nested_sums_depth_first():
+    inner = corpus.direct_sum([corpus.nonunital_with_ideal(),
+                               corpus.m2_reals()])
+    H = corpus.quaternions()
+    A = corpus.direct_sum([corpus.reals(), inner, H])
+    assert [(off, P.name) for off, P in A.summands] == [
+        (0, "R"), (1, "R(+)R(+)null"), (4, "M2(R)"), (8, "H")]
+    assert A.summands[-1][1] is H and H.summands == ((0, H),)
+
+
+def _in_scale(build, s):
+    A = build()
+    return in_basis(A, 10.0 ** s * np.eye(A.dim), name=f"{A.name}(1e{s})")
+
+
+# two-part sums whose parts are written at far-apart scales; the sum's
+# own blocks, decomposed whole, named a block of C or H as M2(R) or as a
+# simple block of dim 2 with center dim 1
+RESCALED_SUMS = {
+    "C(1e-5)+H(1e5)": ((corpus.complexes, -5), (corpus.quaternions, 5)),
+    "R(1e9)+H(1e-9)": ((corpus.reals, 9), (corpus.quaternions, -9)),
+    "C+H(1e9)": ((corpus.complexes, 0), (corpus.quaternions, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESCALED_SUMS))
+def test_rescaled_sums_pass_with_the_spectral_radius(name):
+    """The spectral radius is a seminorm on a sum of R, C and H at any
+    scale: the seminorm test reads each part's blocks at its own scale."""
+    A = corpus.direct_sum([_in_scale(build, s)
+                           for build, s in RESCALED_SUMS[name]])
+    rep = verify_theorem(A, SpectralRadius(), PipelineConfig(seed=0))
+    assert rep.verdict == "pass", rep.notes
+    assert _decomposed(A) == []
+
+
+# (sum, its first non-division block); R blocks sort first, so the extra
+# R of each non-unital part's hull is counted once, as in the sum's hull
+NON_DIVISION_SUMS = {
+    "M2R+R": (lambda: corpus.direct_sum([corpus.m2_reals(), corpus.reals()]),
+              (1, "M2(R)")),
+    "nonunital3+M2R+H": (_nested, (4, "M2(R)")),
+    "2nonunital3+M2R": (lambda: corpus.direct_sum(
+        [corpus.nonunital_with_ideal()] * 2 + [corpus.m2_reals()]),
+        (5, "M2(R)")),
+    "H4+M2R": (lambda: corpus.direct_sum(_h(4) + [corpus.m2_reals()]),
+               (4, "M2(R)")),
+    "hc": (lambda: corpus.builtin("hc"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_DIVISION_SUMS))
+def test_non_division_block_of_a_sum_is_read_from_its_summands(name):
+    """A sum names the block that a copy of its table, which is no sum and
+    is decomposed whole, names, and decomposes nothing of its own."""
+    build, want = NON_DIVISION_SUMS[name]
+    A = build()
+    assert non_division_block(A) == want
+    assert _decomposed(A) == []
+    copy = in_basis(A, np.eye(A.dim), unit=False)
+    assert non_division_block(copy) == want
+
+
+def test_nested_sum_with_an_m2r_leaf_is_no_seminorm():
+    """The spectral radius on a nested sum with an M2(R) leaf stops with
+    hypothesis_not_met (exit code 3) and names the M2(R) block."""
+    A = _nested()
+    rep = verify_theorem(A, SpectralRadius(), PipelineConfig(seed=0))
+    assert rep.verdict == "hypothesis_not_met"
+    assert "block 4 of A/rad(A) is M2(R)" in rep.notes[0]
+    assert _decomposed(A) == []
+
+
+def _h16_verify(seminorm):
+    A = corpus.function_algebra_H(16)
+    rep = verify_theorem(A, seminorm(A), PipelineConfig(seed=0))
+    assert rep.verdict == "pass"
+
+
+def _explain_sum():
+    """H + a rotated M2(R), whose basis holds no nilpotent: the
+    explanation names the M2(R) block."""
+    A = corpus.direct_sum([corpus.quaternions(),
+                           rotated(corpus.m2_reals(), 0)[0]])
+    assert "block 1 of A/rad(A) is M2(R)" in nonexistence_explanation(A)
+
+
+def _characters_h2():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["characters", "--algebra", "h2"]) == 0
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _h16_verify(lambda A: SpectralRadius()),
+    lambda: _h16_verify(
+        lambda A: CharacterSup(tuple(corpus.known_characters(A)))),
+    _explain_sum, _characters_h2],
+    ids=["H16_spectral_radius", "H16_character_sup",
+         "nonexistence_explanation", "characters_h2"])
+def test_no_path_decomposes_a_sum_whole(monkeypatch, run):
+    """verify, the explanation of an empty character set and the
+    characters command read a sum's blocks from its summands: neither
+    _simple_blocks nor _classify runs on a sum."""
+    blocks = _record_builds(monkeypatch, "_simple_blocks")
+    classified = _record_builds(monkeypatch, "_classify")
+    run()
+    assert blocks and not any(A._parts for A in blocks + classified)
