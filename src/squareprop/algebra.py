@@ -1,11 +1,15 @@
 """Finite-dimensional real associative algebras given by structure constants.
 
 An algebra is a dense table c[i, j, k] with e_i e_j = sum_k c[i,j,k] e_k.
-Every table is checked for associativity once: where it is given
-(make_algebra, FiniteDimRealAlgebra) or computed with rounding
-(quotient).  The unitization and corpus.direct_sum assemble their tables
-from checked ones with exact 0s and 1s, so their defects are those of
-their parts, and they inherit the check.  Everything downstream
+Every table is checked for associativity once, where it is given
+(make_algebra, FiniteDimRealAlgebra), and every algebra keeps a bound on
+its table's exact defect.  The unitization and corpus.direct_sum
+assemble their tables from checked ones with exact 0s and 1s, so their
+defects are those of their parts, and they inherit the check and the
+bound.  A quotient's table is computed with rounding; quotient bounds
+its defect from the ambient bound, the leak of the ideal and the
+rounding of the change of basis, in O(n^4), and runs the O(n^5) check
+only when that bound cannot vouch for the table.  Everything downstream
 (spectra, seminorm kernels, quotients, characters) is computed from
 this table and the left regular representation.
 
@@ -61,11 +65,16 @@ ASSOC_TOL = 1e-10
 UNIT_TOL = 1e-12  # relative, see _unit_failure
 IDEAL_TOL = 1e-10
 INVERT_CUTOFF = 1e-10  # smallest/largest singular value, scale free
+_RANK_RTOL = 1e-10     # rank cut of _nullspace and _row_basis, relative
 _ASSOC_BLOCK_BYTES = 4 << 20  # one (i-block, j, k, l) slab of the check
 _PRODUCT_BLOCK_BYTES = 128 << 10  # one (rows, nnz) slab of a product
 _SPLIT_SEED = 0         # draws the generic central element of the blocks
 _SPLIT_LEAK = 1e-10     # invariance defect a block may show, relative
 _SPLIT_INDEPENDENCE = 1e-8  # smallest singular value of the joined bases
+# the quotient table's contraction: i, then j, then k, one index a step (the
+# path optimize=True picks for these operands, so the bits are its own, given
+# here so that no call searches for it again)
+_QUOTIENT_PATH = ["einsum_path", (0, 2), (0, 2), (0, 1)]
 
 
 class AlgebraError(Exception):
@@ -96,27 +105,51 @@ class NotAnIdeal(AlgebraError):
     pass
 
 
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: a sum of k products,
+    taken in any order, is within gamma_k of exact, relative to the sum of
+    the products' absolute values (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, sec. 3.1); gamma_j + gamma_k +
+    gamma_j gamma_k <= gamma_(j+k) chains such bounds."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1.0 - k * u)
+
+
+def _check_rounding(c: np.ndarray) -> float:
+    """How far the dense check's defect of table c can be from the exact
+    one: each of (e_i e_j) e_k and e_i (e_j e_k) is a sum of n products
+    whose absolute values add up to at most c1 cmax, c1 the largest
+    sum_k |c[i,j,k]|, and their difference is rounded once more.  The
+    index 2n + 2 also covers the rounding of c1 itself."""
+    a = np.abs(c)
+    return (2.0 * _gamma(2 * c.shape[0] + 2)
+            * float(a.sum(axis=2).max()) * float(a.max()))
+
+
 class FiniteDimRealAlgebra:
     """Structure-constant presentation of a real associative algebra."""
 
     _parts = ()   # the summands of a direct sum, in order (_from_checked)
 
     def __init__(self, dim, labels, table, unit=None, name=""):
-        self._build(dim, labels, table, unit, name, True)
+        self._build(dim, labels, table, unit, name, None)
 
     @classmethod
-    def _from_checked(cls, dim, labels, table, unit=None, name="", parts=()):
-        """An algebra whose table is assembled from the tables of algebras
-        that passed their associativity check, in a way that keeps every
-        defect (see unitize and corpus.direct_sum).  Every check of
-        __init__ runs but the dense associativity check, whose answer the
-        table inherits.  parts are a direct sum's, in order (summands)."""
+    def _from_checked(cls, dim, labels, table, defect, unit=None, name="",
+                      parts=()):
+        """An algebra whose table is vouched for without the dense
+        associativity check: assembled from checked tables in a way that
+        keeps every defect (unitize, corpus.direct_sum), or certified by a
+        bound that the check would accept (quotient).  defect bounds the
+        table's exact defect, and is kept as _assoc_bound.  Every other
+        check of __init__ runs.  parts are a direct sum's, in order
+        (summands)."""
         algebra = cls.__new__(cls)
-        algebra._build(dim, labels, table, unit, name, False)
+        algebra._build(dim, labels, table, unit, name, defect)
         algebra._parts = tuple(parts)
         return algebra
 
-    def _build(self, dim, labels, table, unit, name, check_assoc):
+    def _build(self, dim, labels, table, unit, name, defect):
         if dim <= 0:
             raise DimensionMismatch("dim must be positive")
         labels = list(labels)
@@ -140,10 +173,12 @@ class FiniteDimRealAlgebra:
         self.table = dense
         self.table.setflags(write=False)
         self.name = name or "algebra"
-        if check_assoc:
-            self._check_associativity()
+        if defect is None:
+            defect = self._check_associativity()
         else:
             self._assoc_tol()   # its finiteness checks alone
+        # a bound on the exact max |(e_i e_j) e_k - e_i (e_j e_k)|
+        self._assoc_bound = defect
         if unit is not None:
             unit = np.asarray(unit, dtype=float)
             if unit.shape != (dim,):
@@ -167,7 +202,10 @@ class FiniteDimRealAlgebra:
                 f"table entry of size {cmax:.3e} is too large: its square "
                 "overflows the associativity check") from None
 
-    def _check_associativity(self):
+    def _check_associativity(self) -> float:
+        """Raise unless every coefficient of (e_i e_j) e_k - e_i (e_j e_k)
+        is within _assoc_tol; return the worst one plus the check's own
+        rounding (_check_rounding), a bound on the exact defect."""
         c = self.table
         n = self.dim
         tol = self._assoc_tol()
@@ -193,6 +231,7 @@ class FiniteDimRealAlgebra:
             raise AssociativityViolation(
                 f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}): "
                 f"coefficient {l} differs by {worst:.3e}")
+        return worst + _check_rounding(c)
 
     def _unit_failure(self, u):
         """The first j with u e_j or e_j u off e_j by more than
@@ -415,6 +454,7 @@ def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
     basis has A's own defect, since the added entries are exact 0s and 1s
     and the terms through e are exact 0s, and a triple with e has defect
     exactly 0; the tolerance ASSOC_TOL (1 + max|c|)^2 is at least A's.
+    So A's bound on its exact defect is the unitization's too.
     """
     n = algebra.dim
     c = np.zeros((n + 1, n + 1, n + 1))
@@ -424,11 +464,12 @@ def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
     unit = np.zeros(n + 1)
     unit[0] = 1.0
     return FiniteDimRealAlgebra._from_checked(
-        n + 1, ["e"] + list(algebra.labels), c, unit=unit,
-        name=f"unitize({algebra.name})")
+        n + 1, ["e"] + list(algebra.labels), c, algebra._assoc_bound,
+        unit=unit, name=f"unitize({algebra.name})")
 
 
-def _nullspace(M: np.ndarray, scale=None, rtol: float = 1e-10) -> np.ndarray:
+def _nullspace(M: np.ndarray, scale=None,
+               rtol: float = _RANK_RTOL) -> np.ndarray:
     """Rows spanning the right null space of M.
 
     A thin SVD suffices for a tall M; a wide M needs the full V, whose extra
@@ -652,9 +693,27 @@ def _spectral_split(algebra: FiniteDimRealAlgebra):
     return tuple((d, division, P.T @ T) for d, division, T in groups)
 
 
+def _row_basis(V, n: int) -> np.ndarray:
+    """Rows spanning what the rows of V span: V itself when its rows are
+    independent, else the leading right singular vectors of V, as many as
+    its rank (the singular values above _RANK_RTOL times the largest, the
+    cut of _nullspace).  A zero V has rank 0, and gives no rows.  A V
+    with a non-finite entry is kept, for the ideal gate to refuse."""
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    if V.size == 0:
+        return np.zeros((0, n))
+    if not np.isfinite(V).all():
+        return V
+    s = np.linalg.svd(V, compute_uv=False)
+    rank = int((s > _RANK_RTOL * s[0]).sum())
+    if rank == V.shape[0]:
+        return V
+    return np.linalg.svd(V, full_matrices=False)[2][:rank]
+
+
 def subspace_is_two_sided_ideal(algebra: FiniteDimRealAlgebra, V) -> bool:
     """True iff span of the rows of V absorbs multiplication on both sides."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
+    V = _row_basis(V, algebra.dim)
     if V.shape[0] == 0:
         return True
     Q, _ = np.linalg.qr(V.T)
@@ -705,11 +764,22 @@ def _pivot_columns(P: np.ndarray, q: int) -> np.ndarray:
 
 
 def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
-    """Quotient by the two-sided ideal spanned by the rows of V."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
+    """Quotient by the two-sided ideal K spanned by the rows of V.
+
+    The complement of K is spanned by the columns of S, the projections
+    off K of q standard basis vectors; with Q_V an orthonormal basis of K,
+    W = [S Q_V]^-1 stacks proj (the first q rows, coordinates on S) over
+    proj_K.  The table c~[a, b] = proj (S_a S_b) rounds, so it needs a
+    check of associativity; _quotient_certificate bounds its exact defect
+    in O(n^4), and when that bound plus the dense check's own rounding is
+    within the check's tolerance, the check would accept the table, and
+    it is skipped (_from_checked).  Otherwise the dense check runs, as on
+    any table, and raises as it would.  So a quotient is accepted or
+    refused as the check decides either way, and its bound, kept on it,
+    is what a quotient of the quotient starts from.
+    """
     n = algebra.dim
-    if V.size == 0:
-        V = np.zeros((0, n))
+    V = _row_basis(V, n)
     if not subspace_is_two_sided_ideal(algebra, V):
         raise NotAnIdeal("span(V) is not a two-sided ideal")
     m = V.shape[0]
@@ -724,12 +794,86 @@ def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
     # first index on a tie; away from ties, the set LAPACK's pivoted QR takes
     cols = np.sort(_pivot_columns(P, q))
     S = P[:, cols]                     # section basis, n x q
-    B = np.hstack([S, Qv])             # full change of basis
-    proj = np.linalg.inv(B)[:q, :]
+    W = np.linalg.inv(np.hstack([S, Qv]))  # inverse of the change of basis
+    proj = W[:q, :]
     table = np.einsum("ia,jb,ijk,qk->abq", S, S, algebra.table, proj,
-                      optimize=True)
+                      optimize=_QUOTIENT_PATH)
     labels = [f"[{algebra.labels[c]}]" for c in cols]
-    # checked: rounding in the change of basis can break associativity
-    return QuotientMap(FiniteDimRealAlgebra(q, labels, table,
-                                            name=f"{algebra.name}/ideal"),
-                       proj, S)
+    name = f"{algebra.name}/ideal"
+    defect = _quotient_certificate(algebra, S, Qv, W, table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol = ASSOC_TOL * (1.0 + np.abs(table).max()) ** 2
+    # written so that a NaN, or a table the check refuses as too large,
+    # takes the dense check
+    if math.isfinite(tol) and defect + _check_rounding(table) <= tol:
+        quo = FiniteDimRealAlgebra._from_checked(q, labels, table, defect,
+                                                 name=name)
+    else:
+        quo = FiniteDimRealAlgebra(q, labels, table, name=name)
+    return QuotientMap(quo, proj, S)
+
+
+def _quotient_certificate(algebra, S, Qv, W, table) -> float:
+    """A bound on the exact associativity defect of the quotient's table,
+    from the data quotient holds, in O(n^4).
+
+    Write x y for A's product on its table c, exact, and |.| for the max
+    norm of a vector, ||S|| for the largest column sum of |S| (the 1-norm)
+    and ||proj|| for the largest row sum of |proj| (the max norm).  Let
+    c^ be the exact table of the stored S and proj, c^[a, b] = proj w
+    with w = S_a S_b.  With G = [S Q_V] W - I, S proj w = w - Q_V t + G w,
+    t = proj_K w, so (a b) c in c^ is
+        proj (w S_c) - proj ((Q_V t) S_c) + proj ((G w) S_c),
+    and a (b c) likewise.  Their difference has three parts, t1 to t3;
+    t4 is the step from c^ to the computed table c~.
+      t1: proj of A's associator on S_a, S_b, S_c, at most
+          ||proj|| ||S||^3 d_A, d_A A's bound (_assoc_bound).
+      t2: (Q_V t) S_c sums t_j S_kc u_j e_k over the columns u_j of Q_V,
+          and proj (u_j e_k) is the leak of u_j e_k out of K, read in the
+          quotient's coordinates: at most lam, measured on both sides as
+          the ideal gate measures the leak of V's rows, plus the rounding
+          gamma_2n ||proj|| |u_j|_1 max|c| of that measurement.  |t|_1
+          is at most ||proj_K||_1 |w|_1, and |w|_1 <= ||S||^2 c1, c1 the
+          largest sum_k |c[i,j,k]|: 2 ||proj_K||_1 ||S||^3 c1 lam in all.
+      t3: |proj ((G w) S_c)| <= ||proj|| max|c| ||G||_1 ||S||^3 c1, on
+          both sides; ||G||_1 is measured, plus gamma_(n+2) || |[S Q_V]|
+          |W| ||_1 for the rounding of the product.
+      t4: the table's einsum contracts i, j and k one at a time
+          (_QUOTIENT_PATH), each a sum of n products in whatever order
+          BLAS takes, so |c~ - c^| <= E = gamma_3n X, X the same
+          contraction over |S|, |S|, |c| and |proj|, taken here with
+          plain matrix products.  In the associator, E adds at most
+          2 (e1 max|c~| + (c~1 + e1) max E), e1 and c~1 the largest sums
+          over the last index of E and |c~|.
+    Each term is a product of at most 8 sums (or stages of a sum) of at
+    most n nonnegative numbers, so the factor 1 + gamma_(16n+16) covers
+    the rounding of the certificate itself.
+    """
+    c = algebra.table
+    n, q = S.shape
+    proj, proj_k = W[:q], W[q:]
+    ac, aS, aP = np.abs(c), np.abs(S), np.abs(proj)
+    cmax, c1 = float(ac.max()), float(ac.sum(axis=2).max())
+    s1 = float(aS.sum(axis=0).max())
+    p_inf = float(aP.sum(axis=1).max())
+    # [j, i, k]: u_j e_i, then e_i u_j, read in the quotient's coordinates
+    prods = np.concatenate([Qv.T @ c.reshape(n, n * n),
+                            Qv.T @ c.transpose(1, 0, 2).reshape(n, n * n)])
+    lam = (float(np.abs(prods.reshape(-1, n, n) @ proj.T).max())
+           + _gamma(2 * n) * p_inf * float(np.abs(Qv).sum(axis=0).max())
+           * cmax)
+    B = np.hstack([S, Qv])
+    g1 = (float(np.abs(B @ W - np.eye(n)).sum(axis=0).max())
+          + _gamma(n + 2) * float((np.abs(B).sum(axis=0) @ np.abs(W)).max()))
+    t1 = p_inf * algebra._assoc_bound
+    t2 = 2.0 * float(np.abs(proj_k).sum(axis=0).max()) * c1 * lam
+    t3 = 2.0 * p_inf * cmax * g1 * c1
+    # X[a, b, r] = sum |S_ia| |S_jb| |c_ijk| |proj_rk|: k, then i, then j
+    Y = ac.reshape(n * n, n) @ aP.T
+    Z = (aS.T @ Y.reshape(n, n * q)).reshape(q, n, q)
+    E = _gamma(3 * n) * np.matmul(aS.T, Z)
+    e1 = float(E.sum(axis=2).max())
+    at = np.abs(table)
+    t4 = 2.0 * (e1 * float(at.max())
+                + (float(at.sum(axis=2).max()) + e1) * float(E.max()))
+    return (s1 ** 3 * (t1 + t2 + t3) + t4) * (1.0 + _gamma(16 * n + 16))

@@ -52,7 +52,8 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
     The table is not checked for associativity again: a triple inside one
     part has that part's own defect, any other triple has defect exactly 0
     (products across parts are exact 0s), and the tolerance
-    ASSOC_TOL (1 + max|c|)^2 is at least each part's.  The sum keeps its
+    ASSOC_TOL (1 + max|c|)^2 is at least each part's.  So the worst of the
+    parts' bounds on their exact defects bounds the sum's.  The sum keeps its
     parts, and its split, blocks and characters are read from them
     (FiniteDimRealAlgebra.summands): the radius factors of every R, C and
     H block of every part form its one division group.
@@ -70,7 +71,8 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
         labels.extend(f"{lbl}@{off}" for lbl in p.labels)
         off += d
     return FiniteDimRealAlgebra._from_checked(
-        n, labels, table, unit=unit if unital else None,
+        n, labels, table, max((p._assoc_bound for p in parts), default=0.0),
+        unit=unit if unital else None,
         name=name or "(+)".join(p.name for p in parts), parts=parts)
 
 

@@ -294,7 +294,8 @@ def _walk(report, algebra, p, config):
     report.m_hat_pair = [list(map(float, m.pair[0])), list(map(float, m.pair[1]))]
 
     # 3. kernel is a two-sided ideal; 4. the quotient by it, which checks
-    # that once, and well-definedness of the induced norm
+    # that once and certifies its own associativity, and well-definedness
+    # of the induced norm
     K = kernel(p, algebra)
     report.kernel_dim = int(K.shape[0])
     if K.shape[0] == algebra.dim:

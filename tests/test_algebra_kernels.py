@@ -1,6 +1,7 @@
 """The matrix-product kernels of ``algebra`` against the dense einsums and
 Python loops they replaced, which are kept here as the references."""
 
+import functools
 import json
 import re
 import tracemalloc
@@ -8,11 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from squareprop import algebra, cli, corpus
+from squareprop import algebra, cli, corpus, pipeline
 from squareprop.algebra import (ASSOC_TOL, IDEAL_TOL, AlgebraError,
                                 AssociativityViolation, BadUnit,
                                 left_regular_matrix, make_algebra, quotient,
                                 subspace_is_two_sided_ideal)
+from squareprop.seminorm import ComponentSup
 
 from transforms import rotated
 
@@ -190,10 +192,12 @@ def test_make_algebra_and_quotient_check_once(assoc_checks):
     assoc_checks.clear()
     B = make_algebra(A.dim, A.labels, A.table)
     assert assoc_checks == [3]
+    # a quotient's certificate vouches for its table: no dense check (see
+    # test_quotient_falls_back_to_the_dense_check for one that runs it)
     for V, unital in (([[0, 0, 1]], True), ([[1, 0, 0]], False)):
         assoc_checks.clear()
         assert quotient(B, V).algebra.is_unital is unital
-        assert assoc_checks == [2]
+        assert assoc_checks == []
 
 
 def test_algebra_file_without_unit_is_checked_once(tmp_path, assoc_checks):
@@ -329,6 +333,144 @@ def test_quotient_table_matches_loop(label, A, V):
     if qm.algebra.is_unital:
         assert np.abs(qm.algebra.unit
                       - algebra._solve_unit(ref)).max() <= 1e-9
+
+
+def test_dependent_rows_span_their_rank():
+    rrc = corpus.builtin("rrc")
+    # (e0 + e1) e0 = e0 leaves span{e0 + e1}, however often it is listed
+    assert subspace_is_two_sided_ideal(rrc, [[1, 1, 0, 0]]) is False
+    assert subspace_is_two_sided_ideal(rrc, [[1, 1, 0, 0], [2, 2, 0, 0]]) \
+        is False
+    once = quotient(rrc, [[0, 1, 0, 0]])
+    twice = quotient(rrc, [[0, 1, 0, 0], [0, 2, 0, 0]])
+    assert twice.algebra.dim == once.algebra.dim == 3
+    assert np.abs(twice.algebra.table - once.algebra.table).max() <= 1e-15
+    # span{0} = 0: the identity map, as for an empty V
+    assert subspace_is_two_sided_ideal(rrc, [[0, 0, 0, 0]])
+    zero = quotient(rrc, [[0, 0, 0, 0]])
+    assert zero.algebra is rrc and np.array_equal(zero.projection, np.eye(4))
+    # rows of full rank are kept as they are
+    for _, A, V in IDEALS:
+        V = np.atleast_2d(np.asarray(V, dtype=float))
+        assert algebra._row_basis(V, A.dim) is V
+
+
+# -- a quotient certifies its own associativity -------------------------
+
+def _rotated_sum(k, seed):
+    """H^k (+) nonunital3 in a dense basis, and that basis (see rotated)."""
+    return rotated(corpus.direct_sum([corpus.quaternions()] * k
+                                     + [corpus.nonunital_with_ideal()]), seed)
+
+
+def _verify_quotient():
+    """(A, V) of the quotient verify builds for nonunital3 with
+    component_sup:0,1."""
+    built = []
+
+    def spy(A, V):
+        built.append((A, V))
+        return quotient(A, V)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "quotient", spy)
+        report = pipeline.verify_theorem(corpus.builtin("nonunital3"),
+                                         ComponentSup((0, 1)))
+    assert report.verdict == "pass" and len(built) == 1
+    return built[0]
+
+
+def _quotient_of_a_quotient():
+    """hull / rad(hull) of a rotated sum, by one of its H blocks."""
+    A = _rotated_sum(2, 24)[0]
+    return A.semisimple_quotient.algebra, A.simple_blocks[-1].V.T
+
+
+def _by_radical(k, seed, hull):
+    """(A, rad A) or (hull, rad(hull)) of _rotated_sum(k, seed)."""
+    A = _rotated_sum(k, seed)[0]
+    A = A.hull if hull else A
+    return A, A.radical
+
+
+def _certified_cases():
+    cases = [(label, lambda A=A, V=V: (A, V)) for label, A, V in IDEALS]
+    for k in (2, 8):
+        for seed in (21, 22):
+            cases += [(f"H{k}+nonunital3 seed {seed}: A/rad A",
+                       functools.partial(_by_radical, k, seed, False)),
+                      (f"H{k}+nonunital3 seed {seed}: hull/rad(hull)",
+                       functools.partial(_by_radical, k, seed, True))]
+    return cases + [("verify nonunital3 component_sup:0,1", _verify_quotient),
+                    ("quotient of a quotient", _quotient_of_a_quotient)]
+
+
+CERTIFIED = _certified_cases()
+
+
+@pytest.mark.parametrize("label, build", CERTIFIED,
+                         ids=[c[0] for c in CERTIFIED])
+def test_quotient_certificate_bounds_the_dense_defect(label, build,
+                                                      assoc_checks):
+    A, V = build()
+    assoc_checks.clear()
+    B = quotient(A, V).algebra
+    assert assoc_checks == []
+    worst, _, tol = _dense_assoc(B.table)
+    assert worst <= B._assoc_bound
+    assert B._assoc_bound + algebra._check_rounding(B.table) <= tol
+
+
+def test_quotient_falls_back_to_the_dense_check(assoc_checks):
+    """A table whose defect is 0.9 of its tolerance passes make_algebra,
+    and its quotient's certificate, scaled by ||proj|| ||S||^3 > 1, cannot
+    vouch: the dense check runs and decides, as it does on every table."""
+    A, Q = _rotated_sum(2, 23)
+    c = A.table.copy()
+    d0, _, tol = _dense_assoc(c)
+    c[0, 0, 0] += 1e-6
+    slope = (_dense_assoc(c)[0] - d0) / 1e-6
+    c[0, 0, 0] = A.table[0, 0, 0] + 0.9 * tol / slope
+    worst = _dense_assoc(c)[0]
+    assert 0.8 * tol < worst <= tol
+    assoc_checks.clear()
+    B = make_algebra(A.dim, A.labels, c)
+    assert assoc_checks == [A.dim]
+    assert worst <= B._assoc_bound
+    assoc_checks.clear()
+    qm = quotient(B, Q[[10]])      # the null line of nonunital3
+    assert assoc_checks == [A.dim - 1]
+    S, proj = qm.lift, qm.projection
+    ref = np.einsum("ia,jb,ijk,qk->abq", S, S, c, proj)
+    assert np.abs(qm.algebra.table - ref).max() <= 1e-14
+    worst, _, tol = _dense_assoc(qm.algebra.table)
+    assert worst <= tol and worst <= qm.algebra._assoc_bound
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (11, 10), (20, 8), (36, 35),
+                                  (64, 61)])
+def test_quotient_einsum_contracts_one_index_at_a_time(n, q):
+    """The quotient's table takes the path optimize=True would, so it keeps
+    its bits; the certificate bounds its rounding by gamma_3n, as each
+    contraction on that path sums over one index of n."""
+    operands = [np.zeros(s) for s in ((n, q), (n, q), (n, n, n), (q, n))]
+    path, text = np.einsum_path("ia,jb,ijk,qk->abq", *operands,
+                                optimize=True)
+    assert path == algebra._QUOTIENT_PATH
+    steps = re.findall(r"^\s*\d+\s+(\S+->\S+)\s+\S+$", text, re.M)
+    assert len(steps) == 3
+    for step in steps:
+        inputs, output = step.split("->")
+        assert len(set(inputs.replace(",", "")) - set(output)) == 1, step
+
+
+def test_inherited_bounds():
+    A = rotated(_h2_nonunital3(), 19)[0]
+    assert _dense_assoc(A.table)[0] <= A._assoc_bound
+    assert algebra.unitize(A)._assoc_bound == A._assoc_bound
+    parts = [corpus.quaternions(), A, corpus.builtin("rrc")]
+    assert corpus.direct_sum(parts)._assoc_bound \
+        == max(p._assoc_bound for p in parts)
 
 
 @pytest.mark.parametrize("name", ["t2r_hc", "rotated_t2r_hc", "nonunital3"])
