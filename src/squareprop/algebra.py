@@ -152,7 +152,7 @@ class FiniteDimRealAlgebra:
     def _build(self, dim, labels, table, unit, name, defect):
         if dim <= 0:
             raise DimensionMismatch("dim must be positive")
-        labels = list(labels)
+        labels = tuple(labels)
         if len(labels) != dim:
             raise DimensionMismatch(
                 f"got {len(labels)} basis labels for dim {dim}")
@@ -294,13 +294,18 @@ class FiniteDimRealAlgebra:
     @cached_property
     def semisimple_quotient(self) -> "QuotientMap":
         """hull / rad(hull); the identity map on the hull when rad is 0."""
-        return quotient(self.hull, self.hull.radical)
+        qm = quotient(self.hull, self.hull.radical)
+        _read_only(qm.projection, qm.lift)
+        return qm
 
     @cached_property
     def simple_blocks(self) -> tuple:
         """The named simple blocks of semisimple_quotient, a tuple of
         SimpleBlock (see _simple_blocks)."""
-        return _simple_blocks(self)
+        blocks = _simple_blocks(self)
+        for b in blocks:
+            _read_only(b.e, b.V, b.basis)
+        return blocks
 
     @cached_property
     def summands(self) -> tuple:
@@ -319,7 +324,9 @@ class FiniteDimRealAlgebra:
         """Tables of L_pi(a) on the blocks of B = hull / rad(hull), grouped
         by size, or of radius factors on all its R, C and H blocks in one
         group, each tagged division or not (see _spectral_split)."""
-        return _spectral_split(self)
+        split = _spectral_split(self)
+        _read_only(*(T for _, _, T in split))
+        return split
 
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, np.asarray(coords, dtype=float))
@@ -431,6 +438,14 @@ def nonsingular(L: np.ndarray) -> np.ndarray:
     return s[..., -1] > INVERT_CUTOFF * s[..., 0]
 
 
+def _read_only(*arrays):
+    """Mark the arrays of a record read-only (a None is skipped): an
+    algebra, a builtin above all, is shared, and so is what it keeps."""
+    for x in arrays:
+        if x is not None:
+            x.setflags(write=False)
+
+
 def _solve_unit(c: np.ndarray):
     """The least-squares solution u of u e_j = e_j u = e_j for every j, or
     None when lstsq does not converge; FiniteDimRealAlgebra.unit decides
@@ -464,7 +479,7 @@ def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
     unit = np.zeros(n + 1)
     unit[0] = 1.0
     return FiniteDimRealAlgebra._from_checked(
-        n + 1, ["e"] + list(algebra.labels), c, algebra._assoc_bound,
+        n + 1, ("e",) + algebra.labels, c, algebra._assoc_bound,
         unit=unit, name=f"unitize({algebra.name})")
 
 
@@ -711,12 +726,21 @@ def _row_basis(V, n: int) -> np.ndarray:
     return np.linalg.svd(V, full_matrices=False)[2][:rank]
 
 
+# bench/ calls this name; keep it until the benchmark is revised
 def subspace_is_two_sided_ideal(algebra: FiniteDimRealAlgebra, V) -> bool:
-    """True iff span of the rows of V absorbs multiplication on both sides."""
+    """True iff span of the rows of V absorbs multiplication on both sides:
+    the gate of quotient (_absorbs), on V cut to its rank."""
     V = _row_basis(V, algebra.dim)
     if V.shape[0] == 0:
         return True
-    Q, _ = np.linalg.qr(V.T)
+    return _absorbs(algebra, V, np.linalg.qr(V.T)[0])
+
+
+def _absorbs(algebra: FiniteDimRealAlgebra, V: np.ndarray,
+             Q: np.ndarray) -> bool:
+    """The ideal gate on rows V already cut to their rank (_row_basis), Q
+    an orthonormal basis of their span (the Q of V^T): e_i v and v e_i
+    stay in it for every row v, to IDEAL_TOL."""
     P = np.eye(algebra.dim) - Q @ Q.T  # projector onto the complement
     c = algebra.table
     scale = 1.0 + np.abs(c).max() * (1.0 + np.abs(V).max())
@@ -766,6 +790,8 @@ def _pivot_columns(P: np.ndarray, q: int) -> np.ndarray:
 def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
     """Quotient by the two-sided ideal K spanned by the rows of V.
 
+    V is cut to its rank once, and the one QR of it gives Q_V, which the
+    ideal gate (_absorbs, as in subspace_is_two_sided_ideal) reads too.
     The complement of K is spanned by the columns of S, the projections
     off K of q standard basis vectors; with Q_V an orthonormal basis of K,
     W = [S Q_V]^-1 stacks proj (the first q rows, coordinates on S) over
@@ -780,14 +806,14 @@ def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
     """
     n = algebra.dim
     V = _row_basis(V, n)
-    if not subspace_is_two_sided_ideal(algebra, V):
-        raise NotAnIdeal("span(V) is not a two-sided ideal")
     m = V.shape[0]
     q = n - m
     if m == 0:
         ident = np.eye(n)
         return QuotientMap(algebra, ident, ident)
     Qv, _ = np.linalg.qr(V.T)
+    if not _absorbs(algebra, V, Qv):
+        raise NotAnIdeal("span(V) is not a two-sided ideal")
     P = np.eye(n) - Qv @ Qv.T
     # deterministic complement: the q columns of P (the standard basis
     # projected off span(V)) that greedy column pivoting takes first, the

@@ -36,7 +36,10 @@ class InputError(Exception):
 
 
 def load_algebra(spec: str) -> FiniteDimRealAlgebra:
-    """Path to an algebra JSON document, or a builtin name."""
+    """Path to an algebra JSON document, or a builtin name.  A file is
+    read, and its table checked, on every call, so each call gives a new
+    algebra; a builtin name gives the one object that corpus.builtin keeps
+    for the process, with the records that earlier calls built on it."""
     if not os.path.exists(spec):
         try:
             return corpus.builtin(spec)

@@ -5,10 +5,19 @@ standard basis (a table equal to a leading corner of quaternion.HAMILTON),
 one canonical character per part can be written down in closed form:
 known_characters, a (k, n, 4) stack of images, the oracle that
 characters.find_characters is tested against.
+
+builtin(name) builds each builtin algebra once per process, on first use,
+and hands out that one object from then on, so the records kept on it
+(unit, radical, simple blocks, spectral split, characters, square probes)
+are built once too: a second `verify` of a builtin reads them.  The sums
+rr, rrc and hc are formed from the builtin R, C and H, and share them and
+their records.  The constructors below (reals, direct_sum, ...) build a
+new algebra on every call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,10 +125,11 @@ _BUILTINS = {
     "complexes": complexes,
     "quaternions": quaternions,
     "m2_reals": m2_reals,
-    "rr": lambda: direct_sum([reals(), reals()], name="R(+)R"),
-    "rrc": lambda: direct_sum([reals(), reals(), complexes()],
+    "rr": lambda: direct_sum([builtin("reals")] * 2, name="R(+)R"),
+    "rrc": lambda: direct_sum([builtin("reals")] * 2 + [builtin("complexes")],
                               name="R(+)R(+)C"),
-    "hc": lambda: direct_sum([quaternions(), complexes()], name="H(+)C"),
+    "hc": lambda: direct_sum([builtin("quaternions"), builtin("complexes")],
+                             name="H(+)C"),
     "h2": lambda: function_algebra_H(2),
     "nonunital3": nonunital_with_ideal,
 }
@@ -129,12 +139,18 @@ def builtin_names() -> list[str]:
     return sorted(_BUILTINS)
 
 
+@functools.cache
 def builtin(name: str) -> FiniteDimRealAlgebra:
+    """The builtin algebra of that name, one object per process: built on
+    first use and shared after, with every record kept on it.  An
+    algebra is immutable, so no caller can change it for the next; an
+    unknown name raises KeyError naming the available ones."""
     try:
-        return _BUILTINS[name]()
+        build = _BUILTINS[name]
     except KeyError:
         raise KeyError(f"unknown builtin algebra {name!r}; "
                        f"available: {', '.join(builtin_names())}") from None
+    return build()
 
 
 @dataclass(frozen=True)

@@ -355,6 +355,25 @@ def test_dependent_rows_span_their_rank():
         assert algebra._row_basis(V, A.dim) is V
 
 
+def test_quotient_cuts_v_and_takes_its_qr_once(monkeypatch):
+    """quotient hands its own cut of V and the QR of it to the ideal gate,
+    so neither is taken twice; the public ideal check takes each once."""
+    A = corpus.builtin("nonunital3")
+    calls = []
+    for name in ("svd", "qr"):
+        orig = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda *a, name=name, orig=orig, **k: calls.append(name)
+            or orig(*a, **k))
+    qm = quotient(A, [[0, 0, 1]])
+    assert sorted(calls) == ["qr", "svd"]
+    calls.clear()
+    assert subspace_is_two_sided_ideal(A, [[0, 0, 1]])
+    assert sorted(calls) == ["qr", "svd"]
+    assert qm.algebra.dim == 2 and qm.algebra.is_unital
+
+
 # -- a quotient certifies its own associativity -------------------------
 
 def _rotated_sum(k, seed):

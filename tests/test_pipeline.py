@@ -452,15 +452,14 @@ def test_verify_checks_the_kernel_ideal_once(monkeypatch):
     pair = next(p for p in corpus.MANIFEST if p.name == "rr_component_sup")
     A, p = manifest_pair(pair)
     seen = []
-    orig = algebra_mod.subspace_is_two_sided_ideal
+    # the gate that quotient and subspace_is_two_sided_ideal both run
+    orig = algebra_mod._absorbs
 
-    def counted(algebra, V):
+    def counted(algebra, V, Q):
         if algebra is A:    # not the checks of the quotient's own record
             seen.append(np.shape(V))
-        return orig(algebra, V)
-    for module in (algebra_mod, pipeline):
-        monkeypatch.setattr(module, "subspace_is_two_sided_ideal", counted,
-                            raising=False)
+        return orig(algebra, V, Q)
+    monkeypatch.setattr(algebra_mod, "_absorbs", counted)
     rep = verify_theorem(A, p, QUICK)
     assert rep.verdict == "pass" and rep.ideal_check is True
     assert seen == [(1, 2)]
