@@ -32,11 +32,13 @@ where the whole (i, j, k, l) comparison would hold three n^4 arrays
 An algebra is immutable, so what is derived from its table alone is built
 once, on first use, and kept on it: the unit when none is given (`unit`,
 solved for from the table and held to the gate a given unit passes), the
-unital hull (`hull`), the radical (`radical`), B = hull / rad(hull)
-(`semisimple_quotient`), the simple blocks of B, each named R, C, H or
-M2(R) (`simple_blocks`), and per group of blocks a table that gives for
-every a at once the blocks of L_pi(a), or on the R, C and H blocks, all
-in one group, a factor of r(a)^2 four columns wide per block
+radical (`radical`, read from A's own table by Dickson's criterion, which
+needs no unit), the unital hull (`hull`, which serves only
+`semisimple_quotient` and so the blocks read from it), B = hull /
+rad(hull) (`semisimple_quotient`), the simple blocks of B, each named R,
+C, H or M2(R) (`simple_blocks`), and per group of blocks a table that
+gives for every a at once the blocks of L_pi(a), or on the R, C and H
+blocks, all in one group, a factor of r(a)^2 four columns wide per block
 (`spectral_split`).  Two records are kept on it from outside,
 read-only, by the module that builds them: the square probes
 (seminorm._square_probes) and the characters (characters.find_characters).
@@ -277,16 +279,28 @@ class FiniteDimRealAlgebra:
 
     @cached_property
     def radical(self) -> np.ndarray:
-        """Rows spanning rad(A), read-only.  Dickson: x is in it iff
-        tr(L_(x a)) = 0 for every a of the hull; with t_k = tr(L_e_k),
-        M[i, j] = tr(L_(x_i e_j)) = sum_k c[i, j, k] t_k."""
-        c = self.hull.table
-        rows = c[-self.dim:]    # the products x_i e_j, x_i in A
-        # row j of M.T sums terms of at most |rows[:, j]| |t|, where
+        """Rows spanning rad(A), read-only, read from A's own table whether
+        or not A has a unit.  Dickson's criterion (L. E. Dickson, Algebras
+        and Their Arithmetics, 1923): x is in rad(A) iff tr(L_(x a)) = 0
+        for every a in A; with t_k = tr(L_e_k),
+        M[i, j] = tr(L_(e_i e_j)) = sum_k c[i, j, k] t_k.
+
+        No unit is needed (characteristic 0).  The x with tr(L_(x a)) = 0
+        for every a form a two-sided ideal, since tr(L_b L_y) =
+        tr(L_y L_b).  For such an x the power sums tr(L_x^k) = tr(L_(x^k))
+        vanish for every k >= 2, so every eigenvalue of L_x is 0 (nonzero
+        ones would solve a Vandermonde system with a zero right-hand side),
+        L_(x^N) = L_x^N = 0 for N = dim A and x^(N+1) = 0: the ideal is
+        nil, so it lies in rad(A).  Conversely, x a is in rad(A), so
+        nilpotent, for x in rad(A), and its trace is 0.  The unitization
+        would add only the column tr(L_x), no new constraint, so neither a
+        unit nor the hull is built here."""
+        c = self.table
+        # row j of M.T sums terms of at most |c[:, j]| |t|, where
         # |t_k| <= sum_j |c[k, j, j]|; divided by that size, every row is
         # rounded alike, also where it is 0 in exact arithmetic (a nil A)
-        size = (np.abs(rows) @ np.einsum("kjj->k", np.abs(c))).max(axis=0)
-        M = (rows @ np.einsum("kjj->k", c)).T
+        size = (np.abs(c) @ np.einsum("kjj->k", np.abs(c))).max(axis=0)
+        M = (c @ np.einsum("kjj->k", c)).T
         rad = _nullspace(M / np.where(size > 0, size, 1.0)[:, None], 1.0)
         rad.setflags(write=False)
         return rad
@@ -483,24 +497,23 @@ def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
         unit=unit, name=f"unitize({algebra.name})")
 
 
-def _nullspace(M: np.ndarray, scale=None,
-               rtol: float = _RANK_RTOL) -> np.ndarray:
+def _nullspace(M: np.ndarray, scale=None) -> np.ndarray:
     """Rows spanning the right null space of M.
 
     A thin SVD suffices for a tall M; a wide M needs the full V, whose extra
     rows are part of the null space.  The rank counts the singular values
-    above rtol * scale, where scale is the size of the data M is computed
-    from, by default its own largest singular value.  So the cut follows
-    the scale of the data (a basis 10^k e_i scales the Dickson matrix of
-    `radical` by 10^(2k)) and the zero matrix has rank 0; an M that is 0
-    in exact arithmetic but computed by rounding (a commutator on a
-    commutative table) passes the scale of its inputs, so that the
+    above _RANK_RTOL * scale, where scale is the size of the data M is
+    computed from, by default its own largest singular value.  So the cut
+    follows the scale of the data (a basis 10^k e_i scales the Dickson
+    matrix of `radical` by 10^(2k)) and the zero matrix has rank 0; an M
+    that is 0 in exact arithmetic but computed by rounding (a commutator on
+    a commutative table) passes the scale of its inputs, so that the
     rounding stays under the cut.
     """
     if M.size == 0:
         return np.eye(M.shape[1])
     _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    rank = int((s > rtol * (s[0] if scale is None else scale)).sum())
+    rank = int((s > _RANK_RTOL * (s[0] if scale is None else scale)).sum())
     return Vt[rank:]
 
 

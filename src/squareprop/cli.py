@@ -284,9 +284,9 @@ _OPTIONS = {
     "seminorm": dict(required=True,
                      help="seminorm JSON file or kind shorthand"),
     "element": dict(required=True, help="whitespace-separated coordinates"),
-    "samples": dict(type=int, default=2000),
-    "seed": dict(type=int, default=0),
-    "tol": dict(type=float, default=1e-9),
+    "samples": dict(type=int, default=pipeline.PipelineConfig.sample_count),
+    "seed": dict(type=int, default=pipeline.PipelineConfig.seed),
+    "tol": dict(type=float, default=pipeline.PipelineConfig.tol),
     "iterations": dict(type=int, default=10000),
     "format": dict(choices=("text", "json"), default="text"),
 }

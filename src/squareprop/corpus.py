@@ -10,8 +10,8 @@ builtin(name) builds each builtin algebra once per process, on first use,
 and hands out that one object from then on, so the records kept on it
 (unit, radical, simple blocks, spectral split, characters, square probes)
 are built once too: a second `verify` of a builtin reads them.  The sums
-rr, rrc and hc are formed from the builtin R, C and H, and share them and
-their records.  The constructors below (reals, direct_sum, ...) build a
+rr, rrc, hc and h2 are formed from the builtin R, C and H, and share them
+and their records.  The constructors below (reals, direct_sum, ...) build a
 new algebra on every call.
 """
 
@@ -130,7 +130,8 @@ _BUILTINS = {
                               name="R(+)R(+)C"),
     "hc": lambda: direct_sum([builtin("quaternions"), builtin("complexes")],
                              name="H(+)C"),
-    "h2": lambda: function_algebra_H(2),
+    "h2": lambda: direct_sum([builtin("quaternions")] * 2,
+                             name="C(2 pts, H)"),
     "nonunital3": nonunital_with_ideal,
 }
 

@@ -1,8 +1,8 @@
 """A builtin algebra is one object per process, and so are its records.
 
 corpus.builtin builds each builtin on first use and hands out that object
-from then on; the sums rr, rrc and hc are formed from the builtin R, C and
-H.  So a second `verify` of a builtin reads the unit, blocks, split and
+from then on; the sums rr, rrc, hc and h2 are formed from the builtin R, C
+and H.  So a second `verify` of a builtin reads the unit, blocks, split and
 characters that the first one built, and prints the same bytes.  The
 autouse fixture of conftest.py clears the builtins before each test, so
 every test here starts cold.
@@ -69,6 +69,23 @@ def test_builtin_sums_are_formed_from_the_builtin_parts():
     assert corpus.builtin("rr")._parts == (R, R)
     assert corpus.builtin("rrc")._parts == (R, R, C)
     assert corpus.builtin("hc")._parts == (H, C)   # algebras compare by id
+    h2, fresh = corpus.builtin("h2"), corpus.function_algebra_H(2)
+    assert h2._parts == (H, H)
+    assert (h2.name, h2.labels) == (fresh.name, fresh.labels)
+    assert np.array_equal(h2.table, fresh.table)
+    assert np.array_equal(h2.unit, fresh.unit)
+
+
+def test_hc_then_h2_decomposes_h_once(monkeypatch, capsys):
+    """h2 shares the builtin H that hc decomposed, so a process that
+    verifies both with the spectral radius builds blocks on H and C
+    only."""
+    seen = _record(monkeypatch)
+    for name in ("hc", "h2"):
+        assert _verify(capsys, name, "spectral_radius")[0] == cli.EXIT_PASS
+    H, C = corpus.builtin("quaternions"), corpus.builtin("complexes")
+    blocks = [A for kind, A in seen if kind == "blocks"]
+    assert len(blocks) == 2 and {id(A) for A in blocks} == {id(H), id(C)}
 
 
 def test_unknown_builtin_still_exits_two_and_names_the_builtins(capsys):

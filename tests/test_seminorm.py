@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from squareprop import algebra as algebra_mod
 from squareprop import corpus
 from squareprop.algebra import (make_algebra, subspace_is_two_sided_ideal,
                                 unitize)
@@ -199,21 +200,50 @@ def _radical_by_loop(algebra):
     return _nullspace(M.T)
 
 
-@pytest.mark.parametrize("parts", [["T2", "hc"], ["nonunital3"]],
-                         ids=["T2_plus_hc", "nonunital3"])
-def test_spectral_radius_kernel_matches_loop_on_rotated_algebra(parts):
-    # both have a 1-dim radical: the line of E12, and the null line
+def _h4_nonunital3_rotated():
+    """H^4 (+) nonunital3 in the dense basis of rotated(., 3), dim 19: the
+    algebra the tier-1 CI verifies from a file."""
+    base = corpus.direct_sum([corpus.quaternions()] * 4
+                             + [corpus.nonunital_with_ideal()])
+    return rotated(base, 3)[0]
+
+
+@pytest.mark.parametrize("parts, seed", [(["T2", "hc"], 12),
+                                         (["nonunital3"], 12),
+                                         (["quaternions"] * 4
+                                          + ["nonunital3"], 3)],
+                         ids=["T2_plus_hc", "nonunital3",
+                              "H4_plus_nonunital3"])
+def test_spectral_radius_kernel_matches_loop_on_rotated_algebra(parts, seed):
+    # each has a 1-dim radical: the line of E12, or the null line
     t2 = make_algebra(3, ["E11", "E12", "E22"],
                       {(0, 0, 0): 1.0, (0, 1, 1): 1.0, (1, 2, 1): 1.0,
                        (2, 2, 2): 1.0}, unit=[1.0, 0.0, 1.0])
     base = corpus.direct_sum([t2 if name == "T2" else corpus.builtin(name)
                               for name in parts])
     n = base.dim
-    A, _ = rotated(base, 12)
+    A, _ = rotated(base, seed)
     K = kernel(SpectralRadius(), A)
     ref = _radical_by_loop(A)
     assert K.shape == ref.shape == (1, n)
     assert np.allclose(K.T @ K, ref.T @ ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("make", [lambda: corpus.builtin("nonunital3"),
+                                  _h4_nonunital3_rotated],
+                         ids=["nonunital3", "H4_plus_nonunital3_rotated"])
+def test_radical_solves_for_no_unit_and_builds_no_hull(monkeypatch, make):
+    """Dickson's criterion reads A's own table: on a non-unital A the
+    radical neither solves for a unit nor builds the unitization."""
+    A = make()
+    calls = []
+    for name in ("_solve_unit", "unitize"):
+        orig = getattr(algebra_mod, name)
+        monkeypatch.setattr(algebra_mod, name, lambda *args, name=name,
+                            orig=orig: calls.append(name) or orig(*args))
+    assert A.radical.shape == (1, A.dim)
+    assert calls == []
+    assert "unit" not in vars(A) and "hull" not in vars(A)
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
