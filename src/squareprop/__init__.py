@@ -6,8 +6,7 @@ stacks: an AlgebraElement holds coords of shape (n,) or (..., n), and mul,
 SeminormVariant.value and gelfand_radius act on every row of a stack."""
 
 from .algebra import (AlgebraElement, FiniteDimRealAlgebra,
-                      left_regular_matrix, make_algebra, mul, quotient,
-                      unitize)
+                      left_regular_matrix, make_algebra, mul, quotient)
 from .characters import find_characters
 from .pipeline import PipelineConfig, VerificationReport, fuzz, verify_theorem
 from .quaternion import qmul, qnorm, qspectrum
@@ -26,5 +25,5 @@ __all__ = [
     "check_square_property", "check_submultiplicative", "estimate_m",
     "find_characters", "fuzz", "gelfand_radius", "kernel",
     "left_regular_matrix", "make_algebra", "mul", "qmul", "qnorm",
-    "qspectrum", "quotient", "spectrum", "unitize", "verify_theorem",
+    "qspectrum", "quotient", "spectrum", "verify_theorem",
 ]

@@ -3,11 +3,11 @@
 An algebra is a dense table c[i, j, k] with e_i e_j = sum_k c[i,j,k] e_k.
 Every table is checked for associativity once, where it is given
 (make_algebra, FiniteDimRealAlgebra), and every algebra keeps a bound on
-its table's exact defect.  The unitization and corpus.direct_sum
-assemble their tables from checked ones with exact 0s and 1s, so their
-defects are those of their parts, and they inherit the check and the
-bound.  A quotient's table is computed with rounding; quotient bounds
-its defect from the ambient bound, the leak of the ideal and the
+its table's exact defect.  corpus.direct_sum (and unitize, which no
+library path calls) assembles its table from checked ones with exact 0s
+and 1s, so its defect is that of its parts, and it inherits the check
+and the bound.  A quotient's table is computed with rounding; quotient
+bounds its defect from the ambient bound, the leak of the ideal and the
 rounding of the change of basis, in O(n^4), and runs the O(n^5) check
 only when that bound cannot vouch for the table.  Everything downstream
 (spectra, seminorm kernels, quotients, characters) is computed from
@@ -33,25 +33,25 @@ An algebra is immutable, so what is derived from its table alone is built
 once, on first use, and kept on it: the unit when none is given (`unit`,
 solved for from the table and held to the gate a given unit passes), the
 radical (`radical`, read from A's own table by Dickson's criterion, which
-needs no unit), the unital hull (`hull`, which serves only
-`semisimple_quotient` and so the blocks read from it), B = hull /
-rad(hull) (`semisimple_quotient`), the simple blocks of B, each named R,
-C, H or M2(R) (`simple_blocks`), and per group of blocks a table that
-gives for every a at once the blocks of L_pi(a), or on the R, C and H
-blocks, all in one group, a factor of r(a)^2 four columns wide per block
-(`spectral_split`).  Two records are kept on it from outside,
-read-only, by the module that builds them: the square probes
-(seminorm._square_probes) and the characters (characters.find_characters).
-The radical is nil, so r(a) = r(pi(a)), and on B no L_b keeps a nilpotent
-Jordan part from the radical: its eigenvalues are exact to rounding where
-those of a defective L_a err by about eps^(1/k).  The characters, the
-seminorm test of the spectral radius and the split read the block record
-and its names; the split tags each group of blocks as division (R, C or
-H) or not (see spectral).  A direct sum (corpus.direct_sum) keeps its
-parts, and `summands` walks them, nested sums flattened, with the row at
-which each starts: a sum's split, blocks and characters are its
-summands' (see characters), so nothing builds a sum's own quotient or
-blocks.
+needs no unit), B = A / rad(A) (`semisimple_quotient`), which is
+semisimple and so has a unit, the one `unit` solves for on B's table,
+the simple blocks of B, each named R, C, H or M2(R) (`simple_blocks`),
+and per group of blocks a table that gives for every a at once the
+blocks of L_pi(a), or on the R, C and H blocks, all in one group, a
+factor of r(a)^2 four columns wide per block (`spectral_split`).  A nil
+A (rad(A) = A, as the null line) has B = 0: no blocks, an empty split
+and r = 0.  Two records are kept on it from outside, read-only, by the
+module that builds them: the square probes (seminorm._square_probes) and
+the characters (characters.find_characters).  The radical is nil, so
+r(a) = r(pi(a)), and on B no L_b keeps a nilpotent Jordan part from the
+radical: its eigenvalues are exact to rounding where those of a
+defective L_a err by about eps^(1/k).  The characters, the seminorm test
+of the spectral radius and the split read the block record and its
+names; the split tags each group of blocks as division (R, C or H) or
+not (see spectral).  A direct sum (corpus.direct_sum) keeps its parts,
+and `summands` walks them, nested sums flattened, with the row at which
+each starts: a sum's split, blocks and characters are its summands' (see
+characters), so nothing builds a sum's own quotient or blocks.
 """
 
 from __future__ import annotations
@@ -273,11 +273,6 @@ class FiniteDimRealAlgebra:
         return self.unit is not None
 
     @cached_property
-    def hull(self) -> "FiniteDimRealAlgebra":
-        """The algebra itself when it is unital, else unitize(self)."""
-        return self if self.is_unital else unitize(self)
-
-    @cached_property
     def radical(self) -> np.ndarray:
         """Rows spanning rad(A), read-only, read from A's own table whether
         or not A has a unit.  Dickson's criterion (L. E. Dickson, Algebras
@@ -293,8 +288,8 @@ class FiniteDimRealAlgebra:
         L_(x^N) = L_x^N = 0 for N = dim A and x^(N+1) = 0: the ideal is
         nil, so it lies in rad(A).  Conversely, x a is in rad(A), so
         nilpotent, for x in rad(A), and its trace is 0.  The unitization
-        would add only the column tr(L_x), no new constraint, so neither a
-        unit nor the hull is built here."""
+        would add only the column tr(L_x), no new constraint, so no unit
+        is solved for here."""
         c = self.table
         # row j of M.T sums terms of at most |c[:, j]| |t|, where
         # |t_k| <= sum_j |c[k, j, j]|; divided by that size, every row is
@@ -306,9 +301,13 @@ class FiniteDimRealAlgebra:
         return rad
 
     @cached_property
-    def semisimple_quotient(self) -> "QuotientMap":
-        """hull / rad(hull); the identity map on the hull when rad is 0."""
-        qm = quotient(self.hull, self.hull.radical)
+    def semisimple_quotient(self) -> Optional["QuotientMap"]:
+        """A / rad(A), whether A has a unit or not; the identity map on A
+        when rad(A) is 0.  None when A is nil (rad(A) = A): A / rad(A) is
+        then 0, with no blocks, and r = 0 on all of A."""
+        if len(self.radical) == self.dim:
+            return None
+        qm = quotient(self, self.radical)
         _read_only(qm.projection, qm.lift)
         return qm
 
@@ -335,7 +334,7 @@ class FiniteDimRealAlgebra:
 
     @cached_property
     def spectral_split(self) -> tuple:
-        """Tables of L_pi(a) on the blocks of B = hull / rad(hull), grouped
+        """Tables of L_pi(a) on the blocks of B = A / rad(A), grouped
         by size, or of radius factors on all its R, C and H blocks in one
         group, each tagged division or not (see _spectral_split)."""
         split = _spectral_split(self)
@@ -463,19 +462,36 @@ def _read_only(*arrays):
 def _solve_unit(c: np.ndarray):
     """The least-squares solution u of u e_j = e_j u = e_j for every j, or
     None when lstsq does not converge; FiniteDimRealAlgebra.unit decides
-    whether u is a unit."""
+    whether u is a unit.
+
+    The system is balanced first, as eigen-solvers balance a matrix
+    (Parlett and Reinsch, Numer. Math. 13, 1969): each row, then each
+    column, is scaled by the power of two that brings its largest entry
+    into [1/2, 1), and the column scale is undone on the solution.  Powers
+    of two scale exactly, so a consistent system keeps its solution, and
+    a table written in a basis of entries 2^k far apart (whose unit lstsq
+    would otherwise miss, or not converge on) is solved as well as one in
+    a balanced basis."""
     n = c.shape[0]
-    # rows: for each (j, k), sum_i u_i c[i,j,k] = delta_jk and c[j,i,k] side
-    left = c.reshape(n, n * n).T            # (j*n+k, i) from c[i,j,k]
-    right = np.transpose(c, (1, 0, 2)).reshape(n, n * n).T
-    b = np.concatenate([np.eye(n).ravel()] * 2)
+    # rows: for each (j, k), sum_i u_i c[i,j,k] = delta_jk, then the
+    # c[j,i,k] side; row j*n+k, column i
+    M = np.vstack([c.reshape(n, n * n).T,
+                   np.transpose(c, (1, 0, 2)).reshape(n, n * n).T])
+    # scaled in place, with max and -min where abs would copy M; a zero
+    # row or column has exponent 0, and keeps its scale
+    rows = -np.frexp(np.maximum(M.max(axis=1), -M.min(axis=1)))[1]
+    np.ldexp(M, rows[:, None], out=M)
+    cols = -np.frexp(np.maximum(M.max(axis=0), -M.min(axis=0)))[1]
+    b = np.ldexp(np.concatenate([np.eye(n).ravel()] * 2), rows)
     try:
-        return np.linalg.lstsq(np.vstack([left, right]), b, rcond=None)[0]
+        u = np.linalg.lstsq(np.ldexp(M, cols, out=M), b, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
+    return np.ldexp(u, cols)
 
 
-# bench/tracing.py wraps this name; keep it until the library records spans
+# no library path unitizes (B = A / rad(A) has its own unit); bench/tracing.py
+# wraps this name, so keep it until the library records spans
 def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
     """Adjoin a unit: (n+1)-dim algebra R*e + A with e in slot 0.
 
@@ -490,11 +506,9 @@ def unitize(algebra: FiniteDimRealAlgebra) -> FiniteDimRealAlgebra:
     c[1:, 1:, 1:] = algebra.table
     idx = np.arange(n + 1)
     c[0, idx, idx] = c[idx, 0, idx] = 1.0
-    unit = np.zeros(n + 1)
-    unit[0] = 1.0
     return FiniteDimRealAlgebra._from_checked(
         n + 1, ("e",) + algebra.labels, c, algebra._assoc_bound,
-        unit=unit, name=f"unitize({algebra.name})")
+        unit=np.eye(n + 1)[0], name=f"unitize({algebra.name})")
 
 
 def _nullspace(M: np.ndarray, scale=None) -> np.ndarray:
@@ -518,7 +532,7 @@ def _nullspace(M: np.ndarray, scale=None) -> np.ndarray:
 
 
 class SimpleBlock(NamedTuple):
-    """One simple block e*B of B = hull / rad(hull), in B's coordinates.
+    """One simple block e*B of B = A / rad(A), in B's coordinates.
 
     mu is the eigenvalue of the generic central element that cut the block
     out (imag >= 0), e its central idempotent and V an orthonormal basis of
@@ -576,12 +590,12 @@ def _classify(B, z, mu, e, V):
 
 
 def _simple_blocks(algebra: FiniteDimRealAlgebra):
-    """Wedderburn-Artin blocks of B = hull / rad(hull), named.
+    """Wedderburn-Artin blocks of B = A / rad(A), named; none when B = 0.
 
     The center of B is a product of copies of R and C; a generic central z,
     drawn with a fixed seed, has one real eigenvalue mu per R and a
     conjugate pair per C on it, and the spectral projectors of z applied to
-    the unit are the primitive central idempotents e.  Every e*B is a
+    B's unit are the primitive central idempotents e.  Every e*B is a
     simple block, invariant under every L_b.  Each block is named once,
     here (see _classify).
 
@@ -589,9 +603,15 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
     singular vectors of L_e, ordered by SimpleBlock.order, then by mu.
     """
     qm = algebra.semisimple_quotient
+    if qm is None:
+        return ()
     B = qm.algebra
     c = B.table
-    u = qm.projection @ algebra.hull.unit
+    # B is semisimple, so it has a unit; where B's table is rounded through
+    # an ill-conditioned change of basis, the least-squares one can miss the
+    # unit gate by rounding, and serves all the same: the split and the
+    # characters gate what is built from it
+    u = B.unit if B.is_unital else _solve_unit(c)
     n = c.shape[0]
     # the center: rows spanning the null space of x -> (x e_j - e_j x)_j,
     # a map that is rounding of the size of c where B is commutative
@@ -695,9 +715,9 @@ def _spectral_split(algebra: FiniteDimRealAlgebra):
     with pi, so that for every row x of X, X @ table stacks the K blocks
     of L_pi(x) on a non-division group, and on the division group the K
     vectors whose lengths are the blocks' spectral radii.
-    Returns a non-empty tuple of (d, division, table), by (d, division):
-    at most one division entry, (4, True) with a table of shape (dim, 4K),
-    and per other size d a table of shape (dim, K*d^2).
+    Returns a tuple of (d, division, table), by (d, division): at most
+    one division entry, (4, True) with a table of shape (dim, 4K), and per
+    other size d a table of shape (dim, K*d^2); empty when B = 0.
     """
     if algebra._parts:
         groups = {}
@@ -709,16 +729,17 @@ def _spectral_split(algebra: FiniteDimRealAlgebra):
         return tuple((d, division, np.hstack(groups[d, division]))
                      for d, division in sorted(groups))
     qm = algebra.semisimple_quotient
+    if qm is None:
+        return ()
     B = qm.algebra
     try:
         groups = _block_groups(B, algebra.simple_blocks)
     except np.linalg.LinAlgError:  # an eigen- or SVD solver stalled
         groups = None
     if groups is None:
-        q = B.dim
-        groups = ((q, False, B.table.transpose(0, 2, 1).reshape(q, q * q)),)
-    P = qm.projection[:, algebra.hull.dim - algebra.dim:]  # a -> pi(a)
-    return tuple((d, division, P.T @ T) for d, division, T in groups)
+        groups = ((B.dim, False, B.table.swapaxes(1, 2).reshape(B.dim, -1)),)
+    return tuple((d, division, qm.projection.T @ T)
+                 for d, division, T in groups)
 
 
 def _row_basis(V, n: int) -> np.ndarray:

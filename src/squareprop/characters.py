@@ -2,9 +2,11 @@
 
 A character x: A -> H is real-linear and multiplicative.  H has no
 nilpotents, so x vanishes on rad(A) and factors through the semisimple
-quotient A/rad(A), which Wedderburn-Artin splits into simple blocks cut out
-by the primitive idempotents of its center.  The algebra computes those
-blocks once, names each R, C, H or M2(R) and keeps them with their bases
+quotient A/rad(A), which has a unit whether A has one or not (a nil A has
+A/rad(A) = 0, and no character), and which Wedderburn-Artin splits into
+simple blocks cut out by the primitive idempotents of its center.  The
+algebra computes A/rad(A) from A's own table and its blocks once, names
+each block R, C, H or M2(R) and keeps them with their bases
 (FiniteDimRealAlgebra.simple_blocks, the record its spectral split is read
 from too); this module reads names and bases from that record and never
 classifies a block itself.  By Frobenius a block carries a character only
@@ -41,7 +43,6 @@ from .seminorm import CharacterSup
 from .spectral import spectra, spectral_radius_batch
 
 ACCEPT_RESIDUAL = 1e-11    # gate on every constructed character
-NONZERO_FLOOR = 1e-6
 
 
 # raised only by sampled_sup_norm, which bench/tracing.py wraps by name
@@ -62,13 +63,10 @@ def character_residual(algebra: FiniteDimRealAlgebra, images) -> float:
 def non_division_block(algebra: FiniteDimRealAlgebra):
     """(k, name) of the first simple block of A/rad(A) that is not R, C or
     H, or None when every block is.  A sum's blocks are its summands',
-    listed by SimpleBlock.order; the hull of each non-unital summand adds
-    an R block where a non-unital sum's adds one, so k counts those once."""
-    leaves = [leaf for _, leaf in algebra.summands]
-    blocks = sorted((b for leaf in leaves for b in leaf.simple_blocks),
-                    key=lambda b: b.order)
-    extra = max(0, sum(not leaf.is_unital for leaf in leaves) - 1)
-    return next(((k - extra, block.name) for k, block in enumerate(blocks)
+    listed by SimpleBlock.order."""
+    blocks = sorted((b for _, leaf in algebra.summands
+                     for b in leaf.simple_blocks), key=lambda b: b.order)
+    return next(((k, block.name) for k, block in enumerate(blocks)
                  if not block.division), None)
 
 
@@ -77,14 +75,13 @@ def find_characters(algebra: FiniteDimRealAlgebra) -> np.ndarray:
     as one read-only (m, n, 4) stack; (0, n, 4) when there is none.
 
     The images of block e*B with basis (e, i, j, ij) are the coordinates of
-    e*pi(e_m) in that basis, for every basis element e_m of A.  A non-unital
-    A is unitized first and the results restricted back; a restriction that
-    vanishes (the character killing A) is dropped.  Every character passes
-    the multiplicativity residual gate of 1e-11.  The result depends on
-    the algebra alone: nothing is sampled.  It is built once per algebra
-    and kept on it, as its radical is.  A direct sum's characters are its
-    summands', each in its summand's rows and 0 elsewhere, so its residual
-    on the sum is the one it passed.
+    e*pi(e_m) in that basis, for every basis element e_m of A, unital or
+    not: pi maps A onto B = A/rad(A), so no image stack is 0.  Every
+    character passes the multiplicativity residual gate of 1e-11.  The
+    result depends on the algebra alone: nothing is sampled.  It is built
+    once per algebra and kept on it, as its radical is.  A direct sum's
+    characters are its summands', each in its summand's rows and 0
+    elsewhere, so its residual on the sum is the one it passed.
     """
     chars = vars(algebra).get("_character_stack")
     if chars is None:
@@ -111,12 +108,10 @@ def _block_characters(algebra: FiniteDimRealAlgebra):
         basis = block.basis
         e_pi = (left_regular_matrix(qm.algebra.element(basis[:, 0]))
                 @ qm.projection)
-        images = np.zeros((e_pi.shape[1], 4))   # on the hull's basis
+        images = np.zeros((algebra.dim, 4))
         images[:, :basis.shape[1]] = np.linalg.lstsq(basis, e_pi,
                                                      rcond=None)[0].T
-        images = images[-algebra.dim:]
-        if (qnorm(images).max() >= NONZERO_FLOOR
-                and character_residual(algebra, images) <= ACCEPT_RESIDUAL):
+        if character_residual(algebra, images) <= ACCEPT_RESIDUAL:
             yield images
 
 

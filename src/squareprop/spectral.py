@@ -15,14 +15,16 @@ before its nilpotent part vanishes (x in R[x]/(x^3) has ||x^2|| = ||x||^2
 and x^4 = 0), and a nilpotent element of A is 0 from its power dim + 1
 on, so a small step counts as convergence only from there.
 
-One spectral-radius path.  The radical of the unital hull is nil, so
-r(a) = r(pi(a)) in B = hull / rad(hull), which is semisimple: the direct
-sum of its simple blocks e*B (Wedderburn-Artin), each invariant under
-every L_b.  The algebra keeps, once built, a table per group of blocks
-(FiniteDimRealAlgebra.spectral_split): one group of all the division
-blocks (R, C and H), and one per size d of the others; a B whose blocks
-fail their gate is one non-division block; a direct sum's split is its
-summands' side by side (algebra._spectral_split).  A batch of elements
+One spectral-radius path.  The radical of A is nil, so r(a) = r(pi(a)) in
+B = A / rad(A), whether A has a unit or not (on a non-unital A, r(a) is
+read in its unitization, whose radical is rad(A) again).  B is
+semisimple: the direct sum of its simple blocks e*B (Wedderburn-Artin),
+each invariant under every L_b.  The algebra keeps, once built, a table
+per group of blocks (FiniteDimRealAlgebra.spectral_split): one group of
+all the division blocks (R, C and H), and one per size d of the others;
+a B whose blocks fail their gate is one non-division block; a direct
+sum's split is its summands' side by side (algebra._spectral_split).  A
+nil A has B = 0 and no group, and r = 0 on it.  A batch of elements
 then costs one product for the division group (below), and per
 non-division group one matmul X @ table and one batched eigvals over the
 stack of d x d blocks it gives.
@@ -65,10 +67,11 @@ kernels) gives table.T @ X.T the bits of X @ table on every table of the
 corpus and of H^n, but not on every shape: at n >= 16, with 2, 3, 4 or
 12 columns, its kernels sum in another order.
 
-spectrum needs the points with the hull's multiplicities, which B does not
-keep, so spectra takes the eigenvalues of a stack of L_a: in the hull of a
-non-unital algebra L_(0,a) is the block triangular [[0, 0], [a, L_a]], so
-sp = {0} u eig(L_a).
+spectrum needs the points with their multiplicities, which B does not
+keep, so spectra takes the eigenvalues of a stack of L_a.  The spectrum of
+an element of a non-unital algebra is its spectrum in the unitization,
+where L_(0,a) is the block triangular [[0, 0], [a, L_a]]: sp = {0} u
+eig(L_a), with no unitization built.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def _eigvals(M: np.ndarray) -> np.ndarray:
 
 def spectra(algebra, L: np.ndarray) -> np.ndarray:
     """sp(a) for each matrix L_a of the stack L: its eigenvalues, and the
-    0 that the hull adds when the algebra is not unital."""
+    0 that the unitization adds when the algebra is not unital."""
     eig = _eigvals(L)
     return eig if algebra.is_unital else np.pad(eig, ((0, 0), (0, 1)))
 
@@ -171,10 +174,11 @@ def division_radii(X: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def spectral_radius_batch(algebra, coords: np.ndarray) -> np.ndarray:
     """Spectral radii of a stack of elements of one algebra, on the blocks
-    of its spectral split (see the module docstring)."""
+    of its spectral split (see the module docstring); 0 on an empty split."""
     return functools.reduce(np.maximum, [
         division_radii(coords, T) if division else _group_radii(coords, d, T)
-        for d, division, T in algebra.spectral_split])
+        for d, division, T in algebra.spectral_split]
+        or [np.zeros(len(coords))])
 
 
 def log_square_norms(a: AlgebraElement, norm: Callable):

@@ -105,11 +105,9 @@ def division_radii_rows(X: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def block_widths(table: np.ndarray) -> np.ndarray:
     """d per block of a division table (dim, 4K): the number of nonzero
-    columns in its slice of four, 1 on R, 2 on C and 4 on H.  A slice of
-    zeros is the R block that the hull of a non-unital A adds, on which
-    every element of A is 0, and reads 1."""
+    columns in its slice of four, 1 on R, 2 on C and 4 on H."""
     nonzero = (table.reshape(len(table), -1, 4) != 0.0).any(axis=0)
-    return np.maximum(nonzero.sum(axis=1), 1)
+    return nonzero.sum(axis=1)
 
 
 def character_sup_rows(algebra, X: np.ndarray, chars) -> np.ndarray:

@@ -119,7 +119,7 @@ def test_associativity_check_memory_is_cubic():
     assert peak < 64 << 20
 
 
-# -- associativity inherited by the hull and by direct sums -------------
+# -- associativity inherited by the unitization and by direct sums -------
 
 def _h2_nonunital3():
     return corpus.direct_sum([corpus.quaternions()] * 2
@@ -181,8 +181,8 @@ def test_hull_and_direct_sum_run_no_associativity_check(assoc_checks):
     A, _ = rotated(_h2_nonunital3(), 19)
     parts = [corpus.quaternions(), A, corpus.builtin("rrc")]
     assoc_checks.clear()
-    assert algebra.unitize(A).is_unital
-    assert A.hull.dim == A.dim + 1
+    hull = algebra.unitize(A)
+    assert hull.is_unital and hull.dim == A.dim + 1
     assert corpus.direct_sum(parts).dim == 4 + A.dim + 4
     assert assoc_checks == []
 
@@ -400,15 +400,18 @@ def _verify_quotient():
 
 
 def _quotient_of_a_quotient():
-    """hull / rad(hull) of a rotated sum, by one of its H blocks."""
+    """A / rad(A) of a rotated sum, by one of its H blocks."""
     A = _rotated_sum(2, 24)[0]
     return A.semisimple_quotient.algebra, A.simple_blocks[-1].V.T
 
 
 def _by_radical(k, seed, hull):
-    """(A, rad A) or (hull, rad(hull)) of _rotated_sum(k, seed)."""
+    """(A, rad A) or (hull, rad(hull)) of _rotated_sum(k, seed), where hull
+    is its unitization: no library path quotients it, but its table, with
+    the exact 0s and 1s of the unit's row, is one more the certificate
+    must bound."""
     A = _rotated_sum(k, seed)[0]
-    A = A.hull if hull else A
+    A = algebra.unitize(A) if hull else A
     return A, A.radical
 
 

@@ -304,8 +304,7 @@ def test_direct_sum_characters_are_its_parts(A, count):
     chars = find_characters(A)
     own = np.array(list(characters._block_characters(A)))
     assert len(chars) == len(own) == count
-    assert count == sum(b.division for b in A.simple_blocks) - (
-        not A.is_unital)   # the hull's extra block kills A
+    assert count == sum(b.division for b in A.simple_blocks)
     ends = np.cumsum([0] + [part.dim for part in A._parts])
     for x in chars:
         support = [k for k in range(len(A._parts))

@@ -7,8 +7,9 @@ import pytest
 from squareprop import cli, corpus, pipeline
 from squareprop.algebra import make_algebra
 from squareprop.characters import character_residual, find_characters
+from squareprop.seminorm import M_HAT_FLOOR
 
-from transforms import in_basis, rotated, skew
+from transforms import in_basis, power_of_two, rotated, skew
 
 
 def run_capture(capsys, argv):
@@ -397,8 +398,9 @@ def test_table_entry_too_large_to_square_exit_two(tmp_path, capsys):
 
 
 def test_nonunital_spectrum_json_is_unchanged(capsys):
-    """The dense formula eig(L_a) u {0} gives the hull's output, byte for
-    byte."""
+    """The dense formula eig(L_a) u {0}, the spectrum in the
+    unitization, gives the output it gave when the unitization was
+    built, byte for byte."""
     code, out = run_capture(capsys, [
         "spectrum", "--algebra", "nonunital3", "--element", "1 -2 3",
         "--format", "json"])
@@ -504,19 +506,31 @@ def test_early_stop_json_regates_to_its_verdict(monkeypatch, capsys, algebra,
             if n.startswith(pipeline.HYPOTHESIS_NOT_MET + note)]
 
 
+def _nil_file(tmp_path, name) -> str:
+    """A nil algebra as a file without a unit: the null line, or the
+    strictly upper triangular 3 x 3 matrices (E12 E23 = E13) in a rotated,
+    dense basis."""
+    if name == "null_line":
+        A = make_algebra(1, ["n"], {}, name="null line")
+    else:
+        A = rotated(make_algebra(3, ["E12", "E13", "E23"], {(0, 2, 1): 1.0},
+                                 name="N3(R)"), 1)[0]
+    return _write_algebra(tmp_path / f"{name}.json", A, None)
+
+
 @pytest.mark.parametrize("algebra, seminorm", [
     ("rr", "coordinate_max:0,0"),
     ("rr", "coordinate_sum:0,0"),
     ("null_line", "spectral_radius"),
+    ("rotated_N3", "spectral_radius"),
 ])
 def test_seminorm_vanishing_on_the_algebra_exits_two(tmp_path, capsys,
                                                       algebra, seminorm):
     """p = 0 on all of A leaves a 0-dimensional quotient; verify stops
-    after the kernel stage and names the cause instead of a traceback."""
-    if algebra == "null_line":
-        algebra = str(tmp_path / "null.json")
-        with open(algebra, "w", encoding="utf-8") as fh:
-            json.dump({"dim": 1, "basis": ["n"], "table": []}, fh)
+    after the kernel stage and names the cause instead of a traceback.  On
+    a nil algebra A / rad(A) is 0, and r = 0 on all of A."""
+    if algebra in ("null_line", "rotated_N3"):
+        algebra = _nil_file(tmp_path, algebra)
     code = cli.run(["verify", "--algebra", algebra, "--seminorm", seminorm,
                     "--samples", "200", "--format", "json"])
     captured = capsys.readouterr()
@@ -721,6 +735,52 @@ def test_small_basis_of_c_has_no_radical(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("name", ["null_line", "rotated_N3"])
+def test_nil_algebra_has_no_block(tmp_path, capsys, name):
+    """A nil algebra has A / rad(A) = 0: no block, no character, and
+    r = 0; characters names a nilpotent basis element.  spectrum takes
+    eigvals of the defective L_a, which is exact on the null line and
+    off by about eps^(1/3) in the dense basis."""
+    spec = _nil_file(tmp_path, name)
+    A = cli.load_algebra(spec)
+    assert A.semisimple_quotient is None and A.simple_blocks == ()
+    assert A.spectral_split == ()
+    code, out = run_capture(capsys, [
+        "characters", "--algebra", spec, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 0 and "is nilpotent" in payload["note"]
+    element = " ".join(["0.3", "-1.2", "0.7"][:A.dim])
+    code, out = run_capture(capsys, [
+        "spectrum", "--algebra", spec, "--element", element,
+        "--format", "json"])
+    assert code == 0
+    radius = json.loads(out)["radius"]
+    assert radius == 0.0 if name == "null_line" else radius <= 1e-8
+    assert capsys.readouterr().err == ""
+
+
+def test_c_in_a_small_basis_has_its_character(tmp_path, capsys):
+    """Reproducer 1(c): C in the basis (t, t i), t = 1e-7, with no unit
+    given.  Its one character has images of size t; an absolute floor of
+    1e-6 on them dropped it, and verify exited 1 with "the quotient has no
+    quaternion character".  Now verify exits 0, but its working constant
+    sits at its floor and its ratios at 0.0: the pass is vacuous until
+    the checks that mask every row fail (ROADMAP item 1)."""
+    t = 1e-7
+    A = make_algebra(2, ["a", "b"], corpus.complexes().table * t)
+    spec = _write_algebra(tmp_path / "c_tiny.json", A, None)
+    code, out = run_capture(capsys, [
+        "characters", "--algebra", spec, "--format", "json"])
+    assert code == 0 and json.loads(out)["count"] == 1
+    code, out = run_capture(capsys, [
+        "verify", "--algebra", spec, "--seminorm", "spectral_radius",
+        "--format", "json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["character_count"] == 1
+    assert payload["m_hat"] == M_HAT_FLOOR
+
+
 def _truncated_polynomial_file(tmp_path, powers):
     """R[x]/(x^k), k = len(powers), with x^powers[i] as basis element i."""
     at = {e: i for i, e in enumerate(powers)}
@@ -761,3 +821,54 @@ def test_radical_in_the_quotient_exits_three(tmp_path, capsys, algebra,
     assert payload["verdict"] == "hypothesis_not_met"
     assert payload["square_property_residual"] <= 1e-9
     assert [n for n in payload["notes"] if note in n], payload["notes"]
+
+
+def _with_nonunital3(*parts):
+    return corpus.direct_sum([*parts, corpus.builtin("nonunital3")])
+
+
+NONUNITAL_SUMS = {
+    "nonunital3": lambda: corpus.builtin("nonunital3"),
+    "C+nonunital3": lambda: _with_nonunital3(corpus.complexes()),
+    "H+nonunital3": lambda: _with_nonunital3(corpus.quaternions()),
+    "H2+nonunital3": lambda: _with_nonunital3(*[corpus.quaternions()] * 2),
+}
+# the seeds that pass, of 10, in the basis diag(2^k), each k uniform in
+# [-K, K]: every seed that passed while the blocks were read from the
+# unitization, and those that now pass too (nonunital3 at K = 30 and 60,
+# C+nonunital3 at K = 30 and 60, H+nonunital3 at K = 30); the rest exit 1
+# or 3 (ROADMAP item 1(h))
+NONUNITAL_PASSES = {
+    ("nonunital3", 20): range(10),
+    ("nonunital3", 30): range(10),        # seed 2 is new (it exited 3)
+    ("nonunital3", 60): range(10),        # 2, 3 and 9 are new (3, 1, 1)
+    ("C+nonunital3", 20): [0, 1, 2, 4, 5, 6, 7, 8, 9],
+    ("C+nonunital3", 30): [0, 1, 4, 5, 6, 7, 9],  # 0, 5 and 9 are new
+    ("C+nonunital3", 60): [0, 6, 9],      # 0 and 9 are new
+    ("H+nonunital3", 20): [2, 3, 6, 7],
+    ("H+nonunital3", 30): [6],            # new
+    ("H+nonunital3", 60): [],
+    ("H2+nonunital3", 20): [6],
+    ("H2+nonunital3", 30): [],
+    ("H2+nonunital3", 60): [],
+}
+
+
+@pytest.mark.parametrize("name, K", sorted(NONUNITAL_PASSES))
+def test_nonunital_power_of_two_copies(tmp_path, capsys, name, K):
+    """verify with the spectral radius on non-unital sums written in the
+    basis diag(2^k), given no unit, 10 seeds: no traceback, exit 0, 1 or
+    3, and every pinned seed passes.  A / rad(A) takes the unit solved on
+    its own balanced table."""
+    B = NONUNITAL_SUMS[name]()
+    codes = []
+    for seed in range(10):
+        A = power_of_two(B, K, seed)[0]
+        assert not A.is_unital
+        spec = _write_algebra(tmp_path / f"{seed}.json", A, None)
+        codes.append(cli.run(["verify", "--algebra", spec, "--seminorm",
+                              "spectral_radius", "--format", "json"]))
+        capsys.readouterr()
+    assert set(codes) <= {0, 1, 3}
+    assert {s for s, code in enumerate(codes) if code == 0} >= set(
+        NONUNITAL_PASSES[name, K])

@@ -305,7 +305,7 @@ def test_pivots_are_lapack_s_on_every_golden_quotient(pivots):
         thunk()
         if len(pivots) > before:
             cases.add(name)
-    # the pairs with a nonzero kernel, and the radical of nonunital3's hull
+    # the pairs with a nonzero kernel, and nonunital3 by its radical
     assert cases >= {f"verify {pair} seed {seed}" for seed in (0, 5)
                      for pair in ("rr_component_sup",
                                   "nonunital3_component_sup")}

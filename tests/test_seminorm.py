@@ -243,7 +243,7 @@ def test_radical_solves_for_no_unit_and_builds_no_hull(monkeypatch, make):
                             orig=orig: calls.append(name) or orig(*args))
     assert A.radical.shape == (1, A.dim)
     assert calls == []
-    assert "unit" not in vars(A) and "hull" not in vars(A)
+    assert "unit" not in vars(A) and "semisimple_quotient" not in vars(A)
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])

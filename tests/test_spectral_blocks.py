@@ -2,7 +2,7 @@
 formula they replace.
 
 ``spectral_radius_batch`` evaluates r(a) = r(pi(a)) on the diagonal blocks
-of L_pi(a) on B = hull / rad(hull): on B's simple blocks at every
+of L_pi(a) on B = A / rad(A): on B's simple blocks at every
 dimension (on R, C and H blocks, whose eigenvalues are one conjugate
 pair, as the norm |a W| of a factor W of the quadratic form
 r^2 = (2 (tr M)^2 - d tr M^2) / d^2 on a d x d block M, built once with
@@ -12,17 +12,19 @@ dimensions summing to dim B) or a solver stalls.  A direct sum solves
 nothing of its own: its split is its parts' splits side by side, each in
 that part's rows, and its blocks are its summands' blocks, so no path
 decomposes a sum whole.  The dense formula (eigenvalues of the whole left
-regular matrix, in the unital hull) is kept here as the reference, at
-ordinary and extreme scales, on hulls with a radical, on non-unital,
-M2(R) and nested parts and on non-finite rows, on R + C + H^4 in the
-basis 10^k e_i, k = -8 ... 8, and on H^4 and R + C + H^4 in bases of
-condition number up to 100.  A failed gate and a single block give the
-dense numbers exactly, and each record is built once per algebra.
+regular matrix, in the unitization of a non-unital A) is kept here as the
+reference, at ordinary and extreme scales, on algebras with a radical, on
+non-unital, M2(R) and nested parts and on non-finite rows, on R + C + H^4
+in the basis 10^k e_i, k = -8 ... 8, and on H^4 and R + C + H^4 in bases
+of condition number up to 100 (1000 on C + nonunital3).  A failed gate
+and a single block give the dense numbers exactly, and each record is
+built once per algebra.
 """
 
 import collections
 import contextlib
 import io
+import json
 import math
 import sys
 
@@ -118,7 +120,7 @@ def _rescaled(A, t):
 
 
 # (algebra, relative bound, {(block size, division): block count} of the
-# split); T2(R) and the null line of nonunital3 give the hull a radical
+# split); T2(R) and the null line of nonunital3 give A a radical
 CASES = {
     "H8": (lambda: corpus.function_algebra_H(8), 1e-12, {(4, True): 8}),
     "H16": (lambda: corpus.function_algebra_H(16), 1e-12, {(4, True): 16}),
@@ -132,7 +134,7 @@ CASES = {
                {(1, True): 2, (4, True): 4}),
     "rotated_H4+nonunital3": (lambda: rotated(corpus.direct_sum(
         _h(4) + [corpus.builtin("nonunital3")]), 5)[0], 1e-10,
-        {(1, True): 3, (4, True): 4}),
+        {(1, True): 2, (4, True): 4}),
 }
 # R + C + H^4, rotated or not, in the basis 10^k e_i
 CASES.update({
@@ -169,8 +171,8 @@ def test_blocked_radius_matches_dense(name):
 
 
 def test_blocked_spectrum_is_the_dense_multiset():
-    """spectrum keeps the hull's multiplicities, which the blocks of B do
-    not: on a hull with a radical and on a semisimple one it is eig(L_a)."""
+    """spectrum keeps the multiplicities, which the blocks of B do not: on
+    a unital A with a radical and on a semisimple one it is eig(L_a)."""
     for parts in (_h(4) + [_t2r()], _h(4) + [corpus.m2_reals()]):
         A = corpus.direct_sum(parts)
         a = A.element(np.random.default_rng(2).standard_normal(A.dim))
@@ -318,16 +320,20 @@ def test_every_real_eigvals_failure_is_retried(monkeypatch, name):
     assert float(np.max(np.abs(got - want) / want)) <= 1e-12
 
 
-def test_hull_and_split_are_built_once_and_separately():
+def test_quotient_and_split_are_built_once_and_separately():
+    """A / rad(A) is A itself when the radical is 0, and B = R + R on
+    nonunital3, with B's own unit; the radical needs neither."""
     A = corpus.function_algebra_H(8)
-    assert A.hull is A
+    assert A.semisimple_quotient.algebra is A
     N = corpus.nonunital_with_ideal()
     SpectralRadius().kernel(N)   # the radical, from N's own table
-    assert not {"hull", "unit", "spectral_split"} & set(vars(N))
-    assert N.hull is N.hull and N.hull.dim == N.dim + 1
+    built = {"semisimple_quotient", "unit", "spectral_split"}
+    assert not built & set(vars(N))
+    B = N.semisimple_quotient.algebra
+    assert N.semisimple_quotient is N.semisimple_quotient
+    assert B.dim == N.dim - 1 and B.is_unital and not N.is_unital
     assert "spectral_split" not in vars(N)
     assert A.spectral_split is A.spectral_split
-
 
 
 def _skewed(A, t):
@@ -342,24 +348,43 @@ _NIL = make_algebra(2, ["x", "x2"], {(0, 0, 1): 1.0}, name="x R[x]/(x^3)")
 @pytest.mark.parametrize("t", [1.0, 1e-6, 1e6])
 @pytest.mark.parametrize("name, radical, blocks", [
     ("rrc", 0, ["C", "R", "R"]), ("hc", 0, ["C", "H"]),
-    ("nonunital3", 1, ["R", "R", "R"]), ("nil", 2, ["R"])])
+    ("nonunital3", 1, ["R", "R"]), ("nil", 2, [])])
 def test_rank_cuts_follow_the_scale_of_the_table(name, radical, blocks, t):
     """Where the commutator or the trace form is 0 in exact arithmetic it
     is rounding of the size of the table, and the rank cuts of the center
     and the radical are taken on that size: a commutative table keeps its
     whole center, a nil one is all radical, at any scale.  A cut at 1e-10
     times the largest singular value alone counts that rounding as rank:
-    the rrc blocks fail to build at t = 1, nonunital3 gets one wrong block
-    and the nil radical is 0.  The absolute cut 1e-10 max(smax, 1) fails
-    too: at t = 1e-6 the radicals of rrc, hc and nonunital3 come out too
-    large, and at t = 1e6 nonunital3 gets two blocks and the nil radical
-    is 1."""
+    the rrc blocks fail to build at t = 1 and are one M2(R) at t = 1e6,
+    nonunital3's fail to build at t = 1e-6 and 1e6, and the nil radical
+    is 1 at t = 1 and 1e6.  A / rad(A) holds the blocks alone, and is 0
+    on the nil algebra."""
     A = _skewed(_NIL if name == "nil" else corpus.builtin(name), t)
     assert A.radical.shape[0] == radical
     assert sorted(b.name for b in A.simple_blocks) == blocks
+    if radical < A.dim:
+        assert A.semisimple_quotient.algebra.dim == A.dim - radical
+    else:
+        assert A.semisimple_quotient is None and A.spectral_split == ()
 
 
-# -- hulls with a radical ------------------------------------------------
+def test_blocks_of_a_quotient_whose_unit_misses_the_gate():
+    """C + nonunital3 in a basis of condition 1000: its A / rad(A), rounded
+    through that change of basis, misses the unit gate by rounding, and
+    the least-squares unit the gate refuses still cuts out its blocks.
+    The radii match the dense formula to the rounding such a basis brings
+    (2e-10)."""
+    A = _conditioned(corpus.direct_sum(
+        [corpus.complexes(), corpus.builtin("nonunital3")]), 1000)
+    assert not A.semisimple_quotient.algebra.is_unital
+    assert sorted(b.name for b in A.simple_blocks) == ["C", "R", "R"]
+    X = np.random.default_rng(7).standard_normal((500, A.dim))
+    dense = _dense_radius(A, X)
+    got = spectral_radius_batch(A, X)
+    assert float(np.max(np.abs(got - dense) / dense)) <= 1e-9
+
+
+# -- unital algebras with a radical ----------------------------------------
 
 def _truncated_polynomials(k):
     """R[x]/(x^k) on 1, x, ..., x^(k-1); its radical is spanned by the x^i,
@@ -404,12 +429,43 @@ def _count_unitize(monkeypatch):
     return calls
 
 
-def test_nonunital_verify_unitizes_at_most_once(monkeypatch):
+NO_UNIT = {
+    "nonunital3": lambda: corpus.builtin("nonunital3"),
+    "rotated_H4+nonunital3": CASES["rotated_H4+nonunital3"][0],
+    "null_line": lambda: make_algebra(1, ["n"], {}, name="null line"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_UNIT))
+def test_no_library_path_unitizes(monkeypatch, tmp_path, capsys, name):
+    """verify with the spectral radius and characters, on a file without a
+    unit, read A / rad(A), which has its own unit: neither builds the
+    unitization.  The null line is nil, so verify stops on a seminorm
+    that vanishes on A (exit 2)."""
+    A = NO_UNIT[name]()
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({
+        "dim": A.dim, "basis": list(A.labels),
+        "table": [[*map(int, ijk), float(A.table[ijk])]
+                  for ijk in zip(*np.nonzero(A.table))]}))
     calls = _count_unitize(monkeypatch)
-    rep = verify_theorem(corpus.builtin("nonunital3"), SpectralRadius(),
-                         PipelineConfig(seed=1))
-    assert rep.verdict == "pass"
-    assert len(calls) <= 1
+    codes = [cli.run(["verify", "--algebra", str(path), "--seminorm",
+                      "spectral_radius", "--format", "json"]),
+             cli.run(["characters", "--algebra", str(path)])]
+    capsys.readouterr()
+    assert codes == [2 if name == "null_line" else 0, 0]
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", corpus.builtin_names()
+                         + ["rotated_H4+nonunital3"])
+def test_semisimple_quotient_is_a_by_its_radical(name):
+    """B = A / rad(A), which has a unit of its own: 2-dimensional on
+    nonunital3, where the quotient of its unitization was 3-dimensional."""
+    A = NO_UNIT[name]() if name in NO_UNIT else corpus.builtin(name)
+    B = A.semisimple_quotient.algebra
+    assert B.dim == A.dim - len(A.radical) and B.is_unital
+    assert sum(b.V.shape[1] for b in A.simple_blocks) == B.dim
 
 
 @pytest.mark.parametrize("name", ["nonunital3", "rotated_hc+nonunital3",
@@ -549,12 +605,12 @@ def _scaled_parts(k):
         _rescaled(corpus.quaternions(), 1.0 / t)])
 
 
-# (sum, {(block size, division): block count} of the split); the hull of
-# a non-unital part adds an R block of its own, on which the part is 0
+# (sum, {(block size, division): block count} of the split); a non-unital
+# part adds the blocks of its A / rad(A) alone
 SUMS = {
     "H+nonunital3": (lambda: corpus.direct_sum(
         [corpus.quaternions(), corpus.nonunital_with_ideal()]),
-        {(1, True): 3, (4, True): 1}),
+        {(1, True): 2, (4, True): 1}),
     "H4+M2R": (lambda: corpus.direct_sum(_h(4) + [corpus.m2_reals()]),
                {(4, False): 1, (4, True): 4}),
     "R[x]/(x^2)+C": (lambda: corpus.direct_sum(
@@ -564,7 +620,7 @@ SUMS = {
         corpus.builtin("hc"),
         corpus.direct_sum([corpus.reals(), corpus.nonunital_with_ideal()]),
         rotated(corpus.builtin("rrc"), 2)[0], corpus.quaternions()]),
-        {(1, True): 6, (2, True): 2, (4, True): 2}),
+        {(1, True): 5, (2, True): 2, (4, True): 2}),
 }
 SUMS.update({f"scaled_parts_1e{k}": (
     lambda k=k: _scaled_parts(k),
@@ -662,15 +718,15 @@ def test_rescaled_sums_pass_with_the_spectral_radius(name):
     assert _decomposed(A) == []
 
 
-# (sum, its first non-division block); R blocks sort first, so the extra
-# R of each non-unital part's hull is counted once, as in the sum's hull
+# (sum, its first non-division block); blocks sort by dimension, then name,
+# so the R blocks of each part's A / rad(A) come first
 NON_DIVISION_SUMS = {
     "M2R+R": (lambda: corpus.direct_sum([corpus.m2_reals(), corpus.reals()]),
               (1, "M2(R)")),
-    "nonunital3+M2R+H": (_nested, (4, "M2(R)")),
+    "nonunital3+M2R+H": (_nested, (3, "M2(R)")),
     "2nonunital3+M2R": (lambda: corpus.direct_sum(
         [corpus.nonunital_with_ideal()] * 2 + [corpus.m2_reals()]),
-        (5, "M2(R)")),
+        (4, "M2(R)")),
     "H4+M2R": (lambda: corpus.direct_sum(_h(4) + [corpus.m2_reals()]),
                (4, "M2(R)")),
     "hc": (lambda: corpus.builtin("hc"), None),
@@ -695,7 +751,7 @@ def test_nested_sum_with_an_m2r_leaf_is_no_seminorm():
     A = _nested()
     rep = verify_theorem(A, SpectralRadius(), PipelineConfig(seed=0))
     assert rep.verdict == "hypothesis_not_met"
-    assert "block 4 of A/rad(A) is M2(R)" in rep.notes[0]
+    assert "block 3 of A/rad(A) is M2(R)" in rep.notes[0]
     assert _decomposed(A) == []
 
 

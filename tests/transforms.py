@@ -39,3 +39,13 @@ def skew(n):
     rng = np.random.default_rng(1)
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     return Q * 10.0 ** rng.uniform(-2.0, 2.0, n)
+
+
+def power_of_two(A, K, seed):
+    """(A in the basis diag(2^k), given no unit, the basis), with each k
+    uniform in [-K, K] drawn from default_rng(seed).  The change of basis
+    is exact: c'[i, j, k] = 2^(k_i + k_j - k_k) c[i, j, k]."""
+    k = np.random.default_rng(seed).integers(-K, K, endpoint=True,
+                                             size=A.dim)
+    S = np.diag(2.0 ** k)
+    return in_basis(A, S, unit=False), S
