@@ -33,9 +33,10 @@ An algebra is immutable, so what is derived from its table alone is built
 once, on first use, and kept on it: the unit when none is given (`unit`,
 solved for from the table and held to the gate a given unit passes), the
 radical (`radical`, read from A's own table by Dickson's criterion, which
-needs no unit), B = A / rad(A) (`semisimple_quotient`), which is
-semisimple and so has a unit, the one `unit` solves for on B's table,
-the simple blocks of B, each named R, C, H or M2(R) (`simple_blocks`),
+needs no unit), the quotient by each V that `quotient` has formed,
+among them B = A / rad(A) (`semisimple_quotient`), which is semisimple
+and so has a unit, the one `unit` solves for on B's table, the simple
+blocks of B, each named R, C, H or M2(R) (`simple_blocks`),
 and per group of blocks a table that gives for every a at once the
 blocks of L_pi(a), or on the R, C and H blocks, all in one group, a
 factor of r(a)^2 four columns wide per block (`spectral_split`).  A nil
@@ -105,6 +106,11 @@ class NotUnital(AlgebraError):
 
 class NotAnIdeal(AlgebraError):
     pass
+
+
+class Undecidable(AlgebraError):
+    """Double precision cannot decide a structural fact of the table (see
+    FiniteDimRealAlgebra.semisimple_quotient)."""
 
 
 def _gamma(k: int) -> float:
@@ -301,15 +307,30 @@ class FiniteDimRealAlgebra:
         return rad
 
     @cached_property
+    def _quotients(self) -> dict:
+        """The QuotientMap that quotient formed for each V, keyed on V's
+        shape and bytes (see quotient)."""
+        return {}
+
+    @property
     def semisimple_quotient(self) -> Optional["QuotientMap"]:
         """A / rad(A), whether A has a unit or not; the identity map on A
         when rad(A) is 0.  None when A is nil (rad(A) = A): A / rad(A) is
-        then 0, with no blocks, and r = 0 on all of A."""
+        then 0, with no blocks, and r = 0 on all of A.  The map is
+        quotient's for the radical, kept on A by quotient.  A radical that
+        the ideal gate refuses raises Undecidable, on every call: on a
+        semisimple table in an ill-conditioned basis the rank cut of
+        Dickson's form can find a spurious radical, and no quotient by it
+        exists."""
         if len(self.radical) == self.dim:
             return None
-        qm = quotient(self, self.radical)
-        _read_only(qm.projection, qm.lift)
-        return qm
+        try:
+            return quotient(self, self.radical)
+        except NotAnIdeal:
+            raise Undecidable(
+                f"algebra {self.name}: its radical cut is not a two-sided "
+                "ideal at double precision, so the table is too "
+                "ill-conditioned to decide its radical") from None
 
     @cached_property
     def simple_blocks(self) -> tuple:
@@ -824,6 +845,16 @@ def _pivot_columns(P: np.ndarray, q: int) -> np.ndarray:
 def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
     """Quotient by the two-sided ideal K spanned by the rows of V.
 
+    The map depends on the algebra and V alone, so it is formed once per
+    V and kept on the algebra, keyed on V's shape and bytes, with its
+    arrays read-only: a second call with an equal V returns the same
+    object, and the records built on its quotient algebra (unit, blocks,
+    split, characters) with it.  Nothing kept is ever dropped: each map
+    lives as long as the algebra, so a caller that quotients a long-lived
+    algebra (a corpus.builtin) by many distinct V holds all of them.  A V
+    that the ideal gate refuses is not kept, and raises NotAnIdeal on
+    every call.
+
     V is cut to its rank once, and the one QR of it gives Q_V, which the
     ideal gate (_absorbs, as in subspace_is_two_sided_ideal) reads too.
     The complement of K is spanned by the columns of S, the projections
@@ -838,6 +869,18 @@ def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
     refused as the check decides either way, and its bound, kept on it,
     is what a quotient of the quotient starts from.
     """
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    key = (V.shape, V.tobytes())
+    qm = algebra._quotients.get(key)
+    if qm is None:
+        qm = _quotient(algebra, V)
+        _read_only(qm.projection, qm.lift)
+        algebra._quotients[key] = qm
+    return qm
+
+
+def _quotient(algebra: FiniteDimRealAlgebra, V: np.ndarray) -> QuotientMap:
+    """The QuotientMap of quotient, formed anew."""
     n = algebra.dim
     V = _row_basis(V, n)
     m = V.shape[0]

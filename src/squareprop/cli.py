@@ -20,7 +20,7 @@ import numpy as np
 
 from . import corpus, pipeline
 from .algebra import (AlgebraElement, AlgebraError, FiniteDimRealAlgebra,
-                      make_algebra)
+                      Undecidable, make_algebra)
 from .characters import (character_residual, find_characters,
                          nonexistence_explanation)
 from .seminorm import SeminormError
@@ -325,7 +325,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except InputError as exc:
+    except (InputError, Undecidable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -8,8 +8,9 @@ characters.find_characters is tested against.
 
 builtin(name) builds each builtin algebra once per process, on first use,
 and hands out that one object from then on, so the records kept on it
-(unit, radical, simple blocks, spectral split, characters, square probes)
-are built once too: a second `verify` of a builtin reads them.  The sums
+(unit, radical, quotients, simple blocks, spectral split, characters,
+square probes) are built once too: a second `verify` of a builtin reads
+them, A / Ker p and the records on it included.  The sums
 rr, rrc, hc and h2 are formed from the builtin R, C and H, and share them
 and their records.  The constructors below (reals, direct_sum, ...) build a
 new algebra on every call.
@@ -143,9 +144,11 @@ def builtin_names() -> list[str]:
 @functools.cache
 def builtin(name: str) -> FiniteDimRealAlgebra:
     """The builtin algebra of that name, one object per process: built on
-    first use and shared after, with every record kept on it.  An
-    algebra is immutable, so no caller can change it for the next; an
-    unknown name raises KeyError naming the available ones."""
+    first use and shared after, with every record kept on it, the
+    quotients algebra.quotient formed on it among them.  An algebra is
+    immutable, and what it keeps is read-only, so no caller can change it
+    for the next; an unknown name raises KeyError naming the available
+    ones."""
     try:
         build = _BUILTINS[name]
     except KeyError:

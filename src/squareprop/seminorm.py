@@ -185,7 +185,16 @@ class CoordinateMax(_Weighted):
         return w
 
     def values(self, algebra, X):
-        return (self._w(algebra) * np.abs(X)).max(axis=1)
+        """Block-major, as CharacterSup.values: the weighted |X| is laid
+        out (n, rows) and reduced over its leading axis in one pass over
+        contiguous rows, where a max over each short row of X runs one
+        tiny inner loop per row.  A max is exact in any order and
+        propagates NaN (0 * inf included), so the bits are the row-major
+        (w |X|).max(axis=1)'s, but for the sign of a NaN: NumPy's max over
+        a row returns a NaN of its own, this one the NaN it met."""
+        Y = np.abs(X.T, order="C", dtype=float)
+        Y *= self._w(algebra)[:, None]
+        return Y.max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -198,6 +207,8 @@ class CoordinateSum(_Weighted):
     _weights = CoordinateMax._weights
 
     def values(self, algebra, X):
+        # row-major, unlike CoordinateMax: a sum over the leading axis adds
+        # in another order than NumPy's pairwise sum of rows of 8 or more
         return (self._w(algebra) * np.abs(X)).sum(axis=1)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from squareprop import algebra as algebra_mod
 from squareprop import corpus
 from squareprop.algebra import (AlgebraError, AlgebraMismatch,
                                 AssociativityViolation, BadUnit,
@@ -211,6 +212,44 @@ def test_quotient_requires_ideal():
     m2 = corpus.m2_reals()
     with pytest.raises(NotAnIdeal):
         quotient(m2, [[0, 1, 0, 0]])
+
+
+def test_quotient_is_kept_per_v():
+    """An equal V, as another array or as a list, gets the map formed
+    first; a V with other bytes gets its own, the identity map of a zero
+    V too."""
+    rrc = corpus.direct_sum([corpus.reals(), corpus.reals(),
+                             corpus.complexes()])
+    qm = quotient(rrc, np.eye(4)[2:])
+    assert quotient(rrc, np.eye(4)[2:].copy()) is qm
+    assert quotient(rrc, [[0, 0, 1, 0], [0, 0, 0, 1]]) is qm
+    other = quotient(rrc, np.eye(4)[[3, 2]])
+    assert other is not qm and other.algebra.dim == qm.algebra.dim
+    same = quotient(rrc, np.zeros((0, 4)))
+    assert same.algebra is rrc and quotient(rrc, np.zeros((0, 4))) is same
+    assert list(rrc._quotients.values()) == [qm, other, same]
+
+
+def test_a_refused_v_raises_on_every_call(monkeypatch):
+    """A refusal is not kept: the gate runs, and raises, again."""
+    m2 = corpus.m2_reals()
+    gates = []
+    orig = algebra_mod._absorbs
+    monkeypatch.setattr(algebra_mod, "_absorbs",
+                        lambda *args: gates.append(1) or orig(*args))
+    for _ in range(2):
+        with pytest.raises(NotAnIdeal):
+            quotient(m2, [[0, 1, 0, 0]])
+    assert len(gates) == 2
+    assert vars(m2).get("_quotients", {}) == {}
+
+
+@pytest.mark.parametrize("V", [np.eye(4)[2:], np.zeros((0, 4))],
+                         ids=["ideal", "zero"])
+def test_a_kept_quotient_is_read_only(V):
+    qm = quotient(corpus.builtin("rrc"), V)
+    arrays = [qm.projection, qm.lift, qm.algebra.table]
+    assert not [x for x in arrays if x.flags.writeable]
 
 
 def test_corpus_constructors():

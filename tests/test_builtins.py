@@ -28,13 +28,18 @@ def _verify(capsys, algebra, seminorm):
 
 
 def _record(monkeypatch):
-    """The algebras that _simple_blocks and the dense associativity check
-    run on, in call order, as ("blocks" | "assoc", algebra)."""
+    """What _simple_blocks, the dense associativity check and a quotient's
+    choice of complement run on, in call order, as ("blocks" | "assoc",
+    algebra) or ("pivots", q)."""
     seen = []
     blocks = algebra_mod._simple_blocks
+    pivots = algebra_mod._pivot_columns
     check = algebra_mod.FiniteDimRealAlgebra._check_associativity
     monkeypatch.setattr(algebra_mod, "_simple_blocks",
                         lambda A: seen.append(("blocks", A)) or blocks(A))
+    monkeypatch.setattr(algebra_mod, "_pivot_columns",
+                        lambda P, q: seen.append(("pivots", q))
+                        or pivots(P, q))
     monkeypatch.setattr(algebra_mod.FiniteDimRealAlgebra,
                         "_check_associativity",
                         lambda A: seen.append(("assoc", A)) or check(A))
@@ -129,20 +134,14 @@ def test_a_manifest_pair_reruns_on_the_same_builtin_to_the_same_bytes(
 @pytest.mark.parametrize("pair", corpus.MANIFEST, ids=lambda p: p.name)
 def test_a_second_run_builds_no_record_of_the_builtin(monkeypatch, capsys,
                                                       pair):
-    """The second run checks no table for associativity and builds blocks
-    on no builtin.  Only A / Ker p, which depends on the seminorm and is
-    formed on every run, gets its blocks built again: on the two
-    component_sup pairs, whose kernel is not 0."""
+    """The second run checks no table for associativity, chooses no
+    quotient's complement and builds blocks on no algebra: A / Ker p, on
+    the two component_sup pairs whose kernel is not 0, is the quotient
+    the first run formed and kept on the builtin, with its blocks."""
     _verify(capsys, pair.algebra_name, _spec(pair))
-    builtins = {id(corpus.builtin(name)) for name in corpus.builtin_names()}
     seen = _record(monkeypatch)
     _verify(capsys, pair.algebra_name, _spec(pair))
-    assert not [A for kind, A in seen if kind == "assoc"]
-    rebuilt = [A for _, A in seen]
-    assert not [A for A in rebuilt if id(A) in builtins]
-    assert [A.name for A in rebuilt] == (
-        [f"{corpus.builtin(pair.algebra_name).name}/ideal"]
-        if pair.seminorm_kind == "component_sup" else [])
+    assert seen == []
 
 
 @pytest.mark.parametrize("name, seminorm, parts", [

@@ -9,7 +9,7 @@ from squareprop.algebra import make_algebra
 from squareprop.characters import character_residual, find_characters
 from squareprop.seminorm import M_HAT_FLOOR
 
-from transforms import in_basis, power_of_two, rotated, skew
+from transforms import conditioned, in_basis, power_of_two, rotated, skew
 
 
 def run_capture(capsys, argv):
@@ -715,6 +715,31 @@ def test_skewed_h8_file_passes(tmp_path, capsys, with_unit):
         "--format", "json"])
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seminorm", "spectral_radius"],
+    ["verify", "--seminorm", "character_sup"],
+    ["characters"],
+], ids=["verify", "verify_character_sup", "characters"])
+def test_undecidable_radical_exits_two(tmp_path, capsys, argv):
+    """H in a basis of condition 1e4, written without its unit: the rank
+    cut of Dickson's form finds a spurious radical of dim 2, which the
+    ideal gate refuses.  Each subcommand that reads A / rad(A) exits 2
+    with one error line naming the algebra, where it printed the
+    NotAnIdeal traceback of semisimple_quotient and exited 1."""
+    A = conditioned(corpus.quaternions(), 1e4, unit=False)
+    assert A.radical.shape[0] > 0
+    spec = _write_algebra(tmp_path / "h_cond.json", A, None)
+    for _ in range(2):      # the refusal is not kept
+        code = cli.run(argv + ["--algebra", spec, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_BAD_INPUT
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines() == [
+            "error: algebra h_cond.json: its radical cut is not a two-sided "
+            "ideal at double precision, so the table is too ill-conditioned "
+            "to decide its radical"]
 
 
 def test_small_basis_of_c_has_no_radical(tmp_path, capsys):

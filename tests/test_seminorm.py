@@ -170,6 +170,47 @@ def test_character_sup_rejects_empty():
         CharacterSup(()).check_payload(rr)
 
 
+def _specials(rows, cols, seed):
+    """rows x cols of normals at scales 1e-300 to 1e300, with about a
+    third of the entries NaN, -NaN, +-inf or +-0."""
+    rng = np.random.default_rng(seed)
+    X = (rng.standard_normal((rows, cols))
+         * 10.0 ** rng.integers(-300, 301, (rows, cols)))
+    mask = rng.random((rows, cols)) < 0.3
+    X[mask] = rng.choice([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0],
+                         int(mask.sum()))
+    return X
+
+
+@pytest.mark.parametrize("name, p", [
+    ("reals", CoordinateMax()),
+    ("reals", CoordinateMax((0.0,))),
+    ("nonunital3", CoordinateMax()),
+    ("nonunital3", CoordinateMax((0.0, 2.5, 1e300))),
+    ("nonunital3", ComponentSup((0, 2))),
+    ("h2", CoordinateMax((0.0, 1.0, 1e-300, 3.0, 0.0, 1.0, 0.5, 2.0))),
+    ("h2", ComponentSup((1, 4, 7))),
+])
+@pytest.mark.parametrize("rows", [0, 1, 2, 500])
+def test_coordinate_max_values_are_the_row_major_max(name, p, rows):
+    """values reduces block-major; it gives the row-major
+    (w |X|).max(axis=1) bit for bit wherever that is not NaN, and NaN where
+    it is, 0 * inf included.  Only a NaN's sign may differ: NumPy's max
+    over a row returns a NaN of its own, where the block-major max keeps
+    the one it met."""
+    A = corpus.builtin(name)
+    w = p._w(A)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for seed in range(5):
+            X = _specials(rows, A.dim, seed)
+            want = (w * np.abs(X)).max(axis=1)
+            got = p.values(A, X)
+            assert got.shape == (rows,)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            kept = ~np.isnan(want)
+            assert got[kept].tobytes() == want[kept].tobytes()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_coordinate_max_rejects_non_finite_weights(bad):
     rr = corpus.builtin("rr")
@@ -243,7 +284,7 @@ def test_radical_solves_for_no_unit_and_builds_no_hull(monkeypatch, make):
                             orig=orig: calls.append(name) or orig(*args))
     assert A.radical.shape == (1, A.dim)
     assert calls == []
-    assert "unit" not in vars(A) and "semisimple_quotient" not in vars(A)
+    assert "unit" not in vars(A) and "_quotients" not in vars(A)
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])

@@ -42,7 +42,7 @@ from squareprop.seminorm import (CharacterSup, SpectralRadius,
 from squareprop.spectral import spectral_radius_batch, spectrum
 
 from oracles import block_widths
-from transforms import in_basis, orthogonal, rotated
+from transforms import conditioned, in_basis, orthogonal, rotated
 
 
 def _dense_radius(A, X):
@@ -102,16 +102,6 @@ def _block_counts(split):
     return dict(counts)
 
 
-def _conditioned(A, kappa):
-    """A in a basis of condition number kappa: S = U diag(s) V^T with
-    seeded orthogonal U and V and s spread from 1 to kappa."""
-    rng = np.random.default_rng(19)
-    U, V = (np.linalg.qr(rng.standard_normal((A.dim, A.dim)))[0]
-            for _ in range(2))
-    return in_basis(A, U * np.geomspace(1.0, kappa, A.dim) @ V.T,
-                    f"{A.name} at condition {kappa:g}")
-
-
 def _rescaled(A, t):
     """A in the basis t e_i: table entries times t, unit over t."""
     unit = None if A.unit is None else A.unit / t
@@ -147,7 +137,7 @@ CASES.update({
 # kappa^2, and its top d eigenpairs still give r to the same bound
 CASES.update({
     f"{name}_cond{kappa}": (
-        lambda build=build, kappa=kappa: _conditioned(build(), kappa),
+        lambda build=build, kappa=kappa: conditioned(build(), kappa),
         1e-12, sizes)
     for name, build, sizes in [
         ("H4", lambda: corpus.function_algebra_H(4), {(4, True): 4}),
@@ -325,9 +315,10 @@ def test_quotient_and_split_are_built_once_and_separately():
     nonunital3, with B's own unit; the radical needs neither."""
     A = corpus.function_algebra_H(8)
     assert A.semisimple_quotient.algebra is A
+    assert A.semisimple_quotient is A.semisimple_quotient
     N = corpus.nonunital_with_ideal()
     SpectralRadius().kernel(N)   # the radical, from N's own table
-    built = {"semisimple_quotient", "unit", "spectral_split"}
+    built = {"_quotients", "unit", "spectral_split"}
     assert not built & set(vars(N))
     B = N.semisimple_quotient.algebra
     assert N.semisimple_quotient is N.semisimple_quotient
@@ -374,7 +365,7 @@ def test_blocks_of_a_quotient_whose_unit_misses_the_gate():
     the least-squares unit the gate refuses still cuts out its blocks.
     The radii match the dense formula to the rounding such a basis brings
     (2e-10)."""
-    A = _conditioned(corpus.direct_sum(
+    A = conditioned(corpus.direct_sum(
         [corpus.complexes(), corpus.builtin("nonunital3")]), 1000)
     assert not A.semisimple_quotient.algebra.is_unital
     assert sorted(b.name for b in A.simple_blocks) == ["C", "R", "R"]
@@ -637,7 +628,7 @@ def test_direct_sum_split_is_its_parts_splits(name):
     build, sizes = SUMS[name]
     A = build()
     split = A.spectral_split
-    assert "semisimple_quotient" not in vars(A)
+    assert "_quotients" not in vars(A)
     assert "simple_blocks" not in vars(A)
     assert _block_counts(split) == sizes
     offsets = np.cumsum([0] + [P.dim for P in A._parts])
@@ -673,13 +664,15 @@ def _nested():
 
 
 def _decomposed(A):
-    """A and the sums nested in it that hold a quotient or blocks of
-    their own."""
+    """A and the sums nested in it that hold blocks or a quotient table of
+    their own (the identity map that verify keeps for a zero kernel is
+    the sum itself, and builds no table)."""
     sums = [A] if A._parts else []
     for P in A._parts:
         sums += _decomposed(P)
-    return [S for S in sums if {"semisimple_quotient", "simple_blocks"}
-            & set(vars(S))]
+    return [S for S in sums if "simple_blocks" in vars(S)
+            or any(qm.algebra is not S
+                   for qm in vars(S).get("_quotients", {}).values())]
 
 
 def test_summands_flatten_nested_sums_depth_first():

@@ -31,6 +31,17 @@ def rotated(A, seed):
     return in_basis(A, Q, name=f"rotated {A.name}"), Q
 
 
+def conditioned(A, kappa, unit=True):
+    """A in a basis of condition number kappa: S = U diag(s) V^T with
+    seeded orthogonal U and V, both drawn from default_rng(19), and s
+    spread from 1 to kappa; the unit as in_basis gives it."""
+    rng = np.random.default_rng(19)
+    U, V = (np.linalg.qr(rng.standard_normal((A.dim, A.dim)))[0]
+            for _ in range(2))
+    return in_basis(A, U * np.geomspace(1.0, kappa, A.dim) @ V.T,
+                    f"{A.name} at condition {kappa:g}", unit=unit)
+
+
 def skew(n):
     """A well-conditioned, non-orthogonal change of basis: the QR factor of
     a standard normal n x n matrix times diag(10^u), u ~ U[-2, 2], both
