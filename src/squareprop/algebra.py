@@ -37,9 +37,9 @@ needs no unit), the quotient by each V that `quotient` has formed,
 among them B = A / rad(A) (`semisimple_quotient`), which is semisimple
 and so has a unit, the one `unit` solves for on B's table, the simple
 blocks of B, each named R, C, H or M2(R) (`simple_blocks`),
-and per group of blocks a table that gives for every a at once the
-blocks of L_pi(a), or on the R, C and H blocks, all in one group, a
-factor of r(a)^2 four columns wide per block (`spectral_split`).  A nil
+and a table that gives for every a at once, when every block is R, C
+or H, a factor of r(a)^2 four columns wide per block, all in one group,
+or else L_pi(a) on B as one block (`spectral_split`).  A nil
 A (rad(A) = A, as the null line) has B = 0: no blocks, an empty split
 and r = 0.  Two records are kept on it from outside, read-only, by the
 module that builds them: the square probes (seminorm._square_probes) and
@@ -48,8 +48,8 @@ r(a) = r(pi(a)), and on B no L_b keeps a nilpotent Jordan part from the
 radical: its eigenvalues are exact to rounding where those of a
 defective L_a err by about eps^(1/k).  The characters, the seminorm test
 of the spectral radius and the split read the block record and its
-names; the split tags each group of blocks as division (R, C or H) or
-not (see spectral).  A direct sum (corpus.direct_sum) keeps its parts,
+names; the split tags each group as division (R, C or H) or not (see
+spectral).  A direct sum (corpus.direct_sum) keeps its parts,
 and `summands` walks them, nested sums flattened, with the row at which
 each starts: a sum's split, blocks and characters are its summands' (see
 characters), so nothing builds a sum's own quotient or blocks.
@@ -355,9 +355,9 @@ class FiniteDimRealAlgebra:
 
     @cached_property
     def spectral_split(self) -> tuple:
-        """Tables of L_pi(a) on the blocks of B = A / rad(A), grouped
-        by size, or of radius factors on all its R, C and H blocks in one
-        group, each tagged division or not (see _spectral_split)."""
+        """Tables of radius factors on the R, C and H blocks of
+        B = A / rad(A), in one group tagged division, or of L_pi(a) on B
+        as one block (see _spectral_split)."""
         split = _spectral_split(self)
         _read_only(*(T for _, _, T in split))
         return split
@@ -660,21 +660,22 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
 
 
 def _block_groups(B: FiniteDimRealAlgebra, simple):
-    """Tables of L_b on the simple blocks of B, or None when they fail
-    their gate: dimensions summing to dim B, no block leaking out of its
-    subspace on a basis element, independent subspaces (a NaN fails).
+    """The one (4, True) group of B's simple blocks, or None when one of
+    them is not R, C or H, or when they fail their gate: dimensions
+    summing to dim B, no block leaking out of its subspace on a basis
+    element, independent subspaces (a NaN fails).
 
     Each block e*B is invariant under every L_b, and its basis V is
-    orthonormal, so the block of L_b on it is V^T L_b V.  The division
-    blocks (R, C and H) form one group, tagged (4, True), whose table
-    holds their K factors W of _radius_factor side by side in block
-    order, (N, 4K); the other blocks are grouped by size d, and such a
-    group's table holds, in row i, its K blocks of L_(e_i) flattened,
-    (N, K*d^2).
+    orthonormal, so the block of L_b on it is V^T L_b V.  The group's
+    table holds the K factors W of _radius_factor side by side in block
+    order, (N, 4K).  A block that is not R, C or H is asked for before
+    any table is built: r is no seminorm on such a B, which verify stops
+    on before it evaluates r, and _spectral_split reads it as one block.
     """
     bases = [b.V for b in simple]
     N, c = B.dim, B.table
-    if sum(V.shape[1] for V in bases) != N:
+    if not all(b.division for b in simple) or sum(
+            V.shape[1] for V in bases) != N:
         return None
     LVs = [c.transpose(0, 2, 1) @ V for V in bases]   # [i]: L_(e_i) V
     blocks = [V.T @ LV for V, LV in zip(bases, LVs)]  # [i]: block on V
@@ -684,15 +685,7 @@ def _block_groups(B: FiniteDimRealAlgebra, simple):
     if not (leak <= _SPLIT_LEAK * (1.0 + np.abs(c).max())
             and s[-1] >= _SPLIT_INDEPENDENCE):
         return None
-    tags = [(4, True) if b.division else (L.shape[1], False)
-            for L, b in zip(blocks, simple)]
-    cols = [_radius_factor(L) if division else L.reshape(N, d * d)
-            for L, (d, division) in zip(blocks, tags)]
-    return tuple(
-        (d, division,
-         np.concatenate([C for C, tag in zip(cols, tags)
-                         if tag == (d, division)], axis=1))
-        for d, division in sorted(set(tags)))
+    return ((4, True, np.hstack([_radius_factor(L) for L in blocks])),)
 
 
 def _radius_factor(L: np.ndarray) -> np.ndarray:
@@ -730,15 +723,18 @@ def _spectral_split(algebra: FiniteDimRealAlgebra):
     their splits side by side, each in its rows and 0 elsewhere, tables
     of one (d, division) in the order of `summands`: one division group
     at most, and nothing solved on the sum.  On any other algebra the
-    blocks are B's simple blocks (see _block_groups); when they fail their
-    gate, or when a solver stalls while they are built, B is one
-    non-division block in its own coordinates.  Each table is composed
-    with pi, so that for every row x of X, X @ table stacks the K blocks
-    of L_pi(x) on a non-division group, and on the division group the K
-    vectors whose lengths are the blocks' spectral radii.
+    split has one of two shapes.  When every simple block of B is R, C or
+    H and they pass their gate (see _block_groups), it is one division
+    group, whose table gives for every row x of X, in X @ table, the K
+    vectors whose lengths are the blocks' spectral radii.  Otherwise (a
+    block that is not R, C or H, a failed gate, or a solver that stalls
+    while the blocks are built) B is one non-division block in its own
+    coordinates, and X @ table stacks L_pi(x).  Each table is composed
+    with pi.
     Returns a tuple of (d, division, table), by (d, division): at most
-    one division entry, (4, True) with a table of shape (dim, 4K), and per
-    other size d a table of shape (dim, K*d^2); empty when B = 0.
+    one division entry, (4, True) with a table of shape (dim, 4K), and
+    per other size d a table of shape (dim, K*d^2), K > 1 only on a sum;
+    empty when B = 0.
     """
     if algebra._parts:
         groups = {}

@@ -1,7 +1,7 @@
 """End-to-end verification of the submultiplicativity proof chain.
 
-verify_theorem walks, on one (algebra, seminorm) pair: square property
-(and, for the spectral radius, whether it is a seminorm at all), working
+verify_theorem walks, on one (algebra, seminorm) pair: for the spectral
+radius, whether it is a seminorm at all, then the square property, working
 constant, kernel and quotient, the scaled quotient norm and its square
 identity, the iterated-power relation, the radius identity, the
 characters with Proposition 3.1 and the sup bound, and the final
@@ -69,11 +69,9 @@ def sample_bytes(samples: int, dim: int) -> int:
     """Bytes of the sample rows that a stage holds at `samples` rows of an
     algebra of dimension n = dim, the larger of two counts.  Stage 1's
     2 (n^2 + samples) rows: the n^2 probes and their squares, which the
-    algebra keeps, and the random rows R with their squares.  Stage 1 now
-    forms the squares of R a slab at a time, so this counts up to
-    `samples` rows more than it holds; what p.values forms on each slab
-    is not counted.  Or the n x n left matrices of the `samples` rows
-    that a dense product forms."""
+    algebra keeps, and the random rows R with their squares.  Or the
+    n x n left matrices of the `samples` rows that a dense product
+    forms."""
     return 8 * max(2 * (dim * dim + samples) * dim, samples * dim * dim)
 
 
@@ -272,21 +270,22 @@ def _walk(report, algebra, p, config):
     that reaches stage 9 returns None."""
     rng = np.random.default_rng(config.seed + 7)
 
-    # 1. square property
-    sq = square_property_details(p, algebra, config.sample_count, config.seed)
-    report.square_property_residual = sq.residual
-    report.square_witness = [float(v) for v in sq.witness]
-    if not sq.residual <= config.tol:
-        return (f"square property fails: residual {sq.residual:.6g} at the "
-                "recorded witness")
-    # r is a seminorm iff every simple block of A/rad(A) is R, C or H: an
-    # M_k(D) block with k >= 2 holds nilpotents x, y with r(x + y) > 0
+    # 1. r is a seminorm iff every simple block of A/rad(A) is R, C or H:
+    # an M_k(D) block with k >= 2 holds nilpotents x, y with r(x + y) > 0;
+    # asked first, so that r is never evaluated where it is no seminorm
     if isinstance(p, SpectralRadius):
         bad = non_division_block(algebra)
         if bad is not None:
             return (f"{HYPOTHESIS_NOT_MET}the spectral radius is not a "
                     f"seminorm: block {bad[0]} of A/rad(A) is {bad[1]}, not "
                     "R, C or H")
+    # square property
+    sq = square_property_details(p, algebra, config.sample_count, config.seed)
+    report.square_property_residual = sq.residual
+    report.square_witness = [float(v) for v in sq.witness]
+    if not sq.residual <= config.tol:
+        return (f"square property fails: residual {sq.residual:.6g} at the "
+                "recorded witness")
 
     # 2. working constant
     m = estimate_m(p, algebra, config.sample_count, config.seed + 1)
@@ -380,10 +379,11 @@ def verify_theorem(algebra: FiniteDimRealAlgebra, p: SeminormVariant,
     """Walk the proof chain on (algebra, p); the verdict is compute_verdict
     of the report, so the JSON re-gates to it.
 
-    Three stops end the walk with hypothesis_not_met: the square property
-    over tol (stage 1), the spectral radius on an algebra where it is no
-    seminorm, and a radical in A / Ker p with the power of a radical row
-    where p(c^2) != p(c)^2 (after stage 4); the last two notes begin with
+    Three stops end the walk with hypothesis_not_met: the spectral radius
+    on an algebra where it is no seminorm, asked before r is evaluated,
+    then the square property over tol (both stage 1), and a radical in
+    A / Ker p with the power of a radical row where p(c^2) != p(c)^2
+    (after stage 4); the first and the last notes begin with
     HYPOTHESIS_NOT_MET.  A kernel that is no ideal, a radical that no power
     shows and a quotient without a unit stop it with fail.  Stage 8 sets
     sup_equality_residual whenever a character exists: on A / Ker p,

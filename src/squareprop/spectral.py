@@ -19,15 +19,18 @@ One spectral-radius path.  The radical of A is nil, so r(a) = r(pi(a)) in
 B = A / rad(A), whether A has a unit or not (on a non-unital A, r(a) is
 read in its unitization, whose radical is rad(A) again).  B is
 semisimple: the direct sum of its simple blocks e*B (Wedderburn-Artin),
-each invariant under every L_b.  The algebra keeps, once built, a table
-per group of blocks (FiniteDimRealAlgebra.spectral_split): one group of
-all the division blocks (R, C and H), and one per size d of the others;
-a B whose blocks fail their gate is one non-division block; a direct
-sum's split is its summands' side by side (algebra._spectral_split).  A
-nil A has B = 0 and no group, and r = 0 on it.  A batch of elements
-then costs one product for the division group (below), and per
-non-division group one matmul X @ table and one batched eigvals over the
-stack of d x d blocks it gives.
+each invariant under every L_b.  The algebra keeps, once built, its
+split (FiniteDimRealAlgebra.spectral_split) in one of two shapes: one
+division group of all the blocks, when every block is R, C or H and the
+blocks pass their gate, or else B as one non-division block.  A block
+that is not R, C or H makes r no seminorm, and verify stops on it before
+it evaluates r.  A direct sum's split is its summands' side by side
+(algebra._spectral_split), so it may hold one division group and, per
+size d, the d x d non-division blocks of its summands.  A nil A has
+B = 0 and no group, and r = 0 on it.  A batch of elements then costs
+one product for the division group (below), and per non-division group
+one matmul X @ table and one batched eigvals over the stack of d x d
+blocks it gives.
 
 On the division group the radius is a row norm.  On a division algebra D
 with its standard basis, L_x is |x| times an orthogonal map (|xy| = |x||y|),
@@ -144,7 +147,8 @@ def max_block_norm(Y: np.ndarray) -> np.ndarray:
 def _group_radii(X: np.ndarray, d: int, table: np.ndarray) -> np.ndarray:
     """Spectral radius of every row x of X on one non-division group of
     the split: X @ table stacks the K blocks (rows, K, d, d) of L_pi(x),
-    and the radii come from eigvals."""
+    K > 1 only on a direct sum whose summands each give one block of size
+    d, and the radii come from eigvals."""
     S = (X @ table).reshape(len(X), table.shape[1] // (d * d), d, d)
     return np.abs(_eigvals(S)).max(axis=(1, 2))
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,18 @@ def test_find_unit():
     assert np.allclose(_solve_unit(corpus.quaternions().table), [1, 0, 0, 0])
     null = make_algebra(1, ["n"], {})  # one-dim null product
     assert not null.is_unital   # its least-squares unit fails the unit gate
+
+
+def test_no_unit_when_the_least_squares_solve_fails(monkeypatch):
+    """_solve_unit gives None when lstsq does not converge, and a table
+    given without a unit is then not unital."""
+    def stalls(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "lstsq", stalls)
+    H = corpus.quaternions()
+    assert _solve_unit(H.table) is None
+    A = make_algebra(4, H.labels, H.table)
+    assert A.unit is None and not A.is_unital
 
 
 @pytest.mark.parametrize("k", range(-8, 9))
@@ -231,16 +245,18 @@ def test_quotient_is_kept_per_v():
 
 
 def test_a_refused_v_raises_on_every_call(monkeypatch):
-    """A refusal is not kept: the gate runs, and raises, again."""
+    """A refusal is not kept: the gate runs, and raises, again.  A V with
+    a NaN entry is kept as it is by _row_basis, and the gate refuses it."""
     m2 = corpus.m2_reals()
     gates = []
     orig = algebra_mod._absorbs
     monkeypatch.setattr(algebra_mod, "_absorbs",
                         lambda *args: gates.append(1) or orig(*args))
-    for _ in range(2):
-        with pytest.raises(NotAnIdeal):
-            quotient(m2, [[0, 1, 0, 0]])
-    assert len(gates) == 2
+    for V in ([[0, 1, 0, 0]], [[math.nan, 0, 0, 0]]):
+        for _ in range(2):
+            with pytest.raises(NotAnIdeal):
+                quotient(m2, V)
+    assert len(gates) == 4
     assert vars(m2).get("_quotients", {}) == {}
 
 

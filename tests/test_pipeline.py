@@ -16,6 +16,7 @@ from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
                                  check_submultiplicative)
 
 from oracles import CallableSeminorm, manifest_pair
+from transforms import rotated
 
 QUICK = PipelineConfig(sample_count=400, seed=5)
 
@@ -112,6 +113,52 @@ def test_radical_without_a_square_defect_fails(monkeypatch):
     assert rep.verdict == _regated(rep) == "fail"
     assert rep.quotient_dim == 2 and rep.branch is None
     assert [n for n in rep.notes if "has a radical, but" in n], rep.notes
+
+
+def test_spectral_radius_axiom_is_asked_before_r_is_evaluated(
+        monkeypatch, tmp_path, capsys):
+    """On H^4 (+) M2(R) in a dense basis, no sum, r is no seminorm: verify
+    stops on its M2(R) block before stage 1 evaluates r on any row, so no
+    square residual or witness is recorded, and the console exits 3."""
+    A = rotated(corpus.direct_sum([corpus.quaternions()] * 4
+                                  + [corpus.m2_reals()]), 3)[0]
+    spec = tmp_path / "h4_m2r.json"
+    spec.write_text(json.dumps({
+        "dim": A.dim, "basis": A.labels, "unit": A.unit.tolist(),
+        "table": [[*map(int, ijk), float(A.table[ijk])]
+                  for ijk in zip(*np.nonzero(A.table))]}))
+    rows = []
+    orig = SpectralRadius.values
+    monkeypatch.setattr(SpectralRadius, "values", lambda self, algebra, X:
+                        rows.append(len(X)) or orig(self, algebra, X))
+    rep = verify_theorem(A, SpectralRadius(), QUICK)
+    code = cli.run(["verify", "--algebra", str(spec), "--seminorm",
+                    "spectral_radius", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rows == [] and code == 3
+    assert rep.verdict == _regated(rep) == payload["verdict"] == (
+        "hypothesis_not_met")
+    assert rep.notes == payload["notes"] == [
+        f"{pipeline.HYPOTHESIS_NOT_MET}the spectral radius is not a "
+        "seminorm: block 4 of A/rad(A) is M2(R), not R, C or H; later "
+        "stages skipped"]
+    for report in (rep.to_dict(), payload):
+        assert report["square_property_residual"] is None
+        assert report["square_witness"] is None
+
+
+def test_no_character_leaves_stage_eight_without_a_sup(monkeypatch):
+    """A quotient with no character records a count of 0 and a note, and
+    no sup equality, so the walk reaches stage 9 and fails; on rrc,
+    nonexistence_explanation finds no reason to add to the note."""
+    monkeypatch.setattr(pipeline, "find_characters",
+                        lambda qalg: np.zeros((0, qalg.dim, 4)))
+    rep = _run("rrc_spectral_radius")
+    assert rep.character_count == 0
+    assert rep.notes == ["the quotient has no quaternion character"]
+    assert rep.sup_equality_residual is None
+    assert rep.final_submultiplicativity_ratio is not None
+    assert rep.verdict == _regated(rep) == "fail"
 
 
 def test_opaque_seminorm_rejected():

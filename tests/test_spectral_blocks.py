@@ -2,13 +2,13 @@
 formula they replace.
 
 ``spectral_radius_batch`` evaluates r(a) = r(pi(a)) on the diagonal blocks
-of L_pi(a) on B = A / rad(A): on B's simple blocks at every
-dimension (on R, C and H blocks, whose eigenvalues are one conjugate
-pair, as the norm |a W| of a factor W of the quadratic form
-r^2 = (2 (tr M)^2 - d tr M^2) / d^2 on a d x d block M, built once with
-the split; by eigenvalues on any other block), and on B as one block when
-the blocks fail their gate (invariance on the basis, independence,
-dimensions summing to dim B) or a solver stalls.  A direct sum solves
+of L_pi(a) on B = A / rad(A): on B's simple blocks when every one is
+R, C or H (whose eigenvalues are one conjugate pair, as the norm |a W|
+of a factor W of the quadratic form r^2 = (2 (tr M)^2 - d tr M^2) / d^2
+on a d x d block M, built once with the split), and on B as one block,
+by eigenvalues, when a block is not R, C or H, when the blocks fail
+their gate (invariance on the basis, independence, dimensions summing to
+dim B) or when a solver stalls.  A direct sum solves
 nothing of its own: its split is its parts' splits side by side, each in
 that part's rows, and its blocks are its summands' blocks, so no path
 decomposes a sum whole.  The dense formula (eigenvalues of the whole left
@@ -125,6 +125,12 @@ CASES = {
     "rotated_H4+nonunital3": (lambda: rotated(corpus.direct_sum(
         _h(4) + [corpus.builtin("nonunital3")]), 5)[0], 1e-10,
         {(1, True): 2, (4, True): 4}),
+    # no sum, and a block that is not R, C or H: B is one block
+    "rotated_H4+M2R": (lambda: rotated(corpus.direct_sum(
+        _h(4) + [corpus.m2_reals()]), 3)[0], 1e-10, {(20, False): 1}),
+    "rotated_M2R+M2R+C": (lambda: rotated(corpus.direct_sum(
+        [corpus.m2_reals(), corpus.m2_reals(), corpus.complexes()]), 4)[0],
+        1e-10, {(10, False): 1}),
 }
 # R + C + H^4, rotated or not, in the basis 10^k e_i
 CASES.update({
