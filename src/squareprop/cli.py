@@ -35,11 +35,31 @@ class InputError(Exception):
     """Malformed user input; the message names the offending field."""
 
 
+def _integral(x) -> bool:
+    """x is a JSON number with no fractional part (2 or 2.0, not 1.5),
+    and not true, false or a string, which Python would read as one."""
+    return not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer())
+
+
+def _real(x) -> bool:
+    """x is a JSON number that a float holds (an integer past 1.8e308 is
+    not), and not true, false or a string."""
+    return not isinstance(x, bool) and (
+        isinstance(x, float) or isinstance(x, int)
+        and abs(x) <= sys.float_info.max)
+
+
 def load_algebra(spec: str) -> FiniteDimRealAlgebra:
     """Path to an algebra JSON document, or a builtin name.  A file is
     read, and its table checked, on every call, so each call gives a new
     algebra; a builtin name gives the one object that corpus.builtin keeps
-    for the process, with the records that earlier calls built on it."""
+    for the process, with the records that earlier calls built on it.
+
+    A file holds an integral `dim`, `basis` (dim labels), `table` (rows
+    [i, j, k, value]: integral indices, a real value, no (i, j, k) twice),
+    and optionally `unit` (dim reals) and `name` (a string).  True, false
+    and strings are refused where a number belongs."""
     if not os.path.exists(spec):
         try:
             return corpus.builtin(spec)
@@ -52,11 +72,10 @@ def load_algebra(spec: str) -> FiniteDimRealAlgebra:
         raise InputError(f"algebra file {spec}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"algebra file {spec}: top level must be an object")
-    try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
+    if not _integral(doc.get("dim")):
         raise InputError(f"algebra file {spec}: field 'dim' missing or "
-                         "not an integer") from None
+                         "not an integer")
+    dim = int(doc["dim"])
     basis = doc.get("basis")
     if not isinstance(basis, list) or len(basis) != dim:
         raise InputError(f"algebra file {spec}: field 'basis' must list "
@@ -70,15 +89,26 @@ def load_algebra(spec: str) -> FiniteDimRealAlgebra:
         if not (isinstance(row, list) and len(row) == 4):
             raise InputError(f"algebra file {spec}: table row {row!r} is not "
                              "[i, j, k, value]")
-        i, j, k, v = row
-        try:
-            table[(int(i), int(j), int(k))] = float(v)
-        except (TypeError, ValueError):
+        if not (all(map(_integral, row[:3])) and _real(row[3])):
             raise InputError(f"algebra file {spec}: table row {row!r} needs "
-                             "integer indices and a real value") from None
+                             "integer indices and a real value")
+        ijk = tuple(map(int, row[:3]))
+        if ijk in table:
+            raise InputError(f"algebra file {spec}: table row {row!r} "
+                             f"repeats the entry {ijk}")
+        table[ijk] = row[3]
+    unit = doc.get("unit")
+    bad = ([x for x in unit if not _real(x)] if isinstance(unit, list)
+           else [unit])
+    if unit is not None and bad:
+        raise InputError(f"algebra file {spec}: field 'unit' must list real "
+                         f"numbers, not {bad[0]!r}")
+    name = doc.get("name", os.path.basename(spec))
+    if not isinstance(name, str):
+        raise InputError(f"algebra file {spec}: field 'name' must be a "
+                         "string")
     try:
-        return make_algebra(dim, basis, table, unit=doc.get("unit"),
-                            name=doc.get("name", os.path.basename(spec)))
+        return make_algebra(dim, basis, table, unit=unit, name=name)
     except (AlgebraError, TypeError, ValueError) as exc:
         raise InputError(f"algebra file {spec}: {exc}") from None
 
@@ -140,11 +170,19 @@ def _spectrum(a: AlgebraElement, text: str):
 
 
 def _emit(payload: dict, fmt: str, text_lines):
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    """Print the payload as JSON, or the text lines.  A reader that closed
+    the pipe ends the output quietly: stdout is pointed at the null device,
+    so that the interpreter's final flush cannot raise again, and the
+    subcommand goes on to return its own exit code."""
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _config(**fields) -> pipeline.PipelineConfig:

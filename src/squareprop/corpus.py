@@ -10,10 +10,11 @@ builtin(name) builds each builtin algebra once per process, on first use,
 and hands out that one object from then on, so the records kept on it
 (unit, radical, quotients, simple blocks, spectral split, characters,
 square probes) are built once too: a second `verify` of a builtin reads
-them, A / Ker p and the records on it included.  The sums
-rr, rrc, hc and h2 are formed from the builtin R, C and H, and share them
-and their records.  The constructors below (reals, direct_sum, ...) build a
-new algebra on every call.
+them, A / Ker p and the records on it included.  The sums rr, rrc, hc
+and every function_algebra_H(n), h2 among them, are formed from the
+builtin R, C and H, and share them and their records.  The other
+constructors below (reals, direct_sum, ...) build a new algebra on every
+call.
 """
 
 from __future__ import annotations
@@ -88,8 +89,10 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
 
 def function_algebra_H(points: int) -> FiniteDimRealAlgebra:
     """H-valued functions on a finite point set: a direct sum of copies of
-    one H, whose records (its spectral split) are built once."""
-    return direct_sum([quaternions()] * points, name=f"C({points} pts, H)")
+    the builtin H, so every such sum in a process shares its records (its
+    blocks, spectral split and characters), built once."""
+    return direct_sum([builtin("quaternions")] * points,
+                      name=f"C({points} pts, H)")
 
 
 def nonunital_with_ideal() -> FiniteDimRealAlgebra:
@@ -131,8 +134,7 @@ _BUILTINS = {
                               name="R(+)R(+)C"),
     "hc": lambda: direct_sum([builtin("quaternions"), builtin("complexes")],
                              name="H(+)C"),
-    "h2": lambda: direct_sum([builtin("quaternions")] * 2,
-                             name="C(2 pts, H)"),
+    "h2": lambda: function_algebra_H(2),
     "nonunital3": nonunital_with_ideal,
 }
 
@@ -200,18 +202,19 @@ SEMINORM_KINDS = {
     "component_sup": ("subset",)}
 
 
-def _holds_bool(x) -> bool:
-    """True when a JSON true or false is x or sits in x, a nested list."""
-    return isinstance(x, bool) or (isinstance(x, (list, tuple))
-                                   and any(map(_holds_bool, x)))
+def _holds(x, cls) -> bool:
+    """True when x, or an entry of x at any depth of nested lists, is a
+    cls (a JSON true or false is a bool, a JSON string a str)."""
+    return isinstance(x, cls) or (isinstance(x, (list, tuple))
+                                  and any(_holds(y, cls) for y in x))
 
 
 def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
     """Instantiate a seminorm variant for an algebra from a kind tag, one of
     SEMINORM_KINDS, and payload dict (the vocabulary of the CLI files).
     Raises ValueError on an unknown kind, a field the kind does not read
-    or that is malformed (true or false among numbers too), or a missing
-    component_sup subset."""
+    or that is malformed (true, false or a string among numbers too), or
+    a missing component_sup subset."""
     if kind not in SEMINORM_KINDS:
         raise ValueError(f"unknown type {kind!r}; expected one of "
                          f"{', '.join(SEMINORM_KINDS)}")
@@ -221,9 +224,11 @@ def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
         raise ValueError(f"{kind} does not read field {unread[0]!r}; it "
                          f"reads {', '.join(fields) or 'none'}")
     for name, ndim in (("subset", 1), ("weights", 1), ("characters", 3)):
-        if _holds_bool(args.get(name)):   # NumPy reads true as 1.0
-            raise ValueError(f"field {name!r} holds true or false where a "
-                             "number belongs")
+        # NumPy reads true as 1.0 and "1" as 1.0
+        for bad, what in ((bool, "true or false"), (str, "a string")):
+            if _holds(args.get(name), bad):
+                raise ValueError(f"field {name!r} holds {what} where a "
+                                 "number belongs")
         try:   # a number, a ragged list or a non-number fails
             ok = (args.get(name) is None
                   or np.asarray(args[name], dtype=float).ndim == ndim)

@@ -16,7 +16,7 @@ from squareprop.algebra import (ASSOC_TOL, IDEAL_TOL, AlgebraError,
                                 subspace_is_two_sided_ideal)
 from squareprop.seminorm import ComponentSup
 
-from transforms import rotated
+from transforms import rotated, write_algebra
 
 
 def _t2r_hc():
@@ -202,13 +202,9 @@ def test_make_algebra_and_quotient_check_once(assoc_checks):
 
 def test_algebra_file_without_unit_is_checked_once(tmp_path, assoc_checks):
     A = corpus.builtin("hc")
-    path = tmp_path / "hc.json"
-    path.write_text(json.dumps({
-        "dim": A.dim, "basis": A.labels,
-        "table": [[*map(int, ijk), float(A.table[ijk])]
-                  for ijk in zip(*np.nonzero(A.table))]}))
+    path = write_algebra(tmp_path / "hc.json", A, unit=False)
     assoc_checks.clear()
-    loaded = cli.load_algebra(str(path))
+    loaded = cli.load_algebra(path)
     assert assoc_checks == [A.dim]
     assert np.array_equal(loaded.unit, A.unit)
 
@@ -520,12 +516,7 @@ def _sparse_file_algebra(tmp_path):
     """T2(R) (+) M2(R) (+) R read from a file of [i, j, k, value] rows."""
     base = corpus.direct_sum([_t2r_hc()._parts[0], corpus.m2_reals(),
                               corpus.reals()])
-    rows = [[int(i), int(j), int(k), float(base.table[i, j, k])]
-            for i, j, k in zip(*np.nonzero(base.table))]
-    path = tmp_path / "sparse.json"
-    path.write_text(json.dumps({"dim": base.dim, "basis": base.labels,
-                                "table": rows, "unit": base.unit.tolist()}))
-    return cli.load_algebra(str(path))
+    return cli.load_algebra(write_algebra(tmp_path / "sparse.json", base))
 
 
 def _nonzero_cases():

@@ -1,11 +1,11 @@
 """A builtin algebra is one object per process, and so are its records.
 
 corpus.builtin builds each builtin on first use and hands out that object
-from then on; the sums rr, rrc, hc and h2 are formed from the builtin R, C
-and H.  So a second `verify` of a builtin reads the unit, blocks, split and
-characters that the first one built, and prints the same bytes.  The
-autouse fixture of conftest.py clears the builtins before each test, so
-every test here starts cold.
+from then on; the sums rr, rrc, hc and every function_algebra_H(n), h2
+among them, are formed from the builtin R, C and H.  So a second `verify`
+of a builtin reads the unit, blocks, split and characters that the first
+one built, and prints the same bytes.  The autouse fixture of conftest.py
+clears the builtins before each test, so every test here starts cold.
 """
 
 import json
@@ -19,6 +19,7 @@ from squareprop.characters import find_characters
 from squareprop.seminorm import _square_probes
 
 from golden import _spec
+from transforms import write_algebra
 
 
 def _verify(capsys, algebra, seminorm):
@@ -81,6 +82,19 @@ def test_builtin_sums_are_formed_from_the_builtin_parts():
     assert np.array_equal(h2.unit, fresh.unit)
 
 
+def test_h2_and_every_hn_sum_the_builtin_h(monkeypatch):
+    """C(n pts, H) has one construction: the builtin h2 is
+    function_algebra_H(2), and every H^n sums the builtin H, so all of
+    them share its records."""
+    H = corpus.builtin("quaternions")
+    assert corpus.function_algebra_H(3)._parts == (H, H, H)
+    calls, build = [], corpus.function_algebra_H
+    monkeypatch.setattr(corpus, "function_algebra_H",
+                        lambda n: calls.append(n) or build(n))
+    assert corpus.builtin("h2")._parts == (H, H)
+    assert calls == [2]
+
+
 def test_hc_then_h2_decomposes_h_once(monkeypatch, capsys):
     """h2 shares the builtin H that hc decomposed, so a process that
     verifies both with the spectral radius builds blocks on H and C
@@ -105,12 +119,8 @@ def test_unknown_builtin_still_exits_two_and_names_the_builtins(capsys):
 
 def test_an_algebra_file_is_loaded_fresh_on_every_call(tmp_path):
     A = corpus.builtin("rr")
-    path = tmp_path / "rr.json"
-    path.write_text(json.dumps({
-        "dim": A.dim, "basis": A.labels,
-        "table": [[*map(int, ijk), float(A.table[ijk])]
-                  for ijk in zip(*np.nonzero(A.table))]}))
-    first, second = (cli.load_algebra(str(path)) for _ in range(2))
+    path = write_algebra(tmp_path / "rr.json", A, unit=False)
+    first, second = (cli.load_algebra(path) for _ in range(2))
     assert first is not second
     assert np.array_equal(first.table, second.table)
 

@@ -1,4 +1,7 @@
+import functools
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -8,8 +11,13 @@ from squareprop import cli, corpus, pipeline
 from squareprop.algebra import make_algebra
 from squareprop.characters import character_residual, find_characters
 from squareprop.seminorm import M_HAT_FLOOR
+from squareprop.spectral import NonConvergence
 
-from transforms import conditioned, in_basis, power_of_two, rotated, skew
+from transforms import (conditioned, in_basis, power_of_two, rotated, skew,
+                        write_algebra)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def run_capture(capsys, argv):
@@ -241,12 +249,33 @@ def test_non_numeric_seminorm_shorthand_exit_two(capsys):
     assert "coordinate_max:a" in capsys.readouterr().err
 
 
+R_TABLE = [[0, 0, 0, 1.0]]   # the table of R
+
+
 @pytest.mark.parametrize("extra, field", [
     ({"table": [[0, 0, 0, "one"]]}, "table row"),
     ({"table": [[0, "x", 0, 1.0]]}, "table row"),
-    ({"table": [[0, 0, 0, 1.0]], "unit": ["one"]}, "one"),
-], ids=["value", "index", "unit"])
+    ({"table": R_TABLE, "unit": ["one"]}, "one"),
+    ({"dim": 1.5}, "'dim'"),
+    ({"dim": True}, "'dim'"),
+    ({"dim": "1"}, "'dim'"),
+    ({"table": [[0, 0.7, 0, 1.0]]}, "table row"),
+    ({"table": [[True, 0, 0, 1.0]]}, "table row"),
+    ({"table": [[0, 0, "0", 1.0]]}, "table row"),
+    ({"table": [[0, 0, 0, True]]}, "table row"),
+    ({"table": [[0, 0, 0, "1.0"]]}, "table row"),
+    ({"table": [[0, 0, 0, 10 ** 309]]}, "table row"),
+    ({"table": R_TABLE, "unit": [True]}, "'unit'"),
+    ({"table": R_TABLE, "name": 5}, "'name'"),
+    ({"table": R_TABLE + [[0, 0, 0, 2.0]]}, "repeats the entry"),
+], ids=["value", "index", "unit", "dim_fraction", "dim_true", "dim_string",
+        "index_fraction", "index_true", "index_string", "value_true",
+        "value_string", "value_past_float", "unit_true", "name_number",
+        "repeated_entry"])
 def test_non_numeric_algebra_entry_exit_two(tmp_path, capsys, extra, field):
+    """Python reads true as 1 and "1" as 1.0, int(0.7) is 0, and a dict
+    keeps the last of two equal keys: from "dim_fraction" on, each of
+    these loaded as R, or as R with that entry, and exited 0."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 1, "basis": ["1"], **extra}))
     code = cli.run(["spectrum", "--algebra", str(path), "--element", "1"])
@@ -421,16 +450,6 @@ def _t2r_plus_m2r():
     return corpus.direct_sum([t2r, corpus.m2_reals()])
 
 
-def _algebra_file(tmp_path, name, A) -> str:
-    """A written as an algebra JSON file, with its unit; the file's path."""
-    spec = str(tmp_path / f"{name}.json")
-    with open(spec, "w", encoding="utf-8") as fh:
-        json.dump({"dim": A.dim, "basis": A.labels, "unit": A.unit.tolist(),
-                   "table": [[*map(int, ijk), float(A.table[ijk])]
-                             for ijk in zip(*np.nonzero(A.table))]}, fh)
-    return spec
-
-
 def _matrix_block_note(capsys, spec) -> dict:
     """verify with the spectral radius on spec: exit 3 at the axiom stop,
     with no final ratio; the JSON payload."""
@@ -456,7 +475,7 @@ def test_spectral_radius_on_a_matrix_block_exits_three(tmp_path, capsys,
         A = (rotated(corpus.direct_sum([corpus.m2_reals(),
                                         corpus.reals()]), 1)[0]
              if name == "rotated_m2r+r" else _t2r_plus_m2r())
-        spec = _algebra_file(tmp_path, name, A)
+        spec = write_algebra(tmp_path / f"{name}.json", A)
     payload = _matrix_block_note(capsys, spec)
     assert [n for n in payload["notes"]
             if f"block {block} of A/rad(A) is M2(R)" in n]
@@ -479,7 +498,7 @@ def test_matrix_block_index_does_not_follow_rounding(tmp_path, capsys):
     for name, copy in (("rotated", R), ("einsum", E)):
         assert [b.name for b in copy.simple_blocks] == ["R", "M2(R)"]
         payload = _matrix_block_note(
-            capsys, _algebra_file(tmp_path, name, copy))
+            capsys, write_algebra(tmp_path / f"{name}.json", copy))
         assert [n for n in payload["notes"]
                 if "block 1 of A/rad(A) is M2(R)" in n]
 
@@ -515,7 +534,7 @@ def _nil_file(tmp_path, name) -> str:
     else:
         A = rotated(make_algebra(3, ["E12", "E13", "E23"], {(0, 2, 1): 1.0},
                                  name="N3(R)"), 1)[0]
-    return _write_algebra(tmp_path / f"{name}.json", A, None)
+    return write_algebra(tmp_path / f"{name}.json", A, unit=False)
 
 
 @pytest.mark.parametrize("algebra, seminorm", [
@@ -590,16 +609,9 @@ def test_verify_reports_sup_equality(algebra, seminorm, capsys):
 def test_character_sup_shorthand_on_an_untagged_algebra(tmp_path, capsys):
     """The shorthand takes the characters of the algebra itself, so a JSON
     copy of H, which carries no R/C/H component tags, verifies as H."""
-    H = corpus.quaternions()
-    i, j, k = np.nonzero(H.table)
-    path = tmp_path / "h.json"
-    path.write_text(json.dumps({
-        "name": "H-from-file", "dim": 4, "basis": ["1", "i", "j", "k"],
-        "table": [[int(a), int(b), int(c), float(H.table[a, b, c])]
-                  for a, b, c in zip(i, j, k)],
-        "unit": [1.0, 0.0, 0.0, 0.0]}))
+    spec = write_algebra(tmp_path / "h.json", corpus.quaternions())
     code, out = run_capture(capsys, [
-        "verify", "--algebra", str(path), "--seminorm", "character_sup",
+        "verify", "--algebra", spec, "--seminorm", "character_sup",
         "--samples", "300", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
@@ -656,22 +668,12 @@ def test_character_sup_shorthand_fields_are_read(tmp_path, capsys, payload):
     assert code == 0
 
 
-def _write_algebra(path, A, unit):
-    """A as an algebra file; the unit is left out when unit is None."""
-    doc = {"dim": A.dim, "basis": A.labels,
-           "table": [[*map(int, ijk), float(A.table[ijk])]
-                     for ijk in zip(*np.nonzero(A.table))]}
-    if unit is not None:
-        doc["unit"] = list(unit)
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
 def test_algebra_file_without_unit_gets_the_detected_one(tmp_path, capsys):
     """C written without "unit" loads unital, as the builtin: the same
     spectrum points and radii, and the unital branch of verify (the file
     used to load non-unital, with an extra 0 in every spectrum)."""
-    spec = _write_algebra(tmp_path / "c.json", corpus.complexes(), None)
+    spec = write_algebra(tmp_path / "c.json", corpus.complexes(),
+                         unit=False)
     assert cli.load_algebra(spec).unit.tolist() == [1.0, 0.0]
     for argv in (["spectrum", "--element", "1 0"],
                  ["spectrum", "--element", "0.5 -2"],
@@ -694,8 +696,8 @@ def test_algebra_file_without_unit_gets_the_detected_one(tmp_path, capsys):
 
 def test_algebra_file_without_unit_stays_non_unital_when_there_is_none(
         tmp_path):
-    spec = _write_algebra(tmp_path / "n.json",
-                          corpus.builtin("nonunital3"), None)
+    spec = write_algebra(tmp_path / "n.json", corpus.builtin("nonunital3"),
+                         unit=False)
     assert not cli.load_algebra(spec).is_unital
 
 
@@ -708,8 +710,7 @@ def test_skewed_h8_file_passes(tmp_path, capsys, with_unit):
     file without it exited 1."""
     H = corpus.function_algebra_H(8)
     A = in_basis(H, skew(H.dim), unit=with_unit)
-    spec = _write_algebra(tmp_path / "h8.json", A,
-                          A.unit if with_unit else None)
+    spec = write_algebra(tmp_path / "h8.json", A, unit=with_unit)
     code, out = run_capture(capsys, [
         "verify", "--algebra", spec, "--seminorm", "spectral_radius",
         "--format", "json"])
@@ -730,7 +731,7 @@ def test_undecidable_radical_exits_two(tmp_path, capsys, argv):
     NotAnIdeal traceback of semisimple_quotient and exited 1."""
     A = conditioned(corpus.quaternions(), 1e4, unit=False)
     assert A.radical.shape[0] > 0
-    spec = _write_algebra(tmp_path / "h_cond.json", A, None)
+    spec = write_algebra(tmp_path / "h_cond.json", A, unit=False)
     for _ in range(2):      # the refusal is not kept
         code = cli.run(argv + ["--algebra", spec, "--format", "json"])
         out, err = capsys.readouterr()
@@ -751,7 +752,7 @@ def test_small_basis_of_c_has_no_radical(tmp_path, capsys):
     A = make_algebra(2, ["t", "ti"], corpus.complexes().table * t,
                      unit=[1.0 / t, 0.0], name="C/1e-6")
     assert A.radical.shape == (0, 2)
-    spec = _write_algebra(tmp_path / "c_small.json", A, A.unit)
+    spec = write_algebra(tmp_path / "c_small.json", A)
     code, out = run_capture(capsys, [
         "verify", "--algebra", spec, "--seminorm", "spectral_radius",
         "--format", "json"])
@@ -794,7 +795,7 @@ def test_c_in_a_small_basis_has_its_character(tmp_path, capsys):
     the checks that mask every row fail (ROADMAP item 1)."""
     t = 1e-7
     A = make_algebra(2, ["a", "b"], corpus.complexes().table * t)
-    spec = _write_algebra(tmp_path / "c_tiny.json", A, None)
+    spec = write_algebra(tmp_path / "c_tiny.json", A, unit=False)
     code, out = run_capture(capsys, [
         "characters", "--algebra", spec, "--format", "json"])
     assert code == 0 and json.loads(out)["count"] == 1
@@ -813,7 +814,7 @@ def _truncated_polynomial_file(tmp_path, powers):
              if e + f < len(powers)}
     A = make_algebra(len(powers), [f"x{e}" for e in powers], table,
                      unit=np.eye(len(powers))[at[0]])
-    return _write_algebra(tmp_path / "truncated.json", A, A.unit.tolist())
+    return write_algebra(tmp_path / "truncated.json", A)
 
 
 @pytest.mark.parametrize("algebra, seminorm, note", [
@@ -890,10 +891,150 @@ def test_nonunital_power_of_two_copies(tmp_path, capsys, name, K):
     for seed in range(10):
         A = power_of_two(B, K, seed)[0]
         assert not A.is_unital
-        spec = _write_algebra(tmp_path / f"{seed}.json", A, None)
+        spec = write_algebra(tmp_path / f"{seed}.json", A, unit=False)
         codes.append(cli.run(["verify", "--algebra", spec, "--seminorm",
                               "spectral_radius", "--format", "json"]))
         capsys.readouterr()
     assert set(codes) <= {0, 1, 3}
     assert {s for s, code in enumerate(codes) if code == 0} >= set(
         NONUNITAL_PASSES[name, K])
+
+
+# -- write_algebra, and the inputs that exit 2 ----------------------------
+
+ROUND_TRIP = {name: functools.partial(corpus.builtin, name)
+              for name in corpus.builtin_names()}
+ROUND_TRIP["rotated_H4+M2R"] = lambda: rotated(corpus.direct_sum(
+    [corpus.builtin("quaternions")] * 4 + [corpus.m2_reals()]), 3)[0]
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "no_unit"])
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+def test_write_algebra_is_the_inverse_of_load_algebra(tmp_path, name, unit):
+    """The files of the tests and of CI's exit-code step are written by
+    write_algebra: load_algebra reads back the table and labels bit for
+    bit, and the unit as written, or, when none is, the one the table
+    alone gives."""
+    A = ROUND_TRIP[name]()
+    path = write_algebra(tmp_path / "a.json", A, unit=unit)
+    with open(path, encoding="utf-8") as fh:
+        assert ("unit" in json.load(fh)) == (unit and A.unit is not None)
+    B = cli.load_algebra(path)
+    want = A.unit if unit else make_algebra(A.dim, A.labels, A.table).unit
+    assert B.table.tobytes() == A.table.tobytes()
+    assert B.labels == A.labels
+    assert (B.unit is None) == (want is None)
+    assert want is None or B.unit.tobytes() == want.tobytes()
+
+
+def test_integral_floats_load(tmp_path):
+    """An integral dim or index may be written as a float: 2.0 is 2."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "dim": 2.0, "basis": ["1", "i"], "table": [
+            [0.0, 0, 0, 1], [0, 1, 1.0, 1], [1, 0, 1, 1], [1, 1, 0, -1]]}))
+    A = cli.load_algebra(str(path))
+    assert np.array_equal(A.table, corpus.complexes().table)
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"type": "coordinate_max", "weights": ["1", 2]}, "weights"),
+    ({"type": "component_sup", "subset": ["0"]}, "subset"),
+    ({"type": "character_sup",
+      "characters": [[[1, 0, 0, 0], ["0", 0, 0, 0]]]}, "characters"),
+], ids=["weights", "subset", "characters"])
+def test_json_string_among_numbers_exit_two(tmp_path, capsys, payload,
+                                            field):
+    """NumPy reads "1" as 1.0: each of these loaded."""
+    sn = tmp_path / "str.json"
+    sn.write_text(json.dumps(payload))
+    code = cli.run(["verify", "--algebra", "rr", "--seminorm", str(sn)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"field {field!r} holds a string" in captured.err
+
+
+@pytest.mark.parametrize("kind, text, field", [
+    ("algebra", "{", "algebra file"),
+    ("algebra", "[]", "top level must be an object"),
+    ("algebra", '{"basis": ["1"], "table": []}', "'dim'"),
+    ("algebra", '{"dim": 1, "basis": ["1"], "table": {}}', "'table'"),
+    ("algebra", '{"dim": 1, "basis": ["1"], "table": [[0, 0, 1.0]]}',
+     "table row"),
+    ("algebra", '{"dim": 0, "basis": [], "table": []}', "dim"),
+    ("algebra", '{"dim": 1, "basis": ["1"], "table": [[-1, 0, 0, 1.0]]}',
+     "table index (-1,0,0)"),
+    ("algebra", '{"dim": 1, "basis": ["1"], "table": [[0, 0, 3, 1.0]]}',
+     "table index (0,0,3)"),
+    ("algebra", '{"dim": 1, "basis": ["1"], "table": [[0, 0, 0, 1.0]], '
+     '"unit": [1.0, 0.0]}', "unit"),
+    ("seminorm", "{", "seminorm file"),
+    ("seminorm", '{"weights": [1, 1]}', "'type'"),
+    ("element", "1 x", "element"),
+], ids=["algebra_json", "algebra_top_level", "dim_missing", "table_object",
+        "row_length", "dim_zero", "index_negative", "index_past_dim",
+        "unit_length", "seminorm_json", "seminorm_type", "element"])
+def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, kind,
+                                                    text, field):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = cli.run({
+        "algebra": ["spectrum", "--algebra", str(path), "--element", "1"],
+        "seminorm": ["verify", "--algebra", "reals", "--seminorm", str(path)],
+        "element": ["spectrum", "--algebra", "reals", "--element", text],
+    }[kind])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert field in captured.err
+
+
+def test_radius_without_convergence_exits_two(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise NonConvergence("no convergence")
+
+    monkeypatch.setattr(cli, "gelfand_radius", refuse)
+    code = cli.run(["radius", "--algebra", "rr", "--element", "2 -3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: element '2 -3': the norms of its powers leave the float "
+        "range"]
+
+
+def test_fuzz_records_a_counterexample(monkeypatch, capsys):
+    """A ratio above 1 + 10 tol on an instance that passed the square
+    check is recorded with its iteration, algebra, seminorm, square
+    residual and ratio, and fuzz exits 1."""
+    monkeypatch.setattr(pipeline, "check_submultiplicative",
+                        lambda *args: 2.0)
+    code = cli.run(["fuzz", "--iterations", "20", "--seed", "42",
+                    "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_VIOLATION
+    assert payload["checked"] == len(payload["counterexamples"]) > 0
+    for hit in payload["counterexamples"]:
+        assert sorted(hit) == ["algebra", "iteration", "ratio", "seminorm",
+                               "square_residual"]
+        assert hit["ratio"] == 2.0
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closed the pipe before the command wrote: no
+    BrokenPipeError traceback, and the command's own exit code."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "squareprop.cli", "characters",
+             "--algebra", "h2", "--format", "json"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert run.stderr == ""
+    assert run.returncode == 0

@@ -16,7 +16,7 @@ from squareprop.seminorm import (CharacterSup, ComponentSup, CoordinateMax,
                                  check_submultiplicative)
 
 from oracles import CallableSeminorm, manifest_pair
-from transforms import rotated
+from transforms import rotated, write_algebra
 
 QUICK = PipelineConfig(sample_count=400, seed=5)
 
@@ -122,17 +122,13 @@ def test_spectral_radius_axiom_is_asked_before_r_is_evaluated(
     square residual or witness is recorded, and the console exits 3."""
     A = rotated(corpus.direct_sum([corpus.quaternions()] * 4
                                   + [corpus.m2_reals()]), 3)[0]
-    spec = tmp_path / "h4_m2r.json"
-    spec.write_text(json.dumps({
-        "dim": A.dim, "basis": A.labels, "unit": A.unit.tolist(),
-        "table": [[*map(int, ijk), float(A.table[ijk])]
-                  for ijk in zip(*np.nonzero(A.table))]}))
+    spec = write_algebra(tmp_path / "h4_m2r.json", A)
     rows = []
     orig = SpectralRadius.values
     monkeypatch.setattr(SpectralRadius, "values", lambda self, algebra, X:
                         rows.append(len(X)) or orig(self, algebra, X))
     rep = verify_theorem(A, SpectralRadius(), QUICK)
-    code = cli.run(["verify", "--algebra", str(spec), "--seminorm",
+    code = cli.run(["verify", "--algebra", spec, "--seminorm",
                     "spectral_radius", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert rows == [] and code == 3

@@ -25,16 +25,7 @@ from squareprop.seminorm import (M_HAT_FLOOR, CoordinateMax, SeminormVariant,
                                  check_submultiplicative, estimate_m,
                                  square_property_details)
 
-from transforms import rotated
-
-
-def _algebra_file(path, A):
-    path.write_text(json.dumps({
-        "name": A.name, "dim": A.dim, "basis": A.labels,
-        "table": [[*map(int, ijk), float(A.table[ijk])]
-                  for ijk in zip(*np.nonzero(A.table))],
-        "unit": A.unit.tolist()}))
-    return str(path)
+from transforms import rotated, write_algebra
 
 
 def _verify(argv):
@@ -59,7 +50,7 @@ def test_verify_prints_the_same_bytes_in_the_smallest_slabs(case, tmp_path,
         A = {"H8": lambda: corpus.function_algebra_H(8),
              "H16": lambda: corpus.function_algebra_H(16),
              "rotated_hc": lambda: rotated(corpus.builtin("hc"), 3)[0]}[case]()
-        argv = ["--algebra", _algebra_file(tmp_path / "a.json", A),
+        argv = ["--algebra", write_algebra(tmp_path / "a.json", A),
                 "--seminorm", "spectral_radius"]
     code, out = _verify(argv)
     monkeypatch.setattr(seminorm, "_SLAB_BYTES", 1)

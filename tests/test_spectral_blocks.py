@@ -24,7 +24,6 @@ built once per algebra.
 import collections
 import contextlib
 import io
-import json
 import math
 import sys
 
@@ -42,7 +41,8 @@ from squareprop.seminorm import (CharacterSup, SpectralRadius,
 from squareprop.spectral import spectral_radius_batch, spectrum
 
 from oracles import block_widths
-from transforms import conditioned, in_basis, orthogonal, rotated
+from transforms import (conditioned, in_basis, orthogonal, rotated,
+                        write_algebra)
 
 
 def _dense_radius(A, X):
@@ -440,15 +440,11 @@ def test_no_library_path_unitizes(monkeypatch, tmp_path, capsys, name):
     unitization.  The null line is nil, so verify stops on a seminorm
     that vanishes on A (exit 2)."""
     A = NO_UNIT[name]()
-    path = tmp_path / "a.json"
-    path.write_text(json.dumps({
-        "dim": A.dim, "basis": list(A.labels),
-        "table": [[*map(int, ijk), float(A.table[ijk])]
-                  for ijk in zip(*np.nonzero(A.table))]}))
+    path = write_algebra(tmp_path / "a.json", A, unit=False)
     calls = _count_unitize(monkeypatch)
-    codes = [cli.run(["verify", "--algebra", str(path), "--seminorm",
+    codes = [cli.run(["verify", "--algebra", path, "--seminorm",
                       "spectral_radius", "--format", "json"]),
-             cli.run(["characters", "--algebra", str(path)])]
+             cli.run(["characters", "--algebra", path])]
     capsys.readouterr()
     assert codes == [2 if name == "null_line" else 0, 0]
     assert calls == []

@@ -1,5 +1,8 @@
 """Changes of basis shared by the tests: an isomorphic copy of an algebra
-must get the same answers, up to rounding, as the algebra itself."""
+must get the same answers, up to rounding, as the algebra itself.  And
+write_algebra, the one writer of the algebra files cli.load_algebra reads."""
+
+import json
 
 import numpy as np
 
@@ -60,3 +63,18 @@ def power_of_two(A, K, seed):
                                              size=A.dim)
     S = np.diag(2.0 ** k)
     return in_basis(A, S, unit=False), S
+
+
+def write_algebra(path, A, unit=True):
+    """A as an algebra file at path, the inverse of cli.load_algebra: its
+    dim, basis and nonzero table entries as [i, j, k, value] rows, and its
+    unit when `unit` is true and A has one (A.unit is not read otherwise).
+    Returns the path as a string."""
+    doc = {"dim": A.dim, "basis": list(A.labels),
+           "table": [[*map(int, ijk), float(A.table[ijk])]
+                     for ijk in zip(*np.nonzero(A.table))]}
+    if unit and A.unit is not None:
+        doc["unit"] = A.unit.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return str(path)
