@@ -35,24 +35,22 @@ solved for from the table and held to the gate a given unit passes), the
 radical (`radical`, read from A's own table by Dickson's criterion, which
 needs no unit), the quotient by each V that `quotient` has formed,
 among them B = A / rad(A) (`semisimple_quotient`), which is semisimple
-and so has a unit, the one `unit` solves for on B's table, the simple
-blocks of B, each named R, C, H or M2(R) (`simple_blocks`),
-and a table that gives for every a at once, when every block is R, C
-or H, a factor of r(a)^2 four columns wide per block, all in one group,
-or else L_pi(a) on B as one block (`spectral_split`).  A nil
-A (rad(A) = A, as the null line) has B = 0: no blocks, an empty split
-and r = 0.  Two records are kept on it from outside, read-only, by the
-module that builds them: the square probes (seminorm._square_probes) and
-the characters (characters.find_characters).  The radical is nil, so
+and so has a unit, the one `unit` solves for on B's table, and the simple
+blocks of B, each named R, C, H or M2(R) (`simple_blocks`).  A nil
+A (rad(A) = A, as the null line) has B = 0 and no blocks.  Three records
+are kept on it from outside, read-only, by the module that builds them:
+the square probes (seminorm._square_probes), the characters
+(characters.find_characters) and the division table of the spectral
+radius (spectral.division_table).  The radical is nil, so
 r(a) = r(pi(a)), and on B no L_b keeps a nilpotent Jordan part from the
 radical: its eigenvalues are exact to rounding where those of a
 defective L_a err by about eps^(1/k).  The characters, the seminorm test
-of the spectral radius and the split read the block record and its
-names; the split tags each group as division (R, C or H) or not (see
-spectral).  A direct sum (corpus.direct_sum) keeps its parts,
+of the spectral radius and the division table read the block record and
+its names.  A direct sum (corpus.direct_sum) keeps its parts,
 and `summands` walks them, nested sums flattened, with the row at which
-each starts: a sum's split, blocks and characters are its summands' (see
-characters), so nothing builds a sum's own quotient or blocks.
+each starts: a sum's blocks, characters and division table are its
+summands' (see characters and spectral), so nothing builds a sum's own
+quotient or blocks.
 """
 
 from __future__ import annotations
@@ -72,8 +70,6 @@ _RANK_RTOL = 1e-10     # rank cut of _nullspace and _row_basis, relative
 _ASSOC_BLOCK_BYTES = 4 << 20  # one (i-block, j, k, l) slab of the check
 _PRODUCT_BLOCK_BYTES = 128 << 10  # one (rows, nnz) slab of a product
 _SPLIT_SEED = 0         # draws the generic central element of the blocks
-_SPLIT_LEAK = 1e-10     # invariance defect a block may show, relative
-_SPLIT_INDEPENDENCE = 1e-8  # smallest singular value of the joined bases
 # the quotient table's contraction: i, then j, then k, one index a step (the
 # path optimize=True picks for these operands, so the bits are its own, given
 # here so that no call searches for it again)
@@ -353,15 +349,6 @@ class FiniteDimRealAlgebra:
             start += part.dim
         return tuple(walk)
 
-    @cached_property
-    def spectral_split(self) -> tuple:
-        """Tables of radius factors on the R, C and H blocks of
-        B = A / rad(A), in one group tagged division, or of L_pi(a) on B
-        as one block (see _spectral_split)."""
-        split = _spectral_split(self)
-        _read_only(*(T for _, _, T in split))
-        return split
-
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, np.asarray(coords, dtype=float))
 
@@ -630,8 +617,8 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
     c = B.table
     # B is semisimple, so it has a unit; where B's table is rounded through
     # an ill-conditioned change of basis, the least-squares one can miss the
-    # unit gate by rounding, and serves all the same: the split and the
-    # characters gate what is built from it
+    # unit gate by rounding, and serves all the same: the division table
+    # and the characters gate what is built from it
     u = B.unit if B.is_unital else _solve_unit(c)
     n = c.shape[0]
     # the center: rows spanning the null space of x -> (x e_j - e_j x)_j,
@@ -657,106 +644,6 @@ def _simple_blocks(algebra: FiniteDimRealAlgebra):
         V = U[:, :int((s > 1e-8 * s[0]).sum())]
         blocks.append(SimpleBlock(mu, e, V, *_classify(B, z, mu, e, V)))
     return tuple(sorted(blocks, key=lambda b: b.order))
-
-
-def _block_groups(B: FiniteDimRealAlgebra, simple):
-    """The one (4, True) group of B's simple blocks, or None when one of
-    them is not R, C or H, or when they fail their gate: dimensions
-    summing to dim B, no block leaking out of its subspace on a basis
-    element, independent subspaces (a NaN fails).
-
-    Each block e*B is invariant under every L_b, and its basis V is
-    orthonormal, so the block of L_b on it is V^T L_b V.  The group's
-    table holds the K factors W of _radius_factor side by side in block
-    order, (N, 4K).  A block that is not R, C or H is asked for before
-    any table is built: r is no seminorm on such a B, which verify stops
-    on before it evaluates r, and _spectral_split reads it as one block.
-    """
-    bases = [b.V for b in simple]
-    N, c = B.dim, B.table
-    if not all(b.division for b in simple) or sum(
-            V.shape[1] for V in bases) != N:
-        return None
-    LVs = [c.transpose(0, 2, 1) @ V for V in bases]   # [i]: L_(e_i) V
-    blocks = [V.T @ LV for V, LV in zip(bases, LVs)]  # [i]: block on V
-    leak = np.max([np.abs(LV - V @ L).max()
-                   for V, LV, L in zip(bases, LVs, blocks)])
-    s = np.linalg.svd(np.hstack(bases), compute_uv=False)
-    if not (leak <= _SPLIT_LEAK * (1.0 + np.abs(c).max())
-            and s[-1] >= _SPLIT_INDEPENDENCE):
-        return None
-    return ((4, True, np.hstack([_radius_factor(L) for L in blocks])),)
-
-
-def _radius_factor(L: np.ndarray) -> np.ndarray:
-    """W, of shape (N, 4), with r(b) = |b W| for every b, on a division
-    block whose d x d block of L_(e_i) is L[i].  Its last 4 - d columns
-    are 0, so that R, C and H blocks share one width: a 0 added to a sum
-    of squares changes no bit.
-
-    The block M of L_b has one conjugate pair of eigenvalues l, conj(l),
-    d/2 times each (l = b real when d = 1), so tr M = d Re l,
-    tr M^2 = d Re l^2 and r(b)^2 = |l|^2 = (2 (tr M)^2 - d tr M^2) / d^2:
-    the quadratic form b Q b^T with Q = (2 t t^T - d G) / d^2, where
-    t_i = tr L[i] and G_ij = tr(L[i] L[j]).  Q is positive semidefinite of
-    rank <= d, as r = |x| on the division algebra, so its top d eigenpairs
-    factor it as W W^T; eigenvalues rounded below 0 count as 0.  L is
-    scaled to max|L| = 1 first, so Q neither overflows nor underflows.
-    Only traces of L enter: neither the block's basis nor a character.
-    """
-    N, d, _ = L.shape
-    s = np.abs(L).max()
-    L = L / s
-    t = np.einsum("ijj->i", L)
-    G = L.reshape(N, d * d) @ L.transpose(0, 2, 1).reshape(N, d * d).T
-    lam, U = np.linalg.eigh((2.0 * np.outer(t, t) - d * G) / (d * d))
-    W = np.zeros((N, 4))
-    W[:, :d] = U[:, -d:] * (s * np.sqrt(np.maximum(lam[-d:], 0.0)))
-    return W
-
-
-def _spectral_split(algebra: FiniteDimRealAlgebra):
-    """Split L_pi(a), for every a at once, into diagonal blocks on B.
-
-    On a direct sum (corpus.direct_sum) L_a is block diagonal, one block
-    per summand, and sp(a) is the union of their spectra, so the split is
-    their splits side by side, each in its rows and 0 elsewhere, tables
-    of one (d, division) in the order of `summands`: one division group
-    at most, and nothing solved on the sum.  On any other algebra the
-    split has one of two shapes.  When every simple block of B is R, C or
-    H and they pass their gate (see _block_groups), it is one division
-    group, whose table gives for every row x of X, in X @ table, the K
-    vectors whose lengths are the blocks' spectral radii.  Otherwise (a
-    block that is not R, C or H, a failed gate, or a solver that stalls
-    while the blocks are built) B is one non-division block in its own
-    coordinates, and X @ table stacks L_pi(x).  Each table is composed
-    with pi.
-    Returns a tuple of (d, division, table), by (d, division): at most
-    one division entry, (4, True) with a table of shape (dim, 4K), and
-    per other size d a table of shape (dim, K*d^2), K > 1 only on a sum;
-    empty when B = 0.
-    """
-    if algebra._parts:
-        groups = {}
-        for off, leaf in algebra.summands:
-            for d, division, T in leaf.spectral_split:
-                rows = np.zeros((algebra.dim, T.shape[1]))
-                rows[off:off + leaf.dim] = T
-                groups.setdefault((d, division), []).append(rows)
-        return tuple((d, division, np.hstack(groups[d, division]))
-                     for d, division in sorted(groups))
-    qm = algebra.semisimple_quotient
-    if qm is None:
-        return ()
-    B = qm.algebra
-    try:
-        groups = _block_groups(B, algebra.simple_blocks)
-    except np.linalg.LinAlgError:  # an eigen- or SVD solver stalled
-        groups = None
-    if groups is None:
-        groups = ((B.dim, False, B.table.swapaxes(1, 2).reshape(B.dim, -1)),)
-    return tuple((d, division, qm.projection.T @ T)
-                 for d, division, T in groups)
 
 
 def _row_basis(V, n: int) -> np.ndarray:
@@ -845,7 +732,7 @@ def quotient(algebra: FiniteDimRealAlgebra, V) -> QuotientMap:
     V and kept on the algebra, keyed on V's shape and bytes, with its
     arrays read-only: a second call with an equal V returns the same
     object, and the records built on its quotient algebra (unit, blocks,
-    split, characters) with it.  Nothing kept is ever dropped: each map
+    division table, characters) with it.  Nothing kept is ever dropped: each map
     lives as long as the algebra, so a caller that quotients a long-lived
     algebra (a corpus.builtin) by many distinct V holds all of them.  A V
     that the ideal gate refuses is not kept, and raises NotAnIdeal on

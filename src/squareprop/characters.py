@@ -7,7 +7,7 @@ A/rad(A) = 0, and no character), and which Wedderburn-Artin splits into
 simple blocks cut out by the primitive idempotents of its center.  The
 algebra computes A/rad(A) from A's own table and its blocks once, names
 each block R, C, H or M2(R) and keeps them with their bases
-(FiniteDimRealAlgebra.simple_blocks, the record its spectral split is read
+(FiniteDimRealAlgebra.simple_blocks, the record its division table is read
 from too); this module reads names and bases from that record and never
 classifies a block itself.  By Frobenius a block carries a character only
 if it is R, C or H, and by Skolem-Noether all characters of one block are
@@ -43,6 +43,7 @@ from .seminorm import CharacterSup
 from .spectral import spectra, spectral_radius_batch
 
 ACCEPT_RESIDUAL = 1e-11    # gate on every constructed character
+INCLUSION_TOL = 1e-6       # how near sp(a) a point of sp(x(a)) must lie
 
 
 # raised only by sampled_sup_norm, which bench/tracing.py wraps by name
@@ -136,13 +137,13 @@ class Prop31Result(NamedTuple):
 
 
 def check_prop31(algebra: FiniteDimRealAlgebra, X: np.ndarray,
-                 chars, tol: float = 1e-6) -> Prop31Result:
+                 chars) -> Prop31Result:
     """Invertibility transfer and spectrum inclusion at the given characters,
     on every row of the stack X, from one SVD and one eigvals of L_X.
 
     forward_ok: an invertible element has nowhere-vanishing character values.
     spectrum_inclusion_ok: every point of the quaternion spectrum of x(a)
-    lies in sp(a), for every given character.
+    lies within INCLUSION_TOL of sp(a), for every given character.
     """
     if not algebra.is_unital:
         raise NotUnital("Proposition checks need a unit")
@@ -152,7 +153,7 @@ def check_prop31(algebra: FiniteDimRealAlgebra, X: np.ndarray,
     L = algebra.left_matrices_batch(X)
     norms = qnorm(Q)[nonsingular(L)]
     inside = _within(qspectrum(Q).reshape(len(Q), -1), spectra(algebra, L),
-                     tol)
+                     INCLUSION_TOL)
     return Prop31Result(bool((norms.min(axis=1) > 1e-10).all()),
                         bool(inside.all()))
 

@@ -8,7 +8,7 @@ characters.find_characters is tested against.
 
 builtin(name) builds each builtin algebra once per process, on first use,
 and hands out that one object from then on, so the records kept on it
-(unit, radical, quotients, simple blocks, spectral split, characters,
+(unit, radical, quotients, simple blocks, division table, characters,
 square probes) are built once too: a second `verify` of a builtin reads
 them, A / Ker p and the records on it included.  The sums rr, rrc, hc
 and every function_algebra_H(n), h2 among them, are formed from the
@@ -65,9 +65,10 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
     (products across parts are exact 0s), and the tolerance
     ASSOC_TOL (1 + max|c|)^2 is at least each part's.  So the worst of the
     parts' bounds on their exact defects bounds the sum's.  The sum keeps its
-    parts, and its split, blocks and characters are read from them
-    (FiniteDimRealAlgebra.summands): the radius factors of every R, C and
-    H block of every part form its one division group.
+    parts, and its division table, blocks and characters are read from
+    them (FiniteDimRealAlgebra.summands): the radius factors of every R,
+    C and H block of every part form its division table, when every part
+    has one.
     """
     n = sum(p.dim for p in parts)
     table = np.zeros((n, n, n))
@@ -90,7 +91,7 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
 def function_algebra_H(points: int) -> FiniteDimRealAlgebra:
     """H-valued functions on a finite point set: a direct sum of copies of
     the builtin H, so every such sum in a process shares its records (its
-    blocks, spectral split and characters), built once."""
+    blocks, division table and characters), built once."""
     return direct_sum([builtin("quaternions")] * points,
                       name=f"C({points} pts, H)")
 
@@ -213,8 +214,9 @@ def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
     """Instantiate a seminorm variant for an algebra from a kind tag, one of
     SEMINORM_KINDS, and payload dict (the vocabulary of the CLI files).
     Raises ValueError on an unknown kind, a field the kind does not read
-    or that is malformed (true, false or a string among numbers too), or
-    a missing component_sup subset."""
+    or that is malformed (true, false or a string among numbers too, and
+    an identity or known other than true), or a missing component_sup
+    subset."""
     if kind not in SEMINORM_KINDS:
         raise ValueError(f"unknown type {kind!r}; expected one of "
                          f"{', '.join(SEMINORM_KINDS)}")
@@ -223,6 +225,10 @@ def make_seminorm(kind: str, args: dict, algebra: FiniteDimRealAlgebra):
     if unread:
         raise ValueError(f"{kind} does not read field {unread[0]!r}; it "
                          f"reads {', '.join(fields) or 'none'}")
+    for name in ("identity", "known"):
+        if name in args and args[name] is not True:   # 1 == True
+            raise ValueError(f"field {name!r} takes only true, not "
+                             f"{args[name]!r}")
     for name, ndim in (("subset", 1), ("weights", 1), ("characters", 3)):
         # NumPy reads true as 1.0 and "1" as 1.0
         for bad, what in ((bool, "true or false"), (str, "a string")):

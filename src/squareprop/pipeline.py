@@ -431,7 +431,7 @@ def _random_instance(rng, algebras):
     """One fuzz instance; `algebras` memoizes the immutable products by
     their kind tuple and the parts R, C and H by their letter, so every
     product is formed from one shared copy of each part and their records
-    (probes, spectral splits, characters) are built once.  The memo draws
+    (probes, division tables, characters) are built once.  The memo draws
     nothing from rng."""
     kinds = tuple(["R", "C", "H"][i]
                   for i in rng.integers(0, 3, rng.integers(1, 4)))

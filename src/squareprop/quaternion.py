@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+VECTOR_TOL = 1e-12  # |v| at or below which sp(q) is the real point s twice
+
 # (e_p * e_q)_c coefficients over the ordered basis (1, i, j, k).
 HAMILTON = np.zeros((4, 4, 4))
 _PRODUCTS = {
@@ -34,13 +36,13 @@ def qnorm(q: np.ndarray) -> np.ndarray:
     return np.sqrt((q * q).sum(axis=-1))
 
 
-def qspectrum(q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def qspectrum(q: np.ndarray) -> np.ndarray:
     """Spectrum of q in H, shape (..., 2): {s +- i|v|} with s the scalar
     part and v the vector part.
 
     (q - s)^2 = -|v|^2, so (q - s)^2 + t^2 fails to be invertible exactly for
-    t = +-|v|.  When |v| <= tol the pair is the real point s twice.
+    t = +-|v|.  When |v| <= VECTOR_TOL the pair is the real point s twice.
     """
     v = qnorm(q[..., 1:])
-    v = np.where(v <= tol, 0.0, v)[..., None]
+    v = np.where(v <= VECTOR_TOL, 0.0, v)[..., None]
     return q[..., :1] + 1j * v * [1.0, -1.0]

@@ -7,7 +7,7 @@ from squareprop import algebra as algebra_mod
 from squareprop import corpus
 from squareprop.algebra import (AlgebraError, AlgebraMismatch,
                                 AssociativityViolation, BadUnit,
-                                NotAnIdeal, NotUnital, _solve_unit,
+                                DimensionMismatch, NotAnIdeal, NotUnital, _solve_unit,
                                 left_regular_matrix, make_algebra, mul,
                                 quotient, subspace_is_two_sided_ideal, unitize)
 from squareprop.spectral import spectrum
@@ -30,6 +30,19 @@ def test_associativity_violation_reported():
     # e1 e1 = e2, e2 e1 = e1: (e1 e1) e1 = e1 but e1 (e1 e1) = e1 e2 = 0
     with pytest.raises(AssociativityViolation):
         make_algebra(2, ["a", "b"], {(0, 0, 1): 1.0, (1, 0, 0): 1.0})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_algebra(2, ["a"], {}), "got 1 basis labels for dim 2"),
+    (lambda: make_algebra(2, ["a", "b"], np.zeros((3, 3, 3))),
+     "table shape (3, 3, 3), expected (2, 2, 2)"),
+    (lambda: corpus.complexes().element([1.0, 2.0, 3.0]),
+     "coords shaped (3,) for dim 2"),
+], ids=["labels", "table_shape", "element"])
+def test_size_mismatch_names_the_sizes(build, message):
+    with pytest.raises(DimensionMismatch) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_mul_examples():

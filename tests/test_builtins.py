@@ -3,8 +3,8 @@
 corpus.builtin builds each builtin on first use and hands out that object
 from then on; the sums rr, rrc, hc and every function_algebra_H(n), h2
 among them, are formed from the builtin R, C and H.  So a second `verify`
-of a builtin reads the unit, blocks, split and characters that the first
-one built, and prints the same bytes.  The autouse fixture of conftest.py
+of a builtin reads the unit, blocks, division table and characters that
+the first one built, and prints the same bytes.  The autouse fixture of conftest.py
 clears the builtins before each test, so every test here starts cold.
 """
 
@@ -17,6 +17,7 @@ from squareprop import algebra as algebra_mod
 from squareprop import cli, corpus, pipeline
 from squareprop.characters import find_characters
 from squareprop.seminorm import _square_probes
+from squareprop.spectral import division_table
 
 from golden import _spec
 from transforms import write_algebra
@@ -58,8 +59,9 @@ def test_what_a_builtin_keeps_is_read_only(name):
     """A builtin is shared, so no caller can change it for the next: its
     labels are a tuple, and every array it keeps is read-only."""
     A = corpus.builtin(name)
+    table = division_table(A)
     arrays = [A.table, A.radical, find_characters(A), *_square_probes(A),
-              *(T for _, _, T in A.spectral_split)]
+              *([] if table is None else [table])]
     for _, leaf in A.summands:
         qm = leaf.semisimple_quotient
         arrays += [qm.projection, qm.lift]

@@ -11,7 +11,7 @@ from squareprop import cli, corpus, pipeline
 from squareprop.algebra import make_algebra
 from squareprop.characters import character_residual, find_characters
 from squareprop.seminorm import M_HAT_FLOOR
-from squareprop.spectral import NonConvergence
+from squareprop.spectral import NonConvergence, division_table
 
 from transforms import (conditioned, in_basis, power_of_two, rotated, skew,
                         write_algebra)
@@ -668,6 +668,23 @@ def test_character_sup_shorthand_fields_are_read(tmp_path, capsys, payload):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", [False, 1, "no", None, [1, 2]],
+                         ids=["false", "1", "no", "null", "list"])
+@pytest.mark.parametrize("field", ["identity", "known"])
+def test_character_sup_shorthand_takes_only_true(tmp_path, capsys, field,
+                                                 value):
+    """identity and known take only true: any other value, 1 among them
+    (1 == True in Python), exits 2 naming the field, where it verified
+    with every character and exited 0."""
+    path = tmp_path / "seminorm.json"
+    path.write_text(json.dumps({"type": "character_sup", field: value}))
+    code = cli.run(["verify", "--algebra", "quaternions", "--seminorm",
+                    str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"field '{field}' takes only true" in captured.err
+
+
 def test_algebra_file_without_unit_gets_the_detected_one(tmp_path, capsys):
     """C written without "unit" loads unital, as the builtin: the same
     spectrum points and radii, and the unital branch of verify (the file
@@ -764,13 +781,14 @@ def test_small_basis_of_c_has_no_radical(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["null_line", "rotated_N3"])
 def test_nil_algebra_has_no_block(tmp_path, capsys, name):
     """A nil algebra has A / rad(A) = 0: no block, no character, and
-    r = 0; characters names a nilpotent basis element.  spectrum takes
-    eigvals of the defective L_a, which is exact on the null line and
-    off by about eps^(1/3) in the dense basis."""
+    r = 0; characters names a nilpotent basis element.  Every L_a is
+    nilpotent, so spectrum gives dim + 1 exact zeros, on the null line
+    and in the dense basis, where eigvals of the defective L_a gave
+    points of about eps^(1/3) (radius 5.0e-9)."""
     spec = _nil_file(tmp_path, name)
     A = cli.load_algebra(spec)
     assert A.semisimple_quotient is None and A.simple_blocks == ()
-    assert A.spectral_split == ()
+    assert division_table(A).shape == (A.dim, 0)
     code, out = run_capture(capsys, [
         "characters", "--algebra", spec, "--format", "json"])
     assert code == 0
@@ -781,8 +799,9 @@ def test_nil_algebra_has_no_block(tmp_path, capsys, name):
         "spectrum", "--algebra", spec, "--element", element,
         "--format", "json"])
     assert code == 0
-    radius = json.loads(out)["radius"]
-    assert radius == 0.0 if name == "null_line" else radius <= 1e-8
+    payload = json.loads(out)
+    assert payload["radius"] == 0.0
+    assert payload["points"] == [[0.0, 0.0]] * (A.dim + 1)
     assert capsys.readouterr().err == ""
 
 

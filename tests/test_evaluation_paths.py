@@ -40,8 +40,8 @@ from squareprop.seminorm import (RATIO_FLOOR, CharacterSup, ComponentSup,
                                  PayloadMismatch, SeminormVariant,
                                  SpectralRadius, _ratio_scan, _square_probes,
                                  estimate_m, kernel, square_property_details)
-from squareprop.spectral import (NonConvergence, gelfand_radius,
-                                 log_square_norms, spectrum)
+from squareprop.spectral import (NonConvergence, division_table,
+                                 gelfand_radius, log_square_norms, spectrum)
 
 from oracles import (CallableSeminorm, is_invertible, j_evaluate,
                      manifest_pair, twisted)
@@ -778,7 +778,7 @@ def test_square_and_ratio_checks_multiply_only_random_rows(monkeypatch):
     from the table: the products formed are the random rows alone, slab by
     slab.  Stage 1 multiplies exactly the rows R it drew; the ratio scan
     multiplies 300 rows, and none of them is a multiple of a basis
-    element.  The spectral split is built first: naming its blocks forms
+    element.  The division table is built first: naming its blocks forms
     one-row products, which are not the checks' own."""
     rows = []
     orig = FiniteDimRealAlgebra.mul_coords_batch
@@ -788,7 +788,7 @@ def test_square_and_ratio_checks_multiply_only_random_rows(monkeypatch):
         return orig(self, A, B)
 
     A = corpus.function_algebra_H(8)
-    A.spectral_split
+    division_table(A)
     monkeypatch.setattr(FiniteDimRealAlgebra, "mul_coords_batch", counted)
     square_property_details(SpectralRadius(), A, samples=300, seed=1)
     R = np.random.default_rng(1).standard_normal((300, A.dim))

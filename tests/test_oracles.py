@@ -17,7 +17,7 @@ from squareprop.algebra import _pivot_columns, nonsingular, quotient
 from squareprop.characters import (check_prop31, find_characters,
                                    non_division_block)
 from squareprop.seminorm import CharacterSup
-from squareprop.spectral import division_radii, spectra
+from squareprop.spectral import division_radii, division_table, spectra
 
 import golden
 from oracles import (block_widths, character_sup_rows, division_radii_rows,
@@ -108,7 +108,7 @@ def _stacks(X):
 
 def _padded(table, widths):
     """The columns of table, read as blocks of the given widths in order,
-    each padded with columns of 0 to width 4, as algebra._radius_factor
+    each padded with columns of 0 to width 4, as spectral._radius_factor
     pads the factor of an R or C block."""
     blocks = np.split(table, np.cumsum(widths)[:-1], axis=1)
     return np.hstack([np.pad(B, ((0, 0), (0, 4 - B.shape[1])))
@@ -170,12 +170,6 @@ def test_character_sup_is_the_row_major_sup(m):
     assert got[0] == 0.0
 
 
-def _division_table(A):
-    """The table of the division group of A's split, or None."""
-    return next((T for _, division, T in A.spectral_split if division),
-                None)
-
-
 def _corpus_algebras():
     cases = [(name, corpus.builtin(name)) for name in corpus.builtin_names()]
     return cases + [(f"H{n}", corpus.function_algebra_H(n))
@@ -190,7 +184,7 @@ def test_block_major_kernels_keep_the_corpus_bits(case):
     _, A = case
     X = np.random.default_rng(8).standard_normal((2000, A.dim))
     chars = find_characters(A)
-    table = _division_table(A)
+    table = division_table(A)
     for Z in (X, X[:1]):
         if table is not None:
             assert np.array_equal(division_radii(Z, table),
@@ -219,15 +213,15 @@ def test_non_finite_row_raises_in_both_layouts(bad):
 
 def _mixed_splits():
     """Every builtin and every R, C, H product of two or three parts whose
-    division group has blocks of more than one width."""
+    division table has blocks of more than one width."""
     parts = {"R": corpus.reals(), "C": corpus.complexes(),
              "H": corpus.quaternions()}
     cases = [(name, corpus.builtin(name)) for name in corpus.builtin_names()]
     cases += [("".join(kinds), corpus.direct_sum([parts[k] for k in kinds]))
               for k in (2, 3) for kinds in itertools.product("RCH", repeat=k)]
     return [(name, A) for name, A in cases
-            if _division_table(A) is not None
-            and len(set(block_widths(_division_table(A)))) > 1]
+            if division_table(A) is not None
+            and len(set(block_widths(division_table(A)))) > 1]
 
 
 @pytest.mark.parametrize("case", _mixed_splits(), ids=lambda c: c[0])
@@ -236,7 +230,7 @@ def test_one_scale_moves_mixed_radii_by_rounding(case):
     scale: both round each step of their formula once, a few eps each, so
     they agree to 8 eps relative."""
     _, A = case
-    table = _division_table(A)
+    table = division_table(A)
     widths = block_widths(table)
     blocks = table.reshape(A.dim, -1, 4)
     X = np.random.default_rng(14).standard_normal((2000, A.dim))

@@ -225,6 +225,9 @@ def test_character_sup_kernel_wide_matrix():
     K = kernel(CharacterSup((corpus.known_characters(H2)[0],)), H2)
     assert K.shape == (4, 8)
     assert np.allclose(K[:, :4], 0.0, atol=1e-12)
+    # no character: an empty constraint matrix, whose kernel is all of A
+    assert np.array_equal(CharacterSup(np.zeros((0, 2, 4))).kernel(
+        corpus.complexes()), np.eye(2))
 
 
 def _radical_by_loop(algebra):

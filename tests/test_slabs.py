@@ -24,6 +24,7 @@ from squareprop.seminorm import (M_HAT_FLOOR, CoordinateMax, SeminormVariant,
                                  SpectralRadius, _ratio_scan, _square_probes,
                                  check_submultiplicative, estimate_m,
                                  square_property_details)
+from squareprop.spectral import division_table
 
 from transforms import rotated, write_algebra
 
@@ -173,15 +174,15 @@ def _peak(fn) -> int:
 
 
 def test_stage_1_and_the_ratio_scan_hold_a_bounded_working_set(monkeypatch):
-    """On H^16 (dim 64, 2000 samples) with the probes and the spectral
-    split built first, the tracemalloc peak of stage 1 stays under 2 MiB
+    """On H^16 (dim 64, 2000 samples) with the probes and the division
+    table built first, the tracemalloc peak of stage 1 stays under 2 MiB
     (the draw R is 1 MiB of it) and that of one ratio scan under 3.5 MiB
     (the draw [I; Xa; Xb], 2 MiB).  Measured on NumPy 2.4: 1.59 and 3.02
     MiB at 128 KiB a slab, 1.50 and 2.77 at 64 KiB; the whole stacks at
     once peaked at 13.6 and 10.9 MiB.  A smaller budget holds less."""
     A = corpus.function_algebra_H(16)
     p = SpectralRadius()
-    _square_probes(A), A.spectral_split
+    _square_probes(A), division_table(A)
     peaks = []
     for budget in (128 << 10, 64 << 10):
         monkeypatch.setattr(seminorm, "_SLAB_BYTES", budget)

@@ -5,13 +5,14 @@ formula they replace.
 of L_pi(a) on B = A / rad(A): on B's simple blocks when every one is
 R, C or H (whose eigenvalues are one conjugate pair, as the norm |a W|
 of a factor W of the quadratic form r^2 = (2 (tr M)^2 - d tr M^2) / d^2
-on a d x d block M, built once with the split), and on B as one block,
-by eigenvalues, when a block is not R, C or H, when the blocks fail
-their gate (invariance on the basis, independence, dimensions summing to
-dim B) or when a solver stalls.  A direct sum solves
-nothing of its own: its split is its parts' splits side by side, each in
-that part's rows, and its blocks are its summands' blocks, so no path
-decomposes a sum whole.  The dense formula (eigenvalues of the whole left
+on a d x d block M, built once into the division table), and on B as
+one block, by eigenvalues, when a block is not R, C or H, when the
+blocks fail their gate (invariance on the basis, independence,
+dimensions summing to dim B) or when a solver stalls.  A direct sum
+solves nothing of its own: its table is its parts' tables side by side,
+each in that part's rows, with no table on the sum when a part has
+none, and its blocks are its summands' blocks, so no path decomposes a
+sum whole.  The dense formula (eigenvalues of the whole left
 regular matrix, in the unitization of a non-unital A) is kept here as the
 reference, at ordinary and extreme scales, on algebras with a radical, on
 non-unital, M2(R) and nested parts and on non-finite rows, on R + C + H^4
@@ -33,12 +34,14 @@ import scipy.optimize
 
 from squareprop import algebra as algebra_mod
 from squareprop import cli, corpus
+from squareprop import spectral as spectral_mod
 from squareprop.algebra import make_algebra, unitize
 from squareprop.characters import non_division_block, nonexistence_explanation
 from squareprop.pipeline import PipelineConfig, fuzz, verify_theorem
 from squareprop.seminorm import (CharacterSup, SpectralRadius,
                                  check_submultiplicative)
-from squareprop.spectral import spectral_radius_batch, spectrum
+from squareprop.spectral import (division_table, spectral_radius_batch,
+                                 spectrum)
 
 from oracles import block_widths
 from transforms import (conditioned, in_basis, orthogonal, rotated,
@@ -85,21 +88,15 @@ def _mixed(rotate=True):
     return rotated(A, 6)[0] if rotate else A
 
 
-def _block_counts(split):
-    """{(d, division): K} over the blocks of a split.  Its one division
-    group keeps a factor four columns wide per block, whose width d is
-    the number of its nonzero columns, which lead; any other group keeps
-    K blocks d x d."""
-    assert [d for d, division, _ in split if division] in ([], [4])
-    counts = collections.Counter()
-    for d, division, table in split:
-        if division:
-            nonzero = (table.reshape(len(table), -1, 4) != 0.0).any(axis=0)
-            assert (nonzero[:, :-1] >= nonzero[:, 1:]).all()
-            counts.update((int(w), True) for w in block_widths(table))
-        else:
-            counts[d, False] += table.shape[1] // (d * d)
-    return dict(counts)
+def _block_counts(table):
+    """{d: K} over the blocks of a division table, or None without one.
+    It keeps a factor four columns wide per block, whose width d is the
+    number of its nonzero columns, which lead."""
+    if table is None:
+        return None
+    nonzero = (table.reshape(len(table), -1, 4) != 0.0).any(axis=0)
+    assert (nonzero[:, :-1] >= nonzero[:, 1:]).all()
+    return dict(collections.Counter(int(w) for w in block_widths(table)))
 
 
 def _rescaled(A, t):
@@ -109,34 +106,34 @@ def _rescaled(A, t):
                         name=f"{t:g} {A.name}")
 
 
-# (algebra, relative bound, {(block size, division): block count} of the
-# split); T2(R) and the null line of nonunital3 give A a radical
+# (algebra, relative bound, {block width: block count} of the division
+# table, None without one); T2(R) and the null line of nonunital3 give A a
+# radical
 CASES = {
-    "H8": (lambda: corpus.function_algebra_H(8), 1e-12, {(4, True): 8}),
-    "H16": (lambda: corpus.function_algebra_H(16), 1e-12, {(4, True): 16}),
+    "H8": (lambda: corpus.function_algebra_H(8), 1e-12, {4: 8}),
+    "H16": (lambda: corpus.function_algebra_H(16), 1e-12, {4: 16}),
     "rotated_H8": (lambda: rotated(corpus.function_algebra_H(8), 3)[0],
-                   1e-12, {(4, True): 8}),
-    "rotated_R+C+H4": (_mixed, 1e-12,
-                       {(1, True): 1, (2, True): 1, (4, True): 4}),
+                   1e-12, {4: 8}),
+    "rotated_R+C+H4": (_mixed, 1e-12, {1: 1, 2: 1, 4: 4}),
+    # a sum with an M2(R) part: each part's radii on its own columns
     "H4+M2R": (lambda: corpus.direct_sum(_h(4) + [corpus.m2_reals()]),
-               1e-10, {(4, False): 1, (4, True): 4}),
+               1e-10, None),
     "H4+T2R": (lambda: corpus.direct_sum(_h(4) + [_t2r()]), 1e-10,
-               {(1, True): 2, (4, True): 4}),
+               {1: 2, 4: 4}),
     "rotated_H4+nonunital3": (lambda: rotated(corpus.direct_sum(
-        _h(4) + [corpus.builtin("nonunital3")]), 5)[0], 1e-10,
-        {(1, True): 2, (4, True): 4}),
+        _h(4) + [corpus.builtin("nonunital3")]), 5)[0], 1e-10, {1: 2, 4: 4}),
     # no sum, and a block that is not R, C or H: B is one block
     "rotated_H4+M2R": (lambda: rotated(corpus.direct_sum(
-        _h(4) + [corpus.m2_reals()]), 3)[0], 1e-10, {(20, False): 1}),
+        _h(4) + [corpus.m2_reals()]), 3)[0], 1e-10, None),
     "rotated_M2R+M2R+C": (lambda: rotated(corpus.direct_sum(
         [corpus.m2_reals(), corpus.m2_reals(), corpus.complexes()]), 4)[0],
-        1e-10, {(10, False): 1}),
+        1e-10, None),
 }
 # R + C + H^4, rotated or not, in the basis 10^k e_i
 CASES.update({
     f"{'rotated_' if rotate else ''}R+C+H4_1e{k}": (
         lambda rotate=rotate, k=k: _rescaled(_mixed(rotate), 10.0 ** k),
-        1e-12, {(1, True): 1, (2, True): 1, (4, True): 4})
+        1e-12, {1: 1, 2: 1, 4: 4})
     for rotate in (False, True) for k in range(-8, 9)})
 # H^4 and R + C + H^4 in bases of condition number 1, 10 and 100: the
 # nonzero eigenvalues of a division block's quadratic form spread by up to
@@ -146,9 +143,8 @@ CASES.update({
         lambda build=build, kappa=kappa: conditioned(build(), kappa),
         1e-12, sizes)
     for name, build, sizes in [
-        ("H4", lambda: corpus.function_algebra_H(4), {(4, True): 4}),
-        ("R+C+H4", lambda: _mixed(False),
-         {(1, True): 1, (2, True): 1, (4, True): 4})]
+        ("H4", lambda: corpus.function_algebra_H(4), {4: 4}),
+        ("R+C+H4", lambda: _mixed(False), {1: 1, 2: 1, 4: 4})]
     for kappa in (1, 10, 100)})
 
 
@@ -156,9 +152,9 @@ CASES.update({
 def test_blocked_radius_matches_dense(name):
     build, bound, sizes = CASES[name]
     A = build()
-    split = A.spectral_split
-    assert _block_counts(split) == sizes
-    assert all(table.shape[0] == A.dim for _, _, table in split)
+    table = division_table(A)
+    assert _block_counts(table) == sizes
+    assert table is None or table.shape[0] == A.dim
     X = np.random.default_rng(7).standard_normal((2000, A.dim))
     dense = _dense_radius(A, X)
     blocked = spectral_radius_batch(A, X)
@@ -220,16 +216,15 @@ def test_empty_stack_gives_empty_radii(name):
 ])
 @pytest.mark.parametrize("name", ["H8", "H4+M2R", "H2_dense"])
 def test_non_finite_row_raises_on_both_paths(monkeypatch, name, bad):
-    """On the division group, on eigvals groups, and on B as one block
+    """On a division table, on a sum without one, and on B as one block
     (H^2 with the invariance gate forced to fail, so that each part's B
     is one block)."""
     if name == "H2_dense":
-        monkeypatch.setattr(algebra_mod, "_SPLIT_LEAK", -1.0)
+        monkeypatch.setattr(spectral_mod, "_SPLIT_LEAK", -1.0)
         A = corpus.function_algebra_H(2)
     else:
         A = CASES[name][0]()
-    assert [division for _, division, _ in A.spectral_split] == {
-        "H8": [True], "H4+M2R": [False, True], "H2_dense": [False]}[name]
+    assert (division_table(A) is not None) == (name == "H8")
     X = np.random.default_rng(15).standard_normal((4, A.dim))
     X[2, 1] = bad
     with pytest.raises(np.linalg.LinAlgError):
@@ -238,14 +233,26 @@ def test_non_finite_row_raises_on_both_paths(monkeypatch, name, bad):
         spectral_radius_batch(A, X)
 
 
+def test_non_finite_row_on_a_nil_part_raises():
+    """A sum with no division table reads each part on its own columns,
+    and a nil part reads none of its own: a NaN there still raises, as
+    the dense formula does."""
+    A = corpus.direct_sum([corpus.m2_reals(),
+                           make_algebra(1, ["n"], {}, name="null line")])
+    assert division_table(A) is None
+    X = np.random.default_rng(15).standard_normal((4, A.dim))
+    X[2, 4] = math.nan
+    for radii in (_dense_radius, spectral_radius_batch):
+        with pytest.raises(np.linalg.LinAlgError):
+            radii(A, X)
+
+
 def test_h8_radius_batch_calls_no_eigensolver(monkeypatch):
-    """Every block of H^8 is a division block: once the split is built,
-    it is one (4, True) group holding a 32 x 4 factor per block, and the
-    radii of a stack are one matmul and a row norm, with no eigvals and
-    no einsum call."""
+    """Every block of H^8 is a division block: once the division table is
+    built, it holds a 32 x 4 factor per block, and the radii of a stack
+    are one matmul and a row norm, with no eigvals and no einsum call."""
     A = corpus.function_algebra_H(8)
-    ((d, division, W),) = A.spectral_split
-    assert (d, division, W.shape) == (4, True, (32, 32))
+    assert division_table(A).shape == (32, 32)
     eig_sizes = _record_eig_sizes(monkeypatch)
     einsums = []
     orig = np.einsum
@@ -258,22 +265,22 @@ def test_h8_radius_batch_calls_no_eigensolver(monkeypatch):
 
 @pytest.mark.parametrize("leak", [-1.0, math.nan], ids=["negative", "nan"])
 def test_failed_invariance_gate_gives_dense_numbers(monkeypatch, leak):
-    monkeypatch.setattr(algebra_mod, "_SPLIT_LEAK", leak)
+    monkeypatch.setattr(spectral_mod, "_SPLIT_LEAK", leak)
     A = rotated(corpus.function_algebra_H(8), 3)[0]
-    assert [(d, div) for d, div, _ in A.spectral_split] == [(32, False)]
+    assert division_table(A) is None
     X = np.random.default_rng(8).standard_normal((300, A.dim))
     assert np.array_equal(spectral_radius_batch(A, X), _dense_radius(A, X))
 
 
 def test_single_block_gives_dense_numbers():
     A = _matrix_algebra(4)
-    assert [(d, div) for d, div, _ in A.spectral_split] == [(16, False)]
+    assert division_table(A) is None
     X = np.random.default_rng(9).standard_normal((300, A.dim))
     assert np.array_equal(spectral_radius_batch(A, X), _dense_radius(A, X))
 
 
 # LAPACK's real QR iteration does not converge on L_q of this quaternion
-# when L_q is laid out in C order, as a block of the split is
+# when L_q is laid out in C order
 _STALLING_Q = np.array([0.01776737537132592, -0.1593314977115078,
                         -0.0126456452583658, 0.13573614522656216])
 
@@ -297,7 +304,7 @@ def test_every_real_eigvals_failure_is_retried(monkeypatch, name):
     of a direct sum on its own."""
     A = corpus.builtin("rrc") if name == "rrc" else corpus.function_algebra_H(8)
     if name == "H8":
-        assert A.spectral_split is not None
+        assert division_table(A) is not None
     X = np.random.default_rng(11).standard_normal((200, A.dim))
     want = _dense_radius(A, X)
     orig = np.linalg.eigvals
@@ -311,8 +318,7 @@ def test_every_real_eigvals_failure_is_retried(monkeypatch, name):
     monkeypatch.setattr(np.linalg, "eig", real_fails)   # the block build
     got = spectral_radius_batch(A, X)
     if name != "rrc":
-        assert [(d, div) for d, div, _ in A.spectral_split] == (
-            [(4, False)] if name == "H8_unbuilt" else [(4, True)])
+        assert (division_table(A) is None) == (name == "H8_unbuilt")
     assert float(np.max(np.abs(got - want) / want)) <= 1e-12
 
 
@@ -324,13 +330,13 @@ def test_quotient_and_split_are_built_once_and_separately():
     assert A.semisimple_quotient is A.semisimple_quotient
     N = corpus.nonunital_with_ideal()
     SpectralRadius().kernel(N)   # the radical, from N's own table
-    built = {"_quotients", "unit", "spectral_split"}
+    built = {"_quotients", "unit", "_division_table"}
     assert not built & set(vars(N))
     B = N.semisimple_quotient.algebra
     assert N.semisimple_quotient is N.semisimple_quotient
     assert B.dim == N.dim - 1 and B.is_unital and not N.is_unital
-    assert "spectral_split" not in vars(N)
-    assert A.spectral_split is A.spectral_split
+    assert "_division_table" not in vars(N)
+    assert division_table(A) is division_table(A)
 
 
 def _skewed(A, t):
@@ -362,7 +368,8 @@ def test_rank_cuts_follow_the_scale_of_the_table(name, radical, blocks, t):
     if radical < A.dim:
         assert A.semisimple_quotient.algebra.dim == A.dim - radical
     else:
-        assert A.semisimple_quotient is None and A.spectral_split == ()
+        assert A.semisimple_quotient is None
+        assert division_table(A).shape == (A.dim, 0)
 
 
 def test_blocks_of_a_quotient_whose_unit_misses_the_gate():
@@ -511,23 +518,24 @@ def _record_eig_sizes(monkeypatch):
 
 
 def test_h8_spectral_radius_asks_only_for_small_eigenproblems(monkeypatch):
-    """Once H^8's split is built (its one-time eigenproblem is on the
-    center), every radius the proof chain asks for comes from the factors
-    of its 4 x 4 blocks; the one eigenproblem left is stage 8's Proposition 3.1
-    check, one stacked eigvals call on the 20 matrices L_a, 32 x 32."""
+    """Once H^8's division table is built (its one-time eigenproblem is on
+    the center), every radius the proof chain asks for comes from the
+    factors of its 4 x 4 blocks; the one eigenproblem left is stage 8's
+    Proposition 3.1 check, one stacked eigvals call on the 20 matrices
+    L_a, 32 x 32."""
     A = corpus.function_algebra_H(8)
-    assert [(d, div) for d, div, _ in A.spectral_split] == [(4, True)]
+    assert division_table(A) is not None
     eig_sizes = _record_eig_sizes(monkeypatch)
     rep = verify_theorem(A, SpectralRadius(), PipelineConfig(seed=0))
     assert rep.verdict == "pass"
     assert eig_sizes == [32]
 
 
-def _record_builds(monkeypatch, attr):
-    """The first argument of every call of algebra_mod.<attr>."""
+def _record_builds(monkeypatch, attr, module=algebra_mod):
+    """The first argument of every call of module.<attr>."""
     built = []
-    orig = getattr(algebra_mod, attr)
-    monkeypatch.setattr(algebra_mod, attr,
+    orig = getattr(module, attr)
+    monkeypatch.setattr(module, attr,
                         lambda A, *args: built.append(A) or orig(A, *args))
     return built
 
@@ -546,39 +554,39 @@ def _record_names(monkeypatch):
 
 
 def test_h8_verify_builds_the_simple_blocks_once(monkeypatch):
-    """H^8 repeats one H.  Its split is H's split eight times, and the
-    seminorm test of the spectral radius and the characters read H's
-    blocks too.  verify with both seminorms builds each split once and
+    """H^8 repeats one H.  Its division table is H's table eight times,
+    and the seminorm test of the spectral radius and the characters read
+    H's blocks too.  verify with both seminorms builds each table once and
     decomposes and names H alone, once."""
     blocks = _record_builds(monkeypatch, "_simple_blocks")
-    splits = _record_builds(monkeypatch, "_spectral_split")
+    tables = _record_builds(monkeypatch, "_division_table", spectral_mod)
     names = _record_names(monkeypatch)
     A = corpus.function_algebra_H(8)
     (H,) = set(A._parts)
     for p in (SpectralRadius(), CharacterSup(tuple(corpus.known_characters(A)))):
         rep = verify_theorem(A, p, PipelineConfig(seed=0))
         assert rep.verdict == "pass" and rep.character_count == 8
-    assert splits == [A, H]
+    assert tables == [A, H]
     assert blocks == [H]
     assert names == ["H"]
 
 
 def test_fuzz_chunk_builds_one_record_per_product(monkeypatch):
     """fuzz builds R, C and H once per call and forms every product from
-    them: each product's split is its parts' splits, so the simple blocks
-    are built on R, C and H alone, once each, and every radius comes from
-    the factors of their blocks, with no eigvals call."""
+    them: each product's division table is its parts' tables, so the
+    simple blocks are built on R, C and H alone, once each, and every
+    radius comes from the factors of their blocks, with no eigvals call."""
     eig_sizes = _record_eig_sizes(monkeypatch)
-    splits = _record_builds(monkeypatch, "_spectral_split")
+    tables = _record_builds(monkeypatch, "_division_table", spectral_mod)
     blocks = _record_builds(monkeypatch, "_simple_blocks")
     summary = fuzz(PipelineConfig(seed=42), iterations=50)
-    assert splits and len({id(A) for A in splits}) == len(splits)
+    assert tables and len({id(A) for A in tables}) == len(tables)
     assert sorted(A.name for A in blocks) == ["C", "H", "R"]
     assert not any(A._parts for A in blocks)
     parts = {id(A) for A in blocks}
-    assert all({id(P) for P in A._parts} <= parts for A in splits if A._parts)
+    assert all({id(P) for P in A._parts} <= parts for A in tables if A._parts)
     assert eig_sizes == []
-    # the summary of the dense code path before the split existed
+    # the summary of the dense code path before the division table existed
     assert summary.to_dict() == {
         "iterations": 50, "seed": 42, "tol": 1e-09, "checked": 37,
         "square_rejections": 13,
@@ -587,7 +595,7 @@ def test_fuzz_chunk_builds_one_record_per_product(monkeypatch):
         "counterexamples": []}
 
 
-# -- direct sums: the parts' splits side by side --------------------------
+# -- direct sums: the parts' tables side by side --------------------------
 
 def _scaled_parts(k):
     """R, C and H^2 in the basis 10^k e_i, and H in the basis 10^-k e_i."""
@@ -598,50 +606,47 @@ def _scaled_parts(k):
         _rescaled(corpus.quaternions(), 1.0 / t)])
 
 
-# (sum, {(block size, division): block count} of the split); a non-unital
-# part adds the blocks of its A / rad(A) alone
+# (sum, {block width: block count} of the division table, None without
+# one); a non-unital part adds the blocks of its A / rad(A) alone
 SUMS = {
     "H+nonunital3": (lambda: corpus.direct_sum(
-        [corpus.quaternions(), corpus.nonunital_with_ideal()]),
-        {(1, True): 2, (4, True): 1}),
+        [corpus.quaternions(), corpus.nonunital_with_ideal()]), {1: 2, 4: 1}),
     "H4+M2R": (lambda: corpus.direct_sum(_h(4) + [corpus.m2_reals()]),
-               {(4, False): 1, (4, True): 4}),
+               None),
     "R[x]/(x^2)+C": (lambda: corpus.direct_sum(
-        [_truncated_polynomials(2), corpus.complexes()]),
-        {(1, True): 1, (2, True): 1}),
+        [_truncated_polynomials(2), corpus.complexes()]), {1: 1, 2: 1}),
     "sum_of_sums": (lambda: corpus.direct_sum([
         corpus.builtin("hc"),
         corpus.direct_sum([corpus.reals(), corpus.nonunital_with_ideal()]),
         rotated(corpus.builtin("rrc"), 2)[0], corpus.quaternions()]),
-        {(1, True): 5, (2, True): 2, (4, True): 2}),
+        {1: 5, 2: 2, 4: 2}),
 }
 SUMS.update({f"scaled_parts_1e{k}": (
-    lambda k=k: _scaled_parts(k),
-    {(1, True): 1, (2, True): 1, (4, True): 3}) for k in range(-8, 9)})
+    lambda k=k: _scaled_parts(k), {1: 1, 2: 1, 4: 3}) for k in range(-8, 9)})
 
 
 @pytest.mark.parametrize("name", sorted(SUMS))
 def test_direct_sum_split_is_its_parts_splits(name):
-    """The split of a sum is assembled from its parts' splits, with no
-    quotient, block or solve of its own: each part's tables sit in its
-    rows, zero elsewhere, grouped by (d, division) in part order.  Its
-    radii match the dense formula on rows over the whole sum and on rows
-    in one part, where each part is read at its own scale."""
+    """The division table of a sum is assembled from its parts' tables,
+    with no quotient, block or solve of its own: each part's table sits
+    in its rows, zero elsewhere, in part order, and a part without one
+    leaves the sum without one.  Its radii match the dense formula on
+    rows over the whole sum and on rows in one part, where each part is
+    read at its own scale."""
     build, sizes = SUMS[name]
     A = build()
-    split = A.spectral_split
+    table = division_table(A)
     assert "_quotients" not in vars(A)
     assert "simple_blocks" not in vars(A)
-    assert _block_counts(split) == sizes
+    assert _block_counts(table) == sizes
     offsets = np.cumsum([0] + [P.dim for P in A._parts])
-    for d, division, table in split:
+    if table is not None:
         want = []
         for P, off in zip(A._parts, offsets):
-            for T in (T for d2, div2, T in P.spectral_split
-                      if (d2, div2) == (d, division)):
-                rows = np.zeros((A.dim, T.shape[1]))
-                rows[off:off + P.dim] = T
-                want.append(rows)
+            T = division_table(P)
+            rows = np.zeros((A.dim, T.shape[1]))
+            rows[off:off + P.dim] = T
+            want.append(rows)
         assert np.array_equal(table, np.hstack(want))
     rng = np.random.default_rng(18)
     X = rng.standard_normal((500, A.dim))
