@@ -6,10 +6,11 @@ Every table is checked for associativity once, where it is given
 its table's exact defect.  corpus.direct_sum (and unitize, which no
 library path calls) assembles its table from checked ones with exact 0s
 and 1s, so its defect is that of its parts, and it inherits the check
-and the bound.  A quotient's table is computed with rounding; quotient
-bounds its defect from the ambient bound, the leak of the ideal and the
-rounding of the change of basis, in O(n^4), and runs the O(n^5) check
-only when that bound cannot vouch for the table.  Everything downstream
+and the bound, and the gate of its unit too.  A quotient's table is
+computed with rounding; quotient bounds its defect from the ambient
+bound, the leak of the ideal and the rounding of the change of basis, in
+O(n^4), and runs the O(n^5) check only when that bound cannot vouch for
+the table.  Everything downstream
 (spectra, seminorm kernels, quotients, characters) is computed from
 this table and the left regular representation.
 
@@ -145,11 +146,17 @@ class FiniteDimRealAlgebra:
         associativity check: assembled from checked tables in a way that
         keeps every defect (unitize, corpus.direct_sum), or certified by a
         bound that the check would accept (quotient).  defect bounds the
-        table's exact defect, and is kept as _assoc_bound.  Every other
-        check of __init__ runs.  parts are a direct sum's, in order
-        (summands)."""
+        table's exact defect, and is kept as _assoc_bound.  A unit given
+        here is vouched for too, and kept, read-only, without the gate of
+        _unit_failure: unitize's is exact, and a direct sum's is its
+        parts' units side by side.  Every other check of __init__ runs.
+        parts are a direct sum's, in order (summands)."""
         algebra = cls.__new__(cls)
-        algebra._build(dim, labels, table, unit, name, defect)
+        algebra._build(dim, labels, table, None, name, defect)
+        if unit is not None:
+            unit = np.array(unit, dtype=float)
+            unit.setflags(write=False)
+            algebra.unit = unit    # fills the cache of the unit property
         algebra._parts = tuple(parts)
         return algebra
 

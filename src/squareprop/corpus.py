@@ -64,7 +64,11 @@ def direct_sum(parts: list[FiniteDimRealAlgebra],
     part has that part's own defect, any other triple has defect exactly 0
     (products across parts are exact 0s), and the tolerance
     ASSOC_TOL (1 + max|c|)^2 is at least each part's.  So the worst of the
-    parts' bounds on their exact defects bounds the sum's.  The sum keeps its
+    parts' bounds on their exact defects bounds the sum's.  Nor is its
+    unit, the parts' units side by side, gated again: every term across
+    parts is an exact 0, so its exact defect on e_j is that of e_j's part,
+    and the tolerance UNIT_TOL (1 + s) of _unit_failure is at least each
+    part's, s being the largest of the parts'.  The sum keeps its
     parts, and its division table, blocks and characters are read from
     them (FiniteDimRealAlgebra.summands): the radius factors of every R,
     C and H block of every part form its division table, when every part

@@ -17,7 +17,11 @@ nilpotent b has p(b)^(2^k) = p(b^(2^k)) = 0 for some k, so b = 0.  The
 quotient is then semisimple and has a unit (Wedderburn-Artin), so stage 8
 has one branch.  A radical in the quotient is a failed hypothesis, with a
 power of a radical row as its witness.  fuzz hammers randomized instances
-looking for a counterexample the theorem says cannot exist.
+looking for a counterexample the theorem says cannot exist.  It checks
+them in blocks, on stacks of rows of R, C and H, the parts its products
+are sums of: each stack takes one product per part and one values call
+per part and seminorm kind.  A stacked hit is confirmed by the
+one-instance checks.
 
 The walk records facts and picks no verdict: each stage fills its fields of
 the report, and a stop returns a note.  compute_verdict alone turns a report
@@ -30,9 +34,11 @@ gates give pass or fail otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,10 +46,10 @@ from . import corpus
 from .algebra import FiniteDimRealAlgebra, NotAnIdeal, quotient
 from .characters import (check_prop31, find_characters, non_division_block,
                          nonexistence_explanation)
-from .seminorm import (CharacterSup, CoordinateMax, SeminormVariant,
-                       SpectralRadius, check_square_property,
-                       check_submultiplicative, estimate_m, kernel,
-                       square_property_details)
+from .seminorm import (RATIO_FLOOR, CharacterSup, CoordinateMax,
+                       SeminormVariant, SpectralRadius, _square_probes,
+                       check_square_property, check_submultiplicative,
+                       estimate_m, kernel, square_property_details)
 from .spectral import gelfand_radius, log_square_norms
 
 
@@ -425,14 +431,25 @@ class FuzzSummary:
 _FUZZ_SAMPLES = 24
 _FUZZ_PARTS = {"R": corpus.reals, "C": corpus.complexes,
                "H": corpus.quaternions}
+# the kinds of seminorm, in the order _random_instance draws them
+_FUZZ_KINDS = ("character_sup", "spectral_radius", "coordinate_max")
+# the instances whose checks are stacked at once: a constant, so that a call
+# of any length holds one block's stacks, and at least the 50 instances of
+# a benchmark op
+_FUZZ_BLOCK = 64
+# a stacked row has a slot of _WIDTH columns per summand, at most _SLOTS of
+# them; a slot with no summand has the part _EMPTY, and a part has at most
+# _PAIRS probes and basis pairs (H: 4 x 4)
+_SLOTS, _WIDTH, _EMPTY = 3, 4, len(_FUZZ_PARTS)
+_PAIRS = _WIDTH * _WIDTH
 
 
 def _random_instance(rng, algebras):
     """One fuzz instance; `algebras` memoizes the immutable products by
     their kind tuple and the parts R, C and H by their letter, so every
-    product is formed from one shared copy of each part and their records
-    (probes, division tables, characters) are built once.  The memo draws
-    nothing from rng."""
+    product is formed from one shared copy of each part, and a product's
+    characters are read from its parts'.  The memo draws nothing from
+    rng."""
     kinds = tuple(["R", "C", "H"][i]
                   for i in rng.integers(0, 3, rng.integers(1, 4)))
     algebra = algebras.get(kinds)
@@ -461,6 +478,258 @@ def _random_instance(rng, algebras):
     return algebra, p, kind
 
 
+class _Layout(NamedTuple):
+    """Where the instances of a product of R, C and H put their rows in a
+    block's stacks."""
+
+    part: np.ndarray      # (_SLOTS,): the part id of each slot
+    columns: np.ndarray   # (dim,): the stack column of each coordinate
+    squares: np.ndarray   # flat index in the square stack of each draw
+    pairs: np.ndarray     # flat index in the pair stack of each draw
+
+
+@functools.cache
+def _layout(summands, n) -> _Layout:
+    """The _Layout of a product of R, C and H whose summands are the
+    (name, dim) pairs `summands`, in a block of n instances: summand s in
+    slot s, its coordinates at the start of the slot.  Instance b of the
+    block puts the square check's rows at .squares + b * _SLOTS * _WIDTH,
+    and the ratio scan's at .pairs + b * _SLOTS * _WIDTH, in the order
+    it draws them.  n is at most _FUZZ_BLOCK, so the cache is bounded."""
+    part, columns = np.full(_SLOTS, _EMPTY), []
+    for s, (name, dim) in enumerate(summands):
+        part[s] = list(_FUZZ_PARTS).index(name)
+        columns.extend(range(s * _WIDTH, s * _WIDTH + dim))
+    columns = np.array(columns)
+    row = n * _SLOTS * _WIDTH      # the stride of a stack row
+    squares = (_PAIRS + np.arange(_FUZZ_SAMPLES))[:, None] * row + columns
+    pairs = (_WIDTH + np.arange(2 * _FUZZ_SAMPLES))[:, None] * row + columns
+    layout = _Layout(part, columns, squares.ravel(), pairs.ravel())
+    for x in layout:    # shared by every block that has this layout
+        x.setflags(write=False)
+    return layout
+
+
+class _Parts(NamedTuple):
+    """The parts a fuzz call has built, with what the stacks read of them,
+    indexed by part id (_EMPTY included, all 0) and padded with 0 to
+    _PAIRS rows and _WIDTH columns."""
+
+    built: list             # (id, part, the CharacterSup of its character)
+    probes: np.ndarray      # (_EMPTY + 1, _PAIRS, _WIDTH): _square_probes
+    squares: np.ndarray     # their squares
+    basis: np.ndarray       # (_EMPTY + 1, _WIDTH, _WIDTH)
+    table: np.ndarray       # (_EMPTY + 1, _WIDTH, _WIDTH, _WIDTH)
+
+
+def _parts(algebras) -> _Parts:
+    records = _Parts([], np.zeros((_EMPTY + 1, _PAIRS, _WIDTH)),
+                     np.zeros((_EMPTY + 1, _PAIRS, _WIDTH)),
+                     np.zeros((_EMPTY + 1, _WIDTH, _WIDTH)),
+                     np.zeros((_EMPTY + 1,) + (_WIDTH,) * 3))
+    for k, letter in enumerate(_FUZZ_PARTS):
+        P = algebras.get(letter)
+        if P is None:
+            continue
+        d = P.dim
+        records.built.append((k, P, CharacterSup(find_characters(P))))
+        records.probes[k, :d * d, :d], records.squares[k, :d * d, :d] = (
+            _square_probes(P))
+        records.basis[k, :d, :d] = np.eye(d)
+        records.table[k, :d, :d, :d] = P.table
+    return records
+
+
+class _Block:
+    """Fuzz instances, checked on stacks part by part.
+
+    A stack of shape (rows, B, _SLOTS, _WIDTH) holds rows of each of the
+    B instances, row-major, so that a range of rows is one contiguous
+    stack; slot s of a row holds its coordinates on the s-th summand, a
+    copy of R, C or H, and 0 past them.  A product is its summands'
+    products, one per slot, and each fuzz seminorm on a row is the largest
+    of one value per slot (values): the part's spectral radius, |x(a_s)|
+    on a summand whose character the instance kept (R, C and H have one
+    each) and 0 on the others, or the weighted max of |coordinate|.  So a
+    stack takes one mul_coords_batch per part, and one
+    SpectralRadius.values and one CharacterSup.values per part, on that
+    part's slots of all instances: one index into the (rows B _SLOTS,
+    _WIDTH) view of the stack."""
+
+    def __init__(self, parts, part, kind, kept, weights):
+        self.parts = parts      # the _Parts of the call
+        self.part = part        # (B, _SLOTS): the part id of each slot
+        self.kind = kind        # (B,): the index of the kind, _FUZZ_KINDS
+        self.kept = kept        # (B, _SLOTS): the slots of kept characters
+        self.weights = weights  # (B, _SLOTS, _WIDTH): coordinate_max's
+
+    def take(self, rows) -> "_Block":
+        return _Block(self.parts, self.part[rows], self.kind[rows],
+                      self.kept[rows], self.weights[rows])
+
+    @staticmethod
+    def _slots(chosen, rows) -> np.ndarray:
+        """Flat indices of the slots of a (rows, B, _SLOTS) stack where
+        the (B, _SLOTS) mask chosen holds."""
+        return np.flatnonzero(np.broadcast_to(chosen, (rows,) + chosen.shape))
+
+    def products(self, A, B, out) -> None:
+        """The row-wise products of the stacks A and B, written into the
+        slots of the parts of out; all three contiguous."""
+        a, b, ab = (x.reshape(-1, _WIDTH) for x in (A, B, out))
+        for k, P, _ in self.parts.built:
+            i = self._slots(self.part == k, len(A))
+            if i.size:
+                ab[i, :P.dim] = P.mul_coords_batch(a[i, :P.dim],
+                                                   b[i, :P.dim])
+
+    def values(self, Z) -> np.ndarray:
+        """(rows, B, _SLOTS): p of each instance on each slot of its rows
+        of the contiguous stack Z; p on a row is the largest of them."""
+        V = np.zeros(Z.shape[:3])
+        cm = self.kind == _FUZZ_KINDS.index("coordinate_max")
+        # w |x| rounds once and a max is exact: CoordinateMax.values' bits
+        Y = Z[:, cm]
+        np.abs(Y, out=Y)
+        Y *= self.weights[cm]
+        V[:, cm] = Y.max(axis=3)
+        sr = (self.kind == _FUZZ_KINDS.index("spectral_radius"))[:, None]
+        flat, v = Z.reshape(-1, _WIDTH), V.reshape(-1)
+        for k, P, sup in self.parts.built:
+            on = self.part == k
+            for p, chosen in ((SpectralRadius(), on & sr),
+                              (sup, on & self.kept)):
+                i = self._slots(chosen, len(Z))
+                if i.size:
+                    v[i] = p.values(P, flat[i, :P.dim])
+        return V
+
+
+def _residual(pa, pa2):
+    """|p(a^2) - p(a)^2| / (1 + p(a)^2), as square_property_details
+    reads it."""
+    sq = pa ** 2
+    return np.abs(pa2 - sq) / (1.0 + sq)
+
+
+def _square_residuals(block, Z) -> np.ndarray:
+    """Per instance of the block, the residual of check_square_property,
+    read on the block's square stack Z, in which its random rows R are
+    drawn (_stack_block): its rows are the probes, R, the probes' squares
+    and R's.
+
+    The probes are each summand's own, its part's _square_probes in its
+    slot.  A probe 8 (e_i +- e_j) of the sum across two summands is left
+    out: with x, y its values on the two and x2, y2 on their squares, its
+    residual |max(x2, y2) - max(x, y)^2| / (1 + max(x, y)^2) is at most
+    the larger of the residuals of 8 e_i and 8 e_j.  A probe lies in one
+    summand, so p reads it on its slot alone."""
+    m, parts = _PAIRS + _FUZZ_SAMPLES, block.parts
+    Z[:_PAIRS] = parts.probes[block.part].transpose(2, 0, 1, 3)
+    Z[m:m + _PAIRS] = parts.squares[block.part].transpose(2, 0, 1, 3)
+    R = Z[_PAIRS:m]
+    block.products(R, R, Z[m + _PAIRS:])
+    V = block.values(Z)
+    pa, pa2 = V[:m], V[m:]
+    probes = _residual(pa[:_PAIRS], pa2[:_PAIRS])
+    rows = _residual(pa[_PAIRS:].max(axis=2), pa2[_PAIRS:].max(axis=2))
+    return np.maximum(probes.max(axis=(0, 2)), rows.max(axis=0))
+
+
+def _ratios(block, Z) -> np.ndarray:
+    """Per instance of the block, the ratio of check_submultiplicative,
+    read on the block's pair stack Z, in which its random pairs (A, B)
+    are drawn (_stack_block): p on the basis, A and B, then on the
+    products of the pairs that clear the floor.
+
+    A basis pair (e_i, e_j) across two summands has the product 0, and so
+    the ratio 0; one inside a summand is its part's table row c[i, j]
+    over p(e_i) p(e_j), under the same floor as in _ratio_scan."""
+    S, parts, n = _FUZZ_SAMPLES, block.parts, Z.shape[1]
+    Z[:_WIDTH] = parts.basis[block.part].transpose(2, 0, 1, 3)
+    A, B = Z[_WIDTH:_WIDTH + S], Z[_WIDTH + S:]
+    V = block.values(Z)
+    pe = V[:_WIDTH]                            # [i, b, slot]: p(e_i)
+    pa = V[_WIDTH:_WIDTH + S].max(axis=2)
+    pb = V[_WIDTH + S:].max(axis=2)
+    top = np.maximum(np.maximum(pe.max(axis=(0, 2)), pa.max(axis=0)),
+                     pb.max(axis=0))
+    floor = RATIO_FLOOR * (1.0 + np.maximum(top, 1.0)) ** 2
+    pp = pe[:, None] * pe                      # [i, j, b, slot]
+    basis = pp > floor[:, None]
+    kept = pa * pb > floor
+    Y = np.zeros((_PAIRS + S, n, _SLOTS, _WIDTH))
+    np.divide(parts.table[block.part].transpose(2, 3, 0, 1, 4),
+              pp[..., None], where=basis[..., None],
+              out=Y[:_PAIRS].reshape(pp.shape + (_WIDTH,)))
+    # each pair normalized to p = 1; a pair under the floor is left as drawn
+    block.products(A / np.where(kept, pa, 1.0)[..., None, None],
+                   B / np.where(kept, pb, 1.0)[..., None, None], Y[_PAIRS:])
+    V = block.values(Y)
+    on_basis = np.where(basis, V[:_PAIRS].reshape(pp.shape), 0.0)
+    on_pairs = np.where(kept, V[_PAIRS:].max(axis=2), 0.0)
+    return np.maximum(on_basis.max(axis=(0, 1, 3)), on_pairs.max(axis=0))
+
+
+def _stack_block(seed, todo, algebras):
+    """(block, squares, pairs, kinds) of the instances `todo`, with the
+    memo `algebras` of _random_instance: their _Block, their square stack
+    (2 (_PAIRS + _FUZZ_SAMPLES) rows, _square_residuals) and pair stack
+    (_WIDTH + 2 _FUZZ_SAMPLES rows, _ratios), and the kind of each.  Each
+    instance draws from default_rng([seed, i]) what the one-instance
+    checks would, straight into the rows of the stacks that take it."""
+    n = len(todo)
+    part = np.full((n, _SLOTS), _EMPTY)
+    kind = np.empty(n, dtype=int)
+    kept = np.zeros((n, _SLOTS), dtype=bool)
+    weights = np.zeros((n, _SLOTS * _WIDTH))
+    squares = np.zeros((2 * (_PAIRS + _FUZZ_SAMPLES), n, _SLOTS, _WIDTH))
+    pairs = np.zeros((_WIDTH + 2 * _FUZZ_SAMPLES, n, _SLOTS, _WIDTH))
+    names = []
+    for b, i in enumerate(todo):
+        rng = np.random.default_rng([seed, i])
+        algebra, p, name = _random_instance(rng, algebras)
+        names.append(name)
+        at = _layout(tuple((leaf.name, leaf.dim)
+                           for _, leaf in algebra.summands), n)
+        part[b], kind[b] = at.part, _FUZZ_KINDS.index(name)
+        for stack, index in ((squares, at.squares), (pairs, at.pairs)):
+            stack.reshape(-1)[index + b * _SLOTS * _WIDTH] = (
+                rng.standard_normal(index.size))
+        if name == "character_sup":   # the summands its characters read
+            read = (np.asarray(p.characters) != 0).any(axis=(0, 2))
+            kept[b, at.columns[read] // _WIDTH] = True
+        elif name == "coordinate_max":
+            weights[b, at.columns] = p.weights
+    block = _Block(_parts(algebras), part, kind, kept,
+                   weights.reshape(n, _SLOTS, _WIDTH))
+    return block, squares, pairs, names
+
+
+def _confirm(summary, i, config, algebras) -> None:
+    """Instance i again, through check_square_property and
+    check_submultiplicative on its replayed Generator, with the summary
+    amended to what they give: a counterexample recorded with their
+    numbers, or, should the square residual come out over tol after all,
+    a rejection."""
+    rng = np.random.default_rng([config.seed, i])
+    algebra, p, kind = _random_instance(rng, algebras)
+    residual = check_square_property(p, algebra, _FUZZ_SAMPLES, rng)
+    if residual > config.tol:
+        summary.checked -= 1
+        summary.square_rejections += 1
+        return
+    ratio = check_submultiplicative(p, algebra, _FUZZ_SAMPLES, rng)
+    if ratio > 1.0 + 10.0 * config.tol:
+        summary.counterexamples.append({
+            "iteration": i,
+            "algebra": algebra.name,
+            "seminorm": kind,
+            "square_residual": residual,
+            "ratio": ratio,
+        })
+
+
 def fuzz(config: PipelineConfig | None = None,
          iterations: int = 10000) -> FuzzSummary:
     """Randomized counterexample search over R/C/H products.
@@ -470,11 +739,21 @@ def fuzz(config: PipelineConfig | None = None,
     ratio exceeds 1 + 10*tol is recorded as a counterexample (the theorem
     says there are none, so any hit is an artifact bug).  A character_sup
     instance keeps each character of find_characters with probability
-    0.7 (all of them when that keeps none); the characters of R, C and H
-    are built once per call.  Deterministic in the seed; iterations are
-    independent, and each draws everything from one Generator,
-    default_rng([seed, i]).  A negative iterations raises ValueError; 0
-    checks nothing.
+    0.7 (all of them when that keeps none); R, C and H are built once per
+    call.  Deterministic in the seed; iterations are independent, and each
+    draws everything from one Generator, default_rng([seed, i]): its
+    instance, then check_square_property's rows and
+    check_submultiplicative's pairs, in that order.
+
+    The checks run on blocks of _FUZZ_BLOCK instances, part by part
+    (_Block): the square checks of a block's instances on one stack, then
+    the ratio scans of those within tol on two.  They give the numbers of
+    check_square_property and check_submultiplicative to a few ulps: a
+    part's spectral radius takes its own scale, and its products sum in
+    their own order.  A stacked ratio over the bound is a screen: the
+    instance runs again through those two checks (_confirm), and the
+    summary holds what they give.  A negative iterations raises
+    ValueError; 0 checks nothing.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
@@ -482,22 +761,21 @@ def fuzz(config: PipelineConfig | None = None,
     summary = FuzzSummary(iterations=iterations, seed=config.seed,
                           tol=config.tol)
     algebras = {}
-    for i in range(iterations):
-        rng = np.random.default_rng([config.seed, i])
-        algebra, p, kind = _random_instance(rng, algebras)
-        summary.kind_counts[kind] = summary.kind_counts.get(kind, 0) + 1
-        residual = check_square_property(p, algebra, _FUZZ_SAMPLES, rng)
-        if residual > config.tol:
-            summary.square_rejections += 1
+    for start in range(0, iterations, _FUZZ_BLOCK):
+        todo = np.arange(start, min(start + _FUZZ_BLOCK, iterations))
+        block, squares, pairs, names = _stack_block(config.seed, todo,
+                                                    algebras)
+        for name in names:
+            summary.kind_counts[name] = summary.kind_counts.get(name, 0) + 1
+        # a NaN residual is checked, as `residual > tol` decides one instance
+        ok = ~(_square_residuals(block, squares) > config.tol)
+        del squares     # freed before the ratio stage forms its stacks
+        checked = int(ok.sum())
+        summary.checked += checked
+        summary.square_rejections += len(todo) - checked
+        if not checked:
             continue
-        summary.checked += 1
-        ratio = check_submultiplicative(p, algebra, _FUZZ_SAMPLES, rng)
-        if ratio > 1.0 + 10.0 * config.tol:
-            summary.counterexamples.append({
-                "iteration": i,
-                "algebra": algebra.name,
-                "seminorm": kind,
-                "square_residual": residual,
-                "ratio": ratio,
-            })
+        ratios = _ratios(block.take(ok), pairs[:, ok])
+        for i in todo[ok][ratios > 1.0 + 10.0 * config.tol]:
+            _confirm(summary, int(i), config, algebras)
     return summary

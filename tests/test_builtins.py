@@ -8,6 +8,7 @@ the first one built, and prints the same bytes.  The autouse fixture of conftest
 clears the builtins before each test, so every test here starts cold.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -172,3 +173,27 @@ def test_a_cold_run_builds_each_builtin_part_once(monkeypatch, capsys, name,
         got = sorted((A for k, A in seen if k == kind), key=lambda A: A.name)
         assert len(got) == len(want)
         assert all(a is b for a, b in zip(got, want))
+
+
+def test_a_direct_sum_takes_its_unit_from_its_parts(monkeypatch):
+    """corpus.direct_sum keeps its parts' units side by side as its unit,
+    read-only, and does not run the unit gate again; run again, the gate
+    passes on every product of 1 to 3 of R, C and H (those fuzz forms) and
+    on every builtin sum."""
+    parts = {"R": corpus.reals(), "C": corpus.complexes(),
+             "H": corpus.quaternions()}
+    gated = []
+    orig = algebra_mod.FiniteDimRealAlgebra._unit_failure
+    monkeypatch.setattr(algebra_mod.FiniteDimRealAlgebra, "_unit_failure",
+                        lambda A, u: gated.append(A) or orig(A, u))
+    sums = [corpus.direct_sum([parts[k] for k in kinds])
+            for r in (1, 2, 3) for kinds in itertools.product("RCH", repeat=r)]
+    sums += [A for A in map(corpus.builtin, corpus.builtin_names())
+             if A._parts]
+    assert gated and not any(A._parts for A in gated)
+    assert len(sums) == 3 + 9 + 27 + 4
+    for A in sums:
+        assert not A.unit.flags.writeable
+        np.testing.assert_array_equal(
+            A.unit, np.concatenate([P.unit for _, P in A.summands]))
+        assert A._unit_failure(A.unit) is None

@@ -10,7 +10,7 @@ import pytest
 from squareprop import cli, corpus, pipeline
 from squareprop.algebra import make_algebra
 from squareprop.characters import character_residual, find_characters
-from squareprop.seminorm import M_HAT_FLOOR
+from squareprop.seminorm import M_HAT_FLOOR, check_square_property
 from squareprop.spectral import NonConvergence, division_table
 
 from transforms import (conditioned, in_basis, power_of_two, rotated, skew,
@@ -1024,19 +1024,32 @@ def test_radius_without_convergence_exits_two(monkeypatch, capsys):
 
 
 def test_fuzz_records_a_counterexample(monkeypatch, capsys):
-    """A ratio above 1 + 10 tol on an instance that passed the square
-    check is recorded with its iteration, algebra, seminorm, square
-    residual and ratio, and fuzz exits 1."""
+    """A stacked ratio above 1 + 10 tol is a screen: the instance runs
+    again through the one-instance checks on its replayed Generator, and
+    when their ratio is above the bound too, the instance is recorded, in
+    iteration order, with its iteration, algebra, seminorm, and the square
+    residual and ratio of those checks, and fuzz exits 1.  Both stages are
+    forced: every stacked ratio and every one-instance ratio reads 2."""
+    monkeypatch.setattr(pipeline, "_ratios",
+                        lambda block, Z: np.full(Z.shape[1], 2.0))
     monkeypatch.setattr(pipeline, "check_submultiplicative",
                         lambda *args: 2.0)
     code = cli.run(["fuzz", "--iterations", "20", "--seed", "42",
                     "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_VIOLATION
-    assert payload["checked"] == len(payload["counterexamples"]) > 0
-    for hit in payload["counterexamples"]:
+    hits = payload["counterexamples"]
+    assert payload["checked"] == len(hits) > 0
+    assert [h["iteration"] for h in hits] == sorted(
+        {h["iteration"] for h in hits})
+    for hit in hits:
         assert sorted(hit) == ["algebra", "iteration", "ratio", "seminorm",
                                "square_residual"]
+        rng = np.random.default_rng([42, hit["iteration"]])
+        algebra, p, kind = pipeline._random_instance(rng, {})
+        assert (hit["algebra"], hit["seminorm"]) == (algebra.name, kind)
+        assert hit["square_residual"] == check_square_property(
+            p, algebra, pipeline._FUZZ_SAMPLES, rng)
         assert hit["ratio"] == 2.0
 
 

@@ -426,6 +426,105 @@ def test_fuzz_shared_algebras_match_fresh_ones(monkeypatch):
     assert shared.to_dict() == fresh.to_dict()
 
 
+def _drawn(seed, iterations):
+    """(algebra name, kind) of each instance of a fuzz call."""
+    drawn = []
+    for i in range(iterations):
+        algebra, _, kind = pipeline._random_instance(
+            np.random.default_rng([seed, i]), {})
+        drawn.append((algebra.name, kind))
+    return drawn
+
+
+@pytest.mark.parametrize("seed, iterations, holds", [
+    (3, 0, lambda drawn, s: drawn == []),
+    (3, 1, lambda drawn, s: len(drawn) == 1),
+    (3, pipeline._FUZZ_BLOCK + 1, lambda drawn, s: True),
+    (129, 6, lambda drawn, s: all("H" not in name for name, _ in drawn)),
+    (30, 6, lambda drawn, s: all("C" not in name for name, _ in drawn)),
+    (113, 4, lambda drawn, s: {k for _, k in drawn} == {"coordinate_max"}),
+    (129, 4, lambda drawn, s: {k for _, k in drawn} == {"character_sup"}),
+    (184, 4, lambda drawn, s: {k for _, k in drawn} == {"spectral_radius"}),
+    (275, 4, lambda drawn, s: s.square_rejections == 4),
+], ids=["none", "one", "past_a_block", "no_H", "no_C", "only_coordinate_max",
+        "only_character_sup", "only_spectral_radius", "all_rejected"])
+def test_stacked_fuzz_matches_one_instance_loop(seed, iterations, holds):
+    """The stacked fuzz gives the one-instance loop's summary at the edges
+    of its blocks and parts: no instance, one, one past a block, calls
+    that never draw H or C, calls of one seminorm kind, and a call whose
+    instances all fail the square gate, so that its ratio stage is
+    empty."""
+    config = PipelineConfig(seed=seed)
+    summary = fuzz(config, iterations)
+    assert holds(_drawn(seed, iterations), summary)
+    assert summary.to_dict() == _fuzz_with_fresh_algebras(
+        config, iterations).to_dict()
+
+
+class _Spread(np.random.Generator):
+    """A Generator whose normal draws are scaled by 10^k, k running over
+    -8 ... 8 along each draw, so that pairs fall under the ratio floor and
+    every part of the floor's scale takes its turn setting it."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        x = super().standard_normal(size, dtype=dtype, out=out)
+        x *= 10.0 ** (np.arange(x.size) % 17 - 8).reshape(x.shape)
+        return x
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["normal", "spread"])
+def test_stacked_checks_agree_with_one_instance_checks(monkeypatch, spread):
+    """On 5 seeds x 300 instances, every instance's stacked square residual
+    and ratio, the ratio taken also where the square check fails, and p on
+    each of its random rows are those of check_square_property,
+    check_submultiplicative and p.values on the instance's own Generator
+    to a few ulps.  They are not bit-equal: each part's spectral radius
+    takes its own scale, and a part's products sum in their own order.
+    With spread draws (_Spread) the floor drops pairs, so its decisions
+    are pinned too."""
+    if spread:
+        plain = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: (
+            seed if isinstance(seed, np.random.Generator)
+            else _Spread(plain(seed).bit_generator)))
+    eps, S = np.finfo(float).eps, pipeline._FUZZ_SAMPLES
+    for seed in range(5):
+        algebras = {}
+        for start in range(0, 300, pipeline._FUZZ_BLOCK):
+            todo = np.arange(start, min(start + pipeline._FUZZ_BLOCK, 300))
+            block, squares, pairs, _ = pipeline._stack_block(seed, todo,
+                                                             algebras)
+            p_rows = block.values(pairs)[pipeline._WIDTH:].max(axis=2).T
+            stacked = (pipeline._square_residuals(block, squares),
+                       pipeline._ratios(block, pairs))
+            single = np.empty((2, len(todo)))
+            for b, i in enumerate(todo):
+                rng = np.random.default_rng([seed, i])
+                A, p, _ = pipeline._random_instance(rng, algebras)
+                single[0, b] = check_square_property(p, A, S, rng)
+                state = rng.bit_generator.state
+                single[1, b] = check_submultiplicative(p, A, S, rng)
+                rng.bit_generator.state = state   # the scan's pairs again
+                X = rng.standard_normal((2 * S, A.dim))
+                np.testing.assert_allclose(p_rows[b], p.values(A, X),
+                                           rtol=4 * eps)
+            np.testing.assert_allclose(stacked, single, rtol=4 * eps,
+                                       atol=4 * eps)
+
+
+def test_a_hit_whose_square_check_fails_is_a_rejection(monkeypatch):
+    """The one-instance checks that confirm a screened hit decide it: an
+    instance whose square residual comes out over tol there counts as a
+    rejection, and is not recorded."""
+    monkeypatch.setattr(pipeline, "_ratios",
+                        lambda block, Z: np.full(Z.shape[1], 2.0))
+    monkeypatch.setattr(pipeline, "check_square_property",
+                        lambda *args: 1.0)
+    summary = fuzz(PipelineConfig(seed=42), 20)
+    assert (summary.checked, summary.square_rejections,
+            summary.counterexamples) == (0, 20, [])
+
+
 def test_fuzz_reads_its_characters_from_find_characters(monkeypatch):
     """The character_sup instances take their characters from
     find_characters alone, and the summary is the one the closed form

@@ -194,11 +194,15 @@ def test_stage_1_and_the_ratio_scan_hold_a_bounded_working_set(monkeypatch):
 
 
 def test_a_fuzz_chunk_makes_the_calls_of_one_stack_per_check(monkeypatch):
-    """A fuzz instance's stacks fit one slab, so its checks call p once on
-    the square stack and twice in the ratio scan, and multiply once in
-    each: 50 instances at seed 42 (37 checked) make 124 calls of values and
-    89 of mul_coords_batch, 2 of them from naming the spectral blocks, as
-    when each check evaluated whole stacks."""
+    """fuzz checks a block of instances on stacks, part by part: each of
+    its three stacks (the square check's, and the ratio scan's two) calls
+    values once per part R, C and H and kind that has a values method
+    (spectral_radius, character_sup), and the square check and the ratio
+    scan multiply once per part.  So 50 instances at seed 42 (37 checked)
+    and a full block make 3 * 3 * 2 = 18 calls of values and 2 * 3 + 2 =
+    8 of mul_coords_batch, 2 of them from naming the spectral blocks,
+    where the one-instance checks made 124 and 89 on 50.  The stacks take
+    coordinate_max's weighted max themselves."""
     calls = {"values": 0, "mul": 0}
 
     def counting(key, fn):
@@ -211,6 +215,8 @@ def test_a_fuzz_chunk_makes_the_calls_of_one_stack_per_check(monkeypatch):
         monkeypatch.setattr(cls, "values", counting("values", cls.values))
     monkeypatch.setattr(FiniteDimRealAlgebra, "mul_coords_batch", counting(
         "mul", FiniteDimRealAlgebra.mul_coords_batch))
-    summary = pipeline.fuzz(pipeline.PipelineConfig(seed=42), 50)
-    assert summary.checked == 37
-    assert calls == {"values": 50 + 2 * 37, "mul": 50 + 37 + 2}
+    for iterations, checked in ((50, 37), (pipeline._FUZZ_BLOCK, None)):
+        calls.update(values=0, mul=0)
+        summary = pipeline.fuzz(pipeline.PipelineConfig(seed=42), iterations)
+        assert checked in (None, summary.checked)
+        assert calls == {"values": 18, "mul": 8}

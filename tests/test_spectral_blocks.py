@@ -572,19 +572,27 @@ def test_h8_verify_builds_the_simple_blocks_once(monkeypatch):
 
 
 def test_fuzz_chunk_builds_one_record_per_product(monkeypatch):
-    """fuzz builds R, C and H once per call and forms every product from
-    them: each product's division table is its parts' tables, so the
-    simple blocks are built on R, C and H alone, once each, and every
-    radius comes from the factors of their blocks, with no eigvals call."""
+    """fuzz builds R, C and H once per call, forms every product from
+    them, and checks its instances on R, C and H alone: the simple blocks
+    and the division tables are built on R, C and H, once each, every
+    radius comes from the factors of their blocks, with no eigvals call,
+    and no product builds square probes, a division table or the matrix of
+    its nonzero products."""
     eig_sizes = _record_eig_sizes(monkeypatch)
     tables = _record_builds(monkeypatch, "_division_table", spectral_mod)
     blocks = _record_builds(monkeypatch, "_simple_blocks")
+    sums, orig = [], corpus.direct_sum
+    monkeypatch.setattr(corpus, "direct_sum",
+                        lambda parts, **kw: sums.append(orig(parts, **kw))
+                        or sums[-1])
     summary = fuzz(PipelineConfig(seed=42), iterations=50)
-    assert tables and len({id(A) for A in tables}) == len(tables)
+    assert sorted(A.name for A in tables) == ["C", "H", "R"]
     assert sorted(A.name for A in blocks) == ["C", "H", "R"]
     assert not any(A._parts for A in blocks)
-    parts = {id(A) for A in blocks}
-    assert all({id(P) for P in A._parts} <= parts for A in tables if A._parts)
+    assert {id(A) for A in tables} == {id(A) for A in blocks}
+    assert sums and not any(
+        {"_square_probes", "_division_table", "_nonzero_products"}
+        & set(vars(A)) for A in sums)
     assert eig_sizes == []
     # the summary of the dense code path before the division table existed
     assert summary.to_dict() == {
